@@ -1,0 +1,108 @@
+package rumorset
+
+import "slices"
+
+// index is the Set's one derived view of the in-flight rumors: which IDs are
+// active, where each one ranks among them, and which slot it owns. It is the
+// only ID→slot authority. Every field is written under the Set's write lock
+// only (Register/Inject insert one entry, an expiry call compacts once) and
+// read under either lock mode, so readers never see a half-built index and no
+// read path ever rebuilds it.
+//
+// The ID→slot table has the shape of phonecall's idTable: open addressing,
+// linear probing, a power-of-two capacity at a load factor of at most 1/2.
+// One entry is id<<32 | slot+1, so a probe is a single load and — because a
+// slot is stored plus one — the zero entry is the empty sentinel even though
+// rumor ID 0 is valid.
+type index struct {
+	sorted []ID    // active IDs, ascending
+	slotAt []int32 // rank → slot, parallel to sorted
+	rankOf []int32 // slot → rank among the active IDs; noRank while the slot is free
+	table  []uint64
+	shift  uint // 32 − log2(len(table)): bucket keeps the product's top bits
+}
+
+// noRank marks a free slot in index.rankOf. An expiry call sets it as it
+// queues a slot, which is also what makes a repeated ID inside one call miss.
+const noRank int32 = -1
+
+func newIndex(window int) index {
+	size, log := 2, uint(1)
+	for size < 2*window {
+		size <<= 1
+		log++
+	}
+	ix := index{
+		sorted: make([]ID, 0, window),
+		slotAt: make([]int32, 0, window),
+		rankOf: make([]int32, window),
+		table:  make([]uint64, size),
+		shift:  32 - log,
+	}
+	for sl := range ix.rankOf {
+		ix.rankOf[sl] = noRank
+	}
+	return ix
+}
+
+// bucket is where id's probe sequence starts: one multiply, top bits kept
+// (Fibonacci hashing, which spreads the sequential IDs of a stream as well as
+// sparse ones).
+func (ix *index) bucket(id ID) uint32 { return uint32(id) * 0x9E3779B1 >> ix.shift }
+
+// lookup resolves an active ID to its slot: one multiply picks the bucket,
+// then a linear probe that the load factor keeps short.
+func (ix *index) lookup(id ID) (slot int, ok bool) {
+	mask := uint32(len(ix.table) - 1)
+	for h := ix.bucket(id); ; h = (h + 1) & mask {
+		e := ix.table[h]
+		if e == 0 {
+			return 0, false
+		}
+		if ID(e>>32) == id {
+			return int(uint32(e)) - 1, true
+		}
+	}
+}
+
+// put adds id → slot to the table. The caller guarantees id is absent.
+func (ix *index) put(id ID, slot int32) {
+	mask := uint32(len(ix.table) - 1)
+	h := ix.bucket(id)
+	for ix.table[h] != 0 {
+		h = (h + 1) & mask
+	}
+	ix.table[h] = uint64(id)<<32 | uint64(slot+1)
+}
+
+// insert makes id active in slot: a binary search for its rank, a shift of
+// the entries above it (none for a stream that injects ascending IDs) and one
+// table put — O(window), no sort.
+func (ix *index) insert(id ID, slot int) {
+	rank, _ := slices.BinarySearch(ix.sorted, id)
+	ix.sorted = slices.Insert(ix.sorted, rank, id)
+	ix.slotAt = slices.Insert(ix.slotAt, rank, int32(slot))
+	for r := rank; r < len(ix.slotAt); r++ {
+		ix.rankOf[ix.slotAt[r]] = int32(r)
+	}
+	ix.put(id, int32(slot))
+}
+
+// compact drops every entry whose slot an expiry call marked noRank, keeping
+// the rest in order, and rebuilds the table from the survivors — a linear
+// probe table cannot delete in place without tombstones, and one rebuild per
+// call is cheaper than those.
+func (ix *index) compact() {
+	clear(ix.table)
+	kept := 0
+	for r, sl := range ix.slotAt {
+		if ix.rankOf[sl] == noRank {
+			continue
+		}
+		id := ix.sorted[r]
+		ix.sorted[kept], ix.slotAt[kept], ix.rankOf[sl] = id, sl, int32(kept)
+		ix.put(id, sl)
+		kept++
+	}
+	ix.sorted, ix.slotAt = ix.sorted[:kept], ix.slotAt[:kept]
+}

@@ -1,0 +1,364 @@
+package rumorset
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"math/bits"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// appendHeldBySort is AppendHeld as it was before the ordered index — collect
+// the row's IDs in slot order, then sort — kept as the reference the
+// rank-permutation walk is checked against. It resolves slots through the
+// ID→slot table alone, so agreeing with it also ties the table to the
+// rank/sorted side of the index.
+func appendHeldBySort(s *Set, dst []ID, node int) []ID {
+	start := len(dst)
+	s.mu.RLock()
+	idOf := make(map[int]ID, len(s.ix.sorted))
+	for _, e := range s.ix.table {
+		if e != 0 {
+			idOf[int(uint32(e))-1] = ID(e >> 32)
+		}
+	}
+	for w, word := range s.row(node) {
+		for ; word != 0; word &= word - 1 {
+			dst = append(dst, idOf[w<<6+bits.TrailingZeros64(word)])
+		}
+	}
+	s.mu.RUnlock()
+	slices.Sort(dst[start:])
+	return dst
+}
+
+// ledgerModel is the naive ledger the differential test replays every
+// operation on: who holds which active rumor, and who is down.
+type ledgerModel struct {
+	window int
+	held   map[ID]map[int]bool // active rumors → holders
+	failed []bool
+}
+
+func (m *ledgerModel) register(id ID) bool {
+	if _, ok := m.held[id]; ok {
+		return true
+	}
+	if len(m.held) == m.window {
+		return false
+	}
+	m.held[id] = map[int]bool{}
+	return true
+}
+
+func (m *ledgerModel) mark(node int, id ID) {
+	if holders, ok := m.held[id]; ok {
+		holders[node] = true
+	}
+}
+
+func (m *ledgerModel) revive(node int) {
+	if !m.failed[node] {
+		return
+	}
+	m.failed[node] = false
+	for _, holders := range m.held {
+		delete(holders, node)
+	}
+}
+
+// informed counts the live holders of an active rumor.
+func (m *ledgerModel) informed(id ID) int {
+	c := 0
+	for node := range m.held[id] {
+		if !m.failed[node] {
+			c++
+		}
+	}
+	return c
+}
+
+func (m *ledgerModel) converged() []ID {
+	live := 0
+	for _, down := range m.failed {
+		if !down {
+			live++
+		}
+	}
+	var out []ID
+	for id := range m.held {
+		if live > 0 && m.informed(id) >= live {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// checkIndex asserts the index invariants and the set's read side against the
+// model.
+func checkIndex(t *testing.T, s *Set, m *ledgerModel, stale []ID) {
+	t.Helper()
+	ix := &s.ix
+	if len(ix.sorted) != len(m.held) || len(ix.slotAt) != len(ix.sorted) {
+		t.Fatalf("index holds %d ids / %d slots, model %d", len(ix.sorted), len(ix.slotAt), len(m.held))
+	}
+	if len(s.freeSl)+len(ix.sorted) != s.cap {
+		t.Fatalf("%d free + %d active slots != window %d", len(s.freeSl), len(ix.sorted), s.cap)
+	}
+	for r, id := range ix.sorted {
+		if r > 0 && ix.sorted[r-1] >= id {
+			t.Fatalf("sorted[%d]=%d not above sorted[%d]=%d", r, id, r-1, ix.sorted[r-1])
+		}
+		if _, ok := m.held[id]; !ok {
+			t.Fatalf("index lists inactive id %d", id)
+		}
+		sl := int(ix.slotAt[r])
+		if int(ix.rankOf[sl]) != r {
+			t.Fatalf("rankOf[slotAt[%d]=%d] = %d", r, sl, ix.rankOf[sl])
+		}
+		if got, ok := ix.lookup(id); !ok || got != sl {
+			t.Fatalf("table resolves id %d to (%d,%v), rank side says slot %d", id, got, ok, sl)
+		}
+	}
+	ranked, entries := 0, 0
+	for _, r := range ix.rankOf {
+		if r != noRank {
+			ranked++
+		}
+	}
+	for _, e := range ix.table {
+		if e != 0 {
+			entries++
+		}
+	}
+	if ranked != len(ix.sorted) || entries != len(ix.sorted) {
+		t.Fatalf("%d ranked slots, %d table entries, %d active ids", ranked, entries, len(ix.sorted))
+	}
+	if got := s.ActiveIDs(nil); !slices.Equal(got, ix.sorted) {
+		t.Fatalf("ActiveIDs %v != index %v", got, ix.sorted)
+	}
+
+	for node := 0; node < s.n; node++ {
+		var want []ID
+		for id, holders := range m.held {
+			if holders[node] {
+				want = append(want, id)
+			}
+		}
+		slices.Sort(want)
+		got, size := AppendDigest(s, []ID(nil), node)
+		if !slices.Equal(got, want) {
+			t.Fatalf("node %d: AppendDigest %v, model %v", node, got, want)
+		}
+		if ref := appendHeldBySort(s, nil, node); !slices.Equal(got, ref) {
+			t.Fatalf("node %d: AppendDigest %v, sort-based reference %v", node, got, ref)
+		}
+		if size != SummarySize(got) {
+			t.Fatalf("node %d: AppendDigest sized the summary %d, SummarySize %d", node, size, SummarySize(got))
+		}
+		if c := s.HeldCount(node); c != len(want) {
+			t.Fatalf("node %d: HeldCount %d, model %d", node, c, len(want))
+		}
+	}
+	for id := range m.held {
+		if got, want := s.LiveInformed(id), m.informed(id); got != want {
+			t.Fatalf("rumor %d: LiveInformed %d, model %d", id, got, want)
+		}
+	}
+	for _, id := range stale {
+		if _, active := m.held[id]; active {
+			continue // re-registered since: a new epoch, no longer stale
+		}
+		if s.Has(0, id) || s.MarkIDs(0, []ID{id}) != 0 || MergeDigest(s, 0, []uint64{uint64(id)}) != 0 {
+			t.Fatalf("stale id %d still resolves", id)
+		}
+	}
+}
+
+// TestIndexDifferential replays random operation sequences with heavy slot
+// reuse on the set and on a naive model, checking after every batch that the
+// ordered index is consistent (ascending IDs, rank ↔ sorted ↔ table), that
+// the rank-permutation walk emits exactly what the sort-based reference does,
+// and that retired IDs keep missing. Window 4096 is past the on-stack rank
+// bitmap, so its digests take several passes.
+func TestIndexDifferential(t *testing.T) {
+	for _, window := range []int{1, 63, 64, 65, 1024, 4096} {
+		t.Run(fmt.Sprint("window=", window), func(t *testing.T) {
+			const nodes = 5
+			rng := rand.New(rand.NewSource(int64(window)))
+			s := newSet(t, nodes, window)
+			m := &ledgerModel{window: window, held: map[ID]map[int]bool{}, failed: make([]bool, nodes)}
+
+			// Sparse IDs over the whole uint32 space, both ends included, few
+			// enough that retired ones come back as new epochs.
+			pool := []ID{0, 1, math.MaxUint32 - 1, math.MaxUint32}
+			for len(pool) < 2*window+8 {
+				pool = append(pool, ID(rng.Uint32()))
+			}
+			pick := func() ID { return pool[rng.Intn(len(pool))] }
+			active := func() ID {
+				if len(s.ix.sorted) == 0 {
+					return pick()
+				}
+				return s.ix.sorted[rng.Intn(len(s.ix.sorted))]
+			}
+			var stale []ID
+			expire := func(converged bool, ids ...ID) {
+				if converged {
+					s.Retire(ids...)
+				} else {
+					s.Expire(ids...)
+				}
+				for _, id := range ids {
+					if _, ok := m.held[id]; ok {
+						delete(m.held, id)
+						stale = append(stale, id)
+					}
+				}
+			}
+
+			batches, perBatch := 60, 4*window+40
+			if window >= 1024 {
+				batches = 12
+			}
+			for b := 0; b < batches; b++ {
+				for op := 0; op < perBatch; op++ {
+					node := rng.Intn(nodes)
+					switch k := rng.Intn(100); {
+					case k < 30:
+						id := pick()
+						err := s.Inject(node, id)
+						if ok := m.register(id); ok != (err == nil) || (err != nil && !errors.Is(err, ErrFull)) {
+							t.Fatalf("Inject(%d): %v, model admits: %v", id, err, ok)
+						}
+						m.mark(node, id)
+					case k < 38:
+						id := pick()
+						err := s.Register(id)
+						if ok := m.register(id); ok != (err == nil) {
+							t.Fatalf("Register(%d): %v, model admits: %v", id, err, ok)
+						}
+					case k < 55:
+						id := active()
+						s.Mark(node, id)
+						m.mark(node, id)
+					case k < 75:
+						ids := make([]ID, 1+rng.Intn(12))
+						for i := range ids {
+							if ids[i] = active(); rng.Intn(4) == 0 {
+								ids[i] = pick() // maybe inactive, maybe stale
+							}
+							m.mark(node, ids[i])
+						}
+						s.MarkIDs(node, ids)
+					case k < 87:
+						// Active, repeated and inactive IDs in one call.
+						ids := []ID{active(), active(), pick()}
+						ids = append(ids, ids[0])
+						expire(rng.Intn(2) == 0, ids...)
+					case k < 91:
+						s.Fail(node)
+						m.failed[node] = true
+					case k < 95:
+						s.Revive(node)
+						m.revive(node)
+					case k < 97:
+						want := m.converged()
+						if got := s.ExpireConverged(); got != len(want) {
+							t.Fatalf("ExpireConverged freed %d, model %d", got, len(want))
+						}
+						for _, id := range want {
+							delete(m.held, id)
+							stale = append(stale, id)
+						}
+					case rng.Intn(window+1) < 8:
+						// A rare burst of retirements (about one per batch in the
+						// large windows, which otherwise run full): empties most
+						// of the window, so the next injections reuse slots in a
+						// new order.
+						burst := append([]ID(nil), s.ix.sorted...)
+						rng.Shuffle(len(burst), func(i, j int) { burst[i], burst[j] = burst[j], burst[i] })
+						expire(true, burst[:len(burst)*3/4]...)
+					}
+				}
+				checkIndex(t, s, m, stale)
+				if len(stale) > 64 {
+					stale = stale[len(stale)-64:]
+				}
+			}
+			if st := s.Snapshot(); st.Expired == 0 || st.Injected <= int64(window) {
+				t.Fatalf("no slot reuse exercised: %+v", st)
+			}
+		})
+	}
+}
+
+// TestIndexMultiPassDigest pins the windows wider than the on-stack rank
+// bitmap: with more than rankSpan rumors in flight, registered in an order
+// unrelated to their IDs, a digest still comes out ascending and complete.
+func TestIndexMultiPassDigest(t *testing.T) {
+	const window = 4096
+	s := newSet(t, 2, window)
+	for i := 0; i < window; i++ {
+		if err := s.Inject(i&1, ID(i*7919%window)*1_000_003); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for node := 0; node < 2; node++ {
+		got := s.AppendHeld(nil, node)
+		if len(got) != window/2 || !slices.IsSorted(got) {
+			t.Fatalf("node %d: %d ids (want %d), sorted=%v", node, len(got), window/2, slices.IsSorted(got))
+		}
+		if ref := appendHeldBySort(s, nil, node); !slices.Equal(got, ref) {
+			t.Fatalf("node %d: multi-pass digest differs from the sort-based reference", node)
+		}
+	}
+}
+
+// TestMergeDigestSkipsOutOfRangeIDs pins the narrowing fix: a carried value
+// above the rumor ID space must be skipped like an unknown ID, never
+// truncated into the rumor whose ID its low 32 bits spell.
+func TestMergeDigestSkipsOutOfRangeIDs(t *testing.T) {
+	s := newSet(t, 2, 4)
+	if err := s.Inject(0, 5); err != nil {
+		t.Fatal(err)
+	}
+	if fresh := MergeDigest(s, 1, []uint64{1<<32 | 5, math.MaxUint64}); fresh != 0 {
+		t.Fatalf("out-of-range ids produced %d fresh marks", fresh)
+	}
+	if s.Has(1, 5) {
+		t.Fatal("1<<32|5 was narrowed into rumor 5")
+	}
+	if fresh := MergeDigest(s, 1, []uint64{5}); fresh != 1 || !s.Has(1, 5) {
+		t.Fatalf("in-range id 5: %d fresh marks", fresh)
+	}
+}
+
+// TestDigestKernelsDoNotAllocate locks the hot kernels at zero allocations:
+// AppendHeld into a pre-sized buffer and MarkIDs, at the stream workload's
+// window and at the simulator workload's.
+func TestDigestKernelsDoNotAllocate(t *testing.T) {
+	for _, window := range []int{256, 1024} {
+		s := newSet(t, 4, window)
+		ids := make([]ID, window)
+		for i := range ids {
+			ids[i] = ID(i * 7919 % window) // slot order differs from ID order
+			if err := s.Inject(0, ids[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dst := make([]ID, 0, window)
+		if a := testing.AllocsPerRun(20, func() { dst = s.AppendHeld(dst[:0], 0) }); a != 0 {
+			t.Errorf("window %d: AppendHeld allocates %v times per call", window, a)
+		}
+		if len(dst) != window {
+			t.Fatalf("window %d: digest holds %d ids", window, len(dst))
+		}
+		node := 1
+		if a := testing.AllocsPerRun(3, func() { s.MarkIDs(node, ids); node = 1 + node%3 }); a != 0 {
+			t.Errorf("window %d: MarkIDs allocates %v times per call", window, a)
+		}
+	}
+}

@@ -15,17 +15,18 @@
 // and may run concurrently; marks for node i must come from i's owner (its
 // goroutine or engine shard), mirroring the engines' callback contract — a
 // node's holdings row has exactly one concurrent writer. Everything that changes the
-// table shape — Register, Inject, Expire, ExpireConverged, Fail, Revive —
-// takes the write lock and is coordinator/monitor-only. Holdings bits are set
-// with atomic Or under the read lock and cleared only under the write lock,
-// so setters never race the clearing scan.
+// table shape — Register, Inject, Expire, Retire, ExpireConverged, Fail,
+// Revive — takes the write lock and is coordinator/monitor-only; the ordered
+// index of the in-flight rumors (index.go) is maintained there and nowhere
+// else. Holdings bits are set with atomic Or under the read lock and cleared
+// only under the write lock, so setters never race the clearing scan.
 package rumorset
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
-	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -34,6 +35,12 @@ import (
 // rumor ID; the phonecall bitmask tracker's RumorID is the dense [0,64)
 // prefix of this space.
 type ID uint32
+
+// WireID is an integer type a caller carries rumor IDs in. The digest kernels
+// (AppendDigest, MergeDigest) read and write such a buffer in place, so an
+// engine whose messages hold IDs in a wider field than ID — the simulator's
+// phonecall.NodeID — neither stages a copy nor narrows a value unchecked.
+type WireID interface{ ~uint32 | ~uint64 }
 
 // ErrFull reports that the in-flight window is exhausted: every slot holds an
 // unconverged rumor, so injection must stall until GC reclaims one. Callers
@@ -49,17 +56,19 @@ type Set struct {
 	words int // ceil(cap/64): bit words per node row
 
 	mu     sync.RWMutex
-	slotOf map[ID]int // active rumors only
-	idOf   []ID       // slot → ID, valid while the slot is active
-	freeSl []int      // free slot stack
-	failed []bool     // per node; written under mu, read by Mark under RLock
-	liveN  int        // nodes not currently failed
+	ix     index  // the in-flight rumors: sorted IDs, slot↔rank, ID→slot
+	freeSl []int  // free slot stack
+	failed []bool // per node; written under mu, read by Mark under RLock
+	liveN  int    // nodes not currently failed
 
 	// held is the flat holdings arena: node i's row is
 	// held[i*words : (i+1)*words], bit s of the row = slot s. Bits are set
-	// atomically under RLock (any goroutine) and cleared under Lock
-	// (expiry, revive).
-	held []atomic.Uint64
+	// and read with sync/atomic functions under RLock (any goroutine). Under
+	// Lock no other goroutine is inside the arena, so expiry and revive clear
+	// with plain loads and stores — which is why the words are not
+	// atomic.Uint64: its Store is a locked exchange, and the column clear
+	// touches every row.
+	held []uint64
 
 	// live counts live-informed nodes per slot. It is the convergence
 	// authority for the coordinator-driven engines (sim, lock-step), where
@@ -67,7 +76,8 @@ type Set struct {
 	// ScanConverged instead and treats these as advisory.
 	live []atomic.Int64
 
-	acc []uint64 // ScanConverged scratch accumulator (monitor-only)
+	acc      []uint64 // ScanConverged scratch accumulator (monitor-only)
+	expiring []uint64 // slots queued by the running expiry call, as a row mask
 
 	injected  atomic.Int64
 	converged atomic.Int64
@@ -95,17 +105,17 @@ func New(n, maxInFlight int) (*Set, error) {
 	}
 	words := (maxInFlight + 63) / 64
 	s := &Set{
-		n:      n,
-		cap:    maxInFlight,
-		words:  words,
-		slotOf: make(map[ID]int, maxInFlight),
-		idOf:   make([]ID, maxInFlight),
-		freeSl: make([]int, 0, maxInFlight),
-		failed: make([]bool, n),
-		liveN:  n,
-		held:   make([]atomic.Uint64, n*words),
-		live:   make([]atomic.Int64, maxInFlight),
-		acc:    make([]uint64, words),
+		n:        n,
+		cap:      maxInFlight,
+		words:    words,
+		ix:       newIndex(maxInFlight),
+		freeSl:   make([]int, 0, maxInFlight),
+		failed:   make([]bool, n),
+		liveN:    n,
+		held:     make([]uint64, n*words),
+		live:     make([]atomic.Int64, maxInFlight),
+		acc:      make([]uint64, words),
+		expiring: make([]uint64, words),
 	}
 	for sl := maxInFlight - 1; sl >= 0; sl-- {
 		s.freeSl = append(s.freeSl, sl)
@@ -119,6 +129,9 @@ func (s *Set) Cap() int { return s.cap }
 // Nodes returns the node count.
 func (s *Set) Nodes() int { return s.n }
 
+// row returns node's holdings row.
+func (s *Set) row(node int) []uint64 { return s.held[node*s.words : (node+1)*s.words] }
+
 // Register makes the rumor active, assigning it a slot. Registering an
 // already-active ID is a no-op. A previously-expired ID may be re-registered:
 // it gets a fresh slot with fresh counts (re-injection of a converged rumor
@@ -127,23 +140,24 @@ func (s *Set) Nodes() int { return s.n }
 func (s *Set) Register(id ID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.register(id)
+	_, err := s.register(id)
+	return err
 }
 
-func (s *Set) register(id ID) error {
-	if _, ok := s.slotOf[id]; ok {
-		return nil
+// register returns the rumor's slot, assigning one if the ID is not active.
+func (s *Set) register(id ID) (int, error) {
+	if sl, ok := s.ix.lookup(id); ok {
+		return sl, nil
 	}
 	if len(s.freeSl) == 0 {
-		return fmt.Errorf("%w (cap %d)", ErrFull, s.cap)
+		return 0, fmt.Errorf("%w (cap %d)", ErrFull, s.cap)
 	}
 	sl := s.freeSl[len(s.freeSl)-1]
 	s.freeSl = s.freeSl[:len(s.freeSl)-1]
-	s.slotOf[id] = sl
-	s.idOf[sl] = id
+	s.ix.insert(id, sl)
 	s.live[sl].Store(0)
 	s.injected.Add(1)
-	return nil
+	return sl, nil
 }
 
 // Inject registers the rumor and marks node as holding it. Injecting at a
@@ -155,13 +169,14 @@ func (s *Set) Inject(node int, id ID) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.register(id); err != nil {
+	sl, err := s.register(id)
+	if err != nil {
 		return err
 	}
 	if s.failed[node] {
 		s.lost.Add(1)
 	}
-	s.markLocked(node, s.slotOf[id])
+	s.markLocked(node, sl)
 	return nil
 }
 
@@ -174,10 +189,10 @@ func (s *Set) markLocked(node, sl int) {
 	// contract, node i's row is written either by i's owner goroutine (under
 	// RLock) or under the exclusive write lock, so the check-then-set pair
 	// cannot interleave with another setter of the same row.
-	if word.Load()&mask != 0 {
+	if atomic.LoadUint64(word)&mask != 0 {
 		return
 	}
-	word.Or(mask)
+	atomic.OrUint64(word, mask)
 	if !s.failed[node] {
 		s.live[sl].Add(1)
 	}
@@ -188,7 +203,7 @@ func (s *Set) markLocked(node, sl int) {
 // summaries. Callable from node's owner goroutine only.
 func (s *Set) Mark(node int, id ID) {
 	s.mu.RLock()
-	if sl, ok := s.slotOf[id]; ok {
+	if sl, ok := s.ix.lookup(id); ok {
 		s.markLocked(node, sl)
 	}
 	s.mu.RUnlock()
@@ -197,22 +212,31 @@ func (s *Set) Mark(node int, id ID) {
 // MarkIDs merges a decoded summary into node's holdings: every known ID is
 // marked, unknown IDs are skipped, and the number of fresh marks is returned.
 // Callable from node's owner goroutine only.
-func (s *Set) MarkIDs(node int, ids []ID) int {
+func (s *Set) MarkIDs(node int, ids []ID) int { return MergeDigest(s, node, ids) }
+
+// MergeDigest is MarkIDs over the caller's own ID-typed buffer. A value
+// outside the rumor ID space cannot name a rumor and is skipped like an
+// unknown ID — never narrowed into one.
+func MergeDigest[T WireID](s *Set, node int, ids []T) int {
 	fresh := 0
 	s.mu.RLock()
-	for _, id := range ids {
-		sl, ok := s.slotOf[id]
+	row, failed := s.row(node), s.failed[node]
+	for _, v := range ids {
+		if uint64(v) > math.MaxUint32 {
+			continue
+		}
+		sl, ok := s.ix.lookup(ID(v))
 		if !ok {
 			continue
 		}
-		word := &s.held[node*s.words+sl>>6]
-		mask := uint64(1) << (sl & 63)
-		if word.Load()&mask != 0 {
+		// markLocked with the row and the liveness test hoisted out of the loop.
+		word, mask := &row[sl>>6], uint64(1)<<(sl&63)
+		if atomic.LoadUint64(word)&mask != 0 {
 			continue
 		}
-		word.Or(mask)
+		atomic.OrUint64(word, mask)
 		fresh++
-		if !s.failed[node] {
+		if !failed {
 			s.live[sl].Add(1)
 		}
 	}
@@ -224,11 +248,11 @@ func (s *Set) MarkIDs(node int, ids []ID) int {
 func (s *Set) Has(node int, id ID) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	sl, ok := s.slotOf[id]
+	sl, ok := s.ix.lookup(id)
 	if !ok {
 		return false
 	}
-	return s.held[node*s.words+sl>>6].Load()&(1<<(sl&63)) != 0
+	return atomic.LoadUint64(&s.held[node*s.words+sl>>6])&(1<<(sl&63)) != 0
 }
 
 // LiveInformed returns the number of live nodes holding the rumor, or 0 for
@@ -236,7 +260,7 @@ func (s *Set) Has(node int, id ID) bool {
 func (s *Set) LiveInformed(id ID) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	sl, ok := s.slotOf[id]
+	sl, ok := s.ix.lookup(id)
 	if !ok {
 		return 0
 	}
@@ -247,29 +271,60 @@ func (s *Set) LiveInformed(id ID) int {
 // and returns the extended slice. Sorted ascending so the result feeds
 // AppendSummary directly. Callable from any node goroutine.
 func (s *Set) AppendHeld(dst []ID, node int) []ID {
+	dst, _ = AppendDigest(s, dst, node)
+	return dst
+}
+
+// rankSpan is how many ranks one pass of AppendDigest sorts on its stack
+// bitmap. Windows up to this size take one pass; a larger window takes one
+// pass per rankSpan active rumors, still without allocating.
+const rankSpan = 1024
+
+// AppendDigest is AppendHeld into the caller's own ID-typed buffer; it also
+// returns SummarySize of the appended IDs, computed in the same walk.
+//
+// The IDs come out ascending without a sort: the row's bits are slot-ordered,
+// so each set bit is moved to its rumor's rank among the active IDs (the
+// index's slot→rank permutation) in a scratch bitmap, and walking that bitmap
+// visits the held rumors in ID order — O(held) + O(words).
+func AppendDigest[T WireID](s *Set, dst []T, node int) (out []T, summaryBytes int) {
 	start := len(dst)
+	prev := ^uint64(0) // so that the first ID's "delta−1" is the ID itself
+	var ranks [rankSpan / 64]uint64
 	s.mu.RLock()
-	row := s.held[node*s.words : (node+1)*s.words]
-	for w := range row {
-		word := row[w].Load()
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &= word - 1
-			dst = append(dst, s.idOf[w<<6+b])
+	row := s.row(node)
+	for base := 0; base < len(s.ix.sorted); base += rankSpan {
+		ids := s.ix.sorted[base:min(base+rankSpan, len(s.ix.sorted))]
+		span := ranks[:(len(ids)+63)>>6]
+		clear(span)
+		for w := range row {
+			for word := atomic.LoadUint64(&row[w]); word != 0; word &= word - 1 {
+				r := int(s.ix.rankOf[w<<6+bits.TrailingZeros64(word)]) - base
+				if uint(r) < uint(len(ids)) {
+					span[r>>6] |= 1 << (r & 63)
+				}
+			}
+		}
+		for w, word := range span {
+			for ; word != 0; word &= word - 1 {
+				id := uint64(ids[w<<6+bits.TrailingZeros64(word)])
+				dst = append(dst, T(id))
+				summaryBytes += uvarintLen(id - prev - 1)
+				prev = id
+			}
 		}
 	}
 	s.mu.RUnlock()
-	slices.Sort(dst[start:])
-	return dst
+	return dst, summaryBytes + uvarintLen(uint64(len(dst)-start))
 }
 
 // HeldCount returns how many active rumors node holds.
 func (s *Set) HeldCount(node int) int {
 	c := 0
 	s.mu.RLock()
-	row := s.held[node*s.words : (node+1)*s.words]
+	row := s.row(node)
 	for w := range row {
-		c += bits.OnesCount64(row[w].Load())
+		c += bits.OnesCount64(atomic.LoadUint64(&row[w]))
 	}
 	s.mu.RUnlock()
 	return c
@@ -278,13 +333,9 @@ func (s *Set) HeldCount(node int) int {
 // ActiveIDs appends the sorted IDs of all in-flight rumors to dst.
 // Coordinator/monitor-only.
 func (s *Set) ActiveIDs(dst []ID) []ID {
-	start := len(dst)
 	s.mu.RLock()
-	for id := range s.slotOf {
-		dst = append(dst, id)
-	}
+	dst = append(dst, s.ix.sorted...)
 	s.mu.RUnlock()
-	slices.Sort(dst[start:])
 	return dst
 }
 
@@ -292,16 +343,13 @@ func (s *Set) ActiveIDs(dst []ID) []ID {
 func (s *Set) Active() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.slotOf)
+	return len(s.ix.sorted)
 }
 
 // Snapshot returns the current counters.
 func (s *Set) Snapshot() Stats {
-	s.mu.RLock()
-	active := len(s.slotOf)
-	s.mu.RUnlock()
 	return Stats{
-		Active:    active,
+		Active:    s.Active(),
 		Injected:  s.injected.Load(),
 		Converged: s.converged.Load(),
 		Expired:   s.expired.Load(),
@@ -311,24 +359,27 @@ func (s *Set) Snapshot() Stats {
 
 // Expire reclaims the rumors' slots without requiring convergence (forced
 // GC). Inactive IDs are ignored. Coordinator/monitor-only.
-func (s *Set) Expire(ids ...ID) {
-	s.mu.Lock()
-	for _, id := range ids {
-		s.expireLocked(id, false)
-	}
-	s.mu.Unlock()
-}
+func (s *Set) Expire(ids ...ID) { s.expire(ids, false) }
 
 // Retire expires the rumors, counting them as converged — for callers that
 // detected convergence themselves (the scenario driver's completion scan, the
 // free-running monitor's ScanConverged). Inactive IDs are ignored.
 // Coordinator/monitor-only.
-func (s *Set) Retire(ids ...ID) {
+func (s *Set) Retire(ids ...ID) { s.expire(ids, true) }
+
+func (s *Set) expire(ids []ID, wasConverged bool) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	queued := 0
 	for _, id := range ids {
-		s.expireLocked(id, true)
+		// The table still lists a rumor queued earlier in this call; its
+		// cleared rank is what makes a repeated ID miss.
+		if sl, ok := s.ix.lookup(id); ok && s.ix.rankOf[sl] != noRank {
+			s.queueExpiry(sl)
+			queued++
+		}
 	}
-	s.mu.Unlock()
+	s.finishExpiry(queued, wasConverged)
 }
 
 // ExpireConverged scans the in-flight set and expires every rumor held by all
@@ -337,33 +388,49 @@ func (s *Set) Retire(ids ...ID) {
 func (s *Set) ExpireConverged() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.liveN == 0 {
+		return 0
+	}
 	freed := 0
-	for id, sl := range s.slotOf {
-		if int(s.live[sl].Load()) >= s.liveN && s.liveN > 0 {
-			s.expireLocked(id, true)
+	for _, sl := range s.ix.slotAt {
+		if int(s.live[sl].Load()) >= s.liveN {
+			s.queueExpiry(int(sl))
 			freed++
 		}
 	}
+	s.finishExpiry(freed, true)
 	return freed
 }
 
-// expireLocked frees the rumor's slot and clears its bit column across all
-// node rows. Caller holds the write lock.
-func (s *Set) expireLocked(id ID, wasConverged bool) {
-	sl, ok := s.slotOf[id]
-	if !ok {
+// queueExpiry frees an active slot and queues its bit column for the clearing
+// pass of finishExpiry, which the caller runs before releasing the write
+// lock.
+func (s *Set) queueExpiry(sl int) {
+	s.ix.rankOf[sl] = noRank
+	s.expiring[sl>>6] |= 1 << (sl & 63)
+	s.freeSl = append(s.freeSl, sl)
+	s.live[sl].Store(0)
+}
+
+// finishExpiry completes an expiry call that queued the given number of
+// rumors: one compaction of the index and one pass over the arena clearing
+// every queued column — not one pass per rumor. The write lock excludes every
+// setter, so the pass uses plain loads and stores.
+func (s *Set) finishExpiry(queued int, wasConverged bool) {
+	if queued == 0 {
 		return
 	}
-	delete(s.slotOf, id)
-	s.freeSl = append(s.freeSl, sl)
-	w, mask := sl>>6, uint64(1)<<(sl&63)
+	s.ix.compact()
 	for node := 0; node < s.n; node++ {
-		s.held[node*s.words+w].And(^mask)
+		row := s.row(node)
+		for w, mask := range s.expiring {
+			row[w] &^= mask
+		}
 	}
-	s.live[sl].Store(0)
-	s.expired.Add(1)
+	clear(s.expiring)
+	s.expired.Add(int64(queued))
 	if wasConverged {
-		s.converged.Add(1)
+		s.converged.Add(int64(queued))
 	}
 }
 
@@ -372,8 +439,8 @@ func (s *Set) expireLocked(id ID, wasConverged bool) {
 // the free-running engine: rather than trusting the advisory live counters
 // (which churn can skew while nodes run), it ANDs the holdings rows of the
 // live nodes word-wise. Rumors with zero live nodes are not reported. The
-// caller expires the returned IDs with Expire. Monitor-only (the scratch
-// accumulator is not reentrant).
+// caller expires the returned IDs with Retire, which counts them as
+// converged. Monitor-only (the scratch accumulator is not reentrant).
 func (s *Set) ScanConverged(dst []ID, isLive func(node int) bool) []ID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -386,32 +453,25 @@ func (s *Set) ScanConverged(dst []ID, isLive func(node int) bool) []ID {
 			continue
 		}
 		liveNodes++
-		row := s.held[node*s.words : (node+1)*s.words]
+		row := s.row(node)
 		for w := range row {
-			s.acc[w] &= row[w].Load()
+			s.acc[w] &= atomic.LoadUint64(&row[w])
 		}
 	}
 	if liveNodes == 0 {
 		return dst
 	}
 	for w, word := range s.acc {
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &= word - 1
-			sl := w<<6 + b
-			if sl < s.cap {
-				if id := s.idOf[sl]; s.isActiveSlot(sl, id) {
-					dst = append(dst, id)
-				}
+		for ; word != 0; word &= word - 1 {
+			// Only active slots have bits in any row, so both tests are
+			// guards: on the last word's bits beyond the window, and on a
+			// slot without a rank.
+			if sl := w<<6 + bits.TrailingZeros64(word); sl < s.cap && s.ix.rankOf[sl] != noRank {
+				dst = append(dst, s.ix.sorted[s.ix.rankOf[sl]])
 			}
 		}
 	}
 	return dst
-}
-
-func (s *Set) isActiveSlot(sl int, id ID) bool {
-	got, ok := s.slotOf[id]
-	return ok && got == sl
 }
 
 // Fail marks nodes failed, decrementing the live counters for every rumor
@@ -425,13 +485,9 @@ func (s *Set) Fail(nodes ...int) {
 		}
 		s.failed[node] = true
 		s.liveN--
-		row := s.held[node*s.words : (node+1)*s.words]
-		for w := range row {
-			word := row[w].Load()
-			for word != 0 {
-				b := bits.TrailingZeros64(word)
-				word &= word - 1
-				s.live[w<<6+b].Add(-1)
+		for w, word := range s.row(node) {
+			for ; word != 0; word &= word - 1 {
+				s.live[w<<6+bits.TrailingZeros64(word)].Add(-1)
 			}
 		}
 	}
@@ -449,10 +505,7 @@ func (s *Set) Revive(nodes ...int) {
 		}
 		s.failed[node] = false
 		s.liveN++
-		row := s.held[node*s.words : (node+1)*s.words]
-		for w := range row {
-			row[w].Store(0)
-		}
+		clear(s.row(node))
 	}
 	s.mu.Unlock()
 }

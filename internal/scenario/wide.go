@@ -20,22 +20,26 @@ import (
 // window) never come here, keeping the legacy path bit-identical.
 
 // wideProtocol binds one steppable protocol to a network and a rumor set.
-// Per-node scratch buffers keep the round loop allocation-light; intent and
-// response use separate buffers because both messages stay referenced until
-// the engine's delivery phase.
 type wideProtocol struct {
 	algo     Algorithm
 	net      *phonecall.Network
 	set      *rumorset.Set
 	overhead int // bits charged for the non-payload, non-digest part
-	scratch  []wideBufs
+	digests  []wideDigest
 }
 
-type wideBufs struct {
-	ids    []rumorset.ID      // AppendHeld scratch (sorted holdings)
-	intent []phonecall.NodeID // backing array of the intent message's IDs
-	resp   []phonecall.NodeID // backing array of the response message's IDs
-	merge  []rumorset.ID      // deliver-side decode scratch
+// wideDigest is one node's holdings digest for one round: the sorted rumor IDs
+// in the message's own ID type (the rumor-set kernels fill and read that
+// buffer directly) and the size the message is charged. A node builds it at
+// most once per round. The engine runs every intent and every response of a
+// round before the first delivery, and only deliveries change holdings, so
+// the digest a node's intent built is still exact when the same node answers
+// a pull later in the round; both messages alias ids, which nothing writes
+// again before the next round's intent pass.
+type wideDigest struct {
+	ids   []phonecall.NodeID
+	bits  int
+	round int // engine round ids and bits were built in (0: never)
 }
 
 func newWideProtocol(algo Algorithm, net *phonecall.Network, set *rumorset.Set) *wideProtocol {
@@ -44,48 +48,41 @@ func newWideProtocol(algo Algorithm, net *phonecall.Network, set *rumorset.Set) 
 		net:      net,
 		set:      set,
 		overhead: net.MessageSize(phonecall.Message{Tag: tagRumorSet}),
-		scratch:  make([]wideBufs, set.Nodes()),
+		digests:  make([]wideDigest, set.Nodes()),
 	}
 }
 
-// message encodes a holdings digest: the sorted rumor IDs (already converted
-// into dst) plus the accounting — overhead, the summary encoding's bytes, and
-// one b-bit payload per carried rumor.
-func (p *wideProtocol) message(ids []phonecall.NodeID, sorted []rumorset.ID) phonecall.Message {
-	return phonecall.Message{
-		Tag:   tagRumorSet,
-		Rumor: true,
-		IDs:   ids,
-		Bits:  p.overhead + rumorset.SummarySize(sorted)*8 + len(sorted)*p.net.PayloadBits(),
+// digest returns node i's digest for the current round, building it on the
+// round's first use: the sorted holdings plus the accounting — overhead, the
+// summary encoding's bytes, and one b-bit payload per carried rumor. A node
+// that did not initiate with its holdings (pull, or a round it sat out) builds
+// it here when it is first pulled from.
+func (p *wideProtocol) digest(i int) *wideDigest {
+	d := &p.digests[i]
+	if round := p.net.Round(); d.round != round {
+		var summaryBytes int
+		d.ids, summaryBytes = rumorset.AppendDigest(p.set, d.ids[:0], i)
+		d.bits = p.overhead + summaryBytes*8 + len(d.ids)*p.net.PayloadBits()
+		d.round = round
 	}
+	return d
 }
 
-// held fills the node's sorted holdings into b.ids and converts them into the
-// given NodeID buffer (the wire carries rumor IDs in the message's IDs
-// field).
-func (p *wideProtocol) held(i int, out *[]phonecall.NodeID) []rumorset.ID {
-	b := &p.scratch[i]
-	b.ids = p.set.AppendHeld(b.ids[:0], i)
-	buf := (*out)[:0]
-	for _, id := range b.ids {
-		buf = append(buf, phonecall.NodeID(id))
-	}
-	*out = buf
-	return b.ids
+func (d *wideDigest) message() phonecall.Message {
+	return phonecall.Message{Tag: tagRumorSet, Rumor: true, IDs: d.ids, Bits: d.bits}
 }
 
 // intent implements the per-node initiation, mirroring the bitmask
 // protocol's shape: push stays silent when empty, pull stays silent when the
 // node holds every in-flight rumor, push-pull always exchanges.
 func (p *wideProtocol) intent(i int) phonecall.Intent {
-	b := &p.scratch[i]
 	switch p.algo {
 	case AlgoPush:
-		sorted := p.held(i, &b.intent)
-		if len(sorted) == 0 {
+		d := p.digest(i)
+		if len(d.ids) == 0 {
 			return phonecall.Silent()
 		}
-		return phonecall.PushIntent(phonecall.RandomTarget(), p.message(b.intent, sorted))
+		return phonecall.PushIntent(phonecall.RandomTarget(), d.message())
 	case AlgoPull:
 		if p.set.HeldCount(i) == p.set.Active() {
 			// Holds every in-flight rumor: nothing left to ask for.
@@ -93,11 +90,11 @@ func (p *wideProtocol) intent(i int) phonecall.Intent {
 		}
 		return phonecall.PullIntent(phonecall.RandomTarget())
 	default: // AlgoPushPull
-		sorted := p.held(i, &b.intent)
-		if len(sorted) == 0 {
+		d := p.digest(i)
+		if len(d.ids) == 0 {
 			return phonecall.ExchangeIntent(phonecall.RandomTarget(), phonecall.Message{})
 		}
-		return phonecall.ExchangeIntent(phonecall.RandomTarget(), p.message(b.intent, sorted))
+		return phonecall.ExchangeIntent(phonecall.RandomTarget(), d.message())
 	}
 }
 
@@ -106,30 +103,22 @@ func (p *wideProtocol) response(j int) (phonecall.Message, bool) {
 	if p.algo == AlgoPush {
 		return phonecall.Message{}, false
 	}
-	b := &p.scratch[j]
-	sorted := p.held(j, &b.resp)
-	if len(sorted) == 0 {
+	d := p.digest(j)
+	if len(d.ids) == 0 {
 		return phonecall.Message{}, false
 	}
-	return p.message(b.resp, sorted), true
+	return d.message(), true
 }
 
-// deliver merges every received digest into the receiver's ledger row. IDs
-// that expired while the message was in flight fail the ledger lookup and
-// are dropped (the slot-reuse ABA guard).
+// deliver merges every received digest into the receiver's ledger row,
+// straight from the messages. IDs that expired while the message was in
+// flight fail the ledger lookup and are dropped (the slot-reuse ABA guard),
+// and so does a carried value outside the rumor ID space.
 func (p *wideProtocol) deliver(i int, inbox []phonecall.Message) {
-	b := &p.scratch[i]
-	b.merge = b.merge[:0]
 	for _, m := range inbox {
-		if m.Tag != tagRumorSet {
-			continue
+		if m.Tag == tagRumorSet {
+			rumorset.MergeDigest(p.set, i, m.IDs)
 		}
-		for _, id := range m.IDs {
-			b.merge = append(b.merge, rumorset.ID(id))
-		}
-	}
-	if len(b.merge) > 0 {
-		p.set.MarkIDs(i, b.merge)
 	}
 }
 

@@ -171,26 +171,56 @@ func TestWideWorkerInvariance(t *testing.T) {
 		events = append(events, InjectRumor{At: 1 + k/20, Node: k % 24, Rumor: phonecall.RumorID(k * 3)})
 	}
 	events = append(events, CrashAt{At: 10, Nodes: []int{1, 2}}, JoinAt{At: 20, Nodes: []int{1}})
-	sc := Scenario{N: 24, Rounds: 60, Algorithm: AlgoPush, Events: events, MaxInFlight: 128}
-	var first Result
-	for i, workers := range []int{1, 3, 8} {
-		res, err := Run(context.Background(), sc, Config{Seed: 5, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			first = res
-			continue
-		}
-		if res.Messages != first.Messages || res.Bits != first.Bits {
-			t.Fatalf("workers=%d traffic (%d msgs, %d bits) differs from workers=1 (%d, %d)",
-				workers, res.Messages, res.Bits, first.Messages, first.Bits)
-		}
-		for j := range first.Rumors {
-			if res.Rumors[j] != first.Rumors[j] {
-				t.Fatalf("workers=%d rumor %d fate %+v differs from %+v",
-					workers, first.Rumors[j].Rumor, res.Rumors[j], first.Rumors[j])
+	for _, algo := range Algorithms() {
+		sc := Scenario{N: 24, Rounds: 60, Algorithm: algo, Events: events, MaxInFlight: 128}
+		var first Result
+		for i, workers := range []int{1, 3, 8} {
+			res, err := Run(context.Background(), sc, Config{Seed: 5, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				first = res
+				continue
+			}
+			if res.Messages != first.Messages || res.Bits != first.Bits {
+				t.Fatalf("%s workers=%d traffic (%d msgs, %d bits) differs from workers=1 (%d, %d)",
+					algo, workers, res.Messages, res.Bits, first.Messages, first.Bits)
+			}
+			for j := range first.Rumors {
+				if res.Rumors[j] != first.Rumors[j] {
+					t.Fatalf("%s workers=%d rumor %d fate %+v differs from %+v",
+						algo, workers, first.Rumors[j].Rumor, res.Rumors[j], first.Rumors[j])
+				}
 			}
 		}
+	}
+}
+
+// TestWideDeliverSkipsOutOfRangeIDs pins the merge path's ID check: a message
+// carries IDs as 64-bit NodeIDs, and a value above the 32-bit rumor ID space
+// must be dropped like an unknown ID, not truncated into the rumor its low
+// bits spell. (Only a corrupting adversary could put one on the wire, which
+// ValidateEvents keeps off wide runs today.)
+func TestWideDeliverSkipsOutOfRangeIDs(t *testing.T) {
+	net, err := phonecall.New(phonecall.Config{N: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := rumorset.New(4, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := set.Inject(0, 5); err != nil {
+		t.Fatal(err)
+	}
+	p := newWideProtocol(AlgoPushPull, net, set)
+	p.deliver(1, []phonecall.Message{{Tag: tagRumorSet, Rumor: true, IDs: []phonecall.NodeID{1<<32 | 5}}})
+	if set.Has(1, 5) {
+		t.Fatal("carried value 1<<32|5 marked rumor 5")
+	}
+	p.deliver(1, []phonecall.Message{{Tag: tagRumorSet, Rumor: true, IDs: []phonecall.NodeID{5}}})
+	if !set.Has(1, 5) {
+		t.Fatal("in-range id 5 was not merged")
 	}
 }
