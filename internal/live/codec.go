@@ -204,9 +204,12 @@ func parseFrameBuf(data []byte, sum []rumorset.ID) (frame, error) {
 	}
 	rest = rest[k:]
 	if idc > 0 {
-		count := int(idc - 1)
-		if len(rest) != count*8 {
-			return fr, fmt.Errorf("live: id block is %d bytes, want %d", len(rest), count*8)
+		// The count comes off the wire: check it against the bytes that are
+		// there instead of multiplying it, which wraps for a hostile value and
+		// would size the allocation below.
+		count := len(rest) / 8
+		if len(rest)%8 != 0 || idc-1 != uint64(count) {
+			return fr, fmt.Errorf("live: id block is %d bytes for %d ids", len(rest), idc-1)
 		}
 		fr.msg.IDs = make([]phonecall.NodeID, count)
 		for i := 0; i < count; i++ {

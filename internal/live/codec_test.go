@@ -1,6 +1,7 @@
 package live
 
 import (
+	"encoding/binary"
 	"reflect"
 	"testing"
 
@@ -81,6 +82,19 @@ func TestCodecRejectsGarbage(t *testing.T) {
 	if _, err := parseFrame(append(append([]byte(nil), good...), 0xAA)); err == nil {
 		t.Error("trailing byte accepted")
 	}
+	if _, err := parseFrame(overflowFrame()); err == nil {
+		t.Error("id count whose byte size wraps to 0 accepted")
+	}
+}
+
+// overflowFrame is a 24-byte call frame whose ID count (1<<61, sent as
+// count+1) times 8 wraps to 0: a decoder that multiplies before bounding
+// accepts the empty ID block and panics allocating 1<<61 IDs.
+func overflowFrame() []byte {
+	raw := []byte{frameCall, flagPayload, 1, 1}
+	raw = append(raw, make([]byte, 8)...)       // value
+	raw = append(raw, 0, phonecall.TagHoldings) // bits, tag
+	return binary.AppendUvarint(raw, 1<<61+1)
 }
 
 // TestZigzag pins the signed Bits mapping.

@@ -3,7 +3,6 @@ package live
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -15,12 +14,6 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
-
-// tagHoldings marks messages whose Value is a rumor-holdings bitmask (the
-// live twin of the scenario protocols' encoding: one uint64, charged one
-// b-bit payload per carried rumor). It aliases the canonical constant so the
-// holdings-directed behaviors (Liar, Stale) rewrite live traffic too.
-const tagHoldings = phonecall.TagHoldings
 
 // FreeRunConfig configures a free-running execution.
 type FreeRunConfig struct {
@@ -115,30 +108,21 @@ type FrontierInfo struct {
 	Informed int
 }
 
-// frStats is one node's cumulative accounting, cache-line padded; written by
-// the owner goroutine, read after the run joins.
-type frStats struct {
-	msgs     int64
-	control  int64
-	bits     int64
-	sent     int64
-	maxComms int32
-	_        [28]byte // pad to 64 bytes so adjacent nodes do not false-share
-}
-
 // FreeRun executes gossip without a global barrier: every node advances its
 // own round clock, sending and draining frames as it goes, while a monitor
 // goroutine maintains the round frontier, enforces the skew bound, fires
 // timeline events and detects convergence.
 type FreeRun struct {
-	cfg  FreeRunConfig
-	algo scenario.Algorithm
-	net  *phonecall.Network // ID directory and message sizing only; its engine never runs
-	tr   Transport
-	own  bool
+	cfg FreeRunConfig
+	net *phonecall.Network // ID directory and message sizing only; its engine never runs
+	tr  Transport
+	own bool
 
-	liveFlag   []atomic.Bool
-	held       []atomic.Uint64
+	liveFlag []atomic.Bool
+	// Per-node holdings, one slab per mode (the other is nil): masks over the
+	// registered set, or rows of the shared rumor set.
+	mask       []maskHoldings
+	wide       []setHoldings
 	registered atomic.Uint64
 	roundOf    []atomic.Int64 // last completed local round
 	resume     []atomic.Int64 // frontier to rejoin at after a revive
@@ -161,15 +145,13 @@ type FreeRun struct {
 	// and telLast are monitor-only; Run reads them after the monitor joins.
 	stream     *StreamConfig
 	set        *rumorset.Set
-	wide       []frWideBuf
 	scanBuf    []rumorset.ID
 	injectNext int
 	stalls     int64
 	telLast    rumorset.Stats
 
-	stats    []frStats
-	overhead int
-	wg       sync.WaitGroup
+	stats []frStats
+	wg    sync.WaitGroup
 
 	// tel holds the pre-resolved telemetry counters (nil without a registry):
 	// instrument lookup happens once in NewFreeRun, the node send paths only
@@ -188,22 +170,6 @@ type frTelemetry struct {
 	convergedTotal *telemetry.Counter
 	expiredTotal   *telemetry.Counter
 	stalled        *telemetry.Gauge
-}
-
-// frWideBuf is one node's reusable rumor-stream scratch, touched only by the
-// owner goroutine: sorted holdings for outgoing summaries, a decode buffer
-// for incoming ones, and the round's pending pull requesters.
-type frWideBuf struct {
-	ids   []rumorset.ID
-	sum   []rumorset.ID
-	pulls []int
-}
-
-// frBehavior boxes a node's installed Byzantine behavior so the monitor can
-// publish it atomically while the node goroutine keeps running. A nil pointer
-// (never installed) and a boxed nil behavior both mean honest.
-type frBehavior struct {
-	b phonecall.Behavior
 }
 
 // Report is the outcome of a free-running execution.
@@ -293,12 +259,9 @@ func NewFreeRun(cfg FreeRunConfig) (*FreeRun, error) {
 	if cfg.MaxSkew < 1 {
 		cfg.MaxSkew = 3
 	}
-	switch cfg.Algorithm {
-	case "":
-		cfg.Algorithm = scenario.AlgoPushPull
-	case scenario.AlgoPush, scenario.AlgoPull, scenario.AlgoPushPull:
-	default:
-		return nil, fmt.Errorf("live: unknown algorithm %q (have push, pull, push-pull)", cfg.Algorithm)
+	var err error
+	if cfg.Algorithm, err = cfg.Algorithm.OrDefault(); err != nil {
+		return nil, fmt.Errorf("live: %w", err)
 	}
 	// Validate the timeline up-front with the shared authority, so an invalid
 	// event is a typed construction error here exactly as it is on the
@@ -354,24 +317,29 @@ func NewFreeRun(cfg FreeRunConfig) (*FreeRun, error) {
 	}
 	fr := &FreeRun{
 		cfg:      cfg,
-		algo:     cfg.Algorithm,
 		net:      net,
 		tr:       tr,
 		own:      own,
 		stream:   stream,
 		liveFlag: make([]atomic.Bool, cfg.N),
-		held:     make([]atomic.Uint64, cfg.N),
 		roundOf:  make([]atomic.Int64, cfg.N),
 		resume:   make([]atomic.Int64, cfg.N),
 		behav:    make([]atomic.Pointer[frBehavior], cfg.N),
 		stats:    make([]frStats, cfg.N),
-		overhead: net.MessageSize(phonecall.Message{Tag: tagHoldings}),
 	}
 	if stream != nil {
 		if fr.set, err = rumorset.New(cfg.N, stream.MaxInFlight); err != nil {
 			return nil, fmt.Errorf("live: %w", err)
 		}
-		fr.wide = make([]frWideBuf, cfg.N)
+		fr.wide = make([]setHoldings, cfg.N)
+		for i := range fr.wide {
+			fr.wide[i] = setHoldings{set: fr.set, node: i, net: net}
+		}
+	} else {
+		fr.mask = make([]maskHoldings, cfg.N)
+		for i := range fr.mask {
+			fr.mask[i].reg, fr.mask[i].net = &fr.registered, net
+		}
 	}
 	if cfg.Telemetry != nil {
 		by := []telemetry.Label{
@@ -435,7 +403,6 @@ func (fr *FreeRun) Run(ctx context.Context) (Report, error) {
 	}
 
 	rep := Report{N: fr.cfg.N, Rounds: fr.cfg.Rounds, Wall: time.Since(start)}
-	reg := fr.registered.Load()
 	for i := 0; i < fr.cfg.N; i++ {
 		st := &fr.stats[i]
 		rep.Messages += st.msgs
@@ -447,14 +414,12 @@ func (fr *FreeRun) Run(ctx context.Context) (Report, error) {
 		if r := int(fr.roundOf[i].Load()); r > rep.MaxRound {
 			rep.MaxRound = r
 		}
-		if fr.liveFlag[i].Load() {
-			rep.Live++
-			if fr.held[i].Load()&reg == reg {
-				rep.Informed++
-			}
-		}
 	}
-	rep.AllInformed = reg != 0 && rep.Live > 0 && rep.Informed == rep.Live
+	// With a stream, informed means "holds every still-active rumor": with the
+	// whole stream injected and GC'd, every live node is trivially informed
+	// and the stream converged.
+	rep.Live, rep.Informed, _ = fr.census()
+	rep.AllInformed = rep.Live > 0 && rep.Informed == rep.Live && fr.settled()
 	if fr.set != nil {
 		snap := fr.set.Snapshot()
 		rep.RumorsInjected = snap.Injected
@@ -463,16 +428,6 @@ func (fr *FreeRun) Run(ctx context.Context) (Report, error) {
 		rep.RumorsActive = snap.Active
 		rep.LostInjects = snap.Lost
 		rep.InjectionStalls = fr.stalls
-		// Informed means "holds every still-active rumor"; with the whole
-		// stream injected and GC'd, every live node is trivially informed and
-		// the stream converged.
-		rep.Informed = 0
-		for i := 0; i < fr.cfg.N; i++ {
-			if fr.liveFlag[i].Load() && fr.set.HeldCount(i) == snap.Active {
-				rep.Informed++
-			}
-		}
-		rep.AllInformed = rep.Live > 0 && fr.injectNext == fr.stream.Total && snap.Active == 0
 	}
 	rep.CompletionFrontier = int(fr.completionAt.Load())
 	rep.UnfiredEvents = len(fr.events) - fr.nextEv
@@ -541,61 +496,80 @@ func (fr *FreeRun) tick() {
 	}
 
 	if fr.set != nil {
-		fr.tickStream(frontier, advanced)
-		return
+		fr.tickStream(frontier)
 	}
 
-	// Convergence: every live node holds every injected rumor.
-	reg := fr.registered.Load()
-	liveCount, informed, allDone := 0, 0, true
-	maxRound := int64(0)
-	for i := 0; i < fr.cfg.N; i++ {
-		if !fr.liveFlag[i].Load() {
-			continue
-		}
-		if r := fr.roundOf[i].Load(); r > maxRound {
-			maxRound = r
-		}
-		liveCount++
-		if fr.held[i].Load()&reg == reg {
-			informed++
-		}
-		if fr.roundOf[i].Load() < int64(fr.cfg.Rounds) {
-			allDone = false
-		}
-	}
+	live, informed, maxRound := fr.census()
 	if advanced && fr.cfg.OnFrontier != nil {
 		fr.cfg.OnFrontier(FrontierInfo{
 			Frontier: int(frontier),
 			MaxRound: int(maxRound),
-			Live:     liveCount,
+			Live:     live,
 			Informed: informed,
 		})
 	}
-	if reg != 0 && liveCount > 0 && informed == liveCount {
+	// Convergence: every live node holds every rumor, and no more are coming.
+	if live > 0 && informed == live && fr.settled() {
 		fr.completionAt.CompareAndSwap(0, max(frontier, 1))
 		if fr.nextEv >= len(fr.events) {
 			fr.stop()
 			return
 		}
 	}
-	// Natural end: every live node exhausted its budget (or nobody is left).
-	// The frontier can no longer advance, so any event still pending is
-	// beyond frontier+1 and can never fire — stopping here (instead of
-	// waiting for the full timeline) is what keeps a timeline scheduled past
-	// the budget from hanging the run; the leftovers are reported as
-	// UnfiredEvents, the free-running analogue of the sim harness's
-	// "event(s) never fired" error.
-	if (allDone || liveCount == 0) &&
+	// Natural end: every live node exhausted its budget (or nobody is left) —
+	// either way the frontier sits at the budget and can no longer advance, so
+	// any event still pending is beyond frontier+1 and can never fire.
+	// Stopping here (instead of waiting for the full timeline) is what keeps
+	// a timeline scheduled past the budget from hanging the run; the
+	// leftovers are reported as UnfiredEvents, the free-running analogue of
+	// the sim harness's "event(s) never fired" error.
+	if frontier >= int64(fr.cfg.Rounds) &&
 		(fr.nextEv >= len(fr.events) || int64(fr.events[fr.nextEv].EventRound()) > frontier+1) {
 		fr.stop()
 	}
 }
 
-// tickStream is the monitor pass for rumor-stream mode: garbage-collect
+// census is one scan of the population — the view the frontier callback,
+// convergence detection and the final report all read: how many nodes are
+// live, how many of those are informed, and the furthest local clock among
+// them.
+func (fr *FreeRun) census() (live, informed int, maxRound int64) {
+	for i := 0; i < fr.cfg.N; i++ {
+		if !fr.liveFlag[i].Load() {
+			continue
+		}
+		maxRound = max(maxRound, fr.roundOf[i].Load())
+		live++
+		if fr.holdingsOf(i).informed() {
+			informed++
+		}
+	}
+	return live, informed, maxRound
+}
+
+// holdingsOf returns node i's side of the holdings seam.
+func (fr *FreeRun) holdingsOf(i int) holdings {
+	if fr.set != nil {
+		return &fr.wide[i]
+	}
+	return &fr.mask[i]
+}
+
+// settled reports that nothing more will be registered, so an all-informed
+// population has converged for good: some rumor was injected (bitmask mode),
+// or the whole stream was injected and reclaimed (stream mode — with nothing
+// active every live node is trivially informed).
+func (fr *FreeRun) settled() bool {
+	if fr.set != nil {
+		return fr.injectNext == fr.stream.Total && fr.set.Active() == 0
+	}
+	return fr.registered.Load() != 0
+}
+
+// tickStream is the rumor-stream part of a monitor pass: garbage-collect
 // converged rumors, advance the injection schedule under window backpressure,
-// and detect stream completion.
-func (fr *FreeRun) tickStream(frontier int64, advanced bool) {
+// and publish the stream telemetry.
+func (fr *FreeRun) tickStream(frontier int64) {
 	// GC first: the AND-scan over live holdings rows is the race-free
 	// convergence authority here (the advisory per-slot live counters can be
 	// skewed by churn while nodes run). Retiring before injecting is what
@@ -641,47 +615,6 @@ func (fr *FreeRun) tickStream(frontier int64, advanced bool) {
 			fr.tel.stalled.Set(0)
 		}
 		fr.telLast = snap
-	}
-
-	active := fr.set.Active()
-	liveCount, informed, allDone := 0, 0, true
-	maxRound := int64(0)
-	for i := 0; i < fr.cfg.N; i++ {
-		if !fr.liveFlag[i].Load() {
-			continue
-		}
-		if r := fr.roundOf[i].Load(); r > maxRound {
-			maxRound = r
-		}
-		liveCount++
-		if fr.set.HeldCount(i) == active {
-			informed++
-		}
-		if fr.roundOf[i].Load() < int64(fr.cfg.Rounds) {
-			allDone = false
-		}
-	}
-	if advanced && fr.cfg.OnFrontier != nil {
-		fr.cfg.OnFrontier(FrontierInfo{
-			Frontier: int(frontier),
-			MaxRound: int(maxRound),
-			Live:     liveCount,
-			Informed: informed,
-		})
-	}
-	// Stream completion: everything injected and everything reclaimed.
-	if fr.injectNext == fr.stream.Total && active == 0 && liveCount > 0 {
-		fr.completionAt.CompareAndSwap(0, max(frontier, 1))
-		if fr.nextEv >= len(fr.events) {
-			fr.stop()
-			return
-		}
-	}
-	// Natural end mirrors the legacy tick: budgets exhausted (or nobody
-	// left) and no event can ever fire again.
-	if (allDone || liveCount == 0) &&
-		(fr.nextEv >= len(fr.events) || int64(fr.events[fr.nextEv].EventRound()) > frontier+1) {
-		fr.stop()
 	}
 }
 
@@ -733,10 +666,13 @@ func (fr *FreeRun) apply(ev scenario.Event, frontier int64) {
 		fr.mu.Lock()
 		for _, i := range e.Nodes {
 			if i >= 0 && i < fr.cfg.N && !fr.liveFlag[i].Load() {
+				// Rejoin uninformed, then go live: the holdings are cleared
+				// before the node wakes.
 				if fr.set != nil {
-					fr.set.Revive(i) // clears the holdings row before the node wakes
+					fr.set.Revive(i)
+				} else {
+					fr.mask[i].held.Store(0)
 				}
-				fr.held[i].Store(0) // rejoin uninformed, then go live
 				fr.resume[i].Store(frontier)
 				fr.roundOf[i].Store(frontier)
 				fr.liveFlag[i].Store(true)
@@ -758,13 +694,13 @@ func (fr *FreeRun) apply(ev scenario.Event, frontier int64) {
 			return
 		}
 		fr.registered.Or(1 << e.Rumor)
-		fr.mergeHeld(e.Node, 1<<e.Rumor)
+		fr.mask[e.Node].held.Or(1 << e.Rumor)
 	case scenario.CorruptAt:
 		// Same behavior construction as the scenario driver, wired to the
 		// free-running state: the stale snapshot freezes the node's current
 		// holdings, the liar forges outside whatever is registered when it
 		// speaks. The node goroutine picks the behavior up at its next round.
-		held := func(i int) uint64 { return fr.held[i].Load() }
+		held := func(i int) uint64 { return fr.mask[i].held.Load() }
 		registered := func() uint64 { return fr.registered.Load() }
 		for _, i := range e.Nodes {
 			if i < 0 || i >= fr.cfg.N {
@@ -816,11 +752,6 @@ type frTopology interface {
 	SetPartitioned(part bool)
 }
 
-// mergeHeld ORs mask into node i's holdings.
-func (fr *FreeRun) mergeHeld(i int, mask uint64) {
-	fr.held[i].Or(mask)
-}
-
 // waitSkew blocks while local round r is more than MaxSkew ahead of the
 // frontier; returns false when the run stopped.
 func (fr *FreeRun) waitSkew(r int) bool {
@@ -852,6 +783,18 @@ func (fr *FreeRun) waitAlive(i int) bool {
 // nodeLoop is one node's free-running event loop.
 func (fr *FreeRun) nodeLoop(i int) {
 	defer fr.wg.Done()
+	nd := node{
+		i:     i,
+		algo:  fr.cfg.Algorithm,
+		net:   fr.net,
+		tr:    fr.tr,
+		h:     fr.holdingsOf(i),
+		behav: &fr.behav[i],
+		st:    &fr.stats[i],
+	}
+	if fr.tel != nil {
+		nd.telMsgs, nd.telBits = fr.tel.msgs, fr.tel.bitsSent
+	}
 	var drain [][]byte
 	r := 1
 	for r <= fr.cfg.Rounds && !fr.stopped.Load() {
@@ -874,11 +817,7 @@ func (fr *FreeRun) nodeLoop(i int) {
 		if !fr.waitSkew(r) {
 			return
 		}
-		if fr.set != nil {
-			drain = fr.doRoundStream(i, r, drain)
-		} else {
-			drain = fr.doRound(i, r, drain)
-		}
+		drain, _ = nd.step(r, drain)
 		fr.roundOf[i].Store(int64(r))
 		r++
 	}
@@ -886,279 +825,3 @@ func (fr *FreeRun) nodeLoop(i int) {
 
 // discard drops drained frames, keeping the reusable buffer.
 func discard(frames [][]byte) [][]byte { return frames[:0] }
-
-// holdingsMsg encodes a holdings bitmask, charged one payload per rumor.
-func (fr *FreeRun) holdingsMsg(held uint64) phonecall.Message {
-	return phonecall.Message{
-		Tag:   tagHoldings,
-		Value: held,
-		Rumor: true,
-		Bits:  fr.overhead + bits.OnesCount64(held)*fr.net.PayloadBits(),
-	}
-}
-
-// doRound runs node i's local round r: initiate one call per the protocol
-// (filtered through the node's installed behavior, if any), drain whatever
-// arrived, answer pulls, merge received holdings.
-func (fr *FreeRun) doRound(i, r int, drain [][]byte) [][]byte {
-	st := &fr.stats[i]
-	reg := fr.registered.Load()
-	held := fr.held[i].Load() & reg
-	comms := int32(0)
-
-	var b phonecall.Behavior
-	if cell := fr.behav[i].Load(); cell != nil {
-		b = cell.b
-	}
-
-	sendPayload := func(j int, m phonecall.Message, wantsPull bool) {
-		m.From = fr.net.ID(i)
-		size := int64(fr.net.MessageSize(m))
-		st.msgs++
-		st.bits += size
-		st.sent++
-		if fr.tel != nil {
-			fr.tel.msgs.AddShard(i, 1)
-			fr.tel.bitsSent.AddShard(i, size)
-		}
-		fr.tr.Send(i, j, appendCallFrame(nil, r, i, true, wantsPull, &m))
-	}
-	sendPull := func(j int) {
-		size := int64(fr.net.ControlBits())
-		st.control++
-		st.bits += size
-		st.sent++
-		if fr.tel != nil {
-			fr.tel.msgs.AddShard(i, 1)
-			fr.tel.bitsSent.AddShard(i, size)
-		}
-		fr.tr.Send(i, j, appendCallFrame(nil, r, i, false, true, nil))
-	}
-
-	// Build the round's intent exactly like the steppable protocols, then let
-	// the behavior rewrite it — the same seam the barriered engines apply, so
-	// a timeline's adversaries act identically here.
-	var it phonecall.Intent
-	switch fr.algo {
-	case scenario.AlgoPush:
-		if held != 0 {
-			it = phonecall.PushIntent(phonecall.RandomTarget(), fr.holdingsMsg(held))
-		}
-	case scenario.AlgoPull:
-		if held != reg || reg == 0 {
-			it = phonecall.PullIntent(phonecall.RandomTarget())
-		}
-	default: // push-pull
-		if held != 0 {
-			it = phonecall.ExchangeIntent(phonecall.RandomTarget(), fr.holdingsMsg(held))
-		} else {
-			it = phonecall.ExchangeIntent(phonecall.RandomTarget(), phonecall.Message{})
-		}
-	}
-	j, jok := fr.net.RandomContact(r, i)
-	resolve := func(t phonecall.Target) int {
-		if t.Random {
-			if !jok {
-				return -1 // policy admits no peer: the node sits this round out
-			}
-			return j
-		}
-		if idx, ok := fr.net.IndexOf(t.ID); ok && idx != i {
-			return idx
-		}
-		return -1
-	}
-	if b != nil {
-		target := -1
-		if it.Kind != phonecall.None {
-			target = resolve(it.Target)
-		}
-		it = b.RewriteIntent(r, i, target, it)
-	}
-	if it.Kind != phonecall.None {
-		if dst := resolve(it.Target); dst >= 0 {
-			switch it.Kind {
-			case phonecall.Push:
-				sendPayload(dst, it.Payload, false)
-			case phonecall.Pull:
-				sendPull(dst)
-			case phonecall.Exchange:
-				if it.Payload.HasContent() {
-					sendPayload(dst, it.Payload, true)
-				} else {
-					sendPull(dst)
-				}
-			}
-			comms++
-		}
-	}
-
-	drain = fr.tr.Mailbox(i).TryDrain(drain[:0])
-	var gained uint64
-	for _, raw := range drain {
-		f, err := parseFrame(raw)
-		if err != nil {
-			continue
-		}
-		if f.hasPayload && f.msg.Tag == tagHoldings {
-			gained |= f.msg.Value
-		}
-		if f.typ != frameCall {
-			continue
-		}
-		comms++
-		if f.wantsPull {
-			// Respond immediately with current holdings (plus whatever this
-			// drain just taught us — a real process would answer with its
-			// freshest state), filtered through the behavior like the
-			// engine's response wrap.
-			h := (fr.held[i].Load() | gained) & fr.registered.Load()
-			var m phonecall.Message
-			ok := false
-			if h != 0 && fr.algo != scenario.AlgoPush {
-				m, ok = fr.holdingsMsg(h), true
-			}
-			if b != nil {
-				m, ok = b.RewriteResponse(r, i, m, ok)
-			}
-			if ok {
-				m.From = fr.net.ID(i)
-				size := int64(fr.net.MessageSize(m))
-				st.msgs++
-				st.bits += size
-				st.sent++
-				if fr.tel != nil {
-					fr.tel.msgs.AddShard(i, 1)
-					fr.tel.bitsSent.AddShard(i, size)
-				}
-				fr.tr.Send(i, f.src, appendRespFrame(nil, r, i, &m))
-			}
-		}
-	}
-	if gained != 0 {
-		fr.mergeHeld(i, gained&fr.registered.Load())
-	}
-	if comms > st.maxComms {
-		st.maxComms = comms
-	}
-	return drain
-}
-
-// summaryBits charges a rumor-ID summary with the simulator's wide-path
-// accounting: frame overhead, the summary encoding itself, and one b-bit
-// payload per carried rumor.
-func (fr *FreeRun) summaryBits(ids []rumorset.ID) int64 {
-	return int64(fr.overhead + rumorset.SummarySize(ids)*8 + len(ids)*fr.net.PayloadBits())
-}
-
-// doRoundStream is doRound for rumor-stream mode: the node advertises the
-// sorted IDs of the active rumors it holds as a variable-length summary
-// frame, merges the summaries it drained into the shared rumor set (its own
-// row — the set's ownership contract), and answers pulls with its freshest
-// holdings. The stream path has no Byzantine seam: ValidateEvents rejects
-// CorruptAt on wide runs.
-func (fr *FreeRun) doRoundStream(i, r int, drain [][]byte) [][]byte {
-	st := &fr.stats[i]
-	wb := &fr.wide[i]
-	comms := int32(0)
-
-	wb.ids = fr.set.AppendHeld(wb.ids[:0], i)
-	held := wb.ids
-	active := fr.set.Active()
-
-	sendSummary := func(j int, ids []rumorset.ID, wantsPull bool) {
-		size := fr.summaryBits(ids)
-		st.msgs++
-		st.bits += size
-		st.sent++
-		if fr.tel != nil {
-			fr.tel.msgs.AddShard(i, 1)
-			fr.tel.bitsSent.AddShard(i, size)
-		}
-		fr.tr.Send(i, j, appendSummaryCallFrame(nil, r, i, wantsPull, ids))
-	}
-	sendPull := func(j int) {
-		size := int64(fr.net.ControlBits())
-		st.control++
-		st.bits += size
-		st.sent++
-		if fr.tel != nil {
-			fr.tel.msgs.AddShard(i, 1)
-			fr.tel.bitsSent.AddShard(i, size)
-		}
-		fr.tr.Send(i, j, appendCallFrame(nil, r, i, false, true, nil))
-	}
-
-	// The same intent shape as the steppable protocols' wide path: push stays
-	// silent with nothing to offer, pull stays silent while the node already
-	// holds everything active, push-pull always makes its call.
-	j, jok := fr.net.RandomContact(r, i)
-	switch {
-	case !jok:
-		// Policy admits no peer: the node sits this round out silently (the
-		// free-running engine charges only calls it actually sends).
-	case fr.algo == scenario.AlgoPush:
-		if len(held) > 0 {
-			sendSummary(j, held, false)
-			comms++
-		}
-	case fr.algo == scenario.AlgoPull:
-		if len(held) != active || active == 0 {
-			sendPull(j)
-			comms++
-		}
-	default: // push-pull
-		if len(held) > 0 {
-			sendSummary(j, held, true)
-		} else {
-			sendPull(j)
-		}
-		comms++
-	}
-
-	drain = fr.tr.Mailbox(i).TryDrain(drain[:0])
-	pulls := wb.pulls[:0]
-	for _, raw := range drain {
-		f, err := parseFrameBuf(raw, wb.sum[:0])
-		if err != nil {
-			continue
-		}
-		if f.hasSummary {
-			if len(f.sum) > 0 {
-				fr.set.MarkIDs(i, f.sum) // stale/expired IDs are skipped inside
-			}
-			wb.sum = f.sum[:0]
-		}
-		if f.typ != frameCall {
-			continue
-		}
-		comms++
-		if f.wantsPull {
-			pulls = append(pulls, f.src)
-		}
-	}
-	wb.pulls = pulls
-	if len(pulls) > 0 && fr.algo != scenario.AlgoPush {
-		// Answer with the freshest state: everything held going in plus
-		// whatever this drain just merged.
-		resp := fr.set.AppendHeld(wb.ids[:0], i)
-		wb.ids = resp
-		if len(resp) > 0 {
-			size := fr.summaryBits(resp)
-			for _, src := range pulls {
-				st.msgs++
-				st.bits += size
-				st.sent++
-				if fr.tel != nil {
-					fr.tel.msgs.AddShard(i, 1)
-					fr.tel.bitsSent.AddShard(i, size)
-				}
-				fr.tr.Send(i, src, appendSummaryRespFrame(nil, r, i, resp))
-			}
-		}
-	}
-	if comms > st.maxComms {
-		st.maxComms = comms
-	}
-	return drain
-}

@@ -1,17 +1,66 @@
 package live
 
-// Native fuzz target extending the PR 3 differential harness to the live
-// runtime: the lock-step executor must stay bit-identical to the reference
-// oracle for fuzzer-chosen sizes, seeds, loss rates and churn scripts.
+// Native fuzz targets. FuzzLockStepVsOracle extends the PR 3 differential
+// harness to the live runtime: the lock-step executor must stay bit-identical
+// to the reference oracle for fuzzer-chosen sizes, seeds, loss rates and
+// churn scripts. FuzzGossipFrame feeds hostile bytes to the gossip codec, the
+// one parser a real socket reaches (cmd/gossipnode).
 //
 //	go test ./internal/live -run=NONE -fuzz=FuzzLockStepVsOracle -fuzztime=30s
+//	go test ./internal/live -run=NONE -fuzz=FuzzGossipFrame -fuzztime=30s
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/oracle"
 	"repro/internal/phonecall"
+	"repro/internal/rumorset"
 )
+
+// FuzzGossipFrame: parseFrame never panics, and whatever it accepts
+// re-encodes through the frame's own encoder to bytes that parse to the same
+// fields (the bytes themselves may differ: padded varints and meaningless
+// flag bits are not canonical).
+func FuzzGossipFrame(f *testing.F) {
+	m := phonecall.Message{Value: 0b1011, Bits: 300, Tag: phonecall.TagHoldings, Rumor: true, IDs: []phonecall.NodeID{7, 1 << 40}}
+	f.Add(appendCallFrame(nil, 3, 5, true, true, &m))
+	f.Add(appendCallFrame(nil, 3, 5, false, true, nil))
+	f.Add(appendRespFrame(nil, 4, 6, &m))
+	f.Add(appendSummaryCallFrame(nil, 9, 2, true, []rumorset.ID{1, 5, 1 << 31}))
+	f.Add(appendSummaryRespFrame(nil, 9, 2, []rumorset.ID{0, 4}))
+	f.Add(overflowFrame())
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		fr, err := parseFrame(raw)
+		if err != nil {
+			return
+		}
+		var again []byte
+		switch {
+		case fr.hasSummary && fr.typ == frameCall:
+			again = appendSummaryCallFrame(nil, fr.round, fr.src, fr.wantsPull, fr.sum)
+		case fr.hasSummary:
+			again = appendSummaryRespFrame(nil, fr.round, fr.src, fr.sum)
+		case fr.typ == frameCall:
+			again = appendCallFrame(nil, fr.round, fr.src, fr.hasPayload, fr.wantsPull, &fr.msg)
+		default:
+			again = appendRespFrame(nil, fr.round, fr.src, &fr.msg)
+		}
+		back, err := parseFrame(again)
+		if err != nil {
+			t.Fatalf("re-encoded frame rejected: %v\n parsed %+v\n bytes  %x", err, fr, again)
+		}
+		if fr.typ == frameResp {
+			fr.wantsPull = false // a response has no pull half; its encoder drops the bit
+		}
+		if len(fr.sum) == 0 && len(back.sum) == 0 {
+			fr.sum, back.sum = nil, nil
+		}
+		if !reflect.DeepEqual(fr, back) {
+			t.Fatalf("round trip changed the frame:\n first  %+v\n second %+v", fr, back)
+		}
+	})
+}
 
 func FuzzLockStepVsOracle(f *testing.F) {
 	f.Add(uint16(24), uint64(1), uint64(2), uint64(3), uint8(6), uint8(0))

@@ -3,7 +3,6 @@ package live
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"sync/atomic"
 	"time"
 
@@ -227,24 +226,17 @@ type PeerReport struct {
 }
 
 // PeerNode drives one node's free-running gossip loop against a Transport
-// whose other endpoints live in other processes. It is FreeRun's doRound
-// distilled to a single node: no monitor, no frontier, no timeline — local
-// rounds paced by wall clock, convergence judged against the Expect mask.
+// whose other endpoints live in other processes. It runs the same node step
+// as FreeRun's nodes, with nothing around it: no monitor, no frontier, no
+// timeline — local rounds paced by wall clock, convergence judged against
+// the Expect mask, which stands in for the registered set.
 type PeerNode struct {
-	cfg  PeerConfig
-	algo scenario.Algorithm
-	net  *phonecall.Network
-	tr   Transport
+	cfg PeerConfig
+	nd  node
 
-	held     uint64
-	overhead int
-	sawNeedy bool // this round drained evidence of an uninformed peer
-
-	msgs, control, bitsSent int64
-	maxComms                int32
-
-	telMsgs *telemetry.Counter
-	telBits *telemetry.Counter
+	mask   maskHoldings
+	expect atomic.Uint64
+	stats  frStats
 }
 
 // NewPeerNode validates the configuration and prepares the node.
@@ -273,38 +265,32 @@ func NewPeerNode(cfg PeerConfig) (*PeerNode, error) {
 	if cfg.Linger <= 0 {
 		cfg.Linger = 10
 	}
-	switch cfg.Algorithm {
-	case "":
-		cfg.Algorithm = scenario.AlgoPushPull
-	case scenario.AlgoPush, scenario.AlgoPull, scenario.AlgoPushPull:
-	default:
-		return nil, fmt.Errorf("live: unknown algorithm %q (have push, pull, push-pull)", cfg.Algorithm)
+	var err error
+	if cfg.Algorithm, err = cfg.Algorithm.OrDefault(); err != nil {
+		return nil, fmt.Errorf("live: %w", err)
 	}
 	net, err := phonecall.New(phonecall.Config{N: cfg.N, Seed: cfg.Seed, PayloadBits: cfg.PayloadBits, Workers: 1})
 	if err != nil {
 		return nil, fmt.Errorf("live: %w", err)
 	}
-	pn := &PeerNode{
-		cfg:      cfg,
-		algo:     cfg.Algorithm,
-		net:      net,
-		tr:       cfg.Transport,
-		held:     cfg.Inject,
-		overhead: net.MessageSize(phonecall.Message{Tag: tagHoldings}),
-	}
+	pn := &PeerNode{cfg: cfg}
+	pn.expect.Store(cfg.Expect)
+	pn.mask.reg, pn.mask.net = &pn.expect, net
+	pn.mask.held.Store(cfg.Inject)
+	pn.nd = node{i: cfg.Index, algo: cfg.Algorithm, net: net, tr: cfg.Transport, h: &pn.mask, st: &pn.stats}
 	if cfg.Telemetry != nil {
 		by := []telemetry.Label{
 			{Key: "algo", Value: string(cfg.Algorithm)},
 			{Key: "engine", Value: "peer"},
 		}
-		pn.telMsgs = cfg.Telemetry.Counter("repro_messages_total", by...)
-		pn.telBits = cfg.Telemetry.Counter("repro_bits_total", by...)
+		pn.nd.telMsgs = cfg.Telemetry.Counter("repro_messages_total", by...)
+		pn.nd.telBits = cfg.Telemetry.Counter("repro_bits_total", by...)
 	}
 	return pn, nil
 }
 
 // Net returns the shared ID directory (for deriving the peer ID table).
-func (pn *PeerNode) Net() *phonecall.Network { return pn.net }
+func (pn *PeerNode) Net() *phonecall.Network { return pn.nd.net }
 
 func (pn *PeerNode) logf(format string, args ...any) {
 	if pn.cfg.Logf != nil {
@@ -322,10 +308,10 @@ func (pn *PeerNode) Run(ctx context.Context) (PeerReport, error) {
 	}
 	start := time.Now()
 	informedAt := 0
-	if pn.held&pn.cfg.Expect == pn.cfg.Expect {
+	if pn.mask.informed() {
 		informedAt = 1 // seeded with everything; lingering starts immediately
 	}
-	pt, isPeer := pn.tr.(*PeerTransport)
+	pt, isPeer := pn.cfg.Transport.(*PeerTransport)
 	ticker := time.NewTicker(pn.cfg.Interval)
 	defer ticker.Stop()
 
@@ -341,8 +327,9 @@ loop:
 			break loop
 		case <-ticker.C:
 		}
-		drain = pn.doRound(r, drain)
-		if informedAt == 0 && pn.held&pn.cfg.Expect == pn.cfg.Expect {
+		var needy bool
+		drain, needy = pn.nd.step(r, drain)
+		if informedAt == 0 && pn.mask.informed() {
 			informedAt = r
 			pn.logf("peer %d: informed at local round %d", pn.cfg.Index, r)
 		}
@@ -350,7 +337,7 @@ loop:
 		// uninformed peer restarts it, and a still-empty routing table keeps
 		// it from starting (nobody has arrived to be served yet).
 		switch {
-		case informedAt == 0 || pn.sawNeedy || (isPeer && pt.Membership().Table().Len() == 0):
+		case informedAt == 0 || needy || (isPeer && pt.Membership().Table().Len() == 0):
 			quietFrom = 0
 		case quietFrom == 0:
 			quietFrom = r
@@ -368,128 +355,19 @@ loop:
 		InformedAt:      informedAt,
 		RoundsRun:       r - 1,
 		Rounds:          pn.cfg.Rounds,
-		Held:            pn.held,
-		Messages:        pn.msgs,
-		ControlMessages: pn.control,
-		Bits:            pn.bitsSent,
-		MaxComms:        int(pn.maxComms),
+		Held:            pn.mask.held.Load(),
+		Messages:        pn.stats.msgs,
+		ControlMessages: pn.stats.control,
+		Bits:            pn.stats.bits,
+		MaxComms:        int(pn.stats.maxComms),
 		Wall:            time.Since(start),
 	}
-	if pt, ok := pn.tr.(*PeerTransport); ok {
+	if isPeer {
 		rep.SendMisses = pt.Misses()
 		rep.TableContacts = pt.Membership().Table().Len()
 	}
-	if sf, ok := pn.tr.(SendFailureCounter); ok {
+	if sf, ok := pn.cfg.Transport.(SendFailureCounter); ok {
 		rep.SendFailures = sf.SendFailures()
 	}
 	return rep, runErr
-}
-
-// doRound runs one local round: initiate per the protocol, drain, merge,
-// answer pulls — FreeRun.doRound without the behavior seam or shared state.
-func (pn *PeerNode) doRound(r int, drain [][]byte) [][]byte {
-	i := pn.cfg.Index
-	reg := pn.cfg.Expect
-	held := pn.held & reg
-	comms := int32(0)
-
-	sendPayload := func(j int, m phonecall.Message, wantsPull bool) {
-		m.From = pn.net.ID(i)
-		size := int64(pn.net.MessageSize(m))
-		pn.msgs++
-		pn.bitsSent += size
-		if pn.telMsgs != nil {
-			pn.telMsgs.Add(1)
-			pn.telBits.Add(size)
-		}
-		pn.tr.Send(i, j, appendCallFrame(nil, r, i, true, wantsPull, &m))
-	}
-	sendPull := func(j int) {
-		size := int64(pn.net.ControlBits())
-		pn.control++
-		pn.bitsSent += size
-		if pn.telMsgs != nil {
-			pn.telMsgs.Add(1)
-			pn.telBits.Add(size)
-		}
-		pn.tr.Send(i, j, appendCallFrame(nil, r, i, false, true, nil))
-	}
-
-	j, jok := pn.net.RandomContact(r, i)
-	switch {
-	case !jok || j == i:
-		// No admissible peer this round.
-	case pn.algo == scenario.AlgoPush:
-		if held != 0 {
-			sendPayload(j, pn.holdingsMsg(held), false)
-			comms++
-		}
-	case pn.algo == scenario.AlgoPull:
-		if held != reg {
-			sendPull(j)
-			comms++
-		}
-	default: // push-pull
-		if held != 0 {
-			sendPayload(j, pn.holdingsMsg(held), true)
-		} else {
-			sendPull(j)
-		}
-		comms++
-	}
-
-	drain = pn.tr.Mailbox(i).TryDrain(drain[:0])
-	pn.sawNeedy = false
-	var gained uint64
-	for _, raw := range drain {
-		f, err := parseFrame(raw)
-		if err != nil {
-			continue
-		}
-		if f.hasPayload && f.msg.Tag == tagHoldings {
-			gained |= f.msg.Value
-			if f.msg.Value&reg != reg {
-				pn.sawNeedy = true // partial holdings: the sender still lacks rumors
-			}
-		}
-		if f.typ != frameCall {
-			continue
-		}
-		if !f.hasPayload && f.wantsPull {
-			pn.sawNeedy = true // a bare pull only comes from an uninformed node
-		}
-		comms++
-		if f.wantsPull {
-			h := (pn.held | gained) & reg
-			if h != 0 && pn.algo != scenario.AlgoPush {
-				m := pn.holdingsMsg(h)
-				m.From = pn.net.ID(i)
-				size := int64(pn.net.MessageSize(m))
-				pn.msgs++
-				pn.bitsSent += size
-				if pn.telMsgs != nil {
-					pn.telMsgs.Add(1)
-					pn.telBits.Add(size)
-				}
-				pn.tr.Send(i, f.src, appendRespFrame(nil, r, i, &m))
-			}
-		}
-	}
-	if gained != 0 {
-		pn.held |= gained & reg
-	}
-	if comms > pn.maxComms {
-		pn.maxComms = comms
-	}
-	return drain
-}
-
-// holdingsMsg encodes a holdings bitmask, charged one payload per rumor.
-func (pn *PeerNode) holdingsMsg(held uint64) phonecall.Message {
-	return phonecall.Message{
-		Tag:   tagHoldings,
-		Value: held,
-		Rumor: true,
-		Bits:  pn.overhead + bits.OnesCount64(held)*pn.net.PayloadBits(),
-	}
 }

@@ -1,0 +1,316 @@
+package live
+
+import (
+	"encoding/binary"
+	"math/bits"
+	"sync/atomic"
+
+	"repro/internal/phonecall"
+	"repro/internal/rumorset"
+	"repro/internal/scenario"
+	"repro/internal/telemetry"
+)
+
+// The node round, written once. The model (§2) has exactly one: initiate one
+// call, answer every puller with one address-oblivious response, merge what
+// arrived. FreeRun's nodes (bitmask and rumor-stream) and PeerNode all run
+// node.step; what differs between them — how holdings are stored, encoded,
+// charged and merged — sits behind the holdings seam below.
+
+// holdings is the seam between the node round and a node's rumor state. One
+// instance belongs to one node; only informed may be called off the node's
+// own goroutine. Two implementations remain on purpose: bench/ and the
+// Byzantine behavior library are typed on the 64-bit mask, and whether a
+// rumorset row can replace it at <= 64 rumors is a measurement for a later
+// change, not a guess to make here.
+type holdings interface {
+	// snapshot reads the node's current holdings: the decision table's two
+	// predicates (empty: holds nothing; complete: holds everything registered)
+	// and the message that carries the holdings, whose Bits is the full charge
+	// — overhead, encoding and one b-bit payload per rumor.
+	snapshot() (m phonecall.Message, empty, complete bool)
+	// callFrame and respFrame encode m — the latest snapshot's message,
+	// possibly rewritten by a behavior — as a call or a pull response from
+	// node src. The frame is a fresh slice, sized once, for the transport to
+	// take ownership of.
+	callFrame(round, src int, wantsPull bool, m phonecall.Message) []byte
+	respFrame(round, src int, m phonecall.Message) []byte
+	// merge folds the holdings a parsed frame carries into the node's own.
+	// partial reports that the sender still lacks a rumor this node counts as
+	// registered.
+	merge(f frame) (partial bool)
+	// informed reports whether the node holds everything registered. Safe
+	// from any goroutine; the monitor's census calls it.
+	informed() bool
+}
+
+// holdingsBits is the simulator's charge for a holdings message: the tag and
+// counter overhead, the holdings' own encoding beyond that, and one b-bit
+// payload per carried rumor.
+func holdingsBits(net *phonecall.Network, encoding, rumors int) int {
+	return net.MessageSize(phonecall.Message{Tag: phonecall.TagHoldings}) + encoding + rumors*net.PayloadBits()
+}
+
+// maskHoldings keeps a node's rumors as one atomic 64-bit mask: the owner
+// merges into it, the monitor injects into, clears and reads it. reg is what
+// counts as complete — the run's registered mask, which the monitor grows,
+// or a PeerNode's fixed Expect. Its messages are the live twin of the
+// scenario protocols' encoding (one uint64 under phonecall.TagHoldings,
+// charged one b-bit payload per carried rumor), so the holdings-directed
+// behaviors (Liar, Stale) rewrite live traffic too.
+type maskHoldings struct {
+	held atomic.Uint64
+	reg  *atomic.Uint64
+	net  *phonecall.Network
+}
+
+func (h *maskHoldings) snapshot() (phonecall.Message, bool, bool) {
+	reg := h.reg.Load()
+	held := h.held.Load() & reg
+	m := phonecall.Message{
+		Tag:   phonecall.TagHoldings,
+		Value: held,
+		Rumor: true,
+		Bits:  holdingsBits(h.net, 0, bits.OnesCount64(held)),
+	}
+	return m, held == 0, held == reg
+}
+
+// maskFrameCap fits a holdings-mask frame (header, 8-byte mask, bits, tag,
+// no IDs) so encoding it allocates once; a behavior's longer message grows
+// the slice like any append.
+const maskFrameCap = 24
+
+func (h *maskHoldings) callFrame(round, src int, wantsPull bool, m phonecall.Message) []byte {
+	return appendCallFrame(make([]byte, 0, maskFrameCap), round, src, true, wantsPull, &m)
+}
+
+func (h *maskHoldings) respFrame(round, src int, m phonecall.Message) []byte {
+	return appendRespFrame(make([]byte, 0, maskFrameCap), round, src, &m)
+}
+
+func (h *maskHoldings) merge(f frame) bool {
+	if !f.hasPayload || f.msg.Tag != phonecall.TagHoldings {
+		return false
+	}
+	reg := h.reg.Load()
+	if gain := f.msg.Value & reg &^ h.held.Load(); gain != 0 {
+		h.held.Or(gain)
+	}
+	return f.msg.Value&reg != reg
+}
+
+func (h *maskHoldings) informed() bool {
+	reg := h.reg.Load()
+	return h.held.Load()&reg == reg
+}
+
+// setHoldings keeps a node's rumors as its row of the shared rumor set (the
+// node marks only its own row — the set's ownership contract) and gossips
+// them as sorted rumor-ID summaries. ids and summaryBytes are the owner's
+// scratch: the sorted holdings of the latest snapshot and their encoded
+// size, which the encoders read.
+type setHoldings struct {
+	set          *rumorset.Set
+	node         int
+	net          *phonecall.Network
+	ids          []rumorset.ID
+	summaryBytes int
+}
+
+func (h *setHoldings) snapshot() (phonecall.Message, bool, bool) {
+	h.ids, h.summaryBytes = rumorset.AppendDigest(h.set, h.ids[:0], h.node)
+	m := phonecall.Message{Tag: phonecall.TagHoldings, Rumor: true, Bits: holdingsBits(h.net, h.summaryBytes*8, len(h.ids))}
+	return m, len(h.ids) == 0, len(h.ids) == h.set.Active()
+}
+
+// The stream path has no Byzantine seam (ValidateEvents rejects CorruptAt on
+// wide runs), so the message is always the snapshot's own and the summary is
+// encoded straight from ids.
+func (h *setHoldings) callFrame(round, src int, wantsPull bool, _ phonecall.Message) []byte {
+	return appendSummaryCallFrame(h.newFrame(), round, src, wantsPull, h.ids)
+}
+
+func (h *setHoldings) respFrame(round, src int, _ phonecall.Message) []byte {
+	return appendSummaryRespFrame(h.newFrame(), round, src, h.ids)
+}
+
+// newFrame sizes a summary frame once: type, flags and two varints of header,
+// then the summary block.
+func (h *setHoldings) newFrame() []byte {
+	return make([]byte, 0, 2+2*binary.MaxVarintLen32+h.summaryBytes)
+}
+
+// merge reports no linger evidence: a stream run ends at the monitor, never
+// by lingering.
+func (h *setHoldings) merge(f frame) bool {
+	if f.hasSummary && len(f.sum) > 0 {
+		h.set.MarkIDs(h.node, f.sum) // stale/expired IDs are skipped inside
+	}
+	return false
+}
+
+func (h *setHoldings) informed() bool {
+	return h.set.HeldCount(h.node) == h.set.Active()
+}
+
+// frStats is one node's cumulative accounting, cache-line padded; written by
+// the owner goroutine, read after the run joins.
+type frStats struct {
+	msgs     int64
+	control  int64
+	bits     int64
+	maxComms int32
+	_        [36]byte // pad to 64 bytes so adjacent nodes do not false-share
+}
+
+// node is one free-running gossip node: everything its round reads, resolved
+// once by the adapter that owns it (FreeRun's node goroutine, PeerNode). It
+// holds no per-round state besides the summary decode scratch.
+type node struct {
+	i    int
+	algo scenario.Algorithm
+	net  *phonecall.Network // ID directory, contact hash and message sizing; its engine never runs
+	tr   Transport
+	h    holdings
+	// behav, when non-nil, is where the monitor publishes the node's Byzantine
+	// behavior; the step picks it up at its next round.
+	behav *atomic.Pointer[frBehavior]
+	st    *frStats
+	// telMsgs/telBits are the pre-resolved telemetry counters (nil without a
+	// registry): the send path pays a nil check and two sharded atomic adds.
+	telMsgs, telBits *telemetry.Counter
+	sum              []rumorset.ID
+}
+
+// frBehavior boxes a node's installed Byzantine behavior so the monitor can
+// publish it atomically while the node goroutine keeps running. A nil pointer
+// (never installed) and a boxed nil behavior both mean honest.
+type frBehavior struct {
+	b phonecall.Behavior
+}
+
+// send charges one frame to the node's accounting — the only place traffic
+// is charged — and hands it to the transport, which owns it from here on.
+func (nd *node) send(to int, frame []byte, size int64, control bool) {
+	if control {
+		nd.st.control++
+	} else {
+		nd.st.msgs++
+	}
+	nd.st.bits += size
+	if nd.telMsgs != nil {
+		nd.telMsgs.AddShard(nd.i, 1)
+		nd.telBits.AddShard(nd.i, size)
+	}
+	nd.tr.Send(nd.i, to, frame)
+}
+
+// step runs the node's local round r: initiate one call per the protocol
+// (filtered through the node's installed behavior, if any), drain whatever
+// arrived and merge it, then answer the round's pullers. drain is the
+// caller's reusable frame buffer, returned for the next round. needy is
+// PeerNode's linger evidence: the drain showed a peer that still lacks rumors.
+func (nd *node) step(r int, drain [][]byte) (_ [][]byte, needy bool) {
+	i := nd.i
+	comms := int32(0)
+	var b phonecall.Behavior
+	if nd.behav != nil {
+		if cell := nd.behav.Load(); cell != nil {
+			b = cell.b
+		}
+	}
+
+	// Build the round's intent from the decision table the steppable
+	// protocols use, then let the behavior rewrite it — the same seam the
+	// barriered engines apply, so a timeline's adversaries act identically
+	// here.
+	m, empty, complete := nd.h.snapshot()
+	it, withHoldings := nd.algo.Call(empty, complete)
+	if withHoldings {
+		it.Payload = m
+	}
+	j, jok := nd.net.RandomContact(r, i)
+	resolve := func(t phonecall.Target) int {
+		if t.Random {
+			if !jok {
+				// Policy admits no peer: the node sits this round out silently
+				// (the free-running engine charges only calls it actually sends).
+				return -1
+			}
+			return j
+		}
+		if idx, ok := nd.net.IndexOf(t.ID); ok && idx != i {
+			return idx
+		}
+		return -1
+	}
+	if b != nil {
+		target := -1
+		if it.Kind != phonecall.None {
+			target = resolve(it.Target)
+		}
+		it = b.RewriteIntent(r, i, target, it)
+	}
+	if it.Kind != phonecall.None {
+		if dst := resolve(it.Target); dst >= 0 {
+			if it.Kind == phonecall.Pull || (it.Kind == phonecall.Exchange && !it.Payload.HasContent()) {
+				nd.send(dst, appendCallFrame(nil, r, i, false, true, nil), int64(nd.net.ControlBits()), true)
+			} else {
+				frame := nd.h.callFrame(r, i, it.Kind == phonecall.Exchange, it.Payload)
+				nd.send(dst, frame, int64(nd.net.MessageSize(it.Payload)), false)
+			}
+			comms++
+		}
+	}
+
+	drain = nd.tr.Mailbox(i).TryDrain(drain[:0])
+	var few [4]int // a round rarely has more pullers; beyond that append spills to the heap
+	pulls := few[:0]
+	for _, raw := range drain {
+		f, err := parseFrameBuf(raw, nd.sum[:0])
+		if err != nil {
+			continue
+		}
+		if f.hasSummary {
+			nd.sum = f.sum[:0]
+		}
+		if nd.h.merge(f) {
+			needy = true
+		}
+		if f.typ != frameCall {
+			continue
+		}
+		comms++
+		if f.wantsPull {
+			pulls = append(pulls, f.src)
+			if !f.hasPayload && !f.hasSummary {
+				needy = true // a bare pull only comes from a node with nothing to offer
+			}
+		}
+	}
+
+	// Answer after the merge, once: the model's pull response is
+	// address-oblivious — one message per round, handed to every puller — so
+	// it is built from the freshest state (a puller that arrived in this
+	// drain before the payload that informed the node still gets the merged
+	// holdings) and filtered through the behavior once, like the engine's
+	// response wrap.
+	if len(pulls) > 0 {
+		m, empty, _ := nd.h.snapshot()
+		ok := nd.algo.Answers(empty)
+		if b != nil {
+			m, ok = b.RewriteResponse(r, i, m, ok)
+		}
+		if ok {
+			size := int64(nd.net.MessageSize(m))
+			for _, src := range pulls {
+				nd.send(src, nd.h.respFrame(r, i, m), size, false)
+			}
+		}
+	}
+	if comms > nd.st.maxComms {
+		nd.st.maxComms = comms
+	}
+	return drain, needy
+}

@@ -38,9 +38,10 @@ const (
 // Algorithms lists the steppable protocols in comparison order.
 func Algorithms() []Algorithm { return []Algorithm{AlgoPush, AlgoPull, AlgoPushPull} }
 
-// orDefault resolves the empty algorithm to the default and rejects unknown
-// names.
-func (a Algorithm) orDefault() (Algorithm, error) {
+// OrDefault resolves the empty algorithm to the default and rejects unknown
+// names; the scenario driver and the live runtime's constructors all
+// validate through it.
+func (a Algorithm) OrDefault() (Algorithm, error) {
 	switch a {
 	case "":
 		return AlgoPushPull, nil
@@ -50,6 +51,36 @@ func (a Algorithm) orDefault() (Algorithm, error) {
 		return "", fmt.Errorf("scenario: unknown algorithm %q (have push, pull, push-pull)", a)
 	}
 }
+
+// Call is the protocols' decision table — the one place that says what a
+// node initiates in a round, consumed by the bitmask protocol, the wide
+// protocol and the live runtime's node step alike. empty: the node holds no
+// rumor; complete: it holds every rumor registered so far (both are true
+// before the first injection). Push is silent when empty, pull is silent
+// when complete, push-pull always calls. The intent comes without a payload;
+// withHoldings tells the caller to attach its holdings (a push-pull call
+// without them is a bare pull).
+func (a Algorithm) Call(empty, complete bool) (it phonecall.Intent, withHoldings bool) {
+	switch a {
+	case AlgoPush:
+		if empty {
+			return phonecall.Silent(), false
+		}
+		return phonecall.PushIntent(phonecall.RandomTarget(), phonecall.Message{}), true
+	case AlgoPull:
+		if complete {
+			return phonecall.Silent(), false
+		}
+		return phonecall.PullIntent(phonecall.RandomTarget()), false
+	default: // AlgoPushPull
+		return phonecall.ExchangeIntent(phonecall.RandomTarget(), phonecall.Message{}), !empty
+	}
+}
+
+// Answers is the table's response column: whether a pulled node hands its
+// holdings to the round's pullers. Push never answers, and nobody answers
+// with nothing.
+func (a Algorithm) Answers(empty bool) bool { return a != AlgoPush && !empty }
 
 // tagRumorSet marks messages whose Value is a holdings bitmask.
 const tagRumorSet uint8 = 111
@@ -88,34 +119,18 @@ func (p *protocol) message(held uint64) phonecall.Message {
 // mask, per the engine's callback contract.
 func (p *protocol) intent(i int) phonecall.Intent {
 	held := p.tr.Held(i)
-	switch p.algo {
-	case AlgoPush:
-		if held == 0 {
-			return phonecall.Silent()
-		}
-		return phonecall.PushIntent(phonecall.RandomTarget(), p.message(held))
-	case AlgoPull:
-		if held == p.tr.Registered() {
-			// Holds every rumor injected so far: nothing left to ask for.
-			return phonecall.Silent()
-		}
-		return phonecall.PullIntent(phonecall.RandomTarget())
-	default: // AlgoPushPull
-		if held == 0 {
-			return phonecall.ExchangeIntent(phonecall.RandomTarget(), phonecall.Message{})
-		}
-		return phonecall.ExchangeIntent(phonecall.RandomTarget(), p.message(held))
+	it, withHoldings := p.algo.Call(held == 0, held == p.tr.Registered())
+	if withHoldings {
+		it.Payload = p.message(held)
 	}
+	return it
 }
 
 // response answers pulls with the responder's holdings (address-oblivious:
 // one response per round, handed to every puller).
 func (p *protocol) response(j int) (phonecall.Message, bool) {
-	if p.algo == AlgoPush {
-		return phonecall.Message{}, false
-	}
 	held := p.tr.Held(j)
-	if held == 0 {
+	if !p.algo.Answers(held == 0) {
 		return phonecall.Message{}, false
 	}
 	return p.message(held), true

@@ -327,7 +327,7 @@ func (sc Scenario) Validate() error {
 	if sc.Rounds < 1 {
 		return fmt.Errorf("scenario: need Rounds >= 1 (got %d)", sc.Rounds)
 	}
-	if _, err := sc.Algorithm.orDefault(); err != nil {
+	if _, err := sc.Algorithm.OrDefault(); err != nil {
 		return err
 	}
 	if err := ValidateEvents(sc.N, sc.Wide(), sc.Events); err != nil {
@@ -499,7 +499,7 @@ func Run(ctx context.Context, sc Scenario, cfg Config) (res Result, err error) {
 	if err := sc.Validate(); err != nil {
 		return Result{}, err
 	}
-	algo, err := sc.Algorithm.orDefault()
+	algo, err := sc.Algorithm.OrDefault()
 	if err != nil {
 		return Result{}, err
 	}

@@ -2,11 +2,13 @@ package scenario
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
 	"repro/internal/failure"
 	"repro/internal/phonecall"
+	"repro/internal/rumorset"
 )
 
 // churnLossScenario builds the canonical test workload: two rumors, a crash
@@ -463,5 +465,85 @@ func TestSpammerSlowsConvergence(t *testing.T) {
 	if got != 0 && got <= honest.Rumors[0].CompletionRound {
 		t.Errorf("spammed run converged at round %d, honest at %d — spam did not slow the spread",
 			got, honest.Rumors[0].CompletionRound)
+	}
+}
+
+// TestProtocolsFollowTheDecisionTable pins both steppable protocols to
+// Algorithm.Call and Algorithm.Answers for every (algorithm, empty, complete)
+// cell. internal/live pins its node step to the same table
+// (TestStepFollowsTheDecisionTable), so the simulated and live rules cannot
+// drift apart; the table's own rows are spelled out here once.
+func TestProtocolsFollowTheDecisionTable(t *testing.T) {
+	rows := []struct {
+		algo            Algorithm
+		empty, complete bool
+		kind            phonecall.Kind
+		withHoldings    bool
+	}{
+		{AlgoPush, true, true, phonecall.None, false},
+		{AlgoPush, true, false, phonecall.None, false},
+		{AlgoPush, false, false, phonecall.Push, true},
+		{AlgoPush, false, true, phonecall.Push, true},
+		{AlgoPull, true, true, phonecall.None, false},
+		{AlgoPull, true, false, phonecall.Pull, false},
+		{AlgoPull, false, false, phonecall.Pull, false},
+		{AlgoPull, false, true, phonecall.None, false},
+		{AlgoPushPull, true, true, phonecall.Exchange, false},
+		{AlgoPushPull, true, false, phonecall.Exchange, false},
+		{AlgoPushPull, false, false, phonecall.Exchange, true},
+		{AlgoPushPull, false, true, phonecall.Exchange, true},
+	}
+	for _, row := range rows {
+		it, withHoldings := row.algo.Call(row.empty, row.complete)
+		if it.Kind != row.kind || withHoldings != row.withHoldings {
+			t.Errorf("%s.Call(empty=%v, complete=%v) = %v, %v; want %v, %v",
+				row.algo, row.empty, row.complete, it.Kind, withHoldings, row.kind, row.withHoldings)
+		}
+		if got, want := row.algo.Answers(row.empty), row.algo != AlgoPush && !row.empty; got != want {
+			t.Errorf("%s.Answers(empty=%v) = %v, want %v", row.algo, row.empty, got, want)
+		}
+
+		// Node 1 in the cell's state: two rumors registered unless the cell is
+		// "nothing registered" (empty and complete at once).
+		net, err := phonecall.New(phonecall.Config{N: 4, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Enter round 1: the wide protocol stamps its per-round digests with
+		// the engine round, and 0 means "never built".
+		net.ExecRound(func(int) phonecall.Intent { return phonecall.Silent() }, nil, nil)
+		tr := phonecall.NewRumorTracker(net)
+		set, err := rumorset.New(4, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !(row.empty && row.complete) {
+			for r := 0; r < 2; r++ {
+				if row.complete || (r == 0 && !row.empty) {
+					err = errors.Join(tr.Inject(1, phonecall.RumorID(r)), set.Inject(1, rumorset.ID(r)))
+				} else {
+					err = errors.Join(tr.Register(phonecall.RumorID(r)), set.Register(rumorset.ID(r)))
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		wide := newWideProtocol(row.algo, net, set)
+		wide.active = set.Active()
+		for name, p := range map[string]interface {
+			intent(int) phonecall.Intent
+			response(int) (phonecall.Message, bool)
+		}{"protocol": newProtocol(row.algo, net, tr), "wideProtocol": wide} {
+			got := p.intent(1)
+			if got.Kind != row.kind || got.Payload.HasContent() != row.withHoldings {
+				t.Errorf("%s %s.intent(empty=%v, complete=%v) = %v with payload=%v; table says %v, %v",
+					name, row.algo, row.empty, row.complete, got.Kind, got.Payload.HasContent(), row.kind, row.withHoldings)
+			}
+			if _, ok := p.response(1); ok != row.algo.Answers(row.empty) {
+				t.Errorf("%s %s.response(empty=%v) answered=%v; table says %v",
+					name, row.algo, row.empty, ok, row.algo.Answers(row.empty))
+			}
+		}
 	}
 }

@@ -26,6 +26,14 @@ type wideProtocol struct {
 	set      *rumorset.Set
 	overhead int // bits charged for the non-payload, non-digest part
 	digests  []wideDigest
+	// carries: the algorithm's calls carry holdings (the decision table's
+	// answer for a node with some rumors but not all), so a calling node
+	// builds its digest anyway.
+	carries bool
+	// active is the in-flight rumor count of the round about to execute: the
+	// coordinator sets it after the round's events, and only it adds or
+	// retires rumors.
+	active int
 }
 
 // wideDigest is one node's holdings digest for one round: the sorted rumor IDs
@@ -43,7 +51,9 @@ type wideDigest struct {
 }
 
 func newWideProtocol(algo Algorithm, net *phonecall.Network, set *rumorset.Set) *wideProtocol {
+	_, carries := algo.Call(false, false)
 	return &wideProtocol{
+		carries:  carries,
 		algo:     algo,
 		net:      net,
 		set:      set,
@@ -72,39 +82,29 @@ func (d *wideDigest) message() phonecall.Message {
 	return phonecall.Message{Tag: tagRumorSet, Rumor: true, IDs: d.ids, Bits: d.bits}
 }
 
-// intent implements the per-node initiation, mirroring the bitmask
-// protocol's shape: push stays silent when empty, pull stays silent when the
-// node holds every in-flight rumor, push-pull always exchanges.
+// intent implements the per-node initiation from the shared decision table,
+// with the bitmask protocol's predicates read off the ledger: empty is "holds
+// no in-flight rumor", complete is "holds every in-flight rumor". A protocol
+// that carries holdings takes the count from the digest it needs anyway; one
+// that never does (pull) only counts the row's bits.
 func (p *wideProtocol) intent(i int) phonecall.Intent {
-	switch p.algo {
-	case AlgoPush:
-		d := p.digest(i)
-		if len(d.ids) == 0 {
-			return phonecall.Silent()
-		}
-		return phonecall.PushIntent(phonecall.RandomTarget(), d.message())
-	case AlgoPull:
-		if p.set.HeldCount(i) == p.set.Active() {
-			// Holds every in-flight rumor: nothing left to ask for.
-			return phonecall.Silent()
-		}
-		return phonecall.PullIntent(phonecall.RandomTarget())
-	default: // AlgoPushPull
-		d := p.digest(i)
-		if len(d.ids) == 0 {
-			return phonecall.ExchangeIntent(phonecall.RandomTarget(), phonecall.Message{})
-		}
-		return phonecall.ExchangeIntent(phonecall.RandomTarget(), d.message())
+	var held int
+	if p.carries {
+		held = len(p.digest(i).ids)
+	} else {
+		held = p.set.HeldCount(i)
 	}
+	it, withHoldings := p.algo.Call(held == 0, held == p.active)
+	if withHoldings {
+		it.Payload = p.digest(i).message()
+	}
+	return it
 }
 
 // response answers pulls with the responder's holdings digest.
 func (p *wideProtocol) response(j int) (phonecall.Message, bool) {
-	if p.algo == AlgoPush {
-		return phonecall.Message{}, false
-	}
 	d := p.digest(j)
-	if len(d.ids) == 0 {
+	if !p.algo.Answers(len(d.ids) == 0) {
 		return phonecall.Message{}, false
 	}
 	return d.message(), true
@@ -264,6 +264,7 @@ func runWide(ctx context.Context, sc Scenario, cfg Config, algo Algorithm, worke
 			next++
 		}
 
+		proto.active = set.Active()
 		rep := net.ExecRound(proto.intent, proto.response, proto.deliver)
 		cur.Messages += rep.Messages
 		cur.Bits += rep.Bits
