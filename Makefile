@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench smoke-procs smoke-compose compose-down
+.PHONY: build test race smoke-procs smoke-compose compose-down
 
 build:
 	$(GO) build ./...
@@ -10,11 +10,6 @@ test:
 
 race:
 	$(GO) test -race -count=1 ./...
-
-# Engine + membership hot-path benchmarks -> BENCH_engine.json (the committed
-# perf baseline; BENCH_TRAJECTORY.md tracks the history).
-bench:
-	$(GO) run ./cmd/benchtab -json -benchn 50000
 
 # Five gossipnode processes on loopback: bootstrap through the seed's address
 # alone, converge the injected rumor, all exit 0.

@@ -1,36 +1,25 @@
-// Command benchtab regenerates the reproduction tables E1–E10 recorded in
+// Command benchtab regenerates the reproduction tables E1–E12 recorded in
 // EXPERIMENTS.md (one table per claim of the paper, plus the E8 dynamic
-// churn sweep and the E9 sim-vs-live comparison; see DESIGN.md §4), and with
-// -json benchmarks the hot paths — the static round engine, the dynamic
-// scenario path, policy-weighted peer selection, and the membership layer's
-// routing-table read and RPC round trip — and emits a machine readable
-// BENCH_engine.json so the perf trajectory can be tracked across changes.
+// churn sweep, the E9 sim-vs-live comparison, the E10 Byzantine sweep and
+// the E12 topology sweep; see DESIGN.md §4). Performance is measured
+// elsewhere: `sh bench/run.sh` (BENCHMARK.json).
 //
 // Example:
 //
 //	benchtab                           # all experiments, default sweep
 //	benchtab -experiment E1,E2         # selected experiments
 //	benchtab -sizes 1000,10000,100000,1000000 -seeds 5
-//	benchtab -json                     # engine benchmarks -> BENCH_engine.json
-//	benchtab -json -benchn 20000 -out bench.json
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"strings"
-	"time"
 
 	"repro"
 	"repro/internal/cliutil"
-	"repro/internal/harness"
-	"repro/internal/membership"
-	"repro/internal/policy"
-	"repro/internal/telemetry"
 )
 
 func main() {
@@ -42,45 +31,13 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("benchtab", flag.ContinueOnError)
-	experiments := fs.String("experiment", "all", "comma-separated experiment ids (E1..E10) or 'all'")
+	experiments := fs.String("experiment", "all", "comma-separated experiment ids (E1..E10, E12) or 'all'")
 	sizes := fs.String("sizes", "1000,10000,100000", "comma-separated network sizes")
 	seeds := fs.Int("seeds", 3, "number of seeds per configuration")
 	payload := fs.Int("b", 256, "rumor size in bits")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "simulator engine shards per round (results are identical for any value)")
-	emitJSON := fs.Bool("json", false, "benchmark the round engine instead of running experiments and write the results as JSON")
-	benchN := fs.Int("benchn", 100000, "network size for -json engine benchmarks")
-	out := fs.String("out", "BENCH_engine.json", "output path for -json (\"-\" for stdout only)")
-	trajectoryRow := fs.String("trajectory-row", "", "read a BENCH_engine.json file and print its dated BENCH_TRAJECTORY.md table row")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *trajectoryRow != "" {
-		return printTrajectoryRow(*trajectoryRow)
-	}
-
-	// The two modes take disjoint flag sets; reject mixed invocations
-	// instead of silently ignoring flags.
-	var conflicting []string
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "experiment", "sizes", "seeds", "b":
-			if *emitJSON {
-				conflicting = append(conflicting, "-"+f.Name)
-			}
-		case "benchn", "out":
-			if !*emitJSON {
-				conflicting = append(conflicting, "-"+f.Name)
-			}
-		}
-	})
-	if len(conflicting) > 0 {
-		if *emitJSON {
-			return fmt.Errorf("-json benchmarks the engine and does not take %s", strings.Join(conflicting, ", "))
-		}
-		return fmt.Errorf("%s only apply with -json", strings.Join(conflicting, ", "))
-	}
-	if *emitJSON {
-		return runEngineBench(*benchN, *workers, *out)
 	}
 
 	sizeList, err := cliutil.ParseSizes(*sizes)
@@ -100,330 +57,6 @@ func run(args []string) error {
 			return err
 		}
 		fmt.Println(table.Render())
-	}
-	return nil
-}
-
-// printTrajectoryRow reads a -json output file and prints the markdown row
-// BENCH_TRAJECTORY.md tracks: date, commit, then ns/op per benchmark in the
-// trajectory's column order. The commit comes from GITHUB_SHA when CI sets
-// it, "worktree" otherwise.
-func printTrajectoryRow(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var doc struct {
-		Results []engineBenchResult `json:"results"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	byName := map[string]float64{}
-	for _, r := range doc.Results {
-		byName[r.Name] = r.NsPerOp
-	}
-	commit := "worktree"
-	if sha := os.Getenv("GITHUB_SHA"); len(sha) >= 7 {
-		commit = sha[:7]
-	}
-	cell := func(name string) string {
-		ns, ok := byName[name]
-		if !ok {
-			return "n/a"
-		}
-		return fmt.Sprintf("%.0f", ns)
-	}
-	fmt.Printf("| %s | %s | %s | %s | %s | %s | %s | %s | ci run |\n",
-		time.Now().UTC().Format("2006-01-02"), commit,
-		cell("EngineRound"), cell("BroadcastCluster2"), cell("ScenarioChurn"),
-		cell("PolicySelect"), cell("RoutingLookup"), cell("MembershipRPC"))
-	return nil
-}
-
-// engineBenchResult is one measured configuration in BENCH_engine.json.
-// Rounds is the number of timed engine rounds (EngineRound); Trials is the
-// number of averaged end-to-end executions (BroadcastCluster2) — distinct
-// fields because one broadcast trial spans many rounds.
-type engineBenchResult struct {
-	Name    string  `json:"name"`
-	N       int     `json:"n"`
-	Workers int     `json:"workers,omitempty"`
-	Rounds  int     `json:"rounds,omitempty"`
-	Trials  int     `json:"trials,omitempty"`
-	NsPerOp float64 `json:"ns_per_op"`
-	// Telemetry is the metric snapshot of one extra, untimed, instrumented
-	// execution of the same workload (series id -> value), so each row
-	// carries its workload shape (rounds, traffic, populations) next to its
-	// timing. The timed passes stay un-instrumented, and the raw EngineRound
-	// hot loop is never instrumented at all.
-	Telemetry map[string]float64 `json:"telemetry,omitempty"`
-}
-
-// telemetrySnapshot flattens a registry into the row's telemetry map.
-func telemetrySnapshot(reg *telemetry.Registry) map[string]float64 {
-	samples := reg.Snapshot()
-	out := make(map[string]float64, len(samples))
-	for _, s := range samples {
-		out[s.ID()] = s.Value
-	}
-	return out
-}
-
-// engineBenchReport is the schema of BENCH_engine.json.
-type engineBenchReport struct {
-	GoMaxProcs int                 `json:"gomaxprocs"`
-	Results    []engineBenchResult `json:"results"`
-}
-
-// benchEngineRound times the canonical engine-round workload, shared with
-// BenchmarkEngineRound in bench_test.go via harness.EngineRoundDriver so the
-// JSON trajectory stays comparable to the Go benchmark numbers. It returns
-// the effective shard count actually used, which the engine may clamp below
-// the requested value.
-func benchEngineRound(n, workers, rounds int) (float64, int, error) {
-	step, effective, err := harness.EngineRoundDriver(n, workers)
-	if err != nil {
-		return 0, 0, err
-	}
-	for r := 0; r < harness.EngineWarmupRounds; r++ {
-		step()
-	}
-	start := time.Now()
-	for r := 0; r < rounds; r++ {
-		step()
-	}
-	return float64(time.Since(start).Nanoseconds()) / float64(rounds), effective, nil
-}
-
-// broadcastTrials is the number of seeds averaged by benchBroadcastCluster2,
-// and the number of repetitions averaged by benchScenarioChurn.
-const broadcastTrials = 3
-
-// benchBroadcastCluster2 measures one full Cluster2 broadcast (timed passes
-// un-instrumented), then runs one extra untimed instrumented execution for
-// the row's telemetry snapshot.
-func benchBroadcastCluster2(n, workers int) (float64, map[string]float64, error) {
-	start := time.Now()
-	for seed := uint64(1); seed <= broadcastTrials; seed++ {
-		res, err := harness.Run(context.Background(), harness.AlgoCluster2, n, seed, harness.Options{Workers: workers})
-		if err != nil {
-			return 0, nil, err
-		}
-		if !res.AllInformed {
-			return 0, nil, fmt.Errorf("cluster2 informed only %d/%d", res.Informed, res.Live)
-		}
-	}
-	ns := float64(time.Since(start).Nanoseconds()) / broadcastTrials
-	reg := telemetry.NewRegistry()
-	if _, err := harness.Run(context.Background(), harness.AlgoCluster2, n, 1, harness.Options{
-		Workers:  workers,
-		Observer: harness.NewEngineTelemetry(reg, string(harness.AlgoCluster2), "simulator"),
-	}); err != nil {
-		return 0, nil, err
-	}
-	return ns, telemetrySnapshot(reg), nil
-}
-
-// benchScenarioChurn measures the dynamic path: a full push-pull broadcast
-// under periodic churn and per-call loss (harness.ScenarioChurnDriver, the
-// same workload as BenchmarkScenarioChurn in bench_test.go). Returns ns per
-// scenario execution and the number of simulated rounds per execution.
-func benchScenarioChurn(n, workers int) (float64, int, map[string]float64, error) {
-	run, rounds := harness.ScenarioChurnDriver(n, workers, nil)
-	if err := run(); err != nil { // warm-up, untimed
-		return 0, 0, nil, err
-	}
-	start := time.Now()
-	for t := 0; t < broadcastTrials; t++ {
-		if err := run(); err != nil {
-			return 0, 0, nil, err
-		}
-	}
-	ns := float64(time.Since(start).Nanoseconds()) / broadcastTrials
-	reg := telemetry.NewRegistry()
-	instrumented, _ := harness.ScenarioChurnDriver(n, workers,
-		harness.NewEngineTelemetry(reg, "push-pull", "simulator"))
-	if err := instrumented(); err != nil { // untimed telemetry pass
-		return 0, 0, nil, err
-	}
-	return ns, rounds, telemetrySnapshot(reg), nil
-}
-
-// benchPolicySelect times one policy-weighted peer selection on an n-node,
-// 8-zone WAN topology — the same workload as BenchmarkPolicySelect in
-// internal/policy, so the JSON trajectory stays comparable to the Go
-// benchmark numbers. The selection hot path is allocation-free (locked by
-// TestSelectPeerZeroAlloc); this row tracks its latency.
-func benchPolicySelect(n int) (float64, error) {
-	tab, err := policy.WanLanTable(n, 8)
-	if err != nil {
-		return 0, err
-	}
-	pol := &policy.Policy{
-		Rules:   policy.Rules{MaxLatencyDistance: 64, MinCapacity: 32},
-		Weights: policy.Weights{SameZone: 2, Capacity: 1, Latency: 0.5},
-	}
-	sel, err := policy.NewSelector(tab, pol, 0xabcde)
-	if err != nil {
-		return 0, err
-	}
-	const ops = 1 << 21
-	for i := 0; i < ops/8; i++ { // warm-up, untimed
-		sel.SelectPeer(1, i%n)
-	}
-	start := time.Now()
-	for i := 0; i < ops; i++ {
-		sel.SelectPeer(i/n+1, i%n)
-	}
-	return float64(time.Since(start).Nanoseconds()) / ops, nil
-}
-
-// benchRoutingLookup times Table.Closest over a well-populated routing table
-// — the hot read on the FIND_NODE answer path and the seed of every iterative
-// lookup (the same workload as BenchmarkRoutingLookup in internal/membership,
-// so the JSON trajectory stays comparable to the Go benchmark numbers).
-// Returns ns/op and the table population.
-func benchRoutingLookup() (float64, int, error) {
-	self := membership.ID(0x0123_4567_89ab_cdef)
-	tab := membership.NewTable(self, membership.DefaultK)
-	for bi := 4; bi < 64; bi++ {
-		for lo := uint64(0); lo < 8 && lo < 1<<uint(bi); lo++ {
-			id := self ^ (1 << uint(bi)) ^ membership.ID(lo)
-			if self.BucketIndex(id) == bi {
-				tab.Update(membership.Contact{ID: id, Addr: fmt.Sprintf("10.0.%d.%d:4000", bi, lo)})
-			}
-		}
-	}
-	if tab.Len() < 200 {
-		return 0, 0, fmt.Errorf("routing bench table too small: %d contacts", tab.Len())
-	}
-	targets := make([]membership.ID, 256)
-	for i := range targets {
-		targets[i] = self ^ membership.ID(i*0x9e37_79b9)
-	}
-	const ops = 1 << 13
-	for i := 0; i < ops/8; i++ { // warm-up, untimed
-		tab.Closest(targets[i%len(targets)], membership.DefaultK)
-	}
-	start := time.Now()
-	for i := 0; i < ops; i++ {
-		if len(tab.Closest(targets[i%len(targets)], membership.DefaultK)) == 0 {
-			return 0, 0, fmt.Errorf("empty lookup")
-		}
-	}
-	return float64(time.Since(start).Nanoseconds()) / ops, tab.Len(), nil
-}
-
-// benchMembershipRPC times one full PING/PONG round trip over loopback UDP —
-// encode, send, demux, decode, handle, reply, correlate: the unit cost of a
-// liveness probe and of each lookup hop (the same workload as
-// BenchmarkMembershipRPC in internal/membership).
-func benchMembershipRPC() (float64, error) {
-	a, err := membership.New(membership.Config{Self: 1, RPCTimeout: time.Second})
-	if err != nil {
-		return 0, err
-	}
-	defer a.Close()
-	peer, err := membership.New(membership.Config{Self: 2, RPCTimeout: time.Second})
-	if err != nil {
-		return 0, err
-	}
-	defer peer.Close()
-	addr := peer.Self().Addr
-	const ops = 4096
-	for i := 0; i < ops/8; i++ { // warm-up, untimed
-		if _, err := a.Ping(addr); err != nil {
-			return 0, err
-		}
-	}
-	start := time.Now()
-	for i := 0; i < ops; i++ {
-		if _, err := a.Ping(addr); err != nil {
-			return 0, err
-		}
-	}
-	return float64(time.Since(start).Nanoseconds()) / ops, nil
-}
-
-// runEngineBench benchmarks the round engine and the main algorithm and
-// writes the results as JSON, so future changes can track the perf
-// trajectory (ns/op for EngineRound and BroadcastCluster2). workers > 0
-// benchmarks {1, workers}; workers <= 0 benchmarks the default set
-// {1, GOMAXPROCS}.
-func runEngineBench(n, workers int, out string) error {
-	report := engineBenchReport{GoMaxProcs: runtime.GOMAXPROCS(0)}
-	const rounds = 30
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workerCounts := []int{1}
-	if workers > 1 {
-		workerCounts = append(workerCounts, workers)
-	}
-	lastEffective := 0
-	for _, w := range workerCounts {
-		ns, effective, err := benchEngineRound(n, w, rounds)
-		if err != nil {
-			return err
-		}
-		if effective == lastEffective {
-			continue // the engine clamped this request to a count already measured
-		}
-		lastEffective = effective
-		report.Results = append(report.Results, engineBenchResult{
-			Name: "EngineRound", N: n, Workers: effective, Rounds: rounds, NsPerOp: ns,
-		})
-	}
-	ns, tel, err := benchBroadcastCluster2(n, workers)
-	if err != nil {
-		return err
-	}
-	report.Results = append(report.Results, engineBenchResult{
-		Name: "BroadcastCluster2", N: n, Workers: lastEffective, Trials: broadcastTrials, NsPerOp: ns,
-		Telemetry: tel,
-	})
-	ns, scenarioRounds, tel, err := benchScenarioChurn(n, workers)
-	if err != nil {
-		return err
-	}
-	report.Results = append(report.Results, engineBenchResult{
-		Name: "ScenarioChurn", N: n, Workers: lastEffective, Rounds: scenarioRounds,
-		Trials: broadcastTrials, NsPerOp: ns, Telemetry: tel,
-	})
-	ns, err = benchPolicySelect(n)
-	if err != nil {
-		return err
-	}
-	report.Results = append(report.Results, engineBenchResult{
-		Name: "PolicySelect", N: n, NsPerOp: ns,
-	})
-	ns, tableLen, err := benchRoutingLookup()
-	if err != nil {
-		return err
-	}
-	report.Results = append(report.Results, engineBenchResult{
-		Name: "RoutingLookup", N: tableLen, NsPerOp: ns,
-	})
-	ns, err = benchMembershipRPC()
-	if err != nil {
-		return err
-	}
-	report.Results = append(report.Results, engineBenchResult{
-		Name: "MembershipRPC", N: 2, NsPerOp: ns,
-	})
-
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	os.Stdout.Write(data)
-	if out != "-" {
-		if err := os.WriteFile(out, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "benchtab: wrote %s\n", out)
 	}
 	return nil
 }

@@ -1,9 +1,6 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -23,60 +20,5 @@ func TestRunExperimentTable(t *testing.T) {
 		if !strings.Contains(out, marker) {
 			t.Errorf("output missing %q:\n%s", marker, out)
 		}
-	}
-}
-
-// TestRunEngineBenchJSON exercises the -json mode on a small network and
-// validates the emitted schema.
-func TestRunEngineBenchJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	out, err := testutil.CaptureStdout(t, func() error {
-		return run([]string{"-json", "-benchn", "2000", "-out", path})
-	})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	var report struct {
-		GoMaxProcs int `json:"gomaxprocs"`
-		Results    []struct {
-			Name    string  `json:"name"`
-			NsPerOp float64 `json:"ns_per_op"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal([]byte(out), &report); err != nil {
-		t.Fatalf("stdout is not the JSON report: %v\n%s", err, out)
-	}
-	names := make(map[string]bool)
-	for _, r := range report.Results {
-		names[r.Name] = true
-		if r.NsPerOp <= 0 {
-			t.Errorf("%s has non-positive ns/op", r.Name)
-		}
-	}
-	for _, want := range []string{
-		"EngineRound", "BroadcastCluster2", "ScenarioChurn",
-		"PolicySelect", "RoutingLookup", "MembershipRPC",
-	} {
-		if !names[want] {
-			t.Errorf("report missing %q: %v", want, names)
-		}
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Errorf("-out file not written: %v", err)
-	}
-}
-
-// TestRunRejectsMixedFlags pins the mode separation: experiment flags with
-// -json (and vice versa) are an error, not silently ignored.
-func TestRunRejectsMixedFlags(t *testing.T) {
-	if _, err := testutil.CaptureStdout(t, func() error {
-		return run([]string{"-json", "-sizes", "100"})
-	}); err == nil {
-		t.Error("-json with -sizes accepted")
-	}
-	if _, err := testutil.CaptureStdout(t, func() error {
-		return run([]string{"-benchn", "100"})
-	}); err == nil {
-		t.Error("-benchn without -json accepted")
 	}
 }

@@ -13,25 +13,25 @@ import (
 	"testing"
 
 	"repro/internal/check"
-	"repro/internal/harness"
+	"repro/internal/run"
 	"repro/internal/trace"
 )
 
 // replications is the standing replication count for theorem checks.
 const replications = 8
 
-// runSample measures one harness execution, requiring full dissemination.
-func runSample(t *testing.T, algo harness.Algorithm, n int, measure func(res trace.Result) float64) check.Sample {
+// runSample measures one execution, requiring full dissemination.
+func runSample(t *testing.T, algo string, n int, measure func(res trace.Result) float64) check.Sample {
 	t.Helper()
 	return func(seed uint64) (float64, error) {
-		res, err := harness.Run(context.Background(), algo, n, seed, harness.Options{Workers: 1})
+		res, err := run.Execute(context.Background(), run.Spec{N: n, Algorithm: algo, Seed: seed, Workers: 1})
 		if err != nil {
 			return 0, err
 		}
 		if !res.AllInformed {
 			t.Errorf("%s n=%d seed=%d informed only %d/%d", algo, n, seed, res.Informed, res.Live)
 		}
-		return measure(res), nil
+		return measure(res.Result), nil
 	}
 }
 
@@ -50,7 +50,7 @@ func TestCluster2RoundsLogarithmicWHP(t *testing.T) {
 	perLog := make(map[int]float64)
 	for _, n := range []int{1000, 10000} {
 		r, err := check.Replicate("cluster2 completion rounds", check.Seeds(replications),
-			runSample(t, harness.AlgoCluster2, n, func(res trace.Result) float64 {
+			runSample(t, run.AlgoCluster2, n, func(res trace.Result) float64 {
 				return float64(res.CompletionRound)
 			}))
 		if err != nil {
@@ -75,7 +75,7 @@ func TestClusterPushPullMessageComplexity(t *testing.T) {
 	const c = 30
 	for _, n := range []int{1000, 10000} {
 		r, err := check.Replicate("clusterpushpull total messages", check.Seeds(replications),
-			runSample(t, harness.AlgoClusterPushPull, n, totalMessages))
+			runSample(t, run.AlgoClusterPushPull, n, totalMessages))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func TestCluster2ConstantMessagesPerNode(t *testing.T) {
 	perNode := make(map[int]float64)
 	for _, n := range []int{1000, 10000} {
 		r, err := check.Replicate("cluster2 messages per node", check.Seeds(replications),
-			runSample(t, harness.AlgoCluster2, n, totalMessages))
+			runSample(t, run.AlgoCluster2, n, totalMessages))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func TestCluster2ConstantMessagesPerNode(t *testing.T) {
 func TestPushNeedsLogRounds(t *testing.T) {
 	for _, n := range []int{1000, 10000} {
 		r, err := check.Replicate("push completion rounds", check.Seeds(replications),
-			runSample(t, harness.AlgoPush, n, func(res trace.Result) float64 {
+			runSample(t, run.AlgoPush, n, func(res trace.Result) float64 {
 				return float64(res.CompletionRound)
 			}))
 		if err != nil {

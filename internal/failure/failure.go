@@ -119,7 +119,7 @@ func (s Strided) Select(n int) []int {
 // subsystem converts it into a CrashAt timeline event (scenario.FromTimed).
 //
 // Timed deliberately does NOT implement Adversary: a timed wave handed to a
-// start-time seam (failure.Apply, harness.Options.Adversary) would strike
+// start-time seam (failure.Apply) would strike
 // before round 0 and silently ignore Round — making that mistake a compile
 // error is the guard.
 type Timed struct {

@@ -1,11 +1,11 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"math/bits"
 
 	"repro/internal/failure"
+	"repro/internal/run"
 	"repro/internal/scenario"
 	"repro/internal/stats"
 )
@@ -44,39 +44,30 @@ func e10Corrupt(n, count int, adv scenario.AdversarySpec, pickSeed uint64) scena
 	return scenario.CorruptAt{At: 1, Nodes: picked, Adversary: adv}
 }
 
-// e10Steppable runs one steppable-protocol trial: rumor 0 injected at the
-// honest node 0, count adversaries installed at round 1.
-func e10Steppable(cfg SweepConfig, algo scenario.Algorithm, n, count int, adv scenario.AdversarySpec, seed uint64) (scenario.Result, error) {
-	events := []scenario.Event{scenario.InjectRumor{At: 1, Node: 0, Rumor: 0}}
+// e10Steppable describes one steppable-protocol trial: rumor 0 injected at
+// the honest node 0, count adversaries installed at round 1.
+func e10Steppable(cfg SweepConfig, algo string, n, count int, adv scenario.AdversarySpec, seed uint64) run.Spec {
+	spec := cfg.spec(algo, n)
+	spec.ScenarioName = "e10"
+	spec.Rounds = e10Budget(n)
+	spec.Events = []scenario.Event{scenario.InjectRumor{At: 1, Node: 0, Rumor: 0}}
 	if count > 0 {
-		events = append(events, e10Corrupt(n, count, adv, seed+4000))
+		spec.Events = append(spec.Events, e10Corrupt(n, count, adv, seed+4000))
 	}
-	sc := scenario.Scenario{
-		Name:      "e10",
-		N:         n,
-		Rounds:    e10Budget(n),
-		Algorithm: algo,
-		Events:    events,
-	}
-	c := scenario.Config{
-		Seed:        seed,
-		PayloadBits: cfg.Opts.PayloadBits,
-		Workers:     cfg.Opts.Workers,
-	}
-	return scenario.Run(context.Background(), sc, c)
+	return spec
 }
 
 // E10Byzantine sweeps adversary fraction × behavior × algorithm and reports
 // rounds-to-convergence and the residual uninformed fraction. Steppable rows
 // (push, push-pull) run the multi-rumor scenario driver; the cluster2 rows
-// run the closed direct-addressing algorithm with the same CorruptAt timeline
-// through the harness, under the spammer (the one library behavior that
+// run the closed direct-addressing algorithm with the same CorruptAt
+// timeline, under the spammer (the one library behavior that
 // attacks closed-protocol traffic — the holdings-directed liar and stale
 // speak the rumor-set vocabulary and pass closed messages through).
 func E10Byzantine(cfg SweepConfig) (Table, error) {
 	n := cfg.Sizes[len(cfg.Sizes)-1]
 	fractions := []float64{0, 0.05, 0.10, 0.25}
-	steppables := []scenario.Algorithm{scenario.AlgoPush, scenario.AlgoPushPull}
+	steppables := []string{run.AlgoPush, run.AlgoPushPull}
 
 	t := Table{
 		ID:    "E10",
@@ -122,7 +113,7 @@ func E10Byzantine(cfg SweepConfig) (Table, error) {
 		if spec.kind.Kind == scenario.AdvEclipse {
 			// Eclipse is targeted: one algorithm suffices to show the victim
 			// set going dark as the dropper fraction grows.
-			algos = []scenario.Algorithm{scenario.AlgoPushPull}
+			algos = []string{run.AlgoPushPull}
 		}
 		for _, algo := range algos {
 			for _, frac := range fractions {
@@ -132,7 +123,7 @@ func E10Byzantine(cfg SweepConfig) (Table, error) {
 				for _, seed := range cfg.Seeds {
 					adv := spec.kind
 					adv.Seed = seed + 5000
-					res, err := e10Steppable(cfg, algo, n, count, adv, seed)
+					res, err := execute(e10Steppable(cfg, algo, n, count, adv, seed), seed)
 					if err != nil {
 						return Table{}, fmt.Errorf("E10 %s %s frac=%.2f: %w", spec.kind.Kind, algo, frac, err)
 					}
@@ -144,27 +135,26 @@ func E10Byzantine(cfg SweepConfig) (Table, error) {
 					residual = append(residual, 1-ro.LiveFraction)
 					msgs = append(msgs, res.MessagesPerNode)
 				}
-				addRow(rowKey{spec.kind.Kind, string(algo)}, frac,
+				addRow(rowKey{spec.kind.Kind, algo}, frac,
 					stats.Summarize(completion), completed, len(cfg.Seeds),
 					stats.Summarize(residual), stats.Summarize(msgs))
 			}
 		}
 	}
 
-	// Closed direct-addressing rows: cluster2 under the spammer, through the
-	// harness timeline (CorruptAt works without a rumor tracker).
+	// Closed direct-addressing rows: cluster2 under the spammer (CorruptAt
+	// works without a rumor tracker).
 	for _, frac := range fractions {
 		count := int(frac * float64(n))
 		var completion, residual, msgs []float64
 		completed := 0
 		for _, seed := range cfg.Seeds {
-			opts := cfg.Opts
+			spec := cfg.spec(run.AlgoCluster2, n)
 			if count > 0 {
 				adv := scenario.AdversarySpec{Kind: scenario.AdvSpammer, Seed: seed + 5000}
-				opts.Events = append(append([]scenario.Event(nil), opts.Events...),
-					e10Corrupt(n, count, adv, seed+4000))
+				spec.Events = []scenario.Event{e10Corrupt(n, count, adv, seed+4000)}
 			}
-			res, err := Run(context.Background(), AlgoCluster2, n, seed, opts)
+			res, err := execute(spec, seed)
 			if err != nil {
 				return Table{}, fmt.Errorf("E10 spammer cluster2 frac=%.2f: %w", frac, err)
 			}
@@ -177,7 +167,7 @@ func E10Byzantine(cfg SweepConfig) (Table, error) {
 			}
 			msgs = append(msgs, res.MessagesPerNode)
 		}
-		addRow(rowKey{scenario.AdvSpammer, string(AlgoCluster2)}, frac,
+		addRow(rowKey{scenario.AdvSpammer, run.AlgoCluster2}, frac,
 			stats.Summarize(completion), completed, len(cfg.Seeds),
 			stats.Summarize(residual), stats.Summarize(msgs))
 	}

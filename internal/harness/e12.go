@@ -1,10 +1,11 @@
 package harness
 
 import (
-	"context"
 	"fmt"
+	"reflect"
 
 	"repro/internal/policy"
+	"repro/internal/run"
 	"repro/internal/scenario"
 	"repro/internal/stats"
 )
@@ -72,22 +73,17 @@ func E12Topologies(cfg SweepConfig) (Table, error) {
 	)
 
 	for _, topo := range topos {
-		for _, algo := range []Algorithm{AlgoPush, AlgoPull, AlgoPushPull, AlgoCluster2} {
-			opts := cfg.Opts
-			opts.Topology = topo.table
-			opts.Policy = topo.pol
+		for _, algo := range []string{run.AlgoPush, run.AlgoPull, run.AlgoPushPull, run.AlgoCluster2} {
+			spec := cfg.spec(algo, n)
+			spec.Topology, spec.Policy = topo.table, topo.pol
 			var rounds, msgs, informed []float64
 			identical := true
 			for _, seed := range cfg.Seeds {
-				sim, err := Run(context.Background(), algo, n, seed, opts)
+				sim, liveRes, err := simAndLockStep(spec, seed)
 				if err != nil {
-					return Table{}, fmt.Errorf("E12 sim %s/%s: %w", topo.name, algo, err)
+					return Table{}, fmt.Errorf("E12 %s/%s %w", topo.name, algo, err)
 				}
-				liveRes, err := RunLockStep(context.Background(), algo, n, seed, opts, LiveOptions{})
-				if err != nil {
-					return Table{}, fmt.Errorf("E12 lock-step %s/%s: %w", topo.name, algo, err)
-				}
-				if !resultsEqual(sim, liveRes) {
+				if !reflect.DeepEqual(sim, liveRes) {
 					identical = false
 				}
 				rounds = append(rounds, float64(sim.CompletionRound))
@@ -97,7 +93,7 @@ func E12Topologies(cfg SweepConfig) (Table, error) {
 				}
 			}
 			t.Rows = append(t.Rows, []string{
-				topo.name, string(algo),
+				topo.name, algo,
 				fmt.Sprintf("%.1f", stats.Summarize(rounds).Mean),
 				fmt.Sprintf("%.2f", stats.Summarize(msgs).Mean),
 				fmt.Sprintf("%.3f", stats.Summarize(informed).Mean),
@@ -109,34 +105,25 @@ func E12Topologies(cfg SweepConfig) (Table, error) {
 	// Zone-outage convergence: zone 2 goes dark at round 3 and heals at round
 	// 8 while a zoned policy biases the spread — all three engines must still
 	// inform every live node.
-	events := []scenario.Event{
+	outage := cfg.spec(run.AlgoCluster2, n)
+	outage.Topology, outage.Policy = zoned, e12Policy()
+	outage.Events = []scenario.Event{
 		scenario.ZoneOutage{At: 3, Zone: zones - 1},
 		scenario.ZoneHeal{At: 8, Zone: zones - 1},
 	}
-	outageOpts := cfg.Opts
-	outageOpts.Topology = zoned
-	outageOpts.Policy = e12Policy()
-	outageOpts.Events = events
-	var simRounds, simInformed, lsInformed []float64
+	var simRounds, simInformed []float64
 	identical := true
 	for _, seed := range cfg.Seeds {
-		sim, err := Run(context.Background(), AlgoCluster2, n, seed, outageOpts)
+		sim, liveRes, err := simAndLockStep(outage, seed)
 		if err != nil {
-			return Table{}, fmt.Errorf("E12 outage sim: %w", err)
+			return Table{}, fmt.Errorf("E12 outage %w", err)
 		}
-		liveRes, err := RunLockStep(context.Background(), AlgoCluster2, n, seed, outageOpts, LiveOptions{})
-		if err != nil {
-			return Table{}, fmt.Errorf("E12 outage lock-step: %w", err)
-		}
-		if !resultsEqual(sim, liveRes) {
+		if !reflect.DeepEqual(sim, liveRes) {
 			identical = false
 		}
 		simRounds = append(simRounds, float64(sim.Rounds))
 		if sim.Live > 0 {
 			simInformed = append(simInformed, float64(sim.Informed)/float64(sim.Live))
-		}
-		if liveRes.Live > 0 {
-			lsInformed = append(lsInformed, float64(liveRes.Informed)/float64(liveRes.Live))
 		}
 	}
 	t.Rows = append(t.Rows, []string{
@@ -147,16 +134,16 @@ func E12Topologies(cfg SweepConfig) (Table, error) {
 		fmt.Sprintf("%v", identical),
 	})
 
+	outage.Algorithm, outage.Engine = run.AlgoPushPull, run.EngineFreeRunning
 	var frRounds, frInformed []float64
 	for _, seed := range cfg.Seeds {
-		rep, err := RunFreeRunning(context.Background(), n, seed, scenario.AlgoPushPull, events,
-			LiveOptions{PayloadBits: cfg.Opts.PayloadBits, Topology: zoned, Policy: e12Policy()})
+		res, err := execute(outage, seed)
 		if err != nil {
 			return Table{}, fmt.Errorf("E12 outage free-run: %w", err)
 		}
-		frRounds = append(frRounds, float64(rep.CompletionFrontier))
-		if rep.Live > 0 {
-			frInformed = append(frInformed, float64(rep.Informed)/float64(rep.Live))
+		frRounds = append(frRounds, float64(res.CompletionRound))
+		if res.Live > 0 {
+			frInformed = append(frInformed, float64(res.Informed)/float64(res.Live))
 		}
 	}
 	t.Rows = append(t.Rows, []string{

@@ -1,15 +1,14 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/failure"
 	"repro/internal/lowerbound"
 	"repro/internal/phonecall"
+	"repro/internal/run"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -94,8 +93,8 @@ func RunExperiment(id string, cfg SweepConfig) (Table, error) {
 }
 
 // comparisonAlgos are the algorithms swept in E1–E3.
-func comparisonAlgos() []Algorithm {
-	return []Algorithm{AlgoPushPull, AlgoKarp, AlgoAddressBook, AlgoCluster1, AlgoCluster2}
+func comparisonAlgos() []string {
+	return []string{run.AlgoPushPull, run.AlgoKarp, run.AlgoAddressBook, run.AlgoCluster1, run.AlgoCluster2}
 }
 
 // E1Rounds reproduces the round-complexity comparison (Theorems 1, 2, 9 vs
@@ -109,9 +108,9 @@ func E1Rounds(cfg SweepConfig) (Table, error) {
 	}
 	algos := comparisonAlgos()
 	for _, a := range algos {
-		t.Header = append(t.Header, string(a))
+		t.Header = append(t.Header, a)
 	}
-	perAlgo := make(map[Algorithm][]float64, len(algos))
+	perAlgo := make(map[string][]float64, len(algos))
 	sizes := make([]float64, 0, len(cfg.Sizes))
 	for _, n := range cfg.Sizes {
 		logN := math.Log2(float64(n))
@@ -122,7 +121,7 @@ func E1Rounds(cfg SweepConfig) (Table, error) {
 			fmt.Sprintf("%.1f", math.Log2(logN)),
 		}
 		for _, a := range algos {
-			agg, err := Aggregate(a, n, cfg.Seeds, cfg.Opts)
+			agg, err := Aggregate(cfg.spec(a, n), cfg.Seeds)
 			if err != nil {
 				return Table{}, err
 			}
@@ -154,13 +153,13 @@ func E2Messages(cfg SweepConfig) (Table, error) {
 	}
 	algos := comparisonAlgos()
 	for _, a := range algos {
-		t.Header = append(t.Header, string(a))
+		t.Header = append(t.Header, a)
 	}
-	perAlgo := make(map[Algorithm][]float64, len(algos))
+	perAlgo := make(map[string][]float64, len(algos))
 	for _, n := range cfg.Sizes {
 		row := []string{fmt.Sprintf("%d", n)}
 		for _, a := range algos {
-			agg, err := Aggregate(a, n, cfg.Seeds, cfg.Opts)
+			agg, err := Aggregate(cfg.spec(a, n), cfg.Seeds)
 			if err != nil {
 				return Table{}, err
 			}
@@ -186,14 +185,14 @@ func E3Bits(cfg SweepConfig) (Table, error) {
 		Header: []string{"n", "b", "push-pull", "karp", "addressbook", "cluster2"},
 	}
 	payloads := []int{256, 1024, 4096}
-	algos := []Algorithm{AlgoPushPull, AlgoKarp, AlgoAddressBook, AlgoCluster2}
+	algos := []string{run.AlgoPushPull, run.AlgoKarp, run.AlgoAddressBook, run.AlgoCluster2}
 	for _, n := range cfg.Sizes {
 		for _, b := range payloads {
-			opts := cfg.Opts
-			opts.PayloadBits = b
 			row := []string{fmt.Sprintf("%d", n), fmt.Sprintf("%d", b)}
 			for _, a := range algos {
-				agg, err := Aggregate(a, n, cfg.Seeds, opts)
+				spec := cfg.spec(a, n)
+				spec.PayloadBits = b
+				agg, err := Aggregate(spec, cfg.Seeds)
 				if err != nil {
 					return Table{}, err
 				}
@@ -223,7 +222,7 @@ func E4LowerBound(cfg SweepConfig) (Table, error) {
 			minT, _ := lowerbound.MinRounds(n, seed)
 			minTs = append(minTs, float64(minT))
 		}
-		agg, err := Aggregate(AlgoCluster2, n, cfg.Seeds, cfg.Opts)
+		agg, err := Aggregate(cfg.spec(run.AlgoCluster2, n), cfg.Seeds)
 		if err != nil {
 			return Table{}, err
 		}
@@ -264,14 +263,14 @@ func E5DeltaTradeoff(cfg SweepConfig) (Table, error) {
 			continue
 		}
 		var bRounds, tRounds, msgs, maxComms, informed []float64
+		spec := cfg.spec(run.AlgoClusterPushPull, n)
+		spec.Delta = delta
 		for _, seed := range cfg.Seeds {
-			opts := cfg.Opts
-			opts.Delta = delta
-			res, err := Run(context.Background(), AlgoClusterPushPull, n, seed, opts)
+			res, err := execute(spec, seed)
 			if err != nil {
 				return Table{}, err
 			}
-			bRounds = append(bRounds, float64(broadcastPhaseRounds(res)))
+			bRounds = append(bRounds, float64(broadcastPhaseRounds(res.Result)))
 			tRounds = append(tRounds, float64(res.Rounds))
 			msgs = append(msgs, res.MessagesPerNode)
 			maxComms = append(maxComms, float64(res.MaxCommsPerRound))
@@ -308,10 +307,11 @@ func E6FaultTolerance(cfg SweepConfig) (Table, error) {
 	for _, frac := range fractions {
 		f := int(frac * float64(n))
 		var uninformed, rounds, msgs []float64
+		spec := cfg.spec(run.AlgoCluster2, n)
+		spec.Failures = f
 		for _, seed := range cfg.Seeds {
-			opts := cfg.Opts
-			opts.Adversary = failure.Random{Count: f, Seed: seed + 1000}
-			res, err := Run(context.Background(), AlgoCluster2, n, seed, opts)
+			spec.FailureSeed = seed + 1000
+			res, err := execute(spec, seed)
 			if err != nil {
 				return Table{}, err
 			}
@@ -343,21 +343,21 @@ func E7Comparison(cfg SweepConfig) (Table, error) {
 		Title:  fmt.Sprintf("head-to-head comparison at n=%d", n),
 		Header: []string{"algorithm", "completion rounds", "total rounds", "msgs/node", "bits/(n*b)", "observed maxΔ", "all informed"},
 	}
-	for _, a := range Algorithms() {
+	for _, a := range run.Algorithms() {
 		size := n
-		if a == AlgoNameDropper {
+		if a == run.AlgoNameDropper {
 			size = 1000 // knowledge sets are Θ(n) per node
 		}
-		agg, err := Aggregate(a, size, cfg.Seeds, cfg.Opts)
+		agg, err := Aggregate(cfg.spec(a, size), cfg.Seeds)
 		if err != nil {
 			return Table{}, err
 		}
-		payload := cfg.Opts.PayloadBits
+		payload := cfg.Spec.PayloadBits
 		if payload <= 0 {
 			payload = phonecall.DefaultPayloadBits
 		}
-		name := string(a)
-		if a == AlgoNameDropper {
+		name := a
+		if a == run.AlgoNameDropper {
 			name = fmt.Sprintf("%s (n=%d)", a, size)
 		}
 		t.Rows = append(t.Rows, []string{

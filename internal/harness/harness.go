@@ -1,200 +1,53 @@
-// Package harness runs the reproduction experiments E1–E8 defined in
-// DESIGN.md: it executes the paper's algorithms and the baselines across
-// sweeps of network sizes, seeds, Δ values, failure counts and dynamic churn
-// scenarios, aggregates the round-, message- and bit-complexities, and
-// renders the tables recorded in EXPERIMENTS.md.
+// Package harness defines the reproduction experiments E1–E12 of DESIGN.md
+// as tables over run.Execute: each experiment sweeps network sizes, seeds, Δ
+// values, failure counts, churn timelines or topologies, describes every
+// trial as a run.Spec, aggregates the round-, message- and bit-complexities
+// that come back, and renders the tables recorded in EXPERIMENTS.md. It
+// constructs no engine itself.
 package harness
 
 import (
 	"context"
-	"fmt"
-	"runtime"
 
-	"repro/internal/baseline"
-	"repro/internal/core"
-	"repro/internal/failure"
-	"repro/internal/phonecall"
-	"repro/internal/policy"
-	"repro/internal/scenario"
+	"repro/internal/run"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
-// Algorithm identifies one of the implemented gossip algorithms.
-type Algorithm string
+// SweepConfig describes a size/seed sweep. Spec is the template every trial
+// starts from — the sweep-tunable knobs (PayloadBits, Workers, Delta); the
+// experiments fill in the algorithm, size, seed and dynamics per row.
+type SweepConfig struct {
+	Sizes []int
+	Seeds []uint64
+	Spec  run.Spec
+}
 
-// The implemented algorithms.
-const (
-	AlgoPush            Algorithm = "push"
-	AlgoPull            Algorithm = "pull"
-	AlgoPushPull        Algorithm = "push-pull"
-	AlgoKarp            Algorithm = "karp-median-counter"
-	AlgoAddressBook     Algorithm = "addressbook"
-	AlgoNameDropper     Algorithm = "name-dropper"
-	AlgoCluster1        Algorithm = "cluster1"
-	AlgoCluster2        Algorithm = "cluster2"
-	AlgoClusterPushPull Algorithm = "clusterpushpull"
-)
-
-// Algorithms returns every broadcast algorithm in comparison order.
-func Algorithms() []Algorithm {
-	return []Algorithm{
-		AlgoPush, AlgoPull, AlgoPushPull, AlgoKarp, AlgoAddressBook,
-		AlgoNameDropper, AlgoCluster1, AlgoCluster2, AlgoClusterPushPull,
+// DefaultSweep returns the sweep used by the checked-in experiment tables:
+// three orders of magnitude of n and three seeds. Larger sweeps (up to 10⁶
+// nodes) are available through cmd/benchtab flags.
+func DefaultSweep() SweepConfig {
+	return SweepConfig{
+		Sizes: []int{1000, 10000, 100000},
+		Seeds: []uint64{1, 2, 3},
 	}
 }
 
-// Options configures a single algorithm execution.
-type Options struct {
-	// PayloadBits is the rumor size b (default phonecall.DefaultPayloadBits).
-	PayloadBits int
-	// Workers is the number of engine shards the simulator uses per round;
-	// values <= 0 default to runtime.GOMAXPROCS(0). Results are identical for
-	// any worker count.
-	Workers int
-	// Delta is the per-round communication bound for AlgoClusterPushPull.
-	Delta int
-	// Adversary, when non-nil, fails nodes before the execution starts.
-	Adversary failure.Adversary
-	// Events, when non-empty, is a scenario timeline (crash waves, rejoins,
-	// loss changes) applied between rounds while the algorithm executes —
-	// mid-run dynamics for any algorithm, closed or not. InjectRumor events
-	// are not supported here (closed algorithms have no rumor tracker).
-	Events []scenario.Event
-	// LossRate, when positive, drops every call independently with this
-	// probability from round 1 on (oblivious per-call loss, charged per the
-	// live-participant rule). LossSeed drives the drop decisions.
-	LossRate float64
-	LossSeed uint64
-	// Observer, when non-nil, taps every executed round through the engine's
-	// observer seam (phonecall.Observe) — per-round streaming stats without
-	// changing results or metrics.
-	Observer phonecall.RoundObserver
-	// Topology attributes the nodes (zones, latency classes, capacities,
-	// reputations); Policy biases every random contact over those attributes
-	// through an installed policy.Selector. A topology without a policy
-	// changes nothing — the uniform contract stays bit-identical — but
-	// enables zone events and per-zone telemetry. A policy without a
-	// topology is a configuration error.
-	Topology *policy.Table
-	Policy   *policy.Policy
-	// Params tunes the paper's algorithms.
-	Params core.Params
+// spec returns the sweep's template set to one algorithm and network size.
+func (cfg SweepConfig) spec(algo string, n int) run.Spec {
+	s := cfg.Spec
+	s.Algorithm, s.N = algo, n
+	return s
 }
 
-func (o Options) delta() int {
-	if o.Delta <= 0 {
-		return 1024
-	}
-	return o.Delta
+// execute runs one trial: the spec at the given seed.
+func execute(spec run.Spec, seed uint64) (run.Outcome, error) {
+	spec.Seed = seed
+	return run.Execute(context.Background(), spec)
 }
 
-// Run executes one algorithm on a fresh network of n nodes. A done ctx
-// aborts the execution between rounds with the context's error.
-func Run(ctx context.Context, algo Algorithm, n int, seed uint64, opts Options) (trace.Result, error) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	net, err := phonecall.New(phonecall.Config{
-		N:           n,
-		Seed:        seed,
-		PayloadBits: opts.PayloadBits,
-		Workers:     workers,
-	})
-	if err != nil {
-		return trace.Result{}, fmt.Errorf("harness: %w", err)
-	}
-	return runOnNetwork(ctx, net, algo, opts)
-}
-
-// runOnNetwork applies the options' adversary, loss and timeline to a
-// prepared network and dispatches the algorithm. Shared between Run (the
-// simulator engine) and RunLockStep (the live runtime installed as the
-// network's executor — see live.go). The ctx abort (phonecall.SetContext)
-// unwinds the algorithm's round loop between rounds and is converted back
-// into the context's error here.
-func runOnNetwork(ctx context.Context, net *phonecall.Network, algo Algorithm, opts Options) (res trace.Result, err error) {
-	if ctx != nil {
-		net.SetContext(ctx)
-		defer phonecall.RecoverAbort(&err)
-	}
-	if _, err := policy.Install(net, opts.Topology, opts.Policy); err != nil {
-		return trace.Result{}, fmt.Errorf("harness: %w", err)
-	}
-	if opts.Observer != nil {
-		if b, ok := opts.Observer.(phonecall.NetworkBinder); ok {
-			b.BindNetwork(net)
-		}
-		net.Observe(opts.Observer)
-	}
-	if opts.Adversary != nil {
-		failure.Apply(net, opts.Adversary)
-	}
-	if opts.LossRate > 0 {
-		net.SetLoss(opts.LossRate, opts.LossSeed)
-	}
-	var tl *scenario.Timeline
-	if len(opts.Events) > 0 {
-		tl = scenario.NewTimeline(opts.Events...)
-		tl.Attach(net)
-	}
-	source, ok := failure.SurvivingSource(net, 0)
-	if !ok {
-		return trace.Result{}, fmt.Errorf("harness: all nodes failed")
-	}
-	sources := []int{source}
-
-	res, err = dispatch(algo, net, sources, opts)
-	if err != nil {
-		return trace.Result{}, err
-	}
-	if tl != nil {
-		if tl.Err() != nil {
-			return trace.Result{}, fmt.Errorf("harness: timeline: %w", tl.Err())
-		}
-		// An event scheduled past the algorithm's last round never fired; a
-		// "clean" result that silently skipped the requested dynamics would
-		// be indistinguishable from surviving them.
-		if rem := tl.Remaining(); rem > 0 {
-			return trace.Result{}, fmt.Errorf(
-				"harness: %d timeline event(s) scheduled after the algorithm's final round (%d) never fired",
-				rem, res.Rounds)
-		}
-	}
-	return res, nil
-}
-
-// dispatch runs the selected algorithm on the prepared network.
-func dispatch(algo Algorithm, net *phonecall.Network, sources []int, opts Options) (trace.Result, error) {
-	switch algo {
-	case AlgoPush:
-		return baseline.Push(net, sources)
-	case AlgoPull:
-		return baseline.Pull(net, sources)
-	case AlgoPushPull:
-		return baseline.PushPull(net, sources)
-	case AlgoKarp:
-		return baseline.MedianCounter(net, sources)
-	case AlgoAddressBook:
-		return baseline.AddressBook(net, sources)
-	case AlgoNameDropper:
-		res, err := baseline.NameDropper(net, sources)
-		return res.Result, err
-	case AlgoCluster1:
-		return core.Cluster1(net, sources, opts.Params)
-	case AlgoCluster2:
-		return core.Cluster2(net, sources, opts.Params)
-	case AlgoClusterPushPull:
-		return core.ClusterPushPull(net, sources, opts.delta(), opts.Params)
-	default:
-		return trace.Result{}, fmt.Errorf("harness: unknown algorithm %q", algo)
-	}
-}
-
-// Row aggregates repeated trials of one algorithm at one network size.
+// Row aggregates repeated trials of one spec.
 type Row struct {
-	Algorithm Algorithm
+	Algorithm string
 	N         int
 	Trials    int
 
@@ -206,12 +59,12 @@ type Row struct {
 	InformedFraction stats.Summary
 }
 
-// Aggregate runs the algorithm for every seed and summarizes the results.
-func Aggregate(algo Algorithm, n int, seeds []uint64, opts Options) (Row, error) {
-	row := Row{Algorithm: algo, N: n, Trials: len(seeds)}
+// Aggregate runs the spec for every seed and summarizes the results.
+func Aggregate(spec run.Spec, seeds []uint64) (Row, error) {
+	row := Row{Algorithm: spec.Algorithm, N: spec.N, Trials: len(seeds)}
 	var rounds, totals, msgs, bits, comms, informed []float64
 	for _, seed := range seeds {
-		res, err := Run(context.Background(), algo, n, seed, opts)
+		res, err := execute(spec, seed)
 		if err != nil {
 			return Row{}, err
 		}
@@ -231,39 +84,4 @@ func Aggregate(algo Algorithm, n int, seeds []uint64, opts Options) (Row, error)
 	row.MaxComms = stats.Summarize(comms)
 	row.InformedFraction = stats.Summarize(informed)
 	return row, nil
-}
-
-// SweepConfig describes a size/seed sweep.
-type SweepConfig struct {
-	Sizes []int
-	Seeds []uint64
-	Opts  Options
-}
-
-// DefaultSweep returns the sweep used by the checked-in experiment tables:
-// three orders of magnitude of n and three seeds. Larger sweeps (up to 10⁶
-// nodes) are available through cmd/benchtab flags.
-func DefaultSweep() SweepConfig {
-	return SweepConfig{
-		Sizes: []int{1000, 10000, 100000},
-		Seeds: []uint64{1, 2, 3},
-	}
-}
-
-// Sweep aggregates every algorithm across the sweep sizes.
-func Sweep(algos []Algorithm, cfg SweepConfig) ([]Row, error) {
-	rows := make([]Row, 0, len(algos)*len(cfg.Sizes))
-	for _, algo := range algos {
-		for _, n := range cfg.Sizes {
-			if algo == AlgoNameDropper && n > 2000 {
-				continue // knowledge sets are Θ(n) per node; keep this baseline small
-			}
-			row, err := Aggregate(algo, n, cfg.Seeds, cfg.Opts)
-			if err != nil {
-				return nil, fmt.Errorf("sweep %s n=%d: %w", algo, n, err)
-			}
-			rows = append(rows, row)
-		}
-	}
-	return rows, nil
 }

@@ -2,23 +2,36 @@ package harness
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/failure"
+	"repro/internal/run"
 	"repro/internal/scenario"
 )
+
+// The TestRun* tests below pin what the tables rely on from a trial — every
+// algorithm runs, failures, loss and timed waves land, impossible timelines
+// are refused, the live engines agree with the simulator — through
+// run.Execute, the only way this package reaches an engine.
+
+func exec(t *testing.T, spec run.Spec) run.Outcome {
+	t.Helper()
+	out, err := run.Execute(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
 
 func smallSweep() SweepConfig {
 	return SweepConfig{Sizes: []int{500, 2000}, Seeds: []uint64{1, 2}}
 }
 
 func TestRunEveryAlgorithm(t *testing.T) {
-	for _, a := range Algorithms() {
-		res, err := Run(context.Background(), a, 2000, 1, Options{Delta: 64})
-		if err != nil {
-			t.Fatalf("%s: %v", a, err)
-		}
+	for _, a := range run.Algorithms() {
+		res := exec(t, run.Spec{N: 2000, Algorithm: a, Seed: 1, Delta: 64})
 		if !res.AllInformed {
 			t.Fatalf("%s informed only %d/%d", a, res.Informed, res.Live)
 		}
@@ -29,16 +42,13 @@ func TestRunEveryAlgorithm(t *testing.T) {
 }
 
 func TestRunUnknownAlgorithm(t *testing.T) {
-	if _, err := Run(context.Background(), Algorithm("nope"), 100, 1, Options{}); err == nil {
+	if _, err := run.Execute(context.Background(), run.Spec{N: 100, Algorithm: "nope", Seed: 1}); err == nil {
 		t.Fatal("unknown algorithm should fail")
 	}
 }
 
 func TestRunWithAdversary(t *testing.T) {
-	res, err := Run(context.Background(), AlgoCluster2, 5000, 3, Options{Adversary: failure.Random{Count: 500, Seed: 9}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := exec(t, run.Spec{N: 5000, Algorithm: run.AlgoCluster2, Seed: 3, Failures: 500, FailureSeed: 9})
 	if res.Live != 4500 {
 		t.Fatalf("live = %d, want 4500", res.Live)
 	}
@@ -48,13 +58,13 @@ func TestRunWithAdversary(t *testing.T) {
 }
 
 func TestRunAllFailed(t *testing.T) {
-	if _, err := Run(context.Background(), AlgoPush, 100, 1, Options{Adversary: failure.Block{Count: 100}}); err == nil {
+	if _, err := run.Execute(context.Background(), run.Spec{N: 100, Algorithm: run.AlgoPush, Seed: 1, Failures: 100}); err == nil {
 		t.Fatal("all-failed network should error")
 	}
 }
 
 func TestAggregateSummaries(t *testing.T) {
-	row, err := Aggregate(AlgoPushPull, 1000, []uint64{1, 2, 3}, Options{})
+	row, err := Aggregate(run.Spec{N: 1000, Algorithm: run.AlgoPushPull}, []uint64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,16 +76,6 @@ func TestAggregateSummaries(t *testing.T) {
 	}
 	if row.TotalRounds.Mean < row.CompletionRounds.Mean {
 		t.Fatal("total rounds cannot be below completion rounds")
-	}
-}
-
-func TestSweepSkipsLargeNameDropper(t *testing.T) {
-	rows, err := Sweep([]Algorithm{AlgoNameDropper}, SweepConfig{Sizes: []int{500, 100000}, Seeds: []uint64{1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 || rows[0].N != 500 {
-		t.Fatalf("sweep rows = %+v", rows)
 	}
 }
 
@@ -132,13 +132,8 @@ func TestRunWithTimedCrashWave(t *testing.T) {
 	// round 4 while cluster2 is building its clustering. Live count must
 	// reflect the wave and the informed count must stay consistent
 	// (0 <= informed <= live).
-	wave := failure.Timed{Round: 4, Adversary: failure.Random{Count: 500, Seed: 9}}
-	res, err := Run(context.Background(), AlgoCluster2, 5000, 3, Options{
-		Events: []scenario.Event{scenario.FromTimed(wave, 5000)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := exec(t, run.Spec{N: 5000, Algorithm: run.AlgoCluster2, Seed: 3,
+		Failures: 500, FailureSeed: 9, FailureRound: 4})
 	if res.Live != 4500 {
 		t.Fatalf("live = %d, want 4500 after the wave", res.Live)
 	}
@@ -151,14 +146,10 @@ func TestRunWithTimedCrashWave(t *testing.T) {
 }
 
 func TestRunWithLoss(t *testing.T) {
-	clean, err := Run(context.Background(), AlgoPushPull, 2000, 1, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lossy, err := Run(context.Background(), AlgoPushPull, 2000, 1, Options{LossRate: 0.3, LossSeed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := run.Spec{N: 2000, Algorithm: run.AlgoPushPull, Seed: 1}
+	clean := exec(t, spec)
+	spec.LossRate, spec.LossSeed = 0.3, 7
+	lossy := exec(t, spec)
 	if lossy.CompletionRound <= clean.CompletionRound {
 		t.Fatalf("30%% loss did not slow push-pull: %d vs %d rounds",
 			lossy.CompletionRound, clean.CompletionRound)
@@ -170,49 +161,18 @@ func TestRunRejectsNeverFiredEvents(t *testing.T) {
 	// event scheduled there can never fire, and silently skipping the
 	// requested dynamics must not look like surviving them.
 	wave := failure.Timed{Round: 500, Adversary: failure.Random{Count: 50, Seed: 9}}
-	_, err := Run(context.Background(), AlgoPushPull, 500, 1, Options{
-		Events: []scenario.Event{scenario.FromTimed(wave, 500)},
-	})
+	_, err := run.Execute(context.Background(), run.Spec{N: 500, Algorithm: run.AlgoPushPull, Seed: 1,
+		Events: []scenario.Event{scenario.FromTimed(wave, 500)}})
 	if err == nil {
 		t.Fatal("a timeline event scheduled past the final round should error, not be dropped")
 	}
 }
 
 func TestRunRejectsInjectUnderClosedAlgorithm(t *testing.T) {
-	_, err := Run(context.Background(), AlgoPushPull, 500, 1, Options{
-		Events: []scenario.Event{scenario.InjectRumor{At: 1, Node: 0, Rumor: 0}},
-	})
+	_, err := run.Execute(context.Background(), run.Spec{N: 500, Algorithm: run.AlgoPushPull, Seed: 1,
+		Events: []scenario.Event{scenario.InjectRumor{At: 1, Node: 0, Rumor: 0}}})
 	if err == nil {
 		t.Fatal("InjectRumor under a closed algorithm should error")
-	}
-}
-
-func TestRunScenarioAndAggregate(t *testing.T) {
-	sc := scenario.Scenario{
-		Name:   "test churn",
-		N:      1000,
-		Rounds: 30,
-		Events: []scenario.Event{
-			scenario.InjectRumor{At: 1, Node: 0, Rumor: 0},
-			scenario.CrashAt{At: 6, Nodes: failure.Random{Count: 100, Seed: 5}.Select(1000)},
-		},
-	}
-	results, err := RunScenario(context.Background(), sc, []uint64{1, 2}, scenario.Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 || results[0].Seed != 1 || results[1].Seed != 2 {
-		t.Fatalf("per-seed results wrong: %+v", results)
-	}
-	row, err := AggregateScenario(context.Background(), sc, []uint64{1, 2}, scenario.Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row.Trials != 2 || row.Algorithm != scenario.AlgoPushPull {
-		t.Fatalf("row = %+v", row)
-	}
-	if row.InformedFraction.Min < 0.9 {
-		t.Fatalf("push-pull under a single wave informed only %v", row.InformedFraction)
 	}
 }
 
@@ -240,40 +200,37 @@ func TestExperimentIDsDispatch(t *testing.T) {
 	}
 }
 
-// TestRunLockStepMatchesRun pins the harness-level conformance guarantee:
-// RunLockStep returns exactly what Run returns for the same arguments, with
-// adversary and timeline options applied on the live runtime.
+// TestRunLockStepMatchesRun pins the conformance guarantee the E9/E12
+// "identical to sim" columns report: the lock-step engine returns exactly
+// what the simulator returns for the same spec, with model loss applied on
+// the live runtime; and lock-step refuses anything but the plain mesh.
 func TestRunLockStepMatchesRun(t *testing.T) {
-	opts := Options{Workers: 1, LossRate: 0.05, LossSeed: 3}
-	sim, err := Run(context.Background(), AlgoPushPull, 600, 2, opts)
+	spec := run.Spec{N: 600, Algorithm: run.AlgoPushPull, Workers: 1, LossRate: 0.05, LossSeed: 3}
+	sim, liveRes, err := simAndLockStep(spec, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	liveRes, err := RunLockStep(context.Background(), AlgoPushPull, 600, 2, opts, LiveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resultsEqual(sim, liveRes) {
+	if !reflect.DeepEqual(sim, liveRes) {
 		t.Fatalf("live lock-step diverges from sim:\n sim:  %+v\n live: %+v", sim, liveRes)
 	}
-	if _, err := RunLockStep(context.Background(), AlgoPushPull, 100, 1, Options{}, LiveOptions{Transport: "udp"}); err == nil {
-		t.Fatal("lock-step over UDP accepted")
-	}
-	if _, err := RunLockStep(context.Background(), AlgoPushPull, 100, 1, Options{}, LiveOptions{Drop: 0.5}); err == nil {
-		t.Fatal("lock-step over a lossy mesh accepted")
+	for name, bad := range map[string]run.Spec{
+		"udp":        {N: 100, Engine: run.EngineLockStep, Transport: "udp"},
+		"lossy mesh": {N: 100, Engine: run.EngineLockStep, Drop: 0.5},
+	} {
+		if _, err := run.Execute(context.Background(), bad); err == nil {
+			t.Fatalf("lock-step over %s accepted", name)
+		}
 	}
 }
 
-// TestRunFreeRunningConverges smoke-tests the harness free-running path.
+// TestRunFreeRunningConverges smoke-tests the free-running rows' path.
 func TestRunFreeRunningConverges(t *testing.T) {
-	rep, err := RunFreeRunning(context.Background(), 300, 4, "", nil, LiveOptions{Drop: 0.05, DropSeed: 8})
-	if err != nil {
-		t.Fatal(err)
+	spec := run.Spec{N: 300, Seed: 4, Engine: run.EngineFreeRunning, Drop: 0.05, DropSeed: 8}
+	if out := exec(t, spec); !out.AllInformed {
+		t.Fatalf("free-running run did not converge: %+v", out.Result)
 	}
-	if !rep.AllInformed {
-		t.Fatalf("free-running run did not converge: %+v", rep)
-	}
-	if _, err := RunFreeRunning(context.Background(), 300, 4, "", nil, LiveOptions{Transport: "bogus"}); err == nil {
+	spec.Transport = "bogus"
+	if _, err := run.Execute(context.Background(), spec); err == nil {
 		t.Fatal("unknown transport accepted")
 	}
 }

@@ -8,7 +8,7 @@ import "context"
 // error per round would change the callback contract everywhere. Instead the
 // Network itself carries the caller's context: ExecRound checks it before
 // any work of the round and, when the context is done, unwinds the whole
-// round loop with a typed panic that the run drivers (internal/harness,
+// round loop with a typed panic that the run drivers (internal/run,
 // internal/scenario via RecoverAbort) convert back into the context's error.
 // The panic never crosses a package boundary uncontrolled — every driver
 // that calls SetContext installs RecoverAbort on the same call path.

@@ -40,7 +40,7 @@ type RoundObserver interface {
 // NetworkBinder is an optional interface for RoundObservers that want a
 // reference to the network they are observing (for example to read the live
 // count when a round ends). Drivers that register observers on networks they
-// construct internally (internal/harness, internal/scenario) call
+// construct internally (internal/run, internal/scenario) call
 // BindNetwork before the first round.
 type NetworkBinder interface {
 	BindNetwork(net *Network)

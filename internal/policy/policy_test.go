@@ -361,7 +361,8 @@ func benchSelector(tb testing.TB) *Selector {
 }
 
 // BenchmarkPolicySelect measures one policy-weighted peer selection on a
-// 4096-node, 8-zone WAN topology (registered in cmd/benchtab -json).
+// 4096-node, 8-zone WAN topology (the bench/ layer row policy.select_peer_ns
+// times the same call).
 func BenchmarkPolicySelect(b *testing.B) {
 	sel := benchSelector(b)
 	b.ReportAllocs()

@@ -236,7 +236,7 @@ func Compile(n int, seed uint64, table *Table, pol *Policy) (*Selector, error) {
 
 // Install compiles the (table, policy) pair against a network and installs
 // the selector on it — the one code path the barriered engine layers
-// (harness, scenario driver) funnel through; the free-running runtime goes
+// (run.Execute, scenario driver) funnel through; the free-running runtime goes
 // through Compile and live.FreeRunConfig.PeerSelector. Both nil is a no-op
 // returning (nil, nil): the network keeps the uniform contract.
 func Install(net *phonecall.Network, table *Table, pol *Policy) (*Selector, error) {

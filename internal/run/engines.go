@@ -1,0 +1,386 @@
+package run
+
+import (
+	"context"
+	"fmt"
+	"math/bits"
+	"runtime"
+
+	"repro/internal/baseline"
+	"repro/internal/core"
+	"repro/internal/failure"
+	"repro/internal/live"
+	"repro/internal/phonecall"
+	"repro/internal/policy"
+	"repro/internal/scenario"
+	"repro/internal/trace"
+)
+
+// This file is where a validated Spec meets the engines: the three functions
+// Execute dispatches to build the network (or the free-running runtime) for
+// the spec, apply its failures, loss, topology and timeline, and run the
+// workload. Nothing else in the repository constructs an engine for a
+// workload.
+
+// The closed broadcast algorithms, by the names Spec.Algorithm takes.
+const (
+	AlgoPush            = "push"
+	AlgoPull            = "pull"
+	AlgoPushPull        = "push-pull"
+	AlgoKarp            = "karp-median-counter"
+	AlgoAddressBook     = "addressbook"
+	AlgoNameDropper     = "name-dropper"
+	AlgoCluster1        = "cluster1"
+	AlgoCluster2        = "cluster2"
+	AlgoClusterPushPull = "clusterpushpull"
+)
+
+// Algorithms returns every closed broadcast algorithm in comparison order.
+func Algorithms() []string {
+	return []string{
+		AlgoPush, AlgoPull, AlgoPushPull, AlgoKarp, AlgoAddressBook,
+		AlgoNameDropper, AlgoCluster1, AlgoCluster2, AlgoClusterPushPull,
+	}
+}
+
+// workloadAlgo resolves the algorithm name the run will actually execute,
+// defaults included — what the engines dispatch on and the label telemetry
+// and traces carry.
+func (s Spec) workloadAlgo() string {
+	switch {
+	case s.Algorithm != "":
+		return s.Algorithm
+	case s.Engine == EngineFreeRunning || s.multiRumor():
+		return AlgoPushPull
+	default:
+		return AlgoCluster2
+	}
+}
+
+// dispatch runs the spec's closed algorithm on the prepared network.
+func dispatch(s Spec, net *phonecall.Network, sources []int) (trace.Result, error) {
+	switch algo := s.workloadAlgo(); algo {
+	case AlgoPush:
+		return baseline.Push(net, sources)
+	case AlgoPull:
+		return baseline.Pull(net, sources)
+	case AlgoPushPull:
+		return baseline.PushPull(net, sources)
+	case AlgoKarp:
+		return baseline.MedianCounter(net, sources)
+	case AlgoAddressBook:
+		return baseline.AddressBook(net, sources)
+	case AlgoNameDropper:
+		res, err := baseline.NameDropper(net, sources)
+		return res.Result, err
+	case AlgoCluster1:
+		return core.Cluster1(net, sources, core.Params{})
+	case AlgoCluster2:
+		return core.Cluster2(net, sources, core.Params{})
+	case AlgoClusterPushPull:
+		delta := s.Delta
+		if delta <= 0 {
+			delta = 1024
+		}
+		return core.ClusterPushPull(net, sources, delta, core.Params{})
+	default:
+		return trace.Result{}, fmt.Errorf("run: unknown algorithm %q", algo)
+	}
+}
+
+// failureEvents maps the Failures/FailureRound fields onto the shapes the
+// engines consume — a start-time adversary, or a timed crash wave appended
+// to the timeline — and returns the timeline as a copy the caller may extend.
+func (s Spec) failureEvents() (failure.Adversary, []scenario.Event) {
+	events := append([]scenario.Event(nil), s.Events...)
+	if s.Failures <= 0 {
+		return nil, events
+	}
+	adv := failure.Random{Count: s.Failures, Seed: s.FailureSeed}
+	if s.FailureRound > 1 {
+		wave := failure.Timed{Round: s.FailureRound, Adversary: adv}
+		return nil, append(events, scenario.FromTimed(wave, s.N))
+	}
+	return adv, events
+}
+
+// steppableEvents is the timeline of the steppable drivers (scenario,
+// free-running), which have no start-time adversary and no loss knob of
+// their own: round-1 crash and loss events are the equivalent shapes.
+func (s Spec) steppableEvents() []scenario.Event {
+	adv, events := s.failureEvents()
+	if adv != nil {
+		events = append(events, scenario.CrashAt{At: 1, Nodes: adv.Select(s.N)})
+	}
+	if s.LossRate > 0 {
+		events = append(events, scenario.Loss{At: 1, Rate: s.LossRate, Seed: s.LossSeed})
+	}
+	return events
+}
+
+// transport builds the live engines' transport. Validate has already
+// confined lock-step to the plain synchronous mesh (no udp, no frame loss,
+// no link delay).
+func (s Spec) transport() (live.Transport, error) {
+	if s.Transport == "udp" {
+		return live.NewUDPTransport(s.N)
+	}
+	return live.NewChannelTransport(s.N, live.ChannelConfig{
+		Drop: s.Drop, DropSeed: s.DropSeed,
+		Latency: s.Latency, Jitter: s.Jitter, JitterSeed: s.DropSeed ^ 0x717e4,
+	})
+}
+
+// runClosed executes a closed broadcast algorithm on a fresh network: on the
+// sharded simulator engine, or — lock-step — with every node running as its
+// own goroutine over the live transport in barrier-synchronized rounds,
+// installed as the network's executor. The two are bit-identical for the same
+// spec (the conformance guarantee of internal/live). A done ctx aborts
+// between rounds; the lock-step node goroutines are torn down before the
+// error returns.
+func runClosed(ctx context.Context, s Spec) (Outcome, error) {
+	cfg := phonecall.Config{N: s.N, Seed: s.Seed, PayloadBits: s.PayloadBits}
+	if s.Engine == EngineSimulator {
+		cfg.Workers = s.Workers
+		if cfg.Workers <= 0 {
+			cfg.Workers = runtime.GOMAXPROCS(0)
+		}
+	}
+	net, err := phonecall.New(cfg)
+	if err != nil {
+		return Outcome{}, fmt.Errorf("run: %w", err)
+	}
+	var ls *live.LockStep
+	if s.Engine == EngineLockStep {
+		tr, err := s.transport()
+		if err != nil {
+			return Outcome{}, err
+		}
+		defer tr.Close()
+		if ls, err = live.NewLockStep(net, tr); err != nil {
+			return Outcome{}, err
+		}
+		defer ls.Close()
+	}
+	res, err := runOnNetwork(ctx, net, s)
+	if err != nil {
+		return Outcome{}, err
+	}
+	if ls != nil {
+		if err := ls.Err(); err != nil {
+			return Outcome{}, fmt.Errorf("run: live runtime: %w", err)
+		}
+	}
+	return Outcome{Result: res, Engine: s.Engine}, nil
+}
+
+// runOnNetwork applies the spec's topology, observers, adversary, loss and
+// timeline to a prepared network and runs the algorithm. The ctx abort
+// (phonecall.SetContext) unwinds the algorithm's round loop between rounds
+// and is converted back into the context's error here.
+func runOnNetwork(ctx context.Context, net *phonecall.Network, s Spec) (res trace.Result, err error) {
+	net.SetContext(ctx)
+	defer phonecall.RecoverAbort(&err)
+	if _, err := policy.Install(net, s.Topology, s.Policy); err != nil {
+		return trace.Result{}, fmt.Errorf("run: %w", err)
+	}
+	if obs := s.tap.engineObserver(); obs != nil {
+		if b, ok := obs.(phonecall.NetworkBinder); ok {
+			b.BindNetwork(net)
+		}
+		net.Observe(obs)
+	}
+	adv, events := s.failureEvents()
+	if adv != nil {
+		failure.Apply(net, adv)
+	}
+	if s.LossRate > 0 {
+		net.SetLoss(s.LossRate, s.LossSeed)
+	}
+	var tl *scenario.Timeline
+	if len(events) > 0 {
+		tl = scenario.NewTimeline(events...)
+		tl.Attach(net)
+	}
+	source, ok := failure.SurvivingSource(net, 0)
+	if !ok {
+		return trace.Result{}, fmt.Errorf("run: all nodes failed")
+	}
+
+	res, err = dispatch(s, net, []int{source})
+	if err != nil {
+		return trace.Result{}, err
+	}
+	if tl != nil {
+		if tl.Err() != nil {
+			return trace.Result{}, fmt.Errorf("run: timeline: %w", tl.Err())
+		}
+		// An event scheduled past the algorithm's last round never fired; a
+		// "clean" result that silently skipped the requested dynamics would
+		// be indistinguishable from surviving them.
+		if rem := tl.Remaining(); rem > 0 {
+			return trace.Result{}, fmt.Errorf(
+				"run: %d timeline event(s) scheduled after the algorithm's final round (%d) never fired",
+				rem, res.Rounds)
+		}
+	}
+	return res, nil
+}
+
+// runScenario executes a multi-rumor timeline with the steppable protocols on
+// the simulator's scenario driver.
+func runScenario(ctx context.Context, s Spec) (Outcome, error) {
+	sc := scenario.Scenario{
+		Name:        s.ScenarioName,
+		N:           s.N,
+		Rounds:      s.Rounds,
+		Algorithm:   scenario.Algorithm(s.Algorithm),
+		Events:      s.steppableEvents(),
+		MaxInFlight: s.MaxInFlight,
+	}
+	cfg := scenario.Config{
+		Seed:        s.Seed,
+		PayloadBits: s.PayloadBits,
+		Workers:     s.Workers,
+		Observer:    s.tap.engineObserver(),
+		Topology:    s.Topology,
+		Policy:      s.Policy,
+	}
+	res, err := scenario.Run(ctx, sc, cfg)
+	if err != nil {
+		return Outcome{}, err
+	}
+	return scenarioOutcome(res), nil
+}
+
+// scenarioOutcome maps a scenario result onto the unified Outcome. Informed
+// counts live nodes holding the worst-spread rumor; AllInformed means every
+// rumor reached every live node; CompletionRound is the last rumor's
+// completion round when all completed, 0 otherwise.
+func scenarioOutcome(res scenario.Result) Outcome {
+	out := Outcome{
+		Result: trace.Result{
+			Algorithm:        string(res.Algorithm),
+			N:                res.N,
+			Seed:             res.Seed,
+			Rounds:           res.Rounds,
+			Messages:         res.Messages,
+			ControlMessages:  res.ControlMessages,
+			Bits:             res.Bits,
+			MessagesPerNode:  res.MessagesPerNode,
+			MaxCommsPerRound: res.MaxCommsPerRound,
+			Live:             res.Live,
+		},
+		Scenario:       res.Scenario,
+		Rumors:         res.Rumors,
+		ScenarioPhases: res.Phases,
+		LostInjects:    res.LostInjects,
+		RumorsExpired:  res.RumorsExpired,
+		Engine:         EngineSimulator,
+	}
+	worst := -1
+	completion := 0
+	allComplete := len(res.Rumors) > 0
+	for _, ro := range res.Rumors {
+		if worst < 0 || ro.LiveInformed < worst {
+			worst = ro.LiveInformed
+		}
+		if ro.CompletionRound == 0 {
+			allComplete = false
+		} else if ro.CompletionRound > completion {
+			completion = ro.CompletionRound
+		}
+	}
+	if worst >= 0 {
+		out.Informed = worst
+	}
+	out.AllInformed = allComplete || (len(res.Rumors) > 0 && out.Informed == res.Live)
+	if allComplete {
+		out.CompletionRound = completion
+	}
+	return out
+}
+
+// freeBudget is the free-running per-node round budget: Spec.Rounds, or a
+// generous Θ(log n) spread allowance. A rumor stream needs frontier rounds
+// proportional to Total/Rate just to finish injecting, so its default budget
+// adds that on top.
+func (s Spec) freeBudget() int {
+	if s.Rounds > 0 {
+		return s.Rounds
+	}
+	budget := 60 + 8*bits.Len(uint(s.N))
+	if s.StreamTotal > 0 {
+		rate := s.StreamRate
+		if rate <= 0 {
+			rate = 1
+		}
+		budget += int(float64(s.StreamTotal)/rate) + 1
+	}
+	return budget
+}
+
+// runFree executes a steppable protocol on the free-running live runtime:
+// local round clocks with bounded skew, convergence detected by the
+// completion monitor, timeline events fired as the round frontier passes
+// them. A done ctx stops every node goroutine promptly and returns the
+// context's error.
+func runFree(ctx context.Context, s Spec) (Outcome, error) {
+	sel, err := policy.Compile(s.N, s.Seed, s.Topology, s.Policy)
+	if err != nil {
+		return Outcome{}, fmt.Errorf("run: %w", err)
+	}
+	tr, err := s.transport()
+	if err != nil {
+		return Outcome{}, err
+	}
+	defer tr.Close()
+	algo := s.workloadAlgo()
+	cfg := live.FreeRunConfig{
+		N:           s.N,
+		Seed:        s.Seed,
+		Rounds:      s.freeBudget(),
+		MaxSkew:     s.MaxSkew,
+		Algorithm:   scenario.Algorithm(algo),
+		PayloadBits: s.PayloadBits,
+		Events:      s.steppableEvents(),
+		Transport:   tr,
+		OnFrontier:  s.tap.onFrontier(),
+		Telemetry:   s.Telemetry,
+	}
+	if s.StreamTotal > 0 {
+		cfg.Stream = &live.StreamConfig{
+			Total:       s.StreamTotal,
+			Rate:        s.StreamRate,
+			MaxInFlight: s.MaxInFlight,
+		}
+	}
+	if sel != nil { // a typed-nil *Selector must not shadow the uniform path
+		cfg.PeerSelector = sel
+	}
+	fr, err := live.NewFreeRun(cfg)
+	if err != nil {
+		return Outcome{}, err
+	}
+	rep, err := fr.Run(ctx)
+	if err != nil {
+		return Outcome{}, err
+	}
+	recordSendFailures(s.Telemetry, rep.NodeSendFailures)
+	return Outcome{
+		Result:           rep.Trace(algo, s.Seed),
+		Drops:            rep.Drops,
+		UnfiredEvents:    rep.UnfiredEvents,
+		IgnoredEvents:    rep.IgnoredEvents,
+		Wall:             rep.Wall,
+		SendFailures:     rep.SendFailures,
+		NodeSendFailures: rep.NodeSendFailures,
+		LostInjects:      rep.LostInjects,
+		RumorsInjected:   rep.RumorsInjected,
+		RumorsConverged:  rep.RumorsConverged,
+		RumorsExpired:    rep.RumorsExpired,
+		RumorsActive:     rep.RumorsActive,
+		InjectionStalls:  rep.InjectionStalls,
+		Engine:           EngineFreeRunning,
+	}, nil
+}

@@ -1,12 +1,6 @@
-// Package run is the unified execution layer behind the public repro facade:
-// one validated Spec describing a gossip execution, one Runner interface over
-// the repository's engines, one Outcome shape coming back.
-//
-// Before this layer existed every frontend re-plumbed the engines by hand:
-// the facade called harness.Run, the scenario CLI called scenario.Run, the
-// live CLI called harness.RunLockStep / RunFreeRunning, and each re-parsed
-// algorithms, seeds and timelines its own way. The run layer folds those
-// four entry points behind a single contract:
+// Package run is the execution layer behind the public repro facade and the
+// experiment tables: one validated Spec describing a gossip execution, one
+// Execute that builds and drives the engine for it, one Outcome coming back.
 //
 //	spec := run.Spec{N: 100000, Algorithm: "cluster2", Seed: 7}
 //	out, err := run.Execute(ctx, spec)
@@ -14,9 +8,13 @@
 // The engine is selected by Spec.Engine (simulator, lock-step, free-running)
 // and the workload by the spec's shape: a timeline that injects rumors runs
 // the steppable multi-rumor scenario driver, everything else runs the closed
-// broadcast algorithms. Validation happens here, at the boundary, with every
-// violation wrapped in ErrInvalidConfig — internals may assume a valid spec.
-// Cancellation and deadlines flow from ctx through the engine round loop
+// broadcast algorithms. Execute is the only place a workload's
+// phonecall.Network, live.LockStep or live.FreeRun is constructed
+// (engines.go); every frontend — the facade, the CLIs, internal/harness's
+// E-tables, bench/ — describes what to run as a Spec and nothing else.
+// Validation happens here, at the boundary, with every violation wrapped in
+// ErrInvalidConfig — internals may assume a valid spec. Cancellation and
+// deadlines flow from ctx through the engine round loop
 // (phonecall.SetContext) and the live runtime on every path.
 package run
 
@@ -25,12 +23,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/failure"
-	"repro/internal/harness"
-	"repro/internal/live"
 	"repro/internal/phonecall"
 	"repro/internal/policy"
 	"repro/internal/scenario"
@@ -192,7 +188,7 @@ type Spec struct {
 	TraceWriter io.Writer
 
 	// tap is the composed observability fan-out Execute builds from the three
-	// fields above; runners read it, frontends never set it.
+	// fields above; the engine functions read it, frontends never set it.
 	tap *tap
 }
 
@@ -242,21 +238,26 @@ type Outcome struct {
 	Engine Engine
 }
 
-// Runner executes one validated Spec on one engine.
-type Runner interface {
-	Run(ctx context.Context, spec Spec) (Outcome, error)
-}
-
-// Execute validates the spec, picks the runner its engine and workload
-// select, and runs it. This is the single entry point every frontend (the
-// public facade, the CLIs, the examples) goes through.
+// Execute validates the spec, runs it on the engine and workload it selects,
+// and feeds the spec's observability consumers. This is the single entry
+// point every frontend (the public facade, the CLIs, the experiment tables)
+// goes through.
 func Execute(ctx context.Context, spec Spec) (Outcome, error) {
 	if err := spec.Validate(); err != nil {
 		return Outcome{}, err
 	}
 	spec.tap = newTap(spec)
 	spec.tap.writeHeader(spec)
-	out, err := spec.runner().Run(ctx, spec)
+	var out Outcome
+	var err error
+	switch {
+	case spec.Engine == EngineFreeRunning:
+		out, err = runFree(ctx, spec)
+	case spec.multiRumor():
+		out, err = runScenario(ctx, spec)
+	default:
+		out, err = runClosed(ctx, spec)
+	}
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -281,30 +282,6 @@ func (s Spec) multiRumor() bool {
 		}
 	}
 	return false
-}
-
-// runner picks the Runner for a validated spec.
-func (s Spec) runner() Runner {
-	switch {
-	case s.Engine == EngineFreeRunning:
-		return freeRunner{}
-	case s.Engine == EngineLockStep:
-		return lockStepRunner{}
-	case s.multiRumor():
-		return scenarioRunner{}
-	default:
-		return simRunner{}
-	}
-}
-
-// closedAlgorithms is the closed-algorithm name set, derived from the
-// harness registry once.
-func closedAlgorithms() map[string]bool {
-	out := make(map[string]bool)
-	for _, a := range harness.Algorithms() {
-		out[string(a)] = true
-	}
-	return out
 }
 
 // steppable reports whether name is one of the steppable multi-rumor
@@ -480,7 +457,7 @@ func (s Spec) validateEngine() error {
 			if s.Rounds < 1 {
 				return invalidf("a multi-rumor timeline needs an explicit round budget (Rounds >= 1)")
 			}
-		} else if s.Algorithm != "" && !closedAlgorithms()[s.Algorithm] {
+		} else if s.Algorithm != "" && !slices.Contains(Algorithms(), s.Algorithm) {
 			return invalidf("unknown algorithm %q", s.Algorithm)
 		}
 		if s.Drop != 0 || s.Latency != 0 || s.Jitter != 0 {
@@ -517,21 +494,6 @@ func (s Spec) validateEngine() error {
 	return nil
 }
 
-// failureEvents maps the Failures/FailureRound fields onto the adversary and
-// timeline shapes the harness consumes: a start-time adversary, or a timed
-// crash wave appended to the events.
-func (s Spec) failureEvents(events []scenario.Event) (failure.Adversary, []scenario.Event) {
-	if s.Failures <= 0 {
-		return nil, events
-	}
-	adv := failure.Random{Count: s.Failures, Seed: s.FailureSeed}
-	if s.FailureRound > 1 {
-		wave := failure.Timed{Round: s.FailureRound, Adversary: adv}
-		return nil, append(events, scenario.FromTimed(wave, s.N))
-	}
-	return adv, events
-}
-
 // roundTap adapts a run Observer to the engine's RoundObserver seam. The
 // network reference arrives through BindNetwork (phonecall.NetworkBinder)
 // from whichever driver constructs the network.
@@ -557,199 +519,4 @@ func (t *roundTap) EndRound(rep phonecall.RoundReport) {
 		st.Live = t.net.LiveCount()
 	}
 	t.fn(st)
-}
-
-// harnessOptions maps the spec onto the closed-algorithm harness options.
-func (s Spec) harnessOptions() harness.Options {
-	adv, events := s.failureEvents(append([]scenario.Event(nil), s.Events...))
-	opts := harness.Options{
-		PayloadBits: s.PayloadBits,
-		Workers:     s.Workers,
-		Delta:       s.Delta,
-		Adversary:   adv,
-		Events:      events,
-		LossRate:    s.LossRate,
-		LossSeed:    s.LossSeed,
-		Observer:    s.tap.engineObserver(),
-		Topology:    s.Topology,
-		Policy:      s.Policy,
-	}
-	return opts
-}
-
-// closedAlgo resolves the closed-algorithm default.
-func (s Spec) closedAlgo() harness.Algorithm {
-	if s.Algorithm == "" {
-		return harness.AlgoCluster2
-	}
-	return harness.Algorithm(s.Algorithm)
-}
-
-// simRunner executes closed algorithms on the sharded simulator engine.
-type simRunner struct{}
-
-func (simRunner) Run(ctx context.Context, spec Spec) (Outcome, error) {
-	res, err := harness.Run(ctx, spec.closedAlgo(), spec.N, spec.Seed, spec.harnessOptions())
-	if err != nil {
-		return Outcome{}, err
-	}
-	return Outcome{Result: res, Engine: EngineSimulator}, nil
-}
-
-// lockStepRunner executes closed algorithms on the goroutine-per-node
-// lock-step runtime — bit-identical to the simulator.
-type lockStepRunner struct{}
-
-func (lockStepRunner) Run(ctx context.Context, spec Spec) (Outcome, error) {
-	lo := harness.LiveOptions{Transport: spec.Transport}
-	res, err := harness.RunLockStep(ctx, spec.closedAlgo(), spec.N, spec.Seed, spec.harnessOptions(), lo)
-	if err != nil {
-		return Outcome{}, err
-	}
-	return Outcome{Result: res, Engine: EngineLockStep}, nil
-}
-
-// scenarioRunner executes multi-rumor timelines with the steppable protocols
-// on the simulator.
-type scenarioRunner struct{}
-
-func (scenarioRunner) Run(ctx context.Context, spec Spec) (Outcome, error) {
-	adv, events := spec.failureEvents(append([]scenario.Event(nil), spec.Events...))
-	if adv != nil {
-		// The scenario driver has no start-time adversary; round-1 crash
-		// events are its equivalent shape.
-		events = append(events, scenario.CrashAt{At: 1, Nodes: adv.Select(spec.N)})
-	}
-	if spec.LossRate > 0 {
-		events = append(events, scenario.Loss{At: 1, Rate: spec.LossRate, Seed: spec.LossSeed})
-	}
-	sc := scenario.Scenario{
-		Name:        spec.ScenarioName,
-		N:           spec.N,
-		Rounds:      spec.Rounds,
-		Algorithm:   scenario.Algorithm(spec.Algorithm),
-		Events:      events,
-		MaxInFlight: spec.MaxInFlight,
-	}
-	cfg := scenario.Config{
-		Seed:        spec.Seed,
-		PayloadBits: spec.PayloadBits,
-		Workers:     spec.Workers,
-		Observer:    spec.tap.engineObserver(),
-		Topology:    spec.Topology,
-		Policy:      spec.Policy,
-	}
-	res, err := scenario.Run(ctx, sc, cfg)
-	if err != nil {
-		return Outcome{}, err
-	}
-	return scenarioOutcome(res), nil
-}
-
-// scenarioOutcome maps a scenario result onto the unified Outcome. Informed
-// counts live nodes holding the worst-spread rumor; AllInformed means every
-// rumor reached every live node; CompletionRound is the last rumor's
-// completion round when all completed, 0 otherwise.
-func scenarioOutcome(res scenario.Result) Outcome {
-	out := Outcome{
-		Result: trace.Result{
-			Algorithm:        string(res.Algorithm),
-			N:                res.N,
-			Seed:             res.Seed,
-			Rounds:           res.Rounds,
-			Messages:         res.Messages,
-			ControlMessages:  res.ControlMessages,
-			Bits:             res.Bits,
-			MessagesPerNode:  res.MessagesPerNode,
-			MaxCommsPerRound: res.MaxCommsPerRound,
-			Live:             res.Live,
-		},
-		Scenario:       res.Scenario,
-		Rumors:         res.Rumors,
-		ScenarioPhases: res.Phases,
-		LostInjects:    res.LostInjects,
-		RumorsExpired:  res.RumorsExpired,
-		Engine:         EngineSimulator,
-	}
-	worst := -1
-	completion := 0
-	allComplete := len(res.Rumors) > 0
-	for _, ro := range res.Rumors {
-		if worst < 0 || ro.LiveInformed < worst {
-			worst = ro.LiveInformed
-		}
-		if ro.CompletionRound == 0 {
-			allComplete = false
-		} else if ro.CompletionRound > completion {
-			completion = ro.CompletionRound
-		}
-	}
-	if worst >= 0 {
-		out.Informed = worst
-	}
-	out.AllInformed = allComplete || (len(res.Rumors) > 0 && out.Informed == res.Live)
-	if allComplete {
-		out.CompletionRound = completion
-	}
-	return out
-}
-
-// freeRunner executes steppable protocols on the free-running live runtime.
-type freeRunner struct{}
-
-func (freeRunner) Run(ctx context.Context, spec Spec) (Outcome, error) {
-	adv, events := spec.failureEvents(append([]scenario.Event(nil), spec.Events...))
-	if adv != nil {
-		events = append(events, scenario.CrashAt{At: 1, Nodes: adv.Select(spec.N)})
-	}
-	if spec.LossRate > 0 {
-		events = append(events, scenario.Loss{At: 1, Rate: spec.LossRate, Seed: spec.LossSeed})
-	}
-	lo := harness.LiveOptions{
-		Transport:   spec.Transport,
-		Drop:        spec.Drop,
-		DropSeed:    spec.DropSeed,
-		Latency:     spec.Latency,
-		Jitter:      spec.Jitter,
-		MaxSkew:     spec.MaxSkew,
-		Rounds:      spec.Rounds,
-		PayloadBits: spec.PayloadBits,
-		OnFrontier:  spec.tap.onFrontier(),
-		Telemetry:   spec.Telemetry,
-		Topology:    spec.Topology,
-		Policy:      spec.Policy,
-	}
-	if spec.StreamTotal > 0 {
-		lo.Stream = &live.StreamConfig{
-			Total:       spec.StreamTotal,
-			Rate:        spec.StreamRate,
-			MaxInFlight: spec.MaxInFlight,
-		}
-	}
-	algo := scenario.Algorithm(spec.Algorithm)
-	if algo == "" {
-		algo = scenario.AlgoPushPull
-	}
-	rep, err := harness.RunFreeRunning(ctx, spec.N, spec.Seed, algo, events, lo)
-	if err != nil {
-		return Outcome{}, err
-	}
-	recordSendFailures(spec.Telemetry, rep.NodeSendFailures)
-	out := Outcome{
-		Result:           rep.Trace(string(algo), spec.Seed),
-		Drops:            rep.Drops,
-		UnfiredEvents:    rep.UnfiredEvents,
-		IgnoredEvents:    rep.IgnoredEvents,
-		Wall:             rep.Wall,
-		SendFailures:     rep.SendFailures,
-		NodeSendFailures: rep.NodeSendFailures,
-		LostInjects:      rep.LostInjects,
-		RumorsInjected:   rep.RumorsInjected,
-		RumorsConverged:  rep.RumorsConverged,
-		RumorsExpired:    rep.RumorsExpired,
-		RumorsActive:     rep.RumorsActive,
-		InjectionStalls:  rep.InjectionStalls,
-		Engine:           EngineFreeRunning,
-	}
-	return out, nil
 }

@@ -64,6 +64,7 @@ func TestValidateRejects(t *testing.T) {
 		{"transport on simulator", Spec{N: 100, Transport: "chan"}},
 		{"frame drop on simulator", Spec{N: 100, Drop: 0.5}},
 		{"drop above one", Spec{N: 100, Engine: EngineFreeRunning, Drop: 1.5}},
+		{"frame drop on lock-step", Spec{N: 100, Engine: EngineLockStep, Drop: 0.5}},
 		{"latency on lock-step", Spec{N: 100, Engine: EngineLockStep, Latency: time.Millisecond}},
 		{"udp on lock-step", Spec{N: 100, Engine: EngineLockStep, Transport: "udp"}},
 		{"closed algorithm free-running", Spec{N: 100, Engine: EngineFreeRunning, Algorithm: "cluster2"}},
@@ -377,12 +378,12 @@ func TestNoTapWithoutConsumers(t *testing.T) {
 	if tp := newTap(s); tp != nil {
 		t.Fatalf("bare spec built a tap: %+v", tp)
 	}
-	if obs := s.harnessOptions().Observer; obs != nil {
+	if obs := s.tap.engineObserver(); obs != nil {
 		t.Fatalf("bare spec installed an engine observer: %T", obs)
 	}
 	s.Observer = func(RoundStats) {}
 	s.tap = newTap(s)
-	if s.tap == nil || s.harnessOptions().Observer == nil {
+	if s.tap == nil || s.tap.engineObserver() == nil {
 		t.Fatal("observer spec did not compose a tap")
 	}
 }

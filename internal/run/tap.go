@@ -7,10 +7,8 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/harness"
 	"repro/internal/live"
 	"repro/internal/phonecall"
-	"repro/internal/scenario"
 	"repro/internal/telemetry"
 )
 
@@ -27,8 +25,8 @@ type tap struct {
 	engine Engine
 	algo   string
 
-	userObs *roundTap                // Spec.Observer, nil when unset
-	tel     *harness.EngineTelemetry // barriered engines only
+	userObs *roundTap        // Spec.Observer, nil when unset
+	tel     *engineTelemetry // barriered engines only
 	reg     *telemetry.Registry
 	tw      *traceWriter
 }
@@ -47,21 +45,9 @@ func newTap(s Spec) *tap {
 		t.tw = newTraceWriter(s.TraceWriter)
 	}
 	if s.Telemetry != nil && s.Engine != EngineFreeRunning {
-		t.tel = harness.NewEngineTelemetry(s.Telemetry, t.algo, s.Engine.String())
+		t.tel = newEngineTelemetry(s.Telemetry, t.algo, s.Engine.String())
 	}
 	return t
-}
-
-// workloadAlgo resolves the algorithm name the run will actually execute,
-// defaults included — the label telemetry and traces carry.
-func (s Spec) workloadAlgo() string {
-	if s.Engine == EngineFreeRunning || s.multiRumor() {
-		if s.Algorithm == "" {
-			return string(scenario.AlgoPushPull)
-		}
-		return s.Algorithm
-	}
-	return string(s.closedAlgo())
 }
 
 // engineObserver returns the composed RoundObserver for the barriered engines
@@ -320,7 +306,7 @@ func (t *traceObserver) EndRound(rep phonecall.RoundReport) {
 		rec.Corrupted = t.net.CorruptedCount()
 	}
 	if t.tracker != nil {
-		rec.Informed = harness.WorstSpread(t.tracker)
+		rec.Informed = worstSpread(t.tracker)
 	}
 	t.tw.write(rec)
 }

@@ -1,4 +1,4 @@
-package harness
+package run
 
 import (
 	"math/bits"
@@ -9,7 +9,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-// EngineTelemetry feeds a telemetry.Registry from the engine's observer seam
+// engineTelemetry feeds a telemetry.Registry from the engine's observer seam
 // (phonecall.Observe): per-round traffic counters, population gauges and the
 // round-duration histogram, labeled by algorithm and engine. It rides the
 // same RoundObserver contract as every other observer, so registering it
@@ -38,7 +38,7 @@ import (
 //	repro_zone_informed_nodes{zone}              live nodes per topology zone
 //	                                             holding every registered
 //	                                             rumor (rumor-tracking runs)
-type EngineTelemetry struct {
+type engineTelemetry struct {
 	reg *telemetry.Registry
 
 	rounds, msgs, bitsSent *telemetry.Counter
@@ -71,11 +71,11 @@ type policyView interface {
 	Zone(i int) int
 }
 
-// NewEngineTelemetry resolves the instruments for one (algorithm, engine)
+// newEngineTelemetry resolves the instruments for one (algorithm, engine)
 // pair up front, so the per-round updates never touch the registry map.
-func NewEngineTelemetry(reg *telemetry.Registry, algo, engine string) *EngineTelemetry {
+func newEngineTelemetry(reg *telemetry.Registry, algo, engine string) *engineTelemetry {
 	by := []telemetry.Label{{Key: "algo", Value: algo}, {Key: "engine", Value: engine}}
-	return &EngineTelemetry{
+	return &engineTelemetry{
 		reg:       reg,
 		rounds:    reg.Counter("repro_rounds_total", by...),
 		msgs:      reg.Counter("repro_messages_total", by...),
@@ -92,7 +92,7 @@ func NewEngineTelemetry(reg *telemetry.Registry, algo, engine string) *EngineTel
 // BindNetwork implements phonecall.NetworkBinder. A policy-carrying peer
 // selector installed on the network (before observers are registered — the
 // order every driver follows) switches the policy series on.
-func (e *EngineTelemetry) BindNetwork(net *phonecall.Network) {
+func (e *engineTelemetry) BindNetwork(net *phonecall.Network) {
 	e.net = net
 	if pv, ok := net.PeerSelector().(policyView); ok {
 		e.policySel = pv
@@ -108,7 +108,7 @@ func (e *EngineTelemetry) BindNetwork(net *phonecall.Network) {
 // (the scenario driver) bind their tracker, which turns on the
 // repro_informed_nodes gauge; closed algorithms have no tracker and the
 // gauge is never registered, instead of exporting a misleading zero.
-func (e *EngineTelemetry) BindTracker(tr *phonecall.RumorTracker) {
+func (e *engineTelemetry) BindTracker(tr *phonecall.RumorTracker) {
 	e.tracker = tr
 	e.informed = e.reg.Gauge("repro_informed_nodes")
 	e.bindZones()
@@ -116,7 +116,7 @@ func (e *EngineTelemetry) BindTracker(tr *phonecall.RumorTracker) {
 
 // bindZones registers the per-zone informed gauges once both a tracker and a
 // topology are bound (binder order is driver-dependent).
-func (e *EngineTelemetry) bindZones() {
+func (e *engineTelemetry) bindZones() {
 	if e.tracker == nil || e.policySel == nil || e.zoneInformed != nil {
 		return
 	}
@@ -130,22 +130,22 @@ func (e *EngineTelemetry) bindZones() {
 }
 
 // BeginRound implements phonecall.RoundObserver (coordinator goroutine).
-func (e *EngineTelemetry) BeginRound(round int, info phonecall.RoundInfo) {
+func (e *engineTelemetry) BeginRound(round int, info phonecall.RoundInfo) {
 	e.begin = time.Now()
 }
 
 // ObserveIntent implements phonecall.RoundObserver (no-op; shard goroutine).
-func (e *EngineTelemetry) ObserveIntent(i int, it phonecall.Intent) {}
+func (e *engineTelemetry) ObserveIntent(i int, it phonecall.Intent) {}
 
 // ObserveResponse implements phonecall.RoundObserver (no-op).
-func (e *EngineTelemetry) ObserveResponse(i int, m phonecall.Message, ok bool) {}
+func (e *engineTelemetry) ObserveResponse(i int, m phonecall.Message, ok bool) {}
 
 // ObserveDeliver implements phonecall.RoundObserver (no-op).
-func (e *EngineTelemetry) ObserveDeliver(i int, inbox []phonecall.Message) {}
+func (e *engineTelemetry) ObserveDeliver(i int, inbox []phonecall.Message) {}
 
 // EndRound implements phonecall.RoundObserver: fold the engine's own round
 // report into the registry. Coordinator goroutine, allocation-free.
-func (e *EngineTelemetry) EndRound(rep phonecall.RoundReport) {
+func (e *engineTelemetry) EndRound(rep phonecall.RoundReport) {
 	e.rounds.Add(1)
 	e.msgs.Add(rep.Messages)
 	e.bitsSent.Add(rep.Bits)
@@ -156,7 +156,7 @@ func (e *EngineTelemetry) EndRound(rep phonecall.RoundReport) {
 		e.corrupted.Set(int64(e.net.CorruptedCount()))
 	}
 	if e.tracker != nil {
-		e.informed.Set(int64(WorstSpread(e.tracker)))
+		e.informed.Set(int64(worstSpread(e.tracker)))
 	}
 	if e.policySel != nil {
 		evals, violns := e.policySel.Stats()
@@ -182,10 +182,10 @@ func (e *EngineTelemetry) EndRound(rep phonecall.RoundReport) {
 	}
 }
 
-// WorstSpread returns the live-informed count of the worst-spread registered
+// worstSpread returns the live-informed count of the worst-spread registered
 // rumor — the same "informed" the scenario result reports — or 0 when no
 // rumor is registered yet.
-func WorstSpread(tr *phonecall.RumorTracker) int {
+func worstSpread(tr *phonecall.RumorTracker) int {
 	reg := tr.Registered()
 	if reg == 0 {
 		return 0

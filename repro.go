@@ -33,7 +33,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/harness"
 	"repro/internal/lowerbound"
 	"repro/internal/run"
 )
@@ -48,35 +47,30 @@ type Algorithm string
 // double as the steppable multi-rumor protocols of timeline workloads and
 // the free-running engine.
 const (
-	AlgoPush            Algorithm = Algorithm(harness.AlgoPush)
-	AlgoPull            Algorithm = Algorithm(harness.AlgoPull)
-	AlgoPushPull        Algorithm = Algorithm(harness.AlgoPushPull)
-	AlgoKarp            Algorithm = Algorithm(harness.AlgoKarp)
-	AlgoAddressBook     Algorithm = Algorithm(harness.AlgoAddressBook)
-	AlgoNameDropper     Algorithm = Algorithm(harness.AlgoNameDropper)
-	AlgoCluster1        Algorithm = Algorithm(harness.AlgoCluster1)
-	AlgoCluster2        Algorithm = Algorithm(harness.AlgoCluster2)
-	AlgoClusterPushPull Algorithm = Algorithm(harness.AlgoClusterPushPull)
+	AlgoPush            Algorithm = "push"
+	AlgoPull            Algorithm = "pull"
+	AlgoPushPull        Algorithm = "push-pull"
+	AlgoKarp            Algorithm = "karp-median-counter"
+	AlgoAddressBook     Algorithm = "addressbook"
+	AlgoNameDropper     Algorithm = "name-dropper"
+	AlgoCluster1        Algorithm = "cluster1"
+	AlgoCluster2        Algorithm = "cluster2"
+	AlgoClusterPushPull Algorithm = "clusterpushpull"
 )
 
 // Algorithms lists every available algorithm in comparison order.
 func Algorithms() []Algorithm {
-	out := make([]Algorithm, 0, len(harness.Algorithms()))
-	for _, a := range harness.Algorithms() {
-		out = append(out, Algorithm(a))
+	names := run.Algorithms()
+	out := make([]Algorithm, len(names))
+	for i, a := range names {
+		out[i] = Algorithm(a)
 	}
 	return out
 }
 
 // AlgorithmNames lists every available algorithm name in comparison order —
 // the strings ParseAlgorithm accepts.
-func AlgorithmNames() []string {
-	names := make([]string, 0, len(harness.Algorithms()))
-	for _, a := range harness.Algorithms() {
-		names = append(names, string(a))
-	}
-	return names
-}
+func AlgorithmNames() []string { return run.Algorithms() }
 
 // ParseAlgorithm resolves an algorithm name (as the CLIs accept it) to an
 // Algorithm, rejecting unknown names with an ErrInvalidConfig error.

@@ -1,13 +1,32 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/run"
 )
+
+// TestAlgorithmConstantsMatchRegistry ties the Algo* constants, which are
+// string literals so api/repro.txt shows their values, to the registry
+// run.Execute dispatches on.
+func TestAlgorithmConstantsMatchRegistry(t *testing.T) {
+	consts := []string{
+		string(AlgoPush), string(AlgoPull), string(AlgoPushPull), string(AlgoKarp), string(AlgoAddressBook),
+		string(AlgoNameDropper), string(AlgoCluster1), string(AlgoCluster2), string(AlgoClusterPushPull),
+	}
+	if !reflect.DeepEqual(consts, run.Algorithms()) || !reflect.DeepEqual(AlgorithmNames(), run.Algorithms()) {
+		t.Fatalf("Algo* constants %v / AlgorithmNames %v diverge from the run registry %v",
+			consts, AlgorithmNames(), run.Algorithms())
+	}
+}
 
 func TestBroadcastDefaults(t *testing.T) {
 	res, err := Broadcast(Config{N: 5000, Seed: 1})
@@ -153,8 +172,38 @@ func TestExperimentTable(t *testing.T) {
 	if _, err := Experiment("E4", []int{1000}, []uint64{1}, WithDelta(2)); !errors.Is(err, ErrInvalidConfig) {
 		t.Fatalf("Delta below minimum accepted by Experiment (err=%v)", err)
 	}
-	if _, err := Experiment("E4", []int{1000}, []uint64{1}, WithSeed(9)); !errors.Is(err, ErrInvalidConfig) {
-		t.Fatalf("non-sweep option silently ignored by Experiment (err=%v)", err)
+	dir := t.TempDir()
+	topoPath, polPath := filepath.Join(dir, "topo.json"), filepath.Join(dir, "policy.json")
+	if err := os.WriteFile(topoPath, []byte(`{"generator":"zones","zones":3}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(polPath, []byte(`{"weights":{"same_zone":3}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	topo, err := ZonedTopology(1000, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace bytes.Buffer
+	for name, opt := range map[string]Option{
+		"WithSeed":         WithSeed(9),
+		"WithTopology":     WithTopology(topo),
+		"WithTopologyFile": WithTopologyFile(topoPath),
+		"WithPolicy":       WithPolicy(Policy{Weights: PolicyWeights{SameZone: 3}}),
+		"WithPolicyFile":   WithPolicyFile(polPath),
+		"WithRumorStream":  WithRumorStream(2, 64, 16),
+		"WithMaxInFlight":  WithMaxInFlight(16),
+		"WithTelemetry":    WithTelemetry(NewMetricsRegistry()),
+		"WithTraceWriter":  WithTraceWriter(&trace),
+		"WithAdversaries":  WithAdversaries(AdversaryLiar, 10, 3),
+	} {
+		if _, err := Experiment("E4", []int{1000}, []uint64{1}, opt); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("%s silently ignored by Experiment (err=%v)", name, err)
+		}
+	}
+	if _, err := Experiment("E4", []int{1000}, []uint64{1},
+		WithPayloadBits(512), WithWorkers(2), WithDelta(64)); err != nil {
+		t.Fatalf("sweep-tunable options rejected: %v", err)
 	}
 	if len(ExperimentIDs()) != 11 {
 		t.Fatal("want 11 experiment ids")

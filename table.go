@@ -3,6 +3,7 @@ package repro
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
 
 	"repro/internal/harness"
 	"repro/internal/run"
@@ -64,9 +65,7 @@ func Experiment(id string, sizes []int, seeds []uint64, opts ...Option) (Table, 
 	if err := s.sweepOptions(); err != nil {
 		return Table{}, err
 	}
-	cfg.Opts.PayloadBits = s.spec.PayloadBits
-	cfg.Opts.Workers = s.spec.Workers
-	cfg.Opts.Delta = s.spec.Delta
+	cfg.Spec = s.spec
 	table, err := harness.RunExperiment(id, cfg)
 	if err != nil {
 		return Table{}, err
@@ -91,13 +90,10 @@ func (s *settings) sweepOptions() error {
 	if sp.Delta != 0 && sp.Delta < MinDelta {
 		return fmt.Errorf("%w: Delta %d below the minimum %d", ErrInvalidConfig, sp.Delta, MinDelta)
 	}
+	// Everything but the three tunables must still be at its zero value; a
+	// comparison against the zero Spec cannot forget a field added later.
 	sp.PayloadBits, sp.Workers, sp.Delta = 0, 0, 0
-	if sp.Algorithm != "" || sp.Seed != 0 || sp.Failures != 0 || sp.FailureSeed != 0 ||
-		sp.FailureRound != 0 || sp.LossRate != 0 || sp.LossSeed != 0 ||
-		len(sp.Events) != 0 || sp.Rounds != 0 || sp.ScenarioName != "" ||
-		sp.Engine != run.EngineSimulator || sp.Transport != "" || sp.MaxSkew != 0 ||
-		sp.Drop != 0 || sp.DropSeed != 0 || sp.Latency != 0 || sp.Jitter != 0 ||
-		sp.Observer != nil || s.specN != 0 {
+	if !reflect.DeepEqual(sp, run.Spec{}) || s.topoSpec != nil || len(s.adversaries) != 0 || s.specN != 0 {
 		return fmt.Errorf("%w: Experiment only takes the sweep-tunable options (WithPayloadBits, WithWorkers, WithDelta); algorithms, seeds, timelines and engines are fixed by the experiment definitions", ErrInvalidConfig)
 	}
 	return nil
