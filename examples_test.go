@@ -59,8 +59,11 @@ func TestExamplesBuildAndRun(t *testing.T) {
 			}
 		})
 	}
-	// The churn example's JSON twin must stay loadable too.
-	if _, err := os.Stat(filepath.Join("examples", "churn", "spec.json")); err != nil {
-		t.Errorf("examples/churn/spec.json: %v", err)
+	// The churn example's JSON twins (mask and rumor-set ledger) must stay
+	// loadable too.
+	for _, name := range []string{"spec.json", "spec_wide.json"} {
+		if _, err := os.Stat(filepath.Join("examples", "churn", name)); err != nil {
+			t.Errorf("examples/churn/%s: %v", name, err)
+		}
 	}
 }

@@ -20,9 +20,12 @@ import (
 // holdings is the seam between the node round and a node's rumor state. One
 // instance belongs to one node; only informed may be called off the node's
 // own goroutine. Two implementations remain on purpose: bench/ and the
-// Byzantine behavior library are typed on the 64-bit mask, and whether a
-// rumorset row can replace it at <= 64 rumors is a measurement for a later
-// change, not a guess to make here.
+// Byzantine behavior library are typed on the 64-bit mask, and a rumorset row
+// does not replace it at <= 64 rumors — on the simulator the same timeline
+// runs 1.2–3.1x slower on the rumor set than on the mask (BENCH_TRAJECTORY.md,
+// "mask stays at <= 64: measured"), far outside the 10 % that would have let
+// the mask go. Which one a run gets follows from its input (a stream, or a
+// rumor ID past the mask), never from an option.
 type holdings interface {
 	// snapshot reads the node's current holdings: the decision table's two
 	// predicates (empty: holds nothing; complete: holds everything registered)

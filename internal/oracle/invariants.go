@@ -48,16 +48,17 @@ import (
 //     and only rumors that exist (no forged bits). These are meaningless for
 //     a corrupted node, so they are asserted exactly for the nodes without
 //     an installed behavior (phonecall.Network.Corrupted), and only when the
-//     Checker has been handed the run's rumor tracker (BindTracker; the
-//     scenario driver does this for tracker-aware observers). Without a
-//     tracker, holdings are unknowable and the honest checks stay off.
+//     Checker has been handed mask holdings (BindHoldings; the scenario
+//     driver binds its ledger). Under a closed protocol, or a run that keeps
+//     its holdings in a rumor set, they are unknowable here and the honest
+//     checks stay off.
 //
 // Violations are collected (capped) rather than panicking; check Err after
 // the run. The Checker is safe for the engine's concurrent shards.
 type Checker struct {
-	net     *phonecall.Network
-	tracker *phonecall.RumorTracker
-	info    phonecall.RoundInfo
+	net   *phonecall.Network
+	masks maskHoldings
+	info  phonecall.RoundInfo
 
 	round       int
 	prevMetrics phonecall.Metrics
@@ -111,10 +112,19 @@ func (c *Checker) BindNetwork(net *phonecall.Network) {
 	c.spans = make([][2]uintptr, 0, n)
 }
 
-// BindTracker implements phonecall.TrackerBinder: handing the Checker the
-// run's rumor tracker switches the honest-node invariants on (for
-// uncorrupted nodes). The scenario driver binds it automatically.
-func (c *Checker) BindTracker(tr *phonecall.RumorTracker) { c.tracker = tr }
+// maskHoldings is what the honest-node invariants read: the 64-bit holdings
+// masks a TagHoldings message's Value is compared against. A
+// *phonecall.RumorTracker implements it, and so does the scenario driver's
+// mask ledger.
+type maskHoldings interface {
+	Held(node int) uint64
+	Registered() uint64
+}
+
+// BindHoldings implements phonecall.HoldingsBinder: holdings kept as masks
+// switch the honest-node invariants on (for uncorrupted nodes). The scenario
+// driver binds its ledger automatically.
+func (c *Checker) BindHoldings(h phonecall.Holdings) { c.masks, _ = h.(maskHoldings) }
 
 // violate records one contract violation.
 func (c *Checker) violate(format string, args ...any) {
@@ -175,17 +185,17 @@ func (c *Checker) ObserveIntent(i int, it phonecall.Intent) {
 // checkHonest asserts the honest-node contract on one outgoing holdings
 // message: an uncorrupted node advertises only rumors it actually holds and
 // only rumors that exist. Skipped exactly for corrupted nodes, and entirely
-// when no tracker is bound (holdings unknowable). Safe from shard
+// when no mask holdings are bound (holdings unknowable). Safe from shard
 // goroutines: holdings only change in the deliver pass, which runs after
 // every intent and response evaluation of the round.
 func (c *Checker) checkHonest(i int, m phonecall.Message, what string) {
-	if c.tracker == nil || m.Tag != phonecall.TagHoldings || c.net.Corrupted(i) {
+	if c.masks == nil || m.Tag != phonecall.TagHoldings || c.net.Corrupted(i) {
 		return
 	}
-	if forged := m.Value &^ c.tracker.Registered(); forged != 0 {
+	if forged := m.Value &^ c.masks.Registered(); forged != 0 {
 		c.violate("node %d: honest node's %s carries forged rumor bits %#x (no such rumors)", i, what, forged)
 	}
-	if over := m.Value &^ c.tracker.Held(i); over != 0 {
+	if over := m.Value &^ c.masks.Held(i); over != 0 {
 		c.violate("node %d: honest node's %s advertises rumors %#x it does not hold", i, what, over)
 	}
 }

@@ -45,6 +45,7 @@ type refTracker struct {
 	o     *Oracle
 	held  []uint64
 	used  uint64
+	lost  int64 // injects that landed on a failed node
 	behav []phonecall.Behavior
 }
 
@@ -96,6 +97,9 @@ func applyEvent(o *Oracle, t *refTracker, ev scenario.Event) error {
 		}
 		t.used |= 1 << e.Rumor
 		t.held[e.Node] |= 1 << e.Rumor
+		if o.IsFailed(e.Node) {
+			t.lost++ // a rejoin erases it again
+		}
 	case scenario.CorruptAt:
 		// Mirror CorruptAt.Apply: the same behavior construction, wired to
 		// the reference state (stale freezes the node's current reference
@@ -290,6 +294,7 @@ func referenceScenarioRun(sc scenario.Scenario, cfg scenario.Config) (scenario.R
 
 	m := o.Metrics()
 	res.Live = o.LiveCount()
+	res.LostInjects = tr.lost
 	res.Messages = m.Messages
 	res.ControlMessages = m.ControlMessages
 	res.Bits = m.Bits

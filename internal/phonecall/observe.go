@@ -46,14 +46,30 @@ type NetworkBinder interface {
 	BindNetwork(net *Network)
 }
 
-// TrackerBinder is an optional interface for RoundObservers that want the
-// rumor tracker of the run they are observing (for example to assert that
-// honest nodes only advertise holdings they actually have). Drivers with a
-// tracker (the scenario driver) call BindTracker before the first round;
-// tracker-less drivers never do, and such observers must treat an unbound
-// tracker as "holdings unknown".
-type TrackerBinder interface {
-	BindTracker(tr *RumorTracker)
+// Holdings is the read side of a rumor-tracking run's ledger, as observers
+// see it — one view over either holdings representation (the RumorTracker
+// mask or the rumor-set window). Coordinator goroutine only: EndRound may
+// call it, the per-node Observe methods may not.
+type Holdings interface {
+	// WorstSpread is the live-informed count of the worst-spread rumor in
+	// flight — the "informed" a scenario result reports. It is the live count
+	// once every injected rumor has converged and been retired, and 0 before
+	// the first injection.
+	WorstSpread() int
+	// HoldsAll reports whether the node holds every rumor in flight (false
+	// before the first injection).
+	HoldsAll(node int) bool
+}
+
+// HoldingsBinder is an optional interface for RoundObservers that want the
+// rumor state of the run they are observing. Drivers with a ledger (the
+// scenario driver) call BindHoldings before the first round; closed
+// algorithms have none and never do, and such observers must treat unbound
+// holdings as unknown. An observer that needs the masks themselves (the
+// oracle's honest-node invariants) type-asserts for them and stays off when
+// the run keeps its holdings some other way.
+type HoldingsBinder interface {
+	BindHoldings(h Holdings)
 }
 
 // Observe registers an observer on the network (nil unregisters). While an

@@ -419,21 +419,13 @@ func (s Spec) validateEvents() error {
 // wide reports whether the spec selects the scalable rumor-set layer, which
 // lifts the per-event rumor-ID bound from the 64-rumor bitmask to the uint32
 // ID space. The free-running engine goes wide only through a stream (its
-// timeline injects stay in the bitmask range); the simulator goes wide on an
-// explicit window or any timeline inject past the bitmask.
+// timeline injects stay in the bitmask range); the simulator goes wide when
+// the scenario driver will (scenario.Scenario.Wide).
 func (s Spec) wide() bool {
 	if s.Engine == EngineFreeRunning {
 		return s.StreamTotal > 0
 	}
-	if s.MaxInFlight > 0 || s.StreamTotal > 0 {
-		return true
-	}
-	for _, ev := range s.Events {
-		if inj, ok := ev.(scenario.InjectRumor); ok && inj.Rumor >= phonecall.MaxRumors {
-			return true
-		}
-	}
-	return false
+	return s.StreamTotal > 0 || scenario.Scenario{Events: s.Events, MaxInFlight: s.MaxInFlight}.Wide()
 }
 
 // validateEngine checks the engine-specific constraints: which algorithms,

@@ -1,12 +1,16 @@
 package run
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"testing"
 	"time"
 
+	"repro/internal/policy"
 	"repro/internal/scenario"
+	"repro/internal/telemetry"
 )
 
 // inject is a valid round-1 rumor injection for validation tables.
@@ -366,6 +370,72 @@ func TestScenarioOutcomeMapping(t *testing.T) {
 	}
 	if out.Informed != out.Live {
 		t.Fatalf("informed %d want live %d", out.Informed, out.Live)
+	}
+}
+
+// TestScenarioObservabilityOnBothLedgers pins what the scenario driver's
+// observers see: whichever holdings representation the timeline selects, the
+// informed gauges exist and end on the outcome's own number, and every JSONL
+// round record carries a real informed count (-1 is for runs that track no
+// rumor). The set-ledger half fails on a driver that binds observers to the
+// mask only.
+func TestScenarioObservabilityOnBothLedgers(t *testing.T) {
+	const n, zones = 600, 3
+	topo, err := policy.ZoneTable(n, zones)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, window := range map[string]int{"mask": 0, "set": 4} {
+		t.Run(name, func(t *testing.T) {
+			reg := telemetry.NewRegistry()
+			var trace bytes.Buffer
+			out, err := Execute(context.Background(), Spec{
+				N: n, Algorithm: "push-pull", Seed: 5, Rounds: 30, Workers: 2,
+				LossRate: 0.02, LossSeed: 9, Topology: topo, MaxInFlight: window,
+				Events: []scenario.Event{
+					scenario.InjectRumor{At: 2, Node: 0, Rumor: 0},
+					scenario.InjectRumor{At: 4, Node: 7, Rumor: 3},
+				},
+				Telemetry: reg, TraceWriter: &trace,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !out.AllInformed || out.Informed != n {
+				t.Fatalf("run did not converge: %+v", out.Result)
+			}
+			got := map[string]float64{}
+			for _, s := range out.Telemetry {
+				got[s.ID()] = s.Value
+			}
+			if v, ok := got["repro_informed_nodes"]; !ok || v != float64(out.Informed) {
+				t.Errorf("repro_informed_nodes = %v (present=%v), want %d", v, ok, out.Informed)
+			}
+			for _, id := range []string{`{zone="0"}`, `{zone="1"}`, `{zone="2"}`} {
+				if v, ok := got["repro_zone_informed_nodes"+id]; !ok || v != n/zones {
+					t.Errorf("repro_zone_informed_nodes%s = %v (present=%v), want %d", id, v, ok, n/zones)
+				}
+			}
+			rounds := 0
+			for dec := json.NewDecoder(&trace); dec.More(); {
+				var rec traceRoundRecord
+				if err := dec.Decode(&rec); err != nil {
+					t.Fatal(err)
+				}
+				if rec.Type != "round" {
+					continue
+				}
+				rounds++
+				// Nothing is in flight in round 1; from the first inject on the
+				// worst-spread rumor has at least its injection node.
+				if inFlight := rec.Round >= 2; rec.Informed < 0 || rec.Informed > n || (rec.Informed > 0) != inFlight {
+					t.Errorf("round %d record carries informed=%d", rec.Round, rec.Informed)
+				}
+			}
+			if rounds != out.Rounds {
+				t.Errorf("%d round records for %d rounds", rounds, out.Rounds)
+			}
+		})
 	}
 }
 

@@ -140,10 +140,10 @@ func (m *multiObserver) BindNetwork(net *phonecall.Network) {
 	}
 }
 
-func (m *multiObserver) BindTracker(tr *phonecall.RumorTracker) {
+func (m *multiObserver) BindHoldings(h phonecall.Holdings) {
 	for _, p := range m.parts {
-		if b, ok := p.(phonecall.TrackerBinder); ok {
-			b.BindTracker(tr)
+		if b, ok := p.(phonecall.HoldingsBinder); ok {
+			b.BindHoldings(h)
 		}
 	}
 }
@@ -276,16 +276,16 @@ type traceResultRecord struct {
 
 // traceObserver streams one "round" record per engine round. It binds the
 // network (live and corrupted populations) and, on rumor-tracking runs, the
-// tracker (worst-spread informed count; -1 without one).
+// holdings (worst-spread informed count; -1 without them).
 type traceObserver struct {
-	tw      *traceWriter
-	net     *phonecall.Network
-	tracker *phonecall.RumorTracker
-	begin   time.Time
+	tw       *traceWriter
+	net      *phonecall.Network
+	holdings phonecall.Holdings
+	begin    time.Time
 }
 
 func (t *traceObserver) BindNetwork(net *phonecall.Network)                  { t.net = net }
-func (t *traceObserver) BindTracker(tr *phonecall.RumorTracker)              { t.tracker = tr }
+func (t *traceObserver) BindHoldings(h phonecall.Holdings)                   { t.holdings = h }
 func (t *traceObserver) BeginRound(round int, info phonecall.RoundInfo)      { t.begin = time.Now() }
 func (t *traceObserver) ObserveIntent(i int, it phonecall.Intent)            {}
 func (t *traceObserver) ObserveResponse(i int, m phonecall.Message, ok bool) {}
@@ -305,8 +305,8 @@ func (t *traceObserver) EndRound(rep phonecall.RoundReport) {
 		rec.Live = t.net.LiveCount()
 		rec.Corrupted = t.net.CorruptedCount()
 	}
-	if t.tracker != nil {
-		rec.Informed = worstSpread(t.tracker)
+	if t.holdings != nil {
+		rec.Informed = t.holdings.WorstSpread()
 	}
 	t.tw.write(rec)
 }

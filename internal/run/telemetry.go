@@ -1,7 +1,6 @@
 package run
 
 import (
-	"math/bits"
 	"strconv"
 	"time"
 
@@ -36,15 +35,15 @@ import (
 //	                                             mode, uniform fallback in
 //	                                             permissive)
 //	repro_zone_informed_nodes{zone}              live nodes per topology zone
-//	                                             holding every registered
-//	                                             rumor (rumor-tracking runs)
+//	                                             holding every rumor in
+//	                                             flight (rumor-tracking runs)
 type engineTelemetry struct {
 	reg *telemetry.Registry
 
 	rounds, msgs, bitsSent *telemetry.Counter
 	liveNodes, corrupted   *telemetry.Gauge
 	maxComms               *telemetry.Gauge
-	informed               *telemetry.Gauge // created lazily on BindTracker
+	informed               *telemetry.Gauge // created lazily on BindHoldings
 	duration               *telemetry.Histogram
 	algo, engine           string
 
@@ -58,9 +57,9 @@ type engineTelemetry struct {
 	zoneInformed          []*telemetry.Gauge
 	zoneCounts            []int64
 
-	net     *phonecall.Network
-	tracker *phonecall.RumorTracker
-	begin   time.Time
+	net      *phonecall.Network
+	holdings phonecall.Holdings
+	begin    time.Time
 }
 
 // policyView is what the telemetry observer needs from an installed peer
@@ -104,20 +103,21 @@ func (e *engineTelemetry) BindNetwork(net *phonecall.Network) {
 	e.bindZones()
 }
 
-// BindTracker implements phonecall.TrackerBinder. Rumor-tracking drivers
-// (the scenario driver) bind their tracker, which turns on the
-// repro_informed_nodes gauge; closed algorithms have no tracker and the
-// gauge is never registered, instead of exporting a misleading zero.
-func (e *engineTelemetry) BindTracker(tr *phonecall.RumorTracker) {
-	e.tracker = tr
+// BindHoldings implements phonecall.HoldingsBinder. Rumor-tracking drivers
+// (the scenario driver, on either holdings representation) bind their
+// ledger, which turns on the repro_informed_nodes gauge; closed algorithms
+// have none and the gauge is never registered, instead of exporting a
+// misleading zero.
+func (e *engineTelemetry) BindHoldings(h phonecall.Holdings) {
+	e.holdings = h
 	e.informed = e.reg.Gauge("repro_informed_nodes")
 	e.bindZones()
 }
 
-// bindZones registers the per-zone informed gauges once both a tracker and a
+// bindZones registers the per-zone informed gauges once both holdings and a
 // topology are bound (binder order is driver-dependent).
 func (e *engineTelemetry) bindZones() {
-	if e.tracker == nil || e.policySel == nil || e.zoneInformed != nil {
+	if e.holdings == nil || e.policySel == nil || e.zoneInformed != nil {
 		return
 	}
 	zones := e.policySel.Zones()
@@ -155,8 +155,8 @@ func (e *engineTelemetry) EndRound(rep phonecall.RoundReport) {
 		e.liveNodes.Set(int64(e.net.LiveCount()))
 		e.corrupted.Set(int64(e.net.CorruptedCount()))
 	}
-	if e.tracker != nil {
-		e.informed.Set(int64(worstSpread(e.tracker)))
+	if e.holdings != nil {
+		e.informed.Set(int64(e.holdings.WorstSpread()))
 	}
 	if e.policySel != nil {
 		evals, violns := e.policySel.Stats()
@@ -165,38 +165,14 @@ func (e *engineTelemetry) EndRound(rep phonecall.RoundReport) {
 		e.lastEvals, e.lastViolns = evals, violns
 	}
 	if e.zoneInformed != nil && e.net != nil {
-		reg := e.tracker.Registered()
-		for z := range e.zoneCounts {
-			e.zoneCounts[z] = 0
-		}
-		if reg != 0 {
-			for i, n := 0, e.net.N(); i < n; i++ {
-				if !e.net.IsFailed(i) && e.tracker.Held(i)&reg == reg {
-					e.zoneCounts[e.policySel.Zone(i)]++
-				}
+		clear(e.zoneCounts)
+		for i, n := 0, e.net.N(); i < n; i++ {
+			if !e.net.IsFailed(i) && e.holdings.HoldsAll(i) {
+				e.zoneCounts[e.policySel.Zone(i)]++
 			}
 		}
 		for z, g := range e.zoneInformed {
 			g.Set(e.zoneCounts[z])
 		}
 	}
-}
-
-// worstSpread returns the live-informed count of the worst-spread registered
-// rumor — the same "informed" the scenario result reports — or 0 when no
-// rumor is registered yet.
-func worstSpread(tr *phonecall.RumorTracker) int {
-	reg := tr.Registered()
-	if reg == 0 {
-		return 0
-	}
-	worst := -1
-	for reg != 0 {
-		r := bits.TrailingZeros64(reg)
-		reg &^= 1 << r
-		if c := tr.LiveInformed(phonecall.RumorID(r)); worst < 0 || c < worst {
-			worst = c
-		}
-	}
-	return worst
 }

@@ -94,15 +94,16 @@ func (e CorruptAt) Describe() string {
 	return fmt.Sprintf("corrupt %d nodes (%s)", len(e.Nodes), e.Adversary.Kind)
 }
 
-// Apply implements Event. Works with or without a tracker: closed algorithms
-// (tr == nil) have no holdings, so the stale adversary freezes to the empty
-// mask (mute) and the liar forges nothing.
-func (e CorruptAt) Apply(net *phonecall.Network, tr *phonecall.RumorTracker) error {
+// Apply implements Event. Works with or without the mask ledger, whose
+// holdings the behaviors rewrite: closed algorithms (l == nil) have none, so
+// the stale adversary freezes to the empty mask (mute) and the liar forges
+// nothing.
+func (e CorruptAt) Apply(net *phonecall.Network, l ledger) error {
 	var held func(int) uint64
 	var registered func() uint64
-	if tr != nil {
-		held = tr.Held
-		registered = tr.Registered
+	if p, ok := l.(*protocol); ok {
+		held = p.Held
+		registered = p.Registered
 	}
 	for _, i := range e.Nodes {
 		b, err := e.BehaviorFor(i, held, registered)

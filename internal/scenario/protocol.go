@@ -82,32 +82,57 @@ func (a Algorithm) Call(empty, complete bool) (it phonecall.Intent, withHoldings
 // with nothing.
 func (a Algorithm) Answers(empty bool) bool { return a != AlgoPush && !empty }
 
-// tagRumorSet marks messages whose Value is a holdings bitmask.
-const tagRumorSet uint8 = 111
+// ledger is the seam between the scenario driver and a run's rumor holdings:
+// what the coordinator asks of them between rounds, so that Run's loop and
+// every Event.Apply are written once. Two representations implement it — the
+// 64-bit mask (protocol, below) and the rumor-set window (wideProtocol,
+// wide.go) — and Run picks one from the timeline it is handed, never from an
+// option. The per-node side stays off the interface: Run takes intent,
+// response and deliver from the concrete type once, as method values, so the
+// engine's callbacks pay no dispatch.
+//
+// Inject, Fail, Revive and LostInjects are phonecall.RumorTracker's, names
+// and contracts, so the mask ledger takes them from the tracker it embeds.
+type ledger interface {
+	phonecall.Holdings
+	Inject(node int, r phonecall.RumorID) error
+	Fail(nodes ...int)
+	Revive(nodes ...int)
+	LostInjects() int64
+	// informed appends the live-informed count of every in-flight rumor to
+	// dst, ordered by rumor ID.
+	informed(dst []RumorCount) []RumorCount
+	// retire is handed the rumors the whole live population holds after the
+	// round just run and reports whether the ledger dropped them: their counts
+	// are then final, and a later inject of the same ID opens a new epoch.
+	retire(done []RumorCount) bool
+}
 
-// protocol binds one steppable protocol to a network and tracker.
+// protocol is the mask ledger: one steppable protocol over a
+// phonecall.RumorTracker. A rumor stays in flight from its first injection to
+// the end of the run.
 type protocol struct {
+	*phonecall.RumorTracker
 	algo     Algorithm
 	net      *phonecall.Network
-	tr       *phonecall.RumorTracker
 	overhead int // bits charged for the non-payload part of a holdings message
 }
 
 func newProtocol(algo Algorithm, net *phonecall.Network, tr *phonecall.RumorTracker) *protocol {
 	return &protocol{
-		algo: algo,
-		net:  net,
-		tr:   tr,
+		RumorTracker: tr,
+		algo:         algo,
+		net:          net,
 		// Tag and counter bits, as the engine would charge a payload-free
 		// message; each carried rumor then adds one b-bit payload.
-		overhead: net.MessageSize(phonecall.Message{Tag: tagRumorSet}),
+		overhead: net.MessageSize(phonecall.Message{Tag: phonecall.TagHoldings}),
 	}
 }
 
 // message encodes a holdings bitmask, charged one payload per carried rumor.
 func (p *protocol) message(held uint64) phonecall.Message {
 	return phonecall.Message{
-		Tag:   tagRumorSet,
+		Tag:   phonecall.TagHoldings,
 		Value: held,
 		Rumor: true,
 		Bits:  p.overhead + bits.OnesCount64(held)*p.net.PayloadBits(),
@@ -118,8 +143,8 @@ func (p *protocol) message(held uint64) phonecall.Message {
 // only node i's own holdings word plus the coordinator-written registered
 // mask, per the engine's callback contract.
 func (p *protocol) intent(i int) phonecall.Intent {
-	held := p.tr.Held(i)
-	it, withHoldings := p.algo.Call(held == 0, held == p.tr.Registered())
+	held := p.Held(i)
+	it, withHoldings := p.algo.Call(held == 0, held == p.Registered())
 	if withHoldings {
 		it.Payload = p.message(held)
 	}
@@ -129,7 +154,7 @@ func (p *protocol) intent(i int) phonecall.Intent {
 // response answers pulls with the responder's holdings (address-oblivious:
 // one response per round, handed to every puller).
 func (p *protocol) response(j int) (phonecall.Message, bool) {
-	held := p.tr.Held(j)
+	held := p.Held(j)
 	if !p.algo.Answers(held == 0) {
 		return phonecall.Message{}, false
 	}
@@ -140,11 +165,44 @@ func (p *protocol) response(j int) (phonecall.Message, bool) {
 func (p *protocol) deliver(i int, inbox []phonecall.Message) {
 	var mask uint64
 	for _, m := range inbox {
-		if m.Tag == tagRumorSet {
+		if m.Tag == phonecall.TagHoldings {
 			mask |= m.Value
 		}
 	}
 	if mask != 0 {
-		p.tr.MarkSet(i, mask)
+		p.MarkSet(i, mask)
 	}
+}
+
+func (p *protocol) informed(dst []RumorCount) []RumorCount {
+	for reg := p.Registered(); reg != 0; reg &= reg - 1 {
+		r := phonecall.RumorID(bits.TrailingZeros64(reg))
+		dst = append(dst, RumorCount{Rumor: r, LiveInformed: p.LiveInformed(r)})
+	}
+	return dst
+}
+
+// retire keeps every rumor: a mask bit costs nothing to carry on.
+func (p *protocol) retire([]RumorCount) bool { return false }
+
+// WorstSpread implements phonecall.Holdings.
+func (p *protocol) WorstSpread() int { return worstSpread(p.informed(nil), 0) }
+
+// HoldsAll implements phonecall.Holdings.
+func (p *protocol) HoldsAll(node int) bool {
+	reg := p.Registered()
+	return reg != 0 && p.Held(node)&reg == reg
+}
+
+// worstSpread is the smallest live-informed count of an informed snapshot,
+// or none when no rumor is in flight.
+func worstSpread(informed []RumorCount, none int) int {
+	if len(informed) == 0 {
+		return none
+	}
+	worst := informed[0].LiveInformed
+	for _, rc := range informed[1:] {
+		worst = min(worst, rc.LiveInformed)
+	}
+	return worst
 }

@@ -17,7 +17,7 @@
 //   - Timeline.Attach layers the same churn and loss events under ANY
 //     existing protocol (the paper's clustering algorithms, the baselines)
 //     through the engine's OnRoundStart hook, without changing the per-node
-//     callback contract. InjectRumor events need a tracker and are the one
+//     callback contract. InjectRumor events need a rumor ledger and are the one
 //     event kind a closed algorithm cannot honor.
 //
 // Determinism contract: everything is a pure function of (scenario, seed).
@@ -29,14 +29,17 @@
 package scenario
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 
 	"repro/internal/failure"
 	"repro/internal/phonecall"
 	"repro/internal/policy"
+	"repro/internal/rumorset"
 )
 
 // Event is one timeline entry. An event with EventRound() == r is applied at
@@ -47,10 +50,26 @@ type Event interface {
 	EventRound() int
 	// Describe renders the event for per-phase traces.
 	Describe() string
-	// Apply executes the event against the network. tr may be nil when the
-	// timeline runs under a closed (non-scenario-aware) protocol; events
-	// that need per-rumor state return an error in that case.
-	Apply(net *phonecall.Network, tr *phonecall.RumorTracker) error
+	// Apply executes the event against the network and the run's rumor
+	// ledger. l is nil when the timeline runs under a closed
+	// (non-scenario-aware) protocol; events that need per-rumor state return
+	// an error in that case.
+	Apply(net *phonecall.Network, l ledger) error
+}
+
+// members is where a membership event lands: the ledger, which keeps its
+// live-informed counts in step with the network, or the bare network when a
+// closed protocol runs without one.
+type members interface {
+	Fail(nodes ...int)
+	Revive(nodes ...int)
+}
+
+func membersOf(net *phonecall.Network, l ledger) members {
+	if l != nil {
+		return l
+	}
+	return net
 }
 
 // CrashAt fails the listed nodes at the start of round At. Crashed nodes
@@ -68,19 +87,15 @@ func (e CrashAt) EventRound() int { return e.At }
 func (e CrashAt) Describe() string { return fmt.Sprintf("crash %d nodes", len(e.Nodes)) }
 
 // Apply implements Event.
-func (e CrashAt) Apply(net *phonecall.Network, tr *phonecall.RumorTracker) error {
-	if tr != nil {
-		tr.Fail(e.Nodes...)
-	} else {
-		net.Fail(e.Nodes...)
-	}
+func (e CrashAt) Apply(net *phonecall.Network, l ledger) error {
+	membersOf(net, l).Fail(e.Nodes...)
 	return nil
 }
 
 // JoinAt revives (or late-starts) the listed nodes at the start of round At.
 // Under the scenario driver a joining node starts uninformed — it forgets
-// every rumor it held before crashing. Under a closed protocol (Timeline
-// without tracker) the node rejoins with whatever protocol state it had,
+// every rumor it held before crashing. Under a closed protocol (no
+// ledger) the node rejoins with whatever protocol state it had,
 // which models a process that was partitioned away rather than restarted.
 type JoinAt struct {
 	At    int
@@ -94,12 +109,8 @@ func (e JoinAt) EventRound() int { return e.At }
 func (e JoinAt) Describe() string { return fmt.Sprintf("join %d nodes", len(e.Nodes)) }
 
 // Apply implements Event.
-func (e JoinAt) Apply(net *phonecall.Network, tr *phonecall.RumorTracker) error {
-	if tr != nil {
-		tr.Revive(e.Nodes...)
-	} else {
-		net.Revive(e.Nodes...)
-	}
+func (e JoinAt) Apply(net *phonecall.Network, l ledger) error {
+	membersOf(net, l).Revive(e.Nodes...)
 	return nil
 }
 
@@ -120,7 +131,7 @@ func (e Loss) EventRound() int { return e.At }
 func (e Loss) Describe() string { return fmt.Sprintf("loss rate %.2f", e.Rate) }
 
 // Apply implements Event.
-func (e Loss) Apply(net *phonecall.Network, tr *phonecall.RumorTracker) error {
+func (e Loss) Apply(net *phonecall.Network, l ledger) error {
 	net.SetLoss(e.Rate, e.Seed)
 	return nil
 }
@@ -144,11 +155,14 @@ func (e InjectRumor) Describe() string {
 }
 
 // Apply implements Event.
-func (e InjectRumor) Apply(net *phonecall.Network, tr *phonecall.RumorTracker) error {
-	if tr == nil {
+func (e InjectRumor) Apply(net *phonecall.Network, l ledger) error {
+	if l == nil {
 		return fmt.Errorf("scenario: InjectRumor needs the scenario driver (closed protocols have no rumor tracker)")
 	}
-	return tr.Inject(e.Node, e.Rumor)
+	if err := l.Inject(e.Node, e.Rumor); err != nil {
+		return fmt.Errorf("scenario: round %d: %w", e.At, err)
+	}
+	return nil
 }
 
 // FromTimed converts a timed oblivious adversary (internal/failure) into a
@@ -172,10 +186,9 @@ func sortEvents(events []Event) []Event {
 // churn and loss under closed protocols (the paper's algorithms, the
 // baselines) without touching their code.
 type Timeline struct {
-	events  []Event
-	next    int
-	tracker *phonecall.RumorTracker
-	err     error
+	events []Event
+	next   int
+	err    error
 }
 
 // NewTimeline builds a timeline from the events (stably sorted by round).
@@ -183,16 +196,9 @@ func NewTimeline(events ...Event) *Timeline {
 	return &Timeline{events: sortEvents(events)}
 }
 
-// WithTracker routes crash/join/inject events through a rumor tracker so the
-// per-rumor live counters stay consistent. Returns the timeline.
-func (tl *Timeline) WithTracker(tr *phonecall.RumorTracker) *Timeline {
-	tl.tracker = tr
-	return tl
-}
-
 // Attach registers the timeline on the network. Subsequent ExecRound calls
 // fire due events before evaluating intents. Check Err after the run: event
-// application errors (for example InjectRumor without a tracker) stop the
+// application errors (for example InjectRumor, which needs a ledger) stop the
 // timeline but, running inside the engine, cannot abort the protocol.
 func (tl *Timeline) Attach(net *phonecall.Network) {
 	net.OnRoundStart(func(round int) { tl.advance(net, round) })
@@ -201,7 +207,7 @@ func (tl *Timeline) Attach(net *phonecall.Network) {
 // advance applies every event due at or before round.
 func (tl *Timeline) advance(net *phonecall.Network, round int) {
 	for tl.err == nil && tl.next < len(tl.events) && tl.events[tl.next].EventRound() <= round {
-		tl.err = tl.events[tl.next].Apply(net, tl.tracker)
+		tl.err = tl.events[tl.next].Apply(net, nil)
 		tl.next++
 	}
 }
@@ -491,6 +497,13 @@ func (r Result) MinLiveFraction() float64 {
 	return minFrac
 }
 
+// fate is a rumor's outcome under construction. The driver keeps it because
+// the ledger may not: a retired rumor's slot is reused.
+type fate struct {
+	RumorOutcome
+	retired bool // the ledger dropped the rumor when it completed
+}
+
 // Run executes the scenario with one of the steppable multi-rumor protocols
 // and returns the per-phase trace. The execution is bit-identical for any
 // cfg.Workers value. A done ctx aborts between rounds with the context's
@@ -507,9 +520,6 @@ func Run(ctx context.Context, sc Scenario, cfg Config) (res Result, err error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if sc.Wide() {
-		return runWide(ctx, sc, cfg, algo, workers)
-	}
 	net, err := phonecall.New(phonecall.Config{
 		N:           sc.N,
 		Seed:        cfg.Seed,
@@ -522,6 +532,29 @@ func Run(ctx context.Context, sc Scenario, cfg Config) (res Result, err error) {
 	if _, err := policy.Install(net, cfg.Topology, cfg.Policy); err != nil {
 		return Result{}, fmt.Errorf("scenario: %w", err)
 	}
+	// The one place a holdings representation is chosen, from what the
+	// timeline shows, and its per-node callbacks are resolved.
+	var (
+		l        ledger
+		intent   func(int) phonecall.Intent
+		response func(int) (phonecall.Message, bool)
+		deliver  func(int, []phonecall.Message)
+	)
+	if sc.Wide() {
+		window := sc.MaxInFlight
+		if window == 0 {
+			window = distinctRumors(sc.Events)
+		}
+		set, err := rumorset.New(sc.N, window)
+		if err != nil {
+			return Result{}, fmt.Errorf("scenario: %w", err)
+		}
+		p := newWideProtocol(algo, net, set)
+		l, intent, response, deliver = p, p.intent, p.response, p.deliver
+	} else {
+		p := newProtocol(algo, net, phonecall.NewRumorTracker(net))
+		l, intent, response, deliver = p, p.intent, p.response, p.deliver
+	}
 	if ctx != nil {
 		net.SetContext(ctx)
 		defer phonecall.RecoverAbort(&err)
@@ -530,28 +563,23 @@ func Run(ctx context.Context, sc Scenario, cfg Config) (res Result, err error) {
 		if b, ok := cfg.Observer.(phonecall.NetworkBinder); ok {
 			b.BindNetwork(net)
 		}
+		if b, ok := cfg.Observer.(phonecall.HoldingsBinder); ok {
+			b.BindHoldings(l)
+		}
 		net.Observe(cfg.Observer)
 	}
-	tr := phonecall.NewRumorTracker(net)
-	if cfg.Observer != nil {
-		// Tracker-aware observers (the oracle's honest-node invariants) see
-		// the rumor state the protocols act on.
-		if b, ok := cfg.Observer.(phonecall.TrackerBinder); ok {
-			b.BindTracker(tr)
-		}
-	}
-	proto := newProtocol(algo, net, tr)
 	events := sortEvents(sc.Events)
 
 	res = Result{Scenario: sc.Name, Algorithm: algo, N: sc.N, Seed: cfg.Seed, Rounds: sc.Rounds}
-	var injectRound, completionRound [phonecall.MaxRumors]int
+	fates := map[phonecall.RumorID]*fate{}
+	var snap, done []RumorCount // per-round scratch
 
 	next := 0
 	cur := PhaseReport{FromRound: 1}
 	closePhase := func(to int) {
 		cur.ToRound = to
 		cur.Live = net.LiveCount()
-		cur.Informed = informedCounts(tr)
+		cur.Informed = l.informed(nil)
 		res.Phases = append(res.Phases, cur)
 	}
 
@@ -565,17 +593,22 @@ func Run(ctx context.Context, sc Scenario, cfg Config) (res Result, err error) {
 		}
 		for next < len(events) && events[next].EventRound() <= r {
 			ev := events[next]
-			if err := ev.Apply(net, tr); err != nil {
+			if err := ev.Apply(net, l); err != nil {
 				return Result{}, err
 			}
-			if inj, ok := ev.(InjectRumor); ok && injectRound[inj.Rumor] == 0 {
-				injectRound[inj.Rumor] = r
+			if inj, ok := ev.(InjectRumor); ok {
+				if f := fates[inj.Rumor]; f == nil {
+					fates[inj.Rumor] = &fate{RumorOutcome: RumorOutcome{Rumor: inj.Rumor, InjectRound: r}}
+				} else if f.retired {
+					// Re-injection of a retired rumor opens a new epoch.
+					*f = fate{RumorOutcome: RumorOutcome{Rumor: inj.Rumor, InjectRound: f.InjectRound}}
+				}
 			}
 			cur.Events = append(cur.Events, ev.Describe())
 			next++
 		}
 
-		rep := net.ExecRound(proto.intent, proto.response, proto.deliver)
+		rep := net.ExecRound(intent, response, deliver)
 		cur.Messages += rep.Messages
 		cur.Bits += rep.Bits
 		if rep.MaxComms > cur.MaxComms {
@@ -586,49 +619,43 @@ func Run(ctx context.Context, sc Scenario, cfg Config) (res Result, err error) {
 		// rumor. Later churn (a joiner arriving uninformed) does not clear
 		// an already-recorded completion.
 		if live := net.LiveCount(); live > 0 {
-			reg := tr.Registered()
-			for id := 0; reg != 0; id, reg = id+1, reg>>1 {
-				if reg&1 != 0 && completionRound[id] == 0 && tr.LiveInformed(phonecall.RumorID(id)) >= live {
-					completionRound[id] = r
+			snap, done = l.informed(snap[:0]), done[:0]
+			for _, rc := range snap {
+				if f := fates[rc.Rumor]; f.CompletionRound == 0 && rc.LiveInformed >= live {
+					f.CompletionRound = r
+					done = append(done, rc)
 				}
+			}
+			if l.retire(done) {
+				// Converged over the then-live population, for good.
+				for _, rc := range done {
+					f := fates[rc.Rumor]
+					f.retired, f.LiveInformed, f.LiveFraction = true, rc.LiveInformed, 1
+				}
+				res.RumorsExpired += int64(len(done))
 			}
 		}
 	}
 	closePhase(sc.Rounds)
+	res.Live = net.LiveCount()
+	for _, rc := range cur.Informed { // still in flight: the budget ran out
+		f := fates[rc.Rumor]
+		f.LiveInformed = rc.LiveInformed
+		if res.Live > 0 {
+			f.LiveFraction = float64(rc.LiveInformed) / float64(res.Live)
+		}
+	}
+	for _, f := range fates {
+		res.Rumors = append(res.Rumors, f.RumorOutcome)
+	}
+	slices.SortFunc(res.Rumors, func(a, b RumorOutcome) int { return cmp.Compare(a.Rumor, b.Rumor) })
 
 	m := net.Metrics()
-	res.Live = net.LiveCount()
-	res.LostInjects = tr.LostInjects()
+	res.LostInjects = l.LostInjects()
 	res.Messages = m.Messages
 	res.ControlMessages = m.ControlMessages
 	res.Bits = m.Bits
 	res.MessagesPerNode = m.MessagesPerNode()
 	res.MaxCommsPerRound = m.MaxCommsPerRound
-	for _, rc := range informedCounts(tr) {
-		out := RumorOutcome{
-			Rumor:           rc.Rumor,
-			InjectRound:     injectRound[rc.Rumor],
-			LiveInformed:    rc.LiveInformed,
-			CompletionRound: completionRound[rc.Rumor],
-		}
-		if res.Live > 0 {
-			out.LiveFraction = float64(rc.LiveInformed) / float64(res.Live)
-		}
-		res.Rumors = append(res.Rumors, out)
-	}
 	return res, nil
-}
-
-// informedCounts snapshots the live-informed count of every registered
-// rumor, ordered by rumor ID.
-func informedCounts(tr *phonecall.RumorTracker) []RumorCount {
-	var out []RumorCount
-	reg := tr.Registered()
-	for id := 0; reg != 0; id, reg = id+1, reg>>1 {
-		if reg&1 != 0 {
-			r := phonecall.RumorID(id)
-			out = append(out, RumorCount{Rumor: r, LiveInformed: tr.LiveInformed(r)})
-		}
-	}
-	return out
 }

@@ -1,25 +1,22 @@
 package scenario
 
 import (
-	"context"
-	"fmt"
-	"sort"
-
 	"repro/internal/phonecall"
-	"repro/internal/policy"
 	"repro/internal/rumorset"
 )
 
-// The wide path: the same steppable push/pull/push-pull protocols over the
-// scalable rumor-set ledger (internal/rumorset) instead of the uint64
-// holdings bitmask. A message carries the sorted rumor IDs the sender holds
-// in its IDs field and is charged the digest bytes plus one payload per
-// carried rumor; converged rumors are retired between rounds (GC), so the
-// in-flight window — not the total stream length — bounds per-node state and
-// message size. Workloads that fit the bitmask (≤64 dense IDs, no explicit
-// window) never come here, keeping the legacy path bit-identical.
+// The set ledger: the same steppable push/pull/push-pull protocols over the
+// scalable rumor set (internal/rumorset) instead of the uint64 holdings
+// bitmask. A message carries the sorted rumor IDs the sender holds in its IDs
+// field and is charged the digest bytes plus one payload per carried rumor;
+// converged rumors are retired between rounds (GC), so the in-flight window —
+// not the total stream length — bounds per-node state and message size.
+// Workloads that fit the bitmask (≤64 dense IDs, no explicit window) never
+// come here: at that size the mask is 1.3–3× faster (BENCH_TRAJECTORY.md,
+// "mask stays at ≤ 64: measured").
 
-// wideProtocol binds one steppable protocol to a network and a rumor set.
+// wideProtocol is the set ledger: one steppable protocol over a network and
+// a rumor set.
 type wideProtocol struct {
 	algo     Algorithm
 	net      *phonecall.Network
@@ -30,10 +27,12 @@ type wideProtocol struct {
 	// answer for a node with some rumors but not all), so a calling node
 	// builds its digest anyway.
 	carries bool
-	// active is the in-flight rumor count of the round about to execute: the
-	// coordinator sets it after the round's events, and only it adds or
-	// retires rumors.
+	// active is the in-flight rumor count of the round about to execute, kept
+	// by the two coordinator calls that change it: Inject and retire.
 	active int
+	// opened: some rumor has been injected (the window may have drained since).
+	opened bool
+	scan   []rumorset.ID // the coordinator's scratch
 }
 
 // wideDigest is one node's holdings digest for one round: the sorted rumor IDs
@@ -57,7 +56,7 @@ func newWideProtocol(algo Algorithm, net *phonecall.Network, set *rumorset.Set) 
 		algo:     algo,
 		net:      net,
 		set:      set,
-		overhead: net.MessageSize(phonecall.Message{Tag: tagRumorSet}),
+		overhead: net.MessageSize(phonecall.Message{Tag: phonecall.TagHoldings}),
 		digests:  make([]wideDigest, set.Nodes()),
 	}
 }
@@ -79,7 +78,7 @@ func (p *wideProtocol) digest(i int) *wideDigest {
 }
 
 func (d *wideDigest) message() phonecall.Message {
-	return phonecall.Message{Tag: tagRumorSet, Rumor: true, IDs: d.ids, Bits: d.bits}
+	return phonecall.Message{Tag: phonecall.TagHoldings, Rumor: true, IDs: d.ids, Bits: d.bits}
 }
 
 // intent implements the per-node initiation from the shared decision table,
@@ -116,216 +115,65 @@ func (p *wideProtocol) response(j int) (phonecall.Message, bool) {
 // and so does a carried value outside the rumor ID space.
 func (p *wideProtocol) deliver(i int, inbox []phonecall.Message) {
 	for _, m := range inbox {
-		if m.Tag == tagRumorSet {
+		if m.Tag == phonecall.TagHoldings {
 			rumorset.MergeDigest(p.set, i, m.IDs)
 		}
 	}
 }
 
-// wideFate is the coordinator's per-rumor ledger entry on the wide path.
-type wideFate struct {
-	injectRound     int
-	completionRound int // round the rumor converged and was retired (0: never)
-	informedAtEnd   int // live-informed when retired or when the budget ran out
-}
+// Inject, Fail and Revive keep the rumor set and the network in step, the way
+// the tracker's own methods do for the mask ledger.
 
-// applyWide routes one timeline event to the network and the rumor-set
-// ledger (the wide analogue of Event.Apply over the bitmask tracker).
-func applyWide(ev Event, net *phonecall.Network, set *rumorset.Set) error {
-	switch e := ev.(type) {
-	case CrashAt:
-		set.Fail(e.Nodes...)
-		net.Fail(e.Nodes...)
-	case JoinAt:
-		set.Revive(e.Nodes...)
-		net.Revive(e.Nodes...)
-	case Loss:
-		net.SetLoss(e.Rate, e.Seed)
-	case InjectRumor:
-		if err := set.Inject(e.Node, rumorset.ID(e.Rumor)); err != nil {
-			return fmt.Errorf("scenario: round %d: %w", e.EventRound(), err)
-		}
-	case ZoneOutage:
-		tv, err := topology(net, "zone outage")
-		if err != nil {
-			return err
-		}
-		if e.Zone < 0 || e.Zone >= tv.Zones() {
-			return fmt.Errorf("scenario: zone %d outside the topology's [0,%d)", e.Zone, tv.Zones())
-		}
-		members := tv.ZoneMembers(e.Zone)
-		set.Fail(members...)
-		net.Fail(members...)
-	case ZoneHeal:
-		tv, err := topology(net, "zone heal")
-		if err != nil {
-			return err
-		}
-		if e.Zone < 0 || e.Zone >= tv.Zones() {
-			return fmt.Errorf("scenario: zone %d outside the topology's [0,%d)", e.Zone, tv.Zones())
-		}
-		members := tv.ZoneMembers(e.Zone)
-		set.Revive(members...)
-		net.Revive(members...)
-	case Partition, HealPartition:
-		// Pure selector toggles; the ledger is untouched.
-		return ev.Apply(net, nil)
-	default:
-		// Validate rejects everything else (CorruptAt) on the wide path.
-		return fmt.Errorf("%w: event %T unsupported on the wide rumor-set path", ErrSpec, ev)
+func (p *wideProtocol) Inject(node int, r phonecall.RumorID) error {
+	if err := p.set.Inject(node, rumorset.ID(r)); err != nil {
+		return err
 	}
+	p.active, p.opened = p.set.Active(), true
 	return nil
 }
 
-// wideInformed snapshots the live-informed count of every in-flight rumor,
-// ordered by rumor ID (expired rumors no longer appear — their fate lives in
-// the coordinator ledger).
-func wideInformed(set *rumorset.Set, ids []rumorset.ID) ([]RumorCount, []rumorset.ID) {
-	ids = set.ActiveIDs(ids[:0])
-	out := make([]RumorCount, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, RumorCount{Rumor: phonecall.RumorID(id), LiveInformed: set.LiveInformed(id)})
-	}
-	return out, ids
+func (p *wideProtocol) Fail(nodes ...int) {
+	p.set.Fail(nodes...)
+	p.net.Fail(nodes...)
 }
 
-// runWide executes the scenario over the rumor-set ledger. Structure mirrors
-// Run; the differences are the ledger (slots instead of bitmasks), the
-// between-rounds GC retiring converged rumors, and the per-rumor fate ledger
-// that remembers retired rumors after their slots are reused.
-func runWide(ctx context.Context, sc Scenario, cfg Config, algo Algorithm, workers int) (res Result, err error) {
-	window := sc.MaxInFlight
-	if window == 0 {
-		window = distinctRumors(sc.Events)
-	}
-	net, err := phonecall.New(phonecall.Config{
-		N:           sc.N,
-		Seed:        cfg.Seed,
-		PayloadBits: cfg.PayloadBits,
-		Workers:     workers,
-	})
-	if err != nil {
-		return Result{}, fmt.Errorf("scenario: %w", err)
-	}
-	if _, err := policy.Install(net, cfg.Topology, cfg.Policy); err != nil {
-		return Result{}, fmt.Errorf("scenario: %w", err)
-	}
-	set, err := rumorset.New(sc.N, window)
-	if err != nil {
-		return Result{}, fmt.Errorf("scenario: %w", err)
-	}
-	if ctx != nil {
-		net.SetContext(ctx)
-		defer phonecall.RecoverAbort(&err)
-	}
-	if cfg.Observer != nil {
-		if b, ok := cfg.Observer.(phonecall.NetworkBinder); ok {
-			b.BindNetwork(net)
-		}
-		// TrackerBinder observers (the oracle's honest-node invariants) are
-		// bitmask-path only; the wide path has no RumorTracker to bind.
-		net.Observe(cfg.Observer)
-	}
-	proto := newWideProtocol(algo, net, set)
-	events := sortEvents(sc.Events)
+func (p *wideProtocol) Revive(nodes ...int) {
+	p.set.Revive(nodes...)
+	p.net.Revive(nodes...)
+}
 
-	res = Result{Scenario: sc.Name, Algorithm: algo, N: sc.N, Seed: cfg.Seed, Rounds: sc.Rounds}
-	fates := map[rumorset.ID]*wideFate{}
-	var scanIDs, retire []rumorset.ID
+func (p *wideProtocol) LostInjects() int64 { return p.set.Snapshot().Lost }
 
-	next := 0
-	cur := PhaseReport{FromRound: 1}
-	closePhase := func(to int) {
-		cur.ToRound = to
-		cur.Live = net.LiveCount()
-		cur.Informed, scanIDs = wideInformed(set, scanIDs)
-		res.Phases = append(res.Phases, cur)
+func (p *wideProtocol) informed(dst []RumorCount) []RumorCount {
+	p.scan = p.set.ActiveIDs(p.scan[:0])
+	for _, id := range p.scan {
+		dst = append(dst, RumorCount{Rumor: phonecall.RumorID(id), LiveInformed: p.set.LiveInformed(id)})
 	}
+	return dst
+}
 
-	for r := 1; r <= sc.Rounds; r++ {
-		if next < len(events) && events[next].EventRound() <= r && r > cur.FromRound {
-			closePhase(r - 1)
-			cur = PhaseReport{FromRound: r}
-		}
-		for next < len(events) && events[next].EventRound() <= r {
-			ev := events[next]
-			if err := applyWide(ev, net, set); err != nil {
-				return Result{}, err
-			}
-			if inj, ok := ev.(InjectRumor); ok {
-				if f := fates[rumorset.ID(inj.Rumor)]; f == nil {
-					fates[rumorset.ID(inj.Rumor)] = &wideFate{injectRound: r}
-				} else if f.completionRound > 0 {
-					// Re-injection of a retired rumor opens a new epoch.
-					f.completionRound, f.informedAtEnd = 0, 0
-				}
-			}
-			cur.Events = append(cur.Events, ev.Describe())
-			next++
-		}
-
-		proto.active = set.Active()
-		rep := net.ExecRound(proto.intent, proto.response, proto.deliver)
-		cur.Messages += rep.Messages
-		cur.Bits += rep.Bits
-		if rep.MaxComms > cur.MaxComms {
-			cur.MaxComms = rep.MaxComms
-		}
-
-		// GC: retire every rumor the whole live population now holds,
-		// recording its fate first (the slot is reused afterwards). Mirrors
-		// the bitmask path's completion rule — later churn does not clear a
-		// recorded completion — but additionally frees the slot.
-		if live := net.LiveCount(); live > 0 {
-			scanIDs = set.ActiveIDs(scanIDs[:0])
-			retire = retire[:0]
-			for _, id := range scanIDs {
-				if li := set.LiveInformed(id); li >= live {
-					f := fates[id]
-					f.completionRound = r
-					f.informedAtEnd = li
-					retire = append(retire, id)
-				}
-			}
-			set.Retire(retire...)
-		}
+// retire is the between-rounds GC: a converged rumor's slot is freed for a
+// later injection.
+func (p *wideProtocol) retire(done []RumorCount) bool {
+	p.scan = p.scan[:0]
+	for _, rc := range done {
+		p.scan = append(p.scan, rumorset.ID(rc.Rumor))
 	}
-	closePhase(sc.Rounds)
+	p.set.Retire(p.scan...)
+	p.active = p.set.Active()
+	return true
+}
 
-	m := net.Metrics()
-	st := set.Snapshot()
-	res.Live = net.LiveCount()
-	res.LostInjects = st.Lost
-	res.RumorsExpired = st.Expired
-	res.Messages = m.Messages
-	res.ControlMessages = m.ControlMessages
-	res.Bits = m.Bits
-	res.MessagesPerNode = m.MessagesPerNode()
-	res.MaxCommsPerRound = m.MaxCommsPerRound
+// WorstSpread implements phonecall.Holdings. A drained window means every
+// rumor injected so far reached the whole live population.
+func (p *wideProtocol) WorstSpread() int {
+	if !p.opened {
+		return 0
+	}
+	return worstSpread(p.informed(nil), p.net.LiveCount())
+}
 
-	ordered := make([]rumorset.ID, 0, len(fates))
-	for id := range fates {
-		ordered = append(ordered, id)
-	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i] < ordered[j] })
-	for _, id := range ordered {
-		f := fates[id]
-		out := RumorOutcome{
-			Rumor:           phonecall.RumorID(id),
-			InjectRound:     f.injectRound,
-			CompletionRound: f.completionRound,
-		}
-		if f.completionRound > 0 {
-			// Retired: converged over the then-live population.
-			out.LiveInformed = f.informedAtEnd
-			out.LiveFraction = 1
-		} else {
-			out.LiveInformed = set.LiveInformed(id)
-			if res.Live > 0 {
-				out.LiveFraction = float64(out.LiveInformed) / float64(res.Live)
-			}
-		}
-		res.Rumors = append(res.Rumors, out)
-	}
-	return res, nil
+// HoldsAll implements phonecall.Holdings.
+func (p *wideProtocol) HoldsAll(node int) bool {
+	return p.opened && p.set.HeldCount(node) == p.active
 }

@@ -31,6 +31,18 @@ func topology(net *phonecall.Network, what string) (topologyView, error) {
 	return nil, fmt.Errorf("scenario: %s needs a topology (configure one with WithTopology)", what)
 }
 
+// zoneMembers resolves a zone event's node set on the installed topology.
+func zoneMembers(net *phonecall.Network, what string, zone int) ([]int, error) {
+	tv, err := topology(net, what)
+	if err != nil {
+		return nil, err
+	}
+	if zone < 0 || zone >= tv.Zones() {
+		return nil, fmt.Errorf("scenario: zone %d outside the topology's [0,%d)", zone, tv.Zones())
+	}
+	return tv.ZoneMembers(zone), nil
+}
+
 // ZoneOutage fails every node of a topology zone at the start of round At —
 // a whole failure domain (rack, datacenter) going dark at once.
 type ZoneOutage struct {
@@ -45,26 +57,17 @@ func (e ZoneOutage) EventRound() int { return e.At }
 func (e ZoneOutage) Describe() string { return fmt.Sprintf("zone %d outage", e.Zone) }
 
 // Apply implements Event.
-func (e ZoneOutage) Apply(net *phonecall.Network, tr *phonecall.RumorTracker) error {
-	tv, err := topology(net, "zone outage")
+func (e ZoneOutage) Apply(net *phonecall.Network, l ledger) error {
+	members, err := zoneMembers(net, "zone outage", e.Zone)
 	if err != nil {
 		return err
 	}
-	if e.Zone < 0 || e.Zone >= tv.Zones() {
-		return fmt.Errorf("scenario: zone %d outside the topology's [0,%d)", e.Zone, tv.Zones())
-	}
-	members := tv.ZoneMembers(e.Zone)
-	if tr != nil {
-		tr.Fail(members...)
-	} else {
-		net.Fail(members...)
-	}
+	membersOf(net, l).Fail(members...)
 	return nil
 }
 
 // ZoneHeal revives every failed node of a zone at the start of round At.
-// Under the scenario driver the zone rejoins uninformed (RumorTracker
-// semantics, like JoinAt).
+// Under the scenario driver the zone rejoins uninformed, like JoinAt.
 type ZoneHeal struct {
 	At   int
 	Zone int
@@ -77,20 +80,12 @@ func (e ZoneHeal) EventRound() int { return e.At }
 func (e ZoneHeal) Describe() string { return fmt.Sprintf("zone %d heals", e.Zone) }
 
 // Apply implements Event.
-func (e ZoneHeal) Apply(net *phonecall.Network, tr *phonecall.RumorTracker) error {
-	tv, err := topology(net, "zone heal")
+func (e ZoneHeal) Apply(net *phonecall.Network, l ledger) error {
+	members, err := zoneMembers(net, "zone heal", e.Zone)
 	if err != nil {
 		return err
 	}
-	if e.Zone < 0 || e.Zone >= tv.Zones() {
-		return fmt.Errorf("scenario: zone %d outside the topology's [0,%d)", e.Zone, tv.Zones())
-	}
-	members := tv.ZoneMembers(e.Zone)
-	if tr != nil {
-		tr.Revive(members...)
-	} else {
-		net.Revive(members...)
-	}
+	membersOf(net, l).Revive(members...)
 	return nil
 }
 
@@ -109,7 +104,7 @@ func (e Partition) EventRound() int { return e.At }
 func (e Partition) Describe() string { return "partition zones" }
 
 // Apply implements Event.
-func (e Partition) Apply(net *phonecall.Network, tr *phonecall.RumorTracker) error {
+func (e Partition) Apply(net *phonecall.Network, l ledger) error {
 	tv, err := topology(net, "partition")
 	if err != nil {
 		return err
@@ -130,7 +125,7 @@ func (e HealPartition) EventRound() int { return e.At }
 func (e HealPartition) Describe() string { return "heal partition" }
 
 // Apply implements Event.
-func (e HealPartition) Apply(net *phonecall.Network, tr *phonecall.RumorTracker) error {
+func (e HealPartition) Apply(net *phonecall.Network, l ledger) error {
 	tv, err := topology(net, "heal partition")
 	if err != nil {
 		return err
