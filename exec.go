@@ -9,6 +9,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/run"
 	"repro/internal/scenario"
+	"repro/internal/trace"
 )
 
 // Run executes one gossip workload over n nodes, configured by functional
@@ -69,11 +70,15 @@ func Run(ctx context.Context, n int, opts ...Option) (Report, error) {
 		}
 		s.spec.Events = append(s.spec.Events, ev)
 	}
-	out, err := run.Execute(ctx, s.spec)
+	res, err := run.Execute(ctx, s.spec)
 	if err != nil {
 		return Report{}, err
 	}
-	return fromOutcome(out), nil
+	rep := fromOutcome(res)
+	if s.spec.Telemetry != nil {
+		rep.snapshot = publicSamples(s.spec.Telemetry.Snapshot())
+	}
+	return rep, nil
 }
 
 // settings is the mutable state the options build up.
@@ -254,7 +259,20 @@ func WithScenarioSpec(data []byte) Option {
 			s.fail(fmt.Errorf("%w: %v", ErrInvalidConfig, err))
 			return
 		}
-		s.applySpec(sp)
+		sc, cfg, err := sp.Build()
+		if err != nil {
+			s.fail(fmt.Errorf("%w: %v", ErrInvalidConfig, err))
+			return
+		}
+		s.specN = sc.N
+		s.spec.Rounds = sc.Rounds
+		s.spec.Algorithm = string(sc.Algorithm)
+		s.spec.ScenarioName = sc.Name
+		s.spec.Events = append(s.spec.Events, sc.Events...)
+		s.spec.MaxInFlight = sc.MaxInFlight
+		s.spec.Seed = cfg.Seed
+		s.spec.PayloadBits = cfg.PayloadBits
+		s.spec.Workers = cfg.Workers
 	}}
 }
 
@@ -266,31 +284,8 @@ func WithScenarioFile(path string) Option {
 			s.fail(fmt.Errorf("%w: scenario spec: %v", ErrInvalidConfig, err))
 			return
 		}
-		sp, err := scenario.ParseSpec(data)
-		if err != nil {
-			s.fail(fmt.Errorf("%w: %v", ErrInvalidConfig, err))
-			return
-		}
-		s.applySpec(sp)
+		WithScenarioSpec(data).apply(s)
 	}}
-}
-
-// applySpec expands a parsed scenario spec into the settings.
-func (s *settings) applySpec(sp scenario.Spec) {
-	sc, cfg, err := sp.Build()
-	if err != nil {
-		s.fail(fmt.Errorf("%w: %v", ErrInvalidConfig, err))
-		return
-	}
-	s.specN = sc.N
-	s.spec.Rounds = sc.Rounds
-	s.spec.Algorithm = string(sc.Algorithm)
-	s.spec.ScenarioName = sc.Name
-	s.spec.Events = append(s.spec.Events, sc.Events...)
-	s.spec.MaxInFlight = sc.MaxInFlight
-	s.spec.Seed = cfg.Seed
-	s.spec.PayloadBits = cfg.PayloadBits
-	s.spec.Workers = cfg.Workers
 }
 
 // RoundInfo is one executed round as streamed to a WithObserver callback:
@@ -484,8 +479,11 @@ type Report struct {
 // finished, in deterministic order; nil when the run collected no telemetry.
 func (r Report) Snapshot() []MetricSample { return r.snapshot }
 
-// fromOutcome maps the internal outcome onto the public Report.
-func fromOutcome(out run.Outcome) Report {
+// fromOutcome copies the internal result onto the public Report — the one
+// field-by-field copy between an engine and the caller (api/repro.txt pins
+// the public declarations; TestReportMirrorsTraceResult pins that neither
+// side has a field the other lacks, and that none is dropped here).
+func fromOutcome(out trace.Result) Report {
 	rep := Report{
 		Result: Result{
 			Algorithm:        out.Algorithm,
@@ -502,7 +500,7 @@ func fromOutcome(out run.Outcome) Report {
 			Informed:         out.Informed,
 			AllInformed:      out.AllInformed,
 		},
-		Engine:           out.Engine.String(),
+		Engine:           out.Engine,
 		Scenario:         out.Scenario,
 		Drops:            out.Drops,
 		UnfiredEvents:    out.UnfiredEvents,
@@ -516,9 +514,8 @@ func fromOutcome(out run.Outcome) Report {
 		RumorsExpired:    out.RumorsExpired,
 		RumorsActive:     out.RumorsActive,
 		InjectionStalls:  out.InjectionStalls,
-		snapshot:         publicSamples(out.Telemetry),
 	}
-	for _, p := range out.Result.Phases {
+	for _, p := range out.Phases {
 		rep.Result.Phases = append(rep.Result.Phases, Phase(p))
 	}
 	for _, ro := range out.Rumors {

@@ -31,7 +31,7 @@ func runSample(t *testing.T, algo string, n int, measure func(res trace.Result) 
 		if !res.AllInformed {
 			t.Errorf("%s n=%d seed=%d informed only %d/%d", algo, n, seed, res.Informed, res.Live)
 		}
-		return measure(res.Result), nil
+		return measure(res), nil
 	}
 }
 

@@ -86,9 +86,7 @@ func Cluster3(net *phonecall.Network, delta int, params Params) (*cluster.Cluste
 	}
 	rec.Mark("FinalResize")
 
-	result := trace.Summarize("cluster3", net, cl.ClusteredCount(), rec.Phases())
-	result.AllInformed = cl.ClusteredCount() == net.LiveCount()
-	return cl, result, nil
+	return cl, trace.Summarize("cluster3", net, cl.ClusteredCount(), rec.Phases()), nil
 }
 
 // DeltaClusteringStats summarizes a Θ(Δ)-clustering for verification: the

@@ -270,7 +270,7 @@ func E5DeltaTradeoff(cfg SweepConfig) (Table, error) {
 			if err != nil {
 				return Table{}, err
 			}
-			bRounds = append(bRounds, float64(broadcastPhaseRounds(res.Result)))
+			bRounds = append(bRounds, float64(broadcastPhaseRounds(res)))
 			tRounds = append(tRounds, float64(res.Rounds))
 			msgs = append(msgs, res.MessagesPerNode)
 			maxComms = append(maxComms, float64(res.MaxCommsPerRound))

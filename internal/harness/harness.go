@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/run"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // SweepConfig describes a size/seed sweep. Spec is the template every trial
@@ -40,7 +41,7 @@ func (cfg SweepConfig) spec(algo string, n int) run.Spec {
 }
 
 // execute runs one trial: the spec at the given seed.
-func execute(spec run.Spec, seed uint64) (run.Outcome, error) {
+func execute(spec run.Spec, seed uint64) (trace.Result, error) {
 	spec.Seed = seed
 	return run.Execute(context.Background(), spec)
 }

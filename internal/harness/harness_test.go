@@ -9,6 +9,7 @@ import (
 	"repro/internal/failure"
 	"repro/internal/run"
 	"repro/internal/scenario"
+	"repro/internal/trace"
 )
 
 // The TestRun* tests below pin what the tables rely on from a trial — every
@@ -16,7 +17,7 @@ import (
 // are refused, the live engines agree with the simulator — through
 // run.Execute, the only way this package reaches an engine.
 
-func exec(t *testing.T, spec run.Spec) run.Outcome {
+func exec(t *testing.T, spec run.Spec) trace.Result {
 	t.Helper()
 	out, err := run.Execute(context.Background(), spec)
 	if err != nil {
@@ -227,7 +228,7 @@ func TestRunLockStepMatchesRun(t *testing.T) {
 func TestRunFreeRunningConverges(t *testing.T) {
 	spec := run.Spec{N: 300, Seed: 4, Engine: run.EngineFreeRunning, Drop: 0.05, DropSeed: 8}
 	if out := exec(t, spec); !out.AllInformed {
-		t.Fatalf("free-running run did not converge: %+v", out.Result)
+		t.Fatalf("free-running run did not converge: %+v", out)
 	}
 	spec.Transport = "bogus"
 	if _, err := run.Execute(context.Background(), spec); err == nil {

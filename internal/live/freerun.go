@@ -172,82 +172,6 @@ type frTelemetry struct {
 	stalled        *telemetry.Gauge
 }
 
-// Report is the outcome of a free-running execution.
-type Report struct {
-	N        int
-	Live     int
-	Informed int // live nodes holding every injected rumor
-	// AllInformed reports convergence: every live node held every rumor.
-	AllInformed bool
-	// Rounds is the configured budget; MaxRound the furthest local clock.
-	Rounds   int
-	MaxRound int
-	// CompletionFrontier is the round frontier at the moment the monitor
-	// first detected convergence (0 = never converged within the budget) —
-	// the free-running analogue of a completion round. Like the scenario
-	// driver's CompletionRound, the first completion is what is recorded:
-	// later churn (a joiner arriving uninformed) does not clear it.
-	CompletionFrontier int
-	// Traffic totals, charged with the simulator's bit accounting.
-	Messages        int64
-	ControlMessages int64
-	Bits            int64
-	// MaxComms is the most communications any node participated in during
-	// one of its local rounds.
-	MaxComms int
-	// Drops counts transport-level loss injections (channel transport).
-	Drops int64
-	// SendFailures counts frames the transport's sender could not hand to
-	// the OS (UDP write errors); NodeSendFailures maps the failing sender
-	// indexes to their counts (nil when nothing failed). Zero on transports
-	// that cannot fail a send (the channel mesh).
-	SendFailures     int64
-	NodeSendFailures map[int]int64
-	// UnfiredEvents counts timeline events past the final frontier;
-	// IgnoredEvents counts events the runtime could not honor (for example a
-	// Loss event on a transport without loss injection).
-	UnfiredEvents int
-	IgnoredEvents int
-	// Rumor-stream accounting (all zero without a StreamConfig).
-	// RumorsInjected counts stream registrations; RumorsConverged the rumors
-	// GC retired because every live node held them; RumorsExpired all window
-	// reclamations; RumorsActive the rumors still in flight at the end (0 on
-	// a fully converged stream). InjectionStalls counts monitor passes where
-	// a full window stalled the injection schedule; LostInjects the
-	// injections that landed on a currently-failed node.
-	RumorsInjected  int64
-	RumorsConverged int64
-	RumorsExpired   int64
-	RumorsActive    int
-	InjectionStalls int64
-	LostInjects     int64
-	// Wall is the end-to-end execution time.
-	Wall time.Duration
-}
-
-// Trace maps the report onto the repository's common result type so live
-// runs flow through the same tables and comparisons as simulated ones.
-func (rep Report) Trace(algorithm string, seed uint64) trace.Result {
-	res := trace.Result{
-		Algorithm:        algorithm,
-		N:                rep.N,
-		Seed:             seed,
-		Rounds:           rep.MaxRound,
-		CompletionRound:  rep.CompletionFrontier,
-		Messages:         rep.Messages,
-		ControlMessages:  rep.ControlMessages,
-		Bits:             rep.Bits,
-		MaxCommsPerRound: rep.MaxComms,
-		Live:             rep.Live,
-		Informed:         rep.Informed,
-		AllInformed:      rep.AllInformed,
-	}
-	if rep.N > 0 {
-		res.MessagesPerNode = float64(rep.Messages+rep.ControlMessages) / float64(rep.N)
-	}
-	return res
-}
-
 // NewFreeRun validates the configuration and prepares a run.
 func NewFreeRun(cfg FreeRunConfig) (*FreeRun, error) {
 	if err := validateN(cfg.N); err != nil {
@@ -379,10 +303,12 @@ func NewFreeRun(cfg FreeRunConfig) (*FreeRun, error) {
 }
 
 // Run executes the workload to convergence, budget exhaustion or timeline
-// end, and returns the report. A done ctx stops every node and the monitor
-// promptly; the partial report is returned together with the context's
-// error. Run may be called once.
-func (fr *FreeRun) Run(ctx context.Context) (Report, error) {
+// end, and fills in the result: Rounds is the furthest local clock,
+// CompletionRound the frontier at which the monitor first saw convergence,
+// Informed the live nodes holding every injected rumor. A done ctx stops every
+// node and the monitor promptly; the partial result is returned together with
+// the context's error. Run may be called once.
+func (fr *FreeRun) Run(ctx context.Context) (trace.Result, error) {
 	start := time.Now()
 	if ctx != nil {
 		stopWatch := context.AfterFunc(ctx, fr.stop)
@@ -402,54 +328,57 @@ func (fr *FreeRun) Run(ctx context.Context) (Report, error) {
 		fr.tr.Close()
 	}
 
-	rep := Report{N: fr.cfg.N, Rounds: fr.cfg.Rounds, Wall: time.Since(start)}
+	res := trace.Result{
+		Algorithm:       string(fr.cfg.Algorithm),
+		N:               fr.cfg.N,
+		Seed:            fr.cfg.Seed,
+		CompletionRound: int(fr.completionAt.Load()),
+		UnfiredEvents:   len(fr.events) - fr.nextEv,
+		IgnoredEvents:   fr.ignored,
+		Wall:            time.Since(start),
+	}
+	// Traffic is charged with the simulator's bit accounting.
 	for i := 0; i < fr.cfg.N; i++ {
 		st := &fr.stats[i]
-		rep.Messages += st.msgs
-		rep.ControlMessages += st.control
-		rep.Bits += st.bits
-		if int(st.maxComms) > rep.MaxComms {
-			rep.MaxComms = int(st.maxComms)
-		}
-		if r := int(fr.roundOf[i].Load()); r > rep.MaxRound {
-			rep.MaxRound = r
-		}
+		res.Messages += st.msgs
+		res.ControlMessages += st.control
+		res.Bits += st.bits
+		res.MaxCommsPerRound = max(res.MaxCommsPerRound, int(st.maxComms))
+		res.Rounds = max(res.Rounds, int(fr.roundOf[i].Load()))
 	}
+	res.MessagesPerNode = float64(res.Messages+res.ControlMessages) / float64(res.N)
 	// With a stream, informed means "holds every still-active rumor": with the
 	// whole stream injected and GC'd, every live node is trivially informed
 	// and the stream converged.
-	rep.Live, rep.Informed, _ = fr.census()
-	rep.AllInformed = rep.Live > 0 && rep.Informed == rep.Live && fr.settled()
+	res.Live, res.Informed, _ = fr.census()
+	res.AllInformed = fr.converged(res.Live, res.Informed)
 	if fr.set != nil {
 		snap := fr.set.Snapshot()
-		rep.RumorsInjected = snap.Injected
-		rep.RumorsConverged = snap.Converged
-		rep.RumorsExpired = snap.Expired
-		rep.RumorsActive = snap.Active
-		rep.LostInjects = snap.Lost
-		rep.InjectionStalls = fr.stalls
+		res.RumorsInjected = snap.Injected
+		res.RumorsConverged = snap.Converged
+		res.RumorsExpired = snap.Expired
+		res.RumorsActive = snap.Active
+		res.LostInjects = snap.Lost
+		res.InjectionStalls = fr.stalls
 	}
-	rep.CompletionFrontier = int(fr.completionAt.Load())
-	rep.UnfiredEvents = len(fr.events) - fr.nextEv
-	rep.IgnoredEvents = fr.ignored
 	if ct, ok := fr.tr.(*ChannelTransport); ok {
-		rep.Drops = ct.Drops()
+		res.Drops = ct.Drops()
 	}
 	if sf, ok := fr.tr.(SendFailureCounter); ok {
-		rep.SendFailures = sf.SendFailures()
+		res.SendFailures = sf.SendFailures()
 		for i := 0; i < fr.cfg.N; i++ {
 			if c := sf.NodeSendFailures(i); c > 0 {
-				if rep.NodeSendFailures == nil {
-					rep.NodeSendFailures = make(map[int]int64)
+				if res.NodeSendFailures == nil {
+					res.NodeSendFailures = make(map[int]int64)
 				}
-				rep.NodeSendFailures[i] = c
+				res.NodeSendFailures[i] = c
 			}
 		}
 	}
 	if ctx != nil && ctx.Err() != nil {
-		return rep, ctx.Err()
+		return res, ctx.Err()
 	}
-	return rep, nil
+	return res, nil
 }
 
 // stop halts every node and wakes all waiters.
@@ -508,8 +437,7 @@ func (fr *FreeRun) tick() {
 			Informed: informed,
 		})
 	}
-	// Convergence: every live node holds every rumor, and no more are coming.
-	if live > 0 && informed == live && fr.settled() {
+	if fr.converged(live, informed) {
 		fr.completionAt.CompareAndSwap(0, max(frontier, 1))
 		if fr.nextEv >= len(fr.events) {
 			fr.stop()
@@ -555,11 +483,14 @@ func (fr *FreeRun) holdingsOf(i int) holdings {
 	return &fr.mask[i]
 }
 
-// settled reports that nothing more will be registered, so an all-informed
-// population has converged for good: some rumor was injected (bitmask mode),
-// or the whole stream was injected and reclaimed (stream mode — with nothing
-// active every live node is trivially informed).
-func (fr *FreeRun) settled() bool {
+// converged reports that every live node holds every rumor and no more are
+// coming, so the population has converged for good: some rumor was injected
+// (bitmask mode), or the whole stream was injected and reclaimed (stream mode
+// — with nothing active every live node is trivially informed).
+func (fr *FreeRun) converged(live, informed int) bool {
+	if !trace.Converged(live, informed) {
+		return false
+	}
 	if fr.set != nil {
 		return fr.injectNext == fr.stream.Total && fr.set.Active() == 0
 	}

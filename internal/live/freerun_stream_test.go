@@ -9,6 +9,7 @@ import (
 	"repro/internal/rumorset"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // TestStreamConverges is the rumor-stream smoke test: a modest stream on the
@@ -37,7 +38,7 @@ func TestStreamConverges(t *testing.T) {
 	if rep.RumorsActive != 0 {
 		t.Fatalf("%d rumors still active at the end: %+v", rep.RumorsActive, rep)
 	}
-	if !rep.AllInformed || rep.CompletionFrontier == 0 {
+	if !rep.AllInformed || rep.CompletionRound == 0 {
 		t.Fatalf("stream did not complete: %+v", rep)
 	}
 	if rep.Messages == 0 || rep.Bits == 0 {
@@ -104,7 +105,7 @@ func TestStreamSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	type outcome struct {
-		rep Report
+		rep trace.Result
 		err error
 	}
 	done := make(chan outcome, 1)
@@ -112,7 +113,7 @@ func TestStreamSoak(t *testing.T) {
 		rep, err := fr.Run(context.Background())
 		done <- outcome{rep, err}
 	}()
-	var rep Report
+	var rep trace.Result
 	select {
 	case o := <-done:
 		if o.err != nil {
@@ -131,7 +132,7 @@ func TestStreamSoak(t *testing.T) {
 	if rep.InjectionStalls == 0 {
 		t.Fatalf("window never filled — the soak did not sustain %d concurrent rumors: %+v", window, rep)
 	}
-	if !rep.AllInformed || rep.CompletionFrontier == 0 {
+	if !rep.AllInformed || rep.CompletionRound == 0 {
 		t.Fatalf("soak did not complete: %+v", rep)
 	}
 	if rep.Drops == 0 {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // TestFreeRunInformsAllUnderDrop is the free-running acceptance gate: 1000
@@ -36,7 +37,7 @@ func TestFreeRunInformsAllUnderDrop(t *testing.T) {
 	if !rep.AllInformed {
 		t.Fatalf("not all live nodes informed: %+v", rep)
 	}
-	if rep.CompletionFrontier == 0 {
+	if rep.CompletionRound == 0 {
 		t.Fatalf("completion monitor never fired: %+v", rep)
 	}
 	if rep.Drops == 0 {
@@ -45,9 +46,8 @@ func TestFreeRunInformsAllUnderDrop(t *testing.T) {
 	if rep.Messages == 0 || rep.Bits == 0 {
 		t.Fatalf("no traffic accounted: %+v", rep)
 	}
-	res := rep.Trace("free-push-pull", 7)
-	if res.N != 1000 || !res.AllInformed || res.CompletionRound != rep.CompletionFrontier {
-		t.Fatalf("trace mapping broken: %+v", res)
+	if rep.N != 1000 || rep.Seed != 7 || rep.Algorithm != "push-pull" || rep.Rounds < rep.CompletionRound {
+		t.Fatalf("result header broken: %+v", rep)
 	}
 }
 
@@ -110,8 +110,8 @@ func TestFreeRunReviveDiscardsDeadBacklog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.MaxComms > 10 {
-		t.Fatalf("revived node processed its dead-period backlog: Δ=%d (%+v)", rep.MaxComms, rep)
+	if rep.MaxCommsPerRound > 10 {
+		t.Fatalf("revived node processed its dead-period backlog: Δ=%d (%+v)", rep.MaxCommsPerRound, rep)
 	}
 }
 
@@ -190,7 +190,7 @@ func TestFreeRunLateEventsDoNotHang(t *testing.T) {
 		t.Fatal(err)
 	}
 	type outcome struct {
-		rep Report
+		rep trace.Result
 		err error
 	}
 	done := make(chan outcome, 1)

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/phonecall"
 	"repro/internal/scenario"
+	"repro/internal/trace"
 )
 
 // Scenario differential: run a dynamic-network scenario through the real
@@ -61,12 +62,12 @@ func (t *refTracker) liveInformed(r phonecall.RumorID) int {
 
 // informedCounts mirrors the driver's per-phase snapshot: every registered
 // rumor in ascending ID order with its live-informed count.
-func (t *refTracker) informedCounts() []scenario.RumorCount {
-	var out []scenario.RumorCount
+func (t *refTracker) informedCounts() []trace.RumorCount {
+	var out []trace.RumorCount
 	for id := 0; id < phonecall.MaxRumors; id++ {
 		if t.used&(1<<id) != 0 {
 			r := phonecall.RumorID(id)
-			out = append(out, scenario.RumorCount{Rumor: r, LiveInformed: t.liveInformed(r)})
+			out = append(out, trace.RumorCount{Rumor: r, LiveInformed: t.liveInformed(r)})
 		}
 	}
 	return out
@@ -226,14 +227,14 @@ func (p *refProtocol) deliver(i int, inbox []phonecall.Message) {
 // referenceScenarioRun replays the scenario driver's execution loop — phase
 // windows, event application, completion detection, final outcome assembly —
 // on the reference engine and tracker.
-func referenceScenarioRun(sc scenario.Scenario, cfg scenario.Config) (scenario.Result, error) {
+func referenceScenarioRun(sc scenario.Scenario, cfg scenario.Config) (trace.Result, error) {
 	algo := sc.Algorithm
 	if algo == "" {
 		algo = scenario.AlgoPushPull
 	}
 	o, err := New(phonecall.Config{N: sc.N, Seed: cfg.Seed, PayloadBits: cfg.PayloadBits})
 	if err != nil {
-		return scenario.Result{}, err
+		return trace.Result{}, err
 	}
 	tr := &refTracker{o: o, held: make([]uint64, sc.N), behav: make([]phonecall.Behavior, sc.N)}
 	proto := &refProtocol{
@@ -245,27 +246,27 @@ func referenceScenarioRun(sc scenario.Scenario, cfg scenario.Config) (scenario.R
 	events := append([]scenario.Event(nil), sc.Events...)
 	sort.SliceStable(events, func(i, j int) bool { return events[i].EventRound() < events[j].EventRound() })
 
-	res := scenario.Result{Scenario: sc.Name, Algorithm: algo, N: sc.N, Seed: cfg.Seed, Rounds: sc.Rounds}
+	res := trace.Result{Scenario: sc.Name, Algorithm: string(algo), N: sc.N, Seed: cfg.Seed, Rounds: sc.Rounds}
 	var injectRound, completionRound [phonecall.MaxRumors]int
 
 	next := 0
-	cur := scenario.PhaseReport{FromRound: 1}
+	cur := trace.PhaseReport{FromRound: 1}
 	closePhase := func(to int) {
 		cur.ToRound = to
 		cur.Live = o.LiveCount()
 		cur.Informed = tr.informedCounts()
-		res.Phases = append(res.Phases, cur)
+		res.ScenarioPhases = append(res.ScenarioPhases, cur)
 	}
 
 	for r := 1; r <= sc.Rounds; r++ {
 		if next < len(events) && events[next].EventRound() <= r && r > cur.FromRound {
 			closePhase(r - 1)
-			cur = scenario.PhaseReport{FromRound: r}
+			cur = trace.PhaseReport{FromRound: r}
 		}
 		for next < len(events) && events[next].EventRound() <= r {
 			ev := events[next]
 			if err := applyEvent(o, tr, ev); err != nil {
-				return scenario.Result{}, err
+				return trace.Result{}, err
 			}
 			if inj, ok := ev.(scenario.InjectRumor); ok && injectRound[inj.Rumor] == 0 {
 				injectRound[inj.Rumor] = r
@@ -300,8 +301,11 @@ func referenceScenarioRun(sc scenario.Scenario, cfg scenario.Config) (scenario.R
 	res.Bits = m.Bits
 	res.MessagesPerNode = m.MessagesPerNode()
 	res.MaxCommsPerRound = m.MaxCommsPerRound
-	for _, rc := range tr.informedCounts() {
-		out := scenario.RumorOutcome{
+	// The run-level outcome, recomputed from the per-rumor ones: the worst
+	// spread, and the last completion when every rumor completed.
+	allComplete := false
+	for k, rc := range tr.informedCounts() {
+		out := trace.RumorOutcome{
 			Rumor:           rc.Rumor,
 			InjectRound:     injectRound[rc.Rumor],
 			LiveInformed:    rc.LiveInformed,
@@ -311,6 +315,16 @@ func referenceScenarioRun(sc scenario.Scenario, cfg scenario.Config) (scenario.R
 			out.LiveFraction = float64(rc.LiveInformed) / float64(res.Live)
 		}
 		res.Rumors = append(res.Rumors, out)
+		if k == 0 {
+			res.Informed, allComplete = out.LiveInformed, true
+		}
+		res.Informed = min(res.Informed, out.LiveInformed)
+		allComplete = allComplete && out.CompletionRound > 0
+		res.CompletionRound = max(res.CompletionRound, out.CompletionRound)
 	}
+	if !allComplete {
+		res.CompletionRound = 0
+	}
+	res.AllInformed = res.Live > 0 && (allComplete || res.Informed == res.Live)
 	return res, nil
 }

@@ -138,7 +138,7 @@ func (s Spec) transport() (live.Transport, error) {
 // spec (the conformance guarantee of internal/live). A done ctx aborts
 // between rounds; the lock-step node goroutines are torn down before the
 // error returns.
-func runClosed(ctx context.Context, s Spec) (Outcome, error) {
+func runClosed(ctx context.Context, s Spec) (trace.Result, error) {
 	cfg := phonecall.Config{N: s.N, Seed: s.Seed, PayloadBits: s.PayloadBits}
 	if s.Engine == EngineSimulator {
 		cfg.Workers = s.Workers
@@ -148,30 +148,30 @@ func runClosed(ctx context.Context, s Spec) (Outcome, error) {
 	}
 	net, err := phonecall.New(cfg)
 	if err != nil {
-		return Outcome{}, fmt.Errorf("run: %w", err)
+		return trace.Result{}, fmt.Errorf("run: %w", err)
 	}
 	var ls *live.LockStep
 	if s.Engine == EngineLockStep {
 		tr, err := s.transport()
 		if err != nil {
-			return Outcome{}, err
+			return trace.Result{}, err
 		}
 		defer tr.Close()
 		if ls, err = live.NewLockStep(net, tr); err != nil {
-			return Outcome{}, err
+			return trace.Result{}, err
 		}
 		defer ls.Close()
 	}
 	res, err := runOnNetwork(ctx, net, s)
 	if err != nil {
-		return Outcome{}, err
+		return trace.Result{}, err
 	}
 	if ls != nil {
 		if err := ls.Err(); err != nil {
-			return Outcome{}, fmt.Errorf("run: live runtime: %w", err)
+			return trace.Result{}, fmt.Errorf("run: live runtime: %w", err)
 		}
 	}
-	return Outcome{Result: res, Engine: s.Engine}, nil
+	return res, nil
 }
 
 // runOnNetwork applies the spec's topology, observers, adversary, loss and
@@ -184,11 +184,9 @@ func runOnNetwork(ctx context.Context, net *phonecall.Network, s Spec) (res trac
 	if _, err := policy.Install(net, s.Topology, s.Policy); err != nil {
 		return trace.Result{}, fmt.Errorf("run: %w", err)
 	}
-	if obs := s.tap.engineObserver(); obs != nil {
-		if b, ok := obs.(phonecall.NetworkBinder); ok {
-			b.BindNetwork(net)
-		}
-		net.Observe(obs)
+	if s.tap != nil {
+		s.tap.BindNetwork(net)
+		net.Observe(s.tap)
 	}
 	adv, events := s.failureEvents()
 	if adv != nil {
@@ -229,7 +227,7 @@ func runOnNetwork(ctx context.Context, net *phonecall.Network, s Spec) (res trac
 
 // runScenario executes a multi-rumor timeline with the steppable protocols on
 // the simulator's scenario driver.
-func runScenario(ctx context.Context, s Spec) (Outcome, error) {
+func runScenario(ctx context.Context, s Spec) (trace.Result, error) {
 	sc := scenario.Scenario{
 		Name:        s.ScenarioName,
 		N:           s.N,
@@ -246,59 +244,7 @@ func runScenario(ctx context.Context, s Spec) (Outcome, error) {
 		Topology:    s.Topology,
 		Policy:      s.Policy,
 	}
-	res, err := scenario.Run(ctx, sc, cfg)
-	if err != nil {
-		return Outcome{}, err
-	}
-	return scenarioOutcome(res), nil
-}
-
-// scenarioOutcome maps a scenario result onto the unified Outcome. Informed
-// counts live nodes holding the worst-spread rumor; AllInformed means every
-// rumor reached every live node; CompletionRound is the last rumor's
-// completion round when all completed, 0 otherwise.
-func scenarioOutcome(res scenario.Result) Outcome {
-	out := Outcome{
-		Result: trace.Result{
-			Algorithm:        string(res.Algorithm),
-			N:                res.N,
-			Seed:             res.Seed,
-			Rounds:           res.Rounds,
-			Messages:         res.Messages,
-			ControlMessages:  res.ControlMessages,
-			Bits:             res.Bits,
-			MessagesPerNode:  res.MessagesPerNode,
-			MaxCommsPerRound: res.MaxCommsPerRound,
-			Live:             res.Live,
-		},
-		Scenario:       res.Scenario,
-		Rumors:         res.Rumors,
-		ScenarioPhases: res.Phases,
-		LostInjects:    res.LostInjects,
-		RumorsExpired:  res.RumorsExpired,
-		Engine:         EngineSimulator,
-	}
-	worst := -1
-	completion := 0
-	allComplete := len(res.Rumors) > 0
-	for _, ro := range res.Rumors {
-		if worst < 0 || ro.LiveInformed < worst {
-			worst = ro.LiveInformed
-		}
-		if ro.CompletionRound == 0 {
-			allComplete = false
-		} else if ro.CompletionRound > completion {
-			completion = ro.CompletionRound
-		}
-	}
-	if worst >= 0 {
-		out.Informed = worst
-	}
-	out.AllInformed = allComplete || (len(res.Rumors) > 0 && out.Informed == res.Live)
-	if allComplete {
-		out.CompletionRound = completion
-	}
-	return out
+	return scenario.Run(ctx, sc, cfg)
 }
 
 // freeBudget is the free-running per-node round budget: Spec.Rounds, or a
@@ -325,23 +271,22 @@ func (s Spec) freeBudget() int {
 // completion monitor, timeline events fired as the round frontier passes
 // them. A done ctx stops every node goroutine promptly and returns the
 // context's error.
-func runFree(ctx context.Context, s Spec) (Outcome, error) {
+func runFree(ctx context.Context, s Spec) (trace.Result, error) {
 	sel, err := policy.Compile(s.N, s.Seed, s.Topology, s.Policy)
 	if err != nil {
-		return Outcome{}, fmt.Errorf("run: %w", err)
+		return trace.Result{}, fmt.Errorf("run: %w", err)
 	}
 	tr, err := s.transport()
 	if err != nil {
-		return Outcome{}, err
+		return trace.Result{}, err
 	}
 	defer tr.Close()
-	algo := s.workloadAlgo()
 	cfg := live.FreeRunConfig{
 		N:           s.N,
 		Seed:        s.Seed,
 		Rounds:      s.freeBudget(),
 		MaxSkew:     s.MaxSkew,
-		Algorithm:   scenario.Algorithm(algo),
+		Algorithm:   scenario.Algorithm(s.workloadAlgo()),
 		PayloadBits: s.PayloadBits,
 		Events:      s.steppableEvents(),
 		Transport:   tr,
@@ -360,27 +305,12 @@ func runFree(ctx context.Context, s Spec) (Outcome, error) {
 	}
 	fr, err := live.NewFreeRun(cfg)
 	if err != nil {
-		return Outcome{}, err
+		return trace.Result{}, err
 	}
-	rep, err := fr.Run(ctx)
+	res, err := fr.Run(ctx)
 	if err != nil {
-		return Outcome{}, err
+		return trace.Result{}, err
 	}
-	recordSendFailures(s.Telemetry, rep.NodeSendFailures)
-	return Outcome{
-		Result:           rep.Trace(algo, s.Seed),
-		Drops:            rep.Drops,
-		UnfiredEvents:    rep.UnfiredEvents,
-		IgnoredEvents:    rep.IgnoredEvents,
-		Wall:             rep.Wall,
-		SendFailures:     rep.SendFailures,
-		NodeSendFailures: rep.NodeSendFailures,
-		LostInjects:      rep.LostInjects,
-		RumorsInjected:   rep.RumorsInjected,
-		RumorsConverged:  rep.RumorsConverged,
-		RumorsExpired:    rep.RumorsExpired,
-		RumorsActive:     rep.RumorsActive,
-		InjectionStalls:  rep.InjectionStalls,
-		Engine:           EngineFreeRunning,
-	}, nil
+	recordSendFailures(s.Telemetry, res.NodeSendFailures)
+	return res, nil
 }

@@ -1,9 +1,10 @@
 // Package run is the execution layer behind the public repro facade and the
 // experiment tables: one validated Spec describing a gossip execution, one
-// Execute that builds and drives the engine for it, one Outcome coming back.
+// Execute that builds and drives the engine for it, and the trace.Result that
+// engine filled coming back as it is.
 //
 //	spec := run.Spec{N: 100000, Algorithm: "cluster2", Seed: 7}
-//	out, err := run.Execute(ctx, spec)
+//	res, err := run.Execute(ctx, spec)
 //
 // The engine is selected by Spec.Engine (simulator, lock-step, free-running)
 // and the workload by the spec's shape: a timeline that injects rumors runs
@@ -27,7 +28,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/phonecall"
 	"repro/internal/policy"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
@@ -187,90 +187,39 @@ type Spec struct {
 	// Execute after the run completes.
 	TraceWriter io.Writer
 
-	// tap is the composed observability fan-out Execute builds from the three
-	// fields above; the engine functions read it, frontends never set it.
+	// tap is the observer Execute builds for the three fields above; the
+	// engine functions read it, frontends never set it.
 	tap *tap
-}
-
-// Outcome is the unified result of one execution: the repository's common
-// trace.Result plus the workload-specific extras that engine produced.
-type Outcome struct {
-	trace.Result
-
-	// Scenario, Rumors and ScenarioPhases are filled by multi-rumor scenario
-	// runs: the scenario's name, the per-rumor outcomes and the per-phase
-	// trace.
-	Scenario       string
-	Rumors         []scenario.RumorOutcome
-	ScenarioPhases []scenario.PhaseReport
-
-	// Free-running extras: transport-level frame drops, timeline events that
-	// never fired or could not be honored, and the wall-clock time.
-	Drops         int64
-	UnfiredEvents int
-	IgnoredEvents int
-	Wall          time.Duration
-
-	// SendFailures counts sends the OS refused (free-running UDP transport
-	// only); NodeSendFailures breaks them down per sending node and is nil
-	// when nothing failed.
-	SendFailures     int64
-	NodeSendFailures map[int]int64
-
-	// Rumor-set extras (wide simulator runs and free-running streams).
-	// LostInjects counts injections at failed nodes whose rumor never reached
-	// a live node; RumorsExpired counts converged rumors the GC retired.
-	// The remaining fields are stream-only: totals over the stream's life,
-	// the rumors still active when the run stopped (0 on a drained stream),
-	// and how many monitor ticks injection spent stalled on a full window.
-	LostInjects     int64
-	RumorsInjected  int64
-	RumorsConverged int64
-	RumorsExpired   int64
-	RumorsActive    int
-	InjectionStalls int64
-
-	// Telemetry is the registry snapshot taken when the run finished, for
-	// specs that set Spec.Telemetry; nil otherwise.
-	Telemetry []telemetry.Sample
-
-	// Engine records which substrate executed the run.
-	Engine Engine
 }
 
 // Execute validates the spec, runs it on the engine and workload it selects,
 // and feeds the spec's observability consumers. This is the single entry
 // point every frontend (the public facade, the CLIs, the experiment tables)
 // goes through.
-func Execute(ctx context.Context, spec Spec) (Outcome, error) {
+func Execute(ctx context.Context, spec Spec) (trace.Result, error) {
 	if err := spec.Validate(); err != nil {
-		return Outcome{}, err
+		return trace.Result{}, err
 	}
 	spec.tap = newTap(spec)
 	spec.tap.writeHeader(spec)
-	var out Outcome
+	var res trace.Result
 	var err error
 	switch {
 	case spec.Engine == EngineFreeRunning:
-		out, err = runFree(ctx, spec)
+		res, err = runFree(ctx, spec)
 	case spec.multiRumor():
-		out, err = runScenario(ctx, spec)
+		res, err = runScenario(ctx, spec)
 	default:
-		out, err = runClosed(ctx, spec)
+		res, err = runClosed(ctx, spec)
 	}
 	if err != nil {
-		return Outcome{}, err
+		return trace.Result{}, err
 	}
-	spec.tap.writeSummary(out)
-	if t := spec.tap; t != nil && t.tw != nil {
-		if werr := t.tw.Err(); werr != nil {
-			return Outcome{}, fmt.Errorf("run: trace export: %w", werr)
-		}
+	res.Engine = spec.Engine.String()
+	if err := spec.tap.writeSummary(res); err != nil {
+		return trace.Result{}, fmt.Errorf("run: trace export: %w", err)
 	}
-	if spec.Telemetry != nil {
-		out.Telemetry = spec.Telemetry.Snapshot()
-	}
-	return out, nil
+	return res, nil
 }
 
 // multiRumor reports whether the timeline selects the steppable multi-rumor
@@ -484,31 +433,4 @@ func (s Spec) validateEngine() error {
 		return invalidf("unknown engine %v", s.Engine)
 	}
 	return nil
-}
-
-// roundTap adapts a run Observer to the engine's RoundObserver seam. The
-// network reference arrives through BindNetwork (phonecall.NetworkBinder)
-// from whichever driver constructs the network.
-type roundTap struct {
-	fn  Observer
-	net *phonecall.Network
-}
-
-func (t *roundTap) BindNetwork(net *phonecall.Network)                  { t.net = net }
-func (t *roundTap) BeginRound(round int, info phonecall.RoundInfo)      {}
-func (t *roundTap) ObserveIntent(i int, it phonecall.Intent)            {}
-func (t *roundTap) ObserveResponse(i int, m phonecall.Message, ok bool) {}
-func (t *roundTap) ObserveDeliver(i int, inbox []phonecall.Message)     {}
-
-func (t *roundTap) EndRound(rep phonecall.RoundReport) {
-	st := RoundStats{
-		Round:    rep.Round,
-		Messages: rep.Messages,
-		Bits:     rep.Bits,
-		MaxComms: rep.MaxComms,
-	}
-	if t.net != nil {
-		st.Live = t.net.LiveCount()
-	}
-	t.fn(st)
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -265,29 +266,58 @@ func TestScenarioCancel(t *testing.T) {
 	}
 }
 
-// TestEngineAgreement pins the lock-step conformance guarantee through the
-// unified layer: identical Outcome.Result on both synchronous engines.
+// TestEngineAgreement pins what the engines must agree on through the
+// unified layer: identical results on both synchronous engines, and one
+// answer to "all informed" when a crash wave empties the population — the
+// closed algorithms, the scenario driver on either ledger and the
+// free-running runtime each fill the same trace.Result, and none of them may
+// call a run with nobody left alive converged.
 func TestEngineAgreement(t *testing.T) {
-	base := Spec{N: 600, Algorithm: "cluster2", Seed: 5, Workers: 1}
-	sim, err := Execute(context.Background(), base)
-	if err != nil {
-		t.Fatal(err)
+	t.Run("sim equals lock-step", func(t *testing.T) {
+		base := Spec{N: 600, Algorithm: "cluster2", Seed: 5, Workers: 1}
+		sim, err := Execute(context.Background(), base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lockSpec := base
+		lockSpec.Workers = 0
+		lockSpec.Engine = EngineLockStep
+		lock, err := Execute(context.Background(), lockSpec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sim.Engine != "simulator" || lock.Engine != "lock-step" {
+			t.Fatalf("engines mislabeled: %v vs %v", sim.Engine, lock.Engine)
+		}
+		sim.Engine = lock.Engine
+		if !reflect.DeepEqual(sim, lock) {
+			t.Fatalf("sim and lock-step diverge:\n%+v\n%+v", sim, lock)
+		}
+	})
+
+	const n = 64
+	everyone := make([]int, n)
+	for i := range everyone {
+		everyone[i] = i
 	}
-	lockSpec := base
-	lockSpec.Workers = 0
-	lockSpec.Engine = EngineLockStep
-	lock, err := Execute(context.Background(), lockSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sim.Engine != EngineSimulator || lock.Engine != EngineLockStep {
-		t.Fatalf("engines mislabeled: %v vs %v", sim.Engine, lock.Engine)
-	}
-	sim.Engine = lock.Engine
-	a, b := sim.Result, lock.Result
-	if a.Rounds != b.Rounds || a.Messages != b.Messages || a.Bits != b.Bits ||
-		a.Informed != b.Informed || a.MaxCommsPerRound != b.MaxCommsPerRound {
-		t.Fatalf("sim and lock-step diverge:\n%+v\n%+v", a, b)
+	crash := scenario.CrashAt{At: 3, Nodes: everyone}
+	for name, spec := range map[string]Spec{
+		"crash everyone/closed":       {Events: []scenario.Event{crash}},
+		"crash everyone/scenario":     {Events: []scenario.Event{inject, crash}, Rounds: 12},
+		"crash everyone/scenario set": {Events: []scenario.Event{inject, crash}, Rounds: 12, MaxInFlight: 4},
+		"crash everyone/free-running": {Events: []scenario.Event{inject, crash}, Rounds: 12, Engine: EngineFreeRunning},
+	} {
+		t.Run(name, func(t *testing.T) {
+			spec.N, spec.Algorithm, spec.Seed = n, "push-pull", 1
+			res, err := Execute(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Live != 0 || res.AllInformed {
+				t.Fatalf("live %d informed %d all-informed %v: an emptied population must not read as converged",
+					res.Live, res.Informed, res.AllInformed)
+			}
+		})
 	}
 }
 
@@ -318,8 +348,8 @@ func TestObserverStreamsEveryRound(t *testing.T) {
 	}
 }
 
-// TestFreeRunnerOutcome smoke-tests the free-running mapping: convergence,
-// engine label, frontier observer ticks.
+// TestFreeRunnerOutcome smoke-tests what the free-running runtime fills in:
+// the header Execute's callers rely on, convergence, frontier observer ticks.
 func TestFreeRunnerOutcome(t *testing.T) {
 	ticks := 0
 	out, err := Execute(context.Background(), Spec{
@@ -331,19 +361,22 @@ func TestFreeRunnerOutcome(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Engine != EngineFreeRunning {
-		t.Fatalf("engine = %v", out.Engine)
+	if out.Engine != "free-running" || out.Algorithm != "push-pull" || out.N != 300 || out.Seed != 4 {
+		t.Fatalf("result header = %q %q n=%d seed=%d", out.Engine, out.Algorithm, out.N, out.Seed)
 	}
-	if !out.AllInformed {
-		t.Fatalf("free run did not converge: %+v", out.Result)
+	if !out.AllInformed || out.Informed != out.Live || out.CompletionRound == 0 || out.CompletionRound > out.Rounds {
+		t.Fatalf("free run did not converge: %+v", out)
+	}
+	if want := float64(out.Messages+out.ControlMessages) / 300; out.MessagesPerNode != want || out.Wall <= 0 {
+		t.Fatalf("msgs/node = %v want %v, wall %v", out.MessagesPerNode, want, out.Wall)
 	}
 	if ticks == 0 {
 		t.Fatal("frontier observer never ticked")
 	}
 }
 
-// TestScenarioOutcomeMapping checks the multi-rumor mapping: rumors, phases,
-// worst-rumor informedness and completion.
+// TestScenarioOutcomeMapping checks what the scenario driver fills in:
+// rumors, phases, worst-rumor informedness and last-rumor completion.
 func TestScenarioOutcomeMapping(t *testing.T) {
 	out, err := Execute(context.Background(), Spec{
 		N:         800,
@@ -368,8 +401,14 @@ func TestScenarioOutcomeMapping(t *testing.T) {
 	if !out.AllInformed || out.CompletionRound == 0 {
 		t.Fatalf("both rumors should complete at n=800 within 40 rounds: %+v", out)
 	}
+	if want := max(out.Rumors[0].CompletionRound, out.Rumors[1].CompletionRound); out.CompletionRound != want {
+		t.Fatalf("completion round %d, want the last rumor's %d", out.CompletionRound, want)
+	}
 	if out.Informed != out.Live {
 		t.Fatalf("informed %d want live %d", out.Informed, out.Live)
+	}
+	if out.Engine != "simulator" || out.Algorithm != "push-pull" || out.Rounds != 40 {
+		t.Fatalf("result header = %q %q rounds=%d", out.Engine, out.Algorithm, out.Rounds)
 	}
 }
 
@@ -402,10 +441,10 @@ func TestScenarioObservabilityOnBothLedgers(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !out.AllInformed || out.Informed != n {
-				t.Fatalf("run did not converge: %+v", out.Result)
+				t.Fatalf("run did not converge: %+v", out)
 			}
 			got := map[string]float64{}
-			for _, s := range out.Telemetry {
+			for _, s := range reg.Snapshot() {
 				got[s.ID()] = s.Value
 			}
 			if v, ok := got["repro_informed_nodes"]; !ok || v != float64(out.Informed) {

@@ -3,32 +3,37 @@ package run
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
 	"repro/internal/live"
 	"repro/internal/phonecall"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
-// This file is the run layer's observability tap: the one place that composes
-// the optional per-run consumers — the user's Observer, the telemetry
-// registry, and the JSONL trace writer — onto the engines' existing seams
-// (phonecall.Observe for the barriered engines, OnFrontier plus the send-path
-// counters for free-running). A spec with none of the three builds no tap at
-// all, so the telemetry-off path installs no observer and stays on the
-// engines' zero-allocation round loop.
+// This file is the run layer's observability tap: the one observer that sits
+// on the engines' seams (phonecall.Observe for the barriered engines,
+// OnFrontier for free-running) and feeds the optional per-run consumers — the
+// user's Observer, the telemetry registry, the JSONL trace writer. A spec with
+// none of the three builds no tap at all, so the telemetry-off path installs
+// no observer and stays on the engines' zero-allocation round loop.
 
-// tap composes the per-run consumers for one execution.
+// tap is the observer of one execution. On the barriered engines it is the
+// phonecall.RoundObserver: it binds the network (and, on rumor-tracking runs,
+// the holdings) once, times the round once, and builds one round record per
+// EndRound that every consumer reads.
 type tap struct {
-	engine Engine
-	algo   string
+	algo string
 
-	userObs *roundTap        // Spec.Observer, nil when unset
-	tel     *engineTelemetry // barriered engines only
-	reg     *telemetry.Registry
-	tw      *traceWriter
+	fn  Observer            // Spec.Observer, nil when unset
+	ins *instruments        // barriered engines with a registry
+	reg *telemetry.Registry // nil when unset
+	tw  *traceWriter        // nil when unset
+
+	net      *phonecall.Network
+	holdings phonecall.Holdings
+	begin    time.Time
 }
 
 // newTap builds the tap for a validated spec, or nil when the spec opts into
@@ -37,47 +42,84 @@ func newTap(s Spec) *tap {
 	if s.Observer == nil && s.Telemetry == nil && s.TraceWriter == nil {
 		return nil
 	}
-	t := &tap{engine: s.Engine, algo: s.workloadAlgo(), reg: s.Telemetry}
-	if s.Observer != nil {
-		t.userObs = &roundTap{fn: s.Observer}
-	}
+	t := &tap{algo: s.workloadAlgo(), fn: s.Observer, reg: s.Telemetry}
 	if s.TraceWriter != nil {
-		t.tw = newTraceWriter(s.TraceWriter)
+		t.tw = &traceWriter{enc: json.NewEncoder(s.TraceWriter)}
 	}
 	if s.Telemetry != nil && s.Engine != EngineFreeRunning {
-		t.tel = newEngineTelemetry(s.Telemetry, t.algo, s.Engine.String())
+		t.ins = newInstruments(s.Telemetry, t.algo, s.Engine.String())
 	}
 	return t
 }
 
-// engineObserver returns the composed RoundObserver for the barriered engines
-// (nil when no consumer needs one).
+// engineObserver returns the tap as the barriered engines' RoundObserver —
+// nil, not a typed-nil interface, when the spec built none.
 func (t *tap) engineObserver() phonecall.RoundObserver {
 	if t == nil {
 		return nil
 	}
-	var parts []phonecall.RoundObserver
-	if t.userObs != nil {
-		parts = append(parts, t.userObs)
-	}
-	if t.tel != nil {
-		parts = append(parts, t.tel)
-	}
-	if t.tw != nil {
-		parts = append(parts, &traceObserver{tw: t.tw})
-	}
-	switch len(parts) {
-	case 0:
-		return nil
-	case 1:
-		return parts[0]
-	default:
-		return &multiObserver{parts: parts}
+	return t
+}
+
+// BindNetwork implements phonecall.NetworkBinder.
+func (t *tap) BindNetwork(net *phonecall.Network) {
+	t.net = net
+	if t.ins != nil {
+		t.ins.bindNetwork(net)
 	}
 }
 
-// onFrontier returns the free-running frontier callback feeding every
-// consumer, or nil when none listens.
+// BindHoldings implements phonecall.HoldingsBinder. Only rumor-tracking
+// drivers (the scenario driver, on either holdings representation) have a
+// ledger to bind; without one the round record's Informed stays -1.
+func (t *tap) BindHoldings(h phonecall.Holdings) {
+	t.holdings = h
+	if t.ins != nil {
+		t.ins.bindHoldings()
+	}
+}
+
+// BeginRound implements phonecall.RoundObserver (coordinator goroutine).
+func (t *tap) BeginRound(round int, info phonecall.RoundInfo) { t.begin = time.Now() }
+
+// The per-node observer methods run on shard goroutines; the tap reads
+// nothing per node.
+func (t *tap) ObserveIntent(i int, it phonecall.Intent)            {}
+func (t *tap) ObserveResponse(i int, m phonecall.Message, ok bool) {}
+func (t *tap) ObserveDeliver(i int, inbox []phonecall.Message)     {}
+
+// EndRound implements phonecall.RoundObserver: build the round's record and
+// hand it to every consumer. Coordinator goroutine.
+func (t *tap) EndRound(rep phonecall.RoundReport) {
+	rec := traceRoundRecord{
+		Type:       "round",
+		Round:      rep.Round,
+		Live:       t.net.LiveCount(),
+		Messages:   rep.Messages,
+		Bits:       rep.Bits,
+		MaxComms:   rep.MaxComms,
+		Informed:   -1,
+		Corrupted:  t.net.CorruptedCount(),
+		DurationNs: time.Since(t.begin).Nanoseconds(),
+	}
+	if t.holdings != nil {
+		rec.Informed = t.holdings.WorstSpread()
+	}
+	if t.fn != nil {
+		t.fn(RoundStats{Round: rec.Round, Live: rec.Live, Messages: rec.Messages, Bits: rec.Bits, MaxComms: rec.MaxComms})
+	}
+	if t.ins != nil {
+		t.ins.record(rec, t.net, t.holdings)
+	}
+	if t.tw != nil {
+		t.tw.write(rec)
+	}
+}
+
+// onFrontier returns the free-running frontier callback feeding the same
+// consumers, or nil without a tap. There is no global round there, so the
+// callback sees the frontier as Round with zero traffic, the registry gets the
+// frontier gauges and the trace a "frontier" record.
 func (t *tap) onFrontier() func(live.FrontierInfo) {
 	if t == nil {
 		return nil
@@ -89,14 +131,11 @@ func (t *tap) onFrontier() func(live.FrontierInfo) {
 		liveNodes = t.reg.Gauge("repro_live_nodes")
 		informed = t.reg.Gauge("repro_informed_nodes")
 	}
-	if t.userObs == nil && t.reg == nil && t.tw == nil {
-		return nil
-	}
 	return func(fi live.FrontierInfo) {
-		if t.userObs != nil {
-			t.userObs.fn(RoundStats{Round: fi.Frontier, Live: fi.Live})
+		if t.fn != nil {
+			t.fn(RoundStats{Round: fi.Frontier, Live: fi.Live})
 		}
-		if frontier != nil {
+		if t.reg != nil {
 			frontier.Set(int64(fi.Frontier))
 			skew.Set(int64(fi.MaxRound - fi.Frontier))
 			liveNodes.Set(int64(fi.Live))
@@ -126,58 +165,6 @@ func recordSendFailures(reg *telemetry.Registry, nodeFails map[int]int64) {
 	}
 }
 
-// multiObserver fans one engine observer stream out to several consumers,
-// forwarding the optional binder interfaces too.
-type multiObserver struct {
-	parts []phonecall.RoundObserver
-}
-
-func (m *multiObserver) BindNetwork(net *phonecall.Network) {
-	for _, p := range m.parts {
-		if b, ok := p.(phonecall.NetworkBinder); ok {
-			b.BindNetwork(net)
-		}
-	}
-}
-
-func (m *multiObserver) BindHoldings(h phonecall.Holdings) {
-	for _, p := range m.parts {
-		if b, ok := p.(phonecall.HoldingsBinder); ok {
-			b.BindHoldings(h)
-		}
-	}
-}
-
-func (m *multiObserver) BeginRound(round int, info phonecall.RoundInfo) {
-	for _, p := range m.parts {
-		p.BeginRound(round, info)
-	}
-}
-
-func (m *multiObserver) ObserveIntent(i int, it phonecall.Intent) {
-	for _, p := range m.parts {
-		p.ObserveIntent(i, it)
-	}
-}
-
-func (m *multiObserver) ObserveResponse(i int, msg phonecall.Message, ok bool) {
-	for _, p := range m.parts {
-		p.ObserveResponse(i, msg, ok)
-	}
-}
-
-func (m *multiObserver) ObserveDeliver(i int, inbox []phonecall.Message) {
-	for _, p := range m.parts {
-		p.ObserveDeliver(i, inbox)
-	}
-}
-
-func (m *multiObserver) EndRound(rep phonecall.RoundReport) {
-	for _, p := range m.parts {
-		p.EndRound(rep)
-	}
-}
-
 // traceWriter serializes JSONL records onto the spec's TraceWriter. The
 // mutex covers the free-running engine, where the monitor goroutine streams
 // frontier records while Execute's goroutine owns the header and footer. The
@@ -186,10 +173,6 @@ type traceWriter struct {
 	mu  sync.Mutex
 	enc *json.Encoder
 	err error
-}
-
-func newTraceWriter(w io.Writer) *traceWriter {
-	return &traceWriter{enc: json.NewEncoder(w)}
 }
 
 func (tw *traceWriter) write(rec any) {
@@ -274,43 +257,6 @@ type traceResultRecord struct {
 	SendFailures    int64  `json:"send_failures,omitempty"`
 }
 
-// traceObserver streams one "round" record per engine round. It binds the
-// network (live and corrupted populations) and, on rumor-tracking runs, the
-// holdings (worst-spread informed count; -1 without them).
-type traceObserver struct {
-	tw       *traceWriter
-	net      *phonecall.Network
-	holdings phonecall.Holdings
-	begin    time.Time
-}
-
-func (t *traceObserver) BindNetwork(net *phonecall.Network)                  { t.net = net }
-func (t *traceObserver) BindHoldings(h phonecall.Holdings)                   { t.holdings = h }
-func (t *traceObserver) BeginRound(round int, info phonecall.RoundInfo)      { t.begin = time.Now() }
-func (t *traceObserver) ObserveIntent(i int, it phonecall.Intent)            {}
-func (t *traceObserver) ObserveResponse(i int, m phonecall.Message, ok bool) {}
-func (t *traceObserver) ObserveDeliver(i int, inbox []phonecall.Message)     {}
-
-func (t *traceObserver) EndRound(rep phonecall.RoundReport) {
-	rec := traceRoundRecord{
-		Type:       "round",
-		Round:      rep.Round,
-		Messages:   rep.Messages,
-		Bits:       rep.Bits,
-		MaxComms:   rep.MaxComms,
-		Informed:   -1,
-		DurationNs: time.Since(t.begin).Nanoseconds(),
-	}
-	if t.net != nil {
-		rec.Live = t.net.LiveCount()
-		rec.Corrupted = t.net.CorruptedCount()
-	}
-	if t.holdings != nil {
-		rec.Informed = t.holdings.WorstSpread()
-	}
-	t.tw.write(rec)
-}
-
 // writeHeader emits the JSONL "run" record before the engines start.
 func (t *tap) writeHeader(s Spec) {
 	if t == nil || t.tw == nil {
@@ -333,12 +279,12 @@ func (t *tap) writeHeader(s Spec) {
 }
 
 // writeSummary emits the phase breakdown and the final "result" record once
-// the run finished.
-func (t *tap) writeSummary(out Outcome) {
+// the run finished, and returns the first error any trace write hit.
+func (t *tap) writeSummary(res trace.Result) error {
 	if t == nil || t.tw == nil {
-		return
+		return nil
 	}
-	for _, p := range out.Phases {
+	for _, p := range res.Phases {
 		t.tw.write(tracePhaseRecord{
 			Type:     "phase",
 			Name:     p.Name,
@@ -347,7 +293,7 @@ func (t *tap) writeSummary(out Outcome) {
 			Bits:     p.Bits,
 		})
 	}
-	for _, p := range out.ScenarioPhases {
+	for _, p := range res.ScenarioPhases {
 		t.tw.write(tracePhaseRecord{
 			Type:      "phase",
 			FromRound: p.FromRound,
@@ -361,19 +307,20 @@ func (t *tap) writeSummary(out Outcome) {
 	}
 	t.tw.write(traceResultRecord{
 		Type:            "result",
-		Algorithm:       out.Algorithm,
-		Engine:          out.Engine.String(),
-		N:               out.N,
-		Rounds:          out.Rounds,
-		CompletionRound: out.CompletionRound,
-		Messages:        out.Messages,
-		ControlMessages: out.ControlMessages,
-		Bits:            out.Bits,
-		MaxComms:        out.MaxCommsPerRound,
-		Live:            out.Live,
-		Informed:        out.Informed,
-		AllInformed:     out.AllInformed,
-		Drops:           out.Drops,
-		SendFailures:    out.SendFailures,
+		Algorithm:       res.Algorithm,
+		Engine:          res.Engine,
+		N:               res.N,
+		Rounds:          res.Rounds,
+		CompletionRound: res.CompletionRound,
+		Messages:        res.Messages,
+		ControlMessages: res.ControlMessages,
+		Bits:            res.Bits,
+		MaxComms:        res.MaxCommsPerRound,
+		Live:            res.Live,
+		Informed:        res.Informed,
+		AllInformed:     res.AllInformed,
+		Drops:           res.Drops,
+		SendFailures:    res.SendFailures,
 	})
+	return t.tw.Err()
 }

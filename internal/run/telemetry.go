@@ -8,12 +8,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// engineTelemetry feeds a telemetry.Registry from the engine's observer seam
-// (phonecall.Observe): per-round traffic counters, population gauges and the
-// round-duration histogram, labeled by algorithm and engine. It rides the
-// same RoundObserver contract as every other observer, so registering it
-// cannot change results or metrics — only runs that opt in pay the observer
-// overhead at all.
+// instruments is the tap's telemetry consumer on the barriered engines: it
+// folds every round record into a telemetry.Registry — per-round traffic
+// counters, population gauges and the round-duration histogram, labeled by
+// algorithm and engine. It only reads what the tap observed, so collecting
+// cannot change results or metrics.
 //
 // The exported series (see DESIGN.md §11):
 //
@@ -37,18 +36,18 @@ import (
 //	repro_zone_informed_nodes{zone}              live nodes per topology zone
 //	                                             holding every rumor in
 //	                                             flight (rumor-tracking runs)
-type engineTelemetry struct {
+type instruments struct {
 	reg *telemetry.Registry
 
 	rounds, msgs, bitsSent *telemetry.Counter
 	liveNodes, corrupted   *telemetry.Gauge
 	maxComms               *telemetry.Gauge
-	informed               *telemetry.Gauge // created lazily on BindHoldings
+	informed               *telemetry.Gauge // created lazily by bindHoldings
 	duration               *telemetry.Histogram
 	algo, engine           string
 
 	// Policy instrumentation, created lazily when the bound network carries a
-	// policy view. The selector's counters are cumulative, so EndRound feeds
+	// policy view. The selector's counters are cumulative, so record feeds
 	// deltas against the last-seen values.
 	policySel             policyView
 	policyEvals           *telemetry.Counter
@@ -56,13 +55,9 @@ type engineTelemetry struct {
 	lastEvals, lastViolns int64
 	zoneInformed          []*telemetry.Gauge
 	zoneCounts            []int64
-
-	net      *phonecall.Network
-	holdings phonecall.Holdings
-	begin    time.Time
 }
 
-// policyView is what the telemetry observer needs from an installed peer
+// policyView is what the instruments need from an installed peer
 // selector; internal/policy.Selector implements it.
 type policyView interface {
 	Stats() (evaluations, violations int64)
@@ -70,11 +65,11 @@ type policyView interface {
 	Zone(i int) int
 }
 
-// newEngineTelemetry resolves the instruments for one (algorithm, engine)
-// pair up front, so the per-round updates never touch the registry map.
-func newEngineTelemetry(reg *telemetry.Registry, algo, engine string) *engineTelemetry {
+// newInstruments resolves the instruments for one (algorithm, engine) pair up
+// front, so the per-round updates never touch the registry map.
+func newInstruments(reg *telemetry.Registry, algo, engine string) *instruments {
 	by := []telemetry.Label{{Key: "algo", Value: algo}, {Key: "engine", Value: engine}}
-	return &engineTelemetry{
+	return &instruments{
 		reg:       reg,
 		rounds:    reg.Counter("repro_rounds_total", by...),
 		msgs:      reg.Counter("repro_messages_total", by...),
@@ -88,11 +83,10 @@ func newEngineTelemetry(reg *telemetry.Registry, algo, engine string) *engineTel
 	}
 }
 
-// BindNetwork implements phonecall.NetworkBinder. A policy-carrying peer
-// selector installed on the network (before observers are registered — the
-// order every driver follows) switches the policy series on.
-func (e *engineTelemetry) BindNetwork(net *phonecall.Network) {
-	e.net = net
+// bindNetwork switches the policy series on when a policy-carrying peer
+// selector is installed on the network (before observers are registered — the
+// order every driver follows).
+func (e *instruments) bindNetwork(net *phonecall.Network) {
 	if pv, ok := net.PeerSelector().(policyView); ok {
 		e.policySel = pv
 		by := []telemetry.Label{{Key: "algo", Value: e.algo}, {Key: "engine", Value: e.engine}}
@@ -103,21 +97,18 @@ func (e *engineTelemetry) BindNetwork(net *phonecall.Network) {
 	e.bindZones()
 }
 
-// BindHoldings implements phonecall.HoldingsBinder. Rumor-tracking drivers
-// (the scenario driver, on either holdings representation) bind their
-// ledger, which turns on the repro_informed_nodes gauge; closed algorithms
-// have none and the gauge is never registered, instead of exporting a
-// misleading zero.
-func (e *engineTelemetry) BindHoldings(h phonecall.Holdings) {
-	e.holdings = h
+// bindHoldings turns on the repro_informed_nodes gauge: rumor-tracking
+// drivers bind their ledger; closed algorithms have none and the gauge is
+// never registered, instead of exporting a misleading zero.
+func (e *instruments) bindHoldings() {
 	e.informed = e.reg.Gauge("repro_informed_nodes")
 	e.bindZones()
 }
 
 // bindZones registers the per-zone informed gauges once both holdings and a
 // topology are bound (binder order is driver-dependent).
-func (e *engineTelemetry) bindZones() {
-	if e.holdings == nil || e.policySel == nil || e.zoneInformed != nil {
+func (e *instruments) bindZones() {
+	if e.informed == nil || e.policySel == nil || e.zoneInformed != nil {
 		return
 	}
 	zones := e.policySel.Zones()
@@ -129,34 +120,18 @@ func (e *engineTelemetry) bindZones() {
 	}
 }
 
-// BeginRound implements phonecall.RoundObserver (coordinator goroutine).
-func (e *engineTelemetry) BeginRound(round int, info phonecall.RoundInfo) {
-	e.begin = time.Now()
-}
-
-// ObserveIntent implements phonecall.RoundObserver (no-op; shard goroutine).
-func (e *engineTelemetry) ObserveIntent(i int, it phonecall.Intent) {}
-
-// ObserveResponse implements phonecall.RoundObserver (no-op).
-func (e *engineTelemetry) ObserveResponse(i int, m phonecall.Message, ok bool) {}
-
-// ObserveDeliver implements phonecall.RoundObserver (no-op).
-func (e *engineTelemetry) ObserveDeliver(i int, inbox []phonecall.Message) {}
-
-// EndRound implements phonecall.RoundObserver: fold the engine's own round
-// report into the registry. Coordinator goroutine, allocation-free.
-func (e *engineTelemetry) EndRound(rep phonecall.RoundReport) {
+// record folds one round record into the registry. Coordinator goroutine,
+// allocation-free.
+func (e *instruments) record(rec traceRoundRecord, net *phonecall.Network, holdings phonecall.Holdings) {
 	e.rounds.Add(1)
-	e.msgs.Add(rep.Messages)
-	e.bitsSent.Add(rep.Bits)
-	e.maxComms.Max(int64(rep.MaxComms))
-	e.duration.Observe(time.Since(e.begin).Seconds())
-	if e.net != nil {
-		e.liveNodes.Set(int64(e.net.LiveCount()))
-		e.corrupted.Set(int64(e.net.CorruptedCount()))
-	}
-	if e.holdings != nil {
-		e.informed.Set(int64(e.holdings.WorstSpread()))
+	e.msgs.Add(rec.Messages)
+	e.bitsSent.Add(rec.Bits)
+	e.maxComms.Max(int64(rec.MaxComms))
+	e.duration.Observe(time.Duration(rec.DurationNs).Seconds())
+	e.liveNodes.Set(int64(rec.Live))
+	e.corrupted.Set(int64(rec.Corrupted))
+	if e.informed != nil {
+		e.informed.Set(int64(rec.Informed))
 	}
 	if e.policySel != nil {
 		evals, violns := e.policySel.Stats()
@@ -164,10 +139,10 @@ func (e *engineTelemetry) EndRound(rep phonecall.RoundReport) {
 		e.policyViolations.Add(violns - e.lastViolns)
 		e.lastEvals, e.lastViolns = evals, violns
 	}
-	if e.zoneInformed != nil && e.net != nil {
+	if e.zoneInformed != nil {
 		clear(e.zoneCounts)
-		for i, n := 0, e.net.N(); i < n; i++ {
-			if !e.net.IsFailed(i) && e.holdings.HoldsAll(i) {
+		for i, n := 0, net.N(); i < n; i++ {
+			if !net.IsFailed(i) && holdings.HoldsAll(i) {
 				e.zoneCounts[e.policySel.Zone(i)]++
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"repro/internal/phonecall"
+	"repro/internal/trace"
 )
 
 // The steppable protocols: multi-rumor generalizations of the classical
@@ -101,11 +102,11 @@ type ledger interface {
 	LostInjects() int64
 	// informed appends the live-informed count of every in-flight rumor to
 	// dst, ordered by rumor ID.
-	informed(dst []RumorCount) []RumorCount
+	informed(dst []trace.RumorCount) []trace.RumorCount
 	// retire is handed the rumors the whole live population holds after the
 	// round just run and reports whether the ledger dropped them: their counts
 	// are then final, and a later inject of the same ID opens a new epoch.
-	retire(done []RumorCount) bool
+	retire(done []trace.RumorCount) bool
 }
 
 // protocol is the mask ledger: one steppable protocol over a
@@ -174,16 +175,16 @@ func (p *protocol) deliver(i int, inbox []phonecall.Message) {
 	}
 }
 
-func (p *protocol) informed(dst []RumorCount) []RumorCount {
+func (p *protocol) informed(dst []trace.RumorCount) []trace.RumorCount {
 	for reg := p.Registered(); reg != 0; reg &= reg - 1 {
 		r := phonecall.RumorID(bits.TrailingZeros64(reg))
-		dst = append(dst, RumorCount{Rumor: r, LiveInformed: p.LiveInformed(r)})
+		dst = append(dst, trace.RumorCount{Rumor: r, LiveInformed: p.LiveInformed(r)})
 	}
 	return dst
 }
 
 // retire keeps every rumor: a mask bit costs nothing to carry on.
-func (p *protocol) retire([]RumorCount) bool { return false }
+func (p *protocol) retire([]trace.RumorCount) bool { return false }
 
 // WorstSpread implements phonecall.Holdings.
 func (p *protocol) WorstSpread() int { return worstSpread(p.informed(nil), 0) }
@@ -196,7 +197,7 @@ func (p *protocol) HoldsAll(node int) bool {
 
 // worstSpread is the smallest live-informed count of an informed snapshot,
 // or none when no rumor is in flight.
-func worstSpread(informed []RumorCount, none int) int {
+func worstSpread(informed []trace.RumorCount, none int) int {
 	if len(informed) == 0 {
 		return none
 	}

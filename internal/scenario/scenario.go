@@ -40,6 +40,7 @@ import (
 	"repro/internal/phonecall"
 	"repro/internal/policy"
 	"repro/internal/rumorset"
+	"repro/internal/trace"
 )
 
 // Event is one timeline entry. An event with EventRound() == r is applied at
@@ -415,97 +416,21 @@ type Config struct {
 	Policy *policy.Policy
 }
 
-// RumorCount is a per-rumor live-informed count inside a phase report.
-type RumorCount struct {
-	Rumor        phonecall.RumorID
-	LiveInformed int
-}
-
-// PhaseReport summarizes the rounds between two timeline events: the
-// traffic, the live population, and how far every rumor had spread when the
-// phase ended.
-type PhaseReport struct {
-	// FromRound..ToRound is the inclusive round span of the phase.
-	FromRound, ToRound int
-	// Events describes the timeline events that opened the phase.
-	Events []string
-	// Live is the live node count during the phase (constant: membership
-	// only changes at phase boundaries).
-	Live int
-	// Messages counts payload and control messages sent within the phase;
-	// Bits is their total size; MaxComms is the phase's Δ.
-	Messages int64
-	Bits     int64
-	MaxComms int
-	// Informed holds, per registered rumor, the live informed count at the
-	// end of the phase.
-	Informed []RumorCount
-}
-
-// RumorOutcome is the final state of one rumor.
-type RumorOutcome struct {
-	Rumor phonecall.RumorID
-	// InjectRound is the round at which the rumor was first injected.
-	InjectRound int
-	// LiveInformed and LiveFraction report how many live nodes held the
-	// rumor when the budget ran out.
-	LiveInformed int
-	LiveFraction float64
-	// CompletionRound is the first round at whose end every live node held
-	// the rumor (0 if that never happened within the budget).
-	CompletionRound int
-}
-
-// Result reports one scenario execution.
-type Result struct {
-	Scenario  string
-	Algorithm Algorithm
-	N         int
-	Seed      uint64
-	// Rounds is the executed round budget; Live the final live population.
-	Rounds int
-	Live   int
-	// Totals across the execution.
-	Messages         int64
-	ControlMessages  int64
-	Bits             int64
-	MessagesPerNode  float64
-	MaxCommsPerRound int
-	// LostInjects counts InjectRumor events that landed on a currently-failed
-	// node: the rumor is held until the node restarts, at which point the
-	// rejoin-uninformed semantics erase it — without this counter such an
-	// event would be a silent no-op.
-	LostInjects int64
-	// RumorsExpired counts rumors the wide path's GC reclaimed after
-	// convergence (0 on the bitmask path, which never expires).
-	RumorsExpired int64
-	// Rumors holds the final per-rumor outcomes, ordered by rumor ID; Phases
-	// the per-phase trace.
-	Rumors []RumorOutcome
-	Phases []PhaseReport
-}
-
-// MinLiveFraction returns the smallest final live-informed fraction across
-// all rumors (1 for a rumor-free result).
-func (r Result) MinLiveFraction() float64 {
-	minFrac := 1.0
-	for _, ro := range r.Rumors {
-		if ro.LiveFraction < minFrac {
-			minFrac = ro.LiveFraction
-		}
-	}
-	return minFrac
-}
+// Result is trace.Result, the repository's one outcome type. The alias exists
+// for bench/layers.go alone: bench/ is frozen and its traced driver declares
+// `var res scenario.Result`.
+type Result = trace.Result
 
 // fate is a rumor's outcome under construction. The driver keeps it because
 // the ledger may not: a retired rumor's slot is reused.
 type fate struct {
-	RumorOutcome
+	trace.RumorOutcome
 	retired bool // the ledger dropped the rumor when it completed
 }
 
 // Run executes the scenario with one of the steppable multi-rumor protocols
-// and returns the per-phase trace. The execution is bit-identical for any
+// and fills in the result: the per-phase trace, every rumor's fate, and the
+// run-level outcome folded from them. The execution is bit-identical for any
 // cfg.Workers value. A done ctx aborts between rounds with the context's
 // error.
 func Run(ctx context.Context, sc Scenario, cfg Config) (res Result, err error) {
@@ -570,17 +495,18 @@ func Run(ctx context.Context, sc Scenario, cfg Config) (res Result, err error) {
 	}
 	events := sortEvents(sc.Events)
 
-	res = Result{Scenario: sc.Name, Algorithm: algo, N: sc.N, Seed: cfg.Seed, Rounds: sc.Rounds}
 	fates := map[phonecall.RumorID]*fate{}
-	var snap, done []RumorCount // per-round scratch
+	var snap, done []trace.RumorCount // per-round scratch
+	var phases []trace.PhaseReport
+	var expired int64
 
 	next := 0
-	cur := PhaseReport{FromRound: 1}
+	cur := trace.PhaseReport{FromRound: 1}
 	closePhase := func(to int) {
 		cur.ToRound = to
 		cur.Live = net.LiveCount()
 		cur.Informed = l.informed(nil)
-		res.Phases = append(res.Phases, cur)
+		phases = append(phases, cur)
 	}
 
 	for r := 1; r <= sc.Rounds; r++ {
@@ -589,7 +515,7 @@ func Run(ctx context.Context, sc Scenario, cfg Config) (res Result, err error) {
 		// the state the phase actually ended in.
 		if next < len(events) && events[next].EventRound() <= r && r > cur.FromRound {
 			closePhase(r - 1)
-			cur = PhaseReport{FromRound: r}
+			cur = trace.PhaseReport{FromRound: r}
 		}
 		for next < len(events) && events[next].EventRound() <= r {
 			ev := events[next]
@@ -598,10 +524,10 @@ func Run(ctx context.Context, sc Scenario, cfg Config) (res Result, err error) {
 			}
 			if inj, ok := ev.(InjectRumor); ok {
 				if f := fates[inj.Rumor]; f == nil {
-					fates[inj.Rumor] = &fate{RumorOutcome: RumorOutcome{Rumor: inj.Rumor, InjectRound: r}}
+					fates[inj.Rumor] = &fate{RumorOutcome: trace.RumorOutcome{Rumor: inj.Rumor, InjectRound: r}}
 				} else if f.retired {
 					// Re-injection of a retired rumor opens a new epoch.
-					*f = fate{RumorOutcome: RumorOutcome{Rumor: inj.Rumor, InjectRound: f.InjectRound}}
+					*f = fate{RumorOutcome: trace.RumorOutcome{Rumor: inj.Rumor, InjectRound: f.InjectRound}}
 				}
 			}
 			cur.Events = append(cur.Events, ev.Describe())
@@ -632,12 +558,15 @@ func Run(ctx context.Context, sc Scenario, cfg Config) (res Result, err error) {
 					f := fates[rc.Rumor]
 					f.retired, f.LiveInformed, f.LiveFraction = true, rc.LiveInformed, 1
 				}
-				res.RumorsExpired += int64(len(done))
+				expired += int64(len(done))
 			}
 		}
 	}
 	closePhase(sc.Rounds)
-	res.Live = net.LiveCount()
+
+	res = trace.Summarize(string(algo), net, 0, nil)
+	res.Scenario, res.ScenarioPhases = sc.Name, phases
+	res.LostInjects, res.RumorsExpired = l.LostInjects(), expired
 	for _, rc := range cur.Informed { // still in flight: the budget ran out
 		f := fates[rc.Rumor]
 		f.LiveInformed = rc.LiveInformed
@@ -645,17 +574,23 @@ func Run(ctx context.Context, sc Scenario, cfg Config) (res Result, err error) {
 			f.LiveFraction = float64(rc.LiveInformed) / float64(res.Live)
 		}
 	}
+	// The run's own outcome folds the fates: Informed is the worst-spread
+	// rumor's live count, CompletionRound the last rumor's completion — or 0
+	// unless every rumor completed.
+	allComplete := len(fates) > 0
+	res.CompletionRound = 0
 	for _, f := range fates {
+		if len(res.Rumors) == 0 || f.LiveInformed < res.Informed {
+			res.Informed = f.LiveInformed
+		}
+		allComplete = allComplete && f.CompletionRound > 0
+		res.CompletionRound = max(res.CompletionRound, f.CompletionRound)
 		res.Rumors = append(res.Rumors, f.RumorOutcome)
 	}
-	slices.SortFunc(res.Rumors, func(a, b RumorOutcome) int { return cmp.Compare(a.Rumor, b.Rumor) })
-
-	m := net.Metrics()
-	res.LostInjects = l.LostInjects()
-	res.Messages = m.Messages
-	res.ControlMessages = m.ControlMessages
-	res.Bits = m.Bits
-	res.MessagesPerNode = m.MessagesPerNode()
-	res.MaxCommsPerRound = m.MaxCommsPerRound
+	if !allComplete {
+		res.CompletionRound = 0
+	}
+	res.AllInformed = trace.Converged(res.Live, res.Informed) || allComplete && res.Live > 0
+	slices.SortFunc(res.Rumors, func(a, b trace.RumorOutcome) int { return cmp.Compare(a.Rumor, b.Rumor) })
 	return res, nil
 }

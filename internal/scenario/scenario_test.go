@@ -124,12 +124,12 @@ func TestJoinRestartsUninformed(t *testing.T) {
 		t.Fatalf("rejoined nodes not re-informed: fraction %.3f", got)
 	}
 	// The rejoin opens a phase whose live count is back to n.
-	last := res.Phases[len(res.Phases)-1]
+	last := res.ScenarioPhases[len(res.ScenarioPhases)-1]
 	if last.Live != 300 {
 		t.Fatalf("final phase live = %d, want 300", last.Live)
 	}
-	if len(res.Phases) != 3 {
-		t.Fatalf("got %d phases, want 3 (inject, crash, join)", len(res.Phases))
+	if len(res.ScenarioPhases) != 3 {
+		t.Fatalf("got %d phases, want 3 (inject, crash, join)", len(res.ScenarioPhases))
 	}
 }
 
@@ -378,8 +378,8 @@ func TestRunScenarioWithGeneratedChurn(t *testing.T) {
 	if frac := res.Rumors[0].LiveFraction; frac < 0.95 {
 		t.Fatalf("push-pull under mild churn informed only %.3f of live nodes", frac)
 	}
-	if len(res.Phases) < 4 {
-		t.Fatalf("expected several phases, got %d", len(res.Phases))
+	if len(res.ScenarioPhases) < 4 {
+		t.Fatalf("expected several phases, got %d", len(res.ScenarioPhases))
 	}
 }
 

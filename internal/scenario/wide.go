@@ -3,6 +3,7 @@ package scenario
 import (
 	"repro/internal/phonecall"
 	"repro/internal/rumorset"
+	"repro/internal/trace"
 )
 
 // The set ledger: the same steppable push/pull/push-pull protocols over the
@@ -144,17 +145,17 @@ func (p *wideProtocol) Revive(nodes ...int) {
 
 func (p *wideProtocol) LostInjects() int64 { return p.set.Snapshot().Lost }
 
-func (p *wideProtocol) informed(dst []RumorCount) []RumorCount {
+func (p *wideProtocol) informed(dst []trace.RumorCount) []trace.RumorCount {
 	p.scan = p.set.ActiveIDs(p.scan[:0])
 	for _, id := range p.scan {
-		dst = append(dst, RumorCount{Rumor: phonecall.RumorID(id), LiveInformed: p.set.LiveInformed(id)})
+		dst = append(dst, trace.RumorCount{Rumor: phonecall.RumorID(id), LiveInformed: p.set.LiveInformed(id)})
 	}
 	return dst
 }
 
 // retire is the between-rounds GC: a converged rumor's slot is freed for a
 // later injection.
-func (p *wideProtocol) retire(done []RumorCount) bool {
+func (p *wideProtocol) retire(done []trace.RumorCount) bool {
 	p.scan = p.scan[:0]
 	for _, rc := range done {
 		p.scan = append(p.scan, rumorset.ID(rc.Rumor))

@@ -86,8 +86,8 @@ func TestWideMatchesBitmaskPath(t *testing.T) {
 				// Until something retires the two ledgers make every node take
 				// the same decisions, so the message counts agree too (the bits
 				// do not: a digest is charged its summary bytes).
-				for i := range rb.Phases {
-					if b, w := rb.Phases[i], rw.Phases[i]; upToRetirement && (b.Messages != w.Messages || b.Live != w.Live) {
+				for i := range rb.ScenarioPhases {
+					if b, w := rb.ScenarioPhases[i], rw.ScenarioPhases[i]; upToRetirement && (b.Messages != w.Messages || b.Live != w.Live) {
 						t.Errorf("rounds %d-%d: bitmask %d messages over %d live, wide %d over %d",
 							b.FromRound, b.ToRound, b.Messages, b.Live, w.Messages, w.Live)
 					}

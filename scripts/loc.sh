@@ -1,0 +1,10 @@
+#!/bin/sh
+# Non-test Go lines per package — the "non-test lines X -> Y" figure the
+# simplicity PRs quote in CHANGES.md. bench/ is its own module and not counted.
+cd "$(dirname "$0")/.." || exit 1
+loc() { find "$@" -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l; }
+for d in internal/* cmd/*; do
+	printf '%6d  %s\n' "$(loc "$d")" "$d"
+done
+printf '%6d  %s\n' "$(loc . -maxdepth 1)" "(root package)"
+printf '%6d  %s\n' "$(loc .)" "total"
