@@ -72,6 +72,17 @@ func run(args []string, out *os.File) error {
 	if *index < 0 || *index >= *n {
 		return fmt.Errorf("-index is required (in [0,%d))", *n)
 	}
+	// What a flag alone gets wrong is rejected before the socket is bound.
+	algorithm, err := scenario.Algorithm(*algo).OrDefault()
+	if err != nil {
+		return fmt.Errorf("-algo: %w", err)
+	}
+	if *expect == 0 {
+		return fmt.Errorf("-expect needs a nonzero rumor mask")
+	}
+	if *inject&^*expect != 0 {
+		return fmt.Errorf("-inject %#x names rumors outside -expect %#x", *inject, *expect)
+	}
 	budget := *rounds
 	if budget == 0 {
 		// Generous: O(log n) spreading plus headroom for discovery warmup and
@@ -147,7 +158,7 @@ func run(args []string, out *os.File) error {
 		Rounds:    budget,
 		Interval:  *interval,
 		Linger:    *linger,
-		Algorithm: scenario.Algorithm(*algo),
+		Algorithm: algorithm,
 		Inject:    *inject,
 		Expect:    *expect,
 		Transport: tr,
@@ -157,35 +168,32 @@ func run(args []string, out *os.File) error {
 	if err != nil {
 		return err
 	}
-	rep, runErr := pn.Run(context.Background())
+	res, runErr := pn.Run(context.Background())
+	held := pn.Held()
 
 	// The report always prints in full — converged or not — before any error
 	// decides the exit code.
-	algoName := *algo
-	if algoName == "" {
-		algoName = string(scenario.AlgoPushPull)
-	}
 	fmt.Fprintf(out, "gossip             %s, %d local rounds run of %d budgeted (%v pace)\n",
-		algoName, rep.RoundsRun, rep.Rounds, *interval)
-	if rep.Converged {
-		fmt.Fprintf(out, "converged          YES at local round %d (held %#x)\n", rep.InformedAt, rep.Held)
+		res.Algorithm, res.Rounds, budget, *interval)
+	if res.AllInformed {
+		fmt.Fprintf(out, "converged          YES at local round %d (held %#x)\n", res.CompletionRound, held)
 	} else {
-		fmt.Fprintf(out, "converged          NO: held %#x of expected %#x\n", rep.Held, *expect)
+		fmt.Fprintf(out, "converged          NO: held %#x of expected %#x\n", held, *expect)
 	}
-	fmt.Fprintf(out, "messages           %d payload + %d control\n", rep.Messages, rep.ControlMessages)
-	fmt.Fprintf(out, "bits               %d\n", rep.Bits)
-	fmt.Fprintf(out, "max comms/round Δ  %d\n", rep.MaxComms)
+	fmt.Fprintf(out, "messages           %d payload + %d control\n", res.Messages, res.ControlMessages)
+	fmt.Fprintf(out, "bits               %d\n", res.Bits)
+	fmt.Fprintf(out, "max comms/round Δ  %d\n", res.MaxCommsPerRound)
 	fmt.Fprintf(out, "discovery          %d routing-table contacts, %d sends dropped on table misses\n",
-		rep.TableContacts, rep.SendMisses)
-	if rep.SendFailures > 0 {
-		fmt.Fprintf(out, "send failures      %d kernel-refused writes\n", rep.SendFailures)
+		tr.Membership().Table().Len(), tr.Misses())
+	if res.SendFailures > 0 {
+		fmt.Fprintf(out, "send failures      %d kernel-refused writes\n", res.SendFailures)
 	}
-	fmt.Fprintf(out, "wall time          %v\n", rep.Wall.Round(time.Millisecond))
+	fmt.Fprintf(out, "wall time          %v\n", res.Wall.Round(time.Millisecond))
 	if runErr != nil {
 		return runErr
 	}
-	if !rep.Converged {
-		return fmt.Errorf("convergence budget exhausted: held %#x of expected %#x after %d rounds", rep.Held, *expect, rep.RoundsRun)
+	if !res.AllInformed {
+		return fmt.Errorf("convergence budget exhausted: held %#x of expected %#x after %d rounds", held, *expect, res.Rounds)
 	}
 	return nil
 }

@@ -127,21 +127,36 @@ func TestBudgetExhaustedPrintsReportThenFails(t *testing.T) {
 	}
 }
 
+// TestFlagValidation: everything a flag alone can get wrong is reported
+// before a socket is opened. Every row binds the port the test itself holds,
+// so a run that got as far as binding would fail with the bind error instead
+// of naming the flag.
 func TestFlagValidation(t *testing.T) {
 	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer devnull.Close()
-	for _, args := range [][]string{
-		{},                         // no -n
-		{"-n", "5"},                // no -index
-		{"-n", "5", "-index", "9"}, // index out of range
-		{"-n", "1", "-index", "0"}, // mesh too small
-		{"-n", "5", "-index", "0", "-expect", "0"}, // empty expectation
+	held, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	for _, row := range []struct {
+		args []string
+		want string // the flag the error names
+	}{
+		{nil, "-n"},
+		{[]string{"-n", "5"}, "-index"},
+		{[]string{"-n", "5", "-index", "9"}, "-index"},
+		{[]string{"-n", "1", "-index", "0"}, "-n"},
+		{[]string{"-n", "5", "-index", "0", "-expect", "0"}, "-expect"},
+		{[]string{"-n", "5", "-index", "0", "-algo", "bogus"}, "-algo"},
+		{[]string{"-n", "5", "-index", "0", "-inject", "2", "-expect", "1"}, "-inject"},
 	} {
-		if err := run(args, devnull); err == nil {
-			t.Errorf("run(%v) accepted invalid flags", args)
+		args := append([]string{"-bind", held.LocalAddr().String()}, row.args...)
+		if err := run(args, devnull); err == nil || !strings.Contains(err.Error(), row.want) {
+			t.Errorf("run(%v) = %v, want an error naming %s", row.args, err, row.want)
 		}
 	}
 }

@@ -50,17 +50,3 @@ func Cluster1(net *phonecall.Network, sources []int, params Params) (trace.Resul
 
 	return trace.Summarize("cluster1", net, cl.InformedCount(), rec.Phases()), nil
 }
-
-// Cluster1Clustering runs only the clustering part of Algorithm 1 (no rumor)
-// and returns the resulting clustering. It is exposed for tests and for
-// applications that want to reuse the single cluster for coordination tasks
-// other than broadcast.
-func Cluster1Clustering(net *phonecall.Network, params Params) *cluster.Clustering {
-	p := params.withDefaults()
-	cl := cluster.New(net)
-	growInitialClustersDense(cl, p)
-	squareClusters(cl, p, p.cluster1StartSize(net.N()), squareStopSize(net.N()), pickSmallest)
-	mergeAllClusters(cl, p)
-	cl.PullJoin(pullJoinRounds(p, net.N()))
-	return cl
-}

@@ -47,18 +47,3 @@ func Cluster2(net *phonecall.Network, sources []int, params Params) (trace.Resul
 
 	return trace.Summarize("cluster2", net, cl.InformedCount(), rec.Phases()), nil
 }
-
-// Cluster2Clustering runs only the clustering part of Algorithm 2 and returns
-// the resulting clustering (a single cluster containing all nodes with high
-// probability).
-func Cluster2Clustering(net *phonecall.Network, params Params) *cluster.Clustering {
-	p := params.withDefaults()
-	cl := cluster.New(net)
-	targetSize := p.initialClusterSize(net.N())
-	growInitialClustersSparse(cl, p, targetSize)
-	squareClusters(cl, p, targetSize, squareStopSize(net.N()), pickFirst)
-	mergeAllClusters(cl, p)
-	boundedClusterPush(cl, p, 0)
-	cl.PullJoin(pullJoinRounds(p, net.N()))
-	return cl
-}

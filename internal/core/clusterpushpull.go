@@ -35,24 +35,6 @@ func ClusterPushPull(net *phonecall.Network, sources []int, delta int, params Pa
 	return result, nil
 }
 
-// BroadcastOnClustering runs only the dissemination part of Algorithm 3 on an
-// existing Θ(Δ)-clustering. The clustering is reused as-is; only the rumor
-// spread is charged. It returns the number of rounds used.
-func BroadcastOnClustering(cl *cluster.Clustering, sources []int, delta int, params Params) (trace.Result, error) {
-	p := params.withDefaults()
-	net := cl.Network()
-	if err := checkSources(net, sources); err != nil {
-		return trace.Result{}, err
-	}
-	for _, s := range sources {
-		cl.SetRumor(s)
-	}
-	rec := trace.NewRecorder(net)
-	broadcastOnClustering(cl, p, delta)
-	rec.Mark("ClusterPUSH-PULL")
-	return trace.Summarize("clusterpushpull-broadcast", net, cl.InformedCount(), rec.Phases()), nil
-}
-
 // broadcastOnClustering is the main loop of Algorithm 3.
 func broadcastOnClustering(cl *cluster.Clustering, p Params, delta int) {
 	net := cl.Network()

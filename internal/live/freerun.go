@@ -137,7 +137,8 @@ type FreeRun struct {
 
 	events  []scenario.Event
 	nextEv  int
-	ignored int // events the runtime could not honor
+	ignored int   // events the runtime could not honor
+	lost    int64 // InjectRumor events that landed on a crashed node
 
 	// Rumor-stream state (nil/zero in legacy bitmask mode). set is the shared
 	// ground truth: nodes mark their own rows from their goroutines, the
@@ -194,7 +195,7 @@ func NewFreeRun(cfg FreeRunConfig) (*FreeRun, error) {
 	if err := scenario.ValidateEvents(cfg.N, cfg.Stream != nil, cfg.Events); err != nil {
 		return nil, fmt.Errorf("live: %w", err)
 	}
-	if _, ok := cfg.PeerSelector.(frTopology); !ok {
+	if _, ok := cfg.PeerSelector.(scenario.TopologyView); !ok {
 		for _, ev := range cfg.Events {
 			switch ev.(type) {
 			case scenario.ZoneOutage, scenario.ZoneHeal, scenario.Partition, scenario.HealPartition:
@@ -335,6 +336,7 @@ func (fr *FreeRun) Run(ctx context.Context) (trace.Result, error) {
 		CompletionRound: int(fr.completionAt.Load()),
 		UnfiredEvents:   len(fr.events) - fr.nextEv,
 		IgnoredEvents:   fr.ignored,
+		LostInjects:     fr.lost,
 		Wall:            time.Since(start),
 	}
 	// Traffic is charged with the simulator's bit accounting.
@@ -625,6 +627,11 @@ func (fr *FreeRun) apply(ev scenario.Event, frontier int64) {
 			return
 		}
 		fr.registered.Or(1 << e.Rumor)
+		if !fr.liveFlag[e.Node].Load() {
+			// Held until JoinAt restarts the node uninformed: the tracker's
+			// lost-inject rule.
+			fr.lost++
+		}
 		fr.mask[e.Node].held.Or(1 << e.Rumor)
 	case scenario.CorruptAt:
 		// Same behavior construction as the scenario driver, wired to the
@@ -646,26 +653,21 @@ func (fr *FreeRun) apply(ev scenario.Event, frontier int64) {
 			fr.behav[i].Store(&frBehavior{b: b})
 		}
 	case scenario.ZoneOutage:
-		if tv, ok := fr.net.PeerSelector().(frTopology); ok && e.Zone >= 0 && e.Zone < tv.Zones() {
-			fr.apply(scenario.CrashAt{At: e.At, Nodes: tv.ZoneMembers(e.Zone)}, frontier)
+		if members, err := scenario.ZoneMembers(fr.net, "zone outage", e.Zone); err == nil {
+			fr.apply(scenario.CrashAt{At: e.At, Nodes: members}, frontier)
 		} else {
 			fr.ignored++ // NewFreeRun rejects zone events without a topology
 		}
 	case scenario.ZoneHeal:
-		if tv, ok := fr.net.PeerSelector().(frTopology); ok && e.Zone >= 0 && e.Zone < tv.Zones() {
-			fr.apply(scenario.JoinAt{At: e.At, Nodes: tv.ZoneMembers(e.Zone)}, frontier)
+		if members, err := scenario.ZoneMembers(fr.net, "zone heal", e.Zone); err == nil {
+			fr.apply(scenario.JoinAt{At: e.At, Nodes: members}, frontier)
 		} else {
 			fr.ignored++
 		}
-	case scenario.Partition:
-		if tv, ok := fr.net.PeerSelector().(frTopology); ok {
-			tv.SetPartitioned(true)
-		} else {
-			fr.ignored++
-		}
-	case scenario.HealPartition:
-		if tv, ok := fr.net.PeerSelector().(frTopology); ok {
-			tv.SetPartitioned(false)
+	case scenario.Partition, scenario.HealPartition:
+		_, part := ev.(scenario.Partition)
+		if tv, ok := fr.net.PeerSelector().(scenario.TopologyView); ok {
+			tv.SetPartitioned(part)
 		} else {
 			fr.ignored++
 		}
@@ -674,18 +676,11 @@ func (fr *FreeRun) apply(ev scenario.Event, frontier int64) {
 	}
 }
 
-// frTopology is what zone and partition events need from the installed peer
-// selector (internal/policy.Selector implements it); declared locally so the
-// live engine stays decoupled from the policy compiler.
-type frTopology interface {
-	ZoneMembers(zone int) []int
-	Zones() int
-	SetPartitioned(part bool)
-}
-
-// waitSkew blocks while local round r is more than MaxSkew ahead of the
-// frontier; returns false when the run stopped.
-func (fr *FreeRun) waitSkew(r int) bool {
+// waitSkew blocks while node i's local round r is more than MaxSkew ahead of
+// the frontier. It returns false when the node must not step: the run
+// stopped, or the node was crashed while it was parked here — dead nodes never
+// act, and the loop head sorts out which of the two it was.
+func (fr *FreeRun) waitSkew(i, r int) bool {
 	if fr.stopped.Load() {
 		return false
 	}
@@ -693,11 +688,11 @@ func (fr *FreeRun) waitSkew(r int) bool {
 		return true
 	}
 	fr.mu.Lock()
-	for !fr.stopped.Load() && int64(r)-fr.minRound.Load() > int64(fr.cfg.MaxSkew) {
+	for !fr.stopped.Load() && int64(r)-fr.minRound.Load() > int64(fr.cfg.MaxSkew) && fr.liveFlag[i].Load() {
 		fr.cond.Wait()
 	}
 	fr.mu.Unlock()
-	return !fr.stopped.Load()
+	return !fr.stopped.Load() && fr.liveFlag[i].Load()
 }
 
 // waitAlive parks a crashed node until it is revived; returns false when the
@@ -745,8 +740,8 @@ func (fr *FreeRun) nodeLoop(i int) {
 			}
 			continue
 		}
-		if !fr.waitSkew(r) {
-			return
+		if !fr.waitSkew(i, r) {
+			continue
 		}
 		drain, _ = nd.step(r, drain)
 		fr.roundOf[i].Store(int64(r))

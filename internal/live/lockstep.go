@@ -155,9 +155,6 @@ func NewLockStep(net *phonecall.Network, tr Transport) (*LockStep, error) {
 	return ls, nil
 }
 
-// Transport returns the transport the runtime exchanges frames over.
-func (ls *LockStep) Transport() Transport { return ls.tr }
-
 // Err returns the first node-side failure (a frame that failed to decode —
 // impossible under the in-tree transports unless a transport corrupts data).
 func (ls *LockStep) Err() error {

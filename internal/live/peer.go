@@ -10,6 +10,7 @@ import (
 	"repro/internal/phonecall"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // PeerTransportConfig configures a PeerTransport — the Transport of a
@@ -196,35 +197,6 @@ type PeerConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// PeerReport is the outcome of one process's run.
-type PeerReport struct {
-	N     int
-	Index int
-	// Converged reports this node held every Expect rumor within the budget;
-	// InformedAt is the local round it first did (0 = never).
-	Converged  bool
-	InformedAt int
-	// RoundsRun counts executed local rounds; Rounds echoes the budget.
-	RoundsRun int
-	Rounds    int
-	// Held is the final holdings mask.
-	Held uint64
-	// Traffic totals, charged with the simulator's bit accounting.
-	Messages        int64
-	ControlMessages int64
-	Bits            int64
-	MaxComms        int
-	// SendMisses counts frames dropped on routing-table misses (discovery in
-	// progress); SendFailures counts kernel-refused writes.
-	SendMisses   int64
-	SendFailures int64
-	// TableContacts is the final routing-table size (0 on non-peer
-	// transports).
-	TableContacts int
-	// Wall is the end-to-end execution time.
-	Wall time.Duration
-}
-
 // PeerNode drives one node's free-running gossip loop against a Transport
 // whose other endpoints live in other processes. It runs the same node step
 // as FreeRun's nodes, with nothing around it: no monitor, no frontier, no
@@ -289,8 +261,8 @@ func NewPeerNode(cfg PeerConfig) (*PeerNode, error) {
 	return pn, nil
 }
 
-// Net returns the shared ID directory (for deriving the peer ID table).
-func (pn *PeerNode) Net() *phonecall.Network { return pn.nd.net }
+// Held returns the node's current holdings mask.
+func (pn *PeerNode) Held() uint64 { return pn.mask.held.Load() }
 
 func (pn *PeerNode) logf(format string, args ...any) {
 	if pn.cfg.Logf != nil {
@@ -299,10 +271,12 @@ func (pn *PeerNode) logf(format string, args ...any) {
 }
 
 // Run executes local rounds until convergence-plus-linger, budget exhaustion
-// or ctx cancellation, and returns the report. The report is returned even on
-// a non-converged or canceled run — callers print it before deciding the exit
-// code.
-func (pn *PeerNode) Run(ctx context.Context) (PeerReport, error) {
+// or ctx cancellation, and returns this one node's result: Rounds are the
+// local rounds it ran, CompletionRound the one at which it first held every
+// Expect rumor (0 = never), Live, Informed and the traffic totals its own.
+// The result is returned even on a non-converged or canceled run — callers
+// print it before deciding the exit code.
+func (pn *PeerNode) Run(ctx context.Context) (trace.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -348,26 +322,26 @@ loop:
 		}
 	}
 
-	rep := PeerReport{
-		N:               pn.cfg.N,
-		Index:           pn.cfg.Index,
-		Converged:       informedAt > 0,
-		InformedAt:      informedAt,
-		RoundsRun:       r - 1,
-		Rounds:          pn.cfg.Rounds,
-		Held:            pn.mask.held.Load(),
-		Messages:        pn.stats.msgs,
-		ControlMessages: pn.stats.control,
-		Bits:            pn.stats.bits,
-		MaxComms:        int(pn.stats.maxComms),
-		Wall:            time.Since(start),
+	res := trace.Result{
+		Algorithm:        string(pn.cfg.Algorithm),
+		N:                pn.cfg.N,
+		Seed:             pn.cfg.Seed,
+		Rounds:           r - 1,
+		Messages:         pn.stats.msgs,
+		ControlMessages:  pn.stats.control,
+		Bits:             pn.stats.bits,
+		MessagesPerNode:  float64(pn.stats.msgs + pn.stats.control),
+		MaxCommsPerRound: int(pn.stats.maxComms),
+		CompletionRound:  informedAt,
+		Live:             1,
+		Wall:             time.Since(start),
 	}
-	if isPeer {
-		rep.SendMisses = pt.Misses()
-		rep.TableContacts = pt.Membership().Table().Len()
+	if informedAt > 0 {
+		res.Informed = 1 // the mask only grows: once informed, informed for good
 	}
+	res.AllInformed = trace.Converged(res.Live, res.Informed)
 	if sf, ok := pn.cfg.Transport.(SendFailureCounter); ok {
-		rep.SendFailures = sf.SendFailures()
+		res.SendFailures = sf.SendFailures()
 	}
-	return rep, runErr
+	return res, runErr
 }

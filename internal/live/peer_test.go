@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/membership"
 	"repro/internal/phonecall"
+	"repro/internal/trace"
 )
 
 // TestPeerMeshConverges is the multi-process deployment in miniature: five
@@ -53,8 +54,9 @@ func TestPeerMeshConverges(t *testing.T) {
 		}
 	}
 
-	reports := make([]PeerReport, n)
+	reports := make([]trace.Result, n)
 	errs := make([]error, n)
+	nodes := make([]*PeerNode, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		pn, err := NewPeerNode(PeerConfig{
@@ -69,6 +71,7 @@ func TestPeerMeshConverges(t *testing.T) {
 		if err != nil {
 			t.Fatalf("peer %d: %v", i, err)
 		}
+		nodes[i] = pn
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -82,15 +85,19 @@ func TestPeerMeshConverges(t *testing.T) {
 			t.Errorf("peer %d: %v (report %+v)", i, errs[i], reports[i])
 			continue
 		}
-		if !reports[i].Converged {
-			t.Errorf("peer %d did not converge: %+v", i, reports[i])
+		if res := reports[i]; !res.AllInformed || res.CompletionRound == 0 || res.CompletionRound > res.Rounds {
+			t.Errorf("peer %d did not converge: %+v", i, res)
 		}
-		if reports[i].Held != 1 {
-			t.Errorf("peer %d holds %#x, want 0x1", i, reports[i].Held)
+		// Everybody calls every round (push-pull), so everybody was charged.
+		if res := reports[i]; res.Messages+res.ControlMessages == 0 || res.Bits == 0 || res.MaxCommsPerRound == 0 {
+			t.Errorf("peer %d converged without traffic: %+v", i, res)
+		}
+		if held := nodes[i].Held(); held != 1 {
+			t.Errorf("peer %d holds %#x, want 0x1", i, held)
 		}
 		// The routing table, not a shared directory, is what carried this:
 		// every peer discovered at least the contacts it gossiped with.
-		if reports[i].TableContacts == 0 {
+		if trs[i].Membership().Table().Len() == 0 {
 			t.Errorf("peer %d converged with an empty routing table", i)
 		}
 	}

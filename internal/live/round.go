@@ -2,7 +2,6 @@ package live
 
 import (
 	"encoding/binary"
-	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/phonecall"
@@ -47,36 +46,27 @@ type holdings interface {
 	informed() bool
 }
 
-// holdingsBits is the simulator's charge for a holdings message: the tag and
-// counter overhead, the holdings' own encoding beyond that, and one b-bit
-// payload per carried rumor.
-func holdingsBits(net *phonecall.Network, encoding, rumors int) int {
-	return net.MessageSize(phonecall.Message{Tag: phonecall.TagHoldings}) + encoding + rumors*net.PayloadBits()
-}
-
 // maskHoldings keeps a node's rumors as one atomic 64-bit mask: the owner
 // merges into it, the monitor injects into, clears and reads it. reg is what
 // counts as complete — the run's registered mask, which the monitor grows,
-// or a PeerNode's fixed Expect. Its messages are the live twin of the
-// scenario protocols' encoding (one uint64 under phonecall.TagHoldings,
-// charged one b-bit payload per carried rumor), so the holdings-directed
-// behaviors (Liar, Stale) rewrite live traffic too.
+// or a PeerNode's fixed Expect. Storage and wire only: predicates, message and
+// charge are phonecall.MaskView's, the view the scenario protocols read, so
+// the holdings-directed behaviors (Liar, Stale) rewrite live traffic too.
 type maskHoldings struct {
 	held atomic.Uint64
 	reg  *atomic.Uint64
 	net  *phonecall.Network
 }
 
-func (h *maskHoldings) snapshot() (phonecall.Message, bool, bool) {
+// view reads the node's holdings among what is registered right now.
+func (h *maskHoldings) view() phonecall.MaskView {
 	reg := h.reg.Load()
-	held := h.held.Load() & reg
-	m := phonecall.Message{
-		Tag:   phonecall.TagHoldings,
-		Value: held,
-		Rumor: true,
-		Bits:  holdingsBits(h.net, 0, bits.OnesCount64(held)),
-	}
-	return m, held == 0, held == reg
+	return phonecall.MaskView{Held: h.held.Load() & reg, Registered: reg}
+}
+
+func (h *maskHoldings) snapshot() (phonecall.Message, bool, bool) {
+	v := h.view()
+	return v.Message(h.net), v.Empty(), v.Complete()
 }
 
 // maskFrameCap fits a holdings-mask frame (header, 8-byte mask, bits, tag,
@@ -93,20 +83,15 @@ func (h *maskHoldings) respFrame(round, src int, m phonecall.Message) []byte {
 }
 
 func (h *maskHoldings) merge(f frame) bool {
-	if !f.hasPayload || f.msg.Tag != phonecall.TagHoldings {
-		return false
-	}
-	reg := h.reg.Load()
-	if gain := f.msg.Value & reg &^ h.held.Load(); gain != 0 {
+	// A payload-free or summary frame's msg is zero: no holdings message.
+	gain, partial := h.view().Merge(f.msg)
+	if gain != 0 {
 		h.held.Or(gain)
 	}
-	return f.msg.Value&reg != reg
+	return partial
 }
 
-func (h *maskHoldings) informed() bool {
-	reg := h.reg.Load()
-	return h.held.Load()&reg == reg
-}
+func (h *maskHoldings) informed() bool { return h.view().Complete() }
 
 // setHoldings keeps a node's rumors as its row of the shared rumor set (the
 // node marks only its own row — the set's ownership contract) and gossips
@@ -123,8 +108,8 @@ type setHoldings struct {
 
 func (h *setHoldings) snapshot() (phonecall.Message, bool, bool) {
 	h.ids, h.summaryBytes = rumorset.AppendDigest(h.set, h.ids[:0], h.node)
-	m := phonecall.Message{Tag: phonecall.TagHoldings, Rumor: true, Bits: holdingsBits(h.net, h.summaryBytes*8, len(h.ids))}
-	return m, len(h.ids) == 0, len(h.ids) == h.set.Active()
+	v := phonecall.SetView{Held: len(h.ids), Active: h.set.Active(), SummaryBytes: h.summaryBytes}
+	return v.Message(h.net, nil), v.Empty(), v.Complete()
 }
 
 // The stream path has no Byzantine seam (ValidateEvents rejects CorruptAt on

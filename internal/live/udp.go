@@ -26,20 +26,14 @@ const udpArenaChunk = 64 * 1024
 // through the same codec as the channel mesh but cross the kernel's network
 // stack, so delivery is asynchronous and — under socket-buffer pressure —
 // lossy. Free-running mode only (Synchronous returns false); the gossip
-// protocols tolerate both properties by design.
-//
-// Destination addresses go through the Directory seam: the in-process mesh
-// resolves against its own static bind table (complete by construction), but
-// the same send path serves a directory that can miss — a miss drops the
-// frame and counts it, the datagram analogue of "host unknown".
+// protocols tolerate both properties by design. Destinations are indexes
+// into the transport's own bind table, complete by construction.
 type UDPTransport struct {
 	n         int
 	conns     []*net.UDPConn
 	addrs     []*net.UDPAddr
-	dir       Directory
 	boxes     []*Mailbox
 	oversize  atomic.Int64
-	misses    atomic.Int64
 	sendFails []atomic.Int64 // per-sender write failures
 	failTotal atomic.Int64
 	closed    atomic.Bool
@@ -48,8 +42,7 @@ type UDPTransport struct {
 }
 
 // NewUDPTransport binds n loopback sockets (ephemeral ports) and starts one
-// reader goroutine per node. The transport directs frames through a static
-// directory of its own bound addresses.
+// reader goroutine per node.
 func NewUDPTransport(n int) (*UDPTransport, error) {
 	if err := validateN(n); err != nil {
 		return nil, err
@@ -74,7 +67,6 @@ func NewUDPTransport(n int) (*UDPTransport, error) {
 		tr.addrs[i] = conn.LocalAddr().(*net.UDPAddr)
 		tr.boxes[i] = newMailbox()
 	}
-	tr.dir = NewStaticDirectory(tr.addrs)
 	for i := 0; i < n; i++ {
 		tr.wg.Add(1)
 		go tr.read(i)
@@ -123,10 +115,6 @@ func (tr *UDPTransport) Synchronous() bool { return false }
 // Oversize returns the number of frames dropped for exceeding one datagram.
 func (tr *UDPTransport) Oversize() int64 { return tr.oversize.Load() }
 
-// Misses returns the number of frames dropped because the directory had no
-// address for the destination. Always zero on the static in-process mesh.
-func (tr *UDPTransport) Misses() int64 { return tr.misses.Load() }
-
 // SendFailures returns the total number of frames the kernel refused to
 // accept (WriteToUDP errors) across all senders. A nonzero count under
 // normal operation points at socket-buffer pressure or teardown races —
@@ -141,18 +129,11 @@ func (tr *UDPTransport) NodeSendFailures(i int) int64 {
 	return tr.sendFails[i].Load()
 }
 
-// Addr returns node i's bound loopback address (for diagnostics).
-func (tr *UDPTransport) Addr(i int) *net.UDPAddr { return tr.addrs[i] }
-
-// Directory returns the transport's directory.
-func (tr *UDPTransport) Directory() Directory { return tr.dir }
-
 // Send implements Transport: one frame, one datagram. Write errors drop the
 // frame, exactly like the wire would — but they are counted per sender, not
-// silently discarded. The destination address comes from the directory; a
-// resolution miss drops and counts too. The read lock keeps Close from
-// pulling the socket away mid-write: a Send racing Close either completes
-// against an open socket or observes closed and returns.
+// silently discarded. The read lock keeps Close from pulling the socket away
+// mid-write: a Send racing Close either completes against an open socket or
+// observes closed and returns.
 func (tr *UDPTransport) Send(from, to int, frame []byte) {
 	if from < 0 || from >= tr.n || to < 0 || to >= tr.n {
 		return
@@ -161,17 +142,12 @@ func (tr *UDPTransport) Send(from, to int, frame []byte) {
 		tr.oversize.Add(1)
 		return
 	}
-	addr, ok := tr.dir.Resolve(to)
-	if !ok {
-		tr.misses.Add(1)
-		return
-	}
 	tr.mu.RLock()
 	defer tr.mu.RUnlock()
 	if tr.closed.Load() {
 		return
 	}
-	if _, err := tr.conns[from].WriteToUDP(frame, addr); err != nil {
+	if _, err := tr.conns[from].WriteToUDP(frame, tr.addrs[to]); err != nil {
 		tr.sendFails[from].Add(1)
 		tr.failTotal.Add(1)
 	}

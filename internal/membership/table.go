@@ -52,9 +52,6 @@ func NewTable(self ID, k int) *Table {
 	return &Table{self: self, k: k}
 }
 
-// Self returns the table owner's ID.
-func (t *Table) Self() ID { return t.self }
-
 // K returns the bucket capacity.
 func (t *Table) K() int { return t.k }
 

@@ -124,9 +124,6 @@ func (o *Oracle) IndexOf(id phonecall.NodeID) (int, bool) {
 // IsFailed reports whether node i is failed.
 func (o *Oracle) IsFailed(i int) bool { return o.failed[i] }
 
-// Round returns the number of rounds executed so far.
-func (o *Oracle) Round() int { return o.round }
-
 // Fail marks nodes as failed; out-of-range and already-failed indexes are
 // ignored. Between rounds only, like the engine.
 func (o *Oracle) Fail(indexes ...int) {
@@ -159,9 +156,6 @@ func (o *Oracle) SetLoss(rate float64, seed uint64) {
 	o.lossRate = rate
 	o.lossSeed = seed
 }
-
-// LossRate returns the per-call drop probability currently in effect.
-func (o *Oracle) LossRate() float64 { return o.lossRate }
 
 // OnRoundStart registers a hook invoked after the round counter advances and
 // before any intent is evaluated. A nil hook unregisters.

@@ -196,9 +196,6 @@ func (s *Selector) SetPartitioned(part bool) { s.partitioned.Store(part) }
 // Partitioned reports whether the partition view is active.
 func (s *Selector) Partitioned() bool { return s.partitioned.Load() }
 
-// Table returns the attribute table the selector was compiled over.
-func (s *Selector) Table() *Table { return s.table }
-
 // ZoneMembers returns the node indexes in a zone (for zone outage/heal
 // events).
 func (s *Selector) ZoneMembers(zone int) []int { return s.table.ZoneMembers(zone) }

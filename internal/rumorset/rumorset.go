@@ -123,9 +123,6 @@ func New(n, maxInFlight int) (*Set, error) {
 	return s, nil
 }
 
-// Cap returns the in-flight window size.
-func (s *Set) Cap() int { return s.cap }
-
 // Nodes returns the node count.
 func (s *Set) Nodes() int { return s.n }
 

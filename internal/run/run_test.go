@@ -319,6 +319,33 @@ func TestEngineAgreement(t *testing.T) {
 			}
 		})
 	}
+
+	// A rumor injected at a crashed node is lost on every engine: the node
+	// never acts while dead — not even out of a skew wait it was parked in
+	// when the crash fired — and rejoins uninformed, so rumor 1 reaches nobody.
+	lost := []scenario.Event{
+		inject,
+		scenario.CrashAt{At: 2, Nodes: []int{3}},
+		scenario.InjectRumor{At: 3, Node: 3, Rumor: 1},
+		scenario.JoinAt{At: 6, Nodes: []int{3}},
+	}
+	for name, spec := range map[string]Spec{
+		"lost inject/scenario":     {},
+		"lost inject/scenario set": {MaxInFlight: 4},
+		"lost inject/free-running": {Engine: EngineFreeRunning},
+	} {
+		t.Run(name, func(t *testing.T) {
+			spec.N, spec.Algorithm, spec.Seed, spec.Rounds, spec.Events = 32, "push-pull", 1, 12, lost
+			res, err := Execute(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.LostInjects != 1 || res.AllInformed {
+				t.Fatalf("lost injects %d, all-informed %v (informed %d of %d live): want 1 and not converged",
+					res.LostInjects, res.AllInformed, res.Informed, res.Live)
+			}
+		})
+	}
 }
 
 // TestObserverStreamsEveryRound checks the observer sees every executed

@@ -41,11 +41,6 @@ const (
 	AdvStale AdversaryKind = "stale"
 )
 
-// AdversaryKinds lists the library in presentation order.
-func AdversaryKinds() []AdversaryKind {
-	return []AdversaryKind{AdvLiar, AdvSpammer, AdvEclipse, AdvStale}
-}
-
 // AdversarySpec configures one misbehavior.
 type AdversarySpec struct {
 	// Kind selects the misbehavior.

@@ -110,44 +110,27 @@ type ledger interface {
 }
 
 // protocol is the mask ledger: one steppable protocol over a
-// phonecall.RumorTracker. A rumor stays in flight from its first injection to
-// the end of the run.
+// phonecall.RumorTracker, whose MaskView supplies the per-node half — the
+// table's predicates, the holdings message and its charge, the merge. A rumor
+// stays in flight from its first injection to the end of the run.
 type protocol struct {
 	*phonecall.RumorTracker
-	algo     Algorithm
-	net      *phonecall.Network
-	overhead int // bits charged for the non-payload part of a holdings message
+	algo Algorithm
+	net  *phonecall.Network
 }
 
 func newProtocol(algo Algorithm, net *phonecall.Network, tr *phonecall.RumorTracker) *protocol {
-	return &protocol{
-		RumorTracker: tr,
-		algo:         algo,
-		net:          net,
-		// Tag and counter bits, as the engine would charge a payload-free
-		// message; each carried rumor then adds one b-bit payload.
-		overhead: net.MessageSize(phonecall.Message{Tag: phonecall.TagHoldings}),
-	}
-}
-
-// message encodes a holdings bitmask, charged one payload per carried rumor.
-func (p *protocol) message(held uint64) phonecall.Message {
-	return phonecall.Message{
-		Tag:   phonecall.TagHoldings,
-		Value: held,
-		Rumor: true,
-		Bits:  p.overhead + bits.OnesCount64(held)*p.net.PayloadBits(),
-	}
+	return &protocol{RumorTracker: tr, algo: algo, net: net}
 }
 
 // intent implements the per-node initiation of the selected protocol. Reads
 // only node i's own holdings word plus the coordinator-written registered
 // mask, per the engine's callback contract.
 func (p *protocol) intent(i int) phonecall.Intent {
-	held := p.Held(i)
-	it, withHoldings := p.algo.Call(held == 0, held == p.Registered())
+	v := p.View(i)
+	it, withHoldings := p.algo.Call(v.Empty(), v.Complete())
 	if withHoldings {
-		it.Payload = p.message(held)
+		it.Payload = v.Message(p.net)
 	}
 	return it
 }
@@ -155,23 +138,23 @@ func (p *protocol) intent(i int) phonecall.Intent {
 // response answers pulls with the responder's holdings (address-oblivious:
 // one response per round, handed to every puller).
 func (p *protocol) response(j int) (phonecall.Message, bool) {
-	held := p.Held(j)
-	if !p.algo.Answers(held == 0) {
+	v := p.View(j)
+	if !p.algo.Answers(v.Empty()) {
 		return phonecall.Message{}, false
 	}
-	return p.message(held), true
+	return v.Message(p.net), true
 }
 
 // deliver merges every received holdings mask into the receiver's own.
 func (p *protocol) deliver(i int, inbox []phonecall.Message) {
-	var mask uint64
+	v := p.View(i)
+	var gain uint64
 	for _, m := range inbox {
-		if m.Tag == phonecall.TagHoldings {
-			mask |= m.Value
-		}
+		g, _ := v.Merge(m)
+		gain |= g
 	}
-	if mask != 0 {
-		p.MarkSet(i, mask)
+	if gain != 0 {
+		p.MarkSet(i, gain)
 	}
 }
 
@@ -191,8 +174,8 @@ func (p *protocol) WorstSpread() int { return worstSpread(p.informed(nil), 0) }
 
 // HoldsAll implements phonecall.Holdings.
 func (p *protocol) HoldsAll(node int) bool {
-	reg := p.Registered()
-	return reg != 0 && p.Held(node)&reg == reg
+	v := p.View(node)
+	return v.Registered != 0 && v.Complete()
 }
 
 // worstSpread is the smallest live-informed count of an informed snapshot,

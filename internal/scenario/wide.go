@@ -17,13 +17,13 @@ import (
 // "mask stays at ≤ 64: measured").
 
 // wideProtocol is the set ledger: one steppable protocol over a network and
-// a rumor set.
+// a rumor set. The per-node half is phonecall.SetView over each round's
+// digest.
 type wideProtocol struct {
-	algo     Algorithm
-	net      *phonecall.Network
-	set      *rumorset.Set
-	overhead int // bits charged for the non-payload, non-digest part
-	digests  []wideDigest
+	algo    Algorithm
+	net     *phonecall.Network
+	set     *rumorset.Set
+	digests []wideDigest
 	// carries: the algorithm's calls carry holdings (the decision table's
 	// answer for a node with some rumors but not all), so a calling node
 	// builds its digest anyway.
@@ -38,76 +38,68 @@ type wideProtocol struct {
 
 // wideDigest is one node's holdings digest for one round: the sorted rumor IDs
 // in the message's own ID type (the rumor-set kernels fill and read that
-// buffer directly) and the size the message is charged. A node builds it at
-// most once per round. The engine runs every intent and every response of a
-// round before the first delivery, and only deliveries change holdings, so
-// the digest a node's intent built is still exact when the same node answers
-// a pull later in the round; both messages alias ids, which nothing writes
-// again before the next round's intent pass.
+// buffer directly) and their summary's encoded size. A node builds it at most
+// once per round. The engine runs every intent and every response of a round
+// before the first delivery, and only deliveries change holdings, so the
+// digest a node's intent built is still exact when the same node answers a
+// pull later in the round; both messages alias ids, which nothing writes again
+// before the next round's intent pass.
 type wideDigest struct {
-	ids   []phonecall.NodeID
-	bits  int
-	round int // engine round ids and bits were built in (0: never)
+	ids          []phonecall.NodeID
+	summaryBytes int
+	round        int // engine round the digest was built in (0: never)
 }
 
 func newWideProtocol(algo Algorithm, net *phonecall.Network, set *rumorset.Set) *wideProtocol {
 	_, carries := algo.Call(false, false)
 	return &wideProtocol{
-		carries:  carries,
-		algo:     algo,
-		net:      net,
-		set:      set,
-		overhead: net.MessageSize(phonecall.Message{Tag: phonecall.TagHoldings}),
-		digests:  make([]wideDigest, set.Nodes()),
+		carries: carries,
+		algo:    algo,
+		net:     net,
+		set:     set,
+		digests: make([]wideDigest, set.Nodes()),
 	}
 }
 
 // digest returns node i's digest for the current round, building it on the
-// round's first use: the sorted holdings plus the accounting — overhead, the
-// summary encoding's bytes, and one b-bit payload per carried rumor. A node
-// that did not initiate with its holdings (pull, or a round it sat out) builds
-// it here when it is first pulled from.
-func (p *wideProtocol) digest(i int) *wideDigest {
+// round's first use, and the view over it. A node that did not initiate with
+// its holdings (pull, or a round it sat out) builds it here when it is first
+// pulled from.
+func (p *wideProtocol) digest(i int) (*wideDigest, phonecall.SetView) {
 	d := &p.digests[i]
 	if round := p.net.Round(); d.round != round {
-		var summaryBytes int
-		d.ids, summaryBytes = rumorset.AppendDigest(p.set, d.ids[:0], i)
-		d.bits = p.overhead + summaryBytes*8 + len(d.ids)*p.net.PayloadBits()
+		d.ids, d.summaryBytes = rumorset.AppendDigest(p.set, d.ids[:0], i)
 		d.round = round
 	}
-	return d
-}
-
-func (d *wideDigest) message() phonecall.Message {
-	return phonecall.Message{Tag: phonecall.TagHoldings, Rumor: true, IDs: d.ids, Bits: d.bits}
+	return d, phonecall.SetView{Held: len(d.ids), Active: p.active, SummaryBytes: d.summaryBytes}
 }
 
 // intent implements the per-node initiation from the shared decision table,
 // with the bitmask protocol's predicates read off the ledger: empty is "holds
 // no in-flight rumor", complete is "holds every in-flight rumor". A protocol
-// that carries holdings takes the count from the digest it needs anyway; one
+// that carries holdings takes the view from the digest it needs anyway; one
 // that never does (pull) only counts the row's bits.
 func (p *wideProtocol) intent(i int) phonecall.Intent {
-	var held int
-	if p.carries {
-		held = len(p.digest(i).ids)
-	} else {
-		held = p.set.HeldCount(i)
+	if !p.carries {
+		v := phonecall.SetView{Held: p.set.HeldCount(i), Active: p.active}
+		it, _ := p.algo.Call(v.Empty(), v.Complete())
+		return it
 	}
-	it, withHoldings := p.algo.Call(held == 0, held == p.active)
+	d, v := p.digest(i)
+	it, withHoldings := p.algo.Call(v.Empty(), v.Complete())
 	if withHoldings {
-		it.Payload = p.digest(i).message()
+		it.Payload = v.Message(p.net, d.ids)
 	}
 	return it
 }
 
 // response answers pulls with the responder's holdings digest.
 func (p *wideProtocol) response(j int) (phonecall.Message, bool) {
-	d := p.digest(j)
-	if !p.algo.Answers(len(d.ids) == 0) {
+	d, v := p.digest(j)
+	if !p.algo.Answers(v.Empty()) {
 		return phonecall.Message{}, false
 	}
-	return d.message(), true
+	return v.Message(p.net, d.ids), true
 }
 
 // deliver merges every received digest into the receiver's ledger row,

@@ -13,26 +13,27 @@ import (
 // selects over. On a network without a topology they fail loudly at apply
 // time instead of silently doing nothing.
 
-// topologyView is what the zone events need from the installed peer
+// TopologyView is what the zone events need from the installed peer
 // selector; internal/policy's Selector implements it. Declared here (not
 // imported) so the event vocabulary stays decoupled from the policy
-// compiler.
-type topologyView interface {
+// compiler; the free-running runtime fires the same events through it.
+type TopologyView interface {
 	ZoneMembers(zone int) []int
 	Zones() int
 	SetPartitioned(part bool)
 }
 
 // topology extracts the topology view from the network's peer selector.
-func topology(net *phonecall.Network, what string) (topologyView, error) {
-	if tv, ok := net.PeerSelector().(topologyView); ok {
+func topology(net *phonecall.Network, what string) (TopologyView, error) {
+	if tv, ok := net.PeerSelector().(TopologyView); ok {
 		return tv, nil
 	}
 	return nil, fmt.Errorf("scenario: %s needs a topology (configure one with WithTopology)", what)
 }
 
-// zoneMembers resolves a zone event's node set on the installed topology.
-func zoneMembers(net *phonecall.Network, what string, zone int) ([]int, error) {
+// ZoneMembers resolves a zone event's node set on the installed topology;
+// what names the event in the error.
+func ZoneMembers(net *phonecall.Network, what string, zone int) ([]int, error) {
 	tv, err := topology(net, what)
 	if err != nil {
 		return nil, err
@@ -58,7 +59,7 @@ func (e ZoneOutage) Describe() string { return fmt.Sprintf("zone %d outage", e.Z
 
 // Apply implements Event.
 func (e ZoneOutage) Apply(net *phonecall.Network, l ledger) error {
-	members, err := zoneMembers(net, "zone outage", e.Zone)
+	members, err := ZoneMembers(net, "zone outage", e.Zone)
 	if err != nil {
 		return err
 	}
@@ -81,7 +82,7 @@ func (e ZoneHeal) Describe() string { return fmt.Sprintf("zone %d heals", e.Zone
 
 // Apply implements Event.
 func (e ZoneHeal) Apply(net *phonecall.Network, l ledger) error {
-	members, err := zoneMembers(net, "zone heal", e.Zone)
+	members, err := ZoneMembers(net, "zone heal", e.Zone)
 	if err != nil {
 		return err
 	}

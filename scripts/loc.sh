@@ -7,4 +7,5 @@ for d in internal/* cmd/*; do
 	printf '%6d  %s\n' "$(loc "$d")" "$d"
 done
 printf '%6d  %s\n' "$(loc . -maxdepth 1)" "(root package)"
+printf '%6d  %s\n' "$(loc internal/scenario internal/live)" "internal/scenario + internal/live"
 printf '%6d  %s\n' "$(loc .)" "total"
