@@ -21,9 +21,9 @@ import (
 // own goroutine. Two implementations remain on purpose: bench/ and the
 // Byzantine behavior library are typed on the 64-bit mask, and a rumorset row
 // does not replace it at <= 64 rumors — on the simulator the same timeline
-// runs 1.2–3.1x slower on the rumor set than on the mask (BENCH_TRAJECTORY.md,
-// "mask stays at <= 64: measured"), far outside the 10 % that would have let
-// the mask go. Which one a run gets follows from its input (a stream, or a
+// ran 1.2–3.1x slower on the rumor set than on the mask (BENCH_TRAJECTORY.md,
+// "mask stays at <= 64: measured") and still runs up to 1.6x slower on push
+// ("mask vs set, again"), outside the 10 % that would have let the mask go. Which one a run gets follows from its input (a stream, or a
 // rumor ID past the mask), never from an option.
 type holdings interface {
 	// snapshot reads the node's current holdings: the decision table's two
@@ -107,9 +107,9 @@ type setHoldings struct {
 }
 
 func (h *setHoldings) snapshot() (phonecall.Message, bool, bool) {
-	h.ids, h.summaryBytes = rumorset.AppendDigest(h.set, h.ids[:0], h.node)
+	h.ids, h.summaryBytes = h.set.AppendDigest(h.ids[:0], h.node)
 	v := phonecall.SetView{Held: len(h.ids), Active: h.set.Active(), SummaryBytes: h.summaryBytes}
-	return v.Message(h.net, nil), v.Empty(), v.Complete()
+	return v.Message(h.net), v.Empty(), v.Complete()
 }
 
 // The stream path has no Byzantine seam (ValidateEvents rejects CorruptAt on

@@ -46,9 +46,11 @@ func (v MaskView) Merge(m Message) (gain uint64, partial bool) {
 	return got &^ v.Held, got != v.Registered
 }
 
-// SetView is a rumor-set row's view, read off one rumorset.AppendDigest: how
-// many of the Active in-flight rumors the node holds and the encoded size of
-// their sorted-ID summary. Merging a received digest is rumorset.MergeDigest.
+// SetView is a rumor-set row's view, read off one rumorset digest
+// (AppendDigest, or SnapshotRow where the row itself travels): how many of the
+// Active in-flight rumors the node holds and the encoded size of their
+// sorted-ID summary. Merging a received digest is rumorset's MarkIDs or
+// MergeRow.
 type SetView struct{ Held, Active, SummaryBytes int }
 
 // Empty reports that the node holds no in-flight rumor.
@@ -57,9 +59,10 @@ func (v SetView) Empty() bool { return v.Held == 0 }
 // Complete reports that the node holds every in-flight rumor.
 func (v SetView) Complete() bool { return v.Held == v.Active }
 
-// Message carries the holdings. ids is the digest when the message itself
-// transports it (the simulator); a runtime that encodes the summary into its
-// own frame passes nil.
-func (v SetView) Message(net *Network, ids []NodeID) Message {
-	return Message{Tag: TagHoldings, Rumor: true, IDs: ids, Bits: net.holdingsSize(v.SummaryBytes*8, v.Held)}
+// Message announces the holdings and charges them — the summary's bytes and
+// one payload per held rumor — without transporting them: the receiver reads
+// the digest where the sender's engine keeps it (the simulator's per-round row
+// snapshot, the live runtime's own summary frame).
+func (v SetView) Message(net *Network) Message {
+	return Message{Tag: TagHoldings, Rumor: true, Bits: net.holdingsSize(v.SummaryBytes*8, v.Held)}
 }

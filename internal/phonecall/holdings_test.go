@@ -85,21 +85,27 @@ func TestHoldingsViews(t *testing.T) {
 	}
 	set.MarkIDs(2, []rumorset.ID{5, 6, 300})
 	for node, c := range map[int]struct {
-		ids             []NodeID
+		ids             []rumorset.ID
 		empty, complete bool
 		bits            int
 	}{
 		1: {nil, true, false, 20 + 1*8},
-		2: {[]NodeID{5, 6, 300}, false, false, 20 + 5*8 + 3*256},
+		2: {[]rumorset.ID{5, 6, 300}, false, false, 20 + 5*8 + 3*256},
 	} {
-		ids, summaryBytes := rumorset.AppendDigest(set, []NodeID(nil), node)
+		ids, summaryBytes := set.AppendDigest(nil, node)
 		sv := SetView{Held: len(ids), Active: set.Active(), SummaryBytes: summaryBytes}
-		if sv.Empty() != c.empty || sv.Complete() != c.complete {
-			t.Errorf("set node %d: empty=%v complete=%v, want %v %v", node, sv.Empty(), sv.Complete(), c.empty, c.complete)
+		if !slices.Equal(ids, c.ids) || sv.Empty() != c.empty || sv.Complete() != c.complete {
+			t.Errorf("set node %d: ids %v empty=%v complete=%v, want %v %v %v", node, ids, sv.Empty(), sv.Complete(), c.ids, c.empty, c.complete)
 		}
-		m := sv.Message(net, ids)
-		if m.Tag != TagHoldings || !m.Rumor || !slices.Equal(m.IDs, c.ids) || m.Bits != c.bits {
-			t.Errorf("set node %d: message %+v, want ids %v charged %d", node, m, c.ids, c.bits)
+		// The simulator reads the same view off a row snapshot.
+		rv := set.View()
+		held, snapBytes := rv.SnapshotRow(make([]uint64, set.Words()), node)
+		rv.Release()
+		if held != sv.Held || snapBytes != sv.SummaryBytes {
+			t.Errorf("set node %d: snapshot says %d rumors in %d bytes, digest %d in %d", node, held, snapBytes, sv.Held, sv.SummaryBytes)
+		}
+		if m, want := sv.Message(net), (Message{Tag: TagHoldings, Rumor: true, Bits: c.bits}); !reflect.DeepEqual(m, want) {
+			t.Errorf("set node %d: message %+v, want %+v", node, m, want)
 		}
 	}
 	if sv := (SetView{Held: 4, Active: 4}); sv.Empty() || !sv.Complete() {

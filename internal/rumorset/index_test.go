@@ -136,8 +136,14 @@ func checkIndex(t *testing.T, s *Set, m *ledgerModel, stale []ID) {
 	if ranked != len(ix.sorted) || entries != len(ix.sorted) {
 		t.Fatalf("%d ranked slots, %d table entries, %d active ids", ranked, entries, len(ix.sorted))
 	}
-	if got := s.ActiveIDs(nil); !slices.Equal(got, ix.sorted) {
-		t.Fatalf("ActiveIDs %v != index %v", got, ix.sorted)
+	ids, live := s.AppendLive(nil, nil)
+	if !slices.Equal(ids, ix.sorted) || len(live) != len(ids) {
+		t.Fatalf("AppendLive lists %v with %d counts, index %v", ids, len(live), ix.sorted)
+	}
+	for r, id := range ids {
+		if live[r] != m.informed(id) {
+			t.Fatalf("rumor %d: AppendLive counts %d, model %d", id, live[r], m.informed(id))
+		}
 	}
 
 	for node := 0; node < s.n; node++ {
@@ -148,7 +154,7 @@ func checkIndex(t *testing.T, s *Set, m *ledgerModel, stale []ID) {
 			}
 		}
 		slices.Sort(want)
-		got, size := AppendDigest(s, []ID(nil), node)
+		got, size := s.AppendDigest(nil, node)
 		if !slices.Equal(got, want) {
 			t.Fatalf("node %d: AppendDigest %v, model %v", node, got, want)
 		}
@@ -171,7 +177,7 @@ func checkIndex(t *testing.T, s *Set, m *ledgerModel, stale []ID) {
 		if _, active := m.held[id]; active {
 			continue // re-registered since: a new epoch, no longer stale
 		}
-		if s.Has(0, id) || s.MarkIDs(0, []ID{id}) != 0 || MergeDigest(s, 0, []uint64{uint64(id)}) != 0 {
+		if s.Has(0, id) || s.MarkIDs(0, []ID{id}) != 0 {
 			t.Fatalf("stale id %d still resolves", id)
 		}
 	}
@@ -314,25 +320,6 @@ func TestIndexMultiPassDigest(t *testing.T) {
 		if ref := appendHeldBySort(s, nil, node); !slices.Equal(got, ref) {
 			t.Fatalf("node %d: multi-pass digest differs from the sort-based reference", node)
 		}
-	}
-}
-
-// TestMergeDigestSkipsOutOfRangeIDs pins the narrowing fix: a carried value
-// above the rumor ID space must be skipped like an unknown ID, never
-// truncated into the rumor whose ID its low 32 bits spell.
-func TestMergeDigestSkipsOutOfRangeIDs(t *testing.T) {
-	s := newSet(t, 2, 4)
-	if err := s.Inject(0, 5); err != nil {
-		t.Fatal(err)
-	}
-	if fresh := MergeDigest(s, 1, []uint64{1<<32 | 5, math.MaxUint64}); fresh != 0 {
-		t.Fatalf("out-of-range ids produced %d fresh marks", fresh)
-	}
-	if s.Has(1, 5) {
-		t.Fatal("1<<32|5 was narrowed into rumor 5")
-	}
-	if fresh := MergeDigest(s, 1, []uint64{5}); fresh != 1 || !s.Has(1, 5) {
-		t.Fatalf("in-range id 5: %d fresh marks", fresh)
 	}
 }
 

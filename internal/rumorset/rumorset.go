@@ -11,21 +11,29 @@
 // expired rumor fails the ID→slot lookup and is ignored instead of
 // mis-marking whatever rumor reused the slot.
 //
-// Concurrency contract: Mark/MarkIDs/Has/AppendHeld take the table read lock
-// and may run concurrently; marks for node i must come from i's owner (its
-// goroutine or engine shard), mirroring the engines' callback contract — a
-// node's holdings row has exactly one concurrent writer. Everything that changes the
-// table shape — Register, Inject, Expire, Retire, ExpireConverged, Fail,
+// Concurrency contract. The table (which rumors are in flight, in which slot,
+// which nodes are down) is guarded by one RWMutex. Everything that changes
+// its shape — Register, Inject, Expire, Retire, ExpireConverged, Fail,
 // Revive — takes the write lock and is coordinator/monitor-only; the ordered
 // index of the in-flight rumors (index.go) is maintained there and nowhere
-// else. Holdings bits are set with atomic Or under the read lock and cleared
-// only under the write lock, so setters never race the clearing scan.
+// else. Everything a node does to its own holdings is a kernel of the read
+// view (view.go), written once as a lock-free body: MarkIDs, AppendDigest,
+// HeldCount, SnapshotRow, MergeRow. A caller either holds a View across many
+// kernel calls — the simulator's coordinator takes one per round and its
+// engine shards run the kernels under it — or uses the Set method of the same
+// name, which is "take view → kernel → release" (the free-running engines,
+// one call at a time). Kernels may run concurrently; writes to node i's row
+// must come from i's owner (its goroutine or engine shard), mirroring the
+// engines' callback contract — a node's holdings row has exactly one
+// concurrent writer. Holdings bits are set with atomic Or under a view and
+// cleared only under the write lock, so setters never race the clearing scan.
+// A View must be released before its holder, or anyone it waits for, calls a
+// table-changing method.
 package rumorset
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -35,12 +43,6 @@ import (
 // rumor ID; the phonecall bitmask tracker's RumorID is the dense [0,64)
 // prefix of this space.
 type ID uint32
-
-// WireID is an integer type a caller carries rumor IDs in. The digest kernels
-// (AppendDigest, MergeDigest) read and write such a buffer in place, so an
-// engine whose messages hold IDs in a wider field than ID — the simulator's
-// phonecall.NodeID — neither stages a copy nor narrows a value unchecked.
-type WireID interface{ ~uint32 | ~uint64 }
 
 // ErrFull reports that the in-flight window is exhausted: every slot holds an
 // unconverged rumor, so injection must stall until GC reclaims one. Callers
@@ -70,11 +72,21 @@ type Set struct {
 	// touches every row.
 	held []uint64
 
-	// live counts live-informed nodes per slot. It is the convergence
-	// authority for the coordinator-driven engines (sim, lock-step), where
-	// churn and expiry happen between rounds; the free-running monitor uses
-	// ScanConverged instead and treats these as advisory.
-	live []atomic.Int64
+	// live counts live-informed nodes per slot, striped by contiguous node
+	// range: the nodes [k<<stripeShift, (k+1)<<stripeShift) count in stripe k,
+	// whose counters are live[k*liveStride:][:cap], and a slot's count is the
+	// sum over the stripes (each stripe's term is the live holders among its
+	// own nodes: a mark, a Fail and a Revive of node i all land in i's stripe).
+	// Engine shards and node goroutines own contiguous node ranges too, so
+	// fresh marks from different shards land on different cache lines instead
+	// of bouncing one line per rumor. liveRow and liveSum are the only
+	// accessors; finishExpiry zeroes a freed slot's counters. The sum is the convergence authority for the
+	// coordinator-driven engines (sim, lock-step), where churn and expiry
+	// happen between rounds; the free-running monitor uses ScanConverged
+	// instead and treats these as advisory.
+	live        []atomic.Int64
+	stripeShift uint
+	liveStride  int // cap rounded up to a whole cache line of counters
 
 	acc      []uint64 // ScanConverged scratch accumulator (monitor-only)
 	expiring []uint64 // slots queued by the running expiry call, as a row mask
@@ -104,18 +116,25 @@ func New(n, maxInFlight int) (*Set, error) {
 		return nil, fmt.Errorf("rumorset: need a positive in-flight window, got %d", maxInFlight)
 	}
 	words := (maxInFlight + 63) / 64
+	shift := uint(0)
+	for (n-1)>>shift >= liveStripes {
+		shift++
+	}
+	stride := (maxInFlight + 7) &^ 7
 	s := &Set{
-		n:        n,
-		cap:      maxInFlight,
-		words:    words,
-		ix:       newIndex(maxInFlight),
-		freeSl:   make([]int, 0, maxInFlight),
-		failed:   make([]bool, n),
-		liveN:    n,
-		held:     make([]uint64, n*words),
-		live:     make([]atomic.Int64, maxInFlight),
-		acc:      make([]uint64, words),
-		expiring: make([]uint64, words),
+		n:           n,
+		cap:         maxInFlight,
+		words:       words,
+		ix:          newIndex(maxInFlight),
+		freeSl:      make([]int, 0, maxInFlight),
+		failed:      make([]bool, n),
+		liveN:       n,
+		held:        make([]uint64, n*words),
+		live:        make([]atomic.Int64, ((n-1)>>shift+1)*stride),
+		stripeShift: shift,
+		liveStride:  stride,
+		acc:         make([]uint64, words),
+		expiring:    make([]uint64, words),
 	}
 	for sl := maxInFlight - 1; sl >= 0; sl-- {
 		s.freeSl = append(s.freeSl, sl)
@@ -126,8 +145,33 @@ func New(n, maxInFlight int) (*Set, error) {
 // Nodes returns the node count.
 func (s *Set) Nodes() int { return s.n }
 
+// Words returns the length of one holdings row in 64-bit words — the size of
+// the buffer SnapshotRow fills and MergeRow reads.
+func (s *Set) Words() int { return s.words }
+
 // row returns node's holdings row.
 func (s *Set) row(node int) []uint64 { return s.held[node*s.words : (node+1)*s.words] }
+
+// liveStripes bounds how many node ranges the live counters are striped over:
+// at least as many as an engine has shards on any box this runs on, few enough
+// that summing a slot stays a handful of loads. The counters cost
+// stripes · ⌈window/8⌉·8 · 8 bytes.
+const liveStripes = 16
+
+// liveRow returns the per-slot live counters that node's marks count in: its
+// stripe's. Indexed by slot.
+func (s *Set) liveRow(node int) []atomic.Int64 {
+	return s.live[(node>>s.stripeShift)*s.liveStride:][:s.cap]
+}
+
+// liveSum returns the slot's live-informed count, summed over the stripes.
+func (s *Set) liveSum(sl int) int {
+	c := int64(0)
+	for ; sl < len(s.live); sl += s.liveStride {
+		c += s.live[sl].Load()
+	}
+	return int(c)
+}
 
 // Register makes the rumor active, assigning it a slot. Registering an
 // already-active ID is a no-op. A previously-expired ID may be re-registered:
@@ -151,8 +195,7 @@ func (s *Set) register(id ID) (int, error) {
 	}
 	sl := s.freeSl[len(s.freeSl)-1]
 	s.freeSl = s.freeSl[:len(s.freeSl)-1]
-	s.ix.insert(id, sl)
-	s.live[sl].Store(0)
+	s.ix.insert(id, sl) // a free slot's counters are zero: finishExpiry left them so
 	s.injected.Add(1)
 	return sl, nil
 }
@@ -191,7 +234,7 @@ func (s *Set) markLocked(node, sl int) {
 	}
 	atomic.OrUint64(word, mask)
 	if !s.failed[node] {
-		s.live[sl].Add(1)
+		s.liveRow(node)[sl].Add(1)
 	}
 }
 
@@ -206,38 +249,11 @@ func (s *Set) Mark(node int, id ID) {
 	s.mu.RUnlock()
 }
 
-// MarkIDs merges a decoded summary into node's holdings: every known ID is
-// marked, unknown IDs are skipped, and the number of fresh marks is returned.
-// Callable from node's owner goroutine only.
-func (s *Set) MarkIDs(node int, ids []ID) int { return MergeDigest(s, node, ids) }
-
-// MergeDigest is MarkIDs over the caller's own ID-typed buffer. A value
-// outside the rumor ID space cannot name a rumor and is skipped like an
-// unknown ID — never narrowed into one.
-func MergeDigest[T WireID](s *Set, node int, ids []T) int {
-	fresh := 0
-	s.mu.RLock()
-	row, failed := s.row(node), s.failed[node]
-	for _, v := range ids {
-		if uint64(v) > math.MaxUint32 {
-			continue
-		}
-		sl, ok := s.ix.lookup(ID(v))
-		if !ok {
-			continue
-		}
-		// markLocked with the row and the liveness test hoisted out of the loop.
-		word, mask := &row[sl>>6], uint64(1)<<(sl&63)
-		if atomic.LoadUint64(word)&mask != 0 {
-			continue
-		}
-		atomic.OrUint64(word, mask)
-		fresh++
-		if !failed {
-			s.live[sl].Add(1)
-		}
-	}
-	s.mu.RUnlock()
+// MarkIDs is the read view's MarkIDs under a view of its own.
+func (s *Set) MarkIDs(node int, ids []ID) int {
+	v := s.View()
+	fresh := v.MarkIDs(node, ids)
+	v.Release()
 	return fresh
 }
 
@@ -261,79 +277,43 @@ func (s *Set) LiveInformed(id ID) int {
 	if !ok {
 		return 0
 	}
-	return int(s.live[sl].Load())
+	return s.liveSum(sl)
+}
+
+// AppendLive appends every in-flight rumor's ID to ids and its live-informed
+// count to live, ascending by ID, under one lock. Coordinator/monitor-only.
+func (s *Set) AppendLive(ids []ID, live []int) ([]ID, []int) {
+	s.mu.RLock()
+	ids = append(ids, s.ix.sorted...)
+	for _, sl := range s.ix.slotAt {
+		live = append(live, s.liveSum(int(sl)))
+	}
+	s.mu.RUnlock()
+	return ids, live
 }
 
 // AppendHeld appends the sorted IDs of every active rumor node holds to dst
 // and returns the extended slice. Sorted ascending so the result feeds
 // AppendSummary directly. Callable from any node goroutine.
 func (s *Set) AppendHeld(dst []ID, node int) []ID {
-	dst, _ = AppendDigest(s, dst, node)
+	dst, _ = s.AppendDigest(dst, node)
 	return dst
 }
 
-// rankSpan is how many ranks one pass of AppendDigest sorts on its stack
-// bitmap. Windows up to this size take one pass; a larger window takes one
-// pass per rankSpan active rumors, still without allocating.
-const rankSpan = 1024
-
-// AppendDigest is AppendHeld into the caller's own ID-typed buffer; it also
-// returns SummarySize of the appended IDs, computed in the same walk.
-//
-// The IDs come out ascending without a sort: the row's bits are slot-ordered,
-// so each set bit is moved to its rumor's rank among the active IDs (the
-// index's slot→rank permutation) in a scratch bitmap, and walking that bitmap
-// visits the held rumors in ID order — O(held) + O(words).
-func AppendDigest[T WireID](s *Set, dst []T, node int) (out []T, summaryBytes int) {
-	start := len(dst)
-	prev := ^uint64(0) // so that the first ID's "delta−1" is the ID itself
-	var ranks [rankSpan / 64]uint64
-	s.mu.RLock()
-	row := s.row(node)
-	for base := 0; base < len(s.ix.sorted); base += rankSpan {
-		ids := s.ix.sorted[base:min(base+rankSpan, len(s.ix.sorted))]
-		span := ranks[:(len(ids)+63)>>6]
-		clear(span)
-		for w := range row {
-			for word := atomic.LoadUint64(&row[w]); word != 0; word &= word - 1 {
-				r := int(s.ix.rankOf[w<<6+bits.TrailingZeros64(word)]) - base
-				if uint(r) < uint(len(ids)) {
-					span[r>>6] |= 1 << (r & 63)
-				}
-			}
-		}
-		for w, word := range span {
-			for ; word != 0; word &= word - 1 {
-				id := uint64(ids[w<<6+bits.TrailingZeros64(word)])
-				dst = append(dst, T(id))
-				summaryBytes += uvarintLen(id - prev - 1)
-				prev = id
-			}
-		}
-	}
-	s.mu.RUnlock()
-	return dst, summaryBytes + uvarintLen(uint64(len(dst)-start))
+// AppendDigest is the read view's AppendDigest under a view of its own.
+func (s *Set) AppendDigest(dst []ID, node int) (out []ID, summaryBytes int) {
+	v := s.View()
+	out, summaryBytes = v.AppendDigest(dst, node)
+	v.Release()
+	return out, summaryBytes
 }
 
-// HeldCount returns how many active rumors node holds.
+// HeldCount is the read view's HeldCount under a view of its own.
 func (s *Set) HeldCount(node int) int {
-	c := 0
-	s.mu.RLock()
-	row := s.row(node)
-	for w := range row {
-		c += bits.OnesCount64(atomic.LoadUint64(&row[w]))
-	}
-	s.mu.RUnlock()
+	v := s.View()
+	c := v.HeldCount(node)
+	v.Release()
 	return c
-}
-
-// ActiveIDs appends the sorted IDs of all in-flight rumors to dst.
-// Coordinator/monitor-only.
-func (s *Set) ActiveIDs(dst []ID) []ID {
-	s.mu.RLock()
-	dst = append(dst, s.ix.sorted...)
-	s.mu.RUnlock()
-	return dst
 }
 
 // Active returns the number of in-flight rumors.
@@ -390,7 +370,7 @@ func (s *Set) ExpireConverged() int {
 	}
 	freed := 0
 	for _, sl := range s.ix.slotAt {
-		if int(s.live[sl].Load()) >= s.liveN {
+		if s.liveSum(int(sl)) >= s.liveN {
 			s.queueExpiry(int(sl))
 			freed++
 		}
@@ -406,13 +386,13 @@ func (s *Set) queueExpiry(sl int) {
 	s.ix.rankOf[sl] = noRank
 	s.expiring[sl>>6] |= 1 << (sl & 63)
 	s.freeSl = append(s.freeSl, sl)
-	s.live[sl].Store(0)
 }
 
 // finishExpiry completes an expiry call that queued the given number of
-// rumors: one compaction of the index and one pass over the arena clearing
-// every queued column — not one pass per rumor. The write lock excludes every
-// setter, so the pass uses plain loads and stores.
+// rumors: one compaction of the index, one pass over the arena clearing every
+// queued column — not one pass per rumor — and one over each stripe of the
+// live counters zeroing the queued slots. The write lock excludes every
+// setter, so the arena pass uses plain loads and stores.
 func (s *Set) finishExpiry(queued int, wasConverged bool) {
 	if queued == 0 {
 		return
@@ -422,6 +402,13 @@ func (s *Set) finishExpiry(queued int, wasConverged bool) {
 		row := s.row(node)
 		for w, mask := range s.expiring {
 			row[w] &^= mask
+		}
+	}
+	for base := 0; base < len(s.live); base += s.liveStride {
+		for w, mask := range s.expiring {
+			for ; mask != 0; mask &= mask - 1 {
+				s.live[base+w<<6+bits.TrailingZeros64(mask)].Store(0)
+			}
 		}
 	}
 	clear(s.expiring)
@@ -482,9 +469,10 @@ func (s *Set) Fail(nodes ...int) {
 		}
 		s.failed[node] = true
 		s.liveN--
+		live := s.liveRow(node)
 		for w, word := range s.row(node) {
 			for ; word != 0; word &= word - 1 {
-				s.live[w<<6+bits.TrailingZeros64(word)].Add(-1)
+				live[w<<6+bits.TrailingZeros64(word)].Add(-1)
 			}
 		}
 	}

@@ -248,14 +248,14 @@ func TestSetConcurrentMarks(t *testing.T) {
 		go func(node int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(node)))
-			buf := make([]ID, 0, 64)
+			buf, counts := make([]ID, 0, 64), make([]int, 0, 64)
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				buf = s.ActiveIDs(buf[:0])
+				buf, counts = s.AppendLive(buf[:0], counts[:0])
 				if len(buf) > 0 {
 					s.Mark(node, buf[rng.Intn(len(buf))])
 					s.MarkIDs(node, buf)

@@ -1,0 +1,223 @@
+package rumorset
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+)
+
+// liveCounts reads every raw live counter, stripe by stripe.
+func liveCounts(s *Set) []int64 {
+	out := make([]int64, len(s.live))
+	for k := range s.live {
+		out[k] = s.live[k].Load()
+	}
+	return out
+}
+
+// recountLive checks the striped live counters against the arena: a slot's
+// sum must be the number of live nodes whose row has its bit.
+func recountLive(t *testing.T, s *Set) {
+	t.Helper()
+	for r, sl := range s.ix.slotAt {
+		want := 0
+		for node := 0; node < s.n; node++ {
+			if !s.failed[node] && s.row(node)[sl>>6]&(1<<(sl&63)) != 0 {
+				want++
+			}
+		}
+		if got := s.liveSum(int(sl)); got != want {
+			t.Fatalf("rumor %d (slot %d): live counters sum to %d, the arena holds %d live holders", s.ix.sorted[r], sl, got, want)
+		}
+	}
+}
+
+// TestMergeRowDifferential drives two sets through the same random table
+// history — injections, retirements that scramble the slot order, failures,
+// revivals — and between table changes runs the same gossip on both: on one
+// as the ID form, MarkIDs(i, AppendHeld(j)) sized by SummarySize, on the other
+// as the row form, SnapshotRow(j) then MergeRow(i, ·) under one view. The
+// arenas, every raw live counter and every returned number must agree. The
+// windows cover one word, one pass of the rank walk, and several passes.
+func TestMergeRowDifferential(t *testing.T) {
+	for _, window := range []int{5, 64, 1024, 2 * rankSpan} {
+		t.Run(fmt.Sprint("window=", window), func(t *testing.T) {
+			const nodes = 40
+			rng := rand.New(rand.NewSource(int64(window)))
+			byID, byRow := newSet(t, nodes, window), newSet(t, nodes, window)
+			both := func(f func(s *Set)) { f(byID); f(byRow) }
+
+			pool := make([]ID, 2*window+8)
+			for k := range pool {
+				pool[k] = ID(rng.Uint32())
+			}
+			snaps := make([]uint64, nodes*byRow.Words())
+			snap := func(j int) []uint64 { return snaps[j*byRow.Words() : (j+1)*byRow.Words()] }
+			digests := make([][]ID, nodes)
+
+			rounds := 40
+			if window > 64 {
+				rounds = 12
+			}
+			for round := 0; round < rounds; round++ {
+				// Table changes, identical on both sets. Every third round most
+				// of the window retires and refills in a new order, so slot
+				// order and ID order part ways.
+				if round%3 == 2 {
+					ids, _ := byID.AppendLive(nil, nil)
+					rng.Shuffle(len(ids), func(a, b int) { ids[a], ids[b] = ids[b], ids[a] })
+					both(func(s *Set) { s.Retire(ids[:len(ids)*3/4]...) })
+				}
+				for k := 0; k < window; k++ {
+					node, id := rng.Intn(nodes), pool[rng.Intn(len(pool))]
+					both(func(s *Set) { _ = s.Inject(node, id) }) // ErrFull on both or on neither
+				}
+				for k := 0; k < 4; k++ {
+					node := rng.Intn(nodes)
+					if rng.Intn(2) == 0 {
+						both(func(s *Set) { s.Fail(node) })
+					} else {
+						both(func(s *Set) { s.Revive(node) })
+					}
+				}
+				if byRow.Active() <= rankSpan && window > rankSpan {
+					t.Fatalf("only %d rumors in flight: the multi-pass walk is not covered", byRow.Active())
+				}
+
+				// One gossip round: every digest is taken before the first merge.
+				v := byRow.View()
+				for j := 0; j < nodes; j++ {
+					digests[j] = byID.AppendHeld(digests[j][:0], j)
+					held, summaryBytes := v.SnapshotRow(snap(j), j)
+					if held != len(digests[j]) || summaryBytes != SummarySize(digests[j]) {
+						t.Fatalf("round %d node %d: snapshot says %d rumors in %d bytes, the ID digest %d in %d",
+							round, j, held, summaryBytes, len(digests[j]), SummarySize(digests[j]))
+					}
+				}
+				for k := 0; k < 6*nodes; k++ {
+					i, j := rng.Intn(nodes), rng.Intn(nodes)
+					if want, got := byID.MarkIDs(i, digests[j]), v.MergeRow(i, snap(j)); got != want {
+						t.Fatalf("round %d: merging node %d into %d (failed=%v): MergeRow %d fresh, MarkIDs %d",
+							round, j, i, byRow.failed[i], got, want)
+					}
+				}
+				v.Release()
+
+				if !slices.Equal(byRow.held, byID.held) {
+					t.Fatalf("round %d: the arenas differ", round)
+				}
+				if !slices.Equal(liveCounts(byRow), liveCounts(byID)) {
+					t.Fatalf("round %d: the live counters differ", round)
+				}
+				recountLive(t, byRow)
+			}
+			if st := byRow.Snapshot(); st != byID.Snapshot() || st.Expired == 0 {
+				t.Fatalf("counters: row form %+v, ID form %+v", st, byID.Snapshot())
+			}
+		})
+	}
+}
+
+// TestSnapshotRowDetached pins why the row is copied: a snapshot keeps saying
+// what its node held when it was taken, however the row moves on, and merging
+// it hands over exactly that. Neither kernel allocates.
+func TestSnapshotRowDetached(t *testing.T) {
+	for _, window := range []int{256, 1024} {
+		s := newSet(t, 4, window)
+		for k := 0; k < window; k++ {
+			if err := s.Inject(k&1, ID(k*7919%window)); err != nil { // slot order differs from ID order
+				t.Fatal(err)
+			}
+		}
+		before := s.AppendHeld(nil, 0)
+		snap := make([]uint64, s.Words())
+		v := s.View()
+		if held, _ := v.SnapshotRow(snap, 0); held != window/2 {
+			t.Fatalf("window %d: snapshot holds %d rumors, want %d", window, held, window/2)
+		}
+		if fresh := v.MergeRow(0, make([]uint64, s.Words())); fresh != 0 {
+			t.Fatalf("window %d: an empty snapshot marked %d rumors", window, fresh)
+		}
+		rest, _ := v.AppendDigest(nil, 1)
+		v.MarkIDs(0, rest) // node 0 moves on to hold everything
+		if fresh := v.MergeRow(2, snap); fresh != window/2 {
+			t.Fatalf("window %d: merging the snapshot marked %d rumors, want %d", window, fresh, window/2)
+		}
+		if fresh := v.MergeRow(2, snap); fresh != 0 {
+			t.Fatalf("window %d: merging the snapshot again marked %d rumors", window, fresh)
+		}
+		if a := testing.AllocsPerRun(20, func() { v.SnapshotRow(snap, 1) }); a != 0 {
+			t.Errorf("window %d: SnapshotRow allocates %v times per call", window, a)
+		}
+		if a := testing.AllocsPerRun(20, func() { v.MergeRow(3, snap) }); a != 0 {
+			t.Errorf("window %d: MergeRow allocates %v times per call", window, a)
+		}
+		v.Release()
+		if got := s.AppendHeld(nil, 2); !slices.Equal(got, before) {
+			t.Fatalf("window %d: node 2 received %d rumors, node 0 held %d when the snapshot was taken", window, len(got), len(before))
+		}
+		recountLive(t, s)
+	}
+}
+
+// TestMergeRowConcurrentShards is the simulator's round under the race
+// detector: one view taken by a coordinator, shards that each own a contiguous
+// node range snapshot their nodes, meet at a barrier, then merge snapshots
+// taken by any shard into their own nodes; between rounds the coordinator
+// changes the table. The striped counters must add up to the arena after
+// every round, and the stream must drain.
+func TestMergeRowConcurrentShards(t *testing.T) {
+	const nodes, window, shards, stream = 96, 130, 4, 600
+	s := newSet(t, nodes, window)
+	snaps := make([]uint64, nodes*s.Words())
+	snap := func(j int) []uint64 { return snaps[j*s.Words() : (j+1)*s.Words()] }
+	inShards := func(v View, round int, f func(v View, round, node int)) {
+		var wg sync.WaitGroup
+		for w := 0; w < shards; w++ {
+			wg.Add(1)
+			go func(lo, hi int) {
+				defer wg.Done()
+				for node := lo; node < hi; node++ {
+					f(v, round, node)
+				}
+			}(w*nodes/shards, (w+1)*nodes/shards)
+		}
+		wg.Wait()
+	}
+	next := ID(0)
+	for round := 1; next < stream || s.Active() > 0; round++ {
+		if round > 400 {
+			t.Fatalf("stream stuck: %d rumors still in flight after %d rounds", s.Active(), round)
+		}
+		switch round % 7 {
+		case 3:
+			s.Fail(round%nodes, (round+40)%nodes)
+		case 5:
+			s.Revive((round-2)%nodes, (round+38)%nodes)
+		}
+		for ; next < stream && s.Active() < window; next++ {
+			origin := int(next*31) % nodes
+			for s.failed[origin] { // a rumor injected at a down node is lost when it revives
+				origin = (origin + 1) % nodes
+			}
+			if err := s.Inject(origin, next*1009); err != nil {
+				t.Fatal(err)
+			}
+		}
+		v := s.View()
+		inShards(v, round, func(v View, _, node int) { v.SnapshotRow(snap(node), node) })
+		inShards(v, round, func(v View, round, node int) {
+			for k := 0; k < 3; k++ {
+				v.MergeRow(node, snap((node*7+round*13+k*29)%nodes))
+			}
+		})
+		v.Release()
+		recountLive(t, s)
+		s.ExpireConverged()
+	}
+	if st := s.Snapshot(); st.Converged != stream {
+		t.Fatalf("%d of %d rumors converged: %+v", st.Converged, stream, st)
+	}
+}

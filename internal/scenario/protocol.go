@@ -103,6 +103,11 @@ type ledger interface {
 	// informed appends the live-informed count of every in-flight rumor to
 	// dst, ordered by rumor ID.
 	informed(dst []trace.RumorCount) []trace.RumorCount
+	// beginRound and endRound bracket every engine round, on the coordinator:
+	// whatever the representation must hold still while the engine's shards
+	// run its callbacks is taken in one and given back in the other.
+	beginRound()
+	endRound()
 	// retire is handed the rumors the whole live population holds after the
 	// round just run and reports whether the ledger dropped them: their counts
 	// are then final, and a later inject of the same ID opens a new epoch.
@@ -165,6 +170,11 @@ func (p *protocol) informed(dst []trace.RumorCount) []trace.RumorCount {
 	}
 	return dst
 }
+
+// The mask's words need no bracket: each is read and written by its node's
+// owner alone.
+func (p *protocol) beginRound() {}
+func (p *protocol) endRound()   {}
 
 // retire keeps every rumor: a mask bit costs nothing to carry on.
 func (p *protocol) retire([]trace.RumorCount) bool { return false }

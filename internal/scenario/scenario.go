@@ -534,7 +534,11 @@ func Run(ctx context.Context, sc Scenario, cfg Config) (res Result, err error) {
 			next++
 		}
 
+		// An aborted round (a done ctx panics out of ExecRound) leaves the
+		// bracket open on a ledger nobody reads again.
+		l.beginRound()
 		rep := net.ExecRound(intent, response, deliver)
+		l.endRound()
 		cur.Messages += rep.Messages
 		cur.Bits += rep.Bits
 		if rep.MaxComms > cur.MaxComms {

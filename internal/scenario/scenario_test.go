@@ -509,9 +509,6 @@ func TestProtocolsFollowTheDecisionTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Enter round 1: the wide protocol stamps its per-round digests with
-		// the engine round, and 0 means "never built".
-		net.ExecRound(func(int) phonecall.Intent { return phonecall.Silent() }, nil, nil)
 		tr := phonecall.NewRumorTracker(net)
 		set, err := rumorset.New(4, 8)
 		if err != nil {
@@ -531,6 +528,7 @@ func TestProtocolsFollowTheDecisionTable(t *testing.T) {
 		}
 		wide := newWideProtocol(row.algo, net, set)
 		wide.active = set.Active()
+		wide.beginRound() // the set ledger's callbacks run under the round's view
 		for name, p := range map[string]interface {
 			intent(int) phonecall.Intent
 			response(int) (phonecall.Message, bool)
@@ -545,5 +543,6 @@ func TestProtocolsFollowTheDecisionTable(t *testing.T) {
 					name, row.algo, row.empty, ok, row.algo.Answers(row.empty))
 			}
 		}
+		wide.endRound()
 	}
 }

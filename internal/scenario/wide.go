@@ -8,22 +8,37 @@ import (
 
 // The set ledger: the same steppable push/pull/push-pull protocols over the
 // scalable rumor set (internal/rumorset) instead of the uint64 holdings
-// bitmask. A message carries the sorted rumor IDs the sender holds in its IDs
-// field and is charged the digest bytes plus one payload per carried rumor;
-// converged rumors are retired between rounds (GC), so the in-flight window —
-// not the total stream length — bounds per-node state and message size.
-// Workloads that fit the bitmask (≤64 dense IDs, no explicit window) never
-// come here: at that size the mask is 1.3–3× faster (BENCH_TRAJECTORY.md,
-// "mask stays at ≤ 64: measured").
+// bitmask. A holdings message is charged what the paper charges it — the
+// sorted-ID summary's bytes plus one payload per carried rumor — and carries
+// nothing: sender and receiver share one rumor set and, for the length of a
+// round, one slot table, so the receiver ORs the sender's per-round row
+// snapshot into its own row word by word instead of probing the table once
+// per carried ID. The snapshot is in slot space and a slot is reused once its
+// rumor retires, so a snapshot is only ever read in the round that took it
+// (the digest's round stamp): the table changes between rounds and never
+// inside one. Converged rumors are retired between rounds (GC), so the
+// in-flight window — not the total stream length — bounds per-node state and
+// message size. Workloads that fit the bitmask (≤64 dense IDs, no explicit
+// window) never come here: at that size the mask is still up to 1.6× faster
+// (BENCH_TRAJECTORY.md, "mask vs set, again").
 
 // wideProtocol is the set ledger: one steppable protocol over a network and
 // a rumor set. The per-node half is phonecall.SetView over each round's
 // digest.
 type wideProtocol struct {
-	algo    Algorithm
-	net     *phonecall.Network
-	set     *rumorset.Set
+	algo Algorithm
+	net  *phonecall.Network
+	set  *rumorset.Set
+	// view is the set's read lock, taken by the coordinator in beginRound and
+	// given back in endRound: the engine's shards run the rumor-set kernels
+	// under it, so no node and no message takes a lock of its own.
+	view    rumorset.View
+	round   int // rounds begun; stamps the digests built in the current one
 	digests []wideDigest
+	// snaps is the digests' arena, set.Words() words per node: node i's row
+	// snapshot is written by i's shard in the intent or the response pass and
+	// read by its callees' shards in the delivery pass.
+	snaps []uint64
 	// carries: the algorithm's calls carry holdings (the decision table's
 	// answer for a node with some rumors but not all), so a calling node
 	// builds its digest anyway.
@@ -34,20 +49,20 @@ type wideProtocol struct {
 	// opened: some rumor has been injected (the window may have drained since).
 	opened bool
 	scan   []rumorset.ID // the coordinator's scratch
+	counts []int         // the coordinator's scratch, parallel to scan
 }
 
-// wideDigest is one node's holdings digest for one round: the sorted rumor IDs
-// in the message's own ID type (the rumor-set kernels fill and read that
-// buffer directly) and their summary's encoded size. A node builds it at most
-// once per round. The engine runs every intent and every response of a round
-// before the first delivery, and only deliveries change holdings, so the
-// digest a node's intent built is still exact when the same node answers a
-// pull later in the round; both messages alias ids, which nothing writes again
-// before the next round's intent pass.
+// wideDigest is one node's holdings digest for one round: what its row
+// snapshot in the arena holds and the encoded size of the summary that would
+// say so. A node builds it at most once per round. The engine runs every
+// intent and every response of a round before the first delivery, and only
+// deliveries change holdings, so the digest a node's intent built is still
+// exact when the same node answers a pull later in the round, and a receiver
+// that finds the sender's stamp equal to the current round reads the row the
+// sender's message was charged for.
 type wideDigest struct {
-	ids          []phonecall.NodeID
-	summaryBytes int
-	round        int // engine round the digest was built in (0: never)
+	held, summaryBytes int
+	round              int // the protocol round the digest was built in (0: never)
 }
 
 func newWideProtocol(algo Algorithm, net *phonecall.Network, set *rumorset.Set) *wideProtocol {
@@ -58,20 +73,36 @@ func newWideProtocol(algo Algorithm, net *phonecall.Network, set *rumorset.Set) 
 		net:     net,
 		set:     set,
 		digests: make([]wideDigest, set.Nodes()),
+		snaps:   make([]uint64, set.Nodes()*set.Words()),
 	}
 }
 
-// digest returns node i's digest for the current round, building it on the
-// round's first use, and the view over it. A node that did not initiate with
-// its holdings (pull, or a round it sat out) builds it here when it is first
+// beginRound and endRound bracket one engine round with the set's read view:
+// every event, inject and retirement — everything that changes the table —
+// runs on the coordinator outside the bracket.
+func (p *wideProtocol) beginRound() {
+	p.view = p.set.View()
+	p.round++
+}
+
+func (p *wideProtocol) endRound() { p.view.Release() }
+
+func (p *wideProtocol) snap(i int) []uint64 {
+	words := p.set.Words()
+	return p.snaps[i*words : (i+1)*words]
+}
+
+// digest returns the view over node i's digest for the current round, taking
+// the row snapshot on the round's first use. A node that did not initiate with
+// its holdings (pull, or a round it sat out) takes it here when it is first
 // pulled from.
-func (p *wideProtocol) digest(i int) (*wideDigest, phonecall.SetView) {
+func (p *wideProtocol) digest(i int) phonecall.SetView {
 	d := &p.digests[i]
-	if round := p.net.Round(); d.round != round {
-		d.ids, d.summaryBytes = rumorset.AppendDigest(p.set, d.ids[:0], i)
-		d.round = round
+	if d.round != p.round {
+		d.held, d.summaryBytes = p.view.SnapshotRow(p.snap(i), i)
+		d.round = p.round
 	}
-	return d, phonecall.SetView{Held: len(d.ids), Active: p.active, SummaryBytes: d.summaryBytes}
+	return phonecall.SetView{Held: d.held, Active: p.active, SummaryBytes: d.summaryBytes}
 }
 
 // intent implements the per-node initiation from the shared decision table,
@@ -81,35 +112,38 @@ func (p *wideProtocol) digest(i int) (*wideDigest, phonecall.SetView) {
 // that never does (pull) only counts the row's bits.
 func (p *wideProtocol) intent(i int) phonecall.Intent {
 	if !p.carries {
-		v := phonecall.SetView{Held: p.set.HeldCount(i), Active: p.active}
+		v := phonecall.SetView{Held: p.view.HeldCount(i), Active: p.active}
 		it, _ := p.algo.Call(v.Empty(), v.Complete())
 		return it
 	}
-	d, v := p.digest(i)
+	v := p.digest(i)
 	it, withHoldings := p.algo.Call(v.Empty(), v.Complete())
 	if withHoldings {
-		it.Payload = v.Message(p.net, d.ids)
+		it.Payload = v.Message(p.net)
 	}
 	return it
 }
 
 // response answers pulls with the responder's holdings digest.
 func (p *wideProtocol) response(j int) (phonecall.Message, bool) {
-	d, v := p.digest(j)
+	v := p.digest(j)
 	if !p.algo.Answers(v.Empty()) {
 		return phonecall.Message{}, false
 	}
-	return v.Message(p.net, d.ids), true
+	return v.Message(p.net), true
 }
 
-// deliver merges every received digest into the receiver's ledger row,
-// straight from the messages. IDs that expired while the message was in
-// flight fail the ledger lookup and are dropped (the slot-reuse ABA guard),
-// and so does a carried value outside the rumor ID space.
+// deliver merges the row snapshot behind every received holdings message into
+// the receiver's ledger row. A message whose sender does not resolve, or whose
+// sender took no snapshot this round, is ignored: there is no row it could
+// stand for.
 func (p *wideProtocol) deliver(i int, inbox []phonecall.Message) {
-	for _, m := range inbox {
-		if m.Tag == phonecall.TagHoldings {
-			rumorset.MergeDigest(p.set, i, m.IDs)
+	for k := range inbox {
+		if inbox[k].Tag != phonecall.TagHoldings {
+			continue
+		}
+		if j, ok := p.net.IndexOf(inbox[k].From); ok && p.digests[j].round == p.round {
+			p.view.MergeRow(i, p.snap(j))
 		}
 	}
 }
@@ -138,9 +172,9 @@ func (p *wideProtocol) Revive(nodes ...int) {
 func (p *wideProtocol) LostInjects() int64 { return p.set.Snapshot().Lost }
 
 func (p *wideProtocol) informed(dst []trace.RumorCount) []trace.RumorCount {
-	p.scan = p.set.ActiveIDs(p.scan[:0])
-	for _, id := range p.scan {
-		dst = append(dst, trace.RumorCount{Rumor: phonecall.RumorID(id), LiveInformed: p.set.LiveInformed(id)})
+	p.scan, p.counts = p.set.AppendLive(p.scan[:0], p.counts[:0])
+	for k, id := range p.scan {
+		dst = append(dst, trace.RumorCount{Rumor: phonecall.RumorID(id), LiveInformed: p.counts[k]})
 	}
 	return dst
 }

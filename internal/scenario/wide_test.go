@@ -9,6 +9,7 @@ import (
 	"repro/internal/phonecall"
 	"repro/internal/policy"
 	"repro/internal/rumorset"
+	"repro/internal/trace"
 )
 
 // TestWideMatchesBitmaskPath is the conformance check for the rumor-set
@@ -297,29 +298,81 @@ func TestWideReinjection(t *testing.T) {
 	}
 }
 
-// TestWideWorkerInvariance extends the engine's bit-identical-across-shards
-// guarantee to the wide path.
-func TestWideWorkerInvariance(t *testing.T) {
-	var events []Event
-	for k := 0; k < 80; k++ {
-		events = append(events, InjectRumor{At: 1 + k/20, Node: k % 24, Rumor: phonecall.RumorID(k * 3)})
+// wideProbe is the observer TestWideWorkerInvariance watches a run through:
+// how many shards the engine really ran, and after every round the worst
+// spread and how many live nodes hold every in-flight rumor.
+type wideProbe struct {
+	net      *phonecall.Network
+	holdings phonecall.Holdings
+	rounds   [][2]int
+}
+
+func (o *wideProbe) BindNetwork(net *phonecall.Network)           { o.net = net }
+func (o *wideProbe) BindHoldings(h phonecall.Holdings)            { o.holdings = h }
+func (o *wideProbe) BeginRound(int, phonecall.RoundInfo)          {}
+func (o *wideProbe) ObserveIntent(int, phonecall.Intent)          {}
+func (o *wideProbe) ObserveResponse(int, phonecall.Message, bool) {}
+func (o *wideProbe) ObserveDeliver(int, []phonecall.Message)      {}
+func (o *wideProbe) EndRound(phonecall.RoundReport) {
+	complete := 0
+	for i := 0; i < o.net.N(); i++ {
+		if !o.net.IsFailed(i) && o.holdings.HoldsAll(i) {
+			complete++
+		}
 	}
-	events = append(events, CrashAt{At: 10, Nodes: []int{1, 2}}, JoinAt{At: 20, Nodes: []int{1}})
+	o.rounds = append(o.rounds, [2]int{o.holdings.WorstSpread(), complete})
+}
+
+// TestWideWorkerInvariance extends the engine's bit-identical-across-shards
+// guarantee to the wide path, at a size where the engine really shards
+// (n >= 4096; below that initEngine forces one worker): sparse rumor IDs
+// streamed through a window smaller than their total so slots recycle, call
+// loss, and a crash wave with a partial rejoin that straddles the shard
+// boundaries. Totals, every phase, every rumor's fate and the per-round
+// informed counts must not depend on the shard count.
+func TestWideWorkerInvariance(t *testing.T) {
+	const n, rumors, perRound = 4096, 256, 8
+	events := []Event{Loss{At: 1, Rate: 0.02, Seed: 31}}
+	for id := 0; id < rumors; id++ {
+		events = append(events, InjectRumor{
+			At:    1 + id/perRound,
+			Node:  (id*7919 + 5) % n,
+			Rumor: phonecall.RumorID(3 + 1013*id),
+		})
+	}
+	var crashed []int
+	for k := 0; k < 64; k++ {
+		crashed = append(crashed, (k*n/64+n/128+k)%n, k*n/64) // mid-shard and on every boundary
+	}
+	events = append(events, CrashAt{At: 9, Nodes: crashed}, JoinAt{At: 17, Nodes: crashed[:64]})
 	for _, algo := range Algorithms() {
-		sc := Scenario{N: 24, Rounds: 60, Algorithm: algo, Events: events, MaxInFlight: 128}
+		sc := Scenario{N: n, Rounds: 60, Algorithm: algo, Events: events, MaxInFlight: 208}
 		var first Result
-		for i, workers := range []int{1, 3, 8} {
-			res, err := Run(context.Background(), sc, Config{Seed: 5, Workers: workers})
+		var firstRounds [][2]int
+		for _, workers := range []int{1, 2, 8} {
+			probe := &wideProbe{}
+			res, err := Run(context.Background(), sc, Config{Seed: 5, Workers: workers, Observer: probe})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if i == 0 {
-				first = res
+			if got := probe.net.Workers(); got != workers {
+				t.Fatalf("%s: asked for %d shards, the engine ran %d", algo, workers, got)
+			}
+			if res.RumorsExpired <= int64(sc.MaxInFlight) {
+				t.Fatalf("%s: only %d rumors expired through a %d-slot window: slots never recycled",
+					algo, res.RumorsExpired, sc.MaxInFlight)
+			}
+			if workers == 1 {
+				first, firstRounds = res, probe.rounds
 				continue
 			}
-			if res.Messages != first.Messages || res.Bits != first.Bits {
-				t.Fatalf("%s workers=%d traffic (%d msgs, %d bits) differs from workers=1 (%d, %d)",
-					algo, workers, res.Messages, res.Bits, first.Messages, first.Bits)
+			if res.Messages != first.Messages || res.Bits != first.Bits || res.RumorsExpired != first.RumorsExpired {
+				t.Fatalf("%s workers=%d: %d msgs, %d bits, %d expired; workers=1: %d, %d, %d", algo, workers,
+					res.Messages, res.Bits, res.RumorsExpired, first.Messages, first.Bits, first.RumorsExpired)
+			}
+			if len(res.Rumors) != len(first.Rumors) || len(probe.rounds) != len(firstRounds) {
+				t.Fatalf("%s workers=%d: %d rumor fates over %d rounds, workers=1 had %d over %d",
+					algo, workers, len(res.Rumors), len(probe.rounds), len(first.Rumors), len(firstRounds))
 			}
 			for j := range first.Rumors {
 				if res.Rumors[j] != first.Rumors[j] {
@@ -327,34 +380,142 @@ func TestWideWorkerInvariance(t *testing.T) {
 						algo, workers, first.Rumors[j].Rumor, res.Rumors[j], first.Rumors[j])
 				}
 			}
+			if !reflect.DeepEqual(res.ScenarioPhases, first.ScenarioPhases) {
+				t.Fatalf("%s workers=%d: the per-phase trace differs from workers=1", algo, workers)
+			}
+			for r := range firstRounds {
+				if probe.rounds[r] != firstRounds[r] {
+					t.Fatalf("%s workers=%d round %d: (worst spread, complete nodes) = %v, workers=1 saw %v",
+						algo, workers, r+1, probe.rounds[r], firstRounds[r])
+				}
+			}
 		}
 	}
 }
 
-// TestWideDeliverSkipsOutOfRangeIDs pins the merge path's ID check: a message
-// carries IDs as 64-bit NodeIDs, and a value above the 32-bit rumor ID space
-// must be dropped like an unknown ID, not truncated into the rumor its low
-// bits spell. (Only a corrupting adversary could put one on the wire, which
-// ValidateEvents keeps off wide runs today.)
-func TestWideDeliverSkipsOutOfRangeIDs(t *testing.T) {
+// TestWideDeliverIgnoresUnreadableSenders pins what stands behind a holdings
+// message on the set ledger: the sender's row snapshot of the current round
+// and nothing else. A message whose sender does not resolve is dropped, and so
+// is one whose sender took its last snapshot in an earlier round — the table
+// changed since, and the slot that meant one rumor then means another now.
+func TestWideDeliverIgnoresUnreadableSenders(t *testing.T) {
 	net, err := phonecall.New(phonecall.Config{N: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := rumorset.New(4, 8)
+	set, err := rumorset.New(4, 1) // one slot: the next rumor is bound to reuse it
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := set.Inject(0, 5); err != nil {
+	p := newWideProtocol(AlgoPushPull, net, set)
+	if err := p.Inject(0, 5); err != nil {
 		t.Fatal(err)
 	}
-	p := newWideProtocol(AlgoPushPull, net, set)
-	p.deliver(1, []phonecall.Message{{Tag: phonecall.TagHoldings, Rumor: true, IDs: []phonecall.NodeID{1<<32 | 5}}})
-	if set.Has(1, 5) {
-		t.Fatal("carried value 1<<32|5 marked rumor 5")
+	from := func(i int) []phonecall.Message {
+		m := phonecall.SetView{Held: 1, Active: 1, SummaryBytes: 2}.Message(net)
+		m.From = net.ID(i)
+		return []phonecall.Message{m}
 	}
-	p.deliver(1, []phonecall.Message{{Tag: phonecall.TagHoldings, Rumor: true, IDs: []phonecall.NodeID{5}}})
+
+	p.beginRound()
+	p.deliver(1, from(0)) // node 0 sent nothing this round: no snapshot stands behind the message
+	if set.Has(1, 5) {
+		t.Fatal("a holdings message without a snapshot of this round marked a rumor")
+	}
+	if it := p.intent(0); !it.Payload.HasContent() {
+		t.Fatal("node 0 holds a rumor and called without it")
+	}
+	stranger := from(0)
+	stranger[0].From = 0 // no node has ID 0
+	p.deliver(1, stranger)
+	if set.Has(1, 5) {
+		t.Fatal("a holdings message from an unknown sender marked a rumor")
+	}
+	p.deliver(1, []phonecall.Message{{From: net.ID(0), Tag: phonecall.TagHoldings + 1, Rumor: true}})
+	if set.Has(1, 5) {
+		t.Fatal("a message that is not a holdings message marked a rumor")
+	}
+	p.deliver(1, from(0))
 	if !set.Has(1, 5) {
-		t.Fatal("in-range id 5 was not merged")
+		t.Fatal("node 0's snapshot of this round was not merged")
+	}
+	p.endRound()
+
+	// Rumor 5 retires and rumor 9 takes its slot, at a node that is not 0.
+	p.retire(p.informed(nil))
+	if err := p.Inject(2, 9); err != nil {
+		t.Fatal(err)
+	}
+	p.beginRound()
+	p.deliver(3, from(0)) // node 0's snapshot still has the slot's bit set — for rumor 5
+	if set.Has(3, 9) {
+		t.Fatal("last round's snapshot was merged across a table change: rumor 5's slot marked rumor 9")
+	}
+	p.response(2)
+	p.deliver(3, from(2))
+	if !set.Has(3, 9) {
+		t.Fatal("node 2's snapshot of this round was not merged")
+	}
+	p.endRound()
+}
+
+// TestWideRoundDoesNotAllocate is the engine's TestZeroSteadyStateAllocs one
+// layer up: after warm-up a round of the set ledger — the bracket, every
+// snapshot and merge, the coordinator's informed scan — allocates nothing,
+// sequential or sharded.
+func TestWideRoundDoesNotAllocate(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		n, workers int
+	}{{"sequential", 512, 1}, {"sharded", 4096, 4}} {
+		for _, algo := range Algorithms() {
+			t.Run(tc.name+"/"+string(algo), func(t *testing.T) {
+				const window = 128
+				net, err := phonecall.New(phonecall.Config{N: tc.n, Seed: 3, Workers: tc.workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				set, err := rumorset.New(tc.n, window)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p := newWideProtocol(algo, net, set)
+				for r := 0; r < window; r++ {
+					if err := p.Inject(r*31%tc.n, phonecall.RumorID(r*1009)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				intent, response, deliver := p.intent, p.response, p.deliver
+				var informed []trace.RumorCount
+				round := func() {
+					p.beginRound()
+					net.ExecRound(intent, response, deliver)
+					p.endRound()
+					informed = p.informed(informed[:0])
+				}
+				// Warm up until every node holds (and so sends) everything: the
+				// engine's arena is then as large as it gets. Then half the
+				// nodes rejoin empty, so the measured rounds have rows to merge.
+				for i := 0; worstSpread(informed, 0) < tc.n; i++ {
+					if i == 80 {
+						t.Fatalf("warm-up stuck: worst rumor at %d of %d nodes", worstSpread(informed, 0), tc.n)
+					}
+					round()
+				}
+				var half []int
+				for i := 1; i < tc.n; i += 2 {
+					half = append(half, i)
+				}
+				p.Fail(half...)
+				p.Revive(half...)
+				before := worstSpread(p.informed(nil), 0)
+				if avg := testing.AllocsPerRun(5, round); avg != 0 {
+					t.Errorf("steady-state wide round allocates %.1f times, want 0", avg)
+				}
+				if after := worstSpread(informed, 0); before >= tc.n || after <= before {
+					t.Fatalf("the measured rounds merged nothing: worst rumor at %d of %d nodes before, %d after", before, tc.n, after)
+				}
+			})
+		}
 	}
 }
