@@ -14,22 +14,23 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
+	"strconv"
 	"strings"
 
 	"repro"
-	"repro/internal/cliutil"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "benchtab:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("benchtab", flag.ContinueOnError)
 	experiments := fs.String("experiment", "all", "comma-separated experiment ids (E1..E10, E12) or 'all'")
 	sizes := fs.String("sizes", "1000,10000,100000", "comma-separated network sizes")
@@ -40,11 +41,14 @@ func run(args []string) error {
 		return err
 	}
 
-	sizeList, err := cliutil.ParseSizes(*sizes)
+	sizeList, err := parseSizes(*sizes)
 	if err != nil {
 		return err
 	}
-	seedList := cliutil.Seeds(*seeds)
+	var seedList []uint64
+	for s := 1; s <= *seeds; s++ {
+		seedList = append(seedList, uint64(s))
+	}
 
 	ids := repro.ExperimentIDs()
 	if *experiments != "all" {
@@ -56,7 +60,26 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(table.Render())
+		fmt.Fprintln(w, table.Render())
 	}
 	return nil
+}
+
+// parseSizes parses a comma-separated list of network sizes.
+func parseSizes(s string) ([]int, error) {
+	var out []int
+	for _, part := range strings.Split(s, ",") {
+		if part = strings.TrimSpace(part); part == "" {
+			continue
+		}
+		v, err := strconv.Atoi(part)
+		if err != nil {
+			return nil, fmt.Errorf("parse size %q: %w", part, err)
+		}
+		out = append(out, v)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("no sizes given")
+	}
+	return out, nil
 }

@@ -3,16 +3,12 @@ package main
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/testutil"
 )
 
 // TestRunExperimentTable regenerates one experiment table on a tiny sweep
 // and asserts the rendered markers.
 func TestRunExperimentTable(t *testing.T) {
-	out, err := testutil.CaptureStdout(t, func() error {
-		return run([]string{"-experiment", "E1", "-sizes", "500", "-seeds", "1"})
-	})
+	out, err := runOut([]string{"-experiment", "E1", "-sizes", "500", "-seeds", "1"})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -21,4 +17,11 @@ func TestRunExperimentTable(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", marker, out)
 		}
 	}
+}
+
+// runOut runs the command line and returns what it printed.
+func runOut(args []string) (string, error) {
+	var out strings.Builder
+	err := run(args, &out)
+	return out.String(), err
 }

@@ -104,10 +104,7 @@ func run(args []string, out *os.File) error {
 			return fmt.Errorf("metrics endpoint: %w", err)
 		}
 		mux := http.NewServeMux()
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			reg.WritePrometheus(w)
-		})
+		mux.Handle("/metrics", reg.Handler())
 		srv := &http.Server{Handler: mux}
 		go srv.Serve(ln)
 		defer srv.Close()

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 	"net"
+	"net/http"
 	"os"
 	"strings"
 	"sync"
@@ -124,6 +127,56 @@ func TestBudgetExhaustedPrintsReportThenFails(t *testing.T) {
 		if !strings.Contains(string(log), want) {
 			t.Errorf("report missing %q before the error:\n%s", want, log)
 		}
+	}
+}
+
+// TestMetricsEndpoint scrapes -metrics-addr while a lone node runs out its
+// budget: /metrics is the registry's shared handler, Prometheus text with the
+// same Content-Type every other endpoint of the repository serves. The node
+// binds an ephemeral port and the test reads the address from its report.
+func TestMetricsEndpoint(t *testing.T) {
+	ports := freeUDPPorts(t, 1)
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.Close()
+	done := make(chan error, 1)
+	go func() {
+		err := run([]string{
+			"-n", "2", "-index", "0",
+			"-bind", fmt.Sprintf("127.0.0.1:%d", ports[0]),
+			"-rounds", "1000", "-interval", "2ms",
+			"-metrics-addr", "127.0.0.1:0",
+		}, pw)
+		pw.Close()
+		done <- err
+	}()
+	const prefix = "metrics            serving /metrics on "
+	var url string
+	sc := bufio.NewScanner(pr)
+	for url == "" && sc.Scan() {
+		if line, ok := strings.CutPrefix(sc.Text(), prefix); ok {
+			url = line + "/metrics"
+		}
+	}
+	go io.Copy(io.Discard, pr)
+	if url == "" {
+		t.Fatalf("run printed no metrics address: %v", <-done)
+	}
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("status %d", resp.StatusCode)
+	}
+	if ct, want := resp.Header.Get("Content-Type"), "text/plain; version=0.0.4; charset=utf-8"; ct != want {
+		t.Errorf("Content-Type %q, want %q", ct, want)
+	}
+	if err := <-done; err == nil || !strings.Contains(err.Error(), "convergence budget exhausted") {
+		t.Errorf("err = %v, want budget-exhausted", err)
 	}
 }
 

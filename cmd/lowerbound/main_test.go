@@ -3,17 +3,13 @@ package main
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/testutil"
 )
 
 // TestRunSmoke runs the lower-bound exploration at two small sizes and
 // asserts the table header, the per-size rows and the optional Lemma 16 and
 // trace outputs.
 func TestRunSmoke(t *testing.T) {
-	out, err := testutil.CaptureStdout(t, func() error {
-		return run([]string{"-n", "100,1000", "-seeds", "2", "-delta", "16", "-trace"})
-	})
+	out, err := runOut([]string{"-n", "100,1000", "-seeds", "2", "-delta", "16", "-trace"})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -30,9 +26,7 @@ func TestRunSmoke(t *testing.T) {
 // TestRunDefaultsOmitExtras checks that -delta and -trace output stay off by
 // default.
 func TestRunDefaultsOmitExtras(t *testing.T) {
-	out, err := testutil.CaptureStdout(t, func() error {
-		return run([]string{"-n", "100", "-seeds", "1"})
-	})
+	out, err := runOut([]string{"-n", "100", "-seeds", "1"})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -47,14 +41,17 @@ func TestRunDefaultsOmitExtras(t *testing.T) {
 // TestRunRejectsBadInput pins the error paths: an unparsable size and an
 // unknown flag.
 func TestRunRejectsBadInput(t *testing.T) {
-	if _, err := testutil.CaptureStdout(t, func() error {
-		return run([]string{"-n", "12,notanumber"})
-	}); err == nil {
+	if _, err := runOut([]string{"-n", "12,notanumber"}); err == nil {
 		t.Error("unparsable size accepted")
 	}
-	if _, err := testutil.CaptureStdout(t, func() error {
-		return run([]string{"-bogus"})
-	}); err == nil {
+	if _, err := runOut([]string{"-bogus"}); err == nil {
 		t.Error("unknown flag accepted")
 	}
+}
+
+// runOut runs the command line and returns what it printed.
+func runOut(args []string) (string, error) {
+	var out strings.Builder
+	err := run(args, &out)
+	return out.String(), err
 }

@@ -10,7 +10,7 @@
 //
 // comparing push, pull and push-pull on identical timelines. The JSON twin
 // of scenario 1 lives in spec.json — run it with
-// `go run ./cmd/scenario -spec examples/churn/spec.json`.
+// `go run ./cmd/gossip -spec examples/churn/spec.json`.
 package main
 
 import (
@@ -52,7 +52,7 @@ func main() {
 	fmt.Println("Push stalls when its informed frontier crashes; pull recovers joiners but")
 	fmt.Println("pays control traffic forever; push-pull re-informs every rejoiner quickly.")
 	fmt.Println("The per-phase view of the crash-wave timeline is one command away:")
-	fmt.Println("  go run ./cmd/scenario -spec examples/churn/spec.json")
+	fmt.Println("  go run ./cmd/gossip -spec examples/churn/spec.json")
 }
 
 // compare runs the same timeline under every steppable protocol.

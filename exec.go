@@ -213,8 +213,8 @@ func WithAdversaries(behavior Adversary, count int, seed uint64) Option {
 }
 
 // WithRounds sets the explicit round budget for multi-rumor timelines and
-// the free-running engine (closed broadcast algorithms terminate on their
-// own and ignore it).
+// the free-running engine. Closed broadcast algorithms terminate on their
+// own; a budget on one is rejected with ErrInvalidConfig.
 func WithRounds(rounds int) Option {
 	return Option{func(s *settings) { s.spec.Rounds = rounds }}
 }
@@ -248,7 +248,7 @@ func WithMaxInFlight(window int) Option {
 }
 
 // WithScenarioSpec configures the run from a JSON scenario spec (the format
-// of cmd/scenario and internal/scenario): network size, round budget,
+// of cmd/gossip -spec and internal/scenario): network size, round budget,
 // algorithm, seed, payload size, workers, and the full event timeline
 // including generators. The spec fixes the network size — pass n = 0 to Run
 // to adopt it. Later options override the spec's scalar fields.

@@ -138,7 +138,7 @@ type Spec struct {
 	// multi-rumor driver; Rounds is its budget.
 	Events []scenario.Event
 	// Rounds is the explicit round budget for multi-rumor and free-running
-	// workloads (closed algorithms terminate on their own).
+	// workloads (closed algorithms terminate on their own and reject it).
 	Rounds int
 	// ScenarioName labels multi-rumor results.
 	ScenarioName string
@@ -400,6 +400,8 @@ func (s Spec) validateEngine() error {
 			}
 		} else if s.Algorithm != "" && !slices.Contains(Algorithms(), s.Algorithm) {
 			return invalidf("unknown algorithm %q", s.Algorithm)
+		} else if s.Rounds > 0 {
+			return invalidf("a round budget (Rounds) applies to multi-rumor timelines and the free-running engine; closed algorithms terminate on their own")
 		}
 		if s.Drop != 0 || s.Latency != 0 || s.Jitter != 0 {
 			return invalidf("transport frame loss and link delay apply to the free-running engine only")

@@ -34,6 +34,8 @@ func TestValidateRejects(t *testing.T) {
 		{"loss above one", Spec{N: 100, LossRate: 1.5}},
 		{"negative rounds", Spec{N: 100, Rounds: -1}},
 		{"unknown closed algorithm", Spec{N: 100, Algorithm: "bogus"}},
+		{"round budget on a closed algorithm", Spec{N: 100, Rounds: 3}},
+		{"round budget on closed lock-step", Spec{N: 100, Engine: EngineLockStep, Rounds: 3}},
 		{"crash node out of range", Spec{N: 100,
 			Events: []scenario.Event{scenario.CrashAt{At: 2, Nodes: []int{100}}}}},
 		{"join node negative", Spec{N: 100,

@@ -11,7 +11,7 @@ import (
 )
 
 // JSON scenario specs: the on-disk form of a Scenario plus its execution
-// config, runnable with `go run ./cmd/scenario -spec file.json`. A spec
+// config, runnable with `go run ./cmd/gossip -spec file.json`. A spec
 // lists explicit events and/or generator invocations; both expand into the
 // same typed timeline. Example:
 //

@@ -4,8 +4,18 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http"
 	"strconv"
 )
+
+// Handler serves the registry as a Prometheus /metrics endpoint — the one
+// handler behind repro.MetricsRegistry.Handler and cmd/gossipnode.
+func (r *Registry) Handler() http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		r.WritePrometheus(w)
+	})
+}
 
 // WritePrometheus renders the registry in the Prometheus text exposition
 // format (version 0.0.4): one # TYPE comment per metric family followed by

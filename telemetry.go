@@ -72,10 +72,10 @@ func (m *MetricsRegistry) WritePrometheus(w io.Writer) error {
 // Handler returns an http.Handler serving the registry as a Prometheus
 // /metrics endpoint.
 func (m *MetricsRegistry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		m.WritePrometheus(w)
-	})
+	if m == nil || m.reg == nil {
+		return telemetry.NewRegistry().Handler()
+	}
+	return m.reg.Handler()
 }
 
 // WithTelemetry collects the run's metrics into the registry: per-round

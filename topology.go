@@ -49,8 +49,8 @@ func WanLanTopology(n, zones int) (Topology, error) {
 }
 
 // TopologyFromJSON materializes a JSON topology spec (a named generator or an
-// explicit per-node attribute list — the format of the cmd/gossipsim and
-// cmd/scenario -topology flag) for an n-node network.
+// explicit per-node attribute list — the format of the cmd/gossip -topology
+// flag) for an n-node network.
 func TopologyFromJSON(data []byte, n int) (Topology, error) {
 	spec, err := policy.ParseTopology(data)
 	if err != nil {
@@ -193,8 +193,8 @@ func WithTopology(t Topology) Option {
 
 // WithTopologyFile attributes the run's nodes from a JSON topology spec
 // file, sized to the run's network once n is known — unlike TopologyFromFile
-// it composes with scenario specs that fix their own n (the cmd/gossipsim and
-// cmd/scenario -topology flag). It overrides any earlier WithTopology.
+// it composes with scenario specs that fix their own n (the cmd/gossip
+// -topology flag). It overrides any earlier WithTopology.
 func WithTopologyFile(path string) Option {
 	return Option{func(s *settings) {
 		spec, err := policy.LoadTopology(path)
@@ -215,7 +215,7 @@ func WithPolicy(p Policy) Option {
 }
 
 // WithPolicyFile is WithPolicy reading a JSON policy (the format of the
-// cmd/gossipsim and cmd/scenario -policy flag).
+// cmd/gossip -policy flag).
 func WithPolicyFile(path string) Option {
 	return Option{func(s *settings) {
 		p, err := policy.LoadPolicy(path)
