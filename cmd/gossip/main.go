@@ -71,7 +71,6 @@ type invocation struct {
 	n         int
 	opts      []repro.Option
 	transport string // the live engines' transport, for the header
-	payload   int    // b for bits/node/payload; 0 when a -spec may set its own
 	failures  int
 
 	metrics       *repro.MetricsRegistry // nil: no telemetry
@@ -152,7 +151,6 @@ func parse(args []string) (invocation, error) {
 		n:             *n,
 		opts:          []repro.Option{engineOpt, repro.WithSeed(*seed)},
 		transport:     *transport,
-		payload:       *payload,
 		failures:      *failures,
 		metricsAddr:   *metricsAddr,
 		metricsLinger: *metricsLinger,
@@ -161,9 +159,6 @@ func parse(args []string) (invocation, error) {
 		inv.opts = append(inv.opts, repro.WithScenarioFile(*specPath))
 		if !set["n"] {
 			inv.n = 0 // adopt the spec's size
-		}
-		if !set["b"] {
-			inv.payload = 0
 		}
 	}
 	fs.Visit(func(f *flag.Flag) {
@@ -209,9 +204,7 @@ func render(w io.Writer, rep repro.Report, inv invocation) {
 		rep.Messages, rep.ControlMessages, rep.MessagesPerNode)
 	fmt.Fprintf(w, "bits               %d\n", rep.Bits)
 	fmt.Fprintf(w, "max comms/round Δ  %d\n", rep.MaxCommsPerRound)
-	if inv.payload > 0 {
-		fmt.Fprintf(w, "bits/node/payload  %.2f\n", float64(rep.Bits)/float64(rep.N)/float64(inv.payload))
-	}
+	fmt.Fprintf(w, "bits/node/payload  %.2f\n", float64(rep.Bits)/float64(rep.N)/float64(rep.PayloadBits))
 	if inv.failures > 0 {
 		fmt.Fprintf(w, "uninformed survivors %d (F = %d)\n", rep.UninformedSurvivors(), inv.failures)
 	}
@@ -219,6 +212,9 @@ func render(w io.Writer, rep repro.Report, inv invocation) {
 		fmt.Fprintf(w, "rumor stream       %d injected, %d converged, %d expired by GC, %d still active\n",
 			rep.RumorsInjected, rep.RumorsConverged, rep.RumorsExpired, rep.RumorsActive)
 		fmt.Fprintf(w, "backpressure       injection stalled on a full window for %d monitor tick(s)\n", rep.InjectionStalls)
+		if rep.RumorsReseeded > 0 {
+			fmt.Fprintf(w, "reseeded           %d rumor(s) whose every holder crashed\n", rep.RumorsReseeded)
+		}
 	}
 	if rep.Drops > 0 {
 		fmt.Fprintf(w, "frame drops        %d\n", rep.Drops)

@@ -3,9 +3,11 @@ package main
 import (
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -149,6 +151,45 @@ func TestRunSpecSmoke(t *testing.T) {
 		"rumor 0 (injected round 1)",
 	}, "-spec", p["spec.json"], "-workers", "2")
 	mustRun(t, []string{"(500 node goroutines)"}, "-engine", "free", "-spec", p["spec.json"], "-rounds", "120")
+}
+
+// TestRunSpecPayloadBits checks that bits/node/payload divides by the payload
+// size the run used: the spec's when no -b is set, the flag's over it, and the
+// default when neither sets one.
+func TestRunSpecPayloadBits(t *testing.T) {
+	p := writeFiles(t, map[string]string{
+		"spec.json": tinySpec,
+		"b64.json":  strings.Replace(tinySpec, `"seed": 3,`, `"seed": 3, "payload_bits": 64,`, 1),
+	})
+	perPayload := func(args ...string) (bits, perNode float64) {
+		out := mustRun(t, []string{"bits/node/payload"}, args...)
+		var n int
+		for _, line := range strings.Split(out, "\n") {
+			f := strings.Fields(line)
+			switch {
+			case len(f) == 2 && f[0] == "bits":
+				bits, _ = strconv.ParseFloat(f[1], 64)
+			case len(f) >= 2 && f[0] == "nodes":
+				n, _ = strconv.Atoi(f[1])
+			case len(f) == 2 && f[0] == "bits/node/payload":
+				perNode, _ = strconv.ParseFloat(f[1], 64)
+			}
+		}
+		return bits / float64(n), perNode
+	}
+	for _, c := range []struct {
+		b    float64
+		args []string
+	}{
+		{256, []string{"-spec", p["spec.json"]}},
+		{64, []string{"-spec", p["b64.json"]}},
+		{32, []string{"-spec", p["b64.json"], "-b", "32"}},
+	} {
+		bitsPerNode, got := perPayload(c.args...)
+		if want := bitsPerNode / c.b; bitsPerNode == 0 || math.Abs(got-want) > 0.01 {
+			t.Errorf("%v: bits/node/payload %.2f, want %.2f (b = %v)", c.args, got, want, c.b)
+		}
+	}
 }
 
 // TestRunAlgoOverride checks that set flags override the spec's fields and

@@ -432,6 +432,9 @@ type Report struct {
 	// Engine names the substrate that executed the run: "simulator",
 	// "lock-step" or "free-running".
 	Engine string
+	// PayloadBits is the rumor size b every payload was charged: the one a
+	// WithPayloadBits option or a scenario spec set, or the default.
+	PayloadBits int
 
 	// Scenario, Rumors and ScenarioPhases are filled by multi-rumor runs:
 	// the scenario's name, the final per-rumor outcomes (ordered by rumor
@@ -462,15 +465,17 @@ type Report struct {
 	// a live node; RumorsExpired counts converged rumors the GC retired to
 	// recycle window slots. The remaining fields are stream-only
 	// (WithRumorStream): lifetime injection/convergence totals, the rumors
-	// still active when the run stopped (0 when the stream drained), and how
+	// still active when the run stopped (0 when the stream drained), how
 	// many monitor ticks injection spent stalled on a full window — the
-	// backpressure signal.
+	// backpressure signal — and how many times the stream seeded an
+	// in-flight rumor again because every node holding it had crashed.
 	LostInjects     int64
 	RumorsInjected  int64
 	RumorsConverged int64
 	RumorsExpired   int64
 	RumorsActive    int
 	InjectionStalls int64
+	RumorsReseeded  int64
 
 	snapshot []MetricSample
 }
@@ -501,6 +506,7 @@ func fromOutcome(out trace.Result) Report {
 			AllInformed:      out.AllInformed,
 		},
 		Engine:           out.Engine,
+		PayloadBits:      out.PayloadBits,
 		Scenario:         out.Scenario,
 		Drops:            out.Drops,
 		UnfiredEvents:    out.UnfiredEvents,
@@ -514,6 +520,7 @@ func fromOutcome(out trace.Result) Report {
 		RumorsExpired:    out.RumorsExpired,
 		RumorsActive:     out.RumorsActive,
 		InjectionStalls:  out.InjectionStalls,
+		RumorsReseeded:   out.RumorsReseeded,
 	}
 	for _, p := range out.Phases {
 		rep.Result.Phases = append(rep.Result.Phases, Phase(p))

@@ -32,11 +32,18 @@ import (
 // the engine's.
 //
 // flagSummary selects the variable-length rumor-summary block instead of the
-// message block: the frame body after src is exactly one rumorset summary
-// (count + sorted delta varints, see rumorset.AppendSummary). Summary frames
-// carry rumor IDs, never window slots, so a frame that lingered in a mailbox
-// across an expiry/reuse cycle is harmlessly ignored by the receiver's
-// MarkIDs lookup rather than mis-marking the slot's new tenant.
+// message block: the frame body after src is exactly one rumorset summary,
+// and flagBitmap says in which form (rumorset/summary.go):
+//
+//	delta varints:  [count:uvarint][first id:uvarint][id−prev−1:uvarint]...
+//	ID bitmap:      [first id:uvarint][words:uvarint][word:8 LE]...  (flagBitmap)
+//
+// The sender picks the bitmap exactly when it is shorter, so a summary is
+// never longer than its delta-varint form, and the frame is charged the
+// length of the form it carries. Summary frames carry rumor IDs, never window
+// slots, so a frame that lingered in a mailbox across an expiry/reuse cycle
+// is harmlessly ignored by the receiver's ID→slot lookup rather than
+// mis-marking the slot's new tenant.
 const (
 	frameCall byte = 1
 	frameResp byte = 2
@@ -45,10 +52,12 @@ const (
 	flagPull    byte = 1 << 1
 	flagRumor   byte = 1 << 2
 	flagSummary byte = 1 << 3
+	flagBitmap  byte = 1 << 4
 )
 
 // frame is a decoded wire frame. msg.From is zero; the receiver stamps it
-// from src. Summary frames fill sum instead of msg.
+// from src. Summary frames fill sum, in the form they were sent, instead of
+// msg.
 type frame struct {
 	typ        byte
 	round, src int
@@ -56,7 +65,7 @@ type frame struct {
 	hasSummary bool
 	wantsPull  bool
 	msg        phonecall.Message
-	sum        []rumorset.ID
+	sum        rumorset.Summary
 }
 
 // appendMessage encodes the message block.
@@ -111,35 +120,44 @@ func appendRespFrame(dst []byte, round, src int, m *phonecall.Message) []byte {
 }
 
 // appendSummaryCallFrame encodes a call from initiator src whose payload is a
-// rumor-ID summary (ids must be sorted ascending and non-empty).
-func appendSummaryCallFrame(dst []byte, round, src int, wantsPull bool, ids []rumorset.ID) []byte {
-	flags := flagPayload | flagSummary | flagRumor
+// rumor summary, in the summary's form.
+func appendSummaryCallFrame(dst []byte, round, src int, wantsPull bool, sum *rumorset.Summary) []byte {
+	flags := summaryFlags(sum)
 	if wantsPull {
 		flags |= flagPull
 	}
 	dst = append(dst, frameCall, flags)
 	dst = binary.AppendUvarint(dst, uint64(round))
 	dst = binary.AppendUvarint(dst, uint64(src))
-	return rumorset.AppendSummary(dst, ids)
+	return sum.Append(dst)
 }
 
 // appendSummaryRespFrame encodes responder src's pull response carrying a
-// rumor-ID summary.
-func appendSummaryRespFrame(dst []byte, round, src int, ids []rumorset.ID) []byte {
-	dst = append(dst, frameResp, flagPayload|flagSummary|flagRumor)
+// rumor summary, in the summary's form.
+func appendSummaryRespFrame(dst []byte, round, src int, sum *rumorset.Summary) []byte {
+	dst = append(dst, frameResp, summaryFlags(sum))
 	dst = binary.AppendUvarint(dst, uint64(round))
 	dst = binary.AppendUvarint(dst, uint64(src))
-	return rumorset.AppendSummary(dst, ids)
+	return sum.Append(dst)
+}
+
+func summaryFlags(sum *rumorset.Summary) byte {
+	flags := flagPayload | flagSummary | flagRumor
+	if sum.Bitmap {
+		flags |= flagBitmap
+	}
+	return flags
 }
 
 // parseFrame decodes one frame.
 func parseFrame(data []byte) (frame, error) {
-	return parseFrameBuf(data, nil)
+	return parseFrameBuf(data, rumorset.Summary{})
 }
 
-// parseFrameBuf decodes one frame, appending a summary block's IDs to sum
-// (pass a reused scratch slice to keep the drain loop allocation-free).
-func parseFrameBuf(data []byte, sum []rumorset.ID) (frame, error) {
+// parseFrameBuf decodes one frame, filling a summary block into sum's slices
+// (pass the previous frame's summary back in to keep the drain loop
+// allocation-free).
+func parseFrameBuf(data []byte, sum rumorset.Summary) (frame, error) {
 	var fr frame
 	if len(data) < 2 {
 		return fr, fmt.Errorf("live: frame too short (%d bytes)", len(data))
@@ -164,16 +182,12 @@ func parseFrameBuf(data []byte, sum []rumorset.ID) (frame, error) {
 	rest = rest[k:]
 	fr.round, fr.src = int(round), int(src)
 	if flags&flagSummary != 0 {
-		ids, n, err := rumorset.DecodeSummary(sum, rest)
-		if err != nil {
+		fr.sum = sum
+		if err := fr.sum.Decode(rest, flags&flagBitmap != 0); err != nil {
 			return fr, fmt.Errorf("live: summary block: %w", err)
-		}
-		if n != len(rest) {
-			return fr, fmt.Errorf("live: %d trailing bytes after summary", len(rest)-n)
 		}
 		fr.hasPayload = false
 		fr.hasSummary = true
-		fr.sum = ids
 		return fr, nil
 	}
 	if !fr.hasPayload {

@@ -142,13 +142,16 @@ type FreeRun struct {
 
 	// Rumor-stream state (nil/zero in legacy bitmask mode). set is the shared
 	// ground truth: nodes mark their own rows from their goroutines, the
-	// monitor owns injection, GC and the convergence scan. injectNext, stalls
-	// and telLast are monitor-only; Run reads them after the monitor joins.
+	// monitor owns injection, GC and the convergence scan. injectNext,
+	// stalls, reseeded and telLast are monitor-only; Run reads them after the
+	// monitor joins.
 	stream     *StreamConfig
 	set        *rumorset.Set
 	scanBuf    []rumorset.ID
+	orphanBuf  []rumorset.ID
 	injectNext int
 	stalls     int64
+	reseeded   int64
 	telLast    rumorset.Stats
 
 	stats []frStats
@@ -362,6 +365,7 @@ func (fr *FreeRun) Run(ctx context.Context) (trace.Result, error) {
 		res.RumorsActive = snap.Active
 		res.LostInjects = snap.Lost
 		res.InjectionStalls = fr.stalls
+		res.RumorsReseeded = fr.reseeded
 	}
 	if ct, ok := fr.tr.(*ChannelTransport); ok {
 		res.Drops = ct.Drops()
@@ -500,8 +504,9 @@ func (fr *FreeRun) converged(live, informed int) bool {
 }
 
 // tickStream is the rumor-stream part of a monitor pass: garbage-collect
-// converged rumors, advance the injection schedule under window backpressure,
-// and publish the stream telemetry.
+// converged rumors, seed again the ones every holder of which crashed,
+// advance the injection schedule under window backpressure, and publish the
+// stream telemetry.
 func (fr *FreeRun) tickStream(frontier int64) {
 	// GC first: the AND-scan over live holdings rows is the race-free
 	// convergence authority here (the advisory per-slot live counters can be
@@ -511,6 +516,21 @@ func (fr *FreeRun) tickStream(frontier int64) {
 	fr.scanBuf = scan[:0]
 	if len(scan) > 0 {
 		fr.set.Retire(scan...)
+	}
+	// A rumor no live node holds cannot spread or converge: its holders all
+	// crashed (frames they sent before crashing may still rescue it, and a
+	// second seed changes nothing then). The stream seeds it again at a live
+	// node, or its slot would wedge the window and the stream never drain.
+	fr.orphanBuf = fr.set.Orphans(fr.orphanBuf[:0])
+	for _, id := range fr.orphanBuf {
+		node := fr.pickInjectNode(int(id))
+		if node < 0 {
+			break // nobody alive to seed; retry next pass
+		}
+		if err := fr.set.Inject(node, id); err != nil {
+			break // unreachable: the rumor holds its slot
+		}
+		fr.reseeded++
 	}
 
 	// Inject up to the frontier-proportional target. A full window stalls the

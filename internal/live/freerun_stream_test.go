@@ -1,8 +1,13 @@
 package live
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"os"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -155,8 +160,24 @@ func TestStreamSoak(t *testing.T) {
 
 // TestStreamChurn drives crashes and uninformed rejoins through a stream:
 // the revived nodes must re-learn the active window and the stream must still
-// drain completely.
+// drain completely, every rumor converged. Stream rumor k is seeded at the
+// first live node from k mod N, so a late monitor tick can seed rumors 1–3 at
+// the victims right before they crash; the monitor must then seed them again
+// at a live node, or their slots wedge the window and the stream never
+// drains. A failure names the assertion and writes the run's trace — one JSON
+// record per frontier advance, then the result — to a file whose path it
+// logs.
 func TestStreamChurn(t *testing.T) {
+	var mu sync.Mutex
+	var jsonl bytes.Buffer
+	enc := json.NewEncoder(&jsonl)
+	record := func(typ string, v any) {
+		mu.Lock()
+		defer mu.Unlock()
+		if err := enc.Encode(map[string]any{"type": typ, typ: v}); err != nil {
+			t.Error(err)
+		}
+	}
 	fr, err := NewFreeRun(FreeRunConfig{
 		N:      24,
 		Seed:   17,
@@ -165,23 +186,46 @@ func TestStreamChurn(t *testing.T) {
 			scenario.CrashAt{At: 5, Nodes: []int{1, 2, 3}},
 			scenario.JoinAt{At: 20, Nodes: []int{1, 2, 3}},
 		},
-		Stream: &StreamConfig{Total: 48, Rate: 2, MaxInFlight: 16},
+		Stream:     &StreamConfig{Total: 48, Rate: 2, MaxInFlight: 16},
+		OnFrontier: func(fi FrontierInfo) { record("frontier", fi) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep, err := fr.Run(context.Background())
+	record("result", rep)
+	defer func() {
+		if !t.Failed() {
+			return
+		}
+		f, err := os.CreateTemp("", "TestStreamChurn-*.jsonl")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		if _, err := f.Write(jsonl.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("run trace: %s", f.Name())
+	}()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("run failed: %v", err)
 	}
 	if rep.Live != 24 {
-		t.Fatalf("rejoin did not restore the population: %+v", rep)
+		t.Errorf("rejoin did not restore the population: %d live, want 24", rep.Live)
 	}
 	if !rep.AllInformed {
-		t.Fatalf("churned stream did not drain: %+v", rep)
+		t.Errorf("churned stream did not drain: %d/%d live nodes informed, %d rumors injected, %d converged, %d active after %d rounds",
+			rep.Informed, rep.Live, rep.RumorsInjected, rep.RumorsConverged, rep.RumorsActive, rep.Rounds)
+	}
+	if rep.RumorsInjected != 48 || rep.RumorsConverged != 48 {
+		t.Errorf("%d rumors injected, %d converged (%d seeded again): want all 48 converged",
+			rep.RumorsInjected, rep.RumorsConverged, rep.RumorsReseeded)
 	}
 	if rep.UnfiredEvents != 0 {
-		t.Fatalf("%d timeline events never fired: %+v", rep.UnfiredEvents, rep)
+		t.Errorf("%d timeline events never fired", rep.UnfiredEvents)
 	}
 }
 
@@ -239,51 +283,60 @@ func TestFreeRunRejectsInvalidEvents(t *testing.T) {
 	}
 }
 
-// TestSummaryFrameRoundTrip pins the new wire block: call and response frames
-// carrying rumor-ID summaries decode to the same IDs, and a frame whose
-// summary block is truncated or trailing-padded is rejected.
+// TestSummaryFrameRoundTrip pins the summary block in both forms: call and
+// response frames decode to the same IDs, the flags byte says which form the
+// block is in, and a frame whose summary block is truncated or
+// trailing-padded is rejected.
 func TestSummaryFrameRoundTrip(t *testing.T) {
-	ids := []rumorset.ID{3, 70, 71, 4096, 1 << 20, 1<<32 - 1}
-	raw := appendSummaryCallFrame(nil, 9, 4, true, ids)
-	f, err := parseFrame(raw)
-	if err != nil {
-		t.Fatal(err)
+	sparse := []rumorset.ID{3, 70, 71, 4096, 1 << 20, 1<<32 - 1}
+	dense := []rumorset.ID{1 << 31}
+	for k := rumorset.ID(1); k < 40; k++ {
+		dense = append(dense, 1<<31+3*k)
 	}
-	if f.typ != frameCall || f.round != 9 || f.src != 4 || !f.wantsPull || !f.hasSummary {
-		t.Fatalf("call frame header mangled: %+v", f)
-	}
-	if len(f.sum) != len(ids) {
-		t.Fatalf("summary round-trip lost IDs: %v vs %v", f.sum, ids)
-	}
-	for i := range ids {
-		if f.sum[i] != ids[i] {
-			t.Fatalf("summary round-trip changed IDs: %v vs %v", f.sum, ids)
+	for _, ids := range [][]rumorset.ID{sparse, dense} {
+		var sum rumorset.Summary
+		sum.SetIDs(ids)
+		if sum.Bitmap != (len(ids) == len(dense)) {
+			t.Fatalf("%d ids sent in the bitmap form: %v", len(ids), sum.Bitmap)
 		}
-	}
+		raw := appendSummaryCallFrame(nil, 9, 4, true, &sum)
+		if bitmap := raw[1]&flagBitmap != 0; bitmap != sum.Bitmap {
+			t.Fatalf("flags say bitmap=%v for a %s summary", bitmap, map[bool]string{true: "bitmap", false: "varint"}[sum.Bitmap])
+		}
+		f, err := parseFrame(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.typ != frameCall || f.round != 9 || f.src != 4 || !f.wantsPull || !f.hasSummary {
+			t.Fatalf("call frame header mangled: %+v", f)
+		}
+		if got := f.sum.AppendIDs(nil); !slices.Equal(got, ids) {
+			t.Fatalf("summary round-trip changed IDs: %v vs %v", got, ids)
+		}
 
-	raw = appendSummaryRespFrame(nil, 12, 7, ids[:2])
-	f, err = parseFrame(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.typ != frameResp || f.src != 7 || !f.hasSummary || len(f.sum) != 2 {
-		t.Fatalf("resp frame mangled: %+v", f)
-	}
-	// A reused scratch buffer decodes without allocating a fresh slice.
-	scratch := make([]rumorset.ID, 0, 8)
-	f, err = parseFrameBuf(raw, scratch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &f.sum[0] != &scratch[:1][0] {
-		t.Error("parseFrameBuf did not reuse the caller's scratch")
-	}
+		raw = appendSummaryRespFrame(nil, 12, 7, &sum)
+		f, err = parseFrame(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.typ != frameResp || f.src != 7 || !f.hasSummary || !slices.Equal(f.sum.AppendIDs(nil), ids) {
+			t.Fatalf("resp frame mangled: %+v", f)
+		}
+		// A reused scratch summary decodes without allocating fresh slices.
+		scratch := rumorset.Summary{IDs: make([]rumorset.ID, 0, 64), Words: make([]uint64, 0, 64)}
+		if a := testing.AllocsPerRun(10, func() { f, err = parseFrameBuf(raw, scratch) }); err != nil || a != 0 {
+			t.Errorf("parseFrameBuf into a reused scratch: %v allocations, err %v", a, err)
+		}
 
-	full := appendSummaryCallFrame(nil, 1, 0, false, ids)
-	if _, err := parseFrame(full[:len(full)-1]); err == nil {
-		t.Error("truncated summary accepted")
-	}
-	if _, err := parseFrame(append(full, 0)); err == nil {
-		t.Error("trailing bytes after summary accepted")
+		if _, err := parseFrame(raw[:len(raw)-1]); err == nil {
+			t.Error("truncated summary accepted")
+		}
+		if _, err := parseFrame(append(raw, 0)); err == nil {
+			t.Error("trailing bytes after summary accepted")
+		}
+		raw[1] ^= flagBitmap // the right bytes read in the other form
+		if f, err := parseFrame(raw); err == nil && slices.Equal(f.sum.AppendIDs(nil), ids) {
+			t.Error("a summary decoded to its IDs in the other form")
+		}
 	}
 }

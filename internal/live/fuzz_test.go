@@ -27,8 +27,15 @@ func FuzzGossipFrame(f *testing.F) {
 	f.Add(appendCallFrame(nil, 3, 5, true, true, &m))
 	f.Add(appendCallFrame(nil, 3, 5, false, true, nil))
 	f.Add(appendRespFrame(nil, 4, 6, &m))
-	f.Add(appendSummaryCallFrame(nil, 9, 2, true, []rumorset.ID{1, 5, 1 << 31}))
-	f.Add(appendSummaryRespFrame(nil, 9, 2, []rumorset.ID{0, 4}))
+	for _, ids := range [][]rumorset.ID{{1, 5, 1 << 31}, {0, 4}, {7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 75}} {
+		var sum rumorset.Summary
+		sum.SetIDs(ids)
+		f.Add(appendSummaryCallFrame(nil, 9, 2, true, &sum))
+		f.Add(appendSummaryRespFrame(nil, 9, 2, &sum))
+		sum.Bitmap = true // the bitmap form of each set, shorter or not
+		f.Add(appendSummaryCallFrame(nil, 9, 2, false, &sum))
+		f.Add(appendSummaryRespFrame(nil, 9, 2, &sum))
+	}
 	f.Add(overflowFrame())
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		fr, err := parseFrame(raw)
@@ -38,9 +45,9 @@ func FuzzGossipFrame(f *testing.F) {
 		var again []byte
 		switch {
 		case fr.hasSummary && fr.typ == frameCall:
-			again = appendSummaryCallFrame(nil, fr.round, fr.src, fr.wantsPull, fr.sum)
+			again = appendSummaryCallFrame(nil, fr.round, fr.src, fr.wantsPull, &fr.sum)
 		case fr.hasSummary:
-			again = appendSummaryRespFrame(nil, fr.round, fr.src, fr.sum)
+			again = appendSummaryRespFrame(nil, fr.round, fr.src, &fr.sum)
 		case fr.typ == frameCall:
 			again = appendCallFrame(nil, fr.round, fr.src, fr.hasPayload, fr.wantsPull, &fr.msg)
 		default:
@@ -53,8 +60,13 @@ func FuzzGossipFrame(f *testing.F) {
 		if fr.typ == frameResp {
 			fr.wantsPull = false // a response has no pull half; its encoder drops the bit
 		}
-		if len(fr.sum) == 0 && len(back.sum) == 0 {
-			fr.sum, back.sum = nil, nil
+		for _, f := range []*frame{&fr, &back} { // nil and empty slices are one summary
+			if len(f.sum.IDs) == 0 {
+				f.sum.IDs = nil
+			}
+			if len(f.sum.Words) == 0 {
+				f.sum.Words = nil
+			}
 		}
 		if !reflect.DeepEqual(fr, back) {
 			t.Fatalf("round trip changed the frame:\n first  %+v\n second %+v", fr, back)

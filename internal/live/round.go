@@ -26,6 +26,11 @@ import (
 // ("mask vs set, again"), outside the 10 % that would have let the mask go. Which one a run gets follows from its input (a stream, or a
 // rumor ID past the mask), never from an option.
 type holdings interface {
+	// beginRound and endRound bracket one node round: every other method but
+	// informed is called between them, on the node's own goroutine. The
+	// bracket never spans a wait (waitSkew, waitAlive): only the round itself.
+	beginRound()
+	endRound()
 	// snapshot reads the node's current holdings: the decision table's two
 	// predicates (empty: holds nothing; complete: holds everything registered)
 	// and the message that carries the holdings, whose Bits is the full charge
@@ -64,6 +69,9 @@ func (h *maskHoldings) view() phonecall.MaskView {
 	return phonecall.MaskView{Held: h.held.Load() & reg, Registered: reg}
 }
 
+func (h *maskHoldings) beginRound() {}
+func (h *maskHoldings) endRound()   {}
+
 func (h *maskHoldings) snapshot() (phonecall.Message, bool, bool) {
 	v := h.view()
 	return v.Message(h.net), v.Empty(), v.Complete()
@@ -95,32 +103,50 @@ func (h *maskHoldings) informed() bool { return h.view().Complete() }
 
 // setHoldings keeps a node's rumors as its row of the shared rumor set (the
 // node marks only its own row — the set's ownership contract) and gossips
-// them as sorted rumor-ID summaries. ids and summaryBytes are the owner's
-// scratch: the sorted holdings of the latest snapshot and their encoded
-// size, which the encoders read.
+// them as rumor-ID summaries. The node round runs under one read view of the
+// set, taken in beginRound: the digest, every merge and the response see one
+// table, and the round costs one read lock, not one per kernel call. own is
+// the round's digest — what the node sends, and the ID bitmap a received
+// summary is ANDed against so that only fresh IDs are looked up; stale says
+// merges have marked rumors since it was taken.
 type setHoldings struct {
 	set          *rumorset.Set
 	node         int
 	net          *phonecall.Network
-	ids          []rumorset.ID
+	view         rumorset.View
+	own          rumorset.Summary
 	summaryBytes int
+	stale        bool
+	msg          phonecall.Message
+	empty, full  bool
 }
 
+func (h *setHoldings) beginRound() {
+	h.view = h.set.View()
+	h.stale = true
+}
+
+func (h *setHoldings) endRound() { h.view.Release() }
+
 func (h *setHoldings) snapshot() (phonecall.Message, bool, bool) {
-	h.ids, h.summaryBytes = h.set.AppendDigest(h.ids[:0], h.node)
-	v := phonecall.SetView{Held: len(h.ids), Active: h.set.Active(), SummaryBytes: h.summaryBytes}
-	return v.Message(h.net), v.Empty(), v.Complete()
+	if h.stale {
+		var held int
+		held, h.summaryBytes = h.view.Digest(&h.own, h.node)
+		v := phonecall.SetView{Held: held, Active: h.view.Active(), SummaryBytes: h.summaryBytes}
+		h.msg, h.empty, h.full, h.stale = v.Message(h.net), v.Empty(), v.Complete(), false
+	}
+	return h.msg, h.empty, h.full
 }
 
 // The stream path has no Byzantine seam (ValidateEvents rejects CorruptAt on
 // wide runs), so the message is always the snapshot's own and the summary is
-// encoded straight from ids.
+// encoded straight from the digest.
 func (h *setHoldings) callFrame(round, src int, wantsPull bool, _ phonecall.Message) []byte {
-	return appendSummaryCallFrame(h.newFrame(), round, src, wantsPull, h.ids)
+	return appendSummaryCallFrame(h.newFrame(), round, src, wantsPull, &h.own)
 }
 
 func (h *setHoldings) respFrame(round, src int, _ phonecall.Message) []byte {
-	return appendSummaryRespFrame(h.newFrame(), round, src, h.ids)
+	return appendSummaryRespFrame(h.newFrame(), round, src, &h.own)
 }
 
 // newFrame sizes a summary frame once: type, flags and two varints of header,
@@ -130,16 +156,21 @@ func (h *setHoldings) newFrame() []byte {
 }
 
 // merge reports no linger evidence: a stream run ends at the monitor, never
-// by lingering.
+// by lingering. Stale/expired IDs are skipped inside the kernel.
 func (h *setHoldings) merge(f frame) bool {
-	if f.hasSummary && len(f.sum) > 0 {
-		h.set.MarkIDs(h.node, f.sum) // stale/expired IDs are skipped inside
+	if f.hasSummary && h.view.MergeSummary(h.node, &h.own, &f.sum) > 0 {
+		h.stale = true
 	}
 	return false
 }
 
+// informed is the monitor's census question, asked off the node's goroutine
+// under a view of its own.
 func (h *setHoldings) informed() bool {
-	return h.set.HeldCount(h.node) == h.set.Active()
+	v := h.set.View()
+	ok := v.HeldCount(h.node) == v.Active()
+	v.Release()
+	return ok
 }
 
 // frStats is one node's cumulative accounting, cache-line padded; written by
@@ -168,7 +199,7 @@ type node struct {
 	// telMsgs/telBits are the pre-resolved telemetry counters (nil without a
 	// registry): the send path pays a nil check and two sharded atomic adds.
 	telMsgs, telBits *telemetry.Counter
-	sum              []rumorset.ID
+	sum              rumorset.Summary
 }
 
 // frBehavior boxes a node's installed Byzantine behavior so the monitor can
@@ -208,6 +239,9 @@ func (nd *node) step(r int, drain [][]byte) (_ [][]byte, needy bool) {
 			b = cell.b
 		}
 	}
+
+	nd.h.beginRound()
+	defer nd.h.endRound()
 
 	// Build the round's intent from the decision table the steppable
 	// protocols use, then let the behavior rewrite it — the same seam the
@@ -256,12 +290,12 @@ func (nd *node) step(r int, drain [][]byte) (_ [][]byte, needy bool) {
 	var few [4]int // a round rarely has more pullers; beyond that append spills to the heap
 	pulls := few[:0]
 	for _, raw := range drain {
-		f, err := parseFrameBuf(raw, nd.sum[:0])
+		f, err := parseFrameBuf(raw, nd.sum)
 		if err != nil {
 			continue
 		}
 		if f.hasSummary {
-			nd.sum = f.sum[:0]
+			nd.sum = f.sum
 		}
 		if nd.h.merge(f) {
 			needy = true

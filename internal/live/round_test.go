@@ -56,6 +56,13 @@ func (s rumors) ids() []rumorset.ID {
 	return ids
 }
 
+// summary is s as a summary frame carries it, with its encoded length.
+func (s rumors) summary() (*rumorset.Summary, int) {
+	var sum rumorset.Summary
+	n := sum.SetIDs(s.ids())
+	return &sum, n
+}
+
 // stepRig is one node wired to a scripted transport, on either side of the
 // holdings seam.
 type stepRig struct {
@@ -117,7 +124,8 @@ func (rig *stepRig) held() rumors {
 func (rig *stepRig) bits(s rumors) int64 {
 	size := rig.net.MessageSize(phonecall.Message{Tag: phonecall.TagHoldings}) + bits.OnesCount64(uint64(s))*rig.net.PayloadBits()
 	if rig.wide {
-		size += rumorset.SummarySize(s.ids()) * 8
+		_, n := s.summary()
+		size += n * 8
 	}
 	return int64(size)
 }
@@ -126,7 +134,8 @@ func (rig *stepRig) bits(s rumors) int64 {
 // traffic and for stating the exact frames expected back.
 func (rig *stepRig) call(round, src int, wantsPull bool, s rumors) []byte {
 	if rig.wide {
-		return appendSummaryCallFrame(nil, round, src, wantsPull, s.ids())
+		sum, _ := s.summary()
+		return appendSummaryCallFrame(nil, round, src, wantsPull, sum)
 	}
 	m := phonecall.Message{Tag: phonecall.TagHoldings, Value: uint64(s), Rumor: true, Bits: int(rig.bits(s))}
 	return appendCallFrame(nil, round, src, true, wantsPull, &m)
@@ -134,7 +143,8 @@ func (rig *stepRig) call(round, src int, wantsPull bool, s rumors) []byte {
 
 func (rig *stepRig) resp(round, src int, s rumors) []byte {
 	if rig.wide {
-		return appendSummaryRespFrame(nil, round, src, s.ids())
+		sum, _ := s.summary()
+		return appendSummaryRespFrame(nil, round, src, sum)
 	}
 	m := phonecall.Message{Tag: phonecall.TagHoldings, Value: uint64(s), Rumor: true, Bits: int(rig.bits(s))}
 	return appendRespFrame(nil, round, src, &m)

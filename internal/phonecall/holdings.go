@@ -46,11 +46,11 @@ func (v MaskView) Merge(m Message) (gain uint64, partial bool) {
 	return got &^ v.Held, got != v.Registered
 }
 
-// SetView is a rumor-set row's view, read off one rumorset digest
-// (AppendDigest, or SnapshotRow where the row itself travels): how many of the
-// Active in-flight rumors the node holds and the encoded size of their
-// sorted-ID summary. Merging a received digest is rumorset's MarkIDs or
-// MergeRow.
+// SetView is a rumor-set row's view, read off one rumorset digest (Digest,
+// or SnapshotRow where the row itself travels): how many of the Active
+// in-flight rumors the node holds and the encoded size of their summary in
+// the form it is sent in. Merging a received digest is rumorset's
+// MergeSummary or MergeRow.
 type SetView struct{ Held, Active, SummaryBytes int }
 
 // Empty reports that the node holds no in-flight rumor.

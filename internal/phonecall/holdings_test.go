@@ -92,8 +92,15 @@ func TestHoldingsViews(t *testing.T) {
 		1: {nil, true, false, 20 + 1*8},
 		2: {[]rumorset.ID{5, 6, 300}, false, false, 20 + 5*8 + 3*256},
 	} {
-		ids, summaryBytes := set.AppendDigest(nil, node)
-		sv := SetView{Held: len(ids), Active: set.Active(), SummaryBytes: summaryBytes}
+		var d rumorset.Summary
+		v := set.View()
+		held, summaryBytes := v.Digest(&d, node)
+		v.Release()
+		ids := d.AppendIDs(nil)
+		if len(ids) == 0 {
+			ids = nil
+		}
+		sv := SetView{Held: held, Active: set.Active(), SummaryBytes: summaryBytes}
 		if !slices.Equal(ids, c.ids) || sv.Empty() != c.empty || sv.Complete() != c.complete {
 			t.Errorf("set node %d: ids %v empty=%v complete=%v, want %v %v %v", node, ids, sv.Empty(), sv.Complete(), c.ids, c.empty, c.complete)
 		}

@@ -20,6 +20,18 @@ type index struct {
 	rankOf []int32 // slot → rank among the active IDs; noRank while the slot is free
 	table  []uint64
 	shift  uint // 32 − log2(len(table)): bucket keeps the product's top bits
+	// active is the active IDs as an ID-space bitmap anchored at the lowest,
+	// so a merge drops a summary's retired IDs a word at a time instead of
+	// probing the table for each, and offOf maps a slot to its ID's offset in
+	// it, so a digest moves a held slot straight to ID space. Both are unset
+	// while the active IDs span more than spanWords words (active.Words is
+	// empty then). A bitmap summary is sent only when shorter than the delta
+	// varints, which cost at most 5 bytes per held rumor plus a 3-byte count,
+	// so no bitmap the form rule picks is longer than 5·window/8 + 1 words: a
+	// wider span is left to the rank walk and to per-ID lookups.
+	active    Summary
+	offOf     []uint32
+	spanWords int
 }
 
 // noRank marks a free slot in index.rankOf. An expiry call sets it as it
@@ -36,8 +48,11 @@ func newIndex(window int) index {
 		sorted: make([]ID, 0, window),
 		slotAt: make([]int32, 0, window),
 		rankOf: make([]int32, window),
+		offOf:  make([]uint32, window),
 		table:  make([]uint64, size),
 		shift:  32 - log,
+
+		spanWords: min(maxSummaryWords, 5*window/8+1),
 	}
 	for sl := range ix.rankOf {
 		ix.rankOf[sl] = noRank
@@ -86,6 +101,30 @@ func (ix *index) insert(id ID, slot int) {
 		ix.rankOf[ix.slotAt[r]] = int32(r)
 	}
 	ix.put(id, int32(slot))
+	a := &ix.active
+	if off := uint64(id) - uint64(a.Base); len(a.Words) > 0 && id >= a.Base && off>>6 < uint64(ix.spanWords) {
+		a.Words = setBit(a.Words, off)
+		ix.offOf[slot] = uint32(off)
+	} else {
+		ix.rebuildActive()
+	}
+}
+
+// rebuildActive recomputes the active-ID bitmap and offOf from sorted.
+func (ix *index) rebuildActive() {
+	a := &ix.active
+	a.Words = a.Words[:0]
+	if len(ix.sorted) == 0 {
+		return
+	}
+	a.Base = ix.sorted[0]
+	if uint64(ix.sorted[len(ix.sorted)-1]-a.Base)>>6 >= uint64(ix.spanWords) {
+		return
+	}
+	for r, id := range ix.sorted {
+		a.Words = setBit(a.Words, uint64(id-a.Base))
+		ix.offOf[ix.slotAt[r]] = uint32(id - a.Base)
+	}
 }
 
 // compact drops every entry whose slot an expiry call marked noRank, keeping
@@ -105,4 +144,5 @@ func (ix *index) compact() {
 		kept++
 	}
 	ix.sorted, ix.slotAt = ix.sorted[:kept], ix.slotAt[:kept]
+	ix.rebuildActive()
 }

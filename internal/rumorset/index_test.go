@@ -122,6 +122,19 @@ func checkIndex(t *testing.T, s *Set, m *ledgerModel, stale []ID) {
 			t.Fatalf("table resolves id %d to (%d,%v), rank side says slot %d", id, got, ok, sl)
 		}
 	}
+	// The active-ID bitmap and offOf: kept exactly while the span fits.
+	if a := &ix.active; len(a.Words) > 0 {
+		if got := a.appendBitmapIDs(nil); !slices.Equal(got, ix.sorted) {
+			t.Fatalf("active bitmap holds %d ids, the index %d", len(got), len(ix.sorted))
+		}
+		for r, id := range ix.sorted {
+			if off := ix.offOf[ix.slotAt[r]]; off != uint32(id-a.Base) {
+				t.Fatalf("offOf[slot of %d] = %d, want %d", id, off, id-a.Base)
+			}
+		}
+	} else if n := len(ix.sorted); n > 0 && uint64(ix.sorted[n-1]-ix.sorted[0])>>6 < uint64(ix.spanWords) {
+		t.Fatalf("no active bitmap though %d ids span %d words (max %d)", n, (ix.sorted[n-1]-ix.sorted[0])>>6+1, ix.spanWords)
+	}
 	ranked, entries := 0, 0
 	for _, r := range ix.rankOf {
 		if r != noRank {
@@ -154,16 +167,18 @@ func checkIndex(t *testing.T, s *Set, m *ledgerModel, stale []ID) {
 			}
 		}
 		slices.Sort(want)
-		got, size := s.AppendDigest(nil, node)
-		if !slices.Equal(got, want) {
-			t.Fatalf("node %d: AppendDigest %v, model %v", node, got, want)
+		var d Summary
+		v := s.View()
+		held, size := v.Digest(&d, node)
+		v.Release()
+		got := d.AppendIDs(nil)
+		if !slices.Equal(got, want) || held != len(want) {
+			t.Fatalf("node %d: Digest %v (held %d), model %v", node, got, held, want)
 		}
 		if ref := appendHeldBySort(s, nil, node); !slices.Equal(got, ref) {
-			t.Fatalf("node %d: AppendDigest %v, sort-based reference %v", node, got, ref)
+			t.Fatalf("node %d: Digest %v, sort-based reference %v", node, got, ref)
 		}
-		if size != SummarySize(got) {
-			t.Fatalf("node %d: AppendDigest sized the summary %d, SummarySize %d", node, size, SummarySize(got))
-		}
+		checkDigest(t, &d, size)
 		if c := s.HeldCount(node); c != len(want) {
 			t.Fatalf("node %d: HeldCount %d, model %d", node, c, len(want))
 		}
@@ -188,10 +203,19 @@ func checkIndex(t *testing.T, s *Set, m *ledgerModel, stale []ID) {
 // ordered index is consistent (ascending IDs, rank ↔ sorted ↔ table), that
 // the rank-permutation walk emits exactly what the sort-based reference does,
 // and that retired IDs keep missing. Window 4096 is past the on-stack rank
-// bitmap, so its digests take several passes.
+// bitmap, so its digests take several passes. A dense pool at the top of the
+// ID space keeps the index's active-ID bitmap in use, so digests go by ID.
 func TestIndexDifferential(t *testing.T) {
-	for _, window := range []int{1, 63, 64, 65, 1024, 4096} {
-		t.Run(fmt.Sprint("window=", window), func(t *testing.T) {
+	for _, tc := range []struct {
+		window int
+		dense  bool
+	}{{1, false}, {63, false}, {64, false}, {65, false}, {1024, false}, {4096, false}, {63, true}, {1024, true}} {
+		window := tc.window
+		name := fmt.Sprint("window=", window)
+		if tc.dense {
+			name = "dense-" + name
+		}
+		t.Run(name, func(t *testing.T) {
 			const nodes = 5
 			rng := rand.New(rand.NewSource(int64(window)))
 			s := newSet(t, nodes, window)
@@ -202,6 +226,11 @@ func TestIndexDifferential(t *testing.T) {
 			pool := []ID{0, 1, math.MaxUint32 - 1, math.MaxUint32}
 			for len(pool) < 2*window+8 {
 				pool = append(pool, ID(rng.Uint32()))
+			}
+			if tc.dense {
+				for k := range pool {
+					pool[k] = math.MaxUint32 - ID(k)
+				}
 			}
 			pick := func() ID { return pool[rng.Intn(len(pool))] }
 			active := func() ID {

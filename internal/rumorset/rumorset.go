@@ -17,16 +17,17 @@
 // Revive — takes the write lock and is coordinator/monitor-only; the ordered
 // index of the in-flight rumors (index.go) is maintained there and nowhere
 // else. Everything a node does to its own holdings is a kernel of the read
-// view (view.go), written once as a lock-free body: MarkIDs, AppendDigest,
-// HeldCount, SnapshotRow, MergeRow. A caller either holds a View across many
-// kernel calls — the simulator's coordinator takes one per round and its
-// engine shards run the kernels under it — or uses the Set method of the same
-// name, which is "take view → kernel → release" (the free-running engines,
-// one call at a time). Kernels may run concurrently; writes to node i's row
-// must come from i's owner (its goroutine or engine shard), mirroring the
-// engines' callback contract — a node's holdings row has exactly one
-// concurrent writer. Holdings bits are set with atomic Or under a view and
-// cleared only under the write lock, so setters never race the clearing scan.
+// view (view.go), written once as a lock-free body: MarkIDs, MergeSummary,
+// Digest, HeldCount, SnapshotRow, MergeRow. A caller either holds a View
+// across many kernel calls — the simulator's coordinator takes one per round
+// and its engine shards run the kernels under it; a free-running node takes
+// one per node round — or uses the Set method of the same name where there
+// is one, which is "take view → kernel → release". Kernels may run
+// concurrently; writes to node i's row must come from i's owner (its
+// goroutine or engine shard), mirroring the engines' callback contract — a
+// node's holdings row has exactly one concurrent writer. Holdings bits are
+// set with atomic Or under a view and cleared only under the write lock, so
+// setters never race the clearing scan.
 // A View must be released before its holder, or anyone it waits for, calls a
 // table-changing method.
 package rumorset
@@ -88,7 +89,7 @@ type Set struct {
 	stripeShift uint
 	liveStride  int // cap rounded up to a whole cache line of counters
 
-	acc      []uint64 // ScanConverged scratch accumulator (monitor-only)
+	acc      []uint64 // ScanConverged and Orphans scratch (monitor-only)
 	expiring []uint64 // slots queued by the running expiry call, as a row mask
 
 	injected  atomic.Int64
@@ -296,16 +297,10 @@ func (s *Set) AppendLive(ids []ID, live []int) ([]ID, []int) {
 // and returns the extended slice. Sorted ascending so the result feeds
 // AppendSummary directly. Callable from any node goroutine.
 func (s *Set) AppendHeld(dst []ID, node int) []ID {
-	dst, _ = s.AppendDigest(dst, node)
-	return dst
-}
-
-// AppendDigest is the read view's AppendDigest under a view of its own.
-func (s *Set) AppendDigest(dst []ID, node int) (out []ID, summaryBytes int) {
 	v := s.View()
-	out, summaryBytes = v.AppendDigest(dst, node)
+	dst, _ = s.walk(dst, s.row(node), true)
 	v.Release()
-	return out, summaryBytes
+	return dst
 }
 
 // HeldCount is the read view's HeldCount under a view of its own.
@@ -453,6 +448,32 @@ func (s *Set) ScanConverged(dst []ID, isLive func(node int) bool) []ID {
 			if sl := w<<6 + bits.TrailingZeros64(word); sl < s.cap && s.ix.rankOf[sl] != noRank {
 				dst = append(dst, s.ix.sorted[s.ix.rankOf[sl]])
 			}
+		}
+	}
+	return dst
+}
+
+// Orphans appends to dst the IDs of the in-flight rumors no live node holds
+// and returns the extended slice. Such a rumor cannot spread from the set's
+// holders any more — they all failed, and a failed node rejoins uninformed —
+// and it never converges, so it holds its window slot until someone injects
+// it again. Monitor-only (the scratch accumulator is not reentrant).
+func (s *Set) Orphans(dst []ID) []ID {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	clear(s.acc)
+	for node := 0; node < s.n; node++ {
+		if s.failed[node] {
+			continue
+		}
+		row := s.row(node)
+		for w := range row {
+			s.acc[w] |= atomic.LoadUint64(&row[w])
+		}
+	}
+	for r, sl := range s.ix.slotAt {
+		if s.acc[sl>>6]&(1<<(sl&63)) == 0 {
+			dst = append(dst, s.ix.sorted[r])
 		}
 	}
 	return dst

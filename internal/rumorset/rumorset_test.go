@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -175,6 +176,47 @@ func TestSetChurn(t *testing.T) {
 	}
 	s.Fail(-1)
 	s.Revive(99) // out-of-range churn ignored
+}
+
+// TestSetOrphans: a rumor whose every holder failed is listed, one a live
+// node still holds — or re-learned after rejoining — is not, and injecting an
+// orphan again at a live node takes it off the list without a new
+// registration.
+func TestSetOrphans(t *testing.T) {
+	s := newSet(t, 4, 130)
+	for id := ID(0); id < 70; id++ {
+		if err := s.Inject(int(id)%4, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Mark(2, 1) // rumor 1 has a second holder
+	if got := s.Orphans(nil); len(got) != 0 {
+		t.Fatalf("orphans with every holder live: %v", got)
+	}
+	s.Fail(1, 3)
+	s.Revive(3)
+	s.Mark(3, 3) // rumor 3's holder rejoined and re-learned it
+	// Node 1 seeded 1, 5, 9, …, 69 and node 3 seeded 3, 7, …, 67: all
+	// orphaned but rumor 1 (node 2 holds it) and rumor 3.
+	var want []ID
+	for id := ID(5); id < 70; id += 2 {
+		want = append(want, id)
+	}
+	got := s.Orphans(nil)
+	if !slices.Equal(got, want) {
+		t.Fatalf("orphans %v, want %v", got, want)
+	}
+	for _, id := range got {
+		if err := s.Inject(0, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.Orphans(nil); len(got) != 0 {
+		t.Fatalf("orphans after re-injecting them: %v", got)
+	}
+	if st := s.Snapshot(); st.Active != 70 || st.Injected != 70 || st.Lost != 0 {
+		t.Fatalf("re-injecting orphans changed the counters: %+v", st)
+	}
 }
 
 // TestSetScanConverged pins the monitor-side AND-scan: it must agree with

@@ -2,6 +2,7 @@ package rumorset
 
 import (
 	"math/bits"
+	"slices"
 	"sync/atomic"
 )
 
@@ -23,31 +24,74 @@ func (s *Set) View() View {
 // Release gives the read lock back. The view is dead afterwards.
 func (v View) Release() { v.s.mu.RUnlock() }
 
+// Active returns the number of in-flight rumors.
+func (v View) Active() int { return len(v.s.ix.sorted) }
+
 // MarkIDs merges a decoded summary into node's holdings: every known ID is
 // marked, unknown (never-registered or already-expired) IDs are skipped, and
 // the number of fresh marks is returned. Callable from node's owner only.
 func (v View) MarkIDs(node int, ids []ID) int {
+	return v.MergeSummary(node, &Summary{}, &Summary{IDs: ids})
+}
+
+// MergeSummary merges a received summary, in either form, into node's
+// holdings and returns the number of fresh marks, leaving the set as MarkIDs
+// of the summary's IDs would. own is node's Digest taken under this view: a
+// bitmap is ANDed against own's bitmap and against the index's bitmap of the
+// active IDs a word at a time, and a delta-varint list tested against both ID
+// by ID, so only the IDs node lacks that are still in flight are looked up.
+// Each fresh mark is recorded in own's bitmap, so a later summary in the same
+// round skips it too; own's ID list is not updated — take a new Digest
+// before sending it. Callable from node's owner only.
+func (v View) MergeSummary(node int, own, in *Summary) int {
 	s := v.s
 	row, live, failed := s.row(node), s.liveRow(node), s.failed[node]
+	active := &s.ix.active
+	filter := len(active.Words) > 0
 	fresh := 0
-	for _, id := range ids {
-		sl, ok := s.ix.lookup(id)
-		if !ok {
-			continue
+	if !in.Bitmap {
+		for _, id := range in.IDs {
+			if !own.has(id) && (!filter || active.has(id)) && s.markID(row, live, failed, id) {
+				own.add(id)
+				fresh++
+			}
 		}
-		// markLocked with the row, the stripe and the liveness test hoisted
-		// out of the loop.
-		word, mask := &row[sl>>6], uint64(1)<<(sl&63)
-		if atomic.LoadUint64(word)&mask != 0 {
-			continue
+		return fresh
+	}
+	for k, w := range in.Words {
+		at := uint64(in.Base) + uint64(k)<<6
+		w &^= own.bitsAt(at)
+		if filter {
+			w &= active.bitsAt(at)
 		}
-		atomic.OrUint64(word, mask)
-		fresh++
-		if !failed {
-			live[sl].Add(1)
+		for ; w != 0; w &= w - 1 {
+			if id := ID(at + uint64(bits.TrailingZeros64(w))); s.markID(row, live, failed, id) {
+				own.add(id)
+				fresh++
+			}
 		}
 	}
 	return fresh
+}
+
+// markID is markLocked for an ID, with the row, its live counters and the
+// failed flag hoisted into the caller: it sets the rumor's bit unless the ID
+// is not active (the ABA guard for stale summaries) or the bit is already
+// set, and reports whether it set it.
+func (s *Set) markID(row []uint64, live []atomic.Int64, failed bool, id ID) bool {
+	sl, ok := s.ix.lookup(id)
+	if !ok {
+		return false
+	}
+	word, mask := &row[sl>>6], uint64(1)<<(sl&63)
+	if atomic.LoadUint64(word)&mask != 0 {
+		return false
+	}
+	atomic.OrUint64(word, mask)
+	if !failed {
+		live[sl].Add(1)
+	}
+	return true
 }
 
 // HeldCount returns how many active rumors node holds.
@@ -60,26 +104,120 @@ func (v View) HeldCount(node int) int {
 	return c
 }
 
-// AppendDigest appends the sorted IDs of every active rumor node holds to dst
-// and returns the extended slice with SummarySize of the appended IDs,
-// computed in the same walk.
-func (v View) AppendDigest(dst []ID, node int) (out []ID, summaryBytes int) {
-	out, _, summaryBytes = v.s.walk(dst, v.s.row(node), true)
-	return out, summaryBytes
+// Digest fills d with node's holdings — the ID-space bitmap when their span
+// fits, the sorted IDs when the bitmap did not fit or is not the form sent —
+// and picks the form a summary frame sends them in. It returns how many
+// rumors node holds and the encoded length of that form, the bytes its
+// holdings message is charged.
+func (v View) Digest(d *Summary, node int) (held, summaryBytes int) {
+	s, row := v.s, v.s.row(node)
+	var t tally
+	if n := len(s.ix.active.Words); n > 0 {
+		bm := slices.Grow(d.Words[:0], n)[:n]
+		t = s.tallyRow(bm, row)
+		d.Base, d.Words = ID(t.first), anchor(bm, uint64(s.ix.active.Base), t)
+		summaryBytes, d.Bitmap = t.form()
+		d.IDs = d.IDs[:0]
+		if !d.Bitmap {
+			d.IDs = d.appendBitmapIDs(d.IDs)
+		}
+		return t.held, summaryBytes
+	}
+	d.IDs, t = s.walk(d.IDs[:0], row, true)
+	d.Base, d.Words = ID(t.first), d.Words[:0]
+	summaryBytes, d.Bitmap = t.form()
+	if d.Bitmap {
+		for _, id := range d.IDs {
+			d.Words = setBit(d.Words, uint64(id-d.Base))
+		}
+	}
+	return t.held, summaryBytes
 }
 
+// tallyRow tallies the summary of the rumors row holds while the index keeps
+// its active-ID bitmap: each held slot goes to its ID's bit (offOf) in bm,
+// and bm is tallied a word at a time — bits inside one word are under 64
+// apart, so after a word's first ID every delta−1 is one varint byte and only
+// the first needs sizing. A bm as long as the active-ID bitmap takes one pass
+// and is left holding node's ID-space bitmap, anchored where the active one
+// is; a shorter one takes one pass per len(bm) words of it.
+func (s *Set) tallyRow(bm, row []uint64) (t tally) {
+	base, n := uint64(s.ix.active.Base), len(s.ix.active.Words)
+	prev := ^uint64(0) // so that the first ID's "delta−1" is the ID itself
+	for lo := 0; lo < n; lo += len(bm) {
+		span := bm[:min(len(bm), n-lo)]
+		clear(span)
+		for w := range row {
+			for word := atomic.LoadUint64(&row[w]); word != 0; word &= word - 1 {
+				// Below the pass the subtraction wraps, so one test bounds both ends.
+				off := s.ix.offOf[w<<6+bits.TrailingZeros64(word)] - uint32(lo)<<6
+				if int(off>>6) < len(span) {
+					span[off>>6] |= 1 << (off & 63)
+				}
+			}
+		}
+		for k, w := range span {
+			if w == 0 {
+				continue
+			}
+			at := base + uint64(lo+k)<<6
+			first := at + uint64(bits.TrailingZeros64(w))
+			if t.held == 0 {
+				t.first = first
+			}
+			c := bits.OnesCount64(w)
+			t.held += c
+			t.varintBytes += uvarintLen(first-prev-1) + c - 1
+			prev = at + uint64(63-bits.LeadingZeros64(w))
+		}
+	}
+	t.last = prev
+	t.varintBytes += uvarintLen(uint64(t.held))
+	return t
+}
+
+// anchor shifts bm (bit 0 is ID base) down in place to start at t's first
+// held ID and returns it cut to the held span; empty when nothing is held.
+func anchor(bm []uint64, base uint64, t tally) []uint64 {
+	if t.held == 0 {
+		return bm[:0]
+	}
+	q, r := int((t.first-base)>>6), uint((t.first-base)&63)
+	n := int((t.last-t.first)>>6) + 1
+	for k := 0; k < n; k++ {
+		w := bm[q+k] >> r
+		if r != 0 && q+k+1 < len(bm) {
+			w |= bm[q+k+1] << (64 - r)
+		}
+		bm[k] = w
+	}
+	return bm[:n]
+}
+
+// tallyPass is how many words of ID space SnapshotRow tallies per pass of its
+// stack scratch: one pass covers a 4096-ID span of active rumors.
+const tallyPass = 64
+
 // SnapshotRow copies node's holdings row, in slot space, into dst (Words
-// long) and returns what a digest of it would say: how many rumors it holds
-// and the SummarySize of their sorted IDs. The copy means what AppendDigest's
-// IDs mean only while the view it was taken under is out: a slot is a local
-// reuse pool, so once the table changes a set bit may name another rumor.
+// long) and returns what a Digest of it would say: how many rumors it holds
+// and the encoded length of their summary, sized by the same path Digest
+// takes. The copy means what Digest's IDs mean only while the view it was
+// taken under is out: a slot is a local reuse pool, so once the table changes
+// a set bit may name another rumor.
 func (v View) SnapshotRow(dst []uint64, node int) (held, summaryBytes int) {
-	row := v.s.row(node)
+	s, row := v.s, v.s.row(node)
 	for w := range row {
 		dst[w] = atomic.LoadUint64(&row[w])
 	}
-	_, held, summaryBytes = v.s.walk(nil, dst, false)
-	return held, summaryBytes
+	var t tally
+	if len(s.ix.active.Words) > 0 {
+		var buf [tallyPass]uint64
+		t = s.tallyRow(buf[:], dst)
+	} else {
+		_, t = s.walk(nil, dst, false)
+	}
+	summaryBytes, _ = t.form()
+	return t.held, summaryBytes
 }
 
 // MergeRow ORs a row snapshot taken under this view into node's holdings,
@@ -113,14 +251,14 @@ func (v View) MergeRow(node int, snap []uint64) int {
 const rankSpan = 1024
 
 // walk visits the rumors a holdings row (a node's own, or a snapshot of one)
-// holds in ascending ID order, counting them and sizing their summary; with
-// collect it also appends the IDs to dst.
+// holds in ascending ID order and tallies their summary; with collect it also
+// appends the IDs to dst.
 //
 // The IDs come out ascending without a sort: the row's bits are slot-ordered,
 // so each set bit is moved to its rumor's rank among the active IDs (the
 // index's slot→rank permutation) in a scratch bitmap, and walking that bitmap
 // visits the held rumors in ID order — O(held) + O(words).
-func (s *Set) walk(dst []ID, row []uint64, collect bool) (out []ID, held, summaryBytes int) {
+func (s *Set) walk(dst []ID, row []uint64, collect bool) (out []ID, t tally) {
 	prev := ^uint64(0) // so that the first ID's "delta−1" is the ID itself
 	var ranks [rankSpan / 64]uint64
 	for base := 0; base < len(s.ix.sorted); base += rankSpan {
@@ -136,16 +274,24 @@ func (s *Set) walk(dst []ID, row []uint64, collect bool) (out []ID, held, summar
 			}
 		}
 		for w, word := range span {
-			held += bits.OnesCount64(word)
+			if word == 0 {
+				continue
+			}
+			if t.held == 0 {
+				t.first = uint64(ids[w<<6+bits.TrailingZeros64(word)])
+			}
+			t.held += bits.OnesCount64(word)
 			for ; word != 0; word &= word - 1 {
 				id := uint64(ids[w<<6+bits.TrailingZeros64(word)])
 				if collect {
 					dst = append(dst, ID(id))
 				}
-				summaryBytes += uvarintLen(id - prev - 1)
+				t.varintBytes += uvarintLen(id - prev - 1)
 				prev = id
 			}
 		}
 	}
-	return dst, held, summaryBytes + uvarintLen(uint64(held))
+	t.last = prev
+	t.varintBytes += uvarintLen(uint64(t.held))
+	return dst, t
 }

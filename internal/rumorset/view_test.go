@@ -34,28 +34,43 @@ func recountLive(t *testing.T, s *Set) {
 	}
 }
 
-// TestMergeRowDifferential drives two sets through the same random table
+// TestMergeRowDifferential drives three sets through the same random table
 // history — injections, retirements that scramble the slot order, failures,
-// revivals — and between table changes runs the same gossip on both: on one
-// as the ID form, MarkIDs(i, AppendHeld(j)) sized by SummarySize, on the other
-// as the row form, SnapshotRow(j) then MergeRow(i, ·) under one view. The
-// arenas, every raw live counter and every returned number must agree. The
-// windows cover one word, one pass of the rank walk, and several passes.
+// revivals — and between table changes runs the same gossip on each: on one
+// as the ID form, MarkIDs(i, AppendHeld(j)) sized by SetIDs; on one as the
+// row form, SnapshotRow(j) then MergeRow(i, ·) under one view; on one as the
+// wire form, Digest(j) encoded and decoded, then MergeSummary(i, Digest(i), ·)
+// under one view. The arenas, every raw live counter and every returned
+// number must agree. The windows cover one word, one pass of the rank walk,
+// and several passes; sparse IDs take Digest through the rank walk, a dense
+// pool through the index's ID-space bitmap.
 func TestMergeRowDifferential(t *testing.T) {
-	for _, window := range []int{5, 64, 1024, 2 * rankSpan} {
-		t.Run(fmt.Sprint("window=", window), func(t *testing.T) {
+	for _, tc := range []struct {
+		window int
+		dense  bool
+	}{{5, false}, {64, false}, {1024, false}, {2 * rankSpan, false}, {5, true}, {64, true}, {1024, true}} {
+		window := tc.window
+		name := fmt.Sprint("window=", window)
+		if tc.dense {
+			name = "dense-" + name
+		}
+		t.Run(name, func(t *testing.T) {
 			const nodes = 40
 			rng := rand.New(rand.NewSource(int64(window)))
-			byID, byRow := newSet(t, nodes, window), newSet(t, nodes, window)
-			both := func(f func(s *Set)) { f(byID); f(byRow) }
+			byID, byRow, bySum := newSet(t, nodes, window), newSet(t, nodes, window), newSet(t, nodes, window)
+			both := func(f func(s *Set)) { f(byID); f(byRow); f(bySum) }
 
 			pool := make([]ID, 2*window+8)
 			for k := range pool {
 				pool[k] = ID(rng.Uint32())
+				if tc.dense {
+					pool[k] = 1<<31 + ID(k)
+				}
 			}
 			snaps := make([]uint64, nodes*byRow.Words())
 			snap := func(j int) []uint64 { return snaps[j*byRow.Words() : (j+1)*byRow.Words()] }
 			digests := make([][]ID, nodes)
+			sums, wire := make([]Summary, nodes), make([]Summary, nodes)
 
 			rounds := 40
 			if window > 64 {
@@ -85,33 +100,55 @@ func TestMergeRowDifferential(t *testing.T) {
 				if byRow.Active() <= rankSpan && window > rankSpan {
 					t.Fatalf("only %d rumors in flight: the multi-pass walk is not covered", byRow.Active())
 				}
+				if byID := len(bySum.ix.active.Words) > 0; byID != tc.dense {
+					t.Fatalf("round %d: Digest by ID-space bitmap %v on a dense=%v pool", round, byID, tc.dense)
+				}
 
 				// One gossip round: every digest is taken before the first merge.
-				v := byRow.View()
+				v, vs := byRow.View(), bySum.View()
+				var ref Summary
 				for j := 0; j < nodes; j++ {
 					digests[j] = byID.AppendHeld(digests[j][:0], j)
+					want := ref.SetIDs(digests[j])
 					held, summaryBytes := v.SnapshotRow(snap(j), j)
-					if held != len(digests[j]) || summaryBytes != SummarySize(digests[j]) {
+					if held != len(digests[j]) || summaryBytes != want {
 						t.Fatalf("round %d node %d: snapshot says %d rumors in %d bytes, the ID digest %d in %d",
-							round, j, held, summaryBytes, len(digests[j]), SummarySize(digests[j]))
+							round, j, held, summaryBytes, len(digests[j]), want)
+					}
+					if held, summaryBytes = vs.Digest(&sums[j], j); held != len(digests[j]) || summaryBytes != want {
+						t.Fatalf("round %d node %d: Digest says %d rumors in %d bytes, the ID digest %d in %d",
+							round, j, held, summaryBytes, len(digests[j]), want)
+					}
+					if err := wire[j].Decode(sums[j].Append(nil), sums[j].Bitmap); err != nil {
+						t.Fatal(err)
 					}
 				}
 				for k := 0; k < 6*nodes; k++ {
 					i, j := rng.Intn(nodes), rng.Intn(nodes)
-					if want, got := byID.MarkIDs(i, digests[j]), v.MergeRow(i, snap(j)); got != want {
+					want := byID.MarkIDs(i, digests[j])
+					if got := v.MergeRow(i, snap(j)); got != want {
 						t.Fatalf("round %d: merging node %d into %d (failed=%v): MergeRow %d fresh, MarkIDs %d",
 							round, j, i, byRow.failed[i], got, want)
 					}
+					// sums[i] is i's digest from before this round's merges: a
+					// subset of what it holds now, so still safe to skip.
+					if got := vs.MergeSummary(i, &sums[i], &wire[j]); got != want {
+						t.Fatalf("round %d: merging node %d into %d (failed=%v): MergeSummary %d fresh, MarkIDs %d",
+							round, j, i, bySum.failed[i], got, want)
+					}
 				}
 				v.Release()
+				vs.Release()
 
-				if !slices.Equal(byRow.held, byID.held) {
-					t.Fatalf("round %d: the arenas differ", round)
+				for _, s := range []*Set{byRow, bySum} {
+					if !slices.Equal(s.held, byID.held) {
+						t.Fatalf("round %d: the arenas differ", round)
+					}
+					if !slices.Equal(liveCounts(s), liveCounts(byID)) {
+						t.Fatalf("round %d: the live counters differ", round)
+					}
+					recountLive(t, s)
 				}
-				if !slices.Equal(liveCounts(byRow), liveCounts(byID)) {
-					t.Fatalf("round %d: the live counters differ", round)
-				}
-				recountLive(t, byRow)
 			}
 			if st := byRow.Snapshot(); st != byID.Snapshot() || st.Expired == 0 {
 				t.Fatalf("counters: row form %+v, ID form %+v", st, byID.Snapshot())
@@ -140,8 +177,9 @@ func TestSnapshotRowDetached(t *testing.T) {
 		if fresh := v.MergeRow(0, make([]uint64, s.Words())); fresh != 0 {
 			t.Fatalf("window %d: an empty snapshot marked %d rumors", window, fresh)
 		}
-		rest, _ := v.AppendDigest(nil, 1)
-		v.MarkIDs(0, rest) // node 0 moves on to hold everything
+		var rest Summary
+		v.Digest(&rest, 1)
+		v.MarkIDs(0, rest.AppendIDs(nil)) // node 0 moves on to hold everything
 		if fresh := v.MergeRow(2, snap); fresh != window/2 {
 			t.Fatalf("window %d: merging the snapshot marked %d rumors, want %d", window, fresh, window/2)
 		}

@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/phonecall"
 	"repro/internal/policy"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
@@ -215,11 +216,20 @@ func Execute(ctx context.Context, spec Spec) (trace.Result, error) {
 	if err != nil {
 		return trace.Result{}, err
 	}
-	res.Engine = spec.Engine.String()
+	res.Engine, res.PayloadBits = spec.Engine.String(), spec.payloadBits()
 	if err := spec.tap.writeSummary(res); err != nil {
 		return trace.Result{}, fmt.Errorf("run: trace export: %w", err)
 	}
 	return res, nil
+}
+
+// payloadBits is the rumor size b the engines charge: the spec's, or the
+// default when it sets none.
+func (s Spec) payloadBits() int {
+	if s.PayloadBits == 0 {
+		return phonecall.DefaultPayloadBits
+	}
+	return s.PayloadBits
 }
 
 // multiRumor reports whether the timeline selects the steppable multi-rumor

@@ -262,17 +262,13 @@ func (t *tap) writeHeader(s Spec) {
 	if t == nil || t.tw == nil {
 		return
 	}
-	payload := s.PayloadBits
-	if payload == 0 {
-		payload = phonecall.DefaultPayloadBits
-	}
 	t.tw.write(traceRunRecord{
 		Type:        "run",
 		Engine:      s.Engine.String(),
 		Algorithm:   t.algo,
 		N:           s.N,
 		Seed:        s.Seed,
-		PayloadBits: payload,
+		PayloadBits: s.payloadBits(),
 		Workers:     s.Workers,
 		Rounds:      s.Rounds,
 	})

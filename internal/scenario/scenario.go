@@ -428,6 +428,16 @@ type fate struct {
 	retired bool // the ledger dropped the rumor when it completed
 }
 
+// execRound runs one engine round inside the ledger's round bracket. The
+// bracket closes on the abort path too — a done ctx panics out of ExecRound —
+// so a cancelled wide run does not leave its set's read view held.
+func execRound(net *phonecall.Network, l ledger, intent func(int) phonecall.Intent,
+	response func(int) (phonecall.Message, bool), deliver func(int, []phonecall.Message)) phonecall.RoundReport {
+	l.beginRound()
+	defer l.endRound()
+	return net.ExecRound(intent, response, deliver)
+}
+
 // Run executes the scenario with one of the steppable multi-rumor protocols
 // and fills in the result: the per-phase trace, every rumor's fate, and the
 // run-level outcome folded from them. The execution is bit-identical for any
@@ -534,11 +544,7 @@ func Run(ctx context.Context, sc Scenario, cfg Config) (res Result, err error) {
 			next++
 		}
 
-		// An aborted round (a done ctx panics out of ExecRound) leaves the
-		// bracket open on a ledger nobody reads again.
-		l.beginRound()
-		rep := net.ExecRound(intent, response, deliver)
-		l.endRound()
+		rep := execRound(net, l, intent, response, deliver)
 		cur.Messages += rep.Messages
 		cur.Bits += rep.Bits
 		if rep.MaxComms > cur.MaxComms {

@@ -3,8 +3,11 @@ package scenario
 import (
 	"context"
 	"errors"
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/phonecall"
 	"repro/internal/policy"
@@ -517,5 +520,108 @@ func TestWideRoundDoesNotAllocate(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestWideChargesTheSentForm is the simulator half of the charge rule: over
+// random held sets, dense and sparse to 2^32−1, a node's holdings message is
+// charged the encoded length of the summary form a live node would send for
+// the same IDs — never more than their delta varints.
+func TestWideChargesTheSentForm(t *testing.T) {
+	const n, window = 64, 96
+	for _, dense := range []bool{true, false} {
+		net, err := phonecall.New(phonecall.Config{N: n, Seed: 2, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		set, err := rumorset.New(n, window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := newWideProtocol(AlgoPushPull, net, set)
+		rng := rand.New(rand.NewSource(9))
+		for r := 0; r < window; r++ {
+			id := rumorset.ID(rng.Uint32())
+			if dense {
+				id = math.MaxUint32 - rumorset.ID(r*2+rng.Intn(2))
+			}
+			if err := p.Inject(rng.Intn(n), phonecall.RumorID(id)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		bitmaps := 0
+		for r := 0; r < 6; r++ { // check every round as the rumors spread
+			p.beginRound()
+			for i := 0; i < n; i++ {
+				v := p.digest(i)
+				ids := set.AppendHeld(nil, i)
+				var sum rumorset.Summary
+				want := sum.SetIDs(ids)
+				if v.Held != len(ids) || v.SummaryBytes != want || want != len(sum.Append(nil)) || want > rumorset.SummarySize(ids) {
+					t.Fatalf("dense=%v round %d node %d: charged %d rumors in %d bytes; the %d ids encode to %d (varints %d)",
+						dense, r, i, v.Held, v.SummaryBytes, len(ids), len(sum.Append(nil)), rumorset.SummarySize(ids))
+				}
+				if sum.Bitmap {
+					bitmaps++
+				}
+			}
+			net.ExecRound(p.intent, p.response, p.deliver)
+			p.endRound()
+		}
+		if dense != (bitmaps > 0) {
+			t.Errorf("dense=%v: %d nodes charged for the bitmap form", dense, bitmaps)
+		}
+	}
+}
+
+// cancelAfter cancels its run's context when round at ends, and keeps the
+// wide ledger it was bound to so the test can reach the set.
+type cancelAfter struct {
+	at     int
+	cancel context.CancelFunc
+	wide   *wideProtocol
+}
+
+func (c *cancelAfter) BindHoldings(h phonecall.Holdings)            { c.wide, _ = h.(*wideProtocol) }
+func (c *cancelAfter) BeginRound(int, phonecall.RoundInfo)          {}
+func (c *cancelAfter) ObserveIntent(int, phonecall.Intent)          {}
+func (c *cancelAfter) ObserveResponse(int, phonecall.Message, bool) {}
+func (c *cancelAfter) ObserveDeliver(int, []phonecall.Message)      {}
+func (c *cancelAfter) EndRound(rep phonecall.RoundReport) {
+	if rep.Round == c.at {
+		c.cancel()
+	}
+}
+
+// TestWideAbortReleasesView: a cancelled wide run aborts out of ExecRound
+// with the round's read view taken, and must still give it back — the set
+// stays writable, so a Register returns instead of waiting on the view
+// forever.
+func TestWideAbortReleasesView(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	obs := &cancelAfter{at: 2, cancel: cancel}
+	sc := Scenario{
+		N:           64,
+		Rounds:      20,
+		MaxInFlight: 4,
+		Events:      []Event{InjectRumor{At: 1, Node: 0, Rumor: 0}, InjectRumor{At: 1, Node: 1, Rumor: 1 << 20}},
+	}
+	_, err := Run(ctx, sc, Config{Seed: 1, Workers: 2, Observer: obs})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if obs.wide == nil {
+		t.Fatal("the run was not on the rumor-set ledger")
+	}
+	done := make(chan error, 1)
+	go func() { done <- obs.wide.set.Register(1 << 21) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Register blocked: the aborted round kept the set's read view")
 	}
 }

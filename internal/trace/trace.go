@@ -72,6 +72,9 @@ type Result struct {
 	// Engine names the substrate ("simulator", "lock-step", "free-running");
 	// run.Execute stamps it.
 	Engine string
+	// PayloadBits is the rumor size b every payload was charged (the spec's,
+	// or the default); run.Execute stamps it.
+	PayloadBits int
 
 	// Complexity measures (the quantities of Theorems 1, 2, 9, 18). On the
 	// free-running engine Rounds is the furthest local clock and
@@ -138,14 +141,16 @@ type Result struct {
 	// GC retired to recycle their window slots (0 on the bitmask path, which
 	// never expires). The rest is stream-only: registrations and convergences
 	// over the stream's life, the rumors still in flight at the end (0 on a
-	// drained stream), and the monitor passes injection spent stalled on a
-	// full window.
+	// drained stream), the monitor passes injection spent stalled on a full
+	// window, and how many times the monitor seeded an in-flight rumor again
+	// because every node holding it had crashed.
 	LostInjects     int64
 	RumorsInjected  int64
 	RumorsConverged int64
 	RumorsExpired   int64
 	RumorsActive    int
 	InjectionStalls int64
+	RumorsReseeded  int64
 }
 
 // Converged is the one definition of "all informed": every live node is
