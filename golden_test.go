@@ -9,7 +9,11 @@ import (
 // goldenBroadcasts pins Broadcast results bit-identical to the pre-redesign
 // facade (values computed at the flat harness-backed Broadcast before the
 // unified run layer was introduced). Any change here means the execution
-// semantics — not just the API — changed.
+// semantics — not just the API — changed. The cluster2 and clusterpushpull
+// rows were regenerated once on purpose, when Cluster2's round budget dropped
+// the rounds that carry no new information and members started leaving
+// crashed leaders (DESIGN.md, "Cluster2's round budget"): the crash-and-loss
+// row went from 1 to 3 411 of 3 600 live nodes informed.
 var goldenBroadcasts = []struct {
 	cfg       Config
 	algorithm string
@@ -22,16 +26,16 @@ var goldenBroadcasts = []struct {
 	informed  int
 }{
 	{Config{N: 4000, Algorithm: AlgoCluster2, Seed: 7},
-		"cluster2", 56, 56, 60892, 35262, 4025644, 3999, 4000},
+		"cluster2", 41, 41, 36577, 16089, 2888461, 3999, 4000},
 	{Config{N: 3000, Algorithm: AlgoClusterPushPull, Seed: 5, Delta: 64},
-		"clusterpushpull", 82, 82, 129730, 75726, 9519050, 76, 3000},
+		"clusterpushpull", 69, 69, 98557, 59150, 8366537, 82, 3000},
 	{Config{N: 2000, Algorithm: AlgoPushPull, Seed: 3},
 		"push-pull", 26, 10, 76553, 13708, 21539868, 8, 2000},
 	{Config{N: 5000, Algorithm: AlgoCluster1, Seed: 9, Failures: 500, FailureSeed: 13},
 		"cluster1", 26, 26, 58958, 29792, 4771026, 4499, 4500},
 	{Config{N: 4000, Algorithm: AlgoCluster2, Seed: 11, Failures: 400, FailureSeed: 21,
 		FailureRound: 5, LossRate: 0.05, LossSeed: 31},
-		"cluster2", 66, 66, 30029, 33610, 2052489, 127, 1},
+		"cluster2", 35, 35, 21240, 7038, 1907736, 3410, 3411},
 	{Config{N: 2500, Algorithm: AlgoKarp, Seed: 2, PayloadBits: 1024},
 		"karp-median-counter", 20, 10, 57007, 18764, 59779547, 8, 2500},
 }

@@ -11,7 +11,7 @@
 package cluster
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/phonecall"
 )
@@ -22,8 +22,8 @@ const (
 	TagActivate                    // Value is the activation bit
 	TagSizeReport                  // follower reports membership to its leader
 	TagSizeValue                   // Value is the cluster size
-	TagNewFollow                   // IDs[0] is the new follow value (Value==0 dissolves)
-	TagNewLeaders                  // IDs lists the new leaders after a resize
+	TagNewFollow                   // IDs[0] is the new follow value
+	TagNewLeaders                  // Value is the cluster size (0 dissolves); IDs list the new leaders, then the activated ones
 	TagRecruit                     // IDs[0] is the pushing cluster's ID
 	TagRelay                       // IDs[0] is a relayed candidate cluster ID
 	TagFollowIs                    // IDs[0] is the responder's follow value
@@ -44,10 +44,27 @@ type Clustering struct {
 	prevSize []int
 	rumor    []bool
 
+	// joined marks the members that joined their cluster since they last
+	// reported to its leader (Join, ReportJoins).
+	joined []bool
+	// missed counts each member's consecutive unanswered pulls to its leader
+	// (leaderPull).
+	missed []uint8
+
 	// recruit state: candidate cluster IDs received via random pushes,
 	// relayed to leaders for merge decisions.
 	pending    []phonecall.NodeID
 	candidates [][]phonecall.NodeID
+
+	// Scratch reused by every primitive, so that a primitive allocates
+	// nothing per node. idSlot backs one-ID payloads: a node writes only its
+	// own slot, and a message aliasing it is read only within its round.
+	idSlot  []phonecall.NodeID
+	counts  []int32            // per-leader report counts; Resize: cluster size (-1 dissolves)
+	lens    []int32            // Resize: per-leader length of the new-leaders list
+	spans   []int32            // Resize: leader j's span of members is [spans[j], spans[j+1])
+	members []phonecall.NodeID // Resize: every leader's member IDs, one span per leader
+	target  []phonecall.NodeID // Merge: per-leader merge target
 }
 
 // New returns an empty clustering (every node unclustered) over net.
@@ -60,8 +77,12 @@ func New(net *phonecall.Network) *Clustering {
 		size:       make([]int, n),
 		prevSize:   make([]int, n),
 		rumor:      make([]bool, n),
+		joined:     make([]bool, n),
+		missed:     make([]uint8, n),
 		pending:    make([]phonecall.NodeID, n),
 		candidates: make([][]phonecall.NodeID, n),
+		idSlot:     make([]phonecall.NodeID, n),
+		counts:     make([]int32, n),
 	}
 }
 
@@ -74,6 +95,14 @@ func (c *Clustering) Follow(i int) phonecall.NodeID { return c.follow[i] }
 // SetFollow sets node i's follow variable (local; used by drivers to seed the
 // source node's own cluster in degenerate cases and by tests).
 func (c *Clustering) SetFollow(i int, id phonecall.NodeID) { c.follow[i] = id }
+
+// Join makes node i a member of the cluster with ID id and marks it for the
+// next ReportJoins (local; called by the node itself on receiving the
+// recruiting message).
+func (c *Clustering) Join(i int, id phonecall.NodeID) {
+	c.follow[i] = id
+	c.joined[i] = true
+}
 
 // IsClustered reports whether node i belongs to a cluster (local).
 func (c *Clustering) IsClustered(i int) bool { return c.follow[i] != phonecall.NoNode }
@@ -101,6 +130,19 @@ func (c *Clustering) HasRumor(i int) bool { return c.rumor[i] }
 // SetRumor marks node i as holding the rumor (local; used to place the
 // initial rumor at the source).
 func (c *Clustering) SetRumor(i int) { c.rumor[i] = true }
+
+// Recruit returns node i's recruiting message: its cluster ID under
+// TagRecruit. The ID travels in node i's scratch slot, so building the
+// message allocates nothing (local).
+func (c *Clustering) Recruit(i int) phonecall.Message {
+	return phonecall.Message{Tag: TagRecruit, IDs: c.oneID(i, c.follow[i])}
+}
+
+// oneID stores id in node i's scratch slot and returns it as a one-ID list.
+func (c *Clustering) oneID(i int, id phonecall.NodeID) []phonecall.NodeID {
+	c.idSlot[i] = id
+	return c.idSlot[i : i+1 : i+1]
+}
 
 // InformedCount returns the number of live nodes holding the rumor (local).
 func (c *Clustering) InformedCount() int {
@@ -187,14 +229,24 @@ func (c *Clustering) SeedSingletons(p float64) int {
 	return leaders
 }
 
-// leaderPull runs one round in which every clustered non-leader node that
-// satisfies participate pulls from its leader. Leaders respond with
-// respond(leader); a contacted node that is not (or no longer) a leader
-// responds with a redirect carrying its own follow value, which the puller
-// adopts (lazy path compression). apply is invoked for every puller that
-// received a non-redirect response.
+// leaveAfterMisses is how many consecutive unanswered pulls make a member
+// give its leader up as crashed. A crashed leader never answers again, while
+// a call lost in transit (SetLoss) is independent per round: leaving on the
+// first miss would turn every lost pull into a member stranded outside its
+// cluster, and at 5 % loss leaves more nodes uninformed than never leaving.
+const leaveAfterMisses = 2
+
+// leaderPull runs one round in which every clustered non-leader node pulls
+// from its leader. Leaders respond with respond(leader); a contacted node that
+// is not (or no longer) a leader responds with a redirect carrying its own
+// follow value, which the puller adopts (lazy path compression). apply is
+// invoked for every puller that received a non-redirect response.
+//
+// A member whose pulls went unanswered leaveAfterMisses times in a row has
+// lost its leader — a crashed node never answers — and becomes unclustered,
+// so that a later recruit or PullJoin places it in a live cluster. Without
+// failures or loss every pull is answered and this rule never fires.
 func (c *Clustering) leaderPull(
-	participate func(i int) bool,
 	respond func(leader int) phonecall.Message,
 	apply func(i int, m phonecall.Message),
 ) {
@@ -203,18 +255,17 @@ func (c *Clustering) leaderPull(
 			if !c.IsClustered(i) || c.IsLeader(i) {
 				return phonecall.Silent()
 			}
-			if participate != nil && !participate(i) {
-				return phonecall.Silent()
-			}
+			c.missed[i]++ // until the answer arrives
 			return phonecall.PullIntent(phonecall.DirectTarget(c.follow[i]))
 		},
 		func(j int) (phonecall.Message, bool) {
 			if c.IsLeader(j) {
 				return respond(j), true
 			}
-			return phonecall.Message{Tag: TagRedirect, IDs: []phonecall.NodeID{c.follow[j]}}, true
+			return phonecall.Message{Tag: TagRedirect, IDs: c.oneID(j, c.follow[j])}, true
 		},
 		func(i int, inbox []phonecall.Message) {
+			c.missed[i] = 0
 			for _, m := range inbox {
 				if m.Tag == TagRedirect {
 					if len(m.IDs) == 1 && m.IDs[0] != phonecall.NoNode {
@@ -228,6 +279,13 @@ func (c *Clustering) leaderPull(
 			}
 		},
 	)
+	for i, missed := range c.missed {
+		if missed >= leaveAfterMisses {
+			c.missed[i] = 0
+			c.follow[i] = phonecall.NoNode
+			c.active[i] = false
+		}
+	}
 }
 
 // Activate implements ClusterActivate(p): every cluster is independently
@@ -254,7 +312,7 @@ func (c *Clustering) SetActivation(decide func(leader int) bool) {
 }
 
 func (c *Clustering) broadcastActivation() {
-	c.leaderPull(nil,
+	c.leaderPull(
 		func(leader int) phonecall.Message {
 			v := uint64(0)
 			if c.active[leader] {
@@ -273,14 +331,14 @@ func (c *Clustering) broadcastActivation() {
 // learned size is available via Size; the previously learned size moves to
 // PrevSize.
 func (c *Clustering) MeasureSizes() {
-	counts := c.collectMemberCounts()
+	c.countReports(nil)
 	for i := 0; i < c.net.N(); i++ {
 		if c.IsLeader(i) && !c.net.IsFailed(i) {
 			c.prevSize[i] = c.size[i]
-			c.size[i] = counts[i]
+			c.size[i] = int(c.counts[i]) + 1 // the leader itself
 		}
 	}
-	c.leaderPull(nil,
+	c.leaderPull(
 		func(leader int) phonecall.Message {
 			return phonecall.Message{Tag: TagSizeValue, Value: uint64(c.size[leader])}
 		},
@@ -291,15 +349,34 @@ func (c *Clustering) MeasureSizes() {
 	)
 }
 
-// collectMemberCounts runs the follower-report round and returns, per leader
-// index, the number of members (including the leader itself).
-func (c *Clustering) collectMemberCounts() []int {
-	counts := make([]int, c.net.N())
+// ReportJoins is the join report: every member that joined its cluster since
+// its last report (Join) pushes one report to its leader, and each leader adds
+// the arrivals to its running size; the previous size moves to PrevSize. It
+// gives a leader what MeasureSizes would, as long as the leader's size was
+// known before the joins, in one round and with one message per new member.
+// Costs one round.
+func (c *Clustering) ReportJoins() {
+	c.countReports(func(i int) bool { return c.joined[i] })
+	for i := 0; i < c.net.N(); i++ {
+		if c.IsLeader(i) && !c.net.IsFailed(i) {
+			c.prevSize[i] = c.size[i]
+			c.size[i] += int(c.counts[i])
+		}
+	}
+}
+
+// countReports runs one round in which every clustered non-leader for which
+// only returns true (every one if only is nil) pushes a report to its leader,
+// and leaves the reports each leader received in c.counts. A member that
+// reports has told its leader about itself, so its join mark clears.
+func (c *Clustering) countReports(only func(i int) bool) {
+	clear(c.counts)
 	c.net.ExecRound(
 		func(i int) phonecall.Intent {
-			if !c.IsClustered(i) || c.IsLeader(i) {
+			if !c.IsClustered(i) || c.IsLeader(i) || (only != nil && !only(i)) {
 				return phonecall.Silent()
 			}
+			c.joined[i] = false
 			return phonecall.PushIntent(phonecall.DirectTarget(c.follow[i]), phonecall.Message{Tag: TagSizeReport})
 		},
 		nil,
@@ -309,147 +386,198 @@ func (c *Clustering) collectMemberCounts() []int {
 			}
 			for _, m := range inbox {
 				if m.Tag == TagSizeReport {
-					counts[j]++
+					c.counts[j]++
 				}
 			}
 		},
 	)
-	for i := 0; i < c.net.N(); i++ {
-		if c.IsLeader(i) && !c.net.IsFailed(i) {
-			counts[i]++ // the leader itself
-		}
-	}
-	return counts
 }
 
-// Dissolve implements ClusterDissolve(s): clusters smaller than minSize are
-// dissolved (all members, including the leader, become unclustered). Costs
-// two rounds.
-func (c *Clustering) Dissolve(minSize int) {
-	counts := c.collectMemberCounts()
-	keep := make([]bool, c.net.N())
-	for i := 0; i < c.net.N(); i++ {
-		if c.IsLeader(i) && !c.net.IsFailed(i) {
-			keep[i] = counts[i] >= minSize
-		}
-	}
-	c.leaderPull(nil,
-		func(leader int) phonecall.Message {
-			if keep[leader] {
-				return phonecall.Message{Tag: TagNewFollow, Value: 1, IDs: []phonecall.NodeID{c.net.ID(leader)}}
-			}
-			return phonecall.Message{Tag: TagNewFollow, Value: 0}
-		},
-		func(i int, m phonecall.Message) {
-			if m.Value == 1 && len(m.IDs) == 1 {
-				c.follow[i] = m.IDs[0]
-			} else {
-				c.follow[i] = phonecall.NoNode
-				c.active[i] = false
-			}
-		},
-	)
-	for i := 0; i < c.net.N(); i++ {
-		if c.net.IsFailed(i) {
+// Resize implements ClusterDissolve(minSize) followed by ClusterResize(target)
+// in one exchange: members report to their leader, the leader dissolves its
+// cluster if it has fewer than minSize members (minSize ≤ 1 never dissolves)
+// and otherwise splits it into ⌊s'/target⌋ groups of (almost) equal size, the
+// largest ID of each group becoming its leader (a cluster that does not split
+// keeps its leader); members pull the outcome.
+// Costs two rounds. After a resize every cluster has size at most
+// 2·target−1, and every node learns its group's size. Activation is kept.
+func (c *Clustering) Resize(minSize, target int) {
+	c.regroup(minSize, max(target, 1), -1)
+}
+
+// ResizeActivate is Resize followed by ClusterActivate(p) in the same
+// exchange: the old leader flips every new group's activation coin and sends
+// the activated group leaders along with the groups. target is at least 2.
+// Costs two rounds.
+func (c *Clustering) ResizeActivate(minSize, target int, p float64) {
+	c.regroup(minSize, max(target, 2), p)
+}
+
+// regroup runs Resize, flipping each new group's activation coin with
+// probability p when p ≥ 0.
+//
+// A leader's TagNewLeaders response carries its cluster size s' in Value (0
+// dissolves the cluster) and lists the group leaders in ascending order,
+// followed by the activated ones. Both sides derive the group count as
+// max(1, ⌊s'/target⌋), so a member finds its group — the first leader not
+// below its own ID — its group's size and its activation bit from the message
+// alone.
+func (c *Clustering) regroup(minSize, target int, p float64) {
+	net := c.net
+	n := net.N()
+	coins := p >= 0
+
+	// Lay out one span of c.members per leader: its own ID, one slot per
+	// member that can report to it, and one spare slot, which is room for the
+	// group list plus the activated list when target ≥ 2 (or no coins).
+	clear(c.counts)
+	for i := 0; i < n; i++ {
+		if net.IsFailed(i) || !c.IsClustered(i) || c.IsLeader(i) {
 			continue
 		}
-		if c.IsLeader(i) && !keep[i] {
-			c.follow[i] = phonecall.NoNode
-			c.active[i] = false
+		if j, ok := net.IndexOf(c.follow[i]); ok && !net.IsFailed(j) && c.IsLeader(j) {
+			c.counts[j]++
 		}
 	}
-}
-
-// Resize implements ClusterResize(s): every cluster of size s' re-clusters
-// itself into ⌊s'/s⌋ groups of (almost) equal size; within each group the
-// largest ID becomes the new leader. Costs two rounds. After a resize every
-// cluster has size at most 2s−1.
-func (c *Clustering) Resize(target int) {
-	if target < 1 {
-		target = 1
+	if c.spans == nil {
+		c.spans = make([]int32, n+1)
+		c.lens = make([]int32, n)
 	}
-	n := c.net.N()
-	members := make([][]phonecall.NodeID, n)
-	c.net.ExecRound(
-		func(i int) phonecall.Intent {
-			if !c.IsClustered(i) || c.IsLeader(i) {
-				return phonecall.Silent()
-			}
-			return phonecall.PushIntent(phonecall.DirectTarget(c.follow[i]), phonecall.Message{Tag: TagSizeReport})
-		},
-		nil,
-		func(j int, inbox []phonecall.Message) {
-			if !c.IsLeader(j) {
-				return
-			}
-			for _, m := range inbox {
-				if m.Tag == TagSizeReport {
-					members[j] = append(members[j], m.From)
-				}
-			}
-		},
-	)
-
-	newLeaders := make([][]phonecall.NodeID, n)
+	total := int32(0)
 	for j := 0; j < n; j++ {
-		if !c.IsLeader(j) || c.net.IsFailed(j) {
+		c.spans[j] = total
+		if c.IsLeader(j) && !net.IsFailed(j) {
+			total += c.counts[j] + 2
+		}
+		c.counts[j] = 0
+	}
+	c.spans[n] = total
+	if int(total) > cap(c.members) {
+		c.members = make([]phonecall.NodeID, total+total/4)
+	}
+	members := c.members[:total]
+
+	net.ExecRound(
+		func(i int) phonecall.Intent {
+			if !c.IsClustered(i) || c.IsLeader(i) {
+				return phonecall.Silent()
+			}
+			c.joined[i] = false
+			return phonecall.PushIntent(phonecall.DirectTarget(c.follow[i]), phonecall.Message{Tag: TagSizeReport})
+		},
+		nil,
+		func(j int, inbox []phonecall.Message) {
+			if !c.IsLeader(j) {
+				return
+			}
+			lo, room := c.spans[j]+1, c.spans[j+1]-c.spans[j]-2
+			for _, m := range inbox {
+				if m.Tag == TagSizeReport && c.counts[j] < room {
+					members[lo+c.counts[j]] = m.From
+					c.counts[j]++
+				}
+			}
+		},
+	)
+
+	// Every leader splits its sorted member list in place: group g's leader
+	// moves to position g, the activated leaders follow the groups.
+	for j := 0; j < n; j++ {
+		if !c.IsLeader(j) || net.IsFailed(j) {
 			continue
 		}
-		ids := append(members[j], c.net.ID(j))
-		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-		groups := len(ids) / target
-		if groups < 1 {
-			groups = 1
+		lo := c.spans[j]
+		ids := members[lo : lo+1+c.counts[j]]
+		ids[0] = net.ID(j)
+		slices.Sort(ids)
+		size := len(ids)
+		if size < minSize {
+			c.counts[j], c.lens[j] = -1, 0
+			continue
 		}
-		leaders := make([]phonecall.NodeID, 0, groups)
-		per := len(ids) / groups
-		extra := len(ids) % groups
-		idx := 0
+		groups := max(1, size/target)
+		per, extra := size/groups, size%groups
+		end := 0
 		for g := 0; g < groups; g++ {
-			size := per
+			end += per
 			if g < extra {
-				size++
+				end++
 			}
-			idx += size
-			leaders = append(leaders, ids[idx-1]) // largest ID in the group
+			ids[g] = ids[end-1]
 		}
-		newLeaders[j] = leaders
+		if groups == 1 {
+			ids[0] = net.ID(j) // a cluster that does not split keeps its leader
+		}
+		list := int32(groups)
+		if coins {
+			rng := net.NodeRNG(j)
+			for g := 0; g < groups; g++ {
+				if rng.Bernoulli(p) {
+					members[lo+list] = ids[g]
+					list++
+				}
+			}
+		}
+		c.counts[j], c.lens[j] = int32(size), list
 	}
 
-	assign := func(own phonecall.NodeID, leaders []phonecall.NodeID) phonecall.NodeID {
-		for _, l := range leaders {
-			if l >= own {
-				return l
-			}
-		}
-		if len(leaders) > 0 {
-			return leaders[len(leaders)-1]
-		}
-		return own
-	}
-
-	c.leaderPull(nil,
+	c.leaderPull(
 		func(leader int) phonecall.Message {
-			return phonecall.Message{Tag: TagNewLeaders, IDs: newLeaders[leader]}
+			if c.counts[leader] < 0 {
+				return phonecall.Message{Tag: TagNewLeaders}
+			}
+			lo := c.spans[leader]
+			return phonecall.Message{
+				Tag:   TagNewLeaders,
+				Value: uint64(c.counts[leader]),
+				IDs:   members[lo : lo+c.lens[leader] : lo+c.lens[leader]],
+			}
 		},
 		func(i int, m phonecall.Message) {
-			if len(m.IDs) == 0 {
-				return
-			}
-			c.follow[i] = assign(c.net.ID(i), m.IDs)
-			c.size[i] = target
-			c.prevSize[i] = target
+			c.applyGroup(i, int(m.Value), target, m.IDs, coins)
 		},
 	)
+	// The old leaders apply their own outcome; they are the leaders whose
+	// lists were computed above and who did not pull.
 	for j := 0; j < n; j++ {
-		if c.net.IsFailed(j) || newLeaders[j] == nil {
+		if net.IsFailed(j) || c.counts[j] == 0 || !c.IsLeader(j) {
 			continue
 		}
-		if c.IsLeader(j) {
-			c.follow[j] = assign(c.net.ID(j), newLeaders[j])
-			c.size[j] = target
-			c.prevSize[j] = target
+		if c.counts[j] < 0 {
+			c.applyGroup(j, 0, target, nil, coins)
+			continue
 		}
+		lo := c.spans[j]
+		c.applyGroup(j, int(c.counts[j]), target, members[lo:lo+c.lens[j]], coins)
+	}
+}
+
+// applyGroup applies a TagNewLeaders outcome at node i: size 0 dissolves the
+// cluster; otherwise the node follows the first group leader not below its
+// own ID, learns that group's size and, with coins, whether the group is
+// activated (its leader appears after the group list).
+func (c *Clustering) applyGroup(i, size, target int, ids []phonecall.NodeID, coins bool) {
+	if size == 0 {
+		c.follow[i] = phonecall.NoNode
+		c.active[i] = false
+		return
+	}
+	groups := min(max(1, size/target), len(ids))
+	if groups == 0 {
+		return
+	}
+	own := c.net.ID(i)
+	g, _ := slices.BinarySearch(ids[:groups], own)
+	g = min(g, groups-1)
+	leader := ids[g]
+	c.follow[i] = leader
+	per, extra := size/groups, size%groups
+	if g < extra {
+		per++
+	}
+	c.size[i], c.prevSize[i] = per, per
+	if coins {
+		c.active[i] = slices.Contains(ids[groups:], leader)
 	}
 }
 
@@ -504,7 +632,7 @@ func (c *Clustering) RelayCandidates() {
 			}
 			return phonecall.PushIntent(
 				phonecall.DirectTarget(c.follow[i]),
-				phonecall.Message{Tag: TagRelay, IDs: []phonecall.NodeID{c.pending[i]}},
+				phonecall.Message{Tag: TagRelay, IDs: c.oneID(i, c.pending[i])},
 			)
 		},
 		nil,
@@ -546,7 +674,11 @@ func (c *Clustering) ClearCandidates() {
 // merged cluster are deactivated; activation is re-established by the next
 // Activate or SetActivation call.
 func (c *Clustering) Merge(decide func(leader int) (phonecall.NodeID, bool)) {
-	target := make([]phonecall.NodeID, c.net.N())
+	if c.target == nil {
+		c.target = make([]phonecall.NodeID, c.net.N())
+	}
+	target := c.target
+	clear(target)
 	for i := 0; i < c.net.N(); i++ {
 		if !c.IsLeader(i) || c.net.IsFailed(i) {
 			continue
@@ -557,9 +689,9 @@ func (c *Clustering) Merge(decide func(leader int) (phonecall.NodeID, bool)) {
 			target[i] = c.net.ID(i)
 		}
 	}
-	c.leaderPull(nil,
+	c.leaderPull(
 		func(leader int) phonecall.Message {
-			return phonecall.Message{Tag: TagNewFollow, Value: 1, IDs: []phonecall.NodeID{target[leader]}}
+			return phonecall.Message{Tag: TagNewFollow, Value: 1, IDs: target[leader : leader+1 : leader+1]}
 		},
 		func(i int, m phonecall.Message) {
 			if m.Value == 1 && len(m.IDs) == 1 {
@@ -587,9 +719,9 @@ func (c *Clustering) Merge(decide func(leader int) (phonecall.NodeID, bool)) {
 // depth-one invariant.
 func (c *Clustering) Compress(rounds int) {
 	for r := 0; r < rounds; r++ {
-		c.leaderPull(nil,
+		c.leaderPull(
 			func(leader int) phonecall.Message {
-				return phonecall.Message{Tag: TagFollowIs, IDs: []phonecall.NodeID{c.follow[leader]}}
+				return phonecall.Message{Tag: TagFollowIs, IDs: c.oneID(leader, c.follow[leader])}
 			},
 			func(i int, m phonecall.Message) {
 				if len(m.IDs) == 1 && m.IDs[0] != phonecall.NoNode {
@@ -621,7 +753,7 @@ func (c *Clustering) PullJoin(maxRounds int) int {
 				if !c.IsClustered(j) {
 					return phonecall.Message{}, false
 				}
-				return phonecall.Message{Tag: TagFollowIs, IDs: []phonecall.NodeID{c.follow[j]}}, true
+				return phonecall.Message{Tag: TagFollowIs, IDs: c.oneID(j, c.follow[j])}, true
 			},
 			func(i int, inbox []phonecall.Message) {
 				if c.IsClustered(i) {
@@ -660,7 +792,7 @@ func (c *Clustering) ShareRumor() {
 			}
 		},
 	)
-	c.leaderPull(nil,
+	c.leaderPull(
 		func(leader int) phonecall.Message {
 			if c.rumor[leader] {
 				return phonecall.Message{Tag: TagRumor, Rumor: true}

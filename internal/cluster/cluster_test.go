@@ -1,6 +1,11 @@
 package cluster
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"regexp"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -88,6 +93,44 @@ func TestMeasureSizes(t *testing.T) {
 	}
 }
 
+// TestReportJoins: after a ClusterSize, a leader's running size from join
+// reports equals what a second ClusterSize would measure, and members that
+// already reported do not report again.
+func TestReportJoins(t *testing.T) {
+	net := newNet(t, 1000, 16)
+	c := seedEvenClusters(t, net, 10)
+	for i := 0; i < net.N(); i += 2 {
+		if !c.IsLeader(i) {
+			c.SetFollow(i, phonecall.NoNode) // half of the members leave
+		}
+	}
+	c.MeasureSizes()
+	before := net.Metrics().TotalMessages()
+	joined := 0
+	for i := 0; i < net.N(); i += 2 {
+		if !c.IsClustered(i) {
+			c.Join(i, c.Follow(i+1))
+			joined++
+		}
+	}
+	c.ReportJoins()
+	if sent := net.Metrics().TotalMessages() - before; sent != int64(joined) {
+		t.Fatalf("join reports sent %d messages, want one per new member (%d)", sent, joined)
+	}
+	sizes := c.ClusterSizes()
+	for i := 0; i < net.N(); i++ {
+		if c.IsLeader(i) && c.Size(i) != sizes[net.ID(i)] {
+			t.Fatalf("leader %d has running size %d, its cluster has %d", i, c.Size(i), sizes[net.ID(i)])
+		}
+	}
+	c.ReportJoins()
+	for i := 0; i < net.N(); i++ {
+		if c.IsLeader(i) && c.Size(i) != c.PrevSize(i) {
+			t.Fatalf("leader %d grew from %d to %d without joins", i, c.PrevSize(i), c.Size(i))
+		}
+	}
+}
+
 func TestActivateProbabilityExtremes(t *testing.T) {
 	net := newNet(t, 2000, 3)
 	c := seedEvenClusters(t, net, 20)
@@ -153,15 +196,19 @@ func TestDissolve(t *testing.T) {
 			c.SetFollow(i, leader)
 		}
 	}
-	c.Dissolve(10)
+	leaders := make([]phonecall.NodeID, net.N())
+	for i := range leaders {
+		leaders[i] = c.Follow(i)
+	}
+	c.Resize(10, 1000) // groups of up to 1000: dissolve only
 	for i := 0; i < 500; i++ {
 		if c.IsClustered(i) {
 			t.Fatalf("node %d of a size-5 cluster should have been dissolved", i)
 		}
 	}
 	for i := 500; i < 1000; i++ {
-		if !c.IsClustered(i) {
-			t.Fatalf("node %d of a size-25 cluster should have survived", i)
+		if c.Follow(i) != leaders[i] {
+			t.Fatalf("node %d of a size-25 cluster should have kept its leader", i)
 		}
 	}
 	checkInvariant(t, c, false)
@@ -170,7 +217,7 @@ func TestDissolve(t *testing.T) {
 func TestResizeCapsClusterSizes(t *testing.T) {
 	net := newNet(t, 1000, 6)
 	c := seedEvenClusters(t, net, 200) // five clusters of 200
-	c.Resize(30)
+	c.Resize(0, 30)
 	sizes := c.ClusterSizes()
 	if len(sizes) < 25 {
 		t.Fatalf("resize produced only %d clusters", len(sizes))
@@ -216,7 +263,7 @@ func TestResizeProperty(t *testing.T) {
 				c.SetFollow(i, net.ID(leader))
 			}
 		}
-		c.Resize(target)
+		c.Resize(0, target)
 		if c.ClusteredCount() != n {
 			return false
 		}
@@ -267,6 +314,88 @@ func leaderIDs(c *Clustering) []phonecall.NodeID {
 		}
 	}
 	return ids
+}
+
+// TestResizeActivate: the fused exchange dissolves small clusters, splits the
+// rest into groups whose members agree with their new leader on activation,
+// activates about a p fraction of the groups, and tells every node its
+// group's exact size.
+func TestResizeActivate(t *testing.T) {
+	net := newNet(t, 20000, 14)
+	c := New(net)
+	// Clusters of size 4 (indexes 0..3999) and size 200 (the rest).
+	for start := 0; start < net.N(); {
+		size := 200
+		if start < 4000 {
+			size = 4
+		}
+		leader := start
+		for i := start; i < start+size; i++ {
+			if net.ID(i) > net.ID(leader) {
+				leader = i
+			}
+		}
+		for i := start; i < start+size; i++ {
+			c.SetFollow(i, net.ID(leader))
+		}
+		start += size
+	}
+	c.ResizeActivate(5, 10, 0.25)
+	for i := 0; i < 4000; i++ {
+		if c.IsClustered(i) || c.IsActive(i) {
+			t.Fatalf("node %d of a size-4 cluster survived the dissolve", i)
+		}
+	}
+	checkInvariant(t, c, false)
+	sizes := c.ClusterSizes()
+	active := 0
+	for i := 4000; i < net.N(); i++ {
+		leader, _ := net.IndexOf(c.Follow(i))
+		if c.IsActive(i) != c.IsActive(leader) {
+			t.Fatalf("node %d activation disagrees with its leader", i)
+		}
+		if c.Size(i) != sizes[c.Follow(i)] {
+			t.Fatalf("node %d learned size %d, its group has %d", i, c.Size(i), sizes[c.Follow(i)])
+		}
+		if c.IsLeader(i) && c.IsActive(i) {
+			active++
+		}
+	}
+	if len(sizes) != 1600 {
+		t.Fatalf("resize produced %d groups, want 80 clusters × 20 groups", len(sizes))
+	}
+	if active < 300 || active > 500 {
+		t.Fatalf("activated %d of 1600 groups, want about 400", active)
+	}
+}
+
+// TestMembersOfCrashedLeaderLeave: a member whose pulls to its leader go
+// unanswered twice in a row treats the leader as crashed and becomes
+// unclustered; a later PullJoin places it in a live cluster. One miss — a
+// call lost in transit looks the same — is tolerated.
+func TestMembersOfCrashedLeaderLeave(t *testing.T) {
+	net := newNet(t, 1000, 15)
+	c := seedEvenClusters(t, net, 100)
+	dead, _ := net.IndexOf(c.Follow(0))
+	net.Fail(dead)
+	c.SetActivation(func(int) bool { return true })
+	if got := c.ClusteredCount(); got != 999 {
+		t.Fatalf("clustered = %d after one unanswered pull, want every live node (999)", got)
+	}
+	c.SetActivation(func(int) bool { return true })
+	for i := 0; i < 100; i++ {
+		if i != dead && c.IsClustered(i) {
+			t.Fatalf("node %d still follows its crashed leader", i)
+		}
+	}
+	if got := c.ClusteredCount(); got != 900 {
+		t.Fatalf("clustered = %d, want the 900 nodes of live clusters", got)
+	}
+	c.PullJoin(20)
+	if c.ClusteredCount() != net.LiveCount() {
+		t.Fatalf("PullJoin left %d live nodes unclustered", net.LiveCount()-c.ClusteredCount())
+	}
+	checkInvariant(t, c, false)
 }
 
 func TestRandomPushAndRelay(t *testing.T) {
@@ -376,32 +505,82 @@ func TestFailedNodesAreExcludedFromCounts(t *testing.T) {
 	}
 }
 
+// docRoundCosts parses cluster.go and returns, for every exported Clustering
+// method whose doc comment states "Costs N round(s)", that N.
+func docRoundCosts(t *testing.T) map[string]int {
+	t.Helper()
+	file, err := parser.ParseFile(token.NewFileSet(), "cluster.go", nil, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	words := map[string]int{"one": 1, "two": 2, "three": 3}
+	costRE := regexp.MustCompile(`Costs (one|two|three) rounds?\.`)
+	costs := make(map[string]int)
+	for _, decl := range file.Decls {
+		fn, ok := decl.(*ast.FuncDecl)
+		if !ok || fn.Recv == nil || !fn.Name.IsExported() || fn.Doc == nil {
+			continue
+		}
+		if m := costRE.FindStringSubmatch(strings.Join(strings.Fields(fn.Doc.Text()), " ")); m != nil {
+			costs[fn.Name.Name] = words[m[1]]
+		}
+	}
+	return costs
+}
+
+// TestClusterPrimitivesCostConstantRounds is the round-cost lock: every
+// exported primitive whose doc comment states a round cost — fused ones
+// included — advances Network.Round() by exactly that count, and every such
+// primitive is exercised here, so a primitive that changes cost (or a new one
+// with a stated cost) fails this named test rather than only golden bytes.
+// Compress and PullJoin, whose cost is an argument, are checked against it.
 func TestClusterPrimitivesCostConstantRounds(t *testing.T) {
 	net := newNet(t, 1000, 13)
 	c := seedEvenClusters(t, net, 25)
-	type step struct {
-		name   string
-		fn     func()
-		rounds int
+	steps := []struct {
+		name string
+		fn   func()
+	}{
+		{"Activate", func() { c.Activate(0.5) }},
+		{"SetActivation", func() { c.SetActivation(func(int) bool { return true }) }},
+		{"MeasureSizes", func() { c.MeasureSizes() }},
+		{"ReportJoins", func() { c.ReportJoins() }},
+		{"Resize", func() { c.Resize(2, 25) }},
+		{"ResizeActivate", func() { c.ResizeActivate(2, 10, 0.5) }},
+		{"RandomPush", func() { c.RandomPush(nil, c.Recruit, nil) }},
+		{"RelayCandidates", func() { c.RelayCandidates() }},
+		{"Merge", func() { c.Merge(func(int) (phonecall.NodeID, bool) { return phonecall.NoNode, false }) }},
+		{"ShareRumor", func() { c.ShareRumor() }},
 	}
-	steps := []step{
-		{"Activate", func() { c.Activate(0.5) }, 1},
-		{"MeasureSizes", func() { c.MeasureSizes() }, 2},
-		{"Dissolve", func() { c.Dissolve(2) }, 2},
-		{"Resize", func() { c.Resize(25) }, 2},
-		{"RandomPush", func() {
-			c.RandomPush(nil, func(int) phonecall.Message { return phonecall.Message{Tag: TagRecruit} }, nil)
-		}, 1},
-		{"RelayCandidates", func() { c.RelayCandidates() }, 1},
-		{"Merge", func() { c.Merge(func(int) (phonecall.NodeID, bool) { return phonecall.NoNode, false }) }, 1},
-		{"Compress", func() { c.Compress(1) }, 1},
-		{"ShareRumor", func() { c.ShareRumor() }, 2},
+	costs := docRoundCosts(t)
+	if len(costs) != len(steps) {
+		t.Errorf("cluster.go states a round cost for %d primitives, the lock exercises %d: %v", len(costs), len(steps), costs)
 	}
 	for _, s := range steps {
+		want, ok := costs[s.name]
+		if !ok {
+			t.Errorf("%s: no \"Costs N rounds.\" in its doc comment", s.name)
+			continue
+		}
 		before := net.Round()
 		s.fn()
-		if got := net.Round() - before; got != s.rounds {
-			t.Fatalf("%s used %d rounds, want %d", s.name, got, s.rounds)
+		if got := net.Round() - before; got != want {
+			t.Errorf("%s used %d rounds, its doc comment states %d", s.name, got, want)
 		}
+	}
+	for _, rounds := range []int{1, 2} {
+		before := net.Round()
+		c.Compress(rounds)
+		if got := net.Round() - before; got != rounds {
+			t.Errorf("Compress(%d) used %d rounds", rounds, got)
+		}
+	}
+	for i := 0; i < net.N(); i += 3 {
+		c.SetFollow(i, phonecall.NoNode)
+	}
+	before := net.Round()
+	used := c.PullJoin(20)
+	if got := net.Round() - before; got != used || used == 0 {
+		t.Errorf("PullJoin reported %d rounds and used %d", used, got)
 	}
 }

@@ -36,7 +36,7 @@ func Cluster2(net *phonecall.Network, sources []int, params Params) (trace.Resul
 	mergeAllClusters(cl, p)
 	rec.Mark("MergeAllClusters")
 
-	boundedClusterPush(cl, p, 0)
+	boundedClusterPush(cl, p)
 	rec.Mark("BoundedClusterPush")
 
 	cl.PullJoin(pullJoinRounds(p, net.N()))

@@ -70,23 +70,71 @@ func Cluster3(net *phonecall.Network, delta int, params Params) (*cluster.Cluste
 	// BoundedClusterPush with continuous resizing keeps every cluster (and
 	// hence every leader's per-round fan-in) at Θ(Δ) while recruiting the
 	// unclustered nodes.
-	boundedClusterPush(cl, p, half)
+	boundedClusterPushResized(cl, p, half)
 	rec.Mark("BoundedClusterPush")
 
 	cl.PullJoin(pullJoinRounds(p, net.N()))
 	rec.Mark("UnclusteredNodesPull")
 
-	// Final normalization: split oversized clusters, dissolve undersized ones
-	// and let their members re-join, then cap sizes again.
-	cl.Resize(half)
+	// Final normalization: split oversized clusters and dissolve undersized
+	// ones in one exchange, let the dissolved members re-join, then cap sizes
+	// again.
 	if delta/4 >= 2 {
-		cl.Dissolve(delta / 4)
+		cl.Resize(delta/4, half)
 		cl.PullJoin(pullJoinRounds(p, net.N()))
-		cl.Resize(half)
 	}
+	cl.Resize(0, half)
 	rec.Mark("FinalResize")
 
 	return cl, trace.Summarize("cluster3", net, cl.ClusteredCount(), rec.Phases()), nil
+}
+
+// boundedClusterPushResized is Procedure BoundedClusterPush of Algorithm 4:
+// the Θ(Δ)-sized clusters recruit by random pushes, and a cluster stops once
+// a push grew it by less than BoundedGrowthFactor. Unlike Cluster2's planned
+// schedule, the growth is measured — each new recruit reports to its leader
+// once — because a cluster of size Θ(Δ) cannot read the global clustered
+// fraction from its own size. Whenever some cluster outgrew 2·resizeTarget
+// the clusters are resized back to Θ(Δ) and reactivated.
+func boundedClusterPushResized(cl *cluster.Clustering, p Params, resizeTarget int) {
+	net := cl.Network()
+	n := net.N()
+	cl.SetActivation(func(int) bool { return true })
+	// Leaders learn their current size once at the start of the phase.
+	cl.MeasureSizes()
+	iterCap := p.phaseCap(n)
+	for iter := 0; iter < iterCap; iter++ {
+		if countActiveLeaders(cl) == 0 {
+			break
+		}
+		if cl.ClusteredCount() >= net.LiveCount() {
+			break
+		}
+		// Resizing every iteration would charge Θ(n) messages per iteration
+		// for nothing, so only when some cluster actually outgrew the bound.
+		if largestClusterSize(cl) >= 2*resizeTarget {
+			cl.Resize(0, resizeTarget)
+			cl.SetActivation(func(int) bool { return true })
+		}
+		// ClusterPUSH(follow): unclustered receivers join the pushing cluster.
+		cl.RandomPush(
+			func(i int) bool { return cl.IsActive(i) },
+			cl.Recruit,
+			func(j int, m phonecall.Message) {
+				if m.Tag != cluster.TagRecruit || len(m.IDs) != 1 || cl.IsClustered(j) {
+					return
+				}
+				cl.Join(j, m.IDs[0])
+				cl.SetActive(j, true)
+			},
+		)
+		cl.ReportJoins()
+		// Growth check: clusters that grew by less than the threshold stop.
+		cl.SetActivation(func(leader int) bool {
+			size, prev := cl.Size(leader), cl.PrevSize(leader)
+			return cl.IsActive(leader) && !(prev > 0 && float64(size) < p.BoundedGrowthFactor*float64(prev))
+		})
+	}
 }
 
 // DeltaClusteringStats summarizes a Θ(Δ)-clustering for verification: the

@@ -115,7 +115,7 @@ func pushPullIterations(n, delta int) int {
 // construction) as a single phase, so the combined result shows the
 // clustering cost followed by the broadcast cost.
 func clusteringPhases(net *phonecall.Network) []trace.Phase {
-	m := net.Metrics()
+	m := net.Totals()
 	return []trace.Phase{{
 		Name:     "Cluster3(Δ) total",
 		Rounds:   m.Rounds,

@@ -225,3 +225,59 @@ func TestPhaseAccountingCoversAllRounds(t *testing.T) {
 		t.Fatalf("phase rounds sum to %d, total is %d", sum, r.Rounds)
 	}
 }
+
+// TestCluster2PhaseRounds pins Cluster2's per-phase round table at n = 10⁵,
+// seed 1, so a phase whose cost changes fails a named test, not only golden
+// bytes. DESIGN.md ("Cluster2's round budget") derives each row.
+func TestCluster2PhaseRounds(t *testing.T) {
+	net := newNet(t, 100000, 1)
+	r, err := Cluster2(net, []int{0}, Params{})
+	requireAllInformed(t, r, err)
+	want := []struct {
+		name   string
+		rounds int
+	}{
+		{"GrowInitialClusters", 15},
+		{"SquareClusters", 9},
+		{"MergeAllClusters", 9},
+		{"BoundedClusterPush", 7},
+		{"UnclusteredNodesPull", 3},
+		{"ClusterShare", 2},
+	}
+	if len(r.Phases) != len(want) {
+		t.Fatalf("got %d phases, want %d: %+v", len(r.Phases), len(want), r.Phases)
+	}
+	for k, w := range want {
+		if got := r.Phases[k]; got.Name != w.name || got.Rounds != w.rounds {
+			t.Errorf("phase %d = %s with %d rounds, want %s with %d", k, got.Name, got.Rounds, w.name, w.rounds)
+		}
+	}
+}
+
+// TestCluster2SurvivesMidRunCrash: a tenth of the nodes, leaders among them,
+// crash at round 5. Members of a crashed leader notice their unanswered pulls,
+// leave the dead cluster and are recruited into a live one, so the source's
+// ClusterShare relay reaches a live leader and the uninformed survivors stay
+// within F (Theorem 19's o(F) at this size).
+func TestCluster2SurvivesMidRunCrash(t *testing.T) {
+	const n, f = 4000, 400
+	for seed := uint64(1); seed <= 5; seed++ {
+		net := newNet(t, n, seed)
+		victims := make([]int, 0, f)
+		for i := 1; i < n && len(victims) < f; i += n / f {
+			victims = append(victims, i)
+		}
+		net.OnRoundStart(func(round int) {
+			if round == 5 {
+				net.Fail(victims...)
+			}
+		})
+		r, err := Cluster2(net, []int{0}, Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if u := r.UninformedSurvivors(); u > f {
+			t.Errorf("seed %d: %d of %d survivors uninformed, want at most F = %d", seed, u, r.Live, f)
+		}
+	}
+}

@@ -64,9 +64,7 @@ func growInitialClustersDense(cl *cluster.Clustering, p Params) {
 		}
 		cl.RandomPush(
 			nil, // every clustered node pushes its cluster ID
-			func(i int) phonecall.Message {
-				return phonecall.Message{Tag: cluster.TagRecruit, IDs: []phonecall.NodeID{cl.Follow(i)}}
-			},
+			cl.Recruit,
 			func(j int, m phonecall.Message) {
 				if m.Tag != cluster.TagRecruit || len(m.IDs) != 1 {
 					return
@@ -84,6 +82,11 @@ func growInitialClustersDense(cl *cluster.Clustering, p Params) {
 // n/ln n nodes are clustered. Clusters measure their own growth; once a large
 // cluster grows by less than a factor 2−1/ln n it deactivates, and large
 // clusters are resized so that no cluster exceeds the target size by much.
+//
+// A leader keeps a running size from join reports instead of re-running
+// ClusterSize: each recruit reports to its leader once, in the first
+// size-controlled iteration after it joined (so the first such iteration
+// counts every member), and a resize tells each new leader its group's size.
 func growInitialClustersSparse(cl *cluster.Clustering, p Params, targetSize int) {
 	net := cl.Network()
 	n := net.N()
@@ -102,7 +105,7 @@ func growInitialClustersSparse(cl *cluster.Clustering, p Params, targetSize int)
 	clusteredTarget := float64(net.LiveCount()) / lnN(n) * 2
 	// A cluster can at most double per push round, so no cluster can reach
 	// targetSize before round log₂(targetSize); the size-control rounds
-	// (ClusterSize, growth check, ClusterResize) are skipped until then.
+	// (join reports, growth check, ClusterResize) are skipped until then.
 	sizeControlFrom := int(math.Floor(math.Log2(float64(targetSize)))) - 1
 	if sizeControlFrom < 0 {
 		sizeControlFrom = 0
@@ -117,15 +120,13 @@ func growInitialClustersSparse(cl *cluster.Clustering, p Params, targetSize int)
 		}
 		cl.RandomPush(
 			func(i int) bool { return cl.IsActive(i) },
-			func(i int) phonecall.Message {
-				return phonecall.Message{Tag: cluster.TagRecruit, IDs: []phonecall.NodeID{cl.Follow(i)}}
-			},
+			cl.Recruit,
 			func(j int, m phonecall.Message) {
 				if m.Tag != cluster.TagRecruit || len(m.IDs) != 1 {
 					return
 				}
 				if !cl.IsClustered(j) {
-					cl.SetFollow(j, m.IDs[0])
+					cl.Join(j, m.IDs[0])
 					// The recruiting cluster is active by construction.
 					cl.SetActive(j, true)
 				}
@@ -134,7 +135,7 @@ func growInitialClustersSparse(cl *cluster.Clustering, p Params, targetSize int)
 		if iter < sizeControlFrom {
 			continue
 		}
-		cl.MeasureSizes()
+		cl.ReportJoins()
 		cl.SetActivation(func(leader int) bool {
 			if !cl.IsActive(leader) {
 				return false
@@ -146,7 +147,7 @@ func growInitialClustersSparse(cl *cluster.Clustering, p Params, targetSize int)
 			return true
 		})
 		if largestClusterSize(cl) >= 2*targetSize {
-			cl.Resize(targetSize)
+			cl.Resize(0, targetSize)
 		}
 	}
 }
@@ -156,6 +157,11 @@ func growInitialClustersSparse(cl *cluster.Clustering, p Params, targetSize int)
 // (Θ(s²/log n) in the sparse variant) until the cluster size reaches
 // stopSize. Each iteration costs a constant number of rounds, and the size
 // squaring bounds the number of iterations by O(log log n).
+//
+// ClusterDissolve (first iteration only), ClusterResize and ClusterActivate
+// run as one exchange (Clustering.ResizeActivate): one member report and one
+// pull instead of five rounds. When no iteration runs, the dissolve runs
+// alone.
 func squareClusters(cl *cluster.Clustering, p Params, startSize, stopSize int, policy candidatePolicy) {
 	net := cl.Network()
 	n := net.N()
@@ -165,7 +171,7 @@ func squareClusters(cl *cluster.Clustering, p Params, startSize, stopSize int, p
 	if median := clusterSizePercentile(cl, 0.5, 2); s > median {
 		s = median
 	}
-	cl.Dissolve(s)
+	dissolveBelow := s
 	iterCap := p.phaseCap(n)
 	for iter := 0; iter < iterCap; iter++ {
 		if s >= stopSize || largestClusterSize(cl) >= stopSize {
@@ -174,8 +180,11 @@ func squareClusters(cl *cluster.Clustering, p Params, startSize, stopSize int, p
 		if cl.ClusteredCount() == 0 {
 			break
 		}
-		cl.Resize(s)
-		activateClusters(cl, 1/float64(s))
+		cl.ResizeActivate(dissolveBelow, s, 1/float64(s))
+		dissolveBelow = 0
+		if countActiveLeaders(cl) == 0 {
+			activateClusters(cl, 1/float64(s))
+		}
 		for rep := 0; rep < 2; rep++ {
 			recruitAndMerge(cl, policy, func(i int) bool { return cl.IsActive(i) }, mergeInactiveOnly)
 		}
@@ -190,6 +199,11 @@ func squareClusters(cl *cluster.Clustering, p Params, startSize, stopSize int, p
 			next = s + 1
 		}
 		s = next
+	}
+	if dissolveBelow > 0 && cl.ClusteredCount() > 0 {
+		// No squaring iteration ran: SquareClusters still opens with
+		// ClusterDissolve(s). A target of n keeps every cluster whole.
+		cl.Resize(dissolveBelow, n)
 	}
 }
 
@@ -209,9 +223,7 @@ func recruitAndMerge(cl *cluster.Clustering, policy candidatePolicy, participate
 	net := cl.Network()
 	cl.RandomPush(
 		participate,
-		func(i int) phonecall.Message {
-			return phonecall.Message{Tag: cluster.TagRecruit, IDs: []phonecall.NodeID{cl.Follow(i)}}
-		},
+		cl.Recruit,
 		func(j int, m phonecall.Message) {
 			if m.Tag != cluster.TagRecruit || len(m.IDs) != 1 {
 				return
@@ -305,109 +317,80 @@ func mergeAllClusters(cl *cluster.Clustering, p Params) {
 	cl.Compress(1)
 }
 
-// boundedClusterPush implements Procedure BoundedClusterPush (Algorithm 2,
-// and with resizeTarget > 0 the Algorithm 4 variant with continuous
-// ClusterResize): the clusters recruit unclustered nodes by random pushes and
-// measure their own growth, deactivating once growth falls below
-// BoundedGrowthFactor. This expands the clustered set to Θ(n) while sending
-// only O(n) messages: the per-iteration cost is proportional to the current
-// cluster sizes, which grow geometrically, so the total telescopes to O(n).
+// boundedClusterPush implements Procedure BoundedClusterPush of Algorithm 2:
+// the clusters recruit unclustered nodes by random pushes until growth falls
+// below BoundedGrowthFactor. This expands the clustered set to Θ(n) while
+// sending only O(n) messages: the per-iteration cost is proportional to the
+// current cluster sizes, which grow geometrically, so the total telescopes to
+// O(n).
 //
-// Cluster growth is measured by having each newly recruited node report to
-// its leader once (a join report), which is cheaper than re-running
-// ClusterSize over the whole cluster every iteration but gives the leader the
-// same information.
-func boundedClusterPush(cl *cluster.Clustering, p Params, resizeTarget int) {
+// After MergeAllClusters there is (w.h.p.) one cluster, so its size S gives
+// the clustered fraction S/n and the growth of every push round is
+// predictable. Instead of measuring growth after every push (a join-report
+// round and an activation pull per push), the members learn S once
+// (ClusterSize) and each derives the same schedule, plannedPushes; a
+// recruiting push carries the pushes left in Value, so a recruit joins the
+// schedule where its recruiter stands. The phase costs 2 + k rounds for k
+// pushes.
+func boundedClusterPush(cl *cluster.Clustering, p Params) {
 	net := cl.Network()
 	n := net.N()
-	cl.SetActivation(func(int) bool { return true })
-
-	// Leaders learn their current size once at the start of the phase.
 	cl.MeasureSizes()
-	sizeEst := make([]int, n)
+	limit := p.phaseCap(n)
+	left := make([]int32, n)
+	// The phase lasts as long as the longest leader's schedule: a member that
+	// got a redirect instead of the size holds a stale one and cannot
+	// stretch it.
+	pushes := 0
 	for i := 0; i < n; i++ {
-		if cl.IsLeader(i) && !net.IsFailed(i) {
-			sizeEst[i] = cl.Size(i)
-			if sizeEst[i] < 1 {
-				sizeEst[i] = 1
+		if cl.IsClustered(i) && !net.IsFailed(i) {
+			left[i] = int32(plannedPushes(cl.Size(i), n, p.BoundedGrowthFactor, limit))
+			if cl.IsLeader(i) {
+				pushes = max(pushes, int(left[i]))
 			}
 		}
 	}
-	mustReport := make([]bool, n)
-
-	iterCap := p.phaseCap(n)
-	for iter := 0; iter < iterCap; iter++ {
-		if countActiveLeaders(cl) == 0 {
-			break
-		}
+	for iter := 0; iter < pushes; iter++ {
 		if cl.ClusteredCount() >= net.LiveCount() {
 			break
 		}
-		// The Algorithm 4 variant keeps clusters at Θ(Δ) by resizing, but only
-		// when some cluster actually outgrew the bound — resizing every
-		// iteration would charge Θ(n) messages per iteration for nothing.
-		if resizeTarget > 0 && largestClusterSize(cl) >= 2*resizeTarget {
-			cl.Resize(resizeTarget)
-			cl.MeasureSizes()
-			for i := 0; i < n; i++ {
-				if cl.IsLeader(i) && !net.IsFailed(i) {
-					sizeEst[i] = cl.Size(i)
-				}
-			}
-			cl.SetActivation(func(int) bool { return true })
-		}
-		// ClusterPUSH(follow): unclustered receivers join the pushing cluster.
 		cl.RandomPush(
-			func(i int) bool { return cl.IsActive(i) },
+			func(i int) bool { return left[i] > 0 },
 			func(i int) phonecall.Message {
-				return phonecall.Message{Tag: cluster.TagRecruit, IDs: []phonecall.NodeID{cl.Follow(i)}}
+				left[i]--
+				m := cl.Recruit(i)
+				m.Value = uint64(left[i])
+				return m
 			},
 			func(j int, m phonecall.Message) {
-				if m.Tag != cluster.TagRecruit || len(m.IDs) != 1 {
+				if m.Tag != cluster.TagRecruit || len(m.IDs) != 1 || cl.IsClustered(j) {
 					return
 				}
-				if !cl.IsClustered(j) {
-					cl.SetFollow(j, m.IDs[0])
-					cl.SetActive(j, true)
-					mustReport[j] = true
-				}
+				cl.SetFollow(j, m.IDs[0])
+				left[j] = int32(min(m.Value, uint64(limit)))
 			},
 		)
-		// Join reports: each new recruit tells its leader it arrived.
-		joins := make([]int, n)
-		net.ExecRound(
-			func(i int) phonecall.Intent {
-				if !mustReport[i] {
-					return phonecall.Silent()
-				}
-				mustReport[i] = false
-				return phonecall.PushIntent(phonecall.DirectTarget(cl.Follow(i)), phonecall.Message{Tag: cluster.TagSizeReport})
-			},
-			nil,
-			func(j int, inbox []phonecall.Message) {
-				if !cl.IsLeader(j) {
-					return
-				}
-				for _, m := range inbox {
-					if m.Tag == cluster.TagSizeReport {
-						joins[j]++
-					}
-				}
-			},
-		)
-		// Growth check: clusters that grew by less than the threshold stop.
-		cl.SetActivation(func(leader int) bool {
-			if !cl.IsActive(leader) {
-				return false
-			}
-			prev := sizeEst[leader]
-			sizeEst[leader] += joins[leader]
-			if prev > 0 && float64(sizeEst[leader]) < p.BoundedGrowthFactor*float64(prev) {
-				return false
-			}
-			return true
-		})
 	}
+}
+
+// plannedPushes returns how many recruiting pushes BoundedClusterPush runs
+// when a fraction f = size/n of the nodes is clustered. One push round takes
+// f to f + (1−f)(1−e^(−f)) in expectation; the pushes run up to and including
+// the first whose predicted growth factor falls below growth — where the
+// measured rule (deactivate once a push grew the cluster by less than the
+// factor) stops — and never more than limit.
+func plannedPushes(size, n int, growth float64, limit int) int {
+	f := float64(size) / float64(n)
+	k := 0
+	for k < limit && f > 0 {
+		k++
+		next := f + (1-f)*(1-math.Exp(-f))
+		if next < growth*f {
+			break
+		}
+		f = next
+	}
+	return k
 }
 
 // pullJoinRounds returns the round cap for UnclusteredNodesPull.

@@ -294,7 +294,11 @@ func (net *Network) ExecRound(
 		total += net.wstats[w].inboxLen
 	}
 	if int(total) > cap(net.slab) {
-		net.slab = make([]Message, total)
+		// The first arena holds n messages (a round in which every node
+		// receives one) and later ones double, up to the 2n bound on an arena:
+		// rounds usually grow gradually, and sizing each new maximum exactly
+		// would re-make the arena round after round.
+		net.slab = make([]Message, max(int(total), min(max(2*cap(net.slab), net.n), 2*net.n)))
 	}
 	net.slab = net.slab[:total]
 

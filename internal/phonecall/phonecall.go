@@ -428,9 +428,17 @@ func (net *Network) Round() int { return net.round }
 
 // Metrics returns a copy of the accumulated metrics.
 func (net *Network) Metrics() Metrics {
+	m := net.Totals()
+	m.MessagesSent = append([]int64(nil), net.metrics.MessagesSent...)
+	return m
+}
+
+// Totals returns the accumulated metrics without the per-node MessagesSent
+// counters, which Metrics copies: for callers that read totals only.
+func (net *Network) Totals() Metrics {
 	m := net.metrics
 	m.Rounds = net.round
-	m.MessagesSent = append([]int64(nil), net.metrics.MessagesSent...)
+	m.MessagesSent = nil
 	return m
 }
 

@@ -191,7 +191,7 @@ type Recorder struct {
 // NewRecorder returns a Recorder positioned at the network's current metrics.
 func NewRecorder(net *phonecall.Network) *Recorder {
 	r := &Recorder{net: net}
-	m := net.Metrics()
+	m := net.Totals()
 	r.lastRound = m.Rounds
 	r.lastMessages = m.TotalMessages()
 	r.lastBits = m.Bits
@@ -200,7 +200,7 @@ func NewRecorder(net *phonecall.Network) *Recorder {
 
 // Mark closes the current phase under the given name.
 func (r *Recorder) Mark(name string) {
-	m := r.net.Metrics()
+	m := r.net.Totals()
 	r.phases = append(r.phases, Phase{
 		Name:     name,
 		Rounds:   m.Rounds - r.lastRound,
@@ -218,7 +218,7 @@ func (r *Recorder) Phases() []Phase { return append([]Phase(nil), r.phases...) }
 // Summarize assembles a Result from the network's metrics and the outcome
 // counters supplied by the algorithm driver.
 func Summarize(algorithm string, net *phonecall.Network, informed int, phases []Phase) Result {
-	m := net.Metrics()
+	m := net.Totals()
 	return Result{
 		Algorithm:        algorithm,
 		N:                net.N(),
@@ -228,7 +228,7 @@ func Summarize(algorithm string, net *phonecall.Network, informed int, phases []
 		Messages:         m.Messages,
 		ControlMessages:  m.ControlMessages,
 		Bits:             m.Bits,
-		MessagesPerNode:  m.MessagesPerNode(),
+		MessagesPerNode:  float64(m.TotalMessages()) / float64(net.N()),
 		MaxCommsPerRound: m.MaxCommsPerRound,
 		Live:             net.LiveCount(),
 		Informed:         informed,
