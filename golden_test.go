@@ -13,7 +13,10 @@ import (
 // rows were regenerated once on purpose, when Cluster2's round budget dropped
 // the rounds that carry no new information and members started leaving
 // crashed leaders (DESIGN.md, "Cluster2's round budget"): the crash-and-loss
-// row went from 1 to 3 411 of 3 600 live nodes informed.
+// row went from 1 to 3 411 of 3 600 live nodes informed. The push and pull
+// rows were taken later, from the tree whose baselines still wrote the
+// decision table out by hand, to pin the move onto scenario.Algorithm.Step;
+// the crash-and-loss pull row pins the early exit on live nodes.
 var goldenBroadcasts = []struct {
 	cfg       Config
 	algorithm string
@@ -31,6 +34,12 @@ var goldenBroadcasts = []struct {
 		"clusterpushpull", 69, 69, 98557, 59150, 8366537, 82, 3000},
 	{Config{N: 2000, Algorithm: AlgoPushPull, Seed: 3},
 		"push-pull", 26, 10, 76553, 13708, 21539868, 8, 2000},
+	{Config{N: 2000, Algorithm: AlgoPush, Seed: 4},
+		"push", 26, 21, 29884, 0, 8247984, 8, 2000},
+	{Config{N: 2000, Algorithm: AlgoPull, Seed: 5},
+		"pull", 15, 15, 1999, 20444, 1165044, 7, 2000},
+	{Config{N: 3000, Algorithm: AlgoPull, Seed: 6, Failures: 300, FailureSeed: 8, LossRate: 0.05, LossSeed: 9},
+		"pull", 20, 20, 2699, 39185, 2001543, 7, 2700},
 	{Config{N: 5000, Algorithm: AlgoCluster1, Seed: 9, Failures: 500, FailureSeed: 13},
 		"cluster1", 26, 26, 58958, 29792, 4771026, 4499, 4500},
 	{Config{N: 4000, Algorithm: AlgoCluster2, Seed: 11, Failures: 400, FailureSeed: 21,

@@ -40,6 +40,12 @@ func newConformancePair(t *testing.T, n int, seed uint64, workers int) (*phoneca
 // sharded engine, at n = 64 and n = 1000.
 func TestLockStepMatchesEngine(t *testing.T) {
 	algos := map[string]func(net *phonecall.Network) (trace.Result, error){
+		"push": func(net *phonecall.Network) (trace.Result, error) {
+			return baseline.Push(net, []int{0})
+		},
+		"pull": func(net *phonecall.Network) (trace.Result, error) {
+			return baseline.Pull(net, []int{0})
+		},
 		"push-pull": func(net *phonecall.Network) (trace.Result, error) {
 			return baseline.PushPull(net, []int{0})
 		},
