@@ -14,9 +14,9 @@ import (
 // the rounds that carry no new information and members started leaving
 // crashed leaders (DESIGN.md, "Cluster2's round budget"): the crash-and-loss
 // row went from 1 to 3 411 of 3 600 live nodes informed. The push and pull
-// rows were taken later, from the tree whose baselines still wrote the
-// decision table out by hand, to pin the move onto scenario.Algorithm.Step;
-// the crash-and-loss pull row pins the early exit on live nodes.
+// rows pin the closed baselines' run on scenario.Algorithm.Step; the
+// crash-and-loss pull row also pins its early exit, taken once every live
+// node is informed.
 var goldenBroadcasts = []struct {
 	cfg       Config
 	algorithm string

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/phonecall"
+	"repro/internal/scenario"
 	"repro/internal/trace"
 )
 
@@ -30,7 +31,7 @@ func requireAll(t *testing.T, r trace.Result, err error) {
 func TestPushInformsAll(t *testing.T) {
 	for _, n := range []int{100, 2000, 20000} {
 		net := newNet(t, n, 1)
-		r, err := Push(net, []int{0})
+		r, err := Uniform(net, []int{0}, scenario.AlgoPush)
 		requireAll(t, r, err)
 		if float64(r.CompletionRound) > 3*math.Log2(float64(n))+10 {
 			t.Fatalf("push completed in %d rounds at n=%d, want O(log n)", r.CompletionRound, n)
@@ -40,14 +41,14 @@ func TestPushInformsAll(t *testing.T) {
 
 func TestPullInformsAll(t *testing.T) {
 	net := newNet(t, 5000, 2)
-	r, err := Pull(net, []int{0})
+	r, err := Uniform(net, []int{0}, scenario.AlgoPull)
 	requireAll(t, r, err)
 }
 
 func TestPushPullInformsAll(t *testing.T) {
 	for _, n := range []int{1000, 20000} {
 		net := newNet(t, n, 3)
-		r, err := PushPull(net, []int{0})
+		r, err := Uniform(net, []int{0}, scenario.AlgoPushPull)
 		requireAll(t, r, err)
 		if float64(r.CompletionRound) > 2.5*math.Log2(float64(n)) {
 			t.Fatalf("push-pull completed in %d rounds at n=%d, want about log n + log log n", r.CompletionRound, n)
@@ -58,7 +59,7 @@ func TestPushPullInformsAll(t *testing.T) {
 func TestPushPullRoundsGrowLogarithmically(t *testing.T) {
 	run := func(n int) int {
 		net := newNet(t, n, 7)
-		r, err := PushPull(net, []int{0})
+		r, err := Uniform(net, []int{0}, scenario.AlgoPushPull)
 		requireAll(t, r, err)
 		return r.CompletionRound
 	}
@@ -92,7 +93,7 @@ func TestMedianCounterMessageComplexity(t *testing.T) {
 	}
 
 	netPP := newNet(t, 50000, 5)
-	pp, err := PushPull(netPP, []int{0})
+	pp, err := Uniform(netPP, []int{0}, scenario.AlgoPushPull)
 	requireAll(t, pp, err)
 	ppPerNode := float64(pp.Messages) / float64(pp.N)
 	if perNode >= 0.8*ppPerNode {
@@ -143,11 +144,14 @@ func TestNameDropperDiscoversSource(t *testing.T) {
 
 func TestBaselinesRejectMissingSource(t *testing.T) {
 	net := newNet(t, 100, 9)
-	if _, err := Push(net, nil); err == nil {
+	if _, err := Uniform(net, nil, scenario.AlgoPush); err == nil {
 		t.Fatal("Push without sources should fail")
 	}
-	if _, err := PushPull(net, []int{1000}); err == nil {
+	if _, err := Uniform(net, []int{1000}, scenario.AlgoPushPull); err == nil {
 		t.Fatal("PushPull with out-of-range source should fail")
+	}
+	if _, err := Uniform(net, []int{0}, "gossip"); err == nil {
+		t.Fatal("Uniform with an unknown algorithm should fail")
 	}
 	net.Fail(5)
 	if _, err := MedianCounter(net, []int{5}); err == nil {
@@ -160,7 +164,7 @@ func TestPushFaultTolerance(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		net.Fail(i * 3 % 10000)
 	}
-	r, err := PushPull(net, []int{1})
+	r, err := Uniform(net, []int{1}, scenario.AlgoPushPull)
 	if err != nil {
 		t.Fatal(err)
 	}

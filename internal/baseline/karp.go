@@ -88,18 +88,20 @@ func MedianCounter(net *phonecall.Network, sources []int) (trace.Result, error) 
 				return phonecall.Message{}, false
 			},
 			func(i int, inbox []phonecall.Message) {
-				// Collect the counters of informed communication partners.
-				received := make([]int, 0, len(inbox))
-				gotRumor := false
+				// Count the informed communication partners and, in the same
+				// pass, those whose counter is at least ours (counter[i] only
+				// changes after the loop).
+				partners, atLeast, gotRumor := 0, 0, false
 				for _, m := range inbox {
 					if m.Rumor || m.Tag == tagStatus {
-						received = append(received, int(m.Value))
+						partners++
+						if int(m.Value) >= counter[i] {
+							atLeast++
+						}
 					}
-					if m.Rumor {
-						gotRumor = true
-					}
+					gotRumor = gotRumor || m.Rumor
 				}
-				if len(received) == 0 {
+				if partners == 0 {
 					return
 				}
 				switch state[i] {
@@ -113,13 +115,7 @@ func MedianCounter(net *phonecall.Network, sources []int) (trace.Result, error) 
 				case karpCounting:
 					// Median rule: if at least half of the informed partners
 					// report a counter at least as large as ours, increment.
-					atLeast := 0
-					for _, c := range received {
-						if c >= counter[i] {
-							atLeast++
-						}
-					}
-					if 2*atLeast >= len(received) {
+					if 2*atLeast >= partners {
 						counter[i]++
 					}
 					if counter[i] >= ctrMax {

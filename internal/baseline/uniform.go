@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/phonecall"
+	"repro/internal/scenario"
 	"repro/internal/trace"
 )
 
@@ -22,110 +23,48 @@ const (
 // was actually informed is reported as CompletionRound.
 func fixedBudget(n int) int { return int(math.Ceil(math.Log2(float64(n)))) + 15 }
 
-// Push runs the classical uniform PUSH protocol: in every round every
-// informed node pushes the rumor to a uniformly random node. It informs all
-// nodes in Θ(log n) rounds using Θ(log n) messages per node [Pittel 1987].
-func Push(net *phonecall.Network, sources []int) (trace.Result, error) {
-	return runUniform(net, sources, "push", func(st *rumorState) {
-		net.ExecRound(
-			func(i int) phonecall.Intent {
-				if !st.has(i) {
-					return phonecall.Silent()
-				}
-				return phonecall.PushIntent(phonecall.RandomTarget(), phonecall.Message{Tag: tagRumor, Rumor: true})
-			},
-			nil,
-			markRumors(st),
-		)
-	})
-}
-
-// Pull runs the classical uniform PULL protocol: in every round every
-// uninformed node pulls from a uniformly random node and learns the rumor if
-// the responder holds it.
-func Pull(net *phonecall.Network, sources []int) (trace.Result, error) {
-	return runUniform(net, sources, "pull", func(st *rumorState) {
-		net.ExecRound(
-			func(i int) phonecall.Intent {
-				if st.has(i) {
-					return phonecall.Silent()
-				}
-				return phonecall.PullIntent(phonecall.RandomTarget())
-			},
-			respondRumor(st),
-			markRumors(st),
-		)
-	})
-}
-
-// PushPull runs the classical PUSH-PULL protocol in the random phone call
-// model: in every round every node calls a uniformly random node; the rumor
-// is transmitted in both directions over the call. This is the Θ(log n)-round
-// baseline whose "log n barrier" the paper breaks.
-func PushPull(net *phonecall.Network, sources []int) (trace.Result, error) {
-	return runUniform(net, sources, "push-pull", func(st *rumorState) {
-		net.ExecRound(
-			func(i int) phonecall.Intent {
-				if st.has(i) {
-					return phonecall.ExchangeIntent(phonecall.RandomTarget(), phonecall.Message{Tag: tagRumor, Rumor: true})
-				}
-				return phonecall.ExchangeIntent(phonecall.RandomTarget(), phonecall.Message{})
-			},
-			respondRumor(st),
-			markRumors(st),
-		)
-	})
-}
-
-// runUniform drives one of the classical protocols for its fixed budget.
-func runUniform(net *phonecall.Network, sources []int, name string, round func(st *rumorState)) (trace.Result, error) {
+// Uniform runs one of the classical uniform protocols for the fixed budget,
+// each node round read off scenario's decision table (Algorithm.Step):
+//   - PUSH: every informed node pushes the rumor to a uniformly random node;
+//     Θ(log n) rounds and Θ(log n) messages per node [Pittel 1987].
+//   - PULL: every uninformed node pulls from a uniformly random node and
+//     learns the rumor if the responder holds it.
+//   - PUSH-PULL: every node calls a uniformly random node and the rumor
+//     travels in both directions over the call — the Θ(log n)-round baseline
+//     whose "log n barrier" the paper breaks.
+func Uniform(net *phonecall.Network, sources []int, algo scenario.Algorithm) (trace.Result, error) {
+	algo, err := algo.OrDefault()
+	if err != nil {
+		return trace.Result{}, err
+	}
 	st, err := newRumorState(net, sources)
 	if err != nil {
 		return trace.Result{}, err
 	}
+	intent, respond, deliver := algo.Step(st.has, st.mark, phonecall.Message{Tag: tagRumor, Rumor: true})
+	// A protocol whose informed nodes stay silent (PULL) sends nothing once
+	// every live node is informed, so its idle tail is skipped without
+	// changing any reported quantity. The others keep transmitting for the
+	// full budget, exactly as the model prescribes.
+	done, _ := algo.Call(false, true)
+	idleWhenDone := done.Kind == phonecall.None
 	rec := trace.NewRecorder(net)
 	completion := 0
 	budget := fixedBudget(net.N())
 	for r := 0; r < budget; r++ {
-		// PULL-only spreading is the one classical protocol that cannot finish
-		// its Θ(log n) budget early but also sends no messages once everyone is
-		// informed; skipping the idle tail keeps the run short without changing
-		// any reported quantity. PUSH and PUSH-PULL keep transmitting for the
-		// full budget, exactly as the model prescribes.
-		if name == "pull" && st.allInformed() {
+		if idleWhenDone && st.allInformed() {
 			break
 		}
-		round(st)
+		net.ExecRound(intent, respond, deliver)
 		if completion == 0 && st.allInformed() {
 			completion = net.Metrics().Rounds
 		}
 	}
+	name := string(algo)
 	rec.Mark(name)
 	res := trace.Summarize(name, net, st.liveInformed(), rec.Phases())
 	if completion > 0 {
 		res.CompletionRound = completion
 	}
 	return res, nil
-}
-
-// markRumors returns a delivery callback that marks receivers of the rumor.
-func markRumors(st *rumorState) func(i int, inbox []phonecall.Message) {
-	return func(i int, inbox []phonecall.Message) {
-		for _, m := range inbox {
-			if m.Rumor {
-				st.mark(i)
-			}
-		}
-	}
-}
-
-// respondRumor returns an address-oblivious responder that hands out the
-// rumor when the responder holds it.
-func respondRumor(st *rumorState) func(j int) (phonecall.Message, bool) {
-	return func(j int) (phonecall.Message, bool) {
-		if !st.has(j) {
-			return phonecall.Message{}, false
-		}
-		return phonecall.Message{Tag: tagRumor, Rumor: true}, true
-	}
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/phonecall"
@@ -140,11 +142,11 @@ func boundedClusterPushResized(cl *cluster.Clustering, p Params, resizeTarget in
 // DeltaClusteringStats summarizes a Θ(Δ)-clustering for verification: the
 // number of clusters and the minimum, median and maximum cluster size.
 type DeltaClusteringStats struct {
-	Clusters   int
-	MinSize    int
-	MedianSize int
-	MaxSize    int
-	Unclusterd int
+	Clusters    int
+	MinSize     int
+	MedianSize  int
+	MaxSize     int
+	Unclustered int
 }
 
 // ClusteringStats computes DeltaClusteringStats for a clustering (local).
@@ -154,21 +156,13 @@ func ClusteringStats(cl *cluster.Clustering) DeltaClusteringStats {
 	net := cl.Network()
 	for i := 0; i < net.N(); i++ {
 		if !net.IsFailed(i) && !cl.IsClustered(i) {
-			stats.Unclusterd++
+			stats.Unclustered++
 		}
 	}
 	if len(sizes) == 0 {
 		return stats
 	}
-	values := make([]int, 0, len(sizes))
-	for _, s := range sizes {
-		values = append(values, s)
-	}
-	for i := 1; i < len(values); i++ {
-		for j := i; j > 0 && values[j-1] > values[j]; j-- {
-			values[j-1], values[j] = values[j], values[j-1]
-		}
-	}
+	values := slices.Sorted(maps.Values(sizes))
 	stats.MinSize = values[0]
 	stats.MaxSize = values[len(values)-1]
 	stats.MedianSize = values[len(values)/2]

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/phonecall"
+	"repro/internal/scenario"
 	"repro/internal/trace"
 )
 
@@ -75,30 +76,11 @@ func broadcastOnClustering(cl *cluster.Clustering, p Params, delta int) {
 }
 
 // uninformedPull runs one round in which every uninformed node pulls from a
-// uniformly random node and learns the rumor if the responder has it.
+// uniformly random node and learns the rumor if the responder has it: the
+// decision table's PULL step.
 func uninformedPull(cl *cluster.Clustering) {
-	net := cl.Network()
-	net.ExecRound(
-		func(i int) phonecall.Intent {
-			if cl.HasRumor(i) {
-				return phonecall.Silent()
-			}
-			return phonecall.PullIntent(phonecall.RandomTarget())
-		},
-		func(j int) (phonecall.Message, bool) {
-			if !cl.HasRumor(j) {
-				return phonecall.Message{}, false
-			}
-			return phonecall.Message{Tag: cluster.TagRumor, Rumor: true}, true
-		},
-		func(i int, inbox []phonecall.Message) {
-			for _, m := range inbox {
-				if m.Rumor {
-					cl.SetRumor(i)
-				}
-			}
-		},
-	)
+	cl.Network().ExecRound(scenario.AlgoPull.Step(cl.HasRumor, cl.SetRumor,
+		phonecall.Message{Tag: cluster.TagRumor, Rumor: true}))
 }
 
 // pushPullIterations returns the iteration cap Θ(log n / log Δ) for the main

@@ -120,8 +120,8 @@ func TestCluster3ProducesDeltaClustering(t *testing.T) {
 		t.Fatalf("Cluster3: %v", err)
 	}
 	stats := ClusteringStats(cl)
-	if stats.Unclusterd > 0 {
-		t.Fatalf("%d nodes left unclustered", stats.Unclusterd)
+	if stats.Unclustered > 0 {
+		t.Fatalf("%d nodes left unclustered", stats.Unclustered)
 	}
 	if stats.MaxSize >= 2*delta {
 		t.Fatalf("max cluster size %d >= 2Δ = %d", stats.MaxSize, 2*delta)

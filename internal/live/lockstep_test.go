@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/oracle"
 	"repro/internal/phonecall"
+	"repro/internal/scenario"
 	"repro/internal/trace"
 )
 
@@ -41,13 +42,13 @@ func newConformancePair(t *testing.T, n int, seed uint64, workers int) (*phoneca
 func TestLockStepMatchesEngine(t *testing.T) {
 	algos := map[string]func(net *phonecall.Network) (trace.Result, error){
 		"push": func(net *phonecall.Network) (trace.Result, error) {
-			return baseline.Push(net, []int{0})
+			return baseline.Uniform(net, []int{0}, scenario.AlgoPush)
 		},
 		"pull": func(net *phonecall.Network) (trace.Result, error) {
-			return baseline.Pull(net, []int{0})
+			return baseline.Uniform(net, []int{0}, scenario.AlgoPull)
 		},
 		"push-pull": func(net *phonecall.Network) (trace.Result, error) {
-			return baseline.PushPull(net, []int{0})
+			return baseline.Uniform(net, []int{0}, scenario.AlgoPushPull)
 		},
 		"cluster2": func(net *phonecall.Network) (trace.Result, error) {
 			return core.Cluster2(net, []int{0}, core.Params{})

@@ -24,9 +24,9 @@ import (
 
 // The closed broadcast algorithms, by the names Spec.Algorithm takes.
 const (
-	AlgoPush            = "push"
-	AlgoPull            = "pull"
-	AlgoPushPull        = "push-pull"
+	AlgoPush            = string(scenario.AlgoPush)
+	AlgoPull            = string(scenario.AlgoPull)
+	AlgoPushPull        = string(scenario.AlgoPushPull)
 	AlgoKarp            = "karp-median-counter"
 	AlgoAddressBook     = "addressbook"
 	AlgoNameDropper     = "name-dropper"
@@ -60,12 +60,8 @@ func (s Spec) workloadAlgo() string {
 // dispatch runs the spec's closed algorithm on the prepared network.
 func dispatch(s Spec, net *phonecall.Network, sources []int) (trace.Result, error) {
 	switch algo := s.workloadAlgo(); algo {
-	case AlgoPush:
-		return baseline.Push(net, sources)
-	case AlgoPull:
-		return baseline.Pull(net, sources)
-	case AlgoPushPull:
-		return baseline.PushPull(net, sources)
+	case AlgoPush, AlgoPull, AlgoPushPull:
+		return baseline.Uniform(net, sources, scenario.Algorithm(algo))
 	case AlgoKarp:
 		return baseline.MedianCounter(net, sources)
 	case AlgoAddressBook:

@@ -246,12 +246,8 @@ func (s Spec) multiRumor() bool {
 // steppable reports whether name is one of the steppable multi-rumor
 // protocols (empty selects the default).
 func steppable(name string) bool {
-	switch scenario.Algorithm(name) {
-	case "", scenario.AlgoPush, scenario.AlgoPull, scenario.AlgoPushPull:
-		return true
-	default:
-		return false
-	}
+	_, err := scenario.Algorithm(name).OrDefault()
+	return err == nil
 }
 
 // Validate checks every boundary constraint and returns an

@@ -55,12 +55,13 @@ func (a Algorithm) OrDefault() (Algorithm, error) {
 
 // Call is the protocols' decision table — the one place that says what a
 // node initiates in a round, consumed by the bitmask protocol, the wide
-// protocol and the live runtime's node step alike. empty: the node holds no
-// rumor; complete: it holds every rumor registered so far (both are true
-// before the first injection). Push is silent when empty, pull is silent
-// when complete, push-pull always calls. The intent comes without a payload;
-// withHoldings tells the caller to attach its holdings (a push-pull call
-// without them is a bare pull).
+// protocol, the live runtime's node step and, through Step, the closed
+// single-rumor drivers alike. empty: the node holds no rumor; complete: it
+// holds every rumor registered so far (both are true before the first
+// injection). Push is silent when empty, pull is silent when complete,
+// push-pull always calls. The intent comes without a payload; withHoldings
+// tells the caller to attach its holdings (a push-pull call without them is a
+// bare pull).
 func (a Algorithm) Call(empty, complete bool) (it phonecall.Intent, withHoldings bool) {
 	switch a {
 	case AlgoPush:
@@ -82,6 +83,51 @@ func (a Algorithm) Call(empty, complete bool) (it phonecall.Intent, withHoldings
 // holdings to the round's pullers. Push never answers, and nobody answers
 // with nothing.
 func (a Algorithm) Answers(empty bool) bool { return a != AlgoPush && !empty }
+
+// Step is the table as the engine's per-node callback triple, for a caller
+// that keeps a single rumor in its own state: has reports whether node i
+// holds it, mark records that it now does. A holder is complete and a
+// non-holder empty. rumor rides wherever Call asks for holdings and Answers
+// says yes, and deliver marks a node on any message with Rumor set. Push
+// gets no responder at all: it never answers, and a nil responder leaves a
+// behavior nothing to rewrite into an answer.
+//
+// With one rumor a node is in one of two cells, so both cells' intents are
+// read off the table here, once, and each node round costs one has call.
+func (a Algorithm) Step(has func(int) bool, mark func(int), rumor phonecall.Message) (
+	intent func(int) phonecall.Intent,
+	respond func(int) (phonecall.Message, bool),
+	deliver func(int, []phonecall.Message),
+) {
+	holder, withRumor := a.Call(false, true)
+	if withRumor {
+		holder.Payload = rumor
+	}
+	nonHolder, _ := a.Call(true, false) // an empty node has nothing to attach
+	intent = func(i int) phonecall.Intent {
+		if has(i) {
+			return holder
+		}
+		return nonHolder
+	}
+	if a.Answers(false) {
+		respond = func(j int) (phonecall.Message, bool) {
+			if !has(j) { // nobody answers with nothing
+				return phonecall.Message{}, false
+			}
+			return rumor, true
+		}
+	}
+	deliver = func(i int, inbox []phonecall.Message) {
+		for _, m := range inbox {
+			if m.Rumor {
+				mark(i)
+				return
+			}
+		}
+	}
+	return intent, respond, deliver
+}
 
 // ledger is the seam between the scenario driver and a run's rumor holdings:
 // what the coordinator asks of them between rounds, so that Run's loop and

@@ -546,3 +546,64 @@ func TestProtocolsFollowTheDecisionTable(t *testing.T) {
 		wide.endRound()
 	}
 }
+
+// TestStepIsTheSingleRumorColumn pins Algorithm.Step, the table's
+// single-rumor column that the closed baselines and ClusterPUSH-PULL's pull
+// round run on: a holder is complete, a non-holder empty, the rumor rides
+// exactly where Call and Answers say, and deliver marks only on a message
+// with Rumor set.
+func TestStepIsTheSingleRumorColumn(t *testing.T) {
+	rows := []struct {
+		algo     Algorithm
+		informed bool
+		kind     phonecall.Kind
+		carries  bool // the call carries the rumor
+		answers  bool // a pull reaching the node is answered with the rumor
+	}{
+		{AlgoPush, true, phonecall.Push, true, false},
+		{AlgoPush, false, phonecall.None, false, false},
+		{AlgoPull, true, phonecall.None, false, true},
+		{AlgoPull, false, phonecall.Pull, false, false},
+		{AlgoPushPull, true, phonecall.Exchange, true, true},
+		{AlgoPushPull, false, phonecall.Exchange, false, false},
+	}
+	rumor := phonecall.Message{Tag: 7, Rumor: true}
+	isRumor := func(m phonecall.Message) bool { return m.Tag == rumor.Tag && m.Rumor }
+	for _, row := range rows {
+		hasCalls := 0
+		has := func(i int) bool { hasCalls++; return i == 1 && row.informed }
+		var marked []int
+		intent, respond, deliver := row.algo.Step(has, func(i int) { marked = append(marked, i) }, rumor)
+
+		it := intent(1)
+		if hasCalls != 1 {
+			t.Errorf("%s: intent evaluated has %d times, want once", row.algo, hasCalls)
+		}
+		if it.Kind != row.kind || isRumor(it.Payload) != row.carries ||
+			(!row.carries && it.Payload.HasContent()) {
+			t.Errorf("%s informed=%v: intent %v with payload %+v; want %v, carries rumor %v",
+				row.algo, row.informed, it.Kind, it.Payload, row.kind, row.carries)
+		}
+		if want, _ := row.algo.Call(!row.informed, row.informed); it.Kind != want.Kind {
+			t.Errorf("%s informed=%v: Step's kind %v is not Call's %v", row.algo, row.informed, it.Kind, want.Kind)
+		}
+		if (respond == nil) != (row.algo == AlgoPush) {
+			t.Errorf("%s: responder present = %v; only push has none", row.algo, respond != nil)
+		}
+		if respond != nil {
+			m, ok := respond(1)
+			if ok != row.answers || (ok && !isRumor(m)) || ok != row.algo.Answers(!row.informed) {
+				t.Errorf("%s informed=%v: response %+v, %v; want answers=%v", row.algo, row.informed, m, ok, row.answers)
+			}
+		}
+
+		deliver(2, []phonecall.Message{{Tag: 7}, {Tag: 9, Value: 3}})
+		if len(marked) != 0 {
+			t.Errorf("%s: deliver marked %v on a rumor-free inbox", row.algo, marked)
+		}
+		deliver(3, []phonecall.Message{{Tag: 9}, rumor, rumor})
+		if len(marked) != 1 || marked[0] != 3 {
+			t.Errorf("%s: deliver marked %v on an inbox with the rumor, want [3]", row.algo, marked)
+		}
+	}
+}
