@@ -2,8 +2,8 @@
 // the network (Section 8 of the paper). Theorem 19 promises that all but
 // o(F) of the surviving nodes still learn the rumor. This example measures
 // that ratio twice: first under the paper's start-time adversary, then —
-// through the scenario subsystem's timed-adversary adapter (failure.Timed →
-// scenario.FromTimed) — under a crash wave that strikes mid-execution,
+// with WithFailureRound, which turns the same oblivious selection into a
+// scenario CrashAt event — under a crash wave that strikes mid-execution,
 // while cluster2's broadcast phases are still running. The program asserts
 // the o(F) guarantee (uninformed/F stays far below 1) in both regimes and
 // exits non-zero if any configuration violates it. A final contrast row
@@ -68,7 +68,7 @@ func main() {
 	fmt.Println("=== start-time adversary (the paper's Section 8 model) ===")
 	violations += measure(0, true)
 
-	fmt.Printf("\n=== timed crash wave at round %d (scenario subsystem, failure.Timed) ===\n", waveRound)
+	fmt.Printf("\n=== timed crash wave at round %d (WithFailureRound, a scenario CrashAt) ===\n", waveRound)
 	violations += measure(waveRound, true)
 
 	fmt.Println("\nThe uninformed/F column stays far below 1 in both regimes: the algorithm")

@@ -2,12 +2,13 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/failure"
 	"repro/internal/run"
 	"repro/internal/scenario"
-	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // E10: gossip under Byzantine adversaries. Where E6 and E8 remove nodes
@@ -30,17 +31,19 @@ func e10Budget(n int) int {
 	return 4*bits.Len(uint(n)) + 30
 }
 
-// e10Corrupt builds the round-1 corruption event: count nodes chosen by the
-// oblivious random selection, never the source (node 0 stays honest so every
-// row measures degraded spreading rather than a muted injection point).
-func e10Corrupt(n, count int, adv scenario.AdversarySpec, pickSeed uint64) scenario.Event {
-	nodes := failure.Random{Count: count + 1, Seed: pickSeed}.Select(n)
+// e10Corrupt builds the round-1 corruption event of the trial at seed: count
+// nodes chosen by the oblivious random selection, never the source (node 0
+// stays honest so every row measures degraded spreading rather than a muted
+// injection point), each running adv.
+func e10Corrupt(n, count int, adv scenario.AdversarySpec, seed uint64) scenario.Event {
+	nodes := failure.Random{Count: count + 1, Seed: seed + 4000}.Select(n)
 	picked := make([]int, 0, count)
 	for _, i := range nodes {
 		if i != 0 && len(picked) < count {
 			picked = append(picked, i)
 		}
 	}
+	adv.Seed = seed + 5000
 	return scenario.CorruptAt{At: 1, Nodes: picked, Adversary: adv}
 }
 
@@ -52,10 +55,22 @@ func e10Steppable(cfg SweepConfig, algo string, n, count int, adv scenario.Adver
 	spec.Rounds = e10Budget(n)
 	spec.Events = []scenario.Event{scenario.InjectRumor{At: 1, Node: 0, Rumor: 0}}
 	if count > 0 {
-		spec.Events = append(spec.Events, e10Corrupt(n, count, adv, seed+4000))
+		spec.Events = append(spec.Events, e10Corrupt(n, count, adv, seed))
 	}
 	return spec
 }
+
+// convergedRound is the completion round of a trial that informed every live
+// node within the budget, undefined for one that did not.
+func convergedRound(r trace.Result) float64 {
+	if !r.AllInformed {
+		return math.NaN()
+	}
+	return completion(r)
+}
+
+// residual is the live fraction still missing the rumor at the end.
+func residual(r trace.Result) float64 { return 1 - informed(r) }
 
 // E10Byzantine sweeps adversary fraction × behavior × algorithm and reports
 // rounds-to-convergence and the residual uninformed fraction. Steppable rows
@@ -78,39 +93,34 @@ func E10Byzantine(cfg SweepConfig) (Table, error) {
 		},
 	}
 
-	type rowKey struct {
-		behavior scenario.AdversaryKind
-		algo     string
-	}
-	addRow := func(key rowKey, frac float64, completion stats.Summary, completed, trials int, residual, msgs stats.Summary) {
+	addRow := func(behavior scenario.AdversaryKind, algo string, frac float64, res []trace.Result) {
+		done := over(res, convergedRound)
 		comp := "-"
-		if completed > 0 {
-			comp = fmt.Sprintf("%.1f", completion.Mean)
+		if done.Count > 0 {
+			comp = fmt.Sprintf("%.1f", done.Mean)
 		}
 		t.Rows = append(t.Rows, []string{
-			string(key.behavior),
-			key.algo,
+			string(behavior),
+			algo,
 			fmt.Sprintf("%.2f", frac),
 			comp,
-			fmt.Sprintf("%d/%d", completed, trials),
-			fmt.Sprintf("%.4f", residual.Mean),
-			fmt.Sprintf("%.1f", msgs.Mean),
+			fmt.Sprintf("%d/%d", done.Count, len(res)),
+			fmt.Sprintf("%.4f", over(res, residual).Mean),
+			fmt.Sprintf("%.1f", over(res, msgsPerNode).Mean),
 		})
 	}
 
 	victims := failure.Random{Count: e10Victims, Seed: 0xec1}.Select(n)
-	specs := []struct {
-		kind scenario.AdversarySpec
-	}{
-		{scenario.AdversarySpec{Kind: scenario.AdvLiar}},
-		{scenario.AdversarySpec{Kind: scenario.AdvSpammer}},
-		{scenario.AdversarySpec{Kind: scenario.AdvStale}},
-		{scenario.AdversarySpec{Kind: scenario.AdvEclipse, Victims: victims}},
+	behaviors := []scenario.AdversarySpec{
+		{Kind: scenario.AdvLiar},
+		{Kind: scenario.AdvSpammer},
+		{Kind: scenario.AdvStale},
+		{Kind: scenario.AdvEclipse, Victims: victims},
 	}
 
-	for _, spec := range specs {
+	for _, adv := range behaviors {
 		algos := steppables
-		if spec.kind.Kind == scenario.AdvEclipse {
+		if adv.Kind == scenario.AdvEclipse {
 			// Eclipse is targeted: one algorithm suffices to show the victim
 			// set going dark as the dropper fraction grows.
 			algos = []string{run.AlgoPushPull}
@@ -118,26 +128,13 @@ func E10Byzantine(cfg SweepConfig) (Table, error) {
 		for _, algo := range algos {
 			for _, frac := range fractions {
 				count := int(frac * float64(n))
-				var completion, residual, msgs []float64
-				completed := 0
-				for _, seed := range cfg.Seeds {
-					adv := spec.kind
-					adv.Seed = seed + 5000
-					res, err := execute(e10Steppable(cfg, algo, n, count, adv, seed), seed)
-					if err != nil {
-						return Table{}, fmt.Errorf("E10 %s %s frac=%.2f: %w", spec.kind.Kind, algo, frac, err)
-					}
-					ro := res.Rumors[0]
-					if ro.CompletionRound > 0 {
-						completion = append(completion, float64(ro.CompletionRound))
-						completed++
-					}
-					residual = append(residual, 1-ro.LiveFraction)
-					msgs = append(msgs, res.MessagesPerNode)
+				res, err := cfg.trials(func(seed uint64) run.Spec {
+					return e10Steppable(cfg, algo, n, count, adv, seed)
+				})
+				if err != nil {
+					return Table{}, fmt.Errorf("E10 %s %s frac=%.2f: %w", adv.Kind, algo, frac, err)
 				}
-				addRow(rowKey{spec.kind.Kind, algo}, frac,
-					stats.Summarize(completion), completed, len(cfg.Seeds),
-					stats.Summarize(residual), stats.Summarize(msgs))
+				addRow(adv.Kind, algo, frac, res)
 			}
 		}
 	}
@@ -146,30 +143,18 @@ func E10Byzantine(cfg SweepConfig) (Table, error) {
 	// works without a rumor tracker).
 	for _, frac := range fractions {
 		count := int(frac * float64(n))
-		var completion, residual, msgs []float64
-		completed := 0
-		for _, seed := range cfg.Seeds {
+		res, err := cfg.trials(func(seed uint64) run.Spec {
 			spec := cfg.spec(run.AlgoCluster2, n)
 			if count > 0 {
-				adv := scenario.AdversarySpec{Kind: scenario.AdvSpammer, Seed: seed + 5000}
-				spec.Events = []scenario.Event{e10Corrupt(n, count, adv, seed+4000)}
+				spammer := scenario.AdversarySpec{Kind: scenario.AdvSpammer}
+				spec.Events = []scenario.Event{e10Corrupt(n, count, spammer, seed)}
 			}
-			res, err := execute(spec, seed)
-			if err != nil {
-				return Table{}, fmt.Errorf("E10 spammer cluster2 frac=%.2f: %w", frac, err)
-			}
-			if res.AllInformed {
-				completion = append(completion, float64(res.CompletionRound))
-				completed++
-			}
-			if res.Live > 0 {
-				residual = append(residual, 1-float64(res.Informed)/float64(res.Live))
-			}
-			msgs = append(msgs, res.MessagesPerNode)
+			return spec
+		})
+		if err != nil {
+			return Table{}, fmt.Errorf("E10 spammer cluster2 frac=%.2f: %w", frac, err)
 		}
-		addRow(rowKey{scenario.AdvSpammer, run.AlgoCluster2}, frac,
-			stats.Summarize(completion), completed, len(cfg.Seeds),
-			stats.Summarize(residual), stats.Summarize(msgs))
+		addRow(scenario.AdvSpammer, run.AlgoCluster2, frac, res)
 	}
 
 	t.Notes = append(t.Notes,

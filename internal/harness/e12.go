@@ -2,12 +2,10 @@ package harness
 
 import (
 	"fmt"
-	"reflect"
 
 	"repro/internal/policy"
 	"repro/internal/run"
 	"repro/internal/scenario"
-	"repro/internal/stats"
 )
 
 // E12 — non-uniform gossip over heterogeneous topologies: the push/pull
@@ -44,13 +42,6 @@ func E12Topologies(cfg SweepConfig) (Table, error) {
 		},
 	}
 
-	topos := []struct {
-		name  string
-		table *policy.Table
-		pol   *policy.Policy
-	}{
-		{"uniform", nil, nil},
-	}
 	zoned, err := policy.ZoneTable(n, zones)
 	if err != nil {
 		return Table{}, fmt.Errorf("E12: %w", err)
@@ -59,44 +50,29 @@ func E12Topologies(cfg SweepConfig) (Table, error) {
 	if err != nil {
 		return Table{}, fmt.Errorf("E12: %w", err)
 	}
-	topos = append(topos,
-		struct {
-			name  string
-			table *policy.Table
-			pol   *policy.Policy
-		}{"zoned", zoned, e12Policy()},
-		struct {
-			name  string
-			table *policy.Table
-			pol   *policy.Policy
-		}{"wan-asym", wan, e12Policy()},
-	)
+	topos := []struct {
+		name  string
+		table *policy.Table
+		pol   *policy.Policy
+	}{
+		{"uniform", nil, nil},
+		{"zoned", zoned, e12Policy()},
+		{"wan-asym", wan, e12Policy()},
+	}
 
 	for _, topo := range topos {
 		for _, algo := range []string{run.AlgoPush, run.AlgoPull, run.AlgoPushPull, run.AlgoCluster2} {
 			spec := cfg.spec(algo, n)
 			spec.Topology, spec.Policy = topo.table, topo.pol
-			var rounds, msgs, informed []float64
-			identical := true
-			for _, seed := range cfg.Seeds {
-				sim, liveRes, err := simAndLockStep(spec, seed)
-				if err != nil {
-					return Table{}, fmt.Errorf("E12 %s/%s %w", topo.name, algo, err)
-				}
-				if !reflect.DeepEqual(sim, liveRes) {
-					identical = false
-				}
-				rounds = append(rounds, float64(sim.CompletionRound))
-				msgs = append(msgs, sim.MessagesPerNode)
-				if sim.Live > 0 {
-					informed = append(informed, float64(sim.Informed)/float64(sim.Live))
-				}
+			res, identical, err := cfg.simAndLockStep(spec)
+			if err != nil {
+				return Table{}, fmt.Errorf("E12 %s/%s %w", topo.name, algo, err)
 			}
 			t.Rows = append(t.Rows, []string{
 				topo.name, algo,
-				fmt.Sprintf("%.1f", stats.Summarize(rounds).Mean),
-				fmt.Sprintf("%.2f", stats.Summarize(msgs).Mean),
-				fmt.Sprintf("%.3f", stats.Summarize(informed).Mean),
+				fmt.Sprintf("%.1f", over(res, completion).Mean),
+				fmt.Sprintf("%.2f", over(res, msgsPerNode).Mean),
+				fmt.Sprintf("%.3f", over(res, informed).Mean),
 				fmt.Sprintf("%v", identical),
 			})
 		}
@@ -111,46 +87,27 @@ func E12Topologies(cfg SweepConfig) (Table, error) {
 		scenario.ZoneOutage{At: 3, Zone: zones - 1},
 		scenario.ZoneHeal{At: 8, Zone: zones - 1},
 	}
-	var simRounds, simInformed []float64
-	identical := true
-	for _, seed := range cfg.Seeds {
-		sim, liveRes, err := simAndLockStep(outage, seed)
-		if err != nil {
-			return Table{}, fmt.Errorf("E12 outage %w", err)
-		}
-		if !reflect.DeepEqual(sim, liveRes) {
-			identical = false
-		}
-		simRounds = append(simRounds, float64(sim.Rounds))
-		if sim.Live > 0 {
-			simInformed = append(simInformed, float64(sim.Informed)/float64(sim.Live))
-		}
+	res, identical, err := cfg.simAndLockStep(outage)
+	if err != nil {
+		return Table{}, fmt.Errorf("E12 outage %w", err)
 	}
 	t.Rows = append(t.Rows, []string{
 		"zoned + outage", "cluster2 (sim & lock-step)",
-		fmt.Sprintf("%.1f", stats.Summarize(simRounds).Mean),
+		fmt.Sprintf("%.1f", over(res, totalRounds).Mean),
 		"-",
-		fmt.Sprintf("%.3f", stats.Summarize(simInformed).Mean),
+		fmt.Sprintf("%.3f", over(res, informed).Mean),
 		fmt.Sprintf("%v", identical),
 	})
 
 	outage.Algorithm, outage.Engine = run.AlgoPushPull, run.EngineFreeRunning
-	var frRounds, frInformed []float64
-	for _, seed := range cfg.Seeds {
-		res, err := execute(outage, seed)
-		if err != nil {
-			return Table{}, fmt.Errorf("E12 outage free-run: %w", err)
-		}
-		frRounds = append(frRounds, float64(res.CompletionRound))
-		if res.Live > 0 {
-			frInformed = append(frInformed, float64(res.Informed)/float64(res.Live))
-		}
+	if res, err = cfg.trials(same(outage)); err != nil {
+		return Table{}, fmt.Errorf("E12 outage free-run: %w", err)
 	}
 	t.Rows = append(t.Rows, []string{
 		"zoned + outage", "push-pull (free-running)",
-		fmt.Sprintf("%.1f", stats.Summarize(frRounds).Mean),
+		fmt.Sprintf("%.1f", over(res, completion).Mean),
 		"-",
-		fmt.Sprintf("%.3f", stats.Summarize(frInformed).Mean),
+		fmt.Sprintf("%.3f", over(res, informed).Mean),
 		"n/a (async)",
 	})
 

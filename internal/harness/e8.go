@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/run"
-	"repro/internal/stats"
 )
 
 // e8CrashRound is the engine round at whose start E8's crash wave strikes:
@@ -40,32 +39,24 @@ func E8Churn(cfg SweepConfig) (Table, error) {
 		f := int(frac * float64(n))
 		for _, loss := range lossRates {
 			for _, algo := range algos {
-				var informed, uninformed, rounds, msgs []float64
-				spec := cfg.spec(algo, n)
-				spec.LossRate = loss
-				spec.Failures, spec.FailureRound = f, e8CrashRound
-				for _, seed := range cfg.Seeds {
-					spec.LossSeed = seed + 3000
+				res, err := cfg.trials(func(seed uint64) run.Spec {
+					spec := cfg.spec(algo, n)
+					spec.LossRate, spec.LossSeed = loss, seed+3000
+					spec.Failures, spec.FailureRound = f, e8CrashRound
 					spec.FailureSeed = seed + 2000
-					res, err := execute(spec, seed)
-					if err != nil {
-						return Table{}, fmt.Errorf("E8 %s crash=%.2f loss=%.2f: %w", algo, frac, loss, err)
-					}
-					if res.Live > 0 {
-						informed = append(informed, float64(res.Informed)/float64(res.Live))
-					}
-					uninformed = append(uninformed, float64(res.UninformedSurvivors()))
-					rounds = append(rounds, float64(res.Rounds))
-					msgs = append(msgs, res.MessagesPerNode)
+					return spec
+				})
+				if err != nil {
+					return Table{}, fmt.Errorf("E8 %s crash=%.2f loss=%.2f: %w", algo, frac, loss, err)
 				}
 				t.Rows = append(t.Rows, []string{
 					fmt.Sprintf("%.2f", frac),
 					fmt.Sprintf("%.2f", loss),
 					algo,
-					fmt.Sprintf("%.3f", stats.Summarize(informed).Min),
-					fmt.Sprintf("%.1f", stats.Summarize(uninformed).Mean),
-					fmt.Sprintf("%.1f", stats.Summarize(rounds).Mean),
-					fmt.Sprintf("%.1f", stats.Summarize(msgs).Mean),
+					fmt.Sprintf("%.3f", over(res, informed).Min),
+					fmt.Sprintf("%.1f", over(res, uninformed).Mean),
+					fmt.Sprintf("%.1f", over(res, totalRounds).Mean),
+					fmt.Sprintf("%.1f", over(res, msgsPerNode).Mean),
 				})
 			}
 		}

@@ -5,25 +5,30 @@ import (
 	"reflect"
 
 	"repro/internal/run"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
-// simAndLockStep runs one trial on the simulator and again with every node
-// as a goroutine on the lock-step runtime. The two results must be bit-equal
-// (the internal/live conformance guarantee); the E9 and E12 "identical to
-// sim" columns report whether they were. The engine label, the one field
-// that differs by construction, is cleared on both.
-func simAndLockStep(spec run.Spec, seed uint64) (sim, lockStep trace.Result, err error) {
-	if sim, err = execute(spec, seed); err != nil {
-		return sim, lockStep, fmt.Errorf("sim: %w", err)
+// simAndLockStep runs a row's trials on the simulator and again with every
+// node as a goroutine on the lock-step runtime, and returns the simulator's
+// results. The two must be bit-equal (the internal/live conformance
+// guarantee); identical, which the E9 and E12 "identical to sim" columns
+// report, says whether they were for every seed. The engine label, the one
+// field that differs by construction, is not compared.
+func (cfg SweepConfig) simAndLockStep(spec run.Spec) (sim []trace.Result, identical bool, err error) {
+	if sim, err = cfg.trials(same(spec)); err != nil {
+		return nil, false, fmt.Errorf("sim: %w", err)
 	}
 	spec.Engine = run.EngineLockStep
-	if lockStep, err = execute(spec, seed); err != nil {
-		return sim, lockStep, fmt.Errorf("lock-step: %w", err)
+	lockStep, err := cfg.trials(same(spec))
+	if err != nil {
+		return nil, false, fmt.Errorf("lock-step: %w", err)
 	}
-	sim.Engine, lockStep.Engine = "", ""
-	return sim, lockStep, nil
+	identical = true
+	for i, ls := range lockStep {
+		ls.Engine = sim[i].Engine
+		identical = identical && reflect.DeepEqual(sim[i], ls)
+	}
+	return sim, identical, nil
 }
 
 // E9SimVsLive is the sim-vs-live comparison table: the closed algorithms on
@@ -46,52 +51,34 @@ func E9SimVsLive(cfg SweepConfig) (Table, error) {
 	}
 
 	for _, algo := range []string{run.AlgoPushPull, run.AlgoCluster2} {
-		var rounds, msgs, informed []float64
-		identical := true
-		for _, seed := range cfg.Seeds {
-			sim, liveRes, err := simAndLockStep(cfg.spec(algo, n), seed)
-			if err != nil {
-				return Table{}, fmt.Errorf("E9 %s %w", algo, err)
-			}
-			if !reflect.DeepEqual(sim, liveRes) {
-				identical = false
-			}
-			rounds = append(rounds, float64(liveRes.Rounds))
-			msgs = append(msgs, liveRes.MessagesPerNode)
-			if liveRes.Live > 0 {
-				informed = append(informed, float64(liveRes.Informed)/float64(liveRes.Live))
-			}
+		res, identical, err := cfg.simAndLockStep(cfg.spec(algo, n))
+		if err != nil {
+			return Table{}, fmt.Errorf("E9 %s %w", algo, err)
 		}
 		t.Rows = append(t.Rows, []string{
 			"live lock-step", algo,
-			fmt.Sprintf("%.1f", stats.Summarize(rounds).Mean),
-			fmt.Sprintf("%.2f", stats.Summarize(msgs).Mean),
-			fmt.Sprintf("%.3f", stats.Summarize(informed).Mean),
+			fmt.Sprintf("%.1f", over(res, totalRounds).Mean),
+			fmt.Sprintf("%.2f", over(res, msgsPerNode).Mean),
+			fmt.Sprintf("%.3f", over(res, informed).Mean),
 			fmt.Sprintf("%v", identical),
 		})
 	}
 
 	for _, drop := range []float64{0, 0.05} {
-		var rounds, msgs, informed []float64
-		for _, seed := range cfg.Seeds {
+		res, err := cfg.trials(func(seed uint64) run.Spec {
 			spec := cfg.spec(run.AlgoPushPull, n)
 			spec.Engine = run.EngineFreeRunning
 			spec.Drop, spec.DropSeed = drop, seed+900
-			res, err := execute(spec, seed)
-			if err != nil {
-				return Table{}, fmt.Errorf("E9 free drop=%.2f: %w", drop, err)
-			}
-			rounds = append(rounds, float64(res.CompletionRound))
-			msgs = append(msgs, res.MessagesPerNode)
-			if res.Live > 0 {
-				informed = append(informed, float64(res.Informed)/float64(res.Live))
-			}
+			return spec
+		})
+		if err != nil {
+			return Table{}, fmt.Errorf("E9 free drop=%.2f: %w", drop, err)
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("live free-run %.0f%% drop", drop*100), run.AlgoPushPull,
-			fmt.Sprintf("%.1f", stats.Summarize(rounds).Mean),
-			fmt.Sprintf("%.2f", stats.Summarize(msgs).Mean),
-			fmt.Sprintf("%.3f", stats.Summarize(informed).Mean),
+			fmt.Sprintf("%.1f", over(res, completion).Mean),
+			fmt.Sprintf("%.2f", over(res, msgsPerNode).Mean),
+			fmt.Sprintf("%.3f", over(res, informed).Mean),
 			"n/a (async)",
 		})
 	}

@@ -121,12 +121,13 @@ func E1Rounds(cfg SweepConfig) (Table, error) {
 			fmt.Sprintf("%.1f", math.Log2(logN)),
 		}
 		for _, a := range algos {
-			agg, err := Aggregate(cfg.spec(a, n), cfg.Seeds)
+			res, err := cfg.trials(same(cfg.spec(a, n)))
 			if err != nil {
 				return Table{}, err
 			}
-			row = append(row, fmt.Sprintf("%.1f", agg.CompletionRounds.Mean))
-			perAlgo[a] = append(perAlgo[a], agg.CompletionRounds.Mean)
+			mean := over(res, completion).Mean
+			row = append(row, fmt.Sprintf("%.1f", mean))
+			perAlgo[a] = append(perAlgo[a], mean)
 		}
 		sizes = append(sizes, float64(n))
 		t.Rows = append(t.Rows, row)
@@ -159,12 +160,13 @@ func E2Messages(cfg SweepConfig) (Table, error) {
 	for _, n := range cfg.Sizes {
 		row := []string{fmt.Sprintf("%d", n)}
 		for _, a := range algos {
-			agg, err := Aggregate(cfg.spec(a, n), cfg.Seeds)
+			res, err := cfg.trials(same(cfg.spec(a, n)))
 			if err != nil {
 				return Table{}, err
 			}
-			row = append(row, fmt.Sprintf("%.1f", agg.MessagesPerNode.Mean))
-			perAlgo[a] = append(perAlgo[a], agg.MessagesPerNode.Mean)
+			mean := over(res, msgsPerNode).Mean
+			row = append(row, fmt.Sprintf("%.1f", mean))
+			perAlgo[a] = append(perAlgo[a], mean)
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -192,11 +194,11 @@ func E3Bits(cfg SweepConfig) (Table, error) {
 			for _, a := range algos {
 				spec := cfg.spec(a, n)
 				spec.PayloadBits = b
-				agg, err := Aggregate(spec, cfg.Seeds)
+				res, err := cfg.trials(same(spec))
 				if err != nil {
 					return Table{}, err
 				}
-				row = append(row, fmt.Sprintf("%.2f", agg.BitsPerNode.Mean/float64(b)))
+				row = append(row, fmt.Sprintf("%.2f", over(res, bitsPerNode).Mean/float64(b)))
 			}
 			t.Rows = append(t.Rows, row)
 		}
@@ -222,18 +224,19 @@ func E4LowerBound(cfg SweepConfig) (Table, error) {
 			minT, _ := lowerbound.MinRounds(n, seed)
 			minTs = append(minTs, float64(minT))
 		}
-		agg, err := Aggregate(cfg.spec(run.AlgoCluster2, n), cfg.Seeds)
+		res, err := cfg.trials(same(cfg.spec(run.AlgoCluster2, n)))
 		if err != nil {
 			return Table{}, err
 		}
 		theory := lowerbound.TheoreticalMinRounds(n)
 		minT := stats.Summarize(minTs).Mean
-		respected := agg.CompletionRounds.Min >= math.Floor(theory)
+		rounds := over(res, completion)
+		respected := rounds.Min >= math.Floor(theory)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", n),
 			fmt.Sprintf("%.2f", theory),
 			fmt.Sprintf("%.1f", minT),
-			fmt.Sprintf("%.1f", agg.CompletionRounds.Mean),
+			fmt.Sprintf("%.1f", rounds.Mean),
 			fmt.Sprintf("%v", respected),
 		})
 	}
@@ -262,30 +265,22 @@ func E5DeltaTradeoff(cfg SweepConfig) (Table, error) {
 		if delta < core.MinDelta || delta > n {
 			continue
 		}
-		var bRounds, tRounds, msgs, maxComms, informed []float64
 		spec := cfg.spec(run.AlgoClusterPushPull, n)
 		spec.Delta = delta
-		for _, seed := range cfg.Seeds {
-			res, err := execute(spec, seed)
-			if err != nil {
-				return Table{}, err
-			}
-			bRounds = append(bRounds, float64(broadcastPhaseRounds(res)))
-			tRounds = append(tRounds, float64(res.Rounds))
-			msgs = append(msgs, res.MessagesPerNode)
-			maxComms = append(maxComms, float64(res.MaxCommsPerRound))
-			informed = append(informed, float64(res.Informed)/float64(res.Live))
+		res, err := cfg.trials(same(spec))
+		if err != nil {
+			return Table{}, err
 		}
-		maxD := stats.Summarize(maxComms).Max
+		maxD := over(res, maxComms).Max
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", delta),
 			fmt.Sprintf("%.1f", lowerbound.DeltaBound(n, delta)),
-			fmt.Sprintf("%.1f", stats.Summarize(bRounds).Mean),
-			fmt.Sprintf("%.1f", stats.Summarize(tRounds).Mean),
-			fmt.Sprintf("%.1f", stats.Summarize(msgs).Mean),
+			fmt.Sprintf("%.1f", over(res, broadcastRounds).Mean),
+			fmt.Sprintf("%.1f", over(res, totalRounds).Mean),
+			fmt.Sprintf("%.1f", over(res, msgsPerNode).Mean),
 			fmt.Sprintf("%.0f", maxD),
 			fmt.Sprintf("%.2f", maxD/float64(delta)),
-			fmt.Sprintf("%.3f", stats.Summarize(informed).Min),
+			fmt.Sprintf("%.3f", over(res, informed).Min),
 		})
 	}
 	t.Notes = append(t.Notes,
@@ -306,27 +301,22 @@ func E6FaultTolerance(cfg SweepConfig) (Table, error) {
 	}
 	for _, frac := range fractions {
 		f := int(frac * float64(n))
-		var uninformed, rounds, msgs []float64
-		spec := cfg.spec(run.AlgoCluster2, n)
-		spec.Failures = f
-		for _, seed := range cfg.Seeds {
-			spec.FailureSeed = seed + 1000
-			res, err := execute(spec, seed)
-			if err != nil {
-				return Table{}, err
-			}
-			uninformed = append(uninformed, float64(res.UninformedSurvivors()))
-			rounds = append(rounds, float64(res.Rounds))
-			msgs = append(msgs, res.MessagesPerNode)
+		res, err := cfg.trials(func(seed uint64) run.Spec {
+			spec := cfg.spec(run.AlgoCluster2, n)
+			spec.Failures, spec.FailureSeed = f, seed+1000
+			return spec
+		})
+		if err != nil {
+			return Table{}, err
 		}
-		meanUninformed := stats.Summarize(uninformed).Mean
+		meanUninformed := over(res, uninformed).Mean
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", f),
 			fmt.Sprintf("%.2f", frac),
 			fmt.Sprintf("%.1f", meanUninformed),
 			fmt.Sprintf("%.4f", meanUninformed/float64(f)),
-			fmt.Sprintf("%.1f", stats.Summarize(rounds).Mean),
-			fmt.Sprintf("%.1f", stats.Summarize(msgs).Mean),
+			fmt.Sprintf("%.1f", over(res, totalRounds).Mean),
+			fmt.Sprintf("%.1f", over(res, msgsPerNode).Mean),
 		})
 	}
 	t.Notes = append(t.Notes, "expected shape: uninformed/F stays far below 1 and does not grow with F (all but o(F) survivors informed)")
@@ -348,7 +338,7 @@ func E7Comparison(cfg SweepConfig) (Table, error) {
 		if a == run.AlgoNameDropper {
 			size = 1000 // knowledge sets are Θ(n) per node
 		}
-		agg, err := Aggregate(cfg.spec(a, size), cfg.Seeds)
+		res, err := cfg.trials(same(cfg.spec(a, size)))
 		if err != nil {
 			return Table{}, err
 		}
@@ -362,12 +352,12 @@ func E7Comparison(cfg SweepConfig) (Table, error) {
 		}
 		t.Rows = append(t.Rows, []string{
 			name,
-			fmt.Sprintf("%.1f", agg.CompletionRounds.Mean),
-			fmt.Sprintf("%.1f", agg.TotalRounds.Mean),
-			fmt.Sprintf("%.1f", agg.MessagesPerNode.Mean),
-			fmt.Sprintf("%.2f", agg.BitsPerNode.Mean/float64(payload)),
-			fmt.Sprintf("%.0f", agg.MaxComms.Mean),
-			fmt.Sprintf("%.3f", agg.InformedFraction.Min),
+			fmt.Sprintf("%.1f", over(res, completion).Mean),
+			fmt.Sprintf("%.1f", over(res, totalRounds).Mean),
+			fmt.Sprintf("%.1f", over(res, msgsPerNode).Mean),
+			fmt.Sprintf("%.2f", over(res, bitsPerNode).Mean/float64(payload)),
+			fmt.Sprintf("%.0f", over(res, maxComms).Mean),
+			fmt.Sprintf("%.3f", over(res, informed).Min),
 		})
 	}
 	t.Notes = append(t.Notes,
@@ -376,13 +366,13 @@ func E7Comparison(cfg SweepConfig) (Table, error) {
 	return t, nil
 }
 
-// broadcastPhaseRounds extracts the rounds of the final ClusterPUSH-PULL
-// phase from a clusterpushpull result.
-func broadcastPhaseRounds(res trace.Result) int {
-	for _, p := range res.Phases {
+// broadcastRounds is the rounds of the final ClusterPUSH-PULL phase of a
+// clusterpushpull result.
+func broadcastRounds(r trace.Result) float64 {
+	for _, p := range r.Phases {
 		if p.Name == "ClusterPUSH-PULL" {
-			return p.Rounds
+			return float64(p.Rounds)
 		}
 	}
-	return res.Rounds
+	return float64(r.Rounds)
 }

@@ -8,6 +8,7 @@ package harness
 
 import (
 	"context"
+	"math"
 
 	"repro/internal/run"
 	"repro/internal/stats"
@@ -40,49 +41,54 @@ func (cfg SweepConfig) spec(algo string, n int) run.Spec {
 	return s
 }
 
-// execute runs one trial: the spec at the given seed.
-func execute(spec run.Spec, seed uint64) (trace.Result, error) {
-	spec.Seed = seed
-	return run.Execute(context.Background(), spec)
-}
-
-// Row aggregates repeated trials of one spec.
-type Row struct {
-	Algorithm string
-	N         int
-	Trials    int
-
-	CompletionRounds stats.Summary
-	TotalRounds      stats.Summary
-	MessagesPerNode  stats.Summary
-	BitsPerNode      stats.Summary
-	MaxComms         stats.Summary
-	InformedFraction stats.Summary
-}
-
-// Aggregate runs the spec for every seed and summarizes the results.
-func Aggregate(spec run.Spec, seeds []uint64) (Row, error) {
-	row := Row{Algorithm: spec.Algorithm, N: spec.N, Trials: len(seeds)}
-	var rounds, totals, msgs, bits, comms, informed []float64
-	for _, seed := range seeds {
-		res, err := execute(spec, seed)
+// trials runs the spec of every seed of the sweep, in seed order, and
+// returns the results. It is the only loop in this package that runs a
+// trial; spec may derive per-seed fields (failure, loss and adversary seeds)
+// from the seed, and the seed itself is set here.
+func (cfg SweepConfig) trials(spec func(seed uint64) run.Spec) ([]trace.Result, error) {
+	out := make([]trace.Result, 0, len(cfg.Seeds))
+	for _, seed := range cfg.Seeds {
+		s := spec(seed)
+		s.Seed = seed
+		res, err := run.Execute(context.Background(), s)
 		if err != nil {
-			return Row{}, err
+			return nil, err
 		}
-		rounds = append(rounds, float64(res.CompletionRound))
-		totals = append(totals, float64(res.Rounds))
-		msgs = append(msgs, res.MessagesPerNode)
-		bits = append(bits, float64(res.Bits)/float64(res.N))
-		comms = append(comms, float64(res.MaxCommsPerRound))
-		if res.Live > 0 {
-			informed = append(informed, float64(res.Informed)/float64(res.Live))
+		out = append(out, res)
+	}
+	return out, nil
+}
+
+// same is the spec of a row whose trials differ only in the seed.
+func same(s run.Spec) func(uint64) run.Spec {
+	return func(uint64) run.Spec { return s }
+}
+
+// over summarizes one measure across a row's trials. Trials for which the
+// measure is undefined (NaN) are left out of the sample.
+func over(res []trace.Result, measure func(trace.Result) float64) stats.Summary {
+	values := make([]float64, 0, len(res))
+	for _, r := range res {
+		if v := measure(r); !math.IsNaN(v) {
+			values = append(values, v)
 		}
 	}
-	row.CompletionRounds = stats.Summarize(rounds)
-	row.TotalRounds = stats.Summarize(totals)
-	row.MessagesPerNode = stats.Summarize(msgs)
-	row.BitsPerNode = stats.Summarize(bits)
-	row.MaxComms = stats.Summarize(comms)
-	row.InformedFraction = stats.Summarize(informed)
-	return row, nil
+	return stats.Summarize(values)
+}
+
+// The measures the tables summarize, one per quantity.
+
+func completion(r trace.Result) float64  { return float64(r.CompletionRound) }
+func totalRounds(r trace.Result) float64 { return float64(r.Rounds) }
+func msgsPerNode(r trace.Result) float64 { return r.MessagesPerNode }
+func bitsPerNode(r trace.Result) float64 { return float64(r.Bits) / float64(r.N) }
+func maxComms(r trace.Result) float64    { return float64(r.MaxCommsPerRound) }
+func uninformed(r trace.Result) float64  { return float64(r.UninformedSurvivors()) }
+
+// informed is the live-informed fraction, undefined when no node is live.
+func informed(r trace.Result) float64 {
+	if r.Live == 0 {
+		return math.NaN()
+	}
+	return float64(r.Informed) / float64(r.Live)
 }

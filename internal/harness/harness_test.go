@@ -2,7 +2,6 @@ package harness
 
 import (
 	"context"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -64,19 +63,31 @@ func TestRunAllFailed(t *testing.T) {
 	}
 }
 
+// TestAggregateSummaries pins the trial loop and the summaries the tables
+// read: one result per seed, in seed order, and measures that are undefined
+// for a trial left out of the sample.
 func TestAggregateSummaries(t *testing.T) {
-	row, err := Aggregate(run.Spec{N: 1000, Algorithm: run.AlgoPushPull}, []uint64{1, 2, 3})
+	cfg := SweepConfig{Seeds: []uint64{1, 2, 3}}
+	res, err := cfg.trials(same(run.Spec{N: 1000, Algorithm: run.AlgoPushPull}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row.Trials != 3 || row.CompletionRounds.Count != 3 {
-		t.Fatalf("row = %+v", row)
+	if len(res) != 3 || over(res, completion).Count != 3 {
+		t.Fatalf("got %d results, want 3", len(res))
 	}
-	if row.InformedFraction.Min < 1 {
-		t.Fatalf("push-pull should always inform everyone, got %v", row.InformedFraction)
+	for i, r := range res {
+		if r.Seed != cfg.Seeds[i] {
+			t.Fatalf("trial %d ran seed %d, want %d", i, r.Seed, cfg.Seeds[i])
+		}
 	}
-	if row.TotalRounds.Mean < row.CompletionRounds.Mean {
+	if got := over(res, informed); got.Min < 1 {
+		t.Fatalf("push-pull should always inform everyone, got %v", got)
+	}
+	if over(res, totalRounds).Mean < over(res, completion).Mean {
 		t.Fatal("total rounds cannot be below completion rounds")
+	}
+	if got := over([]trace.Result{{Live: 0}, {Live: 4, Informed: 3}}, informed); got.Count != 1 || got.Mean != 0.75 {
+		t.Fatalf("informed fraction over a dead network should be left out, got %+v", got)
 	}
 }
 
@@ -161,9 +172,9 @@ func TestRunRejectsNeverFiredEvents(t *testing.T) {
 	// Push-pull at n=500 finishes its fixed budget well before round 500; an
 	// event scheduled there can never fire, and silently skipping the
 	// requested dynamics must not look like surviving them.
-	wave := failure.Timed{Round: 500, Adversary: failure.Random{Count: 50, Seed: 9}}
+	wave := scenario.CrashAt{At: 500, Nodes: failure.Random{Count: 50, Seed: 9}.Select(500)}
 	_, err := run.Execute(context.Background(), run.Spec{N: 500, Algorithm: run.AlgoPushPull, Seed: 1,
-		Events: []scenario.Event{scenario.FromTimed(wave, 500)}})
+		Events: []scenario.Event{wave}})
 	if err == nil {
 		t.Fatal("a timeline event scheduled past the final round should error, not be dropped")
 	}
@@ -207,12 +218,12 @@ func TestExperimentIDsDispatch(t *testing.T) {
 // the live runtime; and lock-step refuses anything but the plain mesh.
 func TestRunLockStepMatchesRun(t *testing.T) {
 	spec := run.Spec{N: 600, Algorithm: run.AlgoPushPull, Workers: 1, LossRate: 0.05, LossSeed: 3}
-	sim, liveRes, err := simAndLockStep(spec, 2)
+	sim, identical, err := SweepConfig{Seeds: []uint64{2}}.simAndLockStep(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(sim, liveRes) {
-		t.Fatalf("live lock-step diverges from sim:\n sim:  %+v\n live: %+v", sim, liveRes)
+	if !identical {
+		t.Fatalf("live lock-step diverges from sim %+v", sim[0])
 	}
 	for name, bad := range map[string]run.Spec{
 		"udp":        {N: 100, Engine: run.EngineLockStep, Transport: "udp"},

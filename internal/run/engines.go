@@ -85,28 +85,28 @@ func dispatch(s Spec, net *phonecall.Network, sources []int) (trace.Result, erro
 }
 
 // failureEvents maps the Failures/FailureRound fields onto the shapes the
-// engines consume — a start-time adversary, or a timed crash wave appended
-// to the timeline — and returns the timeline as a copy the caller may extend.
-func (s Spec) failureEvents() (failure.Adversary, []scenario.Event) {
-	events := append([]scenario.Event(nil), s.Events...)
+// engines consume — the nodes to fail before round 1, or a CrashAt wave at
+// FailureRound appended to the timeline — and returns the timeline as a copy
+// the caller may extend.
+func (s Spec) failureEvents() (start []int, events []scenario.Event) {
+	events = append([]scenario.Event(nil), s.Events...)
 	if s.Failures <= 0 {
 		return nil, events
 	}
-	adv := failure.Random{Count: s.Failures, Seed: s.FailureSeed}
+	nodes := failure.Random{Count: s.Failures, Seed: s.FailureSeed}.Select(s.N)
 	if s.FailureRound > 1 {
-		wave := failure.Timed{Round: s.FailureRound, Adversary: adv}
-		return nil, append(events, scenario.FromTimed(wave, s.N))
+		return nil, append(events, scenario.CrashAt{At: s.FailureRound, Nodes: nodes})
 	}
-	return adv, events
+	return nodes, events
 }
 
 // steppableEvents is the timeline of the steppable drivers (scenario,
 // free-running), which have no start-time adversary and no loss knob of
 // their own: round-1 crash and loss events are the equivalent shapes.
 func (s Spec) steppableEvents() []scenario.Event {
-	adv, events := s.failureEvents()
-	if adv != nil {
-		events = append(events, scenario.CrashAt{At: 1, Nodes: adv.Select(s.N)})
+	start, events := s.failureEvents()
+	if start != nil {
+		events = append(events, scenario.CrashAt{At: 1, Nodes: start})
 	}
 	if s.LossRate > 0 {
 		events = append(events, scenario.Loss{At: 1, Rate: s.LossRate, Seed: s.LossSeed})
@@ -184,10 +184,8 @@ func runOnNetwork(ctx context.Context, net *phonecall.Network, s Spec) (res trac
 		s.tap.BindNetwork(net)
 		net.Observe(s.tap)
 	}
-	adv, events := s.failureEvents()
-	if adv != nil {
-		failure.Apply(net, adv)
-	}
+	start, events := s.failureEvents()
+	net.Fail(start...)
 	if s.LossRate > 0 {
 		net.SetLoss(s.LossRate, s.LossSeed)
 	}

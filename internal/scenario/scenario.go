@@ -36,7 +36,6 @@ import (
 	"slices"
 	"sort"
 
-	"repro/internal/failure"
 	"repro/internal/phonecall"
 	"repro/internal/policy"
 	"repro/internal/rumorset"
@@ -164,13 +163,6 @@ func (e InjectRumor) Apply(net *phonecall.Network, l ledger) error {
 		return fmt.Errorf("scenario: round %d: %w", e.At, err)
 	}
 	return nil
-}
-
-// FromTimed converts a timed oblivious adversary (internal/failure) into a
-// CrashAt event, so every existing start-time adversary becomes a timed
-// crash wave on a scenario timeline.
-func FromTimed(t failure.Timed, n int) CrashAt {
-	return CrashAt{At: t.Round, Nodes: t.Adversary.Select(n)}
 }
 
 // sortEvents returns a copy of events stably sorted by round, preserving the

@@ -244,19 +244,6 @@ func TestTimelineInjectWithoutTrackerErrs(t *testing.T) {
 	}
 }
 
-// TestFromTimed checks the adversary adapter: a timed Section 8 adversary
-// becomes a CrashAt event with the same oblivious selection.
-func TestFromTimed(t *testing.T) {
-	timed := failure.Timed{Round: 9, Adversary: failure.Random{Count: 5, Seed: 2}}
-	ev := FromTimed(timed, 100)
-	if ev.At != 9 {
-		t.Fatalf("At = %d, want 9", ev.At)
-	}
-	if want := (failure.Random{Count: 5, Seed: 2}).Select(100); !reflect.DeepEqual(ev.Nodes, want) {
-		t.Fatalf("Nodes = %v, want %v", ev.Nodes, want)
-	}
-}
-
 // TestValidate covers the scenario validation paths.
 func TestValidate(t *testing.T) {
 	inject := InjectRumor{At: 1, Node: 0, Rumor: 0}
