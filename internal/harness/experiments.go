@@ -171,7 +171,9 @@ func E2Messages(cfg SweepConfig) (Table, error) {
 		t.Rows = append(t.Rows, row)
 	}
 	for _, a := range algos {
-		t.Notes = append(t.Notes, fmt.Sprintf("%s: growth %.2fx across sweep", a, stats.GrowthRatio(perAlgo[a])))
+		if len(cfg.Sizes) >= 2 {
+			t.Notes = append(t.Notes, fmt.Sprintf("%s: growth %.2fx across sweep", a, stats.GrowthRatio(perAlgo[a])))
+		}
 	}
 	t.Notes = append(t.Notes, "expected shape: cluster2 stays constant; push-pull grows with log n; karp grows with log log n")
 	return t, nil
