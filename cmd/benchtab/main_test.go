@@ -19,6 +19,20 @@ func TestRunExperimentTable(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadInput pins that a seed count below 1 is an error rather
+// than a silent fall-back to the default sweep's three seeds, and that an
+// unparsable size is refused.
+func TestRunRejectsBadInput(t *testing.T) {
+	for _, seeds := range []string{"0", "-2"} {
+		if out, err := runOut([]string{"-experiment", "E4", "-sizes", "500", "-seeds", seeds}); err == nil {
+			t.Errorf("-seeds %s accepted:\n%s", seeds, out)
+		}
+	}
+	if _, err := runOut([]string{"-experiment", "E4", "-sizes", "500,x"}); err == nil {
+		t.Error("unparsable size accepted")
+	}
+}
+
 // runOut runs the command line and returns what it printed.
 func runOut(args []string) (string, error) {
 	var out strings.Builder

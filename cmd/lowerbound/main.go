@@ -35,6 +35,9 @@ func run(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *seeds < 1 {
+		return fmt.Errorf("-seeds must be at least 1, got %d", *seeds)
+	}
 	sizeList, err := parseSizes(*sizes)
 	if err != nil {
 		return err

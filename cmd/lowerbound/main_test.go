@@ -38,11 +38,16 @@ func TestRunDefaultsOmitExtras(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadInput pins the error paths: an unparsable size and an
-// unknown flag.
+// TestRunRejectsBadInput pins the error paths: an unparsable size, a seed
+// count below 1 (which would print a NaN mean) and an unknown flag.
 func TestRunRejectsBadInput(t *testing.T) {
 	if _, err := runOut([]string{"-n", "12,notanumber"}); err == nil {
 		t.Error("unparsable size accepted")
+	}
+	for _, seeds := range []string{"0", "-2"} {
+		if out, err := runOut([]string{"-n", "100", "-seeds", seeds}); err == nil {
+			t.Errorf("-seeds %s accepted:\n%s", seeds, out)
+		}
 	}
 	if _, err := runOut([]string{"-bogus"}); err == nil {
 		t.Error("unknown flag accepted")
