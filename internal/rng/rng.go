@@ -8,10 +8,7 @@
 // hashing) and xoshiro256**-style state advancement (for sequential streams).
 package rng
 
-import (
-	"math"
-	"math/bits"
-)
+import "math/bits"
 
 // splitmix64 advances the SplitMix64 state and returns the next output.
 func splitmix64(state *uint64) uint64 {
@@ -183,35 +180,4 @@ func Bounded(hash, n uint64) uint64 {
 	}
 	hi, _ := bits.Mul64(hash, n)
 	return hi
-}
-
-// NormalApprox returns an approximately standard-normal sample using the sum
-// of twelve uniforms. It is only used for non-critical jitter in workloads.
-func (r *Source) NormalApprox() float64 {
-	sum := 0.0
-	for i := 0; i < 12; i++ {
-		sum += r.Float64()
-	}
-	return sum - 6
-}
-
-// Geometric returns a sample from a geometric distribution with success
-// probability p (number of trials until first success, >= 1). Returns
-// math.MaxInt32 for degenerate p.
-func (r *Source) Geometric(p float64) int {
-	if p <= 0 {
-		return math.MaxInt32
-	}
-	if p >= 1 {
-		return 1
-	}
-	u := r.Float64()
-	if u <= 0 {
-		u = math.SmallestNonzeroFloat64
-	}
-	k := int(math.Ceil(math.Log(1-u) / math.Log(1-p)))
-	if k < 1 {
-		k = 1
-	}
-	return k
 }

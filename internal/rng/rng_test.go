@@ -192,55 +192,6 @@ func TestBoundedUint64Zero(t *testing.T) {
 	}
 }
 
-func TestGeometricBounds(t *testing.T) {
-	r := New(23)
-	for i := 0; i < 1000; i++ {
-		k := r.Geometric(0.5)
-		if k < 1 {
-			t.Fatalf("Geometric returned %d < 1", k)
-		}
-	}
-	if r.Geometric(1) != 1 {
-		t.Fatal("Geometric(1) should be 1")
-	}
-	if r.Geometric(0) != math.MaxInt32 {
-		t.Fatal("Geometric(0) should be MaxInt32")
-	}
-}
-
-func TestGeometricMean(t *testing.T) {
-	r := New(29)
-	const p = 0.25
-	const samples = 50000
-	sum := 0
-	for i := 0; i < samples; i++ {
-		sum += r.Geometric(p)
-	}
-	mean := float64(sum) / samples
-	if math.Abs(mean-1/p) > 0.2 {
-		t.Fatalf("Geometric(%v) mean %v, want about %v", p, mean, 1/p)
-	}
-}
-
-func TestNormalApproxMoments(t *testing.T) {
-	r := New(31)
-	const samples = 50000
-	sum, sumSq := 0.0, 0.0
-	for i := 0; i < samples; i++ {
-		v := r.NormalApprox()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / samples
-	variance := sumSq/samples - mean*mean
-	if math.Abs(mean) > 0.05 {
-		t.Fatalf("normal mean %v", mean)
-	}
-	if math.Abs(variance-1) > 0.1 {
-		t.Fatalf("normal variance %v", variance)
-	}
-}
-
 func TestUint64BitBalance(t *testing.T) {
 	// Every bit position should be set roughly half the time.
 	r := New(41)

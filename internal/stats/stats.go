@@ -112,26 +112,6 @@ func ConfidenceInterval(values []float64, level float64) Interval {
 	return iv
 }
 
-// Correlation returns the Pearson correlation coefficient of xs and ys.
-// Mismatched or degenerate inputs yield 0.
-func Correlation(xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return 0
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0
-	}
-	return sxy / math.Sqrt(sxx*syy)
-}
-
 // LinearFit returns the least-squares slope and intercept of ys over xs.
 func LinearFit(xs, ys []float64) (slope, intercept float64) {
 	if len(xs) != len(ys) || len(xs) < 2 {

@@ -69,22 +69,6 @@ func TestPercentileWithinRangeProperty(t *testing.T) {
 	}
 }
 
-func TestCorrelation(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	if !almostEqual(Correlation(xs, []float64{2, 4, 6, 8}), 1) {
-		t.Fatal("perfect positive correlation expected")
-	}
-	if !almostEqual(Correlation(xs, []float64{8, 6, 4, 2}), -1) {
-		t.Fatal("perfect negative correlation expected")
-	}
-	if Correlation(xs, []float64{1, 1, 1, 1}) != 0 {
-		t.Fatal("degenerate correlation should be 0")
-	}
-	if Correlation(xs, []float64{1}) != 0 {
-		t.Fatal("mismatched lengths should give 0")
-	}
-}
-
 func TestLinearFit(t *testing.T) {
 	slope, intercept := LinearFit([]float64{1, 2, 3, 4}, []float64{3, 5, 7, 9})
 	if !almostEqual(slope, 2) || !almostEqual(intercept, 1) {
