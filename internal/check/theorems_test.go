@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/check"
+	"repro/internal/lowerbound"
 	"repro/internal/run"
 	"repro/internal/trace"
 )
@@ -36,6 +37,9 @@ func runSample(t *testing.T, algo string, n int, measure func(res trace.Result) 
 	}
 }
 
+// completionRound is the round at which a result informed every live node.
+func completionRound(res trace.Result) float64 { return float64(res.CompletionRound) }
+
 // totalMessages is the payload-plus-control message count of a result.
 func totalMessages(res trace.Result) float64 {
 	return float64(res.Messages + res.ControlMessages)
@@ -51,9 +55,7 @@ func TestCluster2RoundsLogarithmicWHP(t *testing.T) {
 	perLog := make(map[int]float64)
 	for _, n := range []int{1000, 10000} {
 		r, err := check.Replicate("cluster2 completion rounds", check.Seeds(replications),
-			runSample(t, run.AlgoCluster2, n, func(res trace.Result) float64 {
-				return float64(res.CompletionRound)
-			}))
+			runSample(t, run.AlgoCluster2, n, completionRound))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,9 +257,7 @@ func TestCluster2ConstantMessagesPerNode(t *testing.T) {
 func TestPushNeedsLogRounds(t *testing.T) {
 	for _, n := range []int{1000, 10000} {
 		r, err := check.Replicate("push completion rounds", check.Seeds(replications),
-			runSample(t, run.AlgoPush, n, func(res trace.Result) float64 {
-				return float64(res.CompletionRound)
-			}))
+			runSample(t, run.AlgoPush, n, completionRound))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,6 +267,41 @@ func TestPushNeedsLogRounds(t *testing.T) {
 		// assert the mean keeps growing logarithmically (CI above 1.5·log2 n,
 		// observed mean ratio ≈ 2.0).
 		r.AssertCIAbove(t, 1.5*math.Log2(float64(n)))
+	}
+}
+
+// TestRoundLowerBound: Theorem 3 — no algorithm in the model informs every
+// node in fewer than 0.99·log₂log₂ n rounds — checked against every
+// algorithm of the E1 comparison rather than only E4's cluster2 column. For
+// every seed the completion round is at least the knowledge-graph
+// feasibility bound of that seed's contact draw (Lemma 14), and the sample
+// minimum is at least the analytic bound.
+func TestRoundLowerBound(t *testing.T) {
+	algos := []string{run.AlgoPushPull, run.AlgoKarp, run.AlgoAddressBook, run.AlgoCluster1, run.AlgoCluster2}
+	seeds := check.Seeds(replications)
+	for _, n := range []int{1000, 10000} {
+		minT := make(map[uint64]float64, len(seeds))
+		for _, seed := range seeds {
+			m, _ := lowerbound.MinRounds(n, seed)
+			minT[seed] = float64(m)
+		}
+		for _, algo := range algos {
+			sample := runSample(t, algo, n, completionRound)
+			r, err := check.Replicate(fmt.Sprintf("%s completion rounds at n=%d", algo, n), seeds,
+				func(seed uint64) (float64, error) {
+					rounds, err := sample(seed)
+					if err == nil && rounds < minT[seed] {
+						t.Errorf("%s n=%d seed=%d completed in %.0f rounds, below the knowledge-graph bound %.0f",
+							algo, n, seed, rounds, minT[seed])
+					}
+					return rounds, err
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Log(r)
+			r.AssertMinAbove(t, lowerbound.TheoreticalMinRounds(n))
+		}
 	}
 }
 
