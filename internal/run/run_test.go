@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/failure"
 	"repro/internal/policy"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
@@ -119,6 +120,29 @@ func TestValidateAccepts(t *testing.T) {
 				t.Fatalf("valid spec rejected: %v", err)
 			}
 		})
+	}
+}
+
+// TestFailureEvents pins how Failures and FailureRound reach the engines:
+// the oblivious selection fails before round 1 when FailureRound ≤ 1, and
+// the same selection becomes a CrashAt at FailureRound after the spec's own
+// timeline otherwise.
+func TestFailureEvents(t *testing.T) {
+	own := []scenario.Event{inject}
+	want := failure.Random{Count: 10, Seed: 4}.Select(100)
+	for _, round := range []int{0, 1} {
+		s := Spec{N: 100, Failures: 10, FailureSeed: 4, FailureRound: round, Events: own}
+		if start, events := s.failureEvents(); !reflect.DeepEqual(start, want) || !reflect.DeepEqual(events, own) {
+			t.Fatalf("FailureRound %d: start %v, events %v", round, start, events)
+		}
+	}
+	s := Spec{N: 100, Failures: 10, FailureSeed: 4, FailureRound: 7, Events: own}
+	wave := []scenario.Event{inject, scenario.CrashAt{At: 7, Nodes: want}}
+	if start, events := s.failureEvents(); start != nil || !reflect.DeepEqual(events, wave) {
+		t.Fatalf("FailureRound 7: start %v, events %v", start, events)
+	}
+	if start, events := (Spec{N: 100, FailureRound: 7, Events: own}).failureEvents(); start != nil || !reflect.DeepEqual(events, own) {
+		t.Fatalf("no failures: start %v, events %v", start, events)
 	}
 }
 
