@@ -44,10 +44,9 @@ type LockStep struct {
 	curResponse func(i int) (phonecall.Message, bool)
 	curDeliver  func(i int, inbox []phonecall.Message)
 
-	cmd  []chan lsCmd
-	ack  chan lsAck
-	sent []int64
-	wg   *sync.WaitGroup
+	cmd []chan lsCmd
+	ack chan lsStats
+	wg  *sync.WaitGroup
 
 	errMu  sync.Mutex
 	errVal error
@@ -75,18 +74,12 @@ type lsCmd struct {
 }
 
 // lsStats is one node's per-round accounting, mirroring the engine's
-// workerStats plus the per-node sent counter.
+// workerStats.
 type lsStats struct {
 	msgs    int64
 	control int64
 	bits    int64
-	sent    int64
 	comms   int32
-}
-
-type lsAck struct {
-	node  int
-	stats lsStats
 }
 
 // lsNode is the state owned by one node goroutine.
@@ -127,14 +120,13 @@ func NewLockStep(net *phonecall.Network, tr Transport) (*LockStep, error) {
 		return nil, fmt.Errorf("live: lock-step needs a synchronous transport (zero-delay channel mesh)")
 	}
 	ls := &LockStep{
-		net:  net,
-		tr:   tr,
-		n:    net.N(),
-		own:  own,
-		cmd:  make([]chan lsCmd, net.N()),
-		ack:  make(chan lsAck, net.N()),
-		sent: make([]int64, net.N()),
-		wg:   new(sync.WaitGroup),
+		net: net,
+		tr:  tr,
+		n:   net.N(),
+		own: own,
+		cmd: make([]chan lsCmd, net.N()),
+		ack: make(chan lsStats, net.N()),
+		wg:  new(sync.WaitGroup),
 	}
 	for i := range ls.cmd {
 		ls.cmd[i] = make(chan lsCmd, 1)
@@ -206,23 +198,20 @@ func (ls *LockStep) ExecNetworkRound(
 	ls.curResponse = responseOf
 	ls.curDeliver = deliver
 
-	clear(ls.sent)
-	delta := phonecall.RoundDelta{Sent: ls.sent}
+	var delta phonecall.RoundDelta
 	for _, phase := range []uint8{phaseCalls, phaseProcess, phaseDeliver} {
 		for i := range ls.cmd {
 			ls.cmd[i] <- lsCmd{ls: ls, phase: phase, round: round}
 		}
 		for range ls.cmd {
-			a := <-ls.ack
+			st := <-ls.ack
 			if phase == phaseDeliver {
-				st := a.stats
 				delta.Messages += st.msgs
 				delta.Control += st.control
 				delta.Bits += st.bits
 				if int(st.comms) > delta.MaxComms {
 					delta.MaxComms = int(st.comms)
 				}
-				ls.sent[a.node] = st.sent
 			}
 		}
 	}
@@ -232,7 +221,7 @@ func (ls *LockStep) ExecNetworkRound(
 // lockStepNode is one node's event loop. Deliberately not a LockStep method:
 // it receives the runtime with each command and drops it afterwards, so the
 // goroutines never keep an abandoned runtime alive (see lsCmd).
-func lockStepNode(i int, cmds <-chan lsCmd, ack chan<- lsAck, wg *sync.WaitGroup) {
+func lockStepNode(i int, cmds <-chan lsCmd, ack chan<- lsStats, wg *sync.WaitGroup) {
 	defer wg.Done()
 	nd := &lsNode{idx: i}
 	for cmd := range cmds {
@@ -247,7 +236,7 @@ func lockStepNode(i int, cmds <-chan lsCmd, ack chan<- lsAck, wg *sync.WaitGroup
 		case phaseStop:
 			return
 		}
-		ack <- lsAck{node: i, stats: nd.stats}
+		ack <- nd.stats
 	}
 }
 
@@ -300,7 +289,6 @@ func (ls *LockStep) doCalls(nd *lsNode, round int) {
 		m.From = net.ID(i)
 		nd.stats.msgs++
 		nd.stats.bits += int64(net.MessageSize(m))
-		nd.stats.sent++
 		if send {
 			ls.tr.Send(i, j, appendCallFrame(nil, round, i, true, false, &m))
 		}
@@ -310,14 +298,12 @@ func (ls *LockStep) doCalls(nd *lsNode, round int) {
 			m.From = net.ID(i)
 			nd.stats.msgs++
 			nd.stats.bits += int64(net.MessageSize(m))
-			nd.stats.sent++
 			if send {
 				ls.tr.Send(i, j, appendCallFrame(nil, round, i, true, true, &m))
 			}
 		} else {
 			nd.stats.control++
 			nd.stats.bits += int64(net.ControlBits())
-			nd.stats.sent++
 			if send {
 				ls.tr.Send(i, j, appendCallFrame(nil, round, i, false, true, nil))
 			}
@@ -373,7 +359,6 @@ func (ls *LockStep) doProcess(nd *lsNode, round int) {
 			k := int64(len(nd.pullers))
 			nd.stats.msgs += k
 			nd.stats.bits += size * k
-			nd.stats.sent += k
 			// One address-oblivious response, one frame per puller. The
 			// encoded bytes are identical, but each Send hands ownership of
 			// its slice to the transport, so encode per puller.

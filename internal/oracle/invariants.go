@@ -338,11 +338,6 @@ func (c *Checker) EndRound(rep phonecall.RoundReport) {
 	if cur.MaxCommsPerRound != wantMax {
 		c.violate("cumulative Δ %d, model says %d", cur.MaxCommsPerRound, wantMax)
 	}
-	for i := 0; i < n; i++ {
-		if d := cur.MessagesSent[i] - c.prevMetrics.MessagesSent[i]; d != s.sent[i] {
-			c.violate("node %d: sent-counter delta %d, model says %d", i, d, s.sent[i])
-		}
-	}
 
 	// Inboxes: exact content and order, delivered iff non-empty.
 	expected := s.inboxes()

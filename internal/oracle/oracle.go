@@ -58,7 +58,6 @@ type Oracle struct {
 	control  int64
 	bits     int64
 	maxComms int
-	sent     []int64
 }
 
 // New builds a reference network from the same Config the engine takes.
@@ -84,7 +83,6 @@ func New(cfg phonecall.Config) (*Oracle, error) {
 		ids:         make([]phonecall.NodeID, cfg.N),
 		index:       make(map[phonecall.NodeID]int, cfg.N),
 		failed:      make(map[int]bool),
-		sent:        make([]int64, cfg.N),
 	}
 	idSource := rng.New(rng.Mix(cfg.Seed, 0x1d5))
 	for i := 0; i < cfg.N; i++ {
@@ -184,7 +182,7 @@ func (o *Oracle) MessageSize(m phonecall.Message) int {
 // ControlBits returns the size in bits of a pull request.
 func (o *Oracle) ControlBits() int { return o.tagBits + o.idBits }
 
-// Metrics returns a copy of the accumulated metrics.
+// Metrics returns the accumulated metrics.
 func (o *Oracle) Metrics() phonecall.Metrics {
 	return phonecall.Metrics{
 		Rounds:           o.round,
@@ -192,7 +190,6 @@ func (o *Oracle) Metrics() phonecall.Metrics {
 		ControlMessages:  o.control,
 		Bits:             o.bits,
 		MaxCommsPerRound: o.maxComms,
-		MessagesSent:     append([]int64(nil), o.sent...),
 	}
 }
 
@@ -258,9 +255,6 @@ func (o *Oracle) ExecRound(
 	o.bits += s.bits
 	if mc := s.maxComms(); mc > o.maxComms {
 		o.maxComms = mc
-	}
-	for i, d := range s.sent {
-		o.sent[i] += d
 	}
 	return s.report()
 }

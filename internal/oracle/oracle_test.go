@@ -78,9 +78,6 @@ func TestOracleAccountingByHand(t *testing.T) {
 	if m.Messages != n-1 || m.ControlMessages != 0 || m.MaxCommsPerRound != n-1 {
 		t.Errorf("metrics %+v", m)
 	}
-	if m.MessagesSent[0] != 0 || m.MessagesSent[1] != 1 {
-		t.Errorf("sent counters %v", m.MessagesSent)
-	}
 }
 
 // TestOraclePullFanOut checks the address-oblivious response rule: several
@@ -128,9 +125,6 @@ func TestOraclePullFanOut(t *testing.T) {
 	m := orc.Metrics()
 	if m.ControlMessages != n-1 || m.Messages != n-1 {
 		t.Errorf("metrics %+v", m)
-	}
-	if m.MessagesSent[0] != n-1 {
-		t.Errorf("responder sent %d, want %d", m.MessagesSent[0], n-1)
 	}
 }
 

@@ -299,7 +299,7 @@ func referenceScenarioRun(sc scenario.Scenario, cfg scenario.Config) (trace.Resu
 	res.Messages = m.Messages
 	res.ControlMessages = m.ControlMessages
 	res.Bits = m.Bits
-	res.MessagesPerNode = m.MessagesPerNode()
+	res.MessagesPerNode = float64(m.TotalMessages()) / float64(o.N())
 	res.MaxCommsPerRound = m.MaxCommsPerRound
 	// The run-level outcome, recomputed from the per-rumor ones: the worst
 	// spread, and the last completion when every rumor completed.

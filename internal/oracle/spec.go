@@ -81,7 +81,6 @@ type specRound struct {
 	msgs    int64
 	control int64
 	bits    int64
-	sent    []int64
 }
 
 func newSpecRound(env roundEnv) *specRound {
@@ -93,7 +92,6 @@ func newSpecRound(env roundEnv) *specRound {
 		pulls: make([]int, env.N),
 		resp:  make([]phonecall.Message, env.N),
 		ok:    make([]bool, env.N),
-		sent:  make([]int64, env.N),
 	}
 }
 
@@ -163,7 +161,6 @@ func (s *specRound) addIntent(i int, it phonecall.Intent) {
 		m.From = s.env.ID(i)
 		s.msgs++
 		s.bits += int64(s.env.MessageBits(m))
-		s.sent[i]++
 		c.payload, c.hasPayload = m, true
 	case phonecall.Pull, phonecall.Exchange:
 		if it.Kind == phonecall.Exchange && it.Payload.HasContent() {
@@ -171,12 +168,10 @@ func (s *specRound) addIntent(i int, it phonecall.Intent) {
 			m.From = s.env.ID(i)
 			s.msgs++
 			s.bits += int64(s.env.MessageBits(m))
-			s.sent[i]++
 			c.payload, c.hasPayload = m, true
 		} else {
 			s.control++
 			s.bits += int64(s.env.ControlBits)
-			s.sent[i]++
 		}
 		if live {
 			s.pulls[j]++
@@ -208,7 +203,6 @@ func (s *specRound) addResponse(d int, m phonecall.Message, ok bool) {
 	k := int64(s.pulls[d])
 	s.msgs += k
 	s.bits += int64(s.env.MessageBits(m)) * k
-	s.sent[d] += k
 	s.resp[d] = m
 	s.ok[d] = true
 }

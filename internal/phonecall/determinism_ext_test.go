@@ -14,8 +14,7 @@ import (
 )
 
 // algoRun executes one algorithm on a fresh network with the given worker
-// count and returns the full result and the network's complete metrics
-// (including the per-node MessagesSent vector).
+// count and returns the full result and the network's metrics.
 func algoRun(t *testing.T, algo string, n, workers int, fail []int) (trace.Result, phonecall.Metrics) {
 	t.Helper()
 	net, err := phonecall.New(phonecall.Config{N: n, Seed: 42, Workers: workers})
@@ -59,7 +58,7 @@ func TestAlgorithmsDeterministicAcrossWorkers(t *testing.T) {
 					t.Errorf("workers=%d: results differ:\n  1: %+v\n  %d: %+v", workers, refRes, workers, res)
 				}
 				if !reflect.DeepEqual(refMetrics, metrics) {
-					t.Errorf("workers=%d: metrics differ (MessagesSent or counters)", workers)
+					t.Errorf("workers=%d: metrics differ", workers)
 				}
 			}
 		})

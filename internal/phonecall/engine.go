@@ -348,14 +348,13 @@ func (net *Network) ExecRound(
 
 // passIntents evaluates the intents of the shard's initiators, resolves their
 // targets and accounts everything the initiator side determines: payload and
-// control messages, bits, per-node sent counters and the per-destination
-// message/pull/communication counts used by the later passes.
+// control messages, bits and the per-destination message/pull/communication
+// counts used by the later passes.
 func (net *Network) passIntents(w, lo, hi int) {
 	cells := net.cells[w]
 	clear(cells)
 	st := &net.wstats[w]
 	intentOf := net.curIntent
-	sent := net.metrics.MessagesSent
 	sel := net.selector
 	round := net.round
 
@@ -402,7 +401,6 @@ func (net *Network) passIntents(w, lo, hi int) {
 			msg.From = net.ids[i]
 			st.messages++
 			st.bits += int64(net.MessageSize(msg))
-			sent[i]++
 			if live {
 				cells[j].msgs++
 			}
@@ -414,7 +412,6 @@ func (net *Network) passIntents(w, lo, hi int) {
 				msg.From = net.ids[i]
 				st.messages++
 				st.bits += int64(net.MessageSize(msg))
-				sent[i]++
 				if live {
 					cells[j].msgs++
 				}
@@ -423,7 +420,6 @@ func (net *Network) passIntents(w, lo, hi int) {
 			} else {
 				st.control++
 				st.bits += int64(net.controlSize())
-				sent[i]++
 				net.ops[i] = opPull
 			}
 			if live {
@@ -444,7 +440,6 @@ func (net *Network) passIntents(w, lo, hi int) {
 func (net *Network) passMerge(w, lo, hi int) {
 	st := &net.wstats[w]
 	respond := net.curResponse
-	sent := net.metrics.MessagesSent
 	nw := net.nw
 	maxComms := st.maxComms
 
@@ -492,7 +487,6 @@ func (net *Network) passMerge(w, lo, hi int) {
 					size := int64(net.MessageSize(m))
 					st.messages += int64(pulls)
 					st.bits += size * int64(pulls)
-					sent[d] += int64(pulls)
 					ok = true
 				}
 			}

@@ -31,9 +31,6 @@ type RoundDelta struct {
 	// MaxComms is the round's Δ: the most communications any single live node
 	// participated in.
 	MaxComms int
-	// Sent holds per-node sent-message deltas (may be nil). The slice is read
-	// synchronously during the merge; executors may reuse it across rounds.
-	Sent []int64
 }
 
 // RoundExecutor executes one synchronous round on behalf of a Network.
@@ -84,9 +81,6 @@ func (net *Network) runExternal(
 	net.metrics.Bits += d.Bits
 	if d.MaxComms > net.metrics.MaxCommsPerRound {
 		net.metrics.MaxCommsPerRound = d.MaxComms
-	}
-	for i, s := range d.Sent {
-		net.metrics.MessagesSent[i] += s
 	}
 	return RoundReport{
 		Round:    net.round,

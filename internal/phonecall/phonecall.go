@@ -165,21 +165,10 @@ type Metrics struct {
 	// participants are charged: a call to a failed node is dropped and does
 	// not count as a communication of the dead target.
 	MaxCommsPerRound int
-	// MessagesSent holds, per node index, the number of messages that node sent
-	// (push payloads plus pull responses plus pull requests).
-	MessagesSent []int64
 }
 
 // TotalMessages returns payload plus control messages.
 func (m Metrics) TotalMessages() int64 { return m.Messages + m.ControlMessages }
-
-// MessagesPerNode returns the average number of messages sent per node.
-func (m Metrics) MessagesPerNode() float64 {
-	if len(m.MessagesSent) == 0 {
-		return 0
-	}
-	return float64(m.TotalMessages()) / float64(len(m.MessagesSent))
-}
 
 // RoundReport summarizes a single round.
 type RoundReport struct {
@@ -305,7 +294,6 @@ func New(cfg Config) (*Network, error) {
 		counterBits: logN + 1,
 		tagBits:     8,
 	}
-	net.metrics.MessagesSent = make([]int64, cfg.N)
 
 	idSource := rng.New(rng.Mix(cfg.Seed, 0x1d5))
 	for i := 0; i < cfg.N; i++ {
@@ -426,19 +414,10 @@ func (net *Network) OnRoundStart(hook func(round int)) { net.roundHook = hook }
 // Round returns the number of rounds executed so far.
 func (net *Network) Round() int { return net.round }
 
-// Metrics returns a copy of the accumulated metrics.
+// Metrics returns the accumulated metrics.
 func (net *Network) Metrics() Metrics {
-	m := net.Totals()
-	m.MessagesSent = append([]int64(nil), net.metrics.MessagesSent...)
-	return m
-}
-
-// Totals returns the accumulated metrics without the per-node MessagesSent
-// counters, which Metrics copies: for callers that read totals only.
-func (net *Network) Totals() Metrics {
 	m := net.metrics
 	m.Rounds = net.round
-	m.MessagesSent = nil
 	return m
 }
 

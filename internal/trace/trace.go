@@ -191,7 +191,7 @@ type Recorder struct {
 // NewRecorder returns a Recorder positioned at the network's current metrics.
 func NewRecorder(net *phonecall.Network) *Recorder {
 	r := &Recorder{net: net}
-	m := net.Totals()
+	m := net.Metrics()
 	r.lastRound = m.Rounds
 	r.lastMessages = m.TotalMessages()
 	r.lastBits = m.Bits
@@ -200,7 +200,7 @@ func NewRecorder(net *phonecall.Network) *Recorder {
 
 // Mark closes the current phase under the given name.
 func (r *Recorder) Mark(name string) {
-	m := r.net.Totals()
+	m := r.net.Metrics()
 	r.phases = append(r.phases, Phase{
 		Name:     name,
 		Rounds:   m.Rounds - r.lastRound,
@@ -218,7 +218,7 @@ func (r *Recorder) Phases() []Phase { return append([]Phase(nil), r.phases...) }
 // Summarize assembles a Result from the network's metrics and the outcome
 // counters supplied by the algorithm driver.
 func Summarize(algorithm string, net *phonecall.Network, informed int, phases []Phase) Result {
-	m := net.Totals()
+	m := net.Metrics()
 	return Result{
 		Algorithm:        algorithm,
 		N:                net.N(),
