@@ -198,13 +198,12 @@ func NewFreeRun(cfg FreeRunConfig) (*FreeRun, error) {
 	if err := scenario.ValidateEvents(cfg.N, cfg.Stream != nil, cfg.Events); err != nil {
 		return nil, fmt.Errorf("live: %w", err)
 	}
-	if _, ok := cfg.PeerSelector.(scenario.TopologyView); !ok {
-		for _, ev := range cfg.Events {
-			switch ev.(type) {
-			case scenario.ZoneOutage, scenario.ZoneHeal, scenario.Partition, scenario.HealPartition:
-				return nil, fmt.Errorf("live: %w: %s needs a topology-carrying peer selector", scenario.ErrSpec, ev.Describe())
-			}
-		}
+	zones := 0
+	if tv, ok := cfg.PeerSelector.(scenario.TopologyView); ok {
+		zones = tv.Zones()
+	}
+	if err := scenario.ValidateZones(zones, cfg.Events); err != nil {
+		return nil, fmt.Errorf("live: %w", err)
 	}
 	stream := cfg.Stream
 	if stream != nil {

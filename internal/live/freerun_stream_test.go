@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/policy"
 	"repro/internal/rumorset"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
@@ -278,6 +279,31 @@ func TestFreeRunRejectsInvalidEvents(t *testing.T) {
 	} {
 		_, err := NewFreeRun(FreeRunConfig{N: 8, Rounds: 10, Events: events})
 		if !errors.Is(err, scenario.ErrSpec) {
+			t.Errorf("%s: got %v, want an ErrSpec-typed error", name, err)
+		}
+	}
+}
+
+// TestFreeRunRejectsZonesOutsideTopology: zone events are checked against
+// the peer selector's topology at construction, so an outage of a zone the
+// topology lacks is an ErrSpec-typed error, not an event the run silently
+// ignores.
+func TestFreeRunRejectsZonesOutsideTopology(t *testing.T) {
+	const n = 30
+	topo, err := policy.ZoneTable(n, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := policy.Compile(n, 1, topo, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, cfg := range map[string]FreeRunConfig{
+		"zone past the topology":     {PeerSelector: sel, Events: []scenario.Event{scenario.ZoneOutage{At: 3, Zone: 3}}},
+		"partition without topology": {Events: []scenario.Event{scenario.Partition{At: 3}}},
+	} {
+		cfg.N, cfg.Rounds = n, 10
+		if _, err := NewFreeRun(cfg); !errors.Is(err, scenario.ErrSpec) {
 			t.Errorf("%s: got %v, want an ErrSpec-typed error", name, err)
 		}
 	}

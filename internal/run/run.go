@@ -308,9 +308,9 @@ func (s Spec) Validate() error {
 	return s.validateEngine()
 }
 
-// validatePolicy checks the topology/policy pair and the zone-event
-// prerequisites at the boundary, so misconfigurations surface as
-// ErrInvalidConfig here instead of ErrSpec deep inside an engine.
+// validatePolicy checks the topology/policy pair and the zone events
+// (scenario.ValidateZones) at the boundary, so misconfigurations surface as
+// ErrInvalidConfig here instead of deep inside an engine.
 func (s Spec) validatePolicy() error {
 	if s.Policy != nil {
 		if s.Topology == nil {
@@ -324,30 +324,12 @@ func (s Spec) validatePolicy() error {
 	if s.Topology != nil && s.Topology.Len() != s.N {
 		return invalidf("Topology describes %d nodes for N=%d", s.Topology.Len(), s.N)
 	}
-	checkZone := func(ev scenario.Event, zone int) error {
-		if s.Topology == nil {
-			return invalidf("%s needs a Topology", ev.Describe())
-		}
-		if zone < 0 || zone >= s.Topology.Zones() {
-			return invalidf("%s outside the topology's %d zones", ev.Describe(), s.Topology.Zones())
-		}
-		return nil
+	zones := 0
+	if s.Topology != nil {
+		zones = s.Topology.Zones()
 	}
-	for _, ev := range s.Events {
-		var err error
-		switch e := ev.(type) {
-		case scenario.ZoneOutage:
-			err = checkZone(e, e.Zone)
-		case scenario.ZoneHeal:
-			err = checkZone(e, e.Zone)
-		case scenario.Partition, scenario.HealPartition:
-			if s.Topology == nil {
-				err = invalidf("%s needs a Topology", ev.Describe())
-			}
-		}
-		if err != nil {
-			return err
-		}
+	if err := scenario.ValidateZones(zones, s.Events); err != nil {
+		return fmt.Errorf("%w: %w", ErrInvalidConfig, err)
 	}
 	return nil
 }

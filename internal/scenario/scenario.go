@@ -264,9 +264,9 @@ func distinctRumors(events []Event) int {
 }
 
 // ValidateEvents bounds-checks a timeline against an n-node network: node
-// indexes, loss rates, rumor IDs, and adversary specs. It is the single
-// validation authority shared by the scenario driver, the run layer, and the
-// live engines, so every engine rejects an invalid event identically —
+// indexes, loss rates, rumor IDs, and adversary specs. With ValidateZones it
+// is the single validation authority shared by the scenario driver, the run
+// layer, and the live engines, so every engine rejects an invalid event identically —
 // up-front, with an ErrSpec-typed error — instead of one engine erroring and
 // another silently ignoring the event. wide lifts the bitmask rumor-ID bound
 // (the rumor-set path accepts the full uint32 space) but rejects CorruptAt:
@@ -312,6 +312,34 @@ func ValidateEvents(n int, wide bool, events []Event) error {
 			if err := e.Adversary.Validate(n); err != nil {
 				return fmt.Errorf("corrupt at round %d: %w", e.At, err)
 			}
+		}
+	}
+	return nil
+}
+
+// ValidateZones checks the zone and partition events against the installed
+// topology's zone count; zones = 0 means no topology. It is ValidateEvents'
+// second half, run by every engine once its peer selector is known (a JSON
+// spec is validated before any topology is), so an outage of a zone the
+// topology lacks is an ErrSpec-typed error before round 1, never an event
+// silently dropped or failing when it fires.
+func ValidateZones(zones int, events []Event) error {
+	for _, ev := range events {
+		zone := 0 // partition events name no zone; 0 exists in any topology
+		switch e := ev.(type) {
+		case ZoneOutage:
+			zone = e.Zone
+		case ZoneHeal:
+			zone = e.Zone
+		case Partition, HealPartition:
+		default:
+			continue
+		}
+		if zones == 0 {
+			return fmt.Errorf("%w: %s needs a topology", ErrSpec, ev.Describe())
+		}
+		if zone < 0 || zone >= zones {
+			return fmt.Errorf("%w: %s outside the topology's %d zones", ErrSpec, ev.Describe(), zones)
 		}
 	}
 	return nil
@@ -456,7 +484,15 @@ func Run(ctx context.Context, sc Scenario, cfg Config) (res Result, err error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("scenario: %w", err)
 	}
-	if _, err := policy.Install(net, cfg.Topology, cfg.Policy); err != nil {
+	sel, err := policy.Install(net, cfg.Topology, cfg.Policy)
+	if err != nil {
+		return Result{}, fmt.Errorf("scenario: %w", err)
+	}
+	zones := 0
+	if sel != nil {
+		zones = sel.Zones()
+	}
+	if err := ValidateZones(zones, sc.Events); err != nil {
 		return Result{}, fmt.Errorf("scenario: %w", err)
 	}
 	// The one place a holdings representation is chosen, from what the

@@ -196,6 +196,39 @@ func TestApplyOnEveryLedger(t *testing.T) {
 	}
 }
 
+// TestRunRejectsZonesOutsideTopology: the driver checks zone events
+// against the installed topology up front, so an outage of a zone the
+// topology lacks, or a partition without a topology, is an ErrSpec-typed
+// error before round 1 rather than a failure when the event fires.
+func TestRunRejectsZonesOutsideTopology(t *testing.T) {
+	const n = 30
+	topo, err := policy.ZoneTable(n, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inject := InjectRumor{At: 1, Node: 0, Rumor: 0}
+	for _, tc := range []struct {
+		name string
+		ev   Event
+		topo *policy.Table
+	}{
+		{"zone past the topology", ZoneOutage{At: 3, Zone: 3}, topo},
+		{"heal past the topology", ZoneHeal{At: 3, Zone: 7}, topo},
+		{"partition without topology", Partition{At: 3}, nil},
+	} {
+		ran := false
+		obs := &cancelAfter{at: 1, cancel: func() { ran = true }}
+		sc := Scenario{N: n, Rounds: 10, Events: []Event{inject, tc.ev}}
+		_, err := Run(context.Background(), sc, Config{Seed: 1, Topology: tc.topo, Observer: obs})
+		if !errors.Is(err, ErrSpec) {
+			t.Errorf("%s: got %v, want an ErrSpec-typed error", tc.name, err)
+		}
+		if ran {
+			t.Errorf("%s: round 1 ran before the error", tc.name)
+		}
+	}
+}
+
 // TestWideBeyondBitmask runs a workload the bitmask path cannot express —
 // rumor IDs far past 64, more distinct rumors than 64 — to convergence with
 // GC active, checking the fate ledger and the expiry counters.
