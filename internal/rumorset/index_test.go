@@ -301,13 +301,13 @@ func TestIndexDifferential(t *testing.T) {
 						m.revive(node)
 					case k < 97:
 						want := m.converged()
-						if got := s.ExpireConverged(); got != len(want) {
-							t.Fatalf("ExpireConverged freed %d, model %d", got, len(want))
+						got := s.ScanConverged(nil, func(node int) bool { return !m.failed[node] })
+						slices.Sort(want)
+						slices.Sort(got)
+						if !slices.Equal(got, want) {
+							t.Fatalf("ScanConverged found %v, model %v", got, want)
 						}
-						for _, id := range want {
-							delete(m.held, id)
-							stale = append(stale, id)
-						}
+						expire(true, got...)
 					case rng.Intn(window+1) < 8:
 						// A rare burst of retirements (about one per batch in the
 						// large windows, which otherwise run full): empties most

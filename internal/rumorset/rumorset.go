@@ -13,10 +13,9 @@
 //
 // Concurrency contract. The table (which rumors are in flight, in which slot,
 // which nodes are down) is guarded by one RWMutex. Everything that changes
-// its shape — Register, Inject, Expire, Retire, ExpireConverged, Fail,
-// Revive — takes the write lock and is coordinator/monitor-only; the ordered
-// index of the in-flight rumors (index.go) is maintained there and nowhere
-// else. Everything a node does to its own holdings is a kernel of the read
+// its shape — Register, Inject, Expire, Retire, Fail, Revive — takes the
+// write lock and is coordinator/monitor-only; the ordered index of the
+// in-flight rumors (index.go) is maintained there and nowhere else. Everything a node does to its own holdings is a kernel of the read
 // view (view.go), written once as a lock-free body: MarkIDs, MergeSummary,
 // Digest, HeldCount, SnapshotRow, MergeRow. A caller either holds a View
 // across many kernel calls — the simulator's coordinator takes one per round
@@ -62,7 +61,6 @@ type Set struct {
 	ix     index  // the in-flight rumors: sorted IDs, slot↔rank, ID→slot
 	freeSl []int  // free slot stack
 	failed []bool // per node; written under mu, read by Mark under RLock
-	liveN  int    // nodes not currently failed
 
 	// held is the flat holdings arena: node i's row is
 	// held[i*words : (i+1)*words], bit s of the row = slot s. Bits are set
@@ -129,7 +127,6 @@ func New(n, maxInFlight int) (*Set, error) {
 		ix:          newIndex(maxInFlight),
 		freeSl:      make([]int, 0, maxInFlight),
 		failed:      make([]bool, n),
-		liveN:       n,
 		held:        make([]uint64, n*words),
 		live:        make([]atomic.Int64, ((n-1)>>shift+1)*stride),
 		stripeShift: shift,
@@ -354,26 +351,6 @@ func (s *Set) expire(ids []ID, wasConverged bool) {
 	s.finishExpiry(queued, wasConverged)
 }
 
-// ExpireConverged scans the in-flight set and expires every rumor held by all
-// live nodes (per the live counters), returning how many it reclaimed. This
-// is the GC step for the coordinator-driven engines, run between rounds.
-func (s *Set) ExpireConverged() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.liveN == 0 {
-		return 0
-	}
-	freed := 0
-	for _, sl := range s.ix.slotAt {
-		if s.liveSum(int(sl)) >= s.liveN {
-			s.queueExpiry(int(sl))
-			freed++
-		}
-	}
-	s.finishExpiry(freed, true)
-	return freed
-}
-
 // queueExpiry frees an active slot and queues its bit column for the clearing
 // pass of finishExpiry, which the caller runs before releasing the write
 // lock.
@@ -489,7 +466,6 @@ func (s *Set) Fail(nodes ...int) {
 			continue
 		}
 		s.failed[node] = true
-		s.liveN--
 		live := s.liveRow(node)
 		for w, word := range s.row(node) {
 			for ; word != 0; word &= word - 1 {
@@ -510,15 +486,7 @@ func (s *Set) Revive(nodes ...int) {
 			continue
 		}
 		s.failed[node] = false
-		s.liveN++
 		clear(s.row(node))
 	}
 	s.mu.Unlock()
-}
-
-// LiveNodes returns the number of nodes not currently failed.
-func (s *Set) LiveNodes() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.liveN
 }

@@ -56,8 +56,17 @@ func TestSetWindowBackpressure(t *testing.T) {
 	}
 }
 
+// retireConverged is the engines' GC step, ScanConverged then Retire, with
+// liveness read from the set's own failure marks. It returns how many rumors
+// it retired.
+func retireConverged(s *Set) int {
+	ids := s.ScanConverged(nil, func(node int) bool { return !s.failed[node] })
+	s.Retire(ids...)
+	return len(ids)
+}
+
 // TestSetMarkAndConvergence drives one rumor to convergence through Mark and
-// checks LiveInformed, ExpireConverged GC, and the counters.
+// checks LiveInformed, the ScanConverged + Retire GC, and the counters.
 func TestSetMarkAndConvergence(t *testing.T) {
 	s := newSet(t, 5, 8)
 	if err := s.Inject(2, 1000); err != nil {
@@ -73,7 +82,7 @@ func TestSetMarkAndConvergence(t *testing.T) {
 	if got := s.LiveInformed(1000); got != 5 {
 		t.Fatalf("live-informed = %d, want 5", got)
 	}
-	if freed := s.ExpireConverged(); freed != 1 {
+	if freed := retireConverged(s); freed != 1 {
 		t.Fatalf("GC freed %d rumors, want 1", freed)
 	}
 	st := s.Snapshot()
@@ -99,7 +108,7 @@ func TestSetStaleIDAfterSlotReuse(t *testing.T) {
 	}
 	s.Mark(1, 7)
 	s.Mark(2, 7)
-	if s.ExpireConverged() != 1 {
+	if retireConverged(s) != 1 {
 		t.Fatal("rumor 7 should have converged")
 	}
 	if err := s.Inject(0, 8); err != nil {
@@ -122,7 +131,7 @@ func TestSetReinjectionOfConvergedID(t *testing.T) {
 	}
 	s.Mark(1, 42)
 	s.Mark(2, 42)
-	if s.ExpireConverged() != 1 {
+	if retireConverged(s) != 1 {
 		t.Fatal("first epoch should converge")
 	}
 	if err := s.Inject(1, 42); err != nil {
@@ -167,11 +176,11 @@ func TestSetChurn(t *testing.T) {
 	if s.Has(1, 5) {
 		t.Fatal("revived node kept its holdings")
 	}
-	if got := s.LiveNodes(); got != 4 {
-		t.Fatalf("live nodes = %d, want 4", got)
+	if s.failed[1] {
+		t.Fatal("revived node still failed")
 	}
 	// Convergence now requires all four nodes again (node 1 forgot).
-	if s.ExpireConverged() != 0 {
+	if retireConverged(s) != 0 {
 		t.Fatal("converged with an uninformed node")
 	}
 	s.Fail(-1)

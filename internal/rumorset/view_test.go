@@ -253,7 +253,7 @@ func TestMergeRowConcurrentShards(t *testing.T) {
 		})
 		v.Release()
 		recountLive(t, s)
-		s.ExpireConverged()
+		retireConverged(s)
 	}
 	if st := s.Snapshot(); st.Converged != stream {
 		t.Fatalf("%d of %d rumors converged: %+v", st.Converged, stream, st)
