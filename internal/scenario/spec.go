@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 
 	"repro/internal/failure"
 	"repro/internal/phonecall"
@@ -90,15 +89,6 @@ type GeneratorSpec struct {
 	Behavior string  `json:"behavior,omitempty"` // infiltrate
 	Rate     float64 `json:"rate,omitempty"`     // infiltrate (spammer)
 	Seed     uint64  `json:"seed,omitempty"`
-}
-
-// LoadSpec reads and parses a JSON spec file.
-func LoadSpec(path string) (Spec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Spec{}, fmt.Errorf("scenario: %w", err)
-	}
-	return ParseSpec(data)
 }
 
 // ParseSpec parses a JSON spec. Unknown fields are rejected so that typos in

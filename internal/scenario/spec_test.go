@@ -3,8 +3,6 @@ package scenario
 import (
 	"context"
 	"errors"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -35,7 +33,7 @@ func TestSpecBuildAndRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.N != 2000 || sc.Rounds != 30 || sc.Algorithm != AlgoPushPull || cfg.Seed != 1 {
+	if spec.Name != "crash wave under loss" || sc.N != 2000 || sc.Rounds != 30 || sc.Algorithm != AlgoPushPull || cfg.Seed != 1 {
 		t.Fatalf("spec fields lost: %+v %+v", sc, cfg)
 	}
 	// 4 explicit events + 3 crash + 3 join from the generator.
@@ -56,23 +54,6 @@ func TestSpecBuildAndRun(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res, again) {
 		t.Fatal("same spec, same seed, different result")
-	}
-}
-
-func TestLoadSpec(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "spec.json")
-	if err := os.WriteFile(path, []byte(exampleSpec), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	spec, err := LoadSpec(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.Name != "crash wave under loss" {
-		t.Fatalf("Name = %q", spec.Name)
-	}
-	if _, err := LoadSpec(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Fatal("missing file should error")
 	}
 }
 
