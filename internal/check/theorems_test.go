@@ -25,13 +25,21 @@ const replications = 8
 // runSample measures one execution, requiring full dissemination.
 func runSample(t *testing.T, algo string, n int, measure func(res trace.Result) float64) check.Sample {
 	t.Helper()
+	return specSample(t, run.Spec{N: n, Algorithm: algo}, measure)
+}
+
+// specSample is runSample for a spec that sets more than the algorithm and
+// n; the sample fills in the seed and runs on one worker.
+func specSample(t *testing.T, spec run.Spec, measure func(res trace.Result) float64) check.Sample {
+	t.Helper()
 	return func(seed uint64) (float64, error) {
-		res, err := run.Execute(context.Background(), run.Spec{N: n, Algorithm: algo, Seed: seed, Workers: 1})
+		spec.Seed, spec.Workers = seed, 1
+		res, err := run.Execute(context.Background(), spec)
 		if err != nil {
 			return 0, err
 		}
 		if !res.AllInformed {
-			t.Errorf("%s n=%d seed=%d informed only %d/%d", algo, n, seed, res.Informed, res.Live)
+			t.Errorf("%s n=%d seed=%d informed only %d/%d", spec.Algorithm, spec.N, seed, res.Informed, res.Live)
 		}
 		return measure(res), nil
 	}
@@ -301,6 +309,42 @@ func TestRoundLowerBound(t *testing.T) {
 			}
 			t.Log(r)
 			r.AssertMinAbove(t, lowerbound.TheoreticalMinRounds(n))
+		}
+	}
+}
+
+// TestBitsLinearInPayload: E3 — Theorem 2's O(n·b) total bits. For
+// Cluster2, bits/(n·b) must not increase as the payload b grows over {256,
+// 1024, 4096} at n ∈ {10³, 10⁴}, and at b = 4096 every replication stays
+// under a constant (observed max 1.12). PUSH-PULL pays Θ(n·b·log n): at
+// b = 4096 its smallest ratio must be at least 20× Cluster2's largest
+// (observed ≥ 33×).
+func TestBitsLinearInPayload(t *testing.T) {
+	bitsPerB := func(res trace.Result) float64 { return float64(res.Bits) / float64(res.N*res.PayloadBits) }
+	replicate := func(algo string, n, b int) check.Replication {
+		r, err := check.Replicate(fmt.Sprintf("%s bits/(n·b) at n=%d b=%d", algo, n, b), check.Seeds(replications),
+			specSample(t, run.Spec{N: n, Algorithm: algo, PayloadBits: b}, bitsPerB))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Log(r)
+		return r
+	}
+	for _, n := range []int{1000, 10000} {
+		var c2 check.Replication
+		for k, b := range []int{256, 1024, 4096} {
+			r := replicate(run.AlgoCluster2, n, b)
+			if k > 0 && r.Summary.Mean > c2.Summary.Mean {
+				t.Errorf("cluster2 n=%d: bits/(n·b) rose from %.2f to %.2f as b grew to %d",
+					n, c2.Summary.Mean, r.Summary.Mean, b)
+			}
+			c2 = r
+		}
+		c2.AssertMaxBelow(t, 1.7)
+		pp := replicate(run.AlgoPushPull, n, 4096)
+		if pp.Summary.Min < 20*c2.Summary.Max {
+			t.Errorf("n=%d b=4096: push-pull bits/(n·b) %.2f is under 20x cluster2's %.2f",
+				n, pp.Summary.Min, c2.Summary.Max)
 		}
 	}
 }
