@@ -266,12 +266,12 @@ func distinctRumors(events []Event) int {
 // ValidateEvents bounds-checks a timeline against an n-node network: node
 // indexes, loss rates, rumor IDs, and adversary specs. With ValidateZones it
 // is the single validation authority shared by the scenario driver, the run
-// layer, and the live engines, so every engine rejects an invalid event identically —
-// up-front, with an ErrSpec-typed error — instead of one engine erroring and
-// another silently ignoring the event. wide lifts the bitmask rumor-ID bound
-// (the rumor-set path accepts the full uint32 space) but rejects CorruptAt:
-// the byzantine behaviors rewrite uint64 holdings masks and have no wide
-// equivalent.
+// layer, and the live engines, so every engine rejects an invalid event
+// identically — up-front, with an ErrSpec-typed error — instead of one engine
+// erroring and another silently ignoring the event. wide lifts the bitmask
+// rumor-ID bound (the rumor-set path accepts the full uint32 space) but
+// rejects CorruptAt: the byzantine behaviors rewrite uint64 holdings masks
+// and have no wide equivalent.
 func ValidateEvents(n int, wide bool, events []Event) error {
 	for _, ev := range events {
 		switch e := ev.(type) {
@@ -293,14 +293,6 @@ func ValidateEvents(n int, wide bool, events []Event) error {
 			}
 			if !wide && e.Rumor >= phonecall.MaxRumors {
 				return fmt.Errorf("%w: rumor id %d outside the bitmask range [0,%d) (wide rumor-set runs lift the cap)", ErrSpec, e.Rumor, phonecall.MaxRumors)
-			}
-		case ZoneOutage:
-			if e.Zone < 0 {
-				return fmt.Errorf("%w: zone outage at round %d: negative zone %d", ErrSpec, e.At, e.Zone)
-			}
-		case ZoneHeal:
-			if e.Zone < 0 {
-				return fmt.Errorf("%w: zone heal at round %d: negative zone %d", ErrSpec, e.At, e.Zone)
 			}
 		case CorruptAt:
 			if wide {

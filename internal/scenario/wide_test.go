@@ -214,6 +214,7 @@ func TestRunRejectsZonesOutsideTopology(t *testing.T) {
 	}{
 		{"zone past the topology", ZoneOutage{At: 3, Zone: 3}, topo},
 		{"heal past the topology", ZoneHeal{At: 3, Zone: 7}, topo},
+		{"negative zone", ZoneOutage{At: 3, Zone: -1}, topo},
 		{"partition without topology", Partition{At: 3}, nil},
 	} {
 		ran := false
