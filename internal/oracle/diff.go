@@ -12,8 +12,9 @@ import (
 // The differential harness: run the same scripted, randomized workload
 // through the optimized engine and the reference Oracle and demand that
 // every observable — per-round reports, response evaluations, the exact
-// per-node delivery traces, and the final metrics — is bit-identical. The script is a pure function of
-// its seeds, so any reported divergence replays deterministically.
+// per-node delivery traces, and the final metrics — is bit-identical. The
+// script is a pure function of its seeds, so any reported divergence replays
+// deterministically.
 
 // Engine is the execution surface shared by phonecall.Network and Oracle —
 // the contract the differential harness drives both sides through.

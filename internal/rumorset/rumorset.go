@@ -15,8 +15,9 @@
 // which nodes are down) is guarded by one RWMutex. Everything that changes
 // its shape — Register, Inject, Expire, Retire, Fail, Revive — takes the
 // write lock and is coordinator/monitor-only; the ordered index of the
-// in-flight rumors (index.go) is maintained there and nowhere else. Everything a node does to its own holdings is a kernel of the read
-// view (view.go), written once as a lock-free body: MarkIDs, MergeSummary,
+// in-flight rumors (index.go) is maintained there and nowhere else.
+// Everything a node does to its own holdings is a kernel of the read view
+// (view.go), written once as a lock-free body: MarkIDs, MergeSummary,
 // Digest, HeldCount, SnapshotRow, MergeRow. A caller either holds a View
 // across many kernel calls — the simulator's coordinator takes one per round
 // and its engine shards run the kernels under it; a free-running node takes
