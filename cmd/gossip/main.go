@@ -16,6 +16,13 @@
 //	gossip -engine lockstep -algo cluster2 -n 1000
 //	gossip -engine free -spec examples/byzantine/spec.json
 //	gossip -engine free -n 64 -rumors 4096 -rate 64 -inflight 1024 -drop 0.02
+//
+// Two leading words select the sweeps instead of one workload: tables
+// regenerates the reproduction tables E1–E12 of EXPERIMENTS.md (DESIGN.md
+// §4), bounds the lower bounds of Theorem 3 and Lemma 16.
+//
+//	gossip tables -experiment E1,E2 -sizes 1000,10000 -seeds 5
+//	gossip bounds -sizes 1000,1000000 -delta 256
 package main
 
 import (
@@ -28,6 +35,8 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
+	"runtime"
+	"strconv"
 	"strings"
 	"time"
 
@@ -42,6 +51,14 @@ func main() {
 }
 
 func run(args []string, w io.Writer) error {
+	if len(args) > 0 {
+		switch args[0] {
+		case "tables":
+			return runTables(args[1:], w)
+		case "bounds":
+			return runBounds(args[1:], w)
+		}
+	}
 	inv, err := parse(args)
 	if err != nil {
 		return err
@@ -63,6 +80,110 @@ func run(args []string, w io.Writer) error {
 		defer time.Sleep(inv.metricsLinger) // final-state scrapes
 	}
 	return inv.execute(w)
+}
+
+// runTables regenerates the reproduction tables E1–E12 recorded in
+// EXPERIMENTS.md, one per experiment id, each trial through repro.Run.
+func runTables(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("gossip tables", flag.ContinueOnError)
+	experiments := fs.String("experiment", "all", "comma-separated experiment ids (E1..E10, E12) or 'all'")
+	payload := fs.Int("b", 256, "rumor size in bits")
+	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "simulator engine shards per round (results are identical for any value)")
+	sizes, seeds, err := parseSweep(fs, args, "1000,10000,100000")
+	if err != nil {
+		return err
+	}
+	ids := repro.ExperimentIDs()
+	if *experiments != "all" {
+		ids = strings.Split(*experiments, ",")
+	}
+	for _, id := range ids {
+		table, err := repro.Experiment(strings.TrimSpace(id), sizes, seeds,
+			repro.WithPayloadBits(*payload), repro.WithWorkers(*workers))
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w, table.Render())
+	}
+	return nil
+}
+
+// runBounds prints the paper's round-complexity lower bounds: the
+// knowledge-graph feasibility bound of Theorem 3, averaged over the seeds,
+// and with -delta the log n / log Δ bound of Lemma 16.
+func runBounds(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("gossip bounds", flag.ContinueOnError)
+	delta := fs.Int("delta", 0, "if set, also print the Lemma 16 bound for this Δ")
+	trace := fs.Bool("trace", false, "print the per-T feasibility trace for the first seed")
+	sizes, seeds, err := parseSweep(fs, args, "1000,10000,100000,1000000")
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "%-10s %-18s %-22s\n", "n", "0.99*log2 log2 n", "knowledge-graph min T")
+	for _, n := range sizes {
+		sum := 0.0
+		var firstTrace []repro.Feasibility
+		for _, seed := range seeds {
+			minT, tr := repro.LowerBoundTrace(n, seed)
+			sum += float64(minT)
+			if seed == 1 {
+				firstTrace = tr
+			}
+		}
+		fmt.Fprintf(w, "%-10d %-18.2f %-22.1f\n", n, repro.TheoreticalLowerBound(n), sum/float64(len(seeds)))
+		if *trace {
+			for _, f := range firstTrace {
+				fmt.Fprintf(w, "    T=%d ecc=%d reach=%d possible=%v\n", f.T, f.Eccentricity, f.Reach, f.Possible)
+			}
+		}
+		if *delta > 1 {
+			fmt.Fprintf(w, "    Lemma 16 with Δ=%d: %.2f rounds\n", *delta, repro.DeltaLowerBound(n, *delta))
+		}
+	}
+	return nil
+}
+
+// parseSweep registers -sizes and -seeds, the sweep both tables and bounds
+// run over, parses args and validates them: at least one size, and -seeds
+// at least 1, which selects the seeds 1..seeds.
+func parseSweep(fs *flag.FlagSet, args []string, defaultSizes string) (sizes []int, seeds []uint64, err error) {
+	sizeFlag := fs.String("sizes", defaultSizes, "comma-separated network sizes")
+	seedFlag := fs.Int("seeds", 3, "number of seeds per size")
+	if err := parseFlags(fs, args); err != nil {
+		return nil, nil, err
+	}
+	if *seedFlag < 1 {
+		return nil, nil, fmt.Errorf("-seeds must be at least 1, got %d", *seedFlag)
+	}
+	for _, part := range strings.Split(*sizeFlag, ",") {
+		if part = strings.TrimSpace(part); part == "" {
+			continue
+		}
+		v, err := strconv.Atoi(part)
+		if err != nil {
+			return nil, nil, fmt.Errorf("parse size %q: %w", part, err)
+		}
+		sizes = append(sizes, v)
+	}
+	if len(sizes) == 0 {
+		return nil, nil, fmt.Errorf("no sizes given")
+	}
+	for s := 1; s <= *seedFlag; s++ {
+		seeds = append(seeds, uint64(s))
+	}
+	return sizes, seeds, nil
+}
+
+// parseFlags parses args into fs and rejects a positional argument, where
+// flag parsing stops and which would otherwise go unread.
+func parseFlags(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	return nil
 }
 
 // invocation is one parsed command line: the repro.Run arguments, plus what
@@ -107,7 +228,7 @@ func parse(args []string) (invocation, error) {
 	inflight := fs.Int("inflight", 0, "in-flight rumor window: the -rumors stream's (0 = min(rumors, 1024)), or the simulator's rumor-set ledger for a -spec")
 	metricsAddr := fs.String("metrics-addr", "", "serve Prometheus /metrics and /debug/pprof on this address while the run executes (e.g. 127.0.0.1:9797)")
 	metricsLinger := fs.Duration("metrics-linger", 0, "keep the -metrics-addr endpoint up this long after the run finishes, so scrapers catch the final state")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return invocation{}, err
 	}
 	set := map[string]bool{}
@@ -220,7 +341,7 @@ func render(w io.Writer, rep repro.Report, inv invocation) {
 		fmt.Fprintf(w, "frame drops        %d\n", rep.Drops)
 	}
 	if rep.SendFailures > 0 {
-		fmt.Fprintf(w, "send failures      %d (kernel refused writes on %d node socket(s))\n",
+		fmt.Fprintf(w, "send failures      %d (frames not handed to the OS by %d node socket(s))\n",
 			rep.SendFailures, len(rep.NodeSendFailures))
 	}
 	if rep.Wall > 0 {

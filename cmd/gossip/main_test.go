@@ -306,8 +306,10 @@ func TestRunRejectsBadLiveInput(t *testing.T) {
 }
 
 // TestRunRejectsCommandLine pins the errors the command itself raises: flag
-// syntax, the engine name, and -skew — the one run setting only
-// OnFreeRunning carries, so repro.Run cannot see it on the other engines.
+// syntax, a stray positional argument, the engine name, -skew — the one run
+// setting only OnFreeRunning carries, so repro.Run cannot see it on the other
+// engines — and the -sizes/-seeds sweep of tables and bounds, where a seed
+// count below 1 is an error rather than a silent fall-back to the default.
 func TestRunRejectsCommandLine(t *testing.T) {
 	for _, row := range []struct {
 		args []string
@@ -317,10 +319,46 @@ func TestRunRejectsCommandLine(t *testing.T) {
 		{[]string{"-engine", "bogus"}, "-engine"},
 		{[]string{"-engine", "lockstep", "-n", "200", "-rumors", "100", "-rounds", "3", "-skew", "9"}, "-skew"},
 		{[]string{"-n", "200", "-skew", "2"}, "-skew"},
+		{[]string{"-n", "200", "tables"}, `"tables"`},
+		{[]string{"tables", "E1"}, `"E1"`},
+		{[]string{"tables", "-experiment", "E4", "-sizes", "500", "-seeds", "0"}, "-seeds"},
+		{[]string{"tables", "-experiment", "E4", "-sizes", "500,x"}, "parse size"},
+		{[]string{"bounds", "-sizes", "100", "x"}, `"x"`},
+		{[]string{"bounds", "-sizes", "100", "-seeds", "-2"}, "-seeds"},
+		{[]string{"bounds", "-sizes", "12,notanumber"}, "parse size"},
+		{[]string{"bounds", "-sizes", ","}, "no sizes"},
+		{[]string{"bounds", "-bogus"}, "bogus"},
 	} {
 		if _, err := runOut(t, row.args...); err == nil || !strings.Contains(err.Error(), row.want) {
 			t.Errorf("run %v = %v, want an error naming %s", row.args, err, row.want)
 		}
+	}
+}
+
+// TestTablesSmoke regenerates one experiment table on a tiny sweep and
+// asserts the rendered markers.
+func TestTablesSmoke(t *testing.T) {
+	mustRun(t, []string{"E1", "round complexity", "cluster2", "log2 n"},
+		"tables", "-experiment", "E1", "-sizes", "500", "-seeds", "1")
+}
+
+// TestBoundsSmoke runs the lower-bound exploration at two small sizes and
+// asserts the table header, the per-size rows and the optional Lemma 16 and
+// trace outputs.
+func TestBoundsSmoke(t *testing.T) {
+	mustRun(t, []string{"knowledge-graph min T", "100", "1000", "Lemma 16 with Δ=16", "T="},
+		"bounds", "-sizes", "100,1000", "-seeds", "2", "-delta", "16", "-trace")
+}
+
+// TestBoundsDefaultsOmitExtras checks that -delta and -trace output stay off
+// by default.
+func TestBoundsDefaultsOmitExtras(t *testing.T) {
+	out := mustRun(t, nil, "bounds", "-sizes", "100", "-seeds", "1")
+	if strings.Contains(out, "Lemma 16") {
+		t.Errorf("Lemma 16 printed without -delta:\n%s", out)
+	}
+	if strings.Contains(out, "T=") {
+		t.Errorf("feasibility trace printed without -trace:\n%s", out)
 	}
 }
 

@@ -183,7 +183,7 @@ func run(args []string, out *os.File) error {
 	fmt.Fprintf(out, "discovery          %d routing-table contacts, %d sends dropped on table misses\n",
 		tr.Membership().Table().Len(), tr.Misses())
 	if res.SendFailures > 0 {
-		fmt.Fprintf(out, "send failures      %d kernel-refused writes\n", res.SendFailures)
+		fmt.Fprintf(out, "send failures      %d frames not handed to the OS\n", res.SendFailures)
 	}
 	fmt.Fprintf(out, "wall time          %v\n", res.Wall.Round(time.Millisecond))
 	if runErr != nil {

@@ -79,7 +79,7 @@ func main() {
 	measure(earlyWaveRound, false)
 	fmt.Println("\nA wave during GrowInitialClusters collapses the sparse O(1)-message")
 	fmt.Println("structure the rumor would later travel through — the regime the E8 table")
-	fmt.Println("(`go run ./cmd/benchtab -experiment E8`) sweeps against robust flooding.")
+	fmt.Println("(`go run ./cmd/gossip tables -experiment E8`) sweeps against robust flooding.")
 
 	if violations > 0 {
 		fmt.Printf("\nASSERTION FAILED: %d configuration(s) exceeded uninformed/F = %v\n", violations, oFBound)

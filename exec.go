@@ -453,10 +453,11 @@ type Report struct {
 	IgnoredEvents int
 	Wall          time.Duration
 
-	// SendFailures counts sends the OS refused (free-running UDP transport
-	// only) — loss the transport itself produced, as opposed to injected
-	// frame drops. NodeSendFailures breaks the count down by sending node
-	// and is nil when nothing failed.
+	// SendFailures counts frames the UDP transport could not hand to the OS
+	// (frames over one datagram and writes the OS refused) — loss the
+	// transport itself produced, as opposed to injected frame drops.
+	// NodeSendFailures breaks the count down by sending node and is nil when
+	// nothing failed.
 	SendFailures     int64
 	NodeSendFailures map[int]int64
 

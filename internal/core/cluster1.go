@@ -21,8 +21,7 @@ import (
 //     smallest ID.
 //  4. UnclusteredNodesPull — remaining unclustered nodes PULL until they join.
 //  5. ClusterShare — the rumor is shared within the single cluster.
-func Cluster1(net *phonecall.Network, sources []int, params Params) (trace.Result, error) {
-	p := params.withDefaults()
+func Cluster1(net *phonecall.Network, sources []int) (trace.Result, error) {
 	if err := checkSources(net, sources); err != nil {
 		return trace.Result{}, err
 	}
@@ -32,17 +31,16 @@ func Cluster1(net *phonecall.Network, sources []int, params Params) (trace.Resul
 	}
 	rec := trace.NewRecorder(net)
 
-	growInitialClustersDense(cl, p)
+	growInitialClustersDense(cl)
 	rec.Mark("GrowInitialClusters")
 
-	startSize := p.cluster1StartSize(net.N())
-	squareClusters(cl, p, startSize, squareStopSize(net.N()), pickSmallest)
+	squareClusters(cl, cluster1StartSize(net.N()), squareStopSize(net.N()), pickSmallest)
 	rec.Mark("SquareClusters")
 
-	mergeAllClusters(cl, p)
+	mergeAllClusters(cl)
 	rec.Mark("MergeAllClusters")
 
-	cl.PullJoin(pullJoinRounds(p, net.N()))
+	cl.PullJoin(phaseCap(net.N()))
 	rec.Mark("UnclusteredNodesPull")
 
 	cl.ShareRumor()

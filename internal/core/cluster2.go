@@ -15,8 +15,7 @@ import (
 // clustered nodes, a BoundedClusterPush phase then informs a constant
 // fraction of the network, and only the final PULL phase involves everyone —
 // each node pulling an expected constant number of times.
-func Cluster2(net *phonecall.Network, sources []int, params Params) (trace.Result, error) {
-	p := params.withDefaults()
+func Cluster2(net *phonecall.Network, sources []int) (trace.Result, error) {
 	if err := checkSources(net, sources); err != nil {
 		return trace.Result{}, err
 	}
@@ -26,20 +25,20 @@ func Cluster2(net *phonecall.Network, sources []int, params Params) (trace.Resul
 	}
 	rec := trace.NewRecorder(net)
 
-	targetSize := p.initialClusterSize(net.N())
-	growInitialClustersSparse(cl, p, targetSize)
+	targetSize := initialClusterSize(net.N())
+	growInitialClustersSparse(cl, targetSize)
 	rec.Mark("GrowInitialClusters")
 
-	squareClusters(cl, p, targetSize, squareStopSize(net.N()), pickFirst)
+	squareClusters(cl, targetSize, squareStopSize(net.N()), pickFirst)
 	rec.Mark("SquareClusters")
 
-	mergeAllClusters(cl, p)
+	mergeAllClusters(cl)
 	rec.Mark("MergeAllClusters")
 
-	boundedClusterPush(cl, p)
+	boundedClusterPush(cl)
 	rec.Mark("BoundedClusterPush")
 
-	cl.PullJoin(pullJoinRounds(p, net.N()))
+	cl.PullJoin(phaseCap(net.N()))
 	rec.Mark("UnclusteredNodesPull")
 
 	cl.ShareRumor()

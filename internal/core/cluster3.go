@@ -22,8 +22,7 @@ const MinDelta = 8
 // while no node has to answer more than O(Δ) requests in any round
 // (Theorem 18). The returned clustering can then be used by ClusterPushPull
 // to broadcast with bounded per-node communication.
-func Cluster3(net *phonecall.Network, delta int, params Params) (*cluster.Clustering, trace.Result, error) {
-	p := params.withDefaults()
+func Cluster3(net *phonecall.Network, delta int) (*cluster.Clustering, trace.Result, error) {
 	if delta < MinDelta {
 		return nil, trace.Result{}, fmt.Errorf("core: delta %d below minimum %d", delta, MinDelta)
 	}
@@ -39,11 +38,11 @@ func Cluster3(net *phonecall.Network, delta int, params Params) (*cluster.Cluste
 	}
 
 	// GrowInitialClusters, as in Algorithm 2, but never above Δ.
-	targetSize := p.initialClusterSize(net.N())
+	targetSize := initialClusterSize(net.N())
 	if targetSize > half/2 && half/2 >= 2 {
 		targetSize = half / 2
 	}
-	growInitialClustersSparse(cl, p, targetSize)
+	growInitialClustersSparse(cl, targetSize)
 	rec.Mark("GrowInitialClusters")
 
 	// SquareClusters until sizes reach about √(Δ·ln n), capped at Δ/2.
@@ -54,7 +53,7 @@ func Cluster3(net *phonecall.Network, delta int, params Params) (*cluster.Cluste
 	if stop < targetSize {
 		stop = targetSize
 	}
-	squareClusters(cl, p, targetSize, stop, pickFirst)
+	squareClusters(cl, targetSize, stop, pickFirst)
 	rec.Mark("SquareClusters")
 
 	// MergeClusters: activate a ≈10·s/(Δ/2) fraction of clusters; the rest
@@ -72,10 +71,10 @@ func Cluster3(net *phonecall.Network, delta int, params Params) (*cluster.Cluste
 	// BoundedClusterPush with continuous resizing keeps every cluster (and
 	// hence every leader's per-round fan-in) at Θ(Δ) while recruiting the
 	// unclustered nodes.
-	boundedClusterPushResized(cl, p, half)
+	boundedClusterPushResized(cl, half)
 	rec.Mark("BoundedClusterPush")
 
-	cl.PullJoin(pullJoinRounds(p, net.N()))
+	cl.PullJoin(phaseCap(net.N()))
 	rec.Mark("UnclusteredNodesPull")
 
 	// Final normalization: split oversized clusters and dissolve undersized
@@ -83,7 +82,7 @@ func Cluster3(net *phonecall.Network, delta int, params Params) (*cluster.Cluste
 	// again.
 	if delta/4 >= 2 {
 		cl.Resize(delta/4, half)
-		cl.PullJoin(pullJoinRounds(p, net.N()))
+		cl.PullJoin(phaseCap(net.N()))
 	}
 	cl.Resize(0, half)
 	rec.Mark("FinalResize")
@@ -93,19 +92,18 @@ func Cluster3(net *phonecall.Network, delta int, params Params) (*cluster.Cluste
 
 // boundedClusterPushResized is Procedure BoundedClusterPush of Algorithm 4:
 // the Θ(Δ)-sized clusters recruit by random pushes, and a cluster stops once
-// a push grew it by less than BoundedGrowthFactor. Unlike Cluster2's planned
+// a push grew it by less than boundedGrowthFactor. Unlike Cluster2's planned
 // schedule, the growth is measured — each new recruit reports to its leader
 // once — because a cluster of size Θ(Δ) cannot read the global clustered
 // fraction from its own size. Whenever some cluster outgrew 2·resizeTarget
 // the clusters are resized back to Θ(Δ) and reactivated.
-func boundedClusterPushResized(cl *cluster.Clustering, p Params, resizeTarget int) {
+func boundedClusterPushResized(cl *cluster.Clustering, resizeTarget int) {
 	net := cl.Network()
 	n := net.N()
 	cl.SetActivation(func(int) bool { return true })
 	// Leaders learn their current size once at the start of the phase.
 	cl.MeasureSizes()
-	iterCap := p.phaseCap(n)
-	for iter := 0; iter < iterCap; iter++ {
+	for range phaseCap(n) {
 		if countActiveLeaders(cl) == 0 {
 			break
 		}
@@ -134,7 +132,7 @@ func boundedClusterPushResized(cl *cluster.Clustering, p Params, resizeTarget in
 		// Growth check: clusters that grew by less than the threshold stop.
 		cl.SetActivation(func(leader int) bool {
 			size, prev := cl.Size(leader), cl.PrevSize(leader)
-			return cl.IsActive(leader) && !(prev > 0 && float64(size) < p.BoundedGrowthFactor*float64(prev))
+			return cl.IsActive(leader) && !(prev > 0 && float64(size) < boundedGrowthFactor*float64(prev))
 		})
 	}
 }

@@ -14,12 +14,11 @@ import (
 // O(log n / log Δ) additional rounds using O(n) additional messages, while no
 // node participates in more than O(Δ) communications per round (Lemma 17 and
 // Theorem 4).
-func ClusterPushPull(net *phonecall.Network, sources []int, delta int, params Params) (trace.Result, error) {
-	p := params.withDefaults()
+func ClusterPushPull(net *phonecall.Network, sources []int, delta int) (trace.Result, error) {
 	if err := checkSources(net, sources); err != nil {
 		return trace.Result{}, err
 	}
-	cl, _, err := Cluster3(net, delta, p)
+	cl, _, err := Cluster3(net, delta)
 	if err != nil {
 		return trace.Result{}, err
 	}
@@ -29,7 +28,7 @@ func ClusterPushPull(net *phonecall.Network, sources []int, delta int, params Pa
 	for _, s := range sources {
 		cl.SetRumor(s)
 	}
-	broadcastOnClustering(cl, p, delta)
+	broadcastOnClustering(cl, delta)
 	rec.Mark("ClusterPUSH-PULL")
 
 	result := trace.Summarize("clusterpushpull", net, cl.InformedCount(), append(phases, rec.Phases()...))
@@ -37,7 +36,7 @@ func ClusterPushPull(net *phonecall.Network, sources []int, delta int, params Pa
 }
 
 // broadcastOnClustering is the main loop of Algorithm 3.
-func broadcastOnClustering(cl *cluster.Clustering, p Params, delta int) {
+func broadcastOnClustering(cl *cluster.Clustering, delta int) {
 	net := cl.Network()
 	n := net.N()
 

@@ -31,7 +31,7 @@ func TestCluster1InformsAllNodes(t *testing.T) {
 	for _, n := range []int{500, 1000, 5000} {
 		for seed := uint64(1); seed <= 3; seed++ {
 			net := newNet(t, n, seed)
-			r, err := Cluster1(net, []int{0}, Params{})
+			r, err := Cluster1(net, []int{0})
 			requireAllInformed(t, r, err)
 		}
 	}
@@ -41,7 +41,7 @@ func TestCluster2InformsAllNodes(t *testing.T) {
 	for _, n := range []int{1000, 5000, 20000} {
 		for seed := uint64(1); seed <= 3; seed++ {
 			net := newNet(t, n, seed)
-			r, err := Cluster2(net, []int{0}, Params{})
+			r, err := Cluster2(net, []int{0})
 			requireAllInformed(t, r, err)
 		}
 	}
@@ -51,10 +51,10 @@ func TestCluster1RoundsScaleDoublyLogarithmically(t *testing.T) {
 	// Rounds at n=100k should be within a small constant factor of rounds at
 	// n=1k, i.e. far below the log n growth a single-scale algorithm shows.
 	small := newNet(t, 1000, 7)
-	rSmall, err := Cluster1(small, []int{0}, Params{})
+	rSmall, err := Cluster1(small, []int{0})
 	requireAllInformed(t, rSmall, err)
 	large := newNet(t, 100000, 7)
-	rLarge, err := Cluster1(large, []int{0}, Params{})
+	rLarge, err := Cluster1(large, []int{0})
 	requireAllInformed(t, rLarge, err)
 	if float64(rLarge.Rounds) > 2.5*float64(rSmall.Rounds) {
 		t.Fatalf("rounds grew from %d (n=1k) to %d (n=100k); expected log log n scaling", rSmall.Rounds, rLarge.Rounds)
@@ -63,7 +63,7 @@ func TestCluster1RoundsScaleDoublyLogarithmically(t *testing.T) {
 
 func TestCluster2MessageComplexityIsLinear(t *testing.T) {
 	net := newNet(t, 50000, 3)
-	r, err := Cluster2(net, []int{42}, Params{})
+	r, err := Cluster2(net, []int{42})
 	requireAllInformed(t, r, err)
 	// "O(1) messages per node": the constant measured at laptop scale is
 	// around 20; the important property (tested below and in the benchmarks)
@@ -82,7 +82,7 @@ func TestCluster2MessageComplexityIsLinear(t *testing.T) {
 func TestCluster2MessagesPerNodeDoNotGrowWithN(t *testing.T) {
 	run := func(n int) float64 {
 		net := newNet(t, n, 9)
-		r, err := Cluster2(net, []int{0}, Params{})
+		r, err := Cluster2(net, []int{0})
 		requireAllInformed(t, r, err)
 		return r.MessagesPerNode
 	}
@@ -95,7 +95,7 @@ func TestCluster2MessagesPerNodeDoNotGrowWithN(t *testing.T) {
 func TestCluster2RoundsScaleDoublyLogarithmically(t *testing.T) {
 	run := func(n int) int {
 		net := newNet(t, n, 5)
-		r, err := Cluster2(net, []int{0}, Params{})
+		r, err := Cluster2(net, []int{0})
 		requireAllInformed(t, r, err)
 		return r.Rounds
 	}
@@ -115,7 +115,7 @@ func TestCluster3ProducesDeltaClustering(t *testing.T) {
 	const n = 20000
 	const delta = 128
 	net := newNet(t, n, 11)
-	cl, res, err := Cluster3(net, delta, Params{})
+	cl, res, err := Cluster3(net, delta)
 	if err != nil {
 		t.Fatalf("Cluster3: %v", err)
 	}
@@ -136,14 +136,14 @@ func TestCluster3ProducesDeltaClustering(t *testing.T) {
 
 func TestCluster3RejectsTinyDelta(t *testing.T) {
 	net := newNet(t, 1000, 1)
-	if _, _, err := Cluster3(net, 2, Params{}); err == nil {
+	if _, _, err := Cluster3(net, 2); err == nil {
 		t.Fatal("Cluster3 should reject Δ below MinDelta")
 	}
 }
 
 func TestClusterPushPullInformsAllNodes(t *testing.T) {
 	net := newNet(t, 20000, 13)
-	r, err := ClusterPushPull(net, []int{7}, 256, Params{})
+	r, err := ClusterPushPull(net, []int{7}, 256)
 	requireAllInformed(t, r, err)
 	if r.MaxCommsPerRound > 4*256 {
 		t.Fatalf("observed Δ = %d exceeds 4·256", r.MaxCommsPerRound)
@@ -152,14 +152,14 @@ func TestClusterPushPullInformsAllNodes(t *testing.T) {
 
 func TestBroadcastRejectsBadSources(t *testing.T) {
 	net := newNet(t, 100, 1)
-	if _, err := Cluster1(net, nil, Params{}); err == nil {
+	if _, err := Cluster1(net, nil); err == nil {
 		t.Fatal("want error for empty source list")
 	}
-	if _, err := Cluster2(net, []int{-1}, Params{}); err == nil {
+	if _, err := Cluster2(net, []int{-1}); err == nil {
 		t.Fatal("want error for out-of-range source")
 	}
 	net.Fail(3)
-	if _, err := Cluster2(net, []int{3}, Params{}); err == nil {
+	if _, err := Cluster2(net, []int{3}); err == nil {
 		t.Fatal("want error when all sources failed")
 	}
 }
@@ -167,7 +167,7 @@ func TestBroadcastRejectsBadSources(t *testing.T) {
 func TestCluster2DeterministicAcrossRuns(t *testing.T) {
 	runOnce := func() trace.Result {
 		net := newNet(t, 5000, 99)
-		r, err := Cluster2(net, []int{0}, Params{})
+		r, err := Cluster2(net, []int{0})
 		requireAllInformed(t, r, err)
 		return r
 	}
@@ -188,7 +188,7 @@ func TestCluster2FaultTolerance(t *testing.T) {
 		failed = append(failed, 2*i) // every other node in the low range
 	}
 	net.Fail(failed...)
-	r, err := Cluster2(net, []int{1}, Params{})
+	r, err := Cluster2(net, []int{1})
 	if err != nil {
 		t.Fatalf("Cluster2: %v", err)
 	}
@@ -198,24 +198,9 @@ func TestCluster2FaultTolerance(t *testing.T) {
 	}
 }
 
-func TestParamsDefaults(t *testing.T) {
-	p := Params{}.withDefaults()
-	d := DefaultParams()
-	if p != d {
-		t.Fatalf("withDefaults() = %+v, want %+v", p, d)
-	}
-	custom := Params{SeedC: 2, MaxPhaseIterations: 5}.withDefaults()
-	if custom.SeedC != 2 || custom.MaxPhaseIterations != 5 {
-		t.Fatal("withDefaults must keep explicit values")
-	}
-	if custom.InitSizeC != d.InitSizeC {
-		t.Fatal("withDefaults must fill missing values")
-	}
-}
-
 func TestPhaseAccountingCoversAllRounds(t *testing.T) {
 	net := newNet(t, 5000, 17)
-	r, err := Cluster2(net, []int{0}, Params{})
+	r, err := Cluster2(net, []int{0})
 	requireAllInformed(t, r, err)
 	sum := 0
 	for _, ph := range r.Phases {
@@ -231,7 +216,7 @@ func TestPhaseAccountingCoversAllRounds(t *testing.T) {
 // bytes. DESIGN.md ("Cluster2's round budget") derives each row.
 func TestCluster2PhaseRounds(t *testing.T) {
 	net := newNet(t, 100000, 1)
-	r, err := Cluster2(net, []int{0}, Params{})
+	r, err := Cluster2(net, []int{0})
 	requireAllInformed(t, r, err)
 	want := []struct {
 		name   string
@@ -272,7 +257,7 @@ func TestCluster2SurvivesMidRunCrash(t *testing.T) {
 				net.Fail(victims...)
 			}
 		})
-		r, err := Cluster2(net, []int{0}, Params{})
+		r, err := Cluster2(net, []int{0})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,86 +15,41 @@ import (
 	"repro/internal/phonecall"
 )
 
-// Params holds the tunable constants of the algorithms. The paper states all
-// constants asymptotically (C, C', C”); the defaults here are chosen so that
-// the algorithms succeed with high probability at laptop-scale n (10^3–10^6)
-// while preserving the asymptotic behaviour. All fields have sensible zero
-// value handling: a zero field means "use the default".
-type Params struct {
-	// SeedC is the paper's C: Cluster1 seeds singleton clusters with
-	// probability 1/(SeedC·ln n), so that after the initial PUSH growth the
-	// average cluster size is about SeedC·ln n. Default 8.
-	SeedC float64
+// The constants of the algorithms. The paper states them asymptotically (C,
+// C', C”); the values here are chosen so that the algorithms succeed with
+// high probability at laptop-scale n (10^3–10^6) while preserving the
+// asymptotic behaviour.
+const (
+	// seedC is the paper's C: Cluster1 seeds singleton clusters with
+	// probability 1/(seedC·ln n), so that after the initial PUSH growth the
+	// average cluster size is about seedC·ln n.
+	seedC = 8
 
-	// DissolveSizeC is the paper's C' for Cluster1 (with C' ≪ C): clusters
-	// smaller than DissolveSizeC·ln n are dissolved before the squaring phase,
-	// which also starts at that size. Default 1.
-	DissolveSizeC float64
+	// dissolveSizeC is the paper's C' for Cluster1 (with C' ≪ C): clusters
+	// smaller than dissolveSizeC·ln n are dissolved before the squaring
+	// phase, which also starts at that size.
+	dissolveSizeC = 1
 
-	// InitSizeC scales the initial cluster size target C'·ln n used by the
-	// sparse GrowInitialClusters of Cluster2/Cluster3 and as the starting size
-	// of their SquareClusters phase. Default 3.
-	InitSizeC float64
+	// initSizeC scales the initial cluster size target C'·ln n used by the
+	// sparse GrowInitialClusters of Cluster2/Cluster3 and as the starting
+	// size of their SquareClusters phase.
+	initSizeC = 3
 
-	// GrowTargetFraction is the fraction of nodes Cluster1 aims to cluster in
-	// GrowInitialClusters (the paper's 90%). Default 0.9.
-	GrowTargetFraction float64
+	// growTargetFraction is the fraction of nodes Cluster1 aims to cluster
+	// in GrowInitialClusters (the paper's 90%).
+	growTargetFraction = 0.9
 
-	// SparseFractionC controls how many nodes Cluster2/Cluster3 cluster during
-	// their initial phase: roughly n/(SparseFractionC·ln n). Default 1.
-	SparseFractionC float64
+	// sparseFractionC controls how many nodes Cluster2/Cluster3 cluster
+	// during their initial phase: roughly n/(sparseFractionC·ln n).
+	sparseFractionC = 1
 
-	// BoundedGrowthFactor is the growth factor below which BoundedClusterPush
-	// deactivates a cluster (the paper's 1.1). Default 1.1.
-	BoundedGrowthFactor float64
+	// boundedGrowthFactor is the growth factor below which
+	// BoundedClusterPush deactivates a cluster (the paper's 1.1).
+	boundedGrowthFactor = 1.1
 
-	// MaxPhaseIterations caps every Θ(log log n) loop. Zero means an automatic
-	// cap derived from n (a small multiple of log₂ log₂ n).
-	MaxPhaseIterations int
-
-	// MergeAllIterations caps the MergeAllClusters loop. Default 8.
-	MergeAllIterations int
-}
-
-// DefaultParams returns the default constants.
-func DefaultParams() Params {
-	return Params{
-		SeedC:               8,
-		DissolveSizeC:       1,
-		InitSizeC:           3,
-		GrowTargetFraction:  0.9,
-		SparseFractionC:     1,
-		BoundedGrowthFactor: 1.1,
-		MergeAllIterations:  8,
-	}
-}
-
-// withDefaults fills zero fields with their defaults.
-func (p Params) withDefaults() Params {
-	d := DefaultParams()
-	if p.SeedC <= 0 {
-		p.SeedC = d.SeedC
-	}
-	if p.DissolveSizeC <= 0 {
-		p.DissolveSizeC = d.DissolveSizeC
-	}
-	if p.InitSizeC <= 0 {
-		p.InitSizeC = d.InitSizeC
-	}
-	if p.GrowTargetFraction <= 0 || p.GrowTargetFraction >= 1 {
-		p.GrowTargetFraction = d.GrowTargetFraction
-	}
-	if p.SparseFractionC <= 0 {
-		p.SparseFractionC = d.SparseFractionC
-	}
-	if p.BoundedGrowthFactor <= 1 {
-		p.BoundedGrowthFactor = d.BoundedGrowthFactor
-	}
-	if p.MergeAllIterations <= 0 {
-		p.MergeAllIterations = d.MergeAllIterations
-	}
-	return p
-}
+	// mergeAllIterations caps the MergeAllClusters loop.
+	mergeAllIterations = 8
+)
 
 // Errors returned by the drivers.
 var (
@@ -119,17 +74,13 @@ func logLogN(n int) float64 {
 	return v
 }
 
-// phaseCap returns the iteration cap for a Θ(log log n) loop.
-func (p Params) phaseCap(n int) int {
-	if p.MaxPhaseIterations > 0 {
-		return p.MaxPhaseIterations
-	}
-	return int(math.Ceil(4*logLogN(n))) + 8
-}
+// phaseCap returns the iteration cap for a Θ(log log n) loop, a small
+// multiple of log₂ log₂ n.
+func phaseCap(n int) int { return int(math.Ceil(4*logLogN(n))) + 8 }
 
 // initialClusterSize returns C'·ln n (at least 2), the sparse-variant target.
-func (p Params) initialClusterSize(n int) int {
-	s := int(math.Ceil(p.InitSizeC * lnN(n)))
+func initialClusterSize(n int) int {
+	s := int(math.Ceil(initSizeC * lnN(n)))
 	if s < 2 {
 		s = 2
 	}
@@ -137,9 +88,9 @@ func (p Params) initialClusterSize(n int) int {
 }
 
 // cluster1StartSize returns the Cluster1 dissolve threshold and squaring
-// start size, DissolveSizeC·ln n (at least 2).
-func (p Params) cluster1StartSize(n int) int {
-	s := int(math.Ceil(p.DissolveSizeC * lnN(n)))
+// start size, dissolveSizeC·ln n (at least 2).
+func cluster1StartSize(n int) int {
+	s := int(math.Ceil(dissolveSizeC * lnN(n)))
 	if s < 2 {
 		s = 2
 	}

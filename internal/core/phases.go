@@ -40,12 +40,12 @@ func recordCandidate(cl *cluster.Clustering, policy candidatePolicy, i int, id p
 
 // growInitialClustersDense implements Procedure GrowInitialClusters of
 // Algorithm 1: singleton seed clusters recruit unclustered nodes by random
-// PUSH gossip until a GrowTargetFraction of the nodes is clustered (a
+// PUSH gossip until a growTargetFraction of the nodes is clustered (a
 // Θ(log log n)-round process).
-func growInitialClustersDense(cl *cluster.Clustering, p Params) {
+func growInitialClustersDense(cl *cluster.Clustering) {
 	net := cl.Network()
 	n := net.N()
-	seedProb := 1 / (p.SeedC * lnN(n))
+	seedProb := 1 / (seedC * lnN(n))
 	if cl.SeedSingletons(seedProb) == 0 {
 		// Degenerate only for tiny n: deterministically promote the first live
 		// node so that the protocol can proceed.
@@ -57,9 +57,8 @@ func growInitialClustersDense(cl *cluster.Clustering, p Params) {
 			}
 		}
 	}
-	iterCap := p.phaseCap(n)
-	for iter := 0; iter < iterCap; iter++ {
-		if float64(cl.ClusteredCount()) >= p.GrowTargetFraction*float64(net.LiveCount()) {
+	for range phaseCap(n) {
+		if float64(cl.ClusteredCount()) >= growTargetFraction*float64(net.LiveCount()) {
 			break
 		}
 		cl.RandomPush(
@@ -87,11 +86,11 @@ func growInitialClustersDense(cl *cluster.Clustering, p Params) {
 // ClusterSize: each recruit reports to its leader once, in the first
 // size-controlled iteration after it joined (so the first such iteration
 // counts every member), and a resize tells each new leader its group's size.
-func growInitialClustersSparse(cl *cluster.Clustering, p Params, targetSize int) {
+func growInitialClustersSparse(cl *cluster.Clustering, targetSize int) {
 	net := cl.Network()
 	n := net.N()
-	// Seed so that (#seeds)·targetSize ≈ n/(SparseFractionC·ln n).
-	seedProb := 1 / (p.SparseFractionC * lnN(n) * float64(targetSize))
+	// Seed so that (#seeds)·targetSize ≈ n/(sparseFractionC·ln n).
+	seedProb := 1 / (sparseFractionC * lnN(n) * float64(targetSize))
 	if cl.SeedSingletons(seedProb) == 0 {
 		for i := 0; i < n; i++ {
 			if !net.IsFailed(i) {
@@ -110,8 +109,7 @@ func growInitialClustersSparse(cl *cluster.Clustering, p Params, targetSize int)
 	if sizeControlFrom < 0 {
 		sizeControlFrom = 0
 	}
-	iterCap := p.phaseCap(n)
-	for iter := 0; iter < iterCap; iter++ {
+	for iter := range phaseCap(n) {
 		if countActiveLeaders(cl) == 0 {
 			break
 		}
@@ -162,7 +160,7 @@ func growInitialClustersSparse(cl *cluster.Clustering, p Params, targetSize int)
 // run as one exchange (Clustering.ResizeActivate): one member report and one
 // pull instead of five rounds. When no iteration runs, the dissolve runs
 // alone.
-func squareClusters(cl *cluster.Clustering, p Params, startSize, stopSize int, policy candidatePolicy) {
+func squareClusters(cl *cluster.Clustering, startSize, stopSize int, policy candidatePolicy) {
 	net := cl.Network()
 	n := net.N()
 	s := startSize
@@ -172,8 +170,7 @@ func squareClusters(cl *cluster.Clustering, p Params, startSize, stopSize int, p
 		s = median
 	}
 	dissolveBelow := s
-	iterCap := p.phaseCap(n)
-	for iter := 0; iter < iterCap; iter++ {
+	for range phaseCap(n) {
 		if s >= stopSize || largestClusterSize(cl) >= stopSize {
 			break
 		}
@@ -304,10 +301,10 @@ func smallestLeaderID(cl *cluster.Clustering) phonecall.NodeID {
 // mergeAllClusters implements Procedure MergeAllClusters: every cluster
 // pushes its ID, and every cluster merges towards the smallest ID it
 // received. The paper uses two repetitions; the driver repeats until a single
-// cluster remains (bounded by MergeAllIterations), which at practical n takes
+// cluster remains (bounded by mergeAllIterations), which at practical n takes
 // two or three repetitions.
-func mergeAllClusters(cl *cluster.Clustering, p Params) {
-	for iter := 0; iter < p.MergeAllIterations; iter++ {
+func mergeAllClusters(cl *cluster.Clustering) {
+	for range mergeAllIterations {
 		if cl.ClusteredCount() == 0 || cl.LeaderCount() <= 1 {
 			break
 		}
@@ -319,7 +316,7 @@ func mergeAllClusters(cl *cluster.Clustering, p Params) {
 
 // boundedClusterPush implements Procedure BoundedClusterPush of Algorithm 2:
 // the clusters recruit unclustered nodes by random pushes until growth falls
-// below BoundedGrowthFactor. This expands the clustered set to Θ(n) while
+// below boundedGrowthFactor. This expands the clustered set to Θ(n) while
 // sending only O(n) messages: the per-iteration cost is proportional to the
 // current cluster sizes, which grow geometrically, so the total telescopes to
 // O(n).
@@ -332,11 +329,11 @@ func mergeAllClusters(cl *cluster.Clustering, p Params) {
 // recruiting push carries the pushes left in Value, so a recruit joins the
 // schedule where its recruiter stands. The phase costs 2 + k rounds for k
 // pushes.
-func boundedClusterPush(cl *cluster.Clustering, p Params) {
+func boundedClusterPush(cl *cluster.Clustering) {
 	net := cl.Network()
 	n := net.N()
 	cl.MeasureSizes()
-	limit := p.phaseCap(n)
+	limit := phaseCap(n)
 	left := make([]int32, n)
 	// The phase lasts as long as the longest leader's schedule: a member that
 	// got a redirect instead of the size holds a stale one and cannot
@@ -344,7 +341,7 @@ func boundedClusterPush(cl *cluster.Clustering, p Params) {
 	pushes := 0
 	for i := 0; i < n; i++ {
 		if cl.IsClustered(i) && !net.IsFailed(i) {
-			left[i] = int32(plannedPushes(cl.Size(i), n, p.BoundedGrowthFactor, limit))
+			left[i] = int32(plannedPushes(cl.Size(i), n, limit))
 			if cl.IsLeader(i) {
 				pushes = max(pushes, int(left[i]))
 			}
@@ -376,22 +373,19 @@ func boundedClusterPush(cl *cluster.Clustering, p Params) {
 // plannedPushes returns how many recruiting pushes BoundedClusterPush runs
 // when a fraction f = size/n of the nodes is clustered. One push round takes
 // f to f + (1−f)(1−e^(−f)) in expectation; the pushes run up to and including
-// the first whose predicted growth factor falls below growth — where the
-// measured rule (deactivate once a push grew the cluster by less than the
-// factor) stops — and never more than limit.
-func plannedPushes(size, n int, growth float64, limit int) int {
+// the first whose predicted growth factor falls below boundedGrowthFactor —
+// where the measured rule (deactivate once a push grew the cluster by less
+// than the factor) stops — and never more than limit.
+func plannedPushes(size, n, limit int) int {
 	f := float64(size) / float64(n)
 	k := 0
 	for k < limit && f > 0 {
 		k++
 		next := f + (1-f)*(1-math.Exp(-f))
-		if next < growth*f {
+		if next < boundedGrowthFactor*f {
 			break
 		}
 		f = next
 	}
 	return k
 }
-
-// pullJoinRounds returns the round cap for UnclusteredNodesPull.
-func pullJoinRounds(p Params, n int) int { return p.phaseCap(n) }

@@ -18,16 +18,17 @@ type Random struct {
 }
 
 // Select returns the indexes of the nodes to fail in a network of n nodes.
-func (r Random) Select(n int) []int {
-	if r.Count <= 0 || n <= 0 {
+func (r Random) Select(n int) []int { return Pick(n, r.Count, rng.Mix(r.Seed, 0xfa11)) }
+
+// Pick selects min(count, n) distinct node indexes of n uniformly at random:
+// the prefix of a permutation drawn from seed alone, so the choice is
+// oblivious to the execution.
+func Pick(n, count int, seed uint64) []int {
+	if count <= 0 || n <= 0 {
 		return nil
 	}
-	count := r.Count
-	if count > n {
-		count = n
-	}
-	perm := rng.New(rng.Mix(r.Seed, 0xfa11)).Perm(n)
-	return append([]int(nil), perm[:count]...)
+	perm := rng.New(seed).Perm(n)
+	return append([]int(nil), perm[:min(count, n)]...)
 }
 
 // SurvivingSource returns a live source index, preferring preferred if it

@@ -26,7 +26,7 @@ type SweepConfig struct {
 
 // DefaultSweep returns the sweep used by the checked-in experiment tables:
 // three orders of magnitude of n and three seeds. Larger sweeps (up to 10⁶
-// nodes) are available through cmd/benchtab flags.
+// nodes) are available through the flags of gossip tables (cmd/gossip).
 func DefaultSweep() SweepConfig {
 	return SweepConfig{
 		Sizes: []int{1000, 10000, 100000},

@@ -51,10 +51,10 @@ func TestLockStepMatchesEngine(t *testing.T) {
 			return baseline.Uniform(net, []int{0}, scenario.AlgoPushPull)
 		},
 		"cluster2": func(net *phonecall.Network) (trace.Result, error) {
-			return core.Cluster2(net, []int{0}, core.Params{})
+			return core.Cluster2(net, []int{0})
 		},
 		"clusterpushpull": func(net *phonecall.Network) (trace.Result, error) {
-			return core.ClusterPushPull(net, []int{0}, 64, core.Params{})
+			return core.ClusterPushPull(net, []int{0}, 64)
 		},
 	}
 	for _, n := range []int{64, 1000} {

@@ -112,12 +112,14 @@ func (pt *PeerTransport) Synchronous() bool { return false }
 // Send implements Transport. Only the local node may send (per-sender
 // ownership holds trivially in one process); the destination's address comes
 // from the routing table, and a miss both drops the frame and kicks off the
-// background lookup that will make the next send hit.
+// background lookup that will make the next send hit. A frame over one
+// datagram is dropped and counted as a send failure, like a write error.
 func (pt *PeerTransport) Send(from, to int, frame []byte) {
 	if from != pt.self || to < 0 || to >= pt.n || to == pt.self {
 		return
 	}
 	if len(frame) > maxUDPFrame {
+		pt.sendFails.Add(1)
 		return
 	}
 	addr, ok := pt.nd.Resolve(pt.ids[to])

@@ -163,3 +163,29 @@ func TestPeerTransportMissTriggersDiscovery(t *testing.T) {
 		t.Fatal("remote indexes must have no local mailbox")
 	}
 }
+
+// TestPeerTransportCountsOversize pins that a frame over one datagram is
+// dropped and counted as a send failure of the local node, as on
+// UDPTransport, before any routing-table lookup.
+func TestPeerTransportCountsOversize(t *testing.T) {
+	net, err := phonecall.New(phonecall.Config{N: 2, Seed: 7, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := NewPeerTransport(PeerTransportConfig{N: 2, Self: 0, IDs: PeerIDs(net)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	huge := phonecall.Message{IDs: make([]phonecall.NodeID, 10000)}
+	tr.Send(0, 1, appendCallFrame(nil, 1, 0, true, false, &huge))
+	if got := tr.SendFailures(); got != 1 {
+		t.Errorf("SendFailures() = %d, want 1", got)
+	}
+	if got := tr.NodeSendFailures(0); got != 1 {
+		t.Errorf("NodeSendFailures(0) = %d, want 1", got)
+	}
+	if got := tr.Misses(); got != 0 {
+		t.Errorf("oversize frame reached the routing table: %d misses", got)
+	}
+}

@@ -8,8 +8,9 @@ import (
 )
 
 // maxUDPFrame bounds one frame to a single loopback datagram. Frames above
-// it (a protocol pushing thousands of IDs in one message) are dropped and
-// counted, mirroring what a real datagram network would do to them.
+// it (a protocol pushing thousands of IDs in one message, a bitmap summary
+// of a wide window) are dropped and counted as send failures of their
+// sender, mirroring what a real datagram network would do to them.
 const maxUDPFrame = 60 * 1024
 
 // maxUDPNodes caps the mesh size: every node owns one socket, and a mesh
@@ -33,8 +34,7 @@ type UDPTransport struct {
 	conns     []*net.UDPConn
 	addrs     []*net.UDPAddr
 	boxes     []*Mailbox
-	oversize  atomic.Int64
-	sendFails []atomic.Int64 // per-sender write failures
+	sendFails []atomic.Int64 // per-sender send failures
 	failTotal atomic.Int64
 	closed    atomic.Bool
 	mu        sync.RWMutex // guards Send against Close pulling sockets away
@@ -112,16 +112,14 @@ func (tr *UDPTransport) Mailbox(i int) *Mailbox { return tr.boxes[i] }
 // returns, so UDP cannot back lock-step barriers.
 func (tr *UDPTransport) Synchronous() bool { return false }
 
-// Oversize returns the number of frames dropped for exceeding one datagram.
-func (tr *UDPTransport) Oversize() int64 { return tr.oversize.Load() }
-
-// SendFailures returns the total number of frames the kernel refused to
-// accept (WriteToUDP errors) across all senders. A nonzero count under
-// normal operation points at socket-buffer pressure or teardown races —
-// the loss is real and no longer silent.
+// SendFailures returns the total number of frames the transport could not
+// hand to the OS across all senders: frames over one datagram and frames the
+// kernel refused (WriteToUDP errors). A nonzero count under normal operation
+// points at oversize frames, socket-buffer pressure or teardown races — the
+// loss is real and no longer silent.
 func (tr *UDPTransport) SendFailures() int64 { return tr.failTotal.Load() }
 
-// NodeSendFailures returns sender i's write-failure count.
+// NodeSendFailures returns sender i's send-failure count.
 func (tr *UDPTransport) NodeSendFailures(i int) int64 {
 	if i < 0 || i >= tr.n {
 		return 0
@@ -129,17 +127,17 @@ func (tr *UDPTransport) NodeSendFailures(i int) int64 {
 	return tr.sendFails[i].Load()
 }
 
-// Send implements Transport: one frame, one datagram. Write errors drop the
-// frame, exactly like the wire would — but they are counted per sender, not
-// silently discarded. The read lock keeps Close from pulling the socket away
-// mid-write: a Send racing Close either completes against an open socket or
-// observes closed and returns.
+// Send implements Transport: one frame, one datagram. Oversize frames and
+// write errors drop the frame, exactly like the wire would — but they are
+// counted per sender, not silently discarded. The read lock keeps Close from
+// pulling the socket away mid-write: a Send racing Close either completes
+// against an open socket or observes closed and returns.
 func (tr *UDPTransport) Send(from, to int, frame []byte) {
 	if from < 0 || from >= tr.n || to < 0 || to >= tr.n {
 		return
 	}
 	if len(frame) > maxUDPFrame {
-		tr.oversize.Add(1)
+		tr.countFailure(from)
 		return
 	}
 	tr.mu.RLock()
@@ -148,9 +146,14 @@ func (tr *UDPTransport) Send(from, to int, frame []byte) {
 		return
 	}
 	if _, err := tr.conns[from].WriteToUDP(frame, tr.addrs[to]); err != nil {
-		tr.sendFails[from].Add(1)
-		tr.failTotal.Add(1)
+		tr.countFailure(from)
 	}
+}
+
+// countFailure charges one dropped frame to sender from.
+func (tr *UDPTransport) countFailure(from int) {
+	tr.sendFails[from].Add(1)
+	tr.failTotal.Add(1)
 }
 
 // Close implements Transport: closes every socket and waits for the readers.

@@ -32,7 +32,8 @@ func TestUDPFreeRun(t *testing.T) {
 	}
 }
 
-// TestUDPTransportLimits pins the datagram-size drop and the node cap.
+// TestUDPTransportLimits pins the datagram-size drop, counted as a send
+// failure of its sender, and the node cap.
 func TestUDPTransportLimits(t *testing.T) {
 	tr, err := NewUDPTransport(2)
 	if err != nil {
@@ -41,8 +42,11 @@ func TestUDPTransportLimits(t *testing.T) {
 	defer tr.Close()
 	huge := phonecall.Message{IDs: make([]phonecall.NodeID, 10000)}
 	tr.Send(0, 1, appendCallFrame(nil, 1, 0, true, false, &huge))
-	if tr.Oversize() != 1 {
-		t.Fatalf("oversize frame not counted (got %d)", tr.Oversize())
+	if got := tr.SendFailures(); got != 1 {
+		t.Errorf("oversize frame: SendFailures() = %d, want 1", got)
+	}
+	if got := tr.NodeSendFailures(0); got != 1 {
+		t.Errorf("oversize frame: NodeSendFailures(0) = %d, want 1", got)
 	}
 	if _, err := NewUDPTransport(maxUDPNodes + 1); err == nil {
 		t.Error("over-cap mesh accepted")

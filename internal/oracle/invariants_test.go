@@ -31,13 +31,13 @@ func TestCheckerCleanOnClosedAlgorithms(t *testing.T) {
 		var informed int
 		switch name {
 		case "cluster2":
-			res, err := core.Cluster2(net, []int{0}, core.Params{})
+			res, err := core.Cluster2(net, []int{0})
 			if err != nil {
 				t.Fatal(err)
 			}
 			informed = res.Informed
 		case "clusterpushpull":
-			res, err := core.ClusterPushPull(net, []int{0}, 256, core.Params{})
+			res, err := core.ClusterPushPull(net, []int{0}, 256)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -74,7 +74,7 @@ func TestCheckerCleanUnderScenarioTimeline(t *testing.T) {
 		scenario.JoinAt{At: 8, Nodes: []int{0, 1}},
 	)
 	tl.Attach(net)
-	if _, err := core.Cluster2(net, []int{5}, core.Params{}); err != nil {
+	if _, err := core.Cluster2(net, []int{5}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tl.Err(); err != nil {

@@ -25,11 +25,11 @@ func algoRun(t *testing.T, algo string, n, workers int, fail []int) (trace.Resul
 	var res trace.Result
 	switch algo {
 	case "cluster1":
-		res, err = core.Cluster1(net, []int{0}, core.Params{})
+		res, err = core.Cluster1(net, []int{0})
 	case "cluster2":
-		res, err = core.Cluster2(net, []int{0}, core.Params{})
+		res, err = core.Cluster2(net, []int{0})
 	case "clusterpushpull":
-		res, err = core.ClusterPushPull(net, []int{0}, 256, core.Params{})
+		res, err = core.ClusterPushPull(net, []int{0}, 256)
 	default:
 		t.Fatalf("unknown algo %q", algo)
 	}

@@ -19,8 +19,10 @@ import (
 // This file is where a validated Spec meets the engines: the three functions
 // Execute dispatches to build the network (or the free-running runtime) for
 // the spec, apply its failures, loss, topology and timeline, and run the
-// workload. Nothing else in the repository constructs an engine for a
-// workload.
+// workload. Below them, scenario.Run builds its own network (bench/ also
+// calls it directly), and live.NewFreeRun and live.NewPeerNode build a
+// directory-only one: node IDs, random contacts and message sizes, never a
+// round.
 
 // The closed broadcast algorithms, by the names Spec.Algorithm takes.
 const (
@@ -70,15 +72,15 @@ func dispatch(s Spec, net *phonecall.Network, sources []int) (trace.Result, erro
 		res, err := baseline.NameDropper(net, sources)
 		return res.Result, err
 	case AlgoCluster1:
-		return core.Cluster1(net, sources, core.Params{})
+		return core.Cluster1(net, sources)
 	case AlgoCluster2:
-		return core.Cluster2(net, sources, core.Params{})
+		return core.Cluster2(net, sources)
 	case AlgoClusterPushPull:
 		delta := s.Delta
 		if delta <= 0 {
 			delta = 1024
 		}
-		return core.ClusterPushPull(net, sources, delta, core.Params{})
+		return core.ClusterPushPull(net, sources, delta)
 	default:
 		return trace.Result{}, fmt.Errorf("run: unknown algorithm %q", algo)
 	}

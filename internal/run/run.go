@@ -9,10 +9,13 @@
 // The engine is selected by Spec.Engine (simulator, lock-step, free-running)
 // and the workload by the spec's shape: a timeline that injects rumors runs
 // the steppable multi-rumor scenario driver, everything else runs the closed
-// broadcast algorithms. Execute is the only place a workload's
-// phonecall.Network, live.LockStep or live.FreeRun is constructed
-// (engines.go); every frontend — the facade, the CLIs, internal/harness's
-// E-tables, bench/ — describes what to run as a Spec and nothing else.
+// broadcast algorithms. Execute constructs the phonecall.Network,
+// live.LockStep or live.FreeRun of every workload a Spec describes
+// (engines.go); the facade, cmd/gossip, internal/harness's E-tables and
+// bench/ describe what to run as a Spec. Below Execute, scenario.Run builds
+// its own network (bench/ also calls it directly), and live.NewFreeRun and
+// live.NewPeerNode build a directory-only one; cmd/gossipnode drives
+// live.NewPeerNode without a Spec.
 // Validation happens here, at the boundary, with every violation wrapped in
 // ErrInvalidConfig — internals may assume a valid spec. Cancellation and
 // deadlines flow from ctx through the engine round loop

@@ -153,8 +153,9 @@ func (t *tap) onFrontier() func(live.FrontierInfo) {
 	}
 }
 
-// recordSendFailures folds the free-running transport's per-node OS send
-// failures into the registry as repro_udp_send_failures_total{node}.
+// recordSendFailures folds the free-running transport's per-node send
+// failures (oversize frames and OS write errors) into the registry as
+// repro_udp_send_failures_total{node}.
 func recordSendFailures(reg *telemetry.Registry, nodeFails map[int]int64) {
 	if reg == nil {
 		return

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/failure"
 	"repro/internal/phonecall"
 	"repro/internal/rng"
 )
@@ -146,7 +147,7 @@ func Infiltrate(n, start, gap, waves, count int, adv AdversarySpec, seed uint64)
 	}
 	var out []Event
 	for k := 0; k < waves; k++ {
-		batch := pick(n, count, rng.Mix(seed, 0xbadf00d, uint64(k)))
+		batch := failure.Pick(n, count, rng.Mix(seed, 0xbadf00d, uint64(k)))
 		if len(batch) == 0 {
 			break
 		}

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"repro/internal/failure"
 	"repro/internal/rng"
 )
 
@@ -10,19 +11,6 @@ import (
 // scenarios inherit the package's reproducibility contract. Generators
 // compose: concatenate their outputs (plus Loss and InjectRumor events) and
 // hand the lot to Scenario.Events; the driver stably sorts by round.
-
-// pick selects count distinct random node indexes (oblivious, from its own
-// seed stream).
-func pick(n, count int, seed uint64) []int {
-	if count <= 0 || n <= 0 {
-		return nil
-	}
-	if count > n {
-		count = n
-	}
-	perm := rng.New(seed).Perm(n)
-	return append([]int(nil), perm[:count]...)
-}
 
 // PeriodicChurn emits steady membership churn: every period rounds starting
 // at start, a fresh batch of count random nodes crashes, and each batch
@@ -36,7 +24,7 @@ func PeriodicChurn(n, start, period, count, downFor, horizon int, seed uint64) [
 	}
 	var out []Event
 	for k, at := 0, start; at <= horizon; k, at = k+1, at+period {
-		batch := pick(n, count, rng.Mix(seed, 0xc4a12, uint64(k)))
+		batch := failure.Pick(n, count, rng.Mix(seed, 0xc4a12, uint64(k)))
 		if len(batch) == 0 {
 			break
 		}
@@ -81,7 +69,7 @@ func Waves(n, start, gap, waves, count int, growth float64, seed uint64) []Event
 	var out []Event
 	size := float64(count)
 	for k := 0; k < waves; k++ {
-		batch := pick(n, int(size+0.5), rng.Mix(seed, 0x3a7e5, uint64(k)))
+		batch := failure.Pick(n, int(size+0.5), rng.Mix(seed, 0x3a7e5, uint64(k)))
 		if len(batch) == 0 {
 			break
 		}

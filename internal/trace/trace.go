@@ -128,8 +128,8 @@ type Result struct {
 	IgnoredEvents int
 	Wall          time.Duration
 	// SendFailures counts frames the transport could not hand to the OS (UDP
-	// write errors); NodeSendFailures maps the failing sender indexes to their
-	// counts and is nil when nothing failed.
+	// frames over one datagram and write errors); NodeSendFailures maps the
+	// failing sender indexes to their counts and is nil when nothing failed.
 	SendFailures     int64
 	NodeSendFailures map[int]int64
 

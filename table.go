@@ -13,7 +13,7 @@ import (
 // render it (Render), serialize it (MarshalJSON) or walk the rows directly,
 // instead of re-parsing pre-rendered text.
 type Table struct {
-	// ID is the experiment identifier (E1..E10); Title its one-line
+	// ID is the experiment identifier (E1..E10, E12); Title its one-line
 	// description.
 	ID    string
 	Title string
@@ -41,10 +41,11 @@ func (t Table) MarshalJSON() ([]byte, error) {
 	}{t.ID, t.Title, t.Header, t.Rows, t.Notes})
 }
 
-// Experiment regenerates one of the paper-reproduction tables (E1–E10, see
-// DESIGN.md and EXPERIMENTS.md) over the given network sizes and seeds and
-// returns it as a typed Table. Empty slices select the default sweep; the
-// options may tune PayloadBits, Workers and Delta for the sweep's runs.
+// Experiment regenerates one of the paper-reproduction tables (E1–E10 and
+// E12, see DESIGN.md and EXPERIMENTS.md) over the given network sizes and
+// seeds and returns it as a typed Table. Empty slices select the default
+// sweep; the options may tune PayloadBits, Workers and Delta for the sweep's
+// runs.
 func Experiment(id string, sizes []int, seeds []uint64, opts ...Option) (Table, error) {
 	cfg := harness.DefaultSweep()
 	if len(sizes) > 0 {
