@@ -306,10 +306,9 @@ func TestRunRejectsBadLiveInput(t *testing.T) {
 }
 
 // TestRunRejectsCommandLine pins the errors the command itself raises: flag
-// syntax, a stray positional argument, the engine name, -skew — the one run
-// setting only OnFreeRunning carries, so repro.Run cannot see it on the other
-// engines — and the -sizes/-seeds sweep of tables and bounds, where a seed
-// count below 1 is an error rather than a silent fall-back to the default.
+// syntax, a stray positional argument, the engine name and -skew — the one
+// run setting only OnFreeRunning carries, so repro.Run cannot see it on the
+// other engines.
 func TestRunRejectsCommandLine(t *testing.T) {
 	for _, row := range []struct {
 		args []string
@@ -321,16 +320,51 @@ func TestRunRejectsCommandLine(t *testing.T) {
 		{[]string{"-n", "200", "-skew", "2"}, "-skew"},
 		{[]string{"-n", "200", "tables"}, `"tables"`},
 		{[]string{"tables", "E1"}, `"E1"`},
-		{[]string{"tables", "-experiment", "E4", "-sizes", "500", "-seeds", "0"}, "-seeds"},
-		{[]string{"tables", "-experiment", "E4", "-sizes", "500,x"}, "parse size"},
 		{[]string{"bounds", "-sizes", "100", "x"}, `"x"`},
-		{[]string{"bounds", "-sizes", "100", "-seeds", "-2"}, "-seeds"},
-		{[]string{"bounds", "-sizes", "12,notanumber"}, "parse size"},
-		{[]string{"bounds", "-sizes", ","}, "no sizes"},
-		{[]string{"bounds", "-bogus"}, "bogus"},
 	} {
 		if _, err := runOut(t, row.args...); err == nil || !strings.Contains(err.Error(), row.want) {
 			t.Errorf("run %v = %v, want an error naming %s", row.args, err, row.want)
+		}
+	}
+}
+
+// TestTablesRejectsBadInput pins that a seed count below 1 is an error
+// rather than a silent fall-back to the default sweep's three seeds, and
+// that an unparsable size or an unknown flag is refused.
+func TestTablesRejectsBadInput(t *testing.T) {
+	for _, row := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-experiment", "E4", "-sizes", "500", "-seeds", "0"}, "-seeds"},
+		{[]string{"-experiment", "E4", "-sizes", "500", "-seeds", "-2"}, "-seeds"},
+		{[]string{"-experiment", "E4", "-sizes", "500,x"}, "parse size"},
+		{[]string{"-bogus"}, "bogus"},
+	} {
+		args := append([]string{"tables"}, row.args...)
+		if _, err := runOut(t, args...); err == nil || !strings.Contains(err.Error(), row.want) {
+			t.Errorf("run %v = %v, want an error naming %s", args, err, row.want)
+		}
+	}
+}
+
+// TestBoundsRejectsBadInput pins the error paths of the lower-bound
+// exploration: an unparsable or empty size list, a seed count below 1
+// (which would print a NaN mean) and an unknown flag.
+func TestBoundsRejectsBadInput(t *testing.T) {
+	for _, row := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-sizes", "12,notanumber"}, "parse size"},
+		{[]string{"-sizes", ","}, "no sizes"},
+		{[]string{"-sizes", "100", "-seeds", "0"}, "-seeds"},
+		{[]string{"-sizes", "100", "-seeds", "-2"}, "-seeds"},
+		{[]string{"-bogus"}, "bogus"},
+	} {
+		args := append([]string{"bounds"}, row.args...)
+		if _, err := runOut(t, args...); err == nil || !strings.Contains(err.Error(), row.want) {
+			t.Errorf("run %v = %v, want an error naming %s", args, err, row.want)
 		}
 	}
 }
