@@ -119,6 +119,9 @@ func runBounds(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	if *delta != 0 && *delta < 2 {
+		return fmt.Errorf("-delta must be 0 (off) or at least 2, got %d", *delta)
+	}
 	fmt.Fprintf(w, "%-10s %-18s %-22s\n", "n", "0.99*log2 log2 n", "knowledge-graph min T")
 	for _, n := range sizes {
 		sum := 0.0
@@ -136,7 +139,7 @@ func runBounds(args []string, w io.Writer) error {
 				fmt.Fprintf(w, "    T=%d ecc=%d reach=%d possible=%v\n", f.T, f.Eccentricity, f.Reach, f.Possible)
 			}
 		}
-		if *delta > 1 {
+		if *delta != 0 {
 			fmt.Fprintf(w, "    Lemma 16 with Δ=%d: %.2f rounds\n", *delta, repro.DeltaLowerBound(n, *delta))
 		}
 	}
@@ -144,8 +147,8 @@ func runBounds(args []string, w io.Writer) error {
 }
 
 // parseSweep registers -sizes and -seeds, the sweep both tables and bounds
-// run over, parses args and validates them: at least one size, and -seeds
-// at least 1, which selects the seeds 1..seeds.
+// run over, parses args and validates them: at least one size, every size at
+// least 2, and -seeds at least 1, which selects the seeds 1..seeds.
 func parseSweep(fs *flag.FlagSet, args []string, defaultSizes string) (sizes []int, seeds []uint64, err error) {
 	sizeFlag := fs.String("sizes", defaultSizes, "comma-separated network sizes")
 	seedFlag := fs.Int("seeds", 3, "number of seeds per size")
@@ -162,6 +165,9 @@ func parseSweep(fs *flag.FlagSet, args []string, defaultSizes string) (sizes []i
 		v, err := strconv.Atoi(part)
 		if err != nil {
 			return nil, nil, fmt.Errorf("parse size %q: %w", part, err)
+		}
+		if v < 2 {
+			return nil, nil, fmt.Errorf("size %d below the smallest network, 2", v)
 		}
 		sizes = append(sizes, v)
 	}

@@ -330,7 +330,7 @@ func TestRunRejectsCommandLine(t *testing.T) {
 
 // TestTablesRejectsBadInput pins that a seed count below 1 is an error
 // rather than a silent fall-back to the default sweep's three seeds, and
-// that an unparsable size or an unknown flag is refused.
+// that an unparsable size, a size below 2 or an unknown flag is refused.
 func TestTablesRejectsBadInput(t *testing.T) {
 	for _, row := range []struct {
 		args []string
@@ -339,6 +339,7 @@ func TestTablesRejectsBadInput(t *testing.T) {
 		{[]string{"-experiment", "E4", "-sizes", "500", "-seeds", "0"}, "-seeds"},
 		{[]string{"-experiment", "E4", "-sizes", "500", "-seeds", "-2"}, "-seeds"},
 		{[]string{"-experiment", "E4", "-sizes", "500,x"}, "parse size"},
+		{[]string{"-experiment", "E4", "-sizes", "500,1"}, "size 1"},
 		{[]string{"-bogus"}, "bogus"},
 	} {
 		args := append([]string{"tables"}, row.args...)
@@ -349,8 +350,9 @@ func TestTablesRejectsBadInput(t *testing.T) {
 }
 
 // TestBoundsRejectsBadInput pins the error paths of the lower-bound
-// exploration: an unparsable or empty size list, a seed count below 1
-// (which would print a NaN mean) and an unknown flag.
+// exploration: an unparsable or empty size list, a size below 2, a seed count
+// below 1 (which would print a NaN mean), a -delta that is neither 0 (off)
+// nor at least 2, and an unknown flag.
 func TestBoundsRejectsBadInput(t *testing.T) {
 	for _, row := range []struct {
 		args []string
@@ -360,6 +362,10 @@ func TestBoundsRejectsBadInput(t *testing.T) {
 		{[]string{"-sizes", ","}, "no sizes"},
 		{[]string{"-sizes", "100", "-seeds", "0"}, "-seeds"},
 		{[]string{"-sizes", "100", "-seeds", "-2"}, "-seeds"},
+		{[]string{"-sizes", "1,0,-3", "-seeds", "1", "-delta", "16"}, "size 1"},
+		{[]string{"-sizes", "100,-3", "-seeds", "1"}, "size -3"},
+		{[]string{"-sizes", "100", "-seeds", "1", "-delta", "-4"}, "-delta"},
+		{[]string{"-sizes", "100", "-seeds", "1", "-delta", "1"}, "-delta"},
 		{[]string{"-bogus"}, "bogus"},
 	} {
 		args := append([]string{"bounds"}, row.args...)

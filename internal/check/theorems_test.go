@@ -377,3 +377,50 @@ func TestReplicationMethodology(t *testing.T) {
 		t.Error("AssertCIAbove did not fire on a planted violation")
 	}
 }
+
+// TestClusterPushPullDeltaTradeoff: E5 as an assertion — Theorem 4 and
+// Lemma 16. ClusterPUSH-PULL over Δ ∈ {64, 256, 1024} informs every live node
+// on every seed; the broadcast phase that runs on top of the Δ-clustering
+// takes at least Lemma 16's log n / log Δ rounds and at most a calibrated
+// constant times ⌈log n / log Δ⌉; and no node takes part in more than O(Δ)
+// communications in a round — Theorem 4's form, since the observed maximum
+// exceeds Δ itself. Observed worst case: 10 broadcast rounds per
+// ⌈log n / log Δ⌉ (n = 10³, Δ = 1024), maxΔ/Δ 1.64 here and 1.92 in E5 at
+// n = 10⁴; the constants follow the ~50 % headroom rule over those.
+func TestClusterPushPullDeltaTradeoff(t *testing.T) {
+	const roundsC, commsC = 15, 3
+	broadcastRounds := func(res trace.Result) float64 {
+		for _, p := range res.Phases {
+			if p.Name == "ClusterPUSH-PULL" {
+				return float64(p.Rounds)
+			}
+		}
+		t.Fatalf("n=%d: no ClusterPUSH-PULL phase", res.N)
+		return 0
+	}
+	sizes := []int{1000}
+	if largeCells() {
+		sizes = append(sizes, 10000)
+	}
+	for _, n := range sizes {
+		for _, delta := range []int{64, 256, 1024} {
+			maxComms := 0
+			spec := run.Spec{N: n, Algorithm: run.AlgoClusterPushPull, Delta: delta}
+			r, err := check.Replicate(fmt.Sprintf("clusterpushpull broadcast rounds at n=%d Δ=%d", n, delta),
+				check.Seeds(replications), specSample(t, spec, func(res trace.Result) float64 {
+					maxComms = max(maxComms, res.MaxCommsPerRound)
+					return broadcastRounds(res)
+				}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%v; maxΔ/Δ %.2f", r, float64(maxComms)/float64(delta))
+			r.AssertMinAbove(t, lowerbound.DeltaBound(n, delta))
+			r.AssertMaxBelow(t, roundsC*math.Ceil(math.Log2(float64(n))/math.Log2(float64(delta))))
+			if maxComms > commsC*delta {
+				t.Errorf("n=%d Δ=%d: a node took part in %d communications in one round, above %d·Δ",
+					n, delta, maxComms, commsC)
+			}
+		}
+	}
+}

@@ -18,11 +18,10 @@ type ChannelConfig struct {
 	DropSeed uint64
 	// Latency and Jitter delay delivery in real time: each frame arrives
 	// after Latency plus a deterministically sampled fraction of Jitter
-	// (hash of (JitterSeed, from, to, sequence)). A mesh with any delay is
-	// not Synchronous and therefore free-running only.
-	Latency    time.Duration
-	Jitter     time.Duration
-	JitterSeed uint64
+	// (hash of (DropSeed, from, to, sequence), apart from the drop stream).
+	// A mesh with any delay is not Synchronous and therefore free-running only.
+	Latency time.Duration
+	Jitter  time.Duration
 }
 
 // lossParams is the atomically swappable drop configuration.
@@ -74,9 +73,9 @@ func (tr *ChannelTransport) Synchronous() bool {
 	return tr.cfg.Latency == 0 && tr.cfg.Jitter == 0
 }
 
-// SetLoss implements LossSetter: from the next frame on, every frame is
-// independently dropped with probability rate. Safe to call while senders
-// run.
+// SetLoss changes the drop injection mid-run, for free-running Loss events:
+// from the next frame on, every frame is independently dropped with
+// probability rate. Safe to call while senders run.
 func (tr *ChannelTransport) SetLoss(rate float64, seed uint64) {
 	if rate < 0 {
 		rate = 0
@@ -106,7 +105,7 @@ func (tr *ChannelTransport) Send(from, to int, frame []byte) {
 	}
 	delay := tr.cfg.Latency
 	if tr.cfg.Jitter > 0 {
-		h := rng.Mix(tr.cfg.JitterSeed, 0x717e4, uint64(from), uint64(to), seq)
+		h := rng.Mix(tr.cfg.DropSeed^0x717e4, 0x717e4, uint64(from), uint64(to), seq)
 		delay += time.Duration(float64(tr.cfg.Jitter) * rng.Unit(h))
 	}
 	if delay <= 0 {

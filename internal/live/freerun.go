@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/phonecall"
+	"repro/internal/policy"
 	"repro/internal/rumorset"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
@@ -199,8 +200,8 @@ func NewFreeRun(cfg FreeRunConfig) (*FreeRun, error) {
 		return nil, fmt.Errorf("live: %w", err)
 	}
 	zones := 0
-	if tv, ok := cfg.PeerSelector.(scenario.TopologyView); ok {
-		zones = tv.Zones()
+	if sel, ok := cfg.PeerSelector.(*policy.Selector); ok {
+		zones = sel.Zones()
 	}
 	if err := scenario.ValidateZones(zones, cfg.Events); err != nil {
 		return nil, fmt.Errorf("live: %w", err)
@@ -415,7 +416,9 @@ func (fr *FreeRun) tick() {
 	// once no live node is still below round r-1 — the closest free-running
 	// analogue of "at the start of round r".
 	for fr.nextEv < len(fr.events) && int64(fr.events[fr.nextEv].EventRound()) <= frontier+1 {
-		fr.apply(fr.events[fr.nextEv], frontier)
+		if err := fr.events[fr.nextEv].Apply(frTarget{fr, frontier}); err != nil {
+			fr.ignored++
+		}
 		fr.nextEv++
 		frontier = fr.frontier()
 	}
@@ -599,101 +602,87 @@ func (fr *FreeRun) frontier() int64 {
 	return min
 }
 
-// apply fires one timeline event at the given frontier.
-func (fr *FreeRun) apply(ev scenario.Event, frontier int64) {
-	switch e := ev.(type) {
-	case scenario.CrashAt:
-		fr.mu.Lock()
-		for _, i := range e.Nodes {
-			if i >= 0 && i < fr.cfg.N {
-				fr.liveFlag[i].Store(false)
-				if fr.set != nil {
-					fr.set.Fail(i)
-				}
+// frTarget is the scenario.Target the monitor applies each event to, at the
+// frontier it fired at. An Apply error, or Loss on a transport that cannot
+// inject loss, counts as an ignored event.
+type frTarget struct {
+	*FreeRun
+	frontier int64
+}
+
+// Fail and Revive ignore out-of-range indexes; a revived node restarts
+// uninformed at the frontier.
+func (t frTarget) Fail(nodes ...int) {
+	t.mu.Lock()
+	for _, i := range nodes {
+		if i >= 0 && i < t.cfg.N {
+			t.liveFlag[i].Store(false)
+			if t.set != nil {
+				t.set.Fail(i)
 			}
 		}
-		fr.cond.Broadcast() // membership changed; skew waiters re-evaluate
-		fr.mu.Unlock()
-	case scenario.JoinAt:
-		fr.mu.Lock()
-		for _, i := range e.Nodes {
-			if i >= 0 && i < fr.cfg.N && !fr.liveFlag[i].Load() {
-				// Rejoin uninformed, then go live: the holdings are cleared
-				// before the node wakes.
-				if fr.set != nil {
-					fr.set.Revive(i)
-				} else {
-					fr.mask[i].held.Store(0)
-				}
-				fr.resume[i].Store(frontier)
-				fr.roundOf[i].Store(frontier)
-				fr.liveFlag[i].Store(true)
+	}
+	t.cond.Broadcast() // membership changed; skew waiters re-evaluate
+	t.mu.Unlock()
+}
+
+func (t frTarget) Revive(nodes ...int) {
+	t.mu.Lock()
+	for _, i := range nodes {
+		if i >= 0 && i < t.cfg.N && !t.liveFlag[i].Load() {
+			// Rejoin uninformed, then go live: the holdings are cleared
+			// before the node wakes.
+			if t.set != nil {
+				t.set.Revive(i)
+			} else {
+				t.mask[i].held.Store(0)
 			}
+			t.resume[i].Store(t.frontier)
+			t.roundOf[i].Store(t.frontier)
+			t.liveFlag[i].Store(true)
 		}
-		fr.cond.Broadcast()
-		fr.mu.Unlock()
-	case scenario.Loss:
-		if ls, ok := fr.tr.(LossSetter); ok {
-			ls.SetLoss(e.Rate, e.Seed)
-		} else {
-			fr.ignored++
-		}
-	case scenario.InjectRumor:
-		// NewFreeRun validates the timeline (and stream mode rejects inject
-		// events outright), so this guard is pure defense in depth.
-		if fr.set != nil || e.Node < 0 || e.Node >= fr.cfg.N || e.Rumor >= phonecall.MaxRumors {
-			fr.ignored++
-			return
-		}
-		fr.registered.Or(1 << e.Rumor)
-		if !fr.liveFlag[e.Node].Load() {
-			// Held until JoinAt restarts the node uninformed: the tracker's
-			// lost-inject rule.
-			fr.lost++
-		}
-		fr.mask[e.Node].held.Or(1 << e.Rumor)
-	case scenario.CorruptAt:
-		// Same behavior construction as the scenario driver, wired to the
-		// free-running state: the stale snapshot freezes the node's current
-		// holdings, the liar forges outside whatever is registered when it
-		// speaks. The node goroutine picks the behavior up at its next round.
-		held := func(i int) uint64 { return fr.mask[i].held.Load() }
-		registered := func() uint64 { return fr.registered.Load() }
-		for _, i := range e.Nodes {
-			if i < 0 || i >= fr.cfg.N {
-				fr.ignored++
-				continue
-			}
-			b, err := e.BehaviorFor(i, held, registered)
-			if err != nil {
-				fr.ignored++
-				continue
-			}
-			fr.behav[i].Store(&frBehavior{b: b})
-		}
-	case scenario.ZoneOutage:
-		if members, err := scenario.ZoneMembers(fr.net, "zone outage", e.Zone); err == nil {
-			fr.apply(scenario.CrashAt{At: e.At, Nodes: members}, frontier)
-		} else {
-			fr.ignored++ // NewFreeRun rejects zone events without a topology
-		}
-	case scenario.ZoneHeal:
-		if members, err := scenario.ZoneMembers(fr.net, "zone heal", e.Zone); err == nil {
-			fr.apply(scenario.JoinAt{At: e.At, Nodes: members}, frontier)
-		} else {
-			fr.ignored++
-		}
-	case scenario.Partition, scenario.HealPartition:
-		_, part := ev.(scenario.Partition)
-		if tv, ok := fr.net.PeerSelector().(scenario.TopologyView); ok {
-			tv.SetPartitioned(part)
-		} else {
-			fr.ignored++
-		}
-	default:
-		fr.ignored++
+	}
+	t.cond.Broadcast()
+	t.mu.Unlock()
+}
+
+// Inject seeds a bitmask-mode rumor. NewFreeRun validates the timeline and
+// stream mode rejects inject events, so the error is defense in depth.
+func (t frTarget) Inject(node int, r phonecall.RumorID) error {
+	if t.set != nil || node < 0 || node >= t.cfg.N || r >= phonecall.MaxRumors {
+		return fmt.Errorf("live: cannot inject rumor %d at node %d", r, node)
+	}
+	t.registered.Or(1 << r)
+	if !t.liveFlag[node].Load() {
+		// Held until JoinAt restarts the node uninformed: the tracker's
+		// lost-inject rule.
+		t.lost++
+	}
+	t.mask[node].held.Or(1 << r)
+	return nil
+}
+
+// SetLoss retunes the channel mesh; no other transport can inject loss.
+func (t frTarget) SetLoss(rate float64, seed uint64) {
+	if ct, ok := t.tr.(*ChannelTransport); ok {
+		ct.SetLoss(rate, seed)
+	} else {
+		t.ignored++
 	}
 }
+
+// SetBehavior takes effect at the node's next round.
+func (t frTarget) SetBehavior(node int, b phonecall.Behavior) {
+	if node >= 0 && node < t.cfg.N {
+		t.behav[node].Store(&frBehavior{b: b})
+	}
+}
+
+func (t frTarget) PeerSelector() phonecall.PeerSelector { return t.net.PeerSelector() }
+
+// Held and Registered expose the mask slab to CorruptAt.
+func (t frTarget) Held(node int) uint64 { return t.mask[node].held.Load() }
+func (t frTarget) Registered() uint64   { return t.registered.Load() }
 
 // waitSkew blocks while node i's local round r is more than MaxSkew ahead of
 // the frontier. It returns false when the node must not step: the run

@@ -116,7 +116,8 @@ func TestFreeRunReviveDiscardsDeadBacklog(t *testing.T) {
 }
 
 // TestFreeRunLossEvent checks that a Loss event retunes the channel mesh
-// mid-run through the LossSetter capability.
+// mid-run: its Apply reaches ChannelTransport.SetLoss through the
+// free-running target.
 func TestFreeRunLossEvent(t *testing.T) {
 	tr, err := NewChannelTransport(200, ChannelConfig{})
 	if err != nil {

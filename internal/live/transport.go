@@ -26,12 +26,6 @@ type Transport interface {
 	Close() error
 }
 
-// LossSetter is the optional transport capability of changing the loss
-// injection mid-run; free-running scenarios use it to honor Loss events.
-type LossSetter interface {
-	SetLoss(rate float64, seed uint64)
-}
-
 // SendFailureCounter is the optional transport capability of counting sends
 // the OS refused (the UDP transport's WriteToUDP errors). The free-running
 // report surfaces the counts so real loss is never silent.

@@ -200,7 +200,8 @@ func TestSelectorMatchesReference(t *testing.T) {
 
 // TestPartitionMasking pins the partition view: only same-zone peers resolve,
 // and a node alone in its zone becomes a violation (enforce: failed call;
-// permissive: uniform fallback).
+// permissive: uniform fallback). A SameZoneOnly policy is the same confinement
+// compiled in from the start.
 func TestPartitionMasking(t *testing.T) {
 	attrs := make([]Attrs, 9)
 	for i := range attrs {
@@ -237,6 +238,19 @@ func TestPartitionMasking(t *testing.T) {
 	if j, ok := sel.SelectPeer(1, 8); !ok || j == 8 {
 		t.Fatalf("healed lone node got (%d,%v)", j, ok)
 	}
+
+	zoned, err := ZoneTable(40, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sel, err = NewSelector(zoned, &Policy{Rules: Rules{SameZoneOnly: true}}, 11); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < zoned.Len(); i++ {
+		if j, ok := sel.SelectPeer(2, i); !ok || zoned.Zone(j) != zoned.Zone(i) {
+			t.Fatalf("SameZoneOnly contact %d -> %d (ok=%v) left the zone", i, j, ok)
+		}
+	}
 }
 
 // TestPermissiveFallback pins the permissive mode: an empty candidate set
@@ -261,39 +275,6 @@ func TestPermissiveFallback(t *testing.T) {
 	evals, violations := sel.Stats()
 	if evals != n || violations != n {
 		t.Fatalf("stats = (%d,%d), want (%d,%d)", evals, violations, n, n)
-	}
-}
-
-// TestSetPolicySwap pins the between-rounds policy swap: selection follows
-// the new policy, and nil restores the uniform pass-through.
-func TestSetPolicySwap(t *testing.T) {
-	const n, seed = 40, 11
-	tab, err := ZoneTable(n, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel, err := NewSelector(tab, nil, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sel.SetPolicy(&Policy{Rules: Rules{SameZoneOnly: true}}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if j, ok := sel.SelectPeer(2, i); !ok || tab.Zone(j) != tab.Zone(i) {
-			t.Fatalf("constrained contact %d -> %d (ok=%v) left the zone", i, j, ok)
-		}
-	}
-	if err := sel.SetPolicy(&Policy{Mode: "bogus"}); err == nil {
-		t.Fatal("invalid policy swap accepted")
-	}
-	if err := sel.SetPolicy(nil); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if j, ok := sel.SelectPeer(3, i); !ok || j != phonecall.RandomPeer(n, seed, 3, i) {
-			t.Fatalf("nil swap did not restore the uniform contract at %d", i)
-		}
 	}
 }
 

@@ -28,8 +28,8 @@ type groupPlan struct {
 	total int64
 }
 
-// compiled is an immutable compilation of (table, policy): swapped atomically
-// by SetPolicy, read without locks on the selection hot path.
+// compiled is the immutable compilation of (table, policy) that NewSelector
+// builds and the selection hot path reads.
 type compiled struct {
 	groups     []Attrs
 	members    [][]int
@@ -50,15 +50,15 @@ type compiled struct {
 // the uniform contract phonecall.RandomPeer, so installing a topology alone
 // does not change any execution.
 //
-// SetPolicy and SetPartitioned are safe to call concurrently with selection
-// (atomic swaps), but deterministic runs must only call them between rounds,
-// like Fail/Revive/SetLoss.
+// SetPartitioned is safe to call concurrently with selection (an atomic
+// flag), but deterministic runs must only call it between rounds, like
+// Fail/Revive/SetLoss.
 type Selector struct {
 	table *Table
 	n     int
 	seed  uint64
 
-	state       atomic.Pointer[compiled]
+	state       *compiled
 	partitioned atomic.Bool
 	evaluations atomic.Int64
 	violations  atomic.Int64
@@ -77,9 +77,7 @@ func NewSelector(table *Table, pol *Policy, seed uint64) (*Selector, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Selector{table: table, n: table.Len(), seed: seed}
-	s.state.Store(c)
-	return s, nil
+	return &Selector{table: table, n: table.Len(), seed: seed, state: c}, nil
 }
 
 // compile builds the immutable selection tables for one (table, policy)
@@ -144,7 +142,7 @@ func compile(table *Table, pol *Policy) (*compiled, error) {
 func (s *Selector) SelectPeer(round, initiator int) (int, bool) {
 	s.evaluations.Add(1)
 	part := s.partitioned.Load()
-	c := s.state.Load()
+	c := s.state
 	if !c.hasPolicy && !part {
 		return phonecall.RandomPeer(s.n, s.seed, round, initiator), true
 	}
@@ -176,17 +174,6 @@ func b2i(b bool) int {
 		return 1
 	}
 	return 0
-}
-
-// SetPolicy recompiles the selector for a new policy (nil restores the
-// uniform pass-through) and swaps it in atomically.
-func (s *Selector) SetPolicy(pol *Policy) error {
-	c, err := compile(s.table, pol)
-	if err != nil {
-		return err
-	}
-	s.state.Store(c)
-	return nil
 }
 
 // SetPartitioned toggles the network partition view: while partitioned, only

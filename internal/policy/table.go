@@ -8,7 +8,7 @@
 // initiator) plus compiled tables, so selection is bit-identical across
 // worker counts, engines and platforms — the same property the uniform
 // contract phonecall.RandomPeer has. Floating point appears only at compile
-// time (NewSelector / SetPolicy), where scores are quantized to integer slot
+// time (NewSelector), where scores are quantized to integer slot
 // multiplicities once. DESIGN.md §13 documents the contract; the naive
 // re-implementation ReferenceSelect and FuzzPolicyVsOracle pin it.
 package policy

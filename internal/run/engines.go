@@ -125,7 +125,7 @@ func (s Spec) transport() (live.Transport, error) {
 	}
 	return live.NewChannelTransport(s.N, live.ChannelConfig{
 		Drop: s.Drop, DropSeed: s.DropSeed,
-		Latency: s.Latency, Jitter: s.Jitter, JitterSeed: s.DropSeed ^ 0x717e4,
+		Latency: s.Latency, Jitter: s.Jitter,
 	})
 }
 

@@ -284,6 +284,9 @@ func (s Spec) Validate() error {
 	if s.Drop < 0 || s.Drop > 1 {
 		return invalidf("transport drop rate %v outside [0,1]", s.Drop)
 	}
+	if s.Latency < 0 || s.Jitter < 0 {
+		return invalidf("negative link delay (latency %v, jitter %v)", s.Latency, s.Jitter)
+	}
 	if s.MaxSkew < 0 {
 		return invalidf("negative MaxSkew %d", s.MaxSkew)
 	}

@@ -72,6 +72,9 @@ func TestValidateRejects(t *testing.T) {
 		{"transport on simulator", Spec{N: 100, Transport: "chan"}},
 		{"frame drop on simulator", Spec{N: 100, Drop: 0.5}},
 		{"drop above one", Spec{N: 100, Engine: EngineFreeRunning, Drop: 1.5}},
+		{"negative latency", Spec{N: 100, Engine: EngineFreeRunning, Latency: -5 * time.Millisecond}},
+		{"negative jitter", Spec{N: 100, Engine: EngineFreeRunning, Jitter: -3 * time.Millisecond}},
+		{"negative latency and jitter", Spec{N: 100, Engine: EngineFreeRunning, Latency: -1, Jitter: -1}},
 		{"frame drop on lock-step", Spec{N: 100, Engine: EngineLockStep, Drop: 0.5}},
 		{"latency on lock-step", Spec{N: 100, Engine: EngineLockStep, Latency: time.Millisecond}},
 		{"udp on lock-step", Spec{N: 100, Engine: EngineLockStep, Transport: "udp"}},
@@ -371,6 +374,50 @@ func TestEngineAgreement(t *testing.T) {
 					res.LostInjects, res.AllInformed, res.Informed, res.Live)
 			}
 		})
+	}
+
+	// Zone and partition events act through the topology's selector on every
+	// engine: an outage takes exactly its zone down until the zone heals, a
+	// partition takes nobody down, and once either heals the rumor reaches
+	// everyone. The free-running monitor may fire an outage and its heal
+	// between two frontier reports, so only the synchronous ledgers are held
+	// to the exact lowest live count.
+	const zn = 60
+	topo, err := policy.ZoneTable(zn, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct {
+		events  []scenario.Event
+		minLive int
+	}{
+		"zone outage": {[]scenario.Event{inject, scenario.ZoneOutage{At: 3, Zone: 1}, scenario.ZoneHeal{At: 6, Zone: 1}},
+			zn - len(topo.ZoneMembers(1))},
+		"partition": {[]scenario.Event{inject, scenario.Partition{At: 2}, scenario.HealPartition{At: 6}}, zn},
+	} {
+		for engine, spec := range map[string]Spec{
+			"scenario":     {},
+			"scenario set": {MaxInFlight: 4},
+			"free-running": {Engine: EngineFreeRunning},
+		} {
+			t.Run(name+"/"+engine, func(t *testing.T) {
+				minLive := zn
+				spec.N, spec.Algorithm, spec.Seed, spec.Rounds = zn, "push-pull", 1, 40
+				spec.Events, spec.Topology = tc.events, topo
+				spec.Observer = func(st RoundStats) { minLive = min(minLive, st.Live) }
+				res, err := Execute(context.Background(), spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Live != zn || !res.AllInformed || res.IgnoredEvents != 0 || res.UnfiredEvents != 0 {
+					t.Fatalf("live %d, all-informed %v, ignored %d, unfired %d: want %d live, converged, every event applied",
+						res.Live, res.AllInformed, res.IgnoredEvents, res.UnfiredEvents, zn)
+				}
+				if minLive < tc.minLive || spec.Engine != EngineFreeRunning && minLive != tc.minLive {
+					t.Fatalf("lowest live count %d, want %d", minLive, tc.minLive)
+				}
+			})
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/phonecall"
+	"repro/internal/policy"
 	"repro/internal/telemetry"
 )
 
@@ -47,22 +48,14 @@ type instruments struct {
 	algo, engine           string
 
 	// Policy instrumentation, created lazily when the bound network carries a
-	// policy view. The selector's counters are cumulative, so record feeds
+	// policy selector. The selector's counters are cumulative, so record feeds
 	// deltas against the last-seen values.
-	policySel             policyView
+	policySel             *policy.Selector
 	policyEvals           *telemetry.Counter
 	policyViolations      *telemetry.Counter
 	lastEvals, lastViolns int64
 	zoneInformed          []*telemetry.Gauge
 	zoneCounts            []int64
-}
-
-// policyView is what the instruments need from an installed peer
-// selector; internal/policy.Selector implements it.
-type policyView interface {
-	Stats() (evaluations, violations int64)
-	Zones() int
-	Zone(i int) int
 }
 
 // newInstruments resolves the instruments for one (algorithm, engine) pair up
@@ -87,7 +80,7 @@ func newInstruments(reg *telemetry.Registry, algo, engine string) *instruments {
 // selector is installed on the network (before observers are registered — the
 // order every driver follows).
 func (e *instruments) bindNetwork(net *phonecall.Network) {
-	if pv, ok := net.PeerSelector().(policyView); ok {
+	if pv, ok := net.PeerSelector().(*policy.Selector); ok {
 		e.policySel = pv
 		by := []telemetry.Label{{Key: "algo", Value: e.algo}, {Key: "engine", Value: e.engine}}
 		e.policyEvals = e.reg.Counter("repro_policy_evaluations_total", by...)

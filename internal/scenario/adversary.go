@@ -90,23 +90,27 @@ func (e CorruptAt) Describe() string {
 	return fmt.Sprintf("corrupt %d nodes (%s)", len(e.Nodes), e.Adversary.Kind)
 }
 
-// Apply implements Event. Works with or without the mask ledger, whose
-// holdings the behaviors rewrite: closed algorithms (l == nil) have none, so
-// the stale adversary freezes to the empty mask (mute) and the liar forges
-// nothing.
-func (e CorruptAt) Apply(net *phonecall.Network, l ledger) error {
+// masks is the optional Target capability the stale and liar behaviors read:
+// the mask ledger's RumorTracker and the free-running mask slab have it.
+type masks interface {
+	Held(node int) uint64
+	Registered() uint64
+}
+
+// Apply implements Event. On a target without masks (a closed algorithm) the
+// stale adversary freezes to the empty mask (mute) and the liar forges nothing.
+func (e CorruptAt) Apply(t Target) error {
 	var held func(int) uint64
 	var registered func() uint64
-	if p, ok := l.(*protocol); ok {
-		held = p.Held
-		registered = p.Registered
+	if m, ok := t.(masks); ok {
+		held, registered = m.Held, m.Registered
 	}
 	for _, i := range e.Nodes {
 		b, err := e.BehaviorFor(i, held, registered)
 		if err != nil {
 			return fmt.Errorf("scenario: corrupt at round %d: %w", e.At, err)
 		}
-		net.SetBehavior(i, b)
+		t.SetBehavior(i, b)
 	}
 	return nil
 }
@@ -115,7 +119,7 @@ func (e CorruptAt) Apply(net *phonecall.Network, l ledger) error {
 // held and registered supply the rumor state the adversary snapshots at
 // corruption time; either may be nil when no tracker exists (closed
 // algorithms, or reference drivers that carry their own state). Exported so
-// the oracle's reference driver and the free-running runtime construct the
+// the oracle's reference driver, which keeps its own holdings, constructs the
 // exact same behavior from the same event.
 func (e CorruptAt) BehaviorFor(node int, held func(int) uint64, registered func() uint64) (phonecall.Behavior, error) {
 	switch e.Adversary.Kind {

@@ -130,21 +130,19 @@ func (a Algorithm) Step(has func(int) bool, mark func(int), rumor phonecall.Mess
 }
 
 // ledger is the seam between the scenario driver and a run's rumor holdings:
-// what the coordinator asks of them between rounds, so that Run's loop and
-// every Event.Apply are written once. Two representations implement it — the
-// 64-bit mask (protocol, below) and the rumor-set window (wideProtocol,
-// wide.go) — and Run picks one from the timeline it is handed, never from an
-// option. The per-node side stays off the interface: Run takes intent,
-// response and deliver from the concrete type once, as method values, so the
-// engine's callbacks pay no dispatch.
+// what the coordinator asks of them between rounds, so that Run's loop is
+// written once, and the Target every event of the run is applied to. Two
+// representations implement it — the 64-bit mask (protocol, below) and the
+// rumor-set window (wideProtocol, wide.go) — and Run picks one from the
+// timeline it is handed, never from an option. The per-node side stays off
+// the interface: Run takes intent, response and deliver from the concrete
+// type once, as method values, so the engine's callbacks pay no dispatch.
 //
 // Inject, Fail, Revive and LostInjects are phonecall.RumorTracker's, names
 // and contracts, so the mask ledger takes them from the tracker it embeds.
 type ledger interface {
 	phonecall.Holdings
-	Inject(node int, r phonecall.RumorID) error
-	Fail(nodes ...int)
-	Revive(nodes ...int)
+	Target
 	LostInjects() int64
 	// informed appends the live-informed count of every in-flight rumor to
 	// dst, ordered by rumor ID.
@@ -166,13 +164,20 @@ type ledger interface {
 // stays in flight from its first injection to the end of the run.
 type protocol struct {
 	*phonecall.RumorTracker
+	onNet
 	algo Algorithm
-	net  *phonecall.Network
 }
 
 func newProtocol(algo Algorithm, net *phonecall.Network, tr *phonecall.RumorTracker) *protocol {
-	return &protocol{RumorTracker: tr, algo: algo, net: net}
+	return &protocol{RumorTracker: tr, onNet: onNet{net}, algo: algo}
 }
+
+// onNet is the half of Target both ledgers take from the network itself.
+type onNet struct{ net *phonecall.Network }
+
+func (o onNet) SetLoss(rate float64, seed uint64)          { o.net.SetLoss(rate, seed) }
+func (o onNet) SetBehavior(node int, b phonecall.Behavior) { o.net.SetBehavior(node, b) }
+func (o onNet) PeerSelector() phonecall.PeerSelector       { return o.net.PeerSelector() }
 
 // intent implements the per-node initiation of the selected protocol. Reads
 // only node i's own holdings word plus the coordinator-written registered

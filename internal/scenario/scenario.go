@@ -8,7 +8,8 @@
 // algorithms and the baselines behave under exactly those dynamics.
 //
 // A Scenario is a typed event timeline (CrashAt, JoinAt, Loss, InjectRumor,
-// CorruptAt) over a fixed round budget. It can be executed two ways:
+// CorruptAt, zone events), each applied by its own Apply(Target) on every
+// engine, over a fixed round budget. It can be executed two ways:
 //
 //   - Run drives one of the round-steppable multi-rumor gossip protocols
 //     (push, pull, push-pull) and returns a per-phase trace — the full
@@ -50,26 +51,28 @@ type Event interface {
 	EventRound() int
 	// Describe renders the event for per-phase traces.
 	Describe() string
-	// Apply executes the event against the network and the run's rumor
-	// ledger. l is nil when the timeline runs under a closed
-	// (non-scenario-aware) protocol; events that need per-rumor state return
-	// an error in that case.
-	Apply(net *phonecall.Network, l ledger) error
+	// Apply executes the event against t: the one applier of every engine.
+	Apply(t Target) error
 }
 
-// members is where a membership event lands: the ledger, which keeps its
-// live-informed counts in step with the network, or the bare network when a
-// closed protocol runs without one.
-type members interface {
+// Target is what a timeline event acts on: the mask and set ledgers, closed
+// (the bare network under a closed protocol) and the free-running runtime
+// (internal/live). The methods have phonecall.Network's and RumorTracker's
+// names and contracts; Inject errors on a target without rumor state.
+type Target interface {
 	Fail(nodes ...int)
 	Revive(nodes ...int)
+	Inject(node int, r phonecall.RumorID) error
+	SetLoss(rate float64, seed uint64)
+	SetBehavior(node int, b phonecall.Behavior)
+	PeerSelector() phonecall.PeerSelector
 }
 
-func membersOf(net *phonecall.Network, l ledger) members {
-	if l != nil {
-		return l
-	}
-	return net
+// closed is the Target of a closed protocol's timeline: the bare network.
+type closed struct{ *phonecall.Network }
+
+func (closed) Inject(int, phonecall.RumorID) error {
+	return fmt.Errorf("InjectRumor needs the scenario driver (closed protocols have no rumor tracker)")
 }
 
 // CrashAt fails the listed nodes at the start of round At. Crashed nodes
@@ -87,8 +90,8 @@ func (e CrashAt) EventRound() int { return e.At }
 func (e CrashAt) Describe() string { return fmt.Sprintf("crash %d nodes", len(e.Nodes)) }
 
 // Apply implements Event.
-func (e CrashAt) Apply(net *phonecall.Network, l ledger) error {
-	membersOf(net, l).Fail(e.Nodes...)
+func (e CrashAt) Apply(t Target) error {
+	t.Fail(e.Nodes...)
 	return nil
 }
 
@@ -109,8 +112,8 @@ func (e JoinAt) EventRound() int { return e.At }
 func (e JoinAt) Describe() string { return fmt.Sprintf("join %d nodes", len(e.Nodes)) }
 
 // Apply implements Event.
-func (e JoinAt) Apply(net *phonecall.Network, l ledger) error {
-	membersOf(net, l).Revive(e.Nodes...)
+func (e JoinAt) Apply(t Target) error {
+	t.Revive(e.Nodes...)
 	return nil
 }
 
@@ -131,8 +134,8 @@ func (e Loss) EventRound() int { return e.At }
 func (e Loss) Describe() string { return fmt.Sprintf("loss rate %.2f", e.Rate) }
 
 // Apply implements Event.
-func (e Loss) Apply(net *phonecall.Network, l ledger) error {
-	net.SetLoss(e.Rate, e.Seed)
+func (e Loss) Apply(t Target) error {
+	t.SetLoss(e.Rate, e.Seed)
 	return nil
 }
 
@@ -155,11 +158,8 @@ func (e InjectRumor) Describe() string {
 }
 
 // Apply implements Event.
-func (e InjectRumor) Apply(net *phonecall.Network, l ledger) error {
-	if l == nil {
-		return fmt.Errorf("scenario: InjectRumor needs the scenario driver (closed protocols have no rumor tracker)")
-	}
-	if err := l.Inject(e.Node, e.Rumor); err != nil {
+func (e InjectRumor) Apply(t Target) error {
+	if err := t.Inject(e.Node, e.Rumor); err != nil {
 		return fmt.Errorf("scenario: round %d: %w", e.At, err)
 	}
 	return nil
@@ -200,7 +200,7 @@ func (tl *Timeline) Attach(net *phonecall.Network) {
 // advance applies every event due at or before round.
 func (tl *Timeline) advance(net *phonecall.Network, round int) {
 	for tl.err == nil && tl.next < len(tl.events) && tl.events[tl.next].EventRound() <= round {
-		tl.err = tl.events[tl.next].Apply(net, nil)
+		tl.err = tl.events[tl.next].Apply(closed{net})
 		tl.next++
 	}
 }
@@ -549,7 +549,7 @@ func Run(ctx context.Context, sc Scenario, cfg Config) (res Result, err error) {
 		}
 		for next < len(events) && events[next].EventRound() <= r {
 			ev := events[next]
-			if err := ev.Apply(net, l); err != nil {
+			if err := ev.Apply(l); err != nil {
 				return Result{}, err
 			}
 			if inj, ok := ev.(InjectRumor); ok {

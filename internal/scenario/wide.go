@@ -27,8 +27,8 @@ import (
 // digest.
 type wideProtocol struct {
 	algo Algorithm
-	net  *phonecall.Network
-	set  *rumorset.Set
+	onNet
+	set *rumorset.Set
 	// view is the set's read lock, taken by the coordinator in beginRound and
 	// given back in endRound: the engine's shards run the rumor-set kernels
 	// under it, so no node and no message takes a lock of its own.
@@ -70,7 +70,7 @@ func newWideProtocol(algo Algorithm, net *phonecall.Network, set *rumorset.Set) 
 	return &wideProtocol{
 		carries: carries,
 		algo:    algo,
-		net:     net,
+		onNet:   onNet{net},
 		set:     set,
 		digests: make([]wideDigest, set.Nodes()),
 		snaps:   make([]uint64, set.Nodes()*set.Words()),

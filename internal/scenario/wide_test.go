@@ -102,11 +102,11 @@ func TestWideMatchesBitmaskPath(t *testing.T) {
 }
 
 // TestApplyOnEveryLedger drives each event kind through the one Event.Apply
-// on the mask ledger, the set ledger and no ledger at all (a closed
-// protocol's timeline), on three identical networks: the live sets must agree
-// everywhere, the two ledgers must agree on every rumor's live-informed count
-// and on the lost injects, and only the events that need rumor state may fail
-// without a ledger.
+// on the targets this package builds — the mask ledger, the set ledger and
+// the closed target (a closed protocol's timeline) — on three identical
+// networks: the live sets must agree everywhere, the two ledgers must agree
+// on every rumor's live-informed count and on the lost injects, and only the
+// events that need rumor state may fail on the closed target.
 func TestApplyOnEveryLedger(t *testing.T) {
 	const n, zones = 12, 3
 	topo, err := policy.ZoneTable(n, zones)
@@ -129,12 +129,12 @@ func TestApplyOnEveryLedger(t *testing.T) {
 	}
 	mask := newProtocol(AlgoPushPull, nets[0], phonecall.NewRumorTracker(nets[0]))
 	wide := newWideProtocol(AlgoPushPull, nets[1], set)
-	ledgers := [3]ledger{mask, wide, nil}
+	targets := [3]Target{mask, wide, closed{nets[2]}}
 
 	for _, step := range []struct {
 		name     string
 		ev       Event
-		needs    bool  // needs a ledger: errors without one
+		needs    bool  // needs rumor state: errors on the closed target
 		informed []int // live-informed of rumors 1 and 2 afterwards
 		lost     int64
 		live     int
@@ -149,25 +149,25 @@ func TestApplyOnEveryLedger(t *testing.T) {
 		{"Partition", Partition{}, false, []int{0, 0}, 1, 12},
 		{"HealPartition", HealPartition{}, false, []int{0, 0}, 1, 12},
 	} {
-		for k, l := range ledgers {
-			err := step.ev.Apply(nets[k], l)
-			if wantErr := step.needs && l == nil; (err != nil) != wantErr {
-				t.Fatalf("%s on ledger %d: err = %v", step.name, k, err)
+		for k, tg := range targets {
+			err := step.ev.Apply(tg)
+			if wantErr := step.needs && k == 2; (err != nil) != wantErr {
+				t.Fatalf("%s on target %d: err = %v", step.name, k, err)
 			}
 			if nets[k].LiveCount() != step.live {
-				t.Errorf("%s on ledger %d: %d live nodes, want %d", step.name, k, nets[k].LiveCount(), step.live)
+				t.Errorf("%s on target %d: %d live nodes, want %d", step.name, k, nets[k].LiveCount(), step.live)
 			}
 			for i := 0; i < n; i++ {
 				if nets[k].IsFailed(i) != nets[0].IsFailed(i) {
-					t.Errorf("%s: node %d failed=%v on ledger %d, %v on the mask ledger",
+					t.Errorf("%s: node %d failed=%v on target %d, %v on the mask ledger",
 						step.name, i, nets[k].IsFailed(i), k, nets[0].IsFailed(i))
 				}
 			}
 			if want := step.name == "Partition"; sels[k].Partitioned() != want {
-				t.Errorf("%s on ledger %d: partitioned = %v", step.name, k, !want)
+				t.Errorf("%s on target %d: partitioned = %v", step.name, k, !want)
 			}
 		}
-		for k, l := range ledgers[:2] {
+		for k, l := range []ledger{mask, wide} {
 			var got []int
 			for _, rc := range l.informed(nil) {
 				got = append(got, rc.LiveInformed)
@@ -179,18 +179,26 @@ func TestApplyOnEveryLedger(t *testing.T) {
 		}
 	}
 
-	// The zone events' own errors do not depend on the ledger either.
-	bare, err := phonecall.New(phonecall.Config{N: n, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
+	// The zone events' own errors do not depend on the target either: on a
+	// network without a selector every one of them fails.
+	var bare [3]*phonecall.Network
+	for k := range bare {
+		if bare[k], err = phonecall.New(phonecall.Config{N: n, Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for k, l := range ledgers {
-		if err := (ZoneOutage{Zone: zones}).Apply(nets[k], l); err == nil {
-			t.Errorf("ledger %d: zone outage past the topology's zones applied", k)
+	noTopology := [3]Target{
+		newProtocol(AlgoPushPull, bare[0], phonecall.NewRumorTracker(bare[0])),
+		newWideProtocol(AlgoPushPull, bare[1], set),
+		closed{bare[2]},
+	}
+	for k, tg := range targets {
+		if err := (ZoneOutage{Zone: zones}).Apply(tg); err == nil {
+			t.Errorf("target %d: zone outage past the topology's zones applied", k)
 		}
 		for _, ev := range []Event{ZoneOutage{}, ZoneHeal{}, Partition{}, HealPartition{}} {
-			if err := ev.Apply(bare, l); err == nil {
-				t.Errorf("ledger %d: %s applied without a topology", k, ev.Describe())
+			if err := ev.Apply(noTopology[k]); err == nil {
+				t.Errorf("target %d: %s applied without a topology", k, ev.Describe())
 			}
 		}
 	}

@@ -3,45 +3,35 @@ package scenario
 import (
 	"fmt"
 
-	"repro/internal/phonecall"
+	"repro/internal/policy"
 )
 
 // Zone and partition events: the timeline vocabulary of heterogeneous
-// topologies (internal/policy). They act through the network's installed
-// peer selector — the same object that biases random contacts — so "fail
-// zone 2" and "partition the zones" mean the same node sets the policy
-// selects over. On a network without a topology they fail loudly at apply
-// time instead of silently doing nothing.
+// topologies (internal/policy). They act through the target's installed peer
+// selector, a *policy.Selector — the same object that biases random contacts
+// — so "fail zone 2" and "partition the zones" mean the same node sets the
+// policy selects over, on every engine. On a target without a topology they
+// fail loudly at apply time instead of silently doing nothing.
 
-// TopologyView is what the zone events need from the installed peer
-// selector; internal/policy's Selector implements it. Declared here (not
-// imported) so the event vocabulary stays decoupled from the policy
-// compiler; the free-running runtime fires the same events through it.
-type TopologyView interface {
-	ZoneMembers(zone int) []int
-	Zones() int
-	SetPartitioned(part bool)
-}
-
-// topology extracts the topology view from the network's peer selector.
-func topology(net *phonecall.Network, what string) (TopologyView, error) {
-	if tv, ok := net.PeerSelector().(TopologyView); ok {
-		return tv, nil
+// topology returns the target's installed policy selector; what names the
+// event in the error.
+func topology(t Target, what string) (*policy.Selector, error) {
+	if sel, ok := t.PeerSelector().(*policy.Selector); ok {
+		return sel, nil
 	}
 	return nil, fmt.Errorf("scenario: %s needs a topology (configure one with WithTopology)", what)
 }
 
-// ZoneMembers resolves a zone event's node set on the installed topology;
-// what names the event in the error.
-func ZoneMembers(net *phonecall.Network, what string, zone int) ([]int, error) {
-	tv, err := topology(net, what)
+// zoneMembers resolves a zone event's node set on the installed topology.
+func zoneMembers(t Target, what string, zone int) ([]int, error) {
+	sel, err := topology(t, what)
 	if err != nil {
 		return nil, err
 	}
-	if zone < 0 || zone >= tv.Zones() {
-		return nil, fmt.Errorf("scenario: zone %d outside the topology's [0,%d)", zone, tv.Zones())
+	if zone < 0 || zone >= sel.Zones() {
+		return nil, fmt.Errorf("scenario: zone %d outside the topology's [0,%d)", zone, sel.Zones())
 	}
-	return tv.ZoneMembers(zone), nil
+	return sel.ZoneMembers(zone), nil
 }
 
 // ZoneOutage fails every node of a topology zone at the start of round At —
@@ -58,12 +48,12 @@ func (e ZoneOutage) EventRound() int { return e.At }
 func (e ZoneOutage) Describe() string { return fmt.Sprintf("zone %d outage", e.Zone) }
 
 // Apply implements Event.
-func (e ZoneOutage) Apply(net *phonecall.Network, l ledger) error {
-	members, err := ZoneMembers(net, "zone outage", e.Zone)
+func (e ZoneOutage) Apply(t Target) error {
+	members, err := zoneMembers(t, "zone outage", e.Zone)
 	if err != nil {
 		return err
 	}
-	membersOf(net, l).Fail(members...)
+	t.Fail(members...)
 	return nil
 }
 
@@ -81,12 +71,12 @@ func (e ZoneHeal) EventRound() int { return e.At }
 func (e ZoneHeal) Describe() string { return fmt.Sprintf("zone %d heals", e.Zone) }
 
 // Apply implements Event.
-func (e ZoneHeal) Apply(net *phonecall.Network, l ledger) error {
-	members, err := ZoneMembers(net, "zone heal", e.Zone)
+func (e ZoneHeal) Apply(t Target) error {
+	members, err := zoneMembers(t, "zone heal", e.Zone)
 	if err != nil {
 		return err
 	}
-	membersOf(net, l).Revive(members...)
+	t.Revive(members...)
 	return nil
 }
 
@@ -105,12 +95,12 @@ func (e Partition) EventRound() int { return e.At }
 func (e Partition) Describe() string { return "partition zones" }
 
 // Apply implements Event.
-func (e Partition) Apply(net *phonecall.Network, l ledger) error {
-	tv, err := topology(net, "partition")
+func (e Partition) Apply(t Target) error {
+	sel, err := topology(t, "partition")
 	if err != nil {
 		return err
 	}
-	tv.SetPartitioned(true)
+	sel.SetPartitioned(true)
 	return nil
 }
 
@@ -126,11 +116,11 @@ func (e HealPartition) EventRound() int { return e.At }
 func (e HealPartition) Describe() string { return "heal partition" }
 
 // Apply implements Event.
-func (e HealPartition) Apply(net *phonecall.Network, l ledger) error {
-	tv, err := topology(net, "heal partition")
+func (e HealPartition) Apply(t Target) error {
+	sel, err := topology(t, "heal partition")
 	if err != nil {
 		return err
 	}
-	tv.SetPartitioned(false)
+	sel.SetPartitioned(false)
 	return nil
 }
