@@ -36,11 +36,13 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro"
+	"repro/internal/harness"
 )
 
 func main() {
@@ -83,7 +85,9 @@ func run(args []string, w io.Writer) error {
 }
 
 // runTables regenerates the reproduction tables E1–E12 recorded in
-// EXPERIMENTS.md, one per experiment id, each trial through repro.Run.
+// EXPERIMENTS.md, one per experiment id, each trial through run.Execute —
+// the execution layer of repro.Run. Every id and -b is checked before the
+// first table runs.
 func runTables(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("gossip tables", flag.ContinueOnError)
 	experiments := fs.String("experiment", "all", "comma-separated experiment ids (E1..E10, E12) or 'all'")
@@ -93,13 +97,23 @@ func runTables(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	ids := repro.ExperimentIDs()
-	if *experiments != "all" {
-		ids = strings.Split(*experiments, ",")
+	if *payload < 0 {
+		return fmt.Errorf("-b must not be negative, got %d", *payload)
 	}
+	ids := harness.ExperimentIDs()
+	if *experiments != "all" {
+		known := ids
+		ids = strings.Split(*experiments, ",")
+		for i, id := range ids {
+			ids[i] = strings.ToUpper(strings.TrimSpace(id))
+			if !slices.Contains(known, ids[i]) {
+				return fmt.Errorf("unknown experiment %q (have %s or all)", id, strings.Join(known, ", "))
+			}
+		}
+	}
+	cfg := harness.SweepConfig{Sizes: sizes, Seeds: seeds, PayloadBits: *payload, Workers: *workers}
 	for _, id := range ids {
-		table, err := repro.Experiment(strings.TrimSpace(id), sizes, seeds,
-			repro.WithPayloadBits(*payload), repro.WithWorkers(*workers))
+		table, err := harness.RunExperiment(id, cfg)
 		if err != nil {
 			return err
 		}

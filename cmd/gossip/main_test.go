@@ -330,7 +330,9 @@ func TestRunRejectsCommandLine(t *testing.T) {
 
 // TestTablesRejectsBadInput pins that a seed count below 1 is an error
 // rather than a silent fall-back to the default sweep's three seeds, and
-// that an unparsable size, a size below 2 or an unknown flag is refused.
+// that an unparsable size, a size below 2, an unknown flag, an unknown or
+// empty experiment id and a negative -b are refused — and refused before any
+// table runs: no row prints anything, even when valid ids come first.
 func TestTablesRejectsBadInput(t *testing.T) {
 	for _, row := range []struct {
 		args []string
@@ -341,10 +343,18 @@ func TestTablesRejectsBadInput(t *testing.T) {
 		{[]string{"-experiment", "E4", "-sizes", "500,x"}, "parse size"},
 		{[]string{"-experiment", "E4", "-sizes", "500,1"}, "size 1"},
 		{[]string{"-bogus"}, "bogus"},
+		{[]string{"-experiment", "E0", "-sizes", "500", "-seeds", "1"}, `"E0"`},
+		{[]string{"-experiment", "E1,E0", "-sizes", "500", "-seeds", "1"}, `"E0"`},
+		{[]string{"-experiment", "E1,", "-sizes", "500", "-seeds", "1"}, `unknown experiment ""`},
+		{[]string{"-experiment", "E4", "-sizes", "500", "-seeds", "1", "-b", "-1"}, "-b"},
 	} {
 		args := append([]string{"tables"}, row.args...)
-		if _, err := runOut(t, args...); err == nil || !strings.Contains(err.Error(), row.want) {
+		out, err := runOut(t, args...)
+		if err == nil || !strings.Contains(err.Error(), row.want) {
 			t.Errorf("run %v = %v, want an error naming %s", args, err, row.want)
+		}
+		if out != "" {
+			t.Errorf("run %v printed before failing:\n%s", args, out)
 		}
 	}
 }

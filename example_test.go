@@ -11,15 +11,6 @@ import (
 	"repro"
 )
 
-func ExampleBroadcast() {
-	res, err := repro.Broadcast(repro.Config{N: 2000, Algorithm: repro.AlgoPushPull, Seed: 3})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(res.AllInformed, res.CompletionRound)
-	// Output: true 10
-}
-
 func ExampleRun() {
 	rep, err := repro.Run(context.Background(), 2000,
 		repro.WithAlgorithm(repro.AlgoPushPull),

@@ -6,19 +6,20 @@ import (
 	"testing"
 )
 
-// goldenBroadcasts pins Broadcast results bit-identical to the pre-redesign
-// facade (values computed at the flat harness-backed Broadcast before the
-// unified run layer was introduced). Any change here means the execution
-// semantics — not just the API — changed. The cluster2 and clusterpushpull
-// rows were regenerated once on purpose, when Cluster2's round budget dropped
-// the rounds that carry no new information and members started leaving
-// crashed leaders (DESIGN.md, "Cluster2's round budget"): the crash-and-loss
-// row went from 1 to 3 411 of 3 600 live nodes informed. The push and pull
-// rows pin the closed baselines' run on scenario.Algorithm.Step; the
-// crash-and-loss pull row also pins its early exit, taken once every live
-// node is informed.
+// goldenBroadcasts pins Run results bit-identical to the pre-redesign facade
+// (values computed at the flat harness-backed one-shot broadcast call before
+// the unified run layer was introduced, and kept when Run became the only
+// runner). Any change here means the execution semantics — not just the API
+// — changed. The cluster2 and clusterpushpull rows were regenerated once on
+// purpose, when Cluster2's round budget dropped the rounds that carry no new
+// information and members started leaving crashed leaders (DESIGN.md,
+// "Cluster2's round budget"): the crash-and-loss row went from 1 to 3 411 of
+// 3 600 live nodes informed. The push and pull rows pin the closed baselines'
+// run on scenario.Algorithm.Step; the crash-and-loss pull row also pins its
+// early exit, taken once every live node is informed.
 var goldenBroadcasts = []struct {
-	cfg       Config
+	n         int
+	opts      []Option
 	algorithm string
 	rounds    int
 	done      int
@@ -28,65 +29,46 @@ var goldenBroadcasts = []struct {
 	maxComms  int
 	informed  int
 }{
-	{Config{N: 4000, Algorithm: AlgoCluster2, Seed: 7},
+	{4000, []Option{WithAlgorithm(AlgoCluster2), WithSeed(7)},
 		"cluster2", 41, 41, 36577, 16089, 2888461, 3999, 4000},
-	{Config{N: 3000, Algorithm: AlgoClusterPushPull, Seed: 5, Delta: 64},
+	{3000, []Option{WithAlgorithm(AlgoClusterPushPull), WithSeed(5), WithDelta(64)},
 		"clusterpushpull", 69, 69, 98557, 59150, 8366537, 82, 3000},
-	{Config{N: 2000, Algorithm: AlgoPushPull, Seed: 3},
+	{2000, []Option{WithAlgorithm(AlgoPushPull), WithSeed(3)},
 		"push-pull", 26, 10, 76553, 13708, 21539868, 8, 2000},
-	{Config{N: 2000, Algorithm: AlgoPush, Seed: 4},
+	{2000, []Option{WithAlgorithm(AlgoPush), WithSeed(4)},
 		"push", 26, 21, 29884, 0, 8247984, 8, 2000},
-	{Config{N: 2000, Algorithm: AlgoPull, Seed: 5},
+	{2000, []Option{WithAlgorithm(AlgoPull), WithSeed(5)},
 		"pull", 15, 15, 1999, 20444, 1165044, 7, 2000},
-	{Config{N: 3000, Algorithm: AlgoPull, Seed: 6, Failures: 300, FailureSeed: 8, LossRate: 0.05, LossSeed: 9},
+	{3000, []Option{WithAlgorithm(AlgoPull), WithSeed(6), WithFailures(300, 8), WithLoss(0.05, 9)},
 		"pull", 20, 20, 2699, 39185, 2001543, 7, 2700},
-	{Config{N: 5000, Algorithm: AlgoCluster1, Seed: 9, Failures: 500, FailureSeed: 13},
+	{5000, []Option{WithAlgorithm(AlgoCluster1), WithSeed(9), WithFailures(500, 13)},
 		"cluster1", 26, 26, 58958, 29792, 4771026, 4499, 4500},
-	{Config{N: 4000, Algorithm: AlgoCluster2, Seed: 11, Failures: 400, FailureSeed: 21,
-		FailureRound: 5, LossRate: 0.05, LossSeed: 31},
+	{4000, []Option{WithAlgorithm(AlgoCluster2), WithSeed(11), WithFailures(400, 21),
+		WithFailureRound(5), WithLoss(0.05, 31)},
 		"cluster2", 35, 35, 21240, 7038, 1907736, 3410, 3411},
-	{Config{N: 2500, Algorithm: AlgoKarp, Seed: 2, PayloadBits: 1024},
+	{2500, []Option{WithAlgorithm(AlgoKarp), WithSeed(2), WithPayloadBits(1024)},
 		"karp-median-counter", 20, 10, 57007, 18764, 59779547, 8, 2500},
 }
 
 func TestBroadcastGolden(t *testing.T) {
 	for _, g := range goldenBroadcasts {
-		res, err := Broadcast(g.cfg)
+		rep, err := Run(context.Background(), g.n, g.opts...)
 		if err != nil {
-			t.Fatalf("%+v: %v", g.cfg, err)
+			t.Fatalf("%s n=%d: %v", g.algorithm, g.n, err)
 		}
+		if rep.Engine != "simulator" {
+			t.Fatalf("default engine = %q, want simulator", rep.Engine)
+		}
+		res := rep.Result
 		if res.Algorithm != g.algorithm || res.Rounds != g.rounds ||
 			res.CompletionRound != g.done || res.Messages != g.messages ||
 			res.ControlMessages != g.control || res.Bits != g.bits ||
 			res.MaxCommsPerRound != g.maxComms || res.Informed != g.informed {
-			t.Errorf("Broadcast(%+v) drifted from the pre-redesign output:\n got  %+v\n want %+v",
-				g.cfg, res, g)
+			t.Errorf("%s n=%d drifted from the pre-redesign output:\n got  %s %d %d %d %d %d %d %d\n want %s %d %d %d %d %d %d %d",
+				g.algorithm, g.n,
+				res.Algorithm, res.Rounds, res.CompletionRound, res.Messages, res.ControlMessages, res.Bits, res.MaxCommsPerRound, res.Informed,
+				g.algorithm, g.rounds, g.done, g.messages, g.control, g.bits, g.maxComms, g.informed)
 		}
-	}
-}
-
-// TestRunMatchesBroadcast pins the wrapper property: Run with the
-// option-translated config returns the same Result as Broadcast.
-func TestRunMatchesBroadcast(t *testing.T) {
-	cfg := goldenBroadcasts[0].cfg
-	fromBroadcast, err := Broadcast(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Run(context.Background(), cfg.N,
-		WithAlgorithm(cfg.Algorithm),
-		WithSeed(cfg.Seed),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Engine != "simulator" {
-		t.Fatalf("default engine = %q, want simulator", rep.Engine)
-	}
-	a, b := fromBroadcast, rep.Result
-	if a.Rounds != b.Rounds || a.Messages != b.Messages || a.Bits != b.Bits ||
-		a.Informed != b.Informed || a.MaxCommsPerRound != b.MaxCommsPerRound {
-		t.Fatalf("Run and Broadcast diverge:\n%+v\n%+v", a, b)
 	}
 }
 

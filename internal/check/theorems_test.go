@@ -11,9 +11,11 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/check"
+	"repro/internal/failure"
 	"repro/internal/lowerbound"
 	"repro/internal/run"
 	"repro/internal/trace"
@@ -423,4 +425,76 @@ func TestClusterPushPullDeltaTradeoff(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestClusterFaultToleranceUninformedOverF: E6 as an assertion — Theorem 19.
+// An oblivious adversary fails F = f·n nodes, f ∈ {0.01, 0.05, 0.10, 0.20},
+// either before round 0 (Section 8) or in a crash wave at round 5, the
+// failure seed drawn as E6 draws it (seed + 1000). On every seed whose
+// source survives, at most 1 % of F live nodes stay uninformed, and the mean
+// uninformed/F does not grow with F. Cluster2 holds the rumor at the source
+// alone until ClusterShare, so a wave that crashes the source loses the
+// rumor outright: a run ends with no node informed exactly when the crash
+// set contains the source. The start-time adversary never does — the run
+// picks a surviving source — and the mid-run wave does when it takes node 0.
+// Observed: no uninformed survivor on any source-surviving run at n = 10⁴ and
+// 10⁵; at n = 10⁴ the wave takes the source on seed 1 at f = 0.10 and seeds
+// 1–2 at f = 0.20.
+func TestClusterFaultToleranceUninformedOverF(t *testing.T) {
+	cells := []struct{ n, seeds int }{{10000, replications}}
+	if largeCells() {
+		cells = append(cells, struct{ n, seeds int }{100000, 3})
+	}
+	for _, cell := range cells {
+		for _, round := range []int{0, 5} {
+			prevMean, prevF := 0.0, 0
+			for _, frac := range []float64{0.01, 0.05, 0.10, 0.20} {
+				f := int(frac * float64(cell.n))
+				var survived []uint64
+				for _, seed := range check.Seeds(cell.seeds) {
+					crashed := failure.Random{Count: f, Seed: seed + 1000}.Select(cell.n)
+					if round > 1 && slices.Contains(crashed, 0) {
+						if res := faultRun(t, cell.n, f, round, seed); res.Informed != 0 {
+							t.Errorf("n=%d F=%d round %d seed %d: the wave crashed the source, yet %d nodes hold the rumor",
+								cell.n, f, round, seed, res.Informed)
+						}
+						continue
+					}
+					survived = append(survived, seed)
+				}
+				r, err := check.Replicate(fmt.Sprintf("cluster2 uninformed/F at n=%d F=%d crash round %d", cell.n, f, round), survived,
+					func(seed uint64) (float64, error) {
+						res := faultRun(t, cell.n, f, round, seed)
+						if res.Informed == 0 {
+							t.Errorf("n=%d F=%d round %d seed %d: no node informed, yet the source survived", cell.n, f, round, seed)
+						}
+						return float64(res.UninformedSurvivors()) / float64(f), nil
+					})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("%v (%d of %d seeds keep the source)", r, len(survived), cell.seeds)
+				r.AssertMaxBelow(t, 0.01)
+				if prevF > 0 && r.Summary.Mean > prevMean {
+					t.Errorf("n=%d crash round %d: mean uninformed/F grew from %.4f at F=%d to %.4f at F=%d",
+						cell.n, round, prevMean, prevF, r.Summary.Mean, f)
+				}
+				prevMean, prevF = r.Summary.Mean, f
+			}
+		}
+	}
+}
+
+// faultRun runs Cluster2 on n nodes with f failures chosen by the failure
+// seed seed + 1000, struck at round (0: before the run), on one worker.
+func faultRun(t *testing.T, n, f, round int, seed uint64) trace.Result {
+	t.Helper()
+	res, err := run.Execute(context.Background(), run.Spec{
+		N: n, Algorithm: run.AlgoCluster2, Seed: seed, Workers: 1,
+		Failures: f, FailureSeed: seed + 1000, FailureRound: round,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }

@@ -15,30 +15,20 @@ import (
 	"repro/internal/trace"
 )
 
-// SweepConfig describes a size/seed sweep. Spec is the template every trial
-// starts from — the sweep-tunable knobs (PayloadBits, Workers, Delta); the
+// SweepConfig describes a size/seed sweep and the two knobs every trial of
+// it shares: the rumor size (PayloadBits, 0 for the default) and the engine
+// shards per round (Workers, results identical for any value). The
 // experiments fill in the algorithm, size, seed and dynamics per row.
 type SweepConfig struct {
-	Sizes []int
-	Seeds []uint64
-	Spec  run.Spec
+	Sizes       []int
+	Seeds       []uint64
+	PayloadBits int
+	Workers     int
 }
 
-// DefaultSweep returns the sweep used by the checked-in experiment tables:
-// three orders of magnitude of n and three seeds. Larger sweeps (up to 10⁶
-// nodes) are available through the flags of gossip tables (cmd/gossip).
-func DefaultSweep() SweepConfig {
-	return SweepConfig{
-		Sizes: []int{1000, 10000, 100000},
-		Seeds: []uint64{1, 2, 3},
-	}
-}
-
-// spec returns the sweep's template set to one algorithm and network size.
+// spec returns the spec of one algorithm at one network size on the sweep.
 func (cfg SweepConfig) spec(algo string, n int) run.Spec {
-	s := cfg.Spec
-	s.Algorithm, s.N = algo, n
-	return s
+	return run.Spec{Algorithm: algo, N: n, PayloadBits: cfg.PayloadBits, Workers: cfg.Workers}
 }
 
 // trials runs the spec of every seed of the sweep, in seed order, and

@@ -22,13 +22,12 @@
 // WithScenarioSpec), engine selection (OnSimulator, OnLockStep,
 // OnFreeRunning), and streaming per-round statistics (WithObserver).
 // Invalid combinations are rejected at the boundary with errors satisfying
-// errors.Is(err, ErrInvalidConfig). Broadcast remains as the one-shot
-// struct-config veteran; it is a thin wrapper over Run's machinery and
-// returns bit-identical results for identical configs and seeds.
+// errors.Is(err, ErrInvalidConfig). Run is the package's only runner: apart
+// from the lower bounds of Theorem 3 and Lemma 16, the rest of the API builds
+// its options (timeline events, topologies, policies) or reads its Report.
 package repro
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -89,41 +88,6 @@ func ParseAlgorithm(name string) (Algorithm, error) {
 // violated constraint.
 var ErrInvalidConfig = run.ErrInvalidConfig
 
-// Config describes one broadcast execution (see Broadcast; Run is the
-// composable superset).
-type Config struct {
-	// N is the number of nodes (required, at least 2).
-	N int
-	// Algorithm selects the protocol; it defaults to AlgoCluster2.
-	Algorithm Algorithm
-	// Seed makes the execution reproducible. Different seeds give independent
-	// executions.
-	Seed uint64
-	// PayloadBits is the rumor size b in bits (default 256).
-	PayloadBits int
-	// Workers is the number of engine shards (goroutines) used per simulated
-	// round; values <= 0 default to runtime.GOMAXPROCS(0). Results are
-	// identical for any value.
-	Workers int
-	// Delta bounds per-round communications for AlgoClusterPushPull
-	// (default 1024, minimum 8).
-	Delta int
-	// Failures is the number of nodes an oblivious adversary fails before the
-	// execution starts (Section 8 of the paper).
-	Failures int
-	// FailureSeed drives the adversary's choice; it is independent of Seed.
-	FailureSeed uint64
-	// FailureRound, when > 1, defers the adversary to a timed crash wave
-	// that strikes at the start of that engine round — mid-execution churn
-	// instead of the paper's start-time failures (internal/scenario).
-	FailureRound int
-	// LossRate, when positive, drops every call independently with this
-	// probability (oblivious per-call loss, charged per the live-participant
-	// rule); LossSeed drives the drop decisions independently of Seed.
-	LossRate float64
-	LossSeed uint64
-}
-
 // Phase is the cost of one named phase of an execution.
 type Phase struct {
 	Name     string
@@ -167,43 +131,10 @@ type Result struct {
 // rumor (the paper's fault-tolerance measure is that this is o(F)).
 func (r Result) UninformedSurvivors() int { return r.Live - r.Informed }
 
-// Broadcast runs one gossip execution described by cfg on the simulator
-// engine. It is a thin wrapper over the same execution layer Run uses and
-// returns bit-identical results for identical configs and seeds (locked by
-// the golden tests); Run is the composable superset with engine selection,
-// timelines, observers and context cancellation.
-func Broadcast(cfg Config) (Result, error) {
-	out, err := run.Execute(context.Background(), run.Spec{
-		N:            cfg.N,
-		Algorithm:    string(cfg.Algorithm),
-		Seed:         cfg.Seed,
-		PayloadBits:  cfg.PayloadBits,
-		Workers:      cfg.Workers,
-		Delta:        cfg.Delta,
-		Failures:     cfg.Failures,
-		FailureSeed:  cfg.FailureSeed,
-		FailureRound: cfg.FailureRound,
-		LossRate:     cfg.LossRate,
-		LossSeed:     cfg.LossSeed,
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	return fromOutcome(out).Result, nil
-}
-
-// MinPossibleRounds simulates the knowledge-graph lower bound of Theorem 3
-// for one random draw of per-round contacts: no algorithm in the model can
-// inform all n nodes in fewer rounds on those contacts.
-func MinPossibleRounds(n int, seed uint64) int {
-	minT, _ := lowerbound.MinRounds(n, seed)
-	return minT
-}
-
 // Feasibility is one row of the knowledge-graph feasibility trace behind
-// MinPossibleRounds: whether broadcast within T rounds is possible at all on
-// the drawn contacts (Lemma 14: every node must be within distance 2^T =
-// Reach of the source in the union of the first T contact graphs).
+// LowerBoundTrace's bound: whether broadcast within T rounds is possible at
+// all on the drawn contacts (Lemma 14: every node must be within distance
+// 2^T = Reach of the source in the union of the first T contact graphs).
 type Feasibility struct {
 	T            int
 	Eccentricity int

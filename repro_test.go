@@ -1,14 +1,9 @@
 package repro
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
-	"os"
-	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/run"
@@ -28,11 +23,19 @@ func TestAlgorithmConstantsMatchRegistry(t *testing.T) {
 	}
 }
 
-func TestBroadcastDefaults(t *testing.T) {
-	res, err := Broadcast(Config{N: 5000, Seed: 1})
+// broadcast runs one execution on the default simulator engine and returns
+// its Result.
+func broadcast(t *testing.T, n int, opts ...Option) Result {
+	t.Helper()
+	rep, err := Run(context.Background(), n, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return rep.Result
+}
+
+func TestBroadcastDefaults(t *testing.T) {
+	res := broadcast(t, 5000, WithSeed(1))
 	if res.Algorithm != string(AlgoCluster2) {
 		t.Fatalf("default algorithm = %s, want cluster2", res.Algorithm)
 	}
@@ -45,20 +48,17 @@ func TestBroadcastDefaults(t *testing.T) {
 }
 
 func TestBroadcastRejectsBadConfig(t *testing.T) {
-	if _, err := Broadcast(Config{N: 1}); err == nil {
+	if _, err := Run(context.Background(), 1); err == nil {
 		t.Fatal("N=1 should be rejected")
 	}
-	if _, err := Broadcast(Config{N: 100, Algorithm: Algorithm("bogus")}); err == nil {
+	if _, err := Run(context.Background(), 100, WithAlgorithm("bogus")); err == nil {
 		t.Fatal("unknown algorithm should be rejected")
 	}
 }
 
 func TestBroadcastEveryAlgorithm(t *testing.T) {
 	for _, algo := range Algorithms() {
-		res, err := Broadcast(Config{N: 2000, Seed: 2, Algorithm: algo, Delta: 64})
-		if err != nil {
-			t.Fatalf("%s: %v", algo, err)
-		}
+		res := broadcast(t, 2000, WithSeed(2), WithAlgorithm(algo), WithDelta(64))
 		if !res.AllInformed {
 			t.Fatalf("%s informed %d/%d", algo, res.Informed, res.Live)
 		}
@@ -66,10 +66,7 @@ func TestBroadcastEveryAlgorithm(t *testing.T) {
 }
 
 func TestBroadcastWithFailures(t *testing.T) {
-	res, err := Broadcast(Config{N: 10000, Seed: 3, Failures: 1000, FailureSeed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := broadcast(t, 10000, WithSeed(3), WithFailures(1000, 7))
 	if res.Live != 9000 {
 		t.Fatalf("live = %d, want 9000", res.Live)
 	}
@@ -81,43 +78,24 @@ func TestBroadcastWithFailures(t *testing.T) {
 func TestBroadcastWithTimedFailuresAndLoss(t *testing.T) {
 	// A crash wave mid-execution (round 5) instead of before round 0, plus
 	// 5% per-call loss: the dynamic-network path through the facade.
-	res, err := Broadcast(Config{
-		N: 10000, Seed: 3,
-		Failures: 1000, FailureSeed: 7, FailureRound: 5,
-		LossRate: 0.05, LossSeed: 11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts := []Option{WithSeed(3), WithFailures(1000, 7), WithFailureRound(5), WithLoss(0.05, 11)}
+	res := broadcast(t, 10000, opts...)
 	if res.Live != 9000 {
 		t.Fatalf("live = %d, want 9000 after the wave", res.Live)
 	}
 	if res.Informed < 0 || res.Informed > res.Live {
 		t.Fatalf("informed = %d out of range [0,%d]", res.Informed, res.Live)
 	}
-	// Reproducible: the wave and the loss pattern are part of the config.
-	again, err := Broadcast(Config{
-		N: 10000, Seed: 3,
-		Failures: 1000, FailureSeed: 7, FailureRound: 5,
-		LossRate: 0.05, LossSeed: 11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Reproducible: the wave and the loss pattern are part of the options.
+	again := broadcast(t, 10000, opts...)
 	if again.Informed != res.Informed || again.Rounds != res.Rounds {
 		t.Fatalf("timed-failure broadcast not reproducible: %+v vs %+v", res, again)
 	}
 }
 
 func TestBroadcastDeterministic(t *testing.T) {
-	a, err := Broadcast(Config{N: 3000, Seed: 11, Algorithm: AlgoCluster1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Broadcast(Config{N: 3000, Seed: 11, Algorithm: AlgoCluster1, Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := broadcast(t, 3000, WithSeed(11), WithAlgorithm(AlgoCluster1))
+	b := broadcast(t, 3000, WithSeed(11), WithAlgorithm(AlgoCluster1), WithWorkers(8))
 	if a.Rounds != b.Rounds || a.Messages != b.Messages || a.Bits != b.Bits {
 		t.Fatalf("same seed should give identical runs: %+v vs %+v", a, b)
 	}
@@ -127,7 +105,7 @@ func TestLowerBoundHelpers(t *testing.T) {
 	if TheoreticalLowerBound(1<<16) <= 0 {
 		t.Fatal("theoretical bound should be positive")
 	}
-	if MinPossibleRounds(10000, 1) < 1 {
+	if minT, _ := LowerBoundTrace(10000, 1); minT < 1 {
 		t.Fatal("knowledge-graph bound should be at least 1 round")
 	}
 	if DeltaLowerBound(1<<20, 1<<10) != 2 {
@@ -135,78 +113,6 @@ func TestLowerBoundHelpers(t *testing.T) {
 	}
 	if MinDelta < 2 {
 		t.Fatal("MinDelta must be sensible")
-	}
-}
-
-func TestExperimentTable(t *testing.T) {
-	table, err := Experiment("E4", []int{1000, 4000}, []uint64{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if table.ID != "E4" || len(table.Header) == 0 || len(table.Rows) != 2 {
-		t.Fatalf("unexpected table shape: %+v", table)
-	}
-	out := table.Render()
-	if !strings.Contains(out, "E4") || !strings.Contains(out, "1000") {
-		t.Fatalf("unexpected experiment rendering:\n%s", out)
-	}
-	data, err := json.Marshal(table)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded struct {
-		ID   string     `json:"id"`
-		Rows [][]string `json:"rows"`
-	}
-	if err := json.Unmarshal(data, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if decoded.ID != "E4" || len(decoded.Rows) != 2 {
-		t.Fatalf("JSON round-trip lost data: %s", data)
-	}
-	if _, err := Experiment("E0", nil, nil); err == nil {
-		t.Fatal("unknown experiment should fail")
-	}
-	// The sweep-tunable options are validated like Run's, and options the
-	// experiment definitions fix themselves are rejected, not ignored.
-	if _, err := Experiment("E4", []int{1000}, []uint64{1}, WithDelta(2)); !errors.Is(err, ErrInvalidConfig) {
-		t.Fatalf("Delta below minimum accepted by Experiment (err=%v)", err)
-	}
-	dir := t.TempDir()
-	topoPath, polPath := filepath.Join(dir, "topo.json"), filepath.Join(dir, "policy.json")
-	if err := os.WriteFile(topoPath, []byte(`{"generator":"zones","zones":3}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(polPath, []byte(`{"weights":{"same_zone":3}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	topo, err := ZonedTopology(1000, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var trace bytes.Buffer
-	for name, opt := range map[string]Option{
-		"WithSeed":         WithSeed(9),
-		"WithTopology":     WithTopology(topo),
-		"WithTopologyFile": WithTopologyFile(topoPath),
-		"WithPolicy":       WithPolicy(Policy{Weights: PolicyWeights{SameZone: 3}}),
-		"WithPolicyFile":   WithPolicyFile(polPath),
-		"WithRumorStream":  WithRumorStream(2, 64, 16),
-		"WithMaxInFlight":  WithMaxInFlight(16),
-		"WithTelemetry":    WithTelemetry(NewMetricsRegistry()),
-		"WithTraceWriter":  WithTraceWriter(&trace),
-		"WithAdversaries":  WithAdversaries(AdversaryLiar, 10, 3),
-	} {
-		if _, err := Experiment("E4", []int{1000}, []uint64{1}, opt); !errors.Is(err, ErrInvalidConfig) {
-			t.Errorf("%s silently ignored by Experiment (err=%v)", name, err)
-		}
-	}
-	if _, err := Experiment("E4", []int{1000}, []uint64{1},
-		WithPayloadBits(512), WithWorkers(2), WithDelta(64)); err != nil {
-		t.Fatalf("sweep-tunable options rejected: %v", err)
-	}
-	if len(ExperimentIDs()) != 11 {
-		t.Fatal("want 11 experiment ids")
 	}
 }
 
