@@ -229,6 +229,11 @@ func (c *Clustering) SeedSingletons(p float64) int {
 	return leaders
 }
 
+// sizeReport and rumorPayload are the fixed payloads of the join reports and
+// of ClusterShare's relay to the leader.
+func sizeReport(int) phonecall.Message   { return phonecall.Message{Tag: TagSizeReport} }
+func rumorPayload(int) phonecall.Message { return phonecall.Message{Tag: TagRumor, Rumor: true} }
+
 // leaveAfterMisses is how many consecutive unanswered pulls make a member
 // give its leader up as crashed. A crashed leader never answers again, while
 // a call lost in transit (SetLoss) is independent per round: leaving on the
@@ -250,14 +255,15 @@ func (c *Clustering) leaderPull(
 	respond func(leader int) phonecall.Message,
 	apply func(i int, m phonecall.Message),
 ) {
-	c.net.ExecRound(
-		func(i int) phonecall.Intent {
+	c.net.ExecCalls(
+		func(i int) phonecall.Call {
 			if !c.IsClustered(i) || c.IsLeader(i) {
-				return phonecall.Silent()
+				return phonecall.Call{}
 			}
 			c.missed[i]++ // until the answer arrives
-			return phonecall.PullIntent(phonecall.DirectTarget(c.follow[i]))
+			return phonecall.Call{Kind: phonecall.Pull, Target: phonecall.DirectTarget(c.follow[i])}
 		},
+		nil,
 		func(j int) (phonecall.Message, bool) {
 			if c.IsLeader(j) {
 				return respond(j), true
@@ -371,14 +377,15 @@ func (c *Clustering) ReportJoins() {
 // reports has told its leader about itself, so its join mark clears.
 func (c *Clustering) countReports(only func(i int) bool) {
 	clear(c.counts)
-	c.net.ExecRound(
-		func(i int) phonecall.Intent {
+	c.net.ExecCalls(
+		func(i int) phonecall.Call {
 			if !c.IsClustered(i) || c.IsLeader(i) || (only != nil && !only(i)) {
-				return phonecall.Silent()
+				return phonecall.Call{}
 			}
 			c.joined[i] = false
-			return phonecall.PushIntent(phonecall.DirectTarget(c.follow[i]), phonecall.Message{Tag: TagSizeReport})
+			return phonecall.Call{Kind: phonecall.Push, Target: phonecall.DirectTarget(c.follow[i])}
 		},
+		sizeReport,
 		nil,
 		func(j int, inbox []phonecall.Message) {
 			if !c.IsLeader(j) {
@@ -457,14 +464,15 @@ func (c *Clustering) regroup(minSize, target int, p float64) {
 	}
 	members := c.members[:total]
 
-	net.ExecRound(
-		func(i int) phonecall.Intent {
+	net.ExecCalls(
+		func(i int) phonecall.Call {
 			if !c.IsClustered(i) || c.IsLeader(i) {
-				return phonecall.Silent()
+				return phonecall.Call{}
 			}
 			c.joined[i] = false
-			return phonecall.PushIntent(phonecall.DirectTarget(c.follow[i]), phonecall.Message{Tag: TagSizeReport})
+			return phonecall.Call{Kind: phonecall.Push, Target: phonecall.DirectTarget(c.follow[i])}
 		},
+		sizeReport,
 		nil,
 		func(j int, inbox []phonecall.Message) {
 			if !c.IsLeader(j) {
@@ -590,13 +598,14 @@ func (c *Clustering) RandomPush(
 	payload func(i int) phonecall.Message,
 	receive func(i int, m phonecall.Message),
 ) {
-	c.net.ExecRound(
-		func(i int) phonecall.Intent {
+	c.net.ExecCalls(
+		func(i int) phonecall.Call {
 			if !c.IsClustered(i) || (participate != nil && !participate(i)) {
-				return phonecall.Silent()
+				return phonecall.Call{}
 			}
-			return phonecall.PushIntent(phonecall.RandomTarget(), payload(i))
+			return phonecall.Call{Kind: phonecall.Push, Target: phonecall.RandomTarget()}
 		},
+		payload,
 		nil,
 		func(j int, inbox []phonecall.Message) {
 			if receive == nil {
@@ -622,18 +631,18 @@ func (c *Clustering) Pending(i int) phonecall.NodeID { return c.pending[i] }
 // leader" step of ClusterPUSH: every node holding a pending candidate pushes
 // it to its leader; leaders accumulate the candidates. Costs one round.
 func (c *Clustering) RelayCandidates() {
-	c.net.ExecRound(
-		func(i int) phonecall.Intent {
+	c.net.ExecCalls(
+		func(i int) phonecall.Call {
 			if c.pending[i] == phonecall.NoNode || !c.IsClustered(i) {
-				return phonecall.Silent()
+				return phonecall.Call{}
 			}
 			if c.IsLeader(i) {
-				return phonecall.Silent() // the leader keeps its own candidate locally
+				return phonecall.Call{} // the leader keeps its own candidate locally
 			}
-			return phonecall.PushIntent(
-				phonecall.DirectTarget(c.follow[i]),
-				phonecall.Message{Tag: TagRelay, IDs: c.oneID(i, c.pending[i])},
-			)
+			return phonecall.Call{Kind: phonecall.Push, Target: phonecall.DirectTarget(c.follow[i])}
+		},
+		func(i int) phonecall.Message {
+			return phonecall.Message{Tag: TagRelay, IDs: c.oneID(i, c.pending[i])}
 		},
 		nil,
 		func(j int, inbox []phonecall.Message) {
@@ -742,13 +751,14 @@ func (c *Clustering) PullJoin(maxRounds int) int {
 		if c.ClusteredCount() == c.net.LiveCount() {
 			break
 		}
-		c.net.ExecRound(
-			func(i int) phonecall.Intent {
+		c.net.ExecCalls(
+			func(i int) phonecall.Call {
 				if c.IsClustered(i) {
-					return phonecall.Silent()
+					return phonecall.Call{}
 				}
-				return phonecall.PullIntent(phonecall.RandomTarget())
+				return phonecall.Call{Kind: phonecall.Pull, Target: phonecall.RandomTarget()}
 			},
+			nil,
 			func(j int) (phonecall.Message, bool) {
 				if !c.IsClustered(j) {
 					return phonecall.Message{}, false
@@ -776,13 +786,14 @@ func (c *Clustering) PullJoin(maxRounds int) int {
 // holding the rumor relay it to their leader, then every cluster member pulls
 // it from the leader. Costs two rounds.
 func (c *Clustering) ShareRumor() {
-	c.net.ExecRound(
-		func(i int) phonecall.Intent {
+	c.net.ExecCalls(
+		func(i int) phonecall.Call {
 			if !c.rumor[i] || !c.IsClustered(i) || c.IsLeader(i) {
-				return phonecall.Silent()
+				return phonecall.Call{}
 			}
-			return phonecall.PushIntent(phonecall.DirectTarget(c.follow[i]), phonecall.Message{Tag: TagRumor, Rumor: true})
+			return phonecall.Call{Kind: phonecall.Push, Target: phonecall.DirectTarget(c.follow[i])}
 		},
+		rumorPayload,
 		nil,
 		func(j int, inbox []phonecall.Message) {
 			for _, m := range inbox {

@@ -248,7 +248,7 @@ func (nd *lsNode) reset() {
 }
 
 // doCalls evaluates node i's intent, charges the initiator side and sends
-// the call frame. It mirrors the engine's passIntents exactly (including the
+// the call frame. It mirrors the engine's passCalls exactly (including the
 // charges for unresolved, dead-target and lost calls, which the initiator
 // cannot distinguish).
 func (ls *LockStep) doCalls(nd *lsNode, round int) {

@@ -34,9 +34,22 @@ type Engine interface {
 	Metrics() phonecall.Metrics
 }
 
+// CallEngine is an Engine that also executes the payload-free call form
+// (phonecall.Network.ExecCalls). Scripts with Calls set drive such an engine
+// through it; the reference oracle speaks only the Intent form.
+type CallEngine interface {
+	Engine
+	ExecCalls(
+		callOf func(i int) phonecall.Call,
+		payloadOf func(i int) phonecall.Message,
+		responseOf func(i int) (phonecall.Message, bool),
+		deliver func(i int, inbox []phonecall.Message),
+	) phonecall.RoundReport
+}
+
 var (
-	_ Engine = (*phonecall.Network)(nil)
-	_ Engine = (*Oracle)(nil)
+	_ CallEngine = (*phonecall.Network)(nil)
+	_ Engine     = (*Oracle)(nil)
 )
 
 // Script describes one differential workload: a network, a round budget and
@@ -60,6 +73,10 @@ type Script struct {
 	// rounds.
 	Churn     bool
 	ChurnSeed uint64
+	// Calls drives a CallEngine through ExecCalls, splitting each scripted
+	// intent into its call and its payload; the oracle still receives the
+	// whole intent.
+	Calls bool
 }
 
 // normalized clamps the script to the ranges both engines accept.
@@ -219,26 +236,36 @@ func runScripted(e Engine, sc Script, r int) *roundTrace {
 		respMsg:   make([]phonecall.Message, n),
 		respOK:    make([]bool, n),
 	}
-	tr.report = e.ExecRound(
-		func(i int) phonecall.Intent { return intentFor(e, sc, r, i) },
-		func(j int) (phonecall.Message, bool) {
-			m, ok := responseFor(sc, r, j)
-			if atomic.AddInt32(&tr.respSeen[j], 1) == 1 {
-				tr.respMsg[j] = m
-				tr.respOK[j] = ok
-			}
-			return m, ok
-		},
-		func(i int, inbox []phonecall.Message) {
-			if atomic.AddInt32(&tr.delivered[i], 1) == 1 {
-				// Copy out: the engine's inboxes alias its arena (and are
-				// poisoned after return when the debug mode is on).
-				cp := make([]phonecall.Message, len(inbox))
-				copy(cp, inbox)
-				tr.inboxes[i] = cp
-			}
-		},
-	)
+	intentOf := func(i int) phonecall.Intent { return intentFor(e, sc, r, i) }
+	responseOf := func(j int) (phonecall.Message, bool) {
+		m, ok := responseFor(sc, r, j)
+		if atomic.AddInt32(&tr.respSeen[j], 1) == 1 {
+			tr.respMsg[j] = m
+			tr.respOK[j] = ok
+		}
+		return m, ok
+	}
+	deliver := func(i int, inbox []phonecall.Message) {
+		if atomic.AddInt32(&tr.delivered[i], 1) == 1 {
+			// Copy out: the engine's inboxes alias its arena (and are
+			// poisoned after return when the debug mode is on).
+			cp := make([]phonecall.Message, len(inbox))
+			copy(cp, inbox)
+			tr.inboxes[i] = cp
+		}
+	}
+	if ce, ok := e.(CallEngine); ok && sc.Calls {
+		tr.report = ce.ExecCalls(
+			func(i int) phonecall.Call {
+				it := intentOf(i)
+				return phonecall.Call{Kind: it.Kind, Target: it.Target}
+			},
+			func(i int) phonecall.Message { return intentOf(i).Payload },
+			responseOf, deliver,
+		)
+		return tr
+	}
+	tr.report = e.ExecRound(intentOf, responseOf, deliver)
 	return tr
 }
 

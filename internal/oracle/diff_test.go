@@ -8,19 +8,28 @@ import (
 	"repro/internal/scenario"
 )
 
-// runDiffScript builds the pair for a script (poison on, Checker attached)
-// and requires a clean differential run plus a clean invariant log — the
-// same composition the fuzz target drives.
+// runDiffScript builds the pair for a script (poison on) and requires a clean
+// differential run — the same composition the fuzz target drives. An
+// Intent-form script also attaches the Checker and requires a clean invariant
+// log; a call-form script runs without it, because an observer sends
+// ExecCalls through its Intent-form fallback and the engine's own call path
+// would go undiffed.
 func runDiffScript(t *testing.T, sc Script) {
 	t.Helper()
 	net, orc, err := NewPair(sc, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checker := NewChecker(net)
-	net.Observe(checker)
+	var checker *Checker
+	if !sc.Calls {
+		checker = NewChecker(net)
+		net.Observe(checker)
+	}
 	if err := Compare(net, orc, sc); err != nil {
 		t.Fatal(err)
+	}
+	if checker == nil {
+		return
 	}
 	if err := checker.Err(); err != nil {
 		t.Fatalf("invariant violation: %v", err)
@@ -29,7 +38,8 @@ func runDiffScript(t *testing.T, sc Script) {
 
 // TestEngineMatchesOracle runs the differential harness over deterministic
 // scripts covering the static regime, loss, churn and the sharded engine
-// (n above the 4096-node sharding threshold with several workers).
+// (n above the 4096-node sharding threshold with several workers), each
+// through both of the engine's round forms.
 func TestEngineMatchesOracle(t *testing.T) {
 	scripts := map[string]Script{
 		"small-static": {N: 40, Rounds: 10, NetSeed: 1, ProtoSeed: 2, Workers: 1},
@@ -38,10 +48,24 @@ func TestEngineMatchesOracle(t *testing.T) {
 		"sharded":      {N: 5000, Rounds: 6, NetSeed: 8, ProtoSeed: 9, Workers: 8, Churn: true, ChurnSeed: 10, LossRate: 0.05, LossSeed: 11},
 		"two-nodes":    {N: 2, Rounds: 8, NetSeed: 12, ProtoSeed: 13, Churn: true, ChurnSeed: 14},
 		"high-loss":    {N: 30, Rounds: 8, NetSeed: 15, ProtoSeed: 16, LossRate: 0.95, LossSeed: 17},
+		"shard-edges":  {N: 4097, Rounds: 6, NetSeed: 18, ProtoSeed: 19, Workers: 64, Churn: true, ChurnSeed: 20},
 	}
 	for name, sc := range scripts {
-		t.Run(name, func(t *testing.T) { runDiffScript(t, sc) })
+		t.Run(name, func(t *testing.T) {
+			for _, calls := range []bool{false, true} {
+				sc.Calls = calls
+				t.Run(formName(calls), func(t *testing.T) { runDiffScript(t, sc) })
+			}
+		})
 	}
+}
+
+// formName names the round form a script drives the engine through.
+func formName(calls bool) string {
+	if calls {
+		return "calls"
+	}
+	return "intents"
 }
 
 // brokenEngine wraps the real engine and injects one of the classic bugs the
@@ -59,24 +83,42 @@ func (b *brokenEngine) ExecRound(
 	responseOf func(i int) (phonecall.Message, bool),
 	deliver func(i int, inbox []phonecall.Message),
 ) phonecall.RoundReport {
-	wrapped := deliver
-	if deliver != nil {
-		switch b.mode {
-		case "truncate":
-			wrapped = func(i int, inbox []phonecall.Message) {
-				deliver(i, inbox[:len(inbox)-1])
+	return b.report(b.Network.ExecRound(intentOf, responseOf, b.deliver(deliver)))
+}
+
+func (b *brokenEngine) ExecCalls(
+	callOf func(i int) phonecall.Call,
+	payloadOf func(i int) phonecall.Message,
+	responseOf func(i int) (phonecall.Message, bool),
+	deliver func(i int, inbox []phonecall.Message),
+) phonecall.RoundReport {
+	return b.report(b.Network.ExecCalls(callOf, payloadOf, responseOf, b.deliver(deliver)))
+}
+
+// deliver seeds the inbox bugs into a delivery callback.
+func (b *brokenEngine) deliver(deliver func(i int, inbox []phonecall.Message)) func(i int, inbox []phonecall.Message) {
+	if deliver == nil {
+		return nil
+	}
+	switch b.mode {
+	case "truncate":
+		return func(i int, inbox []phonecall.Message) {
+			deliver(i, inbox[:len(inbox)-1])
+		}
+	case "order":
+		return func(i int, inbox []phonecall.Message) {
+			rev := make([]phonecall.Message, len(inbox))
+			for k, m := range inbox {
+				rev[len(inbox)-1-k] = m
 			}
-		case "order":
-			wrapped = func(i int, inbox []phonecall.Message) {
-				rev := make([]phonecall.Message, len(inbox))
-				for k, m := range inbox {
-					rev[len(inbox)-1-k] = m
-				}
-				deliver(i, rev)
-			}
+			deliver(i, rev)
 		}
 	}
-	rep := b.Network.ExecRound(intentOf, responseOf, wrapped)
+	return deliver
+}
+
+// report seeds the Δ bug into a round report.
+func (b *brokenEngine) report(rep phonecall.RoundReport) phonecall.RoundReport {
 	if b.mode == "delta" && rep.MaxComms > 0 {
 		rep.MaxComms--
 	}
@@ -86,20 +128,24 @@ func (b *brokenEngine) ExecRound(
 // TestDiffCatchesSeededBugs proves the oracle is genuinely independent: an
 // engine with a deliberately seeded bug — inbox off-by-one, wrong Δ, wrong
 // delivery order — must diverge from the oracle under the same script that
-// runs clean on the real engine.
+// runs clean on the real engine, through either round form.
 func TestDiffCatchesSeededBugs(t *testing.T) {
-	sc := Script{N: 120, Rounds: 6, NetSeed: 21, ProtoSeed: 22}
 	for _, mode := range []string{"truncate", "delta", "order"} {
 		t.Run(mode, func(t *testing.T) {
-			net, orc, err := NewPair(sc, false)
-			if err != nil {
-				t.Fatal(err)
+			for _, calls := range []bool{false, true} {
+				sc := Script{N: 120, Rounds: 6, NetSeed: 21, ProtoSeed: 22, Calls: calls}
+				t.Run(formName(calls), func(t *testing.T) {
+					net, orc, err := NewPair(sc, false)
+					if err != nil {
+						t.Fatal(err)
+					}
+					err = Compare(&brokenEngine{Network: net, mode: mode}, orc, sc)
+					if err == nil {
+						t.Fatalf("differential harness missed the seeded %q bug", mode)
+					}
+					t.Logf("caught: %v", err)
+				})
 			}
-			err = Compare(&brokenEngine{Network: net, mode: mode}, orc, sc)
-			if err == nil {
-				t.Fatalf("differential harness missed the seeded %q bug", mode)
-			}
-			t.Logf("caught: %v", err)
 		})
 	}
 }

@@ -1,23 +1,31 @@
 package phonecall
 
 import (
+	"math/bits"
 	"runtime"
 	"sync"
 )
 
 // This file implements the sharded, allocation-free round engine behind
-// Network.ExecRound. See DESIGN.md ("Round engine") for the full architecture;
-// in short, one synchronous round is executed as a fixed pipeline of passes
-// over flat arrays, each pass sharded across a persistent worker pool:
+// Network.ExecCalls and Network.ExecRound. See DESIGN.md ("Round engine") for
+// the full architecture; in short, one synchronous round is executed as a
+// fixed pipeline of passes over flat arrays, each pass sharded across a
+// persistent worker pool:
 //
-//	passIntents  (by initiator) evaluate intents, resolve targets, count
+//	passCalls    (by initiator) evaluate calls, resolve targets, count
 //	passMerge    (by target)    merge per-worker counts, compute responses
-//	passSelf     (by node)      add pull responses to the receivers' counts
-//	  — coordinator: prefix offsets into the shared message arena —
-//	passCursor   (by target)    per-(worker,target) write cursors
+//	                            (pull-free rounds: inbox cursors)
+//	passSelf     (by node)      add pull responses to the receivers' counts,
+//	                            inbox cursors
+//	  — coordinator: per-shard base offsets into the shared message arena —
 //	passFill     (by initiator) copy messages into the arena
 //	passDeliver  (by target)    invoke the delivery callbacks
 //
+// A round pays per node only for what the node sends: the passes read the
+// 24-byte Call, and the payload is written straight into its staging slot.
+// Destinations cost only where something landed: every shard marks the
+// destination cells it writes in a bitmap, and the destination passes (and
+// the next round's reset) visit the union of the marked bits, not all n.
 // Per-node inboxes are contiguous spans of a single []Message arena that is
 // reused round after round; after warm-up a round performs no allocations.
 // Every cross-shard quantity is either accumulated in per-worker shards that
@@ -32,12 +40,19 @@ import (
 const shardMinNodes = 4096
 
 // shardMemBudget bounds the per-worker destination-shard state (12 bytes per
-// (worker, node)). Every round clears and merges all of it, so past this
-// budget extra shards cost more memory bandwidth than their parallelism
-// returns; the effective worker count is clamped to stay within it.
+// (worker, node), plus a bit per node for the touched map). A round visits
+// only the cells its traffic touched, but a dense round touches nearly all of
+// them, so past this budget extra shards cost more memory bandwidth than
+// their parallelism returns; the effective worker count is clamped to stay
+// within it.
 const shardMemBudget = 256 << 20
 
-// op classifies a node's intent for the round, after normalization.
+// denseReset is the fraction 1/denseReset of a shard's cells above which the
+// shard resets its cells with one sequential clear instead of visiting the
+// ones its last round touched.
+const denseReset = 8
+
+// op classifies a node's call for the round, after normalization.
 type op uint8
 
 const (
@@ -51,8 +66,9 @@ const (
 const noTarget int32 = -1
 
 // destCell accumulates, per (worker, destination node), what the worker's
-// initiators did to that node. After the cursor pass the msgs field is
-// recycled as the worker's write cursor into the message arena.
+// initiators did to that node. Once the node's inbox is laid out the msgs
+// field is recycled as the worker's write cursor into the message arena,
+// relative to the base of the destination's shard.
 type destCell struct {
 	msgs  int32 // messages destined to the node (then: arena write cursor)
 	pulls int32 // pulls addressed to the node
@@ -75,10 +91,9 @@ type workerStats struct {
 type passID uint8
 
 const (
-	pIntents passID = iota + 1
+	pCalls passID = iota + 1
 	pMerge
 	pSelf
-	pCursor
 	pFill
 	pDeliver
 )
@@ -122,8 +137,9 @@ func (pl *pool) close() {
 	}
 }
 
-// initEngine sizes the engine state for n nodes and workers shards and, for
-// multi-shard engines, starts the worker pool.
+// initEngine sizes the engine state for n nodes and workers shards, builds
+// the two call-form adapters and, for multi-shard engines, starts the worker
+// pool.
 func (net *Network) initEngine(workers int) {
 	n := net.n
 	if workers < 1 {
@@ -140,19 +156,22 @@ func (net *Network) initEngine(workers int) {
 	}
 	net.nw = workers
 
+	// Spans are whole 64-node blocks, so a bitmap word belongs to one shard;
+	// trailing shards may be short or empty.
+	blocks := (n + 63) >> 6
+	chunk := (blocks + workers - 1) / workers << 6
 	net.cells = make([][]destCell, workers)
-	for w := range net.cells {
-		net.cells[w] = make([]destCell, n)
-	}
+	net.touched = make([][]uint64, workers)
 	net.spans = make([][2]int, workers)
-	chunk := (n + workers - 1) / workers
 	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, n)
-		net.spans[w] = [2]int{lo, hi}
+		net.cells[w] = make([]destCell, n)
+		net.touched[w] = make([]uint64, blocks)
+		lo := min(w*chunk, n)
+		net.spans[w] = [2]int{lo, min(lo+chunk, n)}
 	}
 	net.wstats = make([]workerStats, workers)
 	net.rangeBase = make([]int32, workers)
+	net.blockBase = make([]int32, blocks)
 
 	net.roundMixRound = -1
 	net.ops = make([]op, n)
@@ -162,6 +181,22 @@ func (net *Network) initEngine(workers int) {
 	net.respOK = make([]bool, n)
 	net.inCount = make([]int32, n)
 	net.inOff = make([]int32, n)
+
+	net.intentCall = func(i int) Call {
+		it := net.curIntent(i)
+		if it.Kind == Push || it.Kind == Exchange {
+			net.staged[i] = it.Payload
+		}
+		return Call{Kind: it.Kind, Target: it.Target}
+	}
+	net.callIntent = func(i int) Intent {
+		c := net.fwdCall(i)
+		it := Intent{Kind: c.Kind, Target: c.Target}
+		if c.Kind == Push || c.Kind == Exchange {
+			it.Payload = net.fwdPayload(i)
+		}
+		return it
+	}
 
 	if workers > 1 {
 		net.pool = newPool(workers)
@@ -187,18 +222,16 @@ func (net *Network) runParallel(p passID) {
 func (net *Network) runPass(p passID, w int) {
 	lo, hi := net.spans[w][0], net.spans[w][1]
 	switch p {
-	case pIntents:
-		net.passIntents(w, lo, hi)
+	case pCalls:
+		net.passCalls(w, lo, hi)
 	case pMerge:
 		net.passMerge(w, lo, hi)
 	case pSelf:
 		net.passSelf(w, lo, hi)
-	case pCursor:
-		net.passCursor(w, lo, hi)
 	case pFill:
 		net.passFill(w, lo, hi)
 	case pDeliver:
-		net.passDeliver(lo, hi)
+		net.passDeliver(w, lo, hi)
 	}
 }
 
@@ -220,23 +253,59 @@ func (net *Network) ExecRound(
 	responseOf func(i int) (Message, bool),
 	deliver func(i int, inbox []Message),
 ) RoundReport {
+	if intentOf == nil {
+		return net.exec(nil, nil, responseOf, deliver)
+	}
+	net.curIntent = intentOf
+	return net.exec(net.intentCall, nil, responseOf, deliver)
+}
+
+// ExecCalls executes one synchronous round from the payload-free call form:
+// it is ExecRound with each intent split in two. callOf is invoked once per
+// live node and returns the node's call; payloadOf is invoked once per Push
+// or Exchange call, after callOf, and returns the call's payload (a nil
+// payloadOf sends empty messages). responseOf and deliver are those of
+// ExecRound, under the same contract, and the round's traffic, metrics and
+// inboxes are exactly those of ExecRound with the joined intents.
+func (net *Network) ExecCalls(
+	callOf func(i int) Call,
+	payloadOf func(i int) Message,
+	responseOf func(i int) (Message, bool),
+	deliver func(i int, inbox []Message),
+) RoundReport {
+	if payloadOf == nil {
+		payloadOf = emptyPayload
+	}
+	return net.exec(callOf, payloadOf, responseOf, deliver)
+}
+
+func emptyPayload(int) Message { return Message{} }
+
+// exec runs one round. A nil payloadOf means callOf is intentCall, reading
+// the Intent-form net.curIntent.
+func (net *Network) exec(
+	callOf func(i int) Call,
+	payloadOf func(i int) Message,
+	responseOf func(i int) (Message, bool),
+	deliver func(i int, inbox []Message),
+) RoundReport {
 	net.checkAbort()
 	net.round++
 	if net.roundHook != nil {
-		// Scenario hook: may Fail, Revive or SetLoss before this round's
-		// intents are evaluated (coordinator goroutine, so those mutations
-		// happen-before every pass).
+		// Scenario hook: may Fail, Revive, SetLoss or SetBehavior before this
+		// round's calls are evaluated (coordinator goroutine, so those
+		// mutations happen-before every pass).
 		net.roundHook(net.round)
 	}
 	obs := net.observer
 	if obs != nil {
 		obs.BeginRound(net.round, RoundInfo{
-			HasIntent:   intentOf != nil,
+			HasIntent:   callOf != nil,
 			HasResponse: responseOf != nil,
 			HasDeliver:  deliver != nil,
 		})
 	}
-	if intentOf == nil {
+	if callOf == nil {
 		// No initiator means an empty round: nothing is sent, charged or
 		// delivered.
 		rep := RoundReport{Round: net.round}
@@ -245,27 +314,42 @@ func (net *Network) ExecRound(
 		}
 		return rep
 	}
-	if net.corrupted > 0 {
-		// Byzantine seam: behaviors rewrite outgoing traffic before the
-		// observer taps it (verifiers check what is actually sent) and
-		// before any executor delegation (the live lock-step runtime
-		// inherits behaviors through the wrapped callbacks).
-		intentOf, responseOf = net.behaviorCallbacks(intentOf, responseOf)
-	}
-	if obs != nil {
-		intentOf, responseOf, deliver = net.observedCallbacks(obs, intentOf, responseOf, deliver)
-	}
-	if net.executor != nil {
-		// An external executor (internal/live) runs the round; the Network
-		// merges its delta exactly like the engine's own worker shards.
-		rep := net.runExternal(intentOf, responseOf, deliver)
-		if obs != nil {
-			obs.EndRound(rep)
+	if net.corrupted > 0 || obs != nil || net.executor != nil {
+		// The seams speak the Intent form: a call-form round runs through
+		// callIntent, and the passes read the wrapped intents back through
+		// intentCall.
+		intentOf := net.curIntent
+		if payloadOf != nil {
+			net.fwdCall, net.fwdPayload = callOf, payloadOf
+			intentOf = net.callIntent
 		}
-		return rep
+		if net.corrupted > 0 {
+			// Byzantine seam: behaviors rewrite outgoing traffic before the
+			// observer taps it (verifiers check what is actually sent) and
+			// before any executor delegation (the live lock-step runtime
+			// inherits behaviors through the wrapped callbacks).
+			intentOf, responseOf = net.behaviorCallbacks(intentOf, responseOf)
+		}
+		if obs != nil {
+			intentOf, responseOf, deliver = net.observedCallbacks(obs, intentOf, responseOf, deliver)
+		}
+		if net.executor != nil {
+			// An external executor (internal/live) runs the round; the
+			// Network merges its delta exactly like the engine's own worker
+			// shards.
+			rep := net.runExternal(intentOf, responseOf, deliver)
+			net.curIntent, net.fwdCall, net.fwdPayload = nil, nil, nil
+			if obs != nil {
+				obs.EndRound(rep)
+			}
+			return rep
+		}
+		net.curIntent = intentOf
+		callOf, payloadOf = net.intentCall, nil
 	}
 
-	net.curIntent = intentOf
+	net.curCall = callOf
+	net.curPayload = payloadOf
 	net.curResponse = responseOf
 	net.curDeliver = deliver
 	net.refreshRoundMix()
@@ -273,25 +357,31 @@ func (net *Network) ExecRound(
 		net.refreshLossMix()
 	}
 
-	net.runParallel(pIntents)
+	net.runParallel(pCalls)
 	pulls := int64(0)
 	for w := range net.wstats {
 		pulls += net.wstats[w].pullEvents
 	}
 	// Rounds without live pulls (all push traffic — the most common protocol
 	// rounds) have no responses: the merge pass computes the final inbox
-	// counts directly and the self-response pass is skipped.
+	// counts and cursors directly and the self-response pass is skipped.
 	net.noPulls = pulls == 0
 	net.runParallel(pMerge)
 	if !net.noPulls {
 		net.runParallel(pSelf)
 	}
 
-	// Coordinator step: per-shard base offsets into the arena, then size it.
+	// Coordinator step: per-shard base offsets into the arena, spread over
+	// the shards' blocks for passFill, then size the arena.
 	total := int64(0)
 	for w := 0; w < net.nw; w++ {
-		net.rangeBase[w] = int32(total)
+		base := int32(total)
+		net.rangeBase[w] = base
 		total += net.wstats[w].inboxLen
+		lo, hi := blockSpan(net.spans[w][0], net.spans[w][1])
+		for b := lo; b < hi; b++ {
+			net.blockBase[b] = base
+		}
 	}
 	if int(total) > cap(net.slab) {
 		// The first arena holds n messages (a round in which every node
@@ -302,7 +392,6 @@ func (net *Network) ExecRound(
 	}
 	net.slab = net.slab[:total]
 
-	net.runParallel(pCursor)
 	if total > 0 {
 		net.runParallel(pFill)
 	}
@@ -330,9 +419,8 @@ func (net *Network) ExecRound(
 		net.metrics.MaxCommsPerRound = maxComms
 	}
 
-	net.curIntent = nil
-	net.curResponse = nil
-	net.curDeliver = nil
+	net.curCall, net.curPayload, net.curResponse, net.curDeliver = nil, nil, nil, nil
+	net.curIntent, net.fwdCall, net.fwdPayload = nil, nil, nil
 
 	rep := RoundReport{
 		Round:    net.round,
@@ -346,15 +434,54 @@ func (net *Network) ExecRound(
 	return rep
 }
 
-// passIntents evaluates the intents of the shard's initiators, resolves their
-// targets and accounts everything the initiator side determines: payload and
-// control messages, bits and the per-destination message/pull/communication
-// counts used by the later passes.
-func (net *Network) passIntents(w, lo, hi int) {
+// blockSpan returns the 64-node blocks [kLo, kHi) of the shard span [lo, hi).
+// A non-empty span starts on a block boundary; an empty one (lo = hi = n)
+// covers no block, even when n is not a multiple of 64.
+func blockSpan(lo, hi int) (int, int) { return (lo + 63) >> 6, (hi + 63) >> 6 }
+
+// touch marks node d's cell in a shard's touched map.
+func touch(touched []uint64, d int) { touched[d>>6] |= 1 << (d & 63) }
+
+// touchedUnion is the union of every shard's touched word k: the nodes of
+// block k that some shard wrote this round.
+func (net *Network) touchedUnion(k int) uint64 {
+	u := uint64(0)
+	for _, t := range net.touched {
+		u |= t[k]
+	}
+	return u
+}
+
+// passCalls resets the cells the shard touched last round, evaluates the
+// calls of the shard's initiators, resolves their targets and accounts
+// everything the initiator side determines: payload and control messages,
+// bits and the per-destination message/pull/communication counts used by the
+// later passes.
+func (net *Network) passCalls(w, lo, hi int) {
 	cells := net.cells[w]
-	clear(cells)
+	touched := net.touched[w]
+	dirty := 0
+	for _, word := range touched {
+		dirty += bits.OnesCount64(word)
+	}
+	if dirty > len(cells)/denseReset {
+		// Many cells are dirty: one sequential clear beats a bit walk.
+		clear(cells)
+		clear(touched)
+	} else {
+		for k, word := range touched {
+			if word == 0 {
+				continue
+			}
+			touched[k] = 0
+			for ; word != 0; word &= word - 1 {
+				cells[k<<6+bits.TrailingZeros64(word)] = destCell{}
+			}
+		}
+	}
 	st := &net.wstats[w]
-	intentOf := net.curIntent
+	callOf := net.curCall
+	payloadOf := net.curPayload
 	sel := net.selector
 	round := net.round
 
@@ -363,23 +490,24 @@ func (net *Network) passIntents(w, lo, hi int) {
 			net.ops[i] = opNone
 			continue
 		}
-		it := intentOf(i)
-		if it.Kind == None {
+		c := callOf(i)
+		if c.Kind == None {
 			net.ops[i] = opNone
 			continue
 		}
 		var j int
 		var ok bool
-		if it.Target.Random {
+		if c.Target.Random {
 			if sel != nil {
 				j, ok = sel.SelectPeer(round, i)
 			} else {
 				j, ok = net.resolveRandom(i), true
 			}
 		} else {
-			j, ok = net.resolveTarget(i, it.Target)
+			j, ok = net.resolveTarget(i, c.Target)
 		}
 		cells[i].comms++
+		touch(touched, i)
 		// Δ accounting (the paper's MaxCommsPerRound): only live nodes
 		// participate in a communication — a failed target drops the call, so
 		// it is not charged (Section 8 failure model). A call lost in transit
@@ -391,32 +519,37 @@ func (net *Network) passIntents(w, lo, hi int) {
 		}
 		if live {
 			cells[j].comms++
+			touch(touched, j)
 			net.tgt[i] = int32(j)
 		} else {
 			net.tgt[i] = noTarget
 		}
-		switch it.Kind {
+		switch c.Kind {
 		case Push:
-			msg := it.Payload
+			msg := &net.staged[i]
+			if payloadOf != nil {
+				*msg = payloadOf(i)
+			}
 			msg.From = net.ids[i]
 			st.messages++
-			st.bits += int64(net.MessageSize(msg))
+			st.bits += int64(net.messageSize(msg))
 			if live {
 				cells[j].msgs++
 			}
 			net.ops[i] = opPush
-			net.staged[i] = msg
 		case Pull, Exchange:
-			if it.Kind == Exchange && it.Payload.HasContent() {
-				msg := it.Payload
+			msg := &net.staged[i]
+			if c.Kind == Exchange && payloadOf != nil {
+				*msg = payloadOf(i)
+			}
+			if c.Kind == Exchange && msg.HasContent() {
 				msg.From = net.ids[i]
 				st.messages++
-				st.bits += int64(net.MessageSize(msg))
+				st.bits += int64(net.messageSize(msg))
 				if live {
 					cells[j].msgs++
 				}
 				net.ops[i] = opExchange
-				net.staged[i] = msg
 			} else {
 				st.control++
 				st.bits += int64(net.controlSize())
@@ -432,133 +565,130 @@ func (net *Network) passIntents(w, lo, hi int) {
 	}
 }
 
-// passMerge merges the per-worker destination counts for the shard's node
-// range, computes each pulled node's address-oblivious response (invoking
-// responseOf exactly once per pulled node) and accounts the response fan-out.
-// In pull-free rounds it also finalizes the shard's inbox length, replacing
-// the skipped passSelf.
+// layOut places node d's inbox at the shard-relative offset run and turns
+// every worker's count for d into its write cursor: worker w's messages follow
+// those of workers < w, and each worker fills its span in ascending initiator
+// order, so the concatenation is ordered exactly like the sequential engine's
+// append order — by initiator index, with a puller's own response sitting at
+// its initiator position. Cells without messages keep their zero count, so a
+// cell no shard touched stays clean. It returns the offset past the inbox.
+func (net *Network) layOut(d int, run int32) int32 {
+	net.inOff[d] = run
+	for _, cells := range net.cells {
+		c := &cells[d]
+		count, cur := c.msgs, run
+		if count == 0 {
+			cur = 0 // branch-free: a dense round's counts are 0 about a third of the time
+		}
+		c.msgs = cur
+		run += count
+	}
+	return run
+}
+
+// passMerge merges the per-worker destination counts of the touched nodes in
+// the shard's range, computes each pulled node's address-oblivious response
+// (invoking responseOf exactly once per pulled node) and accounts the
+// response fan-out. In pull-free rounds it also lays out the inboxes,
+// replacing the skipped passSelf.
 func (net *Network) passMerge(w, lo, hi int) {
 	st := &net.wstats[w]
 	respond := net.curResponse
-	nw := net.nw
+	noPulls := net.noPulls
 	maxComms := st.maxComms
+	run := int32(0)
 
-	if net.noPulls {
-		total := int64(0)
-		for d := lo; d < hi; d++ {
-			var msgs, comms int32
-			for w2 := 0; w2 < nw; w2++ {
-				c := &net.cells[w2][d]
+	for k, kHi := blockSpan(lo, hi); k < kHi; k++ {
+		for u := net.touchedUnion(k); u != 0; u &= u - 1 {
+			d := k<<6 + bits.TrailingZeros64(u)
+			var msgs, pulls, comms int32
+			for _, cells := range net.cells {
+				c := &cells[d]
 				msgs += c.msgs
+				pulls += c.pulls
 				comms += c.comms
 			}
 			if comms > maxComms {
 				maxComms = comms
 			}
 			net.inCount[d] = msgs
-			total += int64(msgs)
-		}
-		st.inboxLen = total
-		st.maxComms = maxComms
-		return
-	}
-
-	for d := lo; d < hi; d++ {
-		var msgs, pulls, comms int32
-		for w2 := 0; w2 < nw; w2++ {
-			c := &net.cells[w2][d]
-			msgs += c.msgs
-			pulls += c.pulls
-			comms += c.comms
-		}
-		if comms > maxComms {
-			maxComms = comms
-		}
-		if pulls > 0 {
-			// Only live nodes are pulled (passIntents drops dead targets), so
-			// d may respond. The single response is handed to every puller
-			// and each copy is charged, exactly as in the model.
-			ok := false
-			if respond != nil {
-				m, has := respond(d)
-				if has {
-					m.From = net.ids[d]
-					net.resp[d] = m
-					size := int64(net.MessageSize(m))
-					st.messages += int64(pulls)
-					st.bits += size * int64(pulls)
-					ok = true
-				}
+			if noPulls {
+				run = net.layOut(d, run)
+				continue
 			}
-			net.respOK[d] = ok
+			if pulls > 0 {
+				// Only live nodes are pulled (passCalls drops dead targets),
+				// so d may respond. The single response is handed to every
+				// puller and each copy is charged, exactly as in the model.
+				ok := false
+				if respond != nil {
+					m, has := respond(d)
+					if has {
+						m.From = net.ids[d]
+						net.resp[d] = m
+						size := int64(net.messageSize(&m))
+						st.messages += int64(pulls)
+						st.bits += size * int64(pulls)
+						ok = true
+					}
+				}
+				net.respOK[d] = ok
+			}
 		}
-		net.inCount[d] = msgs
 	}
 	st.maxComms = maxComms
+	if noPulls {
+		st.inboxLen = int64(run)
+	}
 }
 
-// passSelf adds each puller's incoming response to its own inbox count. It
-// runs after the merge barrier because a puller's target — and hence the
-// respOK flag it depends on — can live in any shard.
+// passSelf adds each puller's incoming response to its own inbox count and
+// lays out the shard's inboxes. It runs after the merge barrier because a
+// puller's target — and hence the respOK flag it depends on — can live in any
+// shard. Every live initiator touched its own cell, so the walk over touched
+// nodes meets every puller.
 func (net *Network) passSelf(w, lo, hi int) {
 	cells := net.cells[w]
-	total := int64(0)
-	for i := lo; i < hi; i++ {
-		if o := net.ops[i]; o == opPull || o == opExchange {
-			if t := net.tgt[i]; t != noTarget && net.respOK[t] {
-				cells[i].msgs++
-				net.inCount[i]++
+	run := int32(0)
+	for k, kHi := blockSpan(lo, hi); k < kHi; k++ {
+		for u := net.touchedUnion(k); u != 0; u &= u - 1 {
+			i := k<<6 + bits.TrailingZeros64(u)
+			if o := net.ops[i]; o == opPull || o == opExchange {
+				if t := net.tgt[i]; t != noTarget && net.respOK[t] {
+					cells[i].msgs++
+					net.inCount[i]++
+				}
 			}
+			run = net.layOut(i, run)
 		}
-		total += int64(net.inCount[i])
 	}
-	net.wstats[w].inboxLen = total
-}
-
-// passCursor turns the per-(worker,destination) counts into write cursors
-// into the message arena. A destination's inbox starts at inOff[d]; within it
-// worker w's messages start after those of workers < w, and each worker fills
-// its span in ascending initiator order, so the concatenation is ordered
-// exactly like the sequential engine's append order — by initiator index,
-// with a puller's own response sitting at its initiator position.
-func (net *Network) passCursor(w, lo, hi int) {
-	run := net.rangeBase[w]
-	nw := net.nw
-	for d := lo; d < hi; d++ {
-		net.inOff[d] = run
-		cur := run
-		for w2 := 0; w2 < nw; w2++ {
-			c := &net.cells[w2][d]
-			count := c.msgs
-			c.msgs = cur
-			cur += count
-		}
-		run += net.inCount[d]
-	}
+	net.wstats[w].inboxLen = int64(run)
 }
 
 // passFill copies the round's messages into the arena: each initiator's
 // pushed payload at its target's cursor and each puller's received response
-// at its own cursor.
+// at its own cursor. A cursor is relative to its destination's shard, whose
+// base blockBase holds per 64-node block.
 func (net *Network) passFill(w, lo, hi int) {
 	cells := net.cells[w]
+	own := net.rangeBase[w]
 	for i := lo; i < hi; i++ {
 		o := net.ops[i]
 		if o == opNone {
 			continue
 		}
 		t := net.tgt[i]
-		if o == opPush || o == opExchange {
-			if t != noTarget {
-				c := &cells[t]
-				net.slab[c.msgs] = net.staged[i]
-				c.msgs++
-			}
+		if t == noTarget {
+			continue
 		}
-		if (o == opPull || o == opExchange) && t != noTarget && net.respOK[t] {
-			m := net.resp[t]
+		if o == opPush || o == opExchange {
+			c := &cells[t]
+			net.slab[net.blockBase[t>>6]+c.msgs] = net.staged[i]
+			c.msgs++
+		}
+		if (o == opPull || o == opExchange) && net.respOK[t] {
 			c := &cells[i]
-			net.slab[c.msgs] = m
+			net.slab[own+c.msgs] = net.resp[t]
 			c.msgs++
 		}
 	}
@@ -576,13 +706,20 @@ var PoisonMessage = Message{
 	Tag:   0xEF,
 }
 
-// passDeliver hands every non-empty inbox to the delivery callback.
-func (net *Network) passDeliver(lo, hi int) {
+// passDeliver hands every non-empty inbox in the shard's range to the
+// delivery callback; only touched nodes can have one.
+func (net *Network) passDeliver(w, lo, hi int) {
 	deliver := net.curDeliver
 	poison := net.cfg.PoisonInbox
-	for d := lo; d < hi; d++ {
-		if c := net.inCount[d]; c > 0 {
-			off := net.inOff[d]
+	base := net.rangeBase[w]
+	for k, kHi := blockSpan(lo, hi); k < kHi; k++ {
+		for u := net.touchedUnion(k); u != 0; u &= u - 1 {
+			d := k<<6 + bits.TrailingZeros64(u)
+			c := net.inCount[d]
+			if c == 0 {
+				continue
+			}
+			off := base + net.inOff[d]
 			inbox := net.slab[off : off+c : off+c]
 			deliver(d, inbox)
 			if poison {

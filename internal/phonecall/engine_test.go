@@ -112,8 +112,22 @@ func TestSmallNetworksRunSingleShard(t *testing.T) {
 }
 
 // TestZeroSteadyStateAllocs locks in the allocation-free round engine: after
-// warm-up, executing a round allocates nothing, sequential or sharded.
+// warm-up, executing a round allocates nothing, sequential or sharded, in the
+// Intent form and in the call form for each kind of call.
 func TestZeroSteadyStateAllocs(t *testing.T) {
+	msg := Message{Tag: 1, Rumor: true}
+	intent := func(i int) Intent {
+		if i%3 == 1 {
+			return PullIntent(RandomTarget())
+		}
+		return PushIntent(RandomTarget(), msg)
+	}
+	push := func(int) Call { return Call{Kind: Push, Target: RandomTarget()} }
+	pull := func(int) Call { return Call{Kind: Pull, Target: RandomTarget()} }
+	exchange := func(int) Call { return Call{Kind: Exchange, Target: RandomTarget()} }
+	payload := func(int) Message { return msg }
+	respond := func(j int) (Message, bool) { return Message{Tag: 2}, true }
+	deliver := func(i int, inbox []Message) {}
 	for _, tc := range []struct {
 		name    string
 		n       int
@@ -127,23 +141,59 @@ func TestZeroSteadyStateAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			msg := Message{Tag: 1, Rumor: true}
-			intent := func(i int) Intent {
-				if i%3 == 1 {
-					return PullIntent(RandomTarget())
+			rounds := map[string]func(){
+				"intents":  func() { net.ExecRound(intent, respond, deliver) },
+				"push":     func() { net.ExecCalls(push, payload, nil, deliver) },
+				"pull":     func() { net.ExecCalls(pull, nil, respond, deliver) },
+				"exchange": func() { net.ExecCalls(exchange, payload, respond, deliver) },
+			}
+			for _, form := range []string{"intents", "push", "pull", "exchange"} {
+				round := rounds[form]
+				for i := 0; i < 5; i++ {
+					round() // warm up: arena growth and pool start-up
 				}
-				return PushIntent(RandomTarget(), msg)
-			}
-			respond := func(j int) (Message, bool) { return Message{Tag: 2}, true }
-			deliver := func(i int, inbox []Message) {}
-			round := func() { net.ExecRound(intent, respond, deliver) }
-			for i := 0; i < 5; i++ {
-				round() // warm up: arena growth and pool start-up
-			}
-			if avg := testing.AllocsPerRun(20, round); avg != 0 {
-				t.Errorf("steady-state round allocates %.1f times, want 0", avg)
+				if avg := testing.AllocsPerRun(20, round); avg != 0 {
+					t.Errorf("%s: steady-state round allocates %.1f times, want 0", form, avg)
+				}
 			}
 		})
+	}
+}
+
+// TestShardSpansAreWholeBlocks pins the shard layout the touched maps rely
+// on: every non-empty span starts on a 64-node block, the spans tile [0, n)
+// in order, and a size just past a block boundary leaves a one-node shard
+// followed by empty ones.
+func TestShardSpansAreWholeBlocks(t *testing.T) {
+	net, err := New(Config{N: 4097, Seed: 1, Workers: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if net.Workers() != 64 {
+		t.Fatalf("Workers() = %d, want 64", net.Workers())
+	}
+	next, oneNode, empty := 0, 0, 0
+	for w, sp := range net.spans {
+		lo, hi := sp[0], sp[1]
+		if lo != next || hi < lo {
+			t.Fatalf("shard %d spans [%d, %d), want it to start at %d", w, lo, hi, next)
+		}
+		if hi > lo && lo%64 != 0 {
+			t.Fatalf("shard %d starts at %d, not on a block boundary", w, lo)
+		}
+		if kLo, kHi := blockSpan(lo, hi); (hi == lo) != (kLo == kHi) {
+			t.Fatalf("shard %d [%d, %d) covers blocks [%d, %d)", w, lo, hi, kLo, kHi)
+		}
+		switch hi - lo {
+		case 0:
+			empty++
+		case 1:
+			oneNode++
+		}
+		next = hi
+	}
+	if next != net.n || oneNode != 1 || empty == 0 {
+		t.Fatalf("spans end at %d with %d one-node and %d empty shards, want %d, 1, >0", next, oneNode, empty, net.n)
 	}
 }
 

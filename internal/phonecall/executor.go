@@ -35,7 +35,8 @@ type RoundDelta struct {
 
 // RoundExecutor executes one synchronous round on behalf of a Network.
 //
-// ExecNetworkRound is invoked by Network.ExecRound after the round counter
+// ExecNetworkRound is invoked by Network.ExecRound (and by ExecCalls, with
+// each call and its payload joined into an Intent) after the round counter
 // has advanced, the OnRoundStart hook has run and the observer wrappers have
 // been applied; intentOf is never nil (an all-nil round is handled before
 // delegation). The executor must uphold the engine's callback contract: the

@@ -75,8 +75,9 @@ type HoldingsBinder interface {
 // Observe registers an observer on the network (nil unregisters). While an
 // observer is registered every round pays three wrapper closures and — so the
 // observer can see inboxes even under protocols that pass a nil deliver — the
-// delivery pass always runs; results and metrics are unchanged. This is a
-// debugging/verification mode, not a production path.
+// delivery pass always runs; ExecCalls rounds take the Intent-form path so
+// the observer sees whole intents. Results and metrics are unchanged. This is
+// a debugging/verification mode, not a production path.
 func (net *Network) Observe(obs RoundObserver) { net.observer = obs }
 
 // LossSeed returns the seed driving the oblivious per-call loss process (set

@@ -104,6 +104,15 @@ type Intent struct {
 	Payload Message // used for Push
 }
 
+// Call is a node's initiated communication for one round without its
+// payload: the form Network.ExecCalls evaluates for every live node, so a
+// silent node costs a 24-byte return value instead of a whole Intent. The
+// payload of a Push or Exchange call is asked for separately.
+type Call struct {
+	Kind   Kind
+	Target Target
+}
+
 // Silent is the do-nothing intent.
 func Silent() Intent { return Intent{Kind: None} }
 
@@ -211,6 +220,12 @@ type Network struct {
 	slab      []Message // the inbox arena: one flat span per receiving node
 	pool      *pool
 	noPulls   bool // this round has no live pulls (fast path)
+	// touched holds, per shard, one bit per node: the destination cells the
+	// shard wrote this round. Only those are merged, delivered and cleared.
+	touched [][]uint64
+	// blockBase is the arena base offset of each 64-node block's shard,
+	// refreshed every round (spans are whole blocks).
+	blockBase []int32
 
 	// roundMix caches the hash prefix (seed, tag, round) of the stateless
 	// random-target hash; refreshed by ExecRound at the start of each round.
@@ -251,10 +266,22 @@ type Network struct {
 	corrupted int
 
 	// Per-round callbacks, published to the pool workers through the pass
-	// channel's happens-before edge.
-	curIntent   func(i int) Intent
+	// channel's happens-before edge. The passes read the call form; a nil
+	// curPayload means curCall already staged the payloads.
+	curCall     func(i int) Call
+	curPayload  func(i int) Message
 	curResponse func(i int) (Message, bool)
 	curDeliver  func(i int, inbox []Message)
+
+	// The two adapters between the round's forms, built once in New.
+	// intentCall runs the Intent-form curIntent as a call and stages its
+	// payload; callIntent runs the call-form fwdCall/fwdPayload as an Intent
+	// for the seams that speak that form (behaviors, observer, executor).
+	curIntent  func(i int) Intent
+	fwdCall    func(i int) Call
+	fwdPayload func(i int) Message
+	intentCall func(i int) Call
+	callIntent func(i int) Intent
 }
 
 // Validation errors returned by New.
@@ -424,7 +451,11 @@ func (net *Network) Metrics() Metrics {
 // MessageSize returns the size in bits of a message under the paper's
 // accounting: O(log n) bits for tags/counters/IDs plus the b-bit rumor when
 // carried.
-func (net *Network) MessageSize(m Message) int {
+func (net *Network) MessageSize(m Message) int { return net.messageSize(&m) }
+
+// messageSize is MessageSize through a pointer, so the passes size a staged
+// message in place.
+func (net *Network) messageSize(m *Message) int {
 	if m.Bits > 0 {
 		return m.Bits
 	}
