@@ -64,13 +64,8 @@ func E9SimVsLive(cfg SweepConfig) (Table, error) {
 		})
 	}
 
-	for _, drop := range []float64{0, 0.05} {
-		res, err := cfg.trials(func(seed uint64) run.Spec {
-			spec := cfg.spec(run.AlgoPushPull, n)
-			spec.Engine = run.EngineFreeRunning
-			spec.Drop, spec.DropSeed = drop, seed+900
-			return spec
-		})
+	for _, drop := range e9Drops() {
+		res, err := cfg.trials(cfg.e9FreeSpec(n, drop))
 		if err != nil {
 			return Table{}, fmt.Errorf("E9 free drop=%.2f: %w", drop, err)
 		}
@@ -88,4 +83,19 @@ func E9SimVsLive(cfg SweepConfig) (Table, error) {
 		"free-run rows report the completion frontier (the first frontier round at which every live node held the rumor) under transport-level frame loss",
 	)
 	return t, nil
+}
+
+// e9Drops are the transport frame-loss rates of E9's free-running rows.
+func e9Drops() []float64 { return []float64{0, 0.05} }
+
+// e9FreeSpec is the spec of an E9 free-running trial: push-pull on n
+// goroutines, each frame lost with probability drop, the drop seed
+// seed + 900.
+func (cfg SweepConfig) e9FreeSpec(n int, drop float64) func(seed uint64) run.Spec {
+	return func(seed uint64) run.Spec {
+		spec := cfg.spec(run.AlgoPushPull, n)
+		spec.Engine = run.EngineFreeRunning
+		spec.Drop, spec.DropSeed = drop, seed+900
+		return spec
+	}
 }

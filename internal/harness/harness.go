@@ -4,6 +4,11 @@
 // trial as a run.Spec, aggregates the round-, message- and bit-complexities
 // that come back, and renders the tables recorded in EXPERIMENTS.md. It
 // constructs no engine itself.
+//
+// The paper's theorems are asserted in this package's tests
+// (theorems_test.go) on the same trial loop, measures and experiment grids,
+// replicated over fixed seeds; see EXPERIMENTS.md, "Statistical
+// methodology".
 package harness
 
 import (
@@ -54,16 +59,21 @@ func same(s run.Spec) func(uint64) run.Spec {
 	return func(uint64) run.Spec { return s }
 }
 
-// over summarizes one measure across a row's trials. Trials for which the
-// measure is undefined (NaN) are left out of the sample.
+// over summarizes one measure across a row's trials.
 func over(res []trace.Result, measure func(trace.Result) float64) stats.Summary {
-	values := make([]float64, 0, len(res))
+	return stats.Summarize(values(res, measure))
+}
+
+// values is one measure of each of a row's trials, in seed order. Trials for
+// which the measure is undefined (NaN) are left out of the sample.
+func values(res []trace.Result, measure func(trace.Result) float64) []float64 {
+	out := make([]float64, 0, len(res))
 	for _, r := range res {
 		if v := measure(r); !math.IsNaN(v) {
-			values = append(values, v)
+			out = append(out, v)
 		}
 	}
-	return stats.Summarize(values)
+	return out
 }
 
 // The measures the tables summarize, one per quantity.

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -136,6 +137,24 @@ func TestExperimentE6SmallSweep(t *testing.T) {
 	}
 	if len(tbl.Rows) == 0 {
 		t.Fatal("no rows")
+	}
+}
+
+// TestExperimentE6SkipsEmptyFaults: at n = 50 the 1 % fraction fails no
+// node, so E6 leaves it out instead of printing an F = 0 row whose
+// uninformed/F is 0/0.
+func TestExperimentE6SkipsEmptyFaults(t *testing.T) {
+	tbl, err := RunExperiment("E6", SweepConfig{Sizes: []int{50}, Seeds: []uint64{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tbl.Rows) != 3 {
+		t.Errorf("E6 at n=50: %d rows, want 3 (F = 2, 5, 10)", len(tbl.Rows))
+	}
+	for _, row := range tbl.Rows {
+		if row[0] == "0" || slices.Contains(row, "NaN") {
+			t.Errorf("E6 at n=50 printed a meaningless row %v", row)
+		}
 	}
 }
 

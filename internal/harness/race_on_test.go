@@ -1,6 +1,6 @@
 //go:build race
 
-package check_test
+package harness
 
 // raceEnabled reports whether the race detector is on; the large-n theorem
 // cells skip under it.

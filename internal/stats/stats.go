@@ -94,9 +94,9 @@ func (iv Interval) HalfWidth() float64 { return (iv.Hi - iv.Lo) / 2 }
 // 0.95, not 95; levels outside that range panic (a silently degenerate
 // interval would let assertions built on it pass vacuously). Samples with
 // fewer than two values yield the degenerate interval at the mean. The
-// replication counts used by internal/check (k ≥ 8) keep the normal
-// approximation serviceable for the bounded, light-tailed quantities the
-// theorem checks measure.
+// replication counts of the theorem checks in internal/harness (k ≥ 8) keep
+// the normal approximation serviceable for the bounded, light-tailed
+// quantities they measure.
 func ConfidenceInterval(values []float64, level float64) Interval {
 	if level <= 0 || level >= 1 {
 		panic("stats: confidence level must be a fraction in (0, 1)")
