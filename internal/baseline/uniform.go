@@ -41,7 +41,7 @@ func Uniform(net *phonecall.Network, sources []int, algo scenario.Algorithm) (tr
 	if err != nil {
 		return trace.Result{}, err
 	}
-	intent, respond, deliver := algo.Step(st.has, st.mark, phonecall.Message{Tag: tagRumor, Rumor: true})
+	call, payload, respond, deliver := algo.Step(st.has, st.mark, phonecall.Message{Tag: tagRumor, Rumor: true})
 	// A protocol whose informed nodes stay silent (PULL) sends nothing once
 	// every live node is informed, so its idle tail is skipped without
 	// changing any reported quantity. The others keep transmitting for the
@@ -55,7 +55,7 @@ func Uniform(net *phonecall.Network, sources []int, algo scenario.Algorithm) (tr
 		if idleWhenDone && st.allInformed() {
 			break
 		}
-		net.ExecRound(intent, respond, deliver)
+		net.ExecCalls(call, payload, respond, deliver)
 		if completion == 0 && st.allInformed() {
 			completion = net.Metrics().Rounds
 		}

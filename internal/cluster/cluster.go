@@ -52,9 +52,15 @@ type Clustering struct {
 	missed []uint8
 
 	// recruit state: candidate cluster IDs received via random pushes,
-	// relayed to leaders for merge decisions.
-	pending    []phonecall.NodeID
-	candidates [][]phonecall.NodeID
+	// relayed to leaders for merge decisions. Leader j's candidates are
+	// cands[candOff[j] : candOff[j]+candLen[j]]: one flat arena, a span per
+	// leader laid out by RelayCandidates from a count pass, the way Resize
+	// lays out its member lists. The index arrays are made on the first
+	// relay.
+	pending []phonecall.NodeID
+	cands   []phonecall.NodeID
+	candOff []int32 // n+1 entries
+	candLen []int32
 
 	// Scratch reused by every primitive, so that a primitive allocates
 	// nothing per node. idSlot backs one-ID payloads: a node writes only its
@@ -71,18 +77,17 @@ type Clustering struct {
 func New(net *phonecall.Network) *Clustering {
 	n := net.N()
 	return &Clustering{
-		net:        net,
-		follow:     make([]phonecall.NodeID, n),
-		active:     make([]bool, n),
-		size:       make([]int, n),
-		prevSize:   make([]int, n),
-		rumor:      make([]bool, n),
-		joined:     make([]bool, n),
-		missed:     make([]uint8, n),
-		pending:    make([]phonecall.NodeID, n),
-		candidates: make([][]phonecall.NodeID, n),
-		idSlot:     make([]phonecall.NodeID, n),
-		counts:     make([]int32, n),
+		net:      net,
+		follow:   make([]phonecall.NodeID, n),
+		active:   make([]bool, n),
+		size:     make([]int, n),
+		prevSize: make([]int, n),
+		rumor:    make([]bool, n),
+		joined:   make([]bool, n),
+		missed:   make([]uint8, n),
+		pending:  make([]phonecall.NodeID, n),
+		idSlot:   make([]phonecall.NodeID, n),
+		counts:   make([]int32, n),
 	}
 }
 
@@ -629,8 +634,10 @@ func (c *Clustering) Pending(i int) phonecall.NodeID { return c.pending[i] }
 
 // RelayCandidates implements the "relay received messages to the cluster
 // leader" step of ClusterPUSH: every node holding a pending candidate pushes
-// it to its leader; leaders accumulate the candidates. Costs one round.
+// it to its leader; leaders collect the candidates, in place of any an
+// earlier relay left. Costs one round.
 func (c *Clustering) RelayCandidates() {
+	c.layOutCandidates()
 	c.net.ExecCalls(
 		func(i int) phonecall.Call {
 			if c.pending[i] == phonecall.NoNode || !c.IsClustered(i) {
@@ -651,7 +658,7 @@ func (c *Clustering) RelayCandidates() {
 			}
 			for _, m := range inbox {
 				if m.Tag == TagRelay && len(m.IDs) == 1 {
-					c.candidates[j] = append(c.candidates[j], m.IDs[0])
+					c.addCandidate(j, m.IDs[0])
 				}
 			}
 		},
@@ -661,21 +668,69 @@ func (c *Clustering) RelayCandidates() {
 			continue
 		}
 		if c.IsLeader(i) && c.pending[i] != phonecall.NoNode {
-			c.candidates[i] = append(c.candidates[i], c.pending[i])
+			c.addCandidate(i, c.pending[i])
 		}
 		c.pending[i] = phonecall.NoNode
 	}
 }
 
-// Candidates returns the candidate cluster IDs relayed to leader i (local).
-func (c *Clustering) Candidates(i int) []phonecall.NodeID { return c.candidates[i] }
-
-// ClearCandidates drops all relayed candidates (local).
-func (c *Clustering) ClearCandidates() {
-	for i := range c.candidates {
-		c.candidates[i] = c.candidates[i][:0]
+// layOutCandidates empties the candidate arena and gives every leader room
+// for every candidate this relay can bring it: one per live member with a
+// pending candidate whose push resolves to it, and its own.
+func (c *Clustering) layOutCandidates() {
+	net := c.net
+	n := net.N()
+	if c.candOff == nil {
+		c.candOff = make([]int32, n+1)
+		c.candLen = make([]int32, n)
+	}
+	clear(c.candLen)
+	clear(c.counts)
+	for i := 0; i < n; i++ {
+		if net.IsFailed(i) || c.pending[i] == phonecall.NoNode || !c.IsClustered(i) {
+			continue
+		}
+		if c.IsLeader(i) {
+			c.counts[i]++
+		} else if j, ok := net.IndexOf(c.follow[i]); ok && !net.IsFailed(j) && c.IsLeader(j) {
+			c.counts[j]++
+		}
+	}
+	total := int32(0)
+	for j := 0; j < n; j++ {
+		c.candOff[j] = total
+		if c.IsLeader(j) && !net.IsFailed(j) {
+			total += c.counts[j]
+		}
+	}
+	c.candOff[n] = total
+	if int(total) > len(c.cands) {
+		c.cands = make([]phonecall.NodeID, total+total/4)
 	}
 }
+
+// addCandidate appends id to leader j's candidates, within the room its
+// span was laid out with: only a relay a behavior redirected to another
+// leader can find none, and it is dropped.
+func (c *Clustering) addCandidate(j int, id phonecall.NodeID) {
+	at := c.candOff[j] + c.candLen[j]
+	if at < c.candOff[j+1] {
+		c.cands[at] = id
+		c.candLen[j]++
+	}
+}
+
+// Candidates returns the candidate cluster IDs relayed to leader i (local).
+func (c *Clustering) Candidates(i int) []phonecall.NodeID {
+	if c.candLen == nil {
+		return nil
+	}
+	lo := c.candOff[i]
+	return c.cands[lo : lo+c.candLen[i] : lo+c.candLen[i]]
+}
+
+// ClearCandidates drops all relayed candidates (local).
+func (c *Clustering) ClearCandidates() { clear(c.candLen) }
 
 // Merge implements ClusterMerge: every leader for which decide returns a new
 // leader ID merges its cluster into that cluster; followers learn the new

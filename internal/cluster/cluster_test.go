@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -64,6 +65,29 @@ func seedEvenClusters(t *testing.T, net *phonecall.Network, clusterSize int) *Cl
 	}
 	checkInvariant(t, c, false)
 	return c
+}
+
+// TestClusteringBytesPerNode is the clustering's memory lock: New allocates
+// a fixed number of bytes per node, read from the runtime's cumulative
+// allocation counter — the per-node state of the primitives, with nothing
+// sized for a message that has not been sent. A slice header per node
+// (24 B, the candidate lists of a [][]NodeID) fails the bound.
+func TestClusteringBytesPerNode(t *testing.T) {
+	const (
+		n     = 1 << 16
+		bound = 56 // bytes per node
+	)
+	net := newNet(t, n, 3)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := New(net)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(c)
+	perNode := float64(after.TotalAlloc-before.TotalAlloc) / n
+	t.Logf("New: %.1f B per node", perNode)
+	if perNode > bound {
+		t.Errorf("New allocates %.1f B per node, want at most %d", perNode, bound)
+	}
 }
 
 func TestSeedSingletons(t *testing.T) {

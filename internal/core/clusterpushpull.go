@@ -78,7 +78,7 @@ func broadcastOnClustering(cl *cluster.Clustering, delta int) {
 // uniformly random node and learns the rumor if the responder has it: the
 // decision table's PULL step.
 func uninformedPull(cl *cluster.Clustering) {
-	cl.Network().ExecRound(scenario.AlgoPull.Step(cl.HasRumor, cl.SetRumor,
+	cl.Network().ExecCalls(scenario.AlgoPull.Step(cl.HasRumor, cl.SetRumor,
 		phonecall.Message{Tag: cluster.TagRumor, Rumor: true}))
 }
 

@@ -35,8 +35,8 @@ type Engine interface {
 }
 
 // CallEngine is an Engine that also executes the payload-free call form
-// (phonecall.Network.ExecCalls). Scripts with Calls set drive such an engine
-// through it; the reference oracle speaks only the Intent form.
+// (phonecall.Network.ExecCalls). Scripts with Calls set drive both engines
+// through it.
 type CallEngine interface {
 	Engine
 	ExecCalls(
@@ -49,7 +49,7 @@ type CallEngine interface {
 
 var (
 	_ CallEngine = (*phonecall.Network)(nil)
-	_ Engine     = (*Oracle)(nil)
+	_ CallEngine = (*Oracle)(nil)
 )
 
 // Script describes one differential workload: a network, a round budget and
@@ -73,10 +73,15 @@ type Script struct {
 	// rounds.
 	Churn     bool
 	ChurnSeed uint64
-	// Calls drives a CallEngine through ExecCalls, splitting each scripted
-	// intent into its call and its payload; the oracle still receives the
-	// whole intent.
+	// Calls drives both engines through ExecCalls, splitting each scripted
+	// intent into its call and its payload. A contentless exchange then
+	// stays an exchange: the call form transmits and charges its empty
+	// payload.
 	Calls bool
+	// Dense makes every live node call a random node, pulling or
+	// exchanging (a third of the exchanges without content), so most nodes
+	// are pulled in every round.
+	Dense bool
 }
 
 // normalized clamps the script to the ranges both engines accept.
@@ -137,7 +142,8 @@ const (
 // intentFor derives node i's intent for round r: a mix of pushes, pulls and
 // exchanges over random and direct targets, including the edge cases the
 // model must handle — self-addressed calls, the NoNode sentinel, unknown
-// IDs, contentless exchanges and out-of-model kinds.
+// IDs, contentless exchanges and out-of-model kinds; or, for a Dense script,
+// a random pull or exchange.
 func intentFor(e Engine, sc Script, r, i int) phonecall.Intent {
 	h := rng.Mix(sc.ProtoSeed, tagIntent, uint64(r), uint64(i))
 	payload := func() phonecall.Message {
@@ -164,6 +170,16 @@ func intentFor(e Engine, sc Script, r, i int) phonecall.Intent {
 			// An ID outside the directory: both engines must fail to resolve
 			// it the same way.
 			return phonecall.DirectTarget(phonecall.NodeID(1<<62 + h>>32))
+		}
+	}
+	if sc.Dense {
+		switch h % 3 {
+		case 0:
+			return phonecall.PullIntent(phonecall.RandomTarget())
+		case 1:
+			return phonecall.ExchangeIntent(phonecall.RandomTarget(), payload())
+		default:
+			return phonecall.ExchangeIntent(phonecall.RandomTarget(), phonecall.Message{})
 		}
 	}
 	switch h % 9 {

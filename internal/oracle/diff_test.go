@@ -49,6 +49,9 @@ func TestEngineMatchesOracle(t *testing.T) {
 		"two-nodes":    {N: 2, Rounds: 8, NetSeed: 12, ProtoSeed: 13, Churn: true, ChurnSeed: 14},
 		"high-loss":    {N: 30, Rounds: 8, NetSeed: 15, ProtoSeed: 16, LossRate: 0.95, LossSeed: 17},
 		"shard-edges":  {N: 4097, Rounds: 6, NetSeed: 18, ProtoSeed: 19, Workers: 64, Churn: true, ChurnSeed: 20},
+		// Over half the nodes are pulled in every round (churn seed 45 fails
+		// few enough of them).
+		"dense": {N: 3000, Rounds: 6, NetSeed: 41, ProtoSeed: 42, Workers: 4, Churn: true, ChurnSeed: 45, Dense: true},
 	}
 	for name, sc := range scripts {
 		t.Run(name, func(t *testing.T) {

@@ -18,18 +18,18 @@ import (
 )
 
 // FuzzEngineVsOracle fuzzes network size, seeds, round budget, worker count,
-// loss rate, the churn script and the engine's round form (ExecRound or
-// ExecCalls) through Compare, with the engine running under inbox poisoning
-// and, in the Intent form, the invariant Checker. Any divergence between
-// the sharded engine and the naive reference — one message, one bit, one Δ —
-// fails the target.
+// loss rate, the churn script, the engine's round form (ExecRound or
+// ExecCalls) and the dense call mix through Compare, with the engine running
+// under inbox poisoning and, in the Intent form, the invariant Checker. Any
+// divergence between the sharded engine and the naive reference — one
+// message, one bit, one Δ — fails the target.
 func FuzzEngineVsOracle(f *testing.F) {
-	f.Add(uint16(40), uint64(1), uint64(2), uint64(3), uint8(8), uint8(1), uint8(0), false)
-	f.Add(uint16(300), uint64(4), uint64(5), uint64(6), uint8(10), uint8(3), uint8(30), false)
-	f.Add(uint16(4500), uint64(7), uint64(8), uint64(9), uint8(4), uint8(8), uint8(5), false)
-	f.Add(uint16(2), uint64(10), uint64(11), uint64(12), uint8(6), uint8(2), uint8(95), false)
-	f.Add(uint16(1000), uint64(13), uint64(14), uint64(15), uint8(12), uint8(4), uint8(50), false)
-	f.Fuzz(func(t *testing.T, n uint16, netSeed, protoSeed, churnSeed uint64, rounds, workers, lossPct uint8, calls bool) {
+	f.Add(uint16(40), uint64(1), uint64(2), uint64(3), uint8(8), uint8(1), uint8(0), false, false)
+	f.Add(uint16(300), uint64(4), uint64(5), uint64(6), uint8(10), uint8(3), uint8(30), false, false)
+	f.Add(uint16(4500), uint64(7), uint64(8), uint64(9), uint8(4), uint8(8), uint8(5), false, false)
+	f.Add(uint16(2), uint64(10), uint64(11), uint64(12), uint8(6), uint8(2), uint8(95), false, false)
+	f.Add(uint16(1000), uint64(13), uint64(14), uint64(15), uint8(12), uint8(4), uint8(50), false, false)
+	f.Fuzz(func(t *testing.T, n uint16, netSeed, protoSeed, churnSeed uint64, rounds, workers, lossPct uint8, calls, dense bool) {
 		sc := Script{
 			N:         2 + int(n)%5999,
 			Rounds:    1 + int(rounds)%12,
@@ -41,6 +41,7 @@ func FuzzEngineVsOracle(f *testing.F) {
 			Churn:     true,
 			ChurnSeed: churnSeed,
 			Calls:     calls,
+			Dense:     dense,
 		}
 		runDiffScript(t, sc)
 	})

@@ -7,9 +7,9 @@
 //   - Oracle is a deliberately naive, single-threaded reference engine
 //     written straight from the model definition in DESIGN.md §2 — plain
 //     maps and slices, one pass in node order, no arenas, no shards. It
-//     reproduces ExecRound, Fail/Revive, and oblivious per-call loss
-//     bit-for-bit, so any divergence between it and the real engine is a
-//     bug in one of them.
+//     reproduces ExecRound, ExecCalls, Fail/Revive, and oblivious per-call
+//     loss bit-for-bit, so any divergence between it and the real engine is
+//     a bug in one of them.
 //   - The differential harness (diff.go, scenariodiff.go) runs randomized
 //     protocols, churn scripts and scenario timelines through both engines
 //     and asserts bit-identical traces, metrics and Δ accounting. It backs
@@ -32,10 +32,11 @@ import (
 )
 
 // Oracle is the naive reference engine. It accepts the same Config and
-// exposes the same execution surface as phonecall.Network (ExecRound, Fail,
-// Revive, SetLoss, OnRoundStart, Metrics), and is documented to produce
-// bit-identical results; Workers and PoisonInbox are ignored — the oracle is
-// always single-threaded and callers always receive freshly built inboxes.
+// exposes the same execution surface as phonecall.Network (ExecRound,
+// ExecCalls, Fail, Revive, SetLoss, OnRoundStart, Metrics), and is
+// documented to produce bit-identical results; Workers and PoisonInbox are
+// ignored — the oracle is always single-threaded and callers always receive
+// freshly built inboxes.
 type Oracle struct {
 	n           int
 	seed        uint64
@@ -221,26 +222,71 @@ func (o *Oracle) ExecRound(
 	responseOf func(i int) (phonecall.Message, bool),
 	deliver func(i int, inbox []phonecall.Message),
 ) phonecall.RoundReport {
+	if intentOf == nil {
+		return o.exec(nil, nil, responseOf, deliver)
+	}
+	return o.exec(func(s *specRound, i int) bool {
+		s.addIntent(i, intentOf(i))
+		return false
+	}, nil, responseOf, deliver)
+}
+
+// ExecCalls executes one round in the call form under the engine's rule for
+// it: callOf once per live node, then responseOf, then payloadOf once per
+// Push or Exchange call — an Exchange always carries its payload, content or
+// not. A nil payloadOf sends empty messages; a nil callOf is an empty round.
+func (o *Oracle) ExecCalls(
+	callOf func(i int) phonecall.Call,
+	payloadOf func(i int) phonecall.Message,
+	responseOf func(i int) (phonecall.Message, bool),
+	deliver func(i int, inbox []phonecall.Message),
+) phonecall.RoundReport {
+	if callOf == nil {
+		return o.exec(nil, nil, responseOf, deliver)
+	}
+	if payloadOf == nil {
+		payloadOf = func(int) phonecall.Message { return phonecall.Message{} }
+	}
+	return o.exec(func(s *specRound, i int) bool {
+		c := callOf(i)
+		return s.addCall(i, c, c.Kind == phonecall.Push || c.Kind == phonecall.Exchange)
+	}, payloadOf, responseOf, deliver)
+}
+
+// exec runs one round: add evaluates node i's initiation and reports whether
+// it owes a payload, which payloadOf supplies after the responses.
+func (o *Oracle) exec(
+	add func(s *specRound, i int) bool,
+	payloadOf func(i int) phonecall.Message,
+	responseOf func(i int) (phonecall.Message, bool),
+	deliver func(i int, inbox []phonecall.Message),
+) phonecall.RoundReport {
 	o.round++
 	if o.hook != nil {
 		o.hook(o.round)
 	}
-	if intentOf == nil {
+	if add == nil {
 		return phonecall.RoundReport{Round: o.round}
 	}
 
 	s := newSpecRound(o.env())
+	var owes []int
 	for i := 0; i < o.n; i++ {
 		if o.failed[i] {
 			continue
 		}
-		s.addIntent(i, intentOf(i))
+		if add(s, i) {
+			owes = append(owes, i)
+		}
 	}
 	if responseOf != nil {
 		for _, d := range s.pulled() {
 			m, ok := responseOf(d)
 			s.addResponse(d, m, ok)
 		}
+	}
+	for _, i := range owes {
+		s.addPayload(i, payloadOf(i))
 	}
 	if deliver != nil {
 		for d, inbox := range s.inboxes() {

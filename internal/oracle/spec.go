@@ -60,7 +60,8 @@ type specCall struct {
 	// nowhere (silent node, unresolved or dead target, lost in transit).
 	target int
 	// payload is the pushed message with From stamped; hasPayload marks that
-	// one is transmitted (Push always, Exchange only with content).
+	// one is transmitted (Push always; Exchange only with content in the
+	// Intent form, always in the call form).
 	payload    phonecall.Message
 	hasPayload bool
 }
@@ -131,13 +132,24 @@ func (s *specRound) dropped(i int) bool {
 	return float64(h>>11)/float64(1<<53) < s.env.LossRate
 }
 
-// addIntent evaluates node i's intent: target resolution, the
-// live-participant communication charges, sender-side message accounting and
-// the pull bookkeeping. Kinds outside the model still count as an attempted
-// communication for both live participants but transmit nothing.
+// addIntent evaluates node i's intent in the Intent form, where an Exchange
+// transmits its payload only if the payload has content.
 func (s *specRound) addIntent(i int, it phonecall.Intent) {
+	sends := it.Kind == phonecall.Push || (it.Kind == phonecall.Exchange && it.Payload.HasContent())
+	if s.addCall(i, phonecall.Call{Kind: it.Kind, Target: it.Target}, sends) {
+		s.addPayload(i, it.Payload)
+	}
+}
+
+// addCall evaluates node i's call: target resolution, the live-participant
+// communication charges, the pull request's charge when the call sends no
+// payload, and the pull bookkeeping. Kinds outside the model still count as
+// an attempted communication for both live participants but transmit
+// nothing. It reports whether the call owes a payload (sends), which the
+// caller then hands to addPayload.
+func (s *specRound) addCall(i int, it phonecall.Call, sends bool) bool {
 	if it.Kind == phonecall.None {
-		return
+		return false
 	}
 	s.acted[i] = true
 	j, ok := s.resolve(i, it.Target)
@@ -154,30 +166,30 @@ func (s *specRound) addIntent(i int, it phonecall.Intent) {
 		s.comms[j]++
 		target = j
 	}
-	c := specCall{kind: it.Kind, target: target}
+	s.calls[i] = specCall{kind: it.Kind, target: target}
 	switch it.Kind {
 	case phonecall.Push:
-		m := it.Payload
-		m.From = s.env.ID(i)
-		s.msgs++
-		s.bits += int64(s.env.MessageBits(m))
-		c.payload, c.hasPayload = m, true
+		return true
 	case phonecall.Pull, phonecall.Exchange:
-		if it.Kind == phonecall.Exchange && it.Payload.HasContent() {
-			m := it.Payload
-			m.From = s.env.ID(i)
-			s.msgs++
-			s.bits += int64(s.env.MessageBits(m))
-			c.payload, c.hasPayload = m, true
-		} else {
+		if !sends {
 			s.control++
 			s.bits += int64(s.env.ControlBits)
 		}
 		if live {
 			s.pulls[j]++
 		}
+		return sends
 	}
-	s.calls[i] = c
+	return false
+}
+
+// addPayload charges node i's payload — reached target or not, the sender
+// transmitted it — and records it for delivery.
+func (s *specRound) addPayload(i int, m phonecall.Message) {
+	m.From = s.env.ID(i)
+	s.msgs++
+	s.bits += int64(s.env.MessageBits(m))
+	s.calls[i].payload, s.calls[i].hasPayload = m, true
 }
 
 // pulled returns, in ascending order, the nodes at least one live pull

@@ -14,18 +14,24 @@ import (
 //
 //	passCalls    (by initiator) evaluate calls, resolve targets, count
 //	passMerge    (by target)    merge per-worker counts, compute responses
+//	                            into the shard's response list
 //	                            (pull-free rounds: inbox cursors)
 //	passSelf     (by node)      add pull responses to the receivers' counts,
 //	                            inbox cursors
 //	  — coordinator: per-shard base offsets into the shared message arena —
-//	passFill     (by initiator) copy messages into the arena
+//	passFill     (by initiator) ask for and charge each payload, write it
+//	                            and each received response into the arena
+//	                            (touched initiators only)
 //	passDeliver  (by target)    invoke the delivery callbacks
 //
 // A round pays per node only for what the node sends: the passes read the
-// 24-byte Call, and the payload is written straight into its staging slot.
+// 24-byte Call, and the payload goes from its callback to its arena slot
+// through a 64-message per-worker scratch, never a per-node staging array.
 // Destinations cost only where something landed: every shard marks the
 // destination cells it writes in a bitmap, and the destination passes (and
 // the next round's reset) visit the union of the marked bits, not all n.
+// Responses live in a dense per-shard list, so memory follows the round's
+// traffic: besides the arena, the engine keeps no n-sized array of messages.
 // Per-node inboxes are contiguous spans of a single []Message arena that is
 // reused round after round; after warm-up a round performs no allocations.
 // Every cross-shard quantity is either accumulated in per-worker shards that
@@ -58,12 +64,15 @@ type op uint8
 const (
 	opNone     op = iota
 	opPush        // push with payload
-	opPull        // pull, or exchange without content: request + response
-	opExchange    // exchange with content: payload push + response
+	opPull        // pull: request + response
+	opExchange    // exchange: payload push + response
 )
 
 // noTarget marks an unresolved or dead target in Network.tgt.
 const noTarget int32 = -1
+
+// noResponse marks, in Network.respIdx, a pulled node that gave no response.
+const noResponse int32 = -1
 
 // destCell accumulates, per (worker, destination node), what the worker's
 // initiators did to that node. Once the node's inbox is laid out the msgs
@@ -160,6 +169,7 @@ func (net *Network) initEngine(workers int) {
 	// trailing shards may be short or empty.
 	blocks := (n + 63) >> 6
 	chunk := (blocks + workers - 1) / workers << 6
+	net.chunkBlocks = chunk >> 6
 	net.cells = make([][]destCell, workers)
 	net.touched = make([][]uint64, workers)
 	net.spans = make([][2]int, workers)
@@ -170,25 +180,34 @@ func (net *Network) initEngine(workers int) {
 		net.spans[w] = [2]int{lo, min(lo+chunk, n)}
 	}
 	net.wstats = make([]workerStats, workers)
+	net.resps = make([][]Message, workers)
+	net.fillBuf = make([][64]Message, workers)
 	net.rangeBase = make([]int32, workers)
 	net.blockBase = make([]int32, blocks)
 
 	net.roundMixRound = -1
 	net.ops = make([]op, n)
 	net.tgt = make([]int32, n)
-	net.staged = make([]Message, n)
-	net.resp = make([]Message, n)
-	net.respOK = make([]bool, n)
+	net.respIdx = make([]int32, n)
 	net.inCount = make([]int32, n)
 	net.inOff = make([]int32, n)
 
 	net.intentCall = func(i int) Call {
 		it := net.curIntent(i)
-		if it.Kind == Push || it.Kind == Exchange {
+		switch it.Kind {
+		case Exchange:
+			if !it.Payload.HasContent() {
+				// The Intent form's rule: an exchange without content is
+				// only its pull half.
+				return Call{Kind: Pull, Target: it.Target}
+			}
+			fallthrough
+		case Push:
 			net.staged[i] = it.Payload
 		}
 		return Call{Kind: it.Kind, Target: it.Target}
 	}
+	net.stagedPayload = func(i int) Message { return net.staged[i] }
 	net.callIntent = func(i int) Intent {
 		c := net.fwdCall(i)
 		it := Intent{Kind: c.Kind, Target: c.Target}
@@ -262,11 +281,22 @@ func (net *Network) ExecRound(
 
 // ExecCalls executes one synchronous round from the payload-free call form:
 // it is ExecRound with each intent split in two. callOf is invoked once per
-// live node and returns the node's call; payloadOf is invoked once per Push
-// or Exchange call, after callOf, and returns the call's payload (a nil
-// payloadOf sends empty messages). responseOf and deliver are those of
-// ExecRound, under the same contract, and the round's traffic, metrics and
-// inboxes are exactly those of ExecRound with the joined intents.
+// live node and returns the node's call. payloadOf is invoked exactly once
+// per Push or Exchange call, whether or not the call reaches its target,
+// after every responseOf of the round and before any deliver; it returns the
+// call's payload (a nil payloadOf sends empty messages), which is charged
+// when it is asked for. responseOf and deliver are those of ExecRound, under
+// the same contract.
+//
+// In the call form an Exchange always carries its payload: it is
+// transmitted and charged even when the payload is empty, so a caller with
+// nothing to push returns Pull. ExecRound's Intent form keeps the older rule
+// (an Exchange intent without content is only a pull), and so does a round
+// that runs through a seam — a behavior, an observer or an external
+// executor — which joins each call and its payload into an Intent when
+// callOf runs. For callers that follow the call-form rule the round's
+// traffic, metrics and inboxes are exactly those of ExecRound with the
+// joined intents.
 func (net *Network) ExecCalls(
 	callOf func(i int) Call,
 	payloadOf func(i int) Message,
@@ -282,7 +312,7 @@ func (net *Network) ExecCalls(
 func emptyPayload(int) Message { return Message{} }
 
 // exec runs one round. A nil payloadOf means callOf is intentCall, reading
-// the Intent-form net.curIntent.
+// the Intent-form net.curIntent and staging its payloads.
 func (net *Network) exec(
 	callOf func(i int) Call,
 	payloadOf func(i int) Message,
@@ -347,6 +377,12 @@ func (net *Network) exec(
 		net.curIntent = intentOf
 		callOf, payloadOf = net.intentCall, nil
 	}
+	if payloadOf == nil {
+		if net.staged == nil {
+			net.staged = make([]Message, net.n)
+		}
+		payloadOf = net.stagedPayload
+	}
 
 	net.curCall = callOf
 	net.curPayload = payloadOf
@@ -358,9 +394,11 @@ func (net *Network) exec(
 	}
 
 	net.runParallel(pCalls)
-	pulls := int64(0)
+	// passCalls has counted only payloads so far: responses come later.
+	pulls, sends := int64(0), int64(0)
 	for w := range net.wstats {
 		pulls += net.wstats[w].pullEvents
+		sends += net.wstats[w].messages
 	}
 	// Rounds without live pulls (all push traffic — the most common protocol
 	// rounds) have no responses: the merge pass computes the final inbox
@@ -392,7 +430,8 @@ func (net *Network) exec(
 	}
 	net.slab = net.slab[:total]
 
-	if total > 0 {
+	if total > 0 || sends > 0 {
+		// Payloads are asked for and charged even when none arrives.
 		net.runParallel(pFill)
 	}
 	if deliver != nil && total > 0 {
@@ -454,9 +493,10 @@ func (net *Network) touchedUnion(k int) uint64 {
 
 // passCalls resets the cells the shard touched last round, evaluates the
 // calls of the shard's initiators, resolves their targets and accounts
-// everything the initiator side determines: payload and control messages,
-// bits and the per-destination message/pull/communication counts used by the
-// later passes.
+// everything the call alone determines: payload and control messages, the
+// control bits and the per-destination message/pull/communication counts
+// used by the later passes. A payload's bits are charged by passFill, which
+// asks for it.
 func (net *Network) passCalls(w, lo, hi int) {
 	cells := net.cells[w]
 	touched := net.touched[w]
@@ -481,7 +521,6 @@ func (net *Network) passCalls(w, lo, hi int) {
 	}
 	st := &net.wstats[w]
 	callOf := net.curCall
-	payloadOf := net.curPayload
 	sel := net.selector
 	round := net.round
 
@@ -524,43 +563,33 @@ func (net *Network) passCalls(w, lo, hi int) {
 		} else {
 			net.tgt[i] = noTarget
 		}
+		var o op
 		switch c.Kind {
 		case Push:
-			msg := &net.staged[i]
-			if payloadOf != nil {
-				*msg = payloadOf(i)
-			}
-			msg.From = net.ids[i]
+			o = opPush
+		case Pull:
+			o = opPull
+		case Exchange:
+			o = opExchange
+		default:
+			// Out of the model: an attempted communication that transmits
+			// nothing.
+			net.ops[i] = opNone
+			continue
+		}
+		net.ops[i] = o
+		if o == opPull {
+			st.control++
+			st.bits += int64(net.controlSize())
+		} else {
 			st.messages++
-			st.bits += int64(net.messageSize(msg))
 			if live {
 				cells[j].msgs++
 			}
-			net.ops[i] = opPush
-		case Pull, Exchange:
-			msg := &net.staged[i]
-			if c.Kind == Exchange && payloadOf != nil {
-				*msg = payloadOf(i)
-			}
-			if c.Kind == Exchange && msg.HasContent() {
-				msg.From = net.ids[i]
-				st.messages++
-				st.bits += int64(net.messageSize(msg))
-				if live {
-					cells[j].msgs++
-				}
-				net.ops[i] = opExchange
-			} else {
-				st.control++
-				st.bits += int64(net.controlSize())
-				net.ops[i] = opPull
-			}
-			if live {
-				cells[j].pulls++
-				st.pullEvents++
-			}
-		default:
-			net.ops[i] = opNone
+		}
+		if o != opPush && live {
+			cells[j].pulls++
+			st.pullEvents++
 		}
 	}
 }
@@ -597,6 +626,7 @@ func (net *Network) passMerge(w, lo, hi int) {
 	noPulls := net.noPulls
 	maxComms := st.maxComms
 	run := int32(0)
+	resps := net.resps[w][:0]
 
 	for k, kHi := blockSpan(lo, hi); k < kHi; k++ {
 		for u := net.touchedUnion(k); u != 0; u &= u - 1 {
@@ -620,22 +650,30 @@ func (net *Network) passMerge(w, lo, hi int) {
 				// Only live nodes are pulled (passCalls drops dead targets),
 				// so d may respond. The single response is handed to every
 				// puller and each copy is charged, exactly as in the model.
-				ok := false
+				idx := noResponse
 				if respond != nil {
 					m, has := respond(d)
 					if has {
 						m.From = net.ids[d]
-						net.resp[d] = m
 						size := int64(net.messageSize(&m))
 						st.messages += int64(pulls)
 						st.bits += size * int64(pulls)
-						ok = true
+						idx = int32(len(resps))
+						if len(resps) == cap(resps) {
+							// Double, where append would grow a long list by
+							// a quarter: a list that grows over a run's
+							// rounds then allocates twice its final size,
+							// not five times.
+							resps = append(make([]Message, 0, max(2*cap(resps), 256)), resps...)
+						}
+						resps = append(resps, m)
 					}
 				}
-				net.respOK[d] = ok
+				net.respIdx[d] = idx
 			}
 		}
 	}
+	net.resps[w] = resps
 	st.maxComms = maxComms
 	if noPulls {
 		st.inboxLen = int64(run)
@@ -644,9 +682,9 @@ func (net *Network) passMerge(w, lo, hi int) {
 
 // passSelf adds each puller's incoming response to its own inbox count and
 // lays out the shard's inboxes. It runs after the merge barrier because a
-// puller's target — and hence the respOK flag it depends on — can live in any
-// shard. Every live initiator touched its own cell, so the walk over touched
-// nodes meets every puller.
+// puller's target — and hence the response index it depends on — can live
+// in any shard. Every live initiator touched its own cell, so the walk over
+// touched nodes meets every puller.
 func (net *Network) passSelf(w, lo, hi int) {
 	cells := net.cells[w]
 	run := int32(0)
@@ -654,7 +692,7 @@ func (net *Network) passSelf(w, lo, hi int) {
 		for u := net.touchedUnion(k); u != 0; u &= u - 1 {
 			i := k<<6 + bits.TrailingZeros64(u)
 			if o := net.ops[i]; o == opPull || o == opExchange {
-				if t := net.tgt[i]; t != noTarget && net.respOK[t] {
+				if t := net.tgt[i]; t != noTarget && net.respIdx[t] != noResponse {
 					cells[i].msgs++
 					net.inCount[i]++
 				}
@@ -665,31 +703,62 @@ func (net *Network) passSelf(w, lo, hi int) {
 	net.wstats[w].inboxLen = int64(run)
 }
 
-// passFill copies the round's messages into the arena: each initiator's
-// pushed payload at its target's cursor and each puller's received response
-// at its own cursor. A cursor is relative to its destination's shard, whose
-// base blockBase holds per 64-node block.
+// passFill asks for every payload of the shard's initiators, charges it and
+// writes it into the arena at its target's cursor, then copies each puller's
+// received response to its own cursor. A cursor is relative to its
+// destination's shard, whose base blockBase holds per 64-node block. Running
+// after the merge barrier puts every payloadOf after every responseOf. Every
+// live initiator marked its own cell in the shard's touched map, so the walk
+// over the map's bits in the shard's range meets them all, in ascending
+// order, and skips the silent stretches of a sparse round. A block's
+// payloads are asked for first, into the worker's 64-message scratch, and
+// placed after: the callbacks then read their nodes' state back to back
+// instead of between the arena's random writes.
 func (net *Network) passFill(w, lo, hi int) {
 	cells := net.cells[w]
+	touched := net.touched[w]
 	own := net.rangeBase[w]
-	for i := lo; i < hi; i++ {
-		o := net.ops[i]
-		if o == opNone {
-			continue
+	st := &net.wstats[w]
+	payloadOf := net.curPayload
+	buf := &net.fillBuf[w]
+	for k, kHi := blockSpan(lo, hi); k < kHi; k++ {
+		u := touched[k]
+		sent := 0
+		for v := u; v != 0; v &= v - 1 {
+			i := k<<6 + bits.TrailingZeros64(v)
+			if o := net.ops[i]; o == opPush || o == opExchange {
+				// Charged whether or not it arrives: a payload to a dead or
+				// unresolved target, or lost in transit, was still sent.
+				m := &buf[sent]
+				*m = payloadOf(i)
+				m.From = net.ids[i]
+				st.bits += int64(net.messageSize(m))
+				sent++
+			}
 		}
-		t := net.tgt[i]
-		if t == noTarget {
-			continue
-		}
-		if o == opPush || o == opExchange {
-			c := &cells[t]
-			net.slab[net.blockBase[t>>6]+c.msgs] = net.staged[i]
-			c.msgs++
-		}
-		if (o == opPull || o == opExchange) && net.respOK[t] {
-			c := &cells[i]
-			net.slab[own+c.msgs] = net.resp[t]
-			c.msgs++
+		sent = 0
+		for v := u; v != 0; v &= v - 1 {
+			i := k<<6 + bits.TrailingZeros64(v)
+			o := net.ops[i]
+			if o == opNone {
+				continue
+			}
+			t := net.tgt[i]
+			if o != opPull {
+				if t != noTarget {
+					c := &cells[t]
+					net.slab[net.blockBase[t>>6]+c.msgs] = buf[sent]
+					c.msgs++
+				}
+				sent++
+			}
+			if o != opPush && t != noTarget {
+				if r := net.respIdx[t]; r != noResponse {
+					c := &cells[i]
+					net.slab[own+c.msgs] = net.resps[int(t>>6)/net.chunkBlocks][r]
+					c.msgs++
+				}
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package phonecall
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/rng"
@@ -157,6 +158,54 @@ func TestZeroSteadyStateAllocs(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestNetworkBytesPerNode is the engine's memory lock: New plus warm
+// call-form push, pull and exchange rounds allocate a fixed number of bytes
+// per node, read from the runtime's cumulative allocation counter. The push
+// rounds are dense — every node sends, so the inbox arena reaches its first
+// size of n messages — and the pull and exchange rounds are sparse, one
+// caller in 16, as a protocol's pull rounds are, so the response list stays
+// small. What is left is the engine's per-node state; an n-sized array of
+// the 56-byte Message besides the arena (a payload staging array, a per-node
+// response array) adds 56 B per node and fails the bound.
+func TestNetworkBytesPerNode(t *testing.T) {
+	const (
+		n     = 1 << 16
+		bound = 192 // bytes per node
+	)
+	msg := Message{Tag: 1, Rumor: true}
+	sparse := func(k Kind) func(int) Call {
+		return func(i int) Call {
+			if i%16 != 0 {
+				return Call{}
+			}
+			return Call{Kind: k, Target: RandomTarget()}
+		}
+	}
+	push := func(int) Call { return Call{Kind: Push, Target: RandomTarget()} }
+	pull, exchange := sparse(Pull), sparse(Exchange)
+	payload := func(int) Message { return msg }
+	respond := func(int) (Message, bool) { return Message{Tag: 2}, true }
+	deliver := func(int, []Message) {}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	net, err := New(Config{N: n, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 3; r++ {
+		net.ExecCalls(push, payload, nil, deliver)
+		net.ExecCalls(pull, nil, respond, deliver)
+		net.ExecCalls(exchange, payload, respond, deliver)
+	}
+	runtime.ReadMemStats(&after)
+	perNode := float64(after.TotalAlloc-before.TotalAlloc) / n
+	t.Logf("New and 9 call-form rounds: %.1f B per node", perNode)
+	if perNode > bound {
+		t.Errorf("New and 9 call-form rounds allocate %.1f B per node, want at most %d", perNode, bound)
 	}
 }
 

@@ -80,8 +80,8 @@ func DirectTarget(id NodeID) Target { return Target{ID: id} }
 
 // Message is the unit of communication. Its size in bits is derived from its
 // content unless Bits is set explicitly. The field order groups the two
-// single-byte fields so the struct stays at 56 bytes; the engine copies every
-// message twice per round (staging and arena), so its size is hot.
+// single-byte fields so the struct stays at 56 bytes; the inbox arena holds
+// one per delivered message, so its size is hot.
 type Message struct {
 	// From is filled in by the engine with the sender's ID.
 	From NodeID
@@ -212,14 +212,18 @@ type Network struct {
 	rangeBase []int32 // arena base offset per shard's node range
 	ops       []op
 	tgt       []int32
-	staged    []Message // pending push payloads, indexed by initiator
-	resp      []Message
-	respOK    []bool
-	inCount   []int32
-	inOff     []int32
-	slab      []Message // the inbox arena: one flat span per receiving node
-	pool      *pool
-	noPulls   bool // this round has no live pulls (fast path)
+	// resps is, per shard, the responses of the shard's pulled nodes this
+	// round, and respIdx a pulled node's index into its shard's list
+	// (noResponse: it gave none). The lists grow only at a new maximum.
+	resps       [][]Message
+	respIdx     []int32
+	chunkBlocks int           // 64-node blocks per shard span: node d is in shard (d>>6)/chunkBlocks
+	fillBuf     [][64]Message // per shard: one block's payloads, asked for before they are placed
+	inCount     []int32
+	inOff       []int32
+	slab        []Message // the inbox arena: one flat span per receiving node
+	pool        *pool
+	noPulls     bool // this round has no live pulls (fast path)
 	// touched holds, per shard, one bit per node: the destination cells the
 	// shard wrote this round. Only those are merged, delivered and cleared.
 	touched [][]uint64
@@ -266,22 +270,25 @@ type Network struct {
 	corrupted int
 
 	// Per-round callbacks, published to the pool workers through the pass
-	// channel's happens-before edge. The passes read the call form; a nil
-	// curPayload means curCall already staged the payloads.
+	// channel's happens-before edge. The passes read the call form.
 	curCall     func(i int) Call
 	curPayload  func(i int) Message
 	curResponse func(i int) (Message, bool)
 	curDeliver  func(i int, inbox []Message)
 
-	// The two adapters between the round's forms, built once in New.
+	// The adapters between the round's forms, built once in New.
 	// intentCall runs the Intent-form curIntent as a call and stages its
-	// payload; callIntent runs the call-form fwdCall/fwdPayload as an Intent
-	// for the seams that speak that form (behaviors, observer, executor).
-	curIntent  func(i int) Intent
-	fwdCall    func(i int) Call
-	fwdPayload func(i int) Message
-	intentCall func(i int) Call
-	callIntent func(i int) Intent
+	// payload in staged, which stagedPayload reads back; staged is made on
+	// the first Intent-form round the engine itself runs. callIntent runs
+	// the call-form fwdCall/fwdPayload as an Intent for the seams that speak
+	// that form (behaviors, observer, executor).
+	curIntent     func(i int) Intent
+	fwdCall       func(i int) Call
+	fwdPayload    func(i int) Message
+	intentCall    func(i int) Call
+	stagedPayload func(i int) Message
+	callIntent    func(i int) Intent
+	staged        []Message
 }
 
 // Validation errors returned by New.
@@ -453,8 +460,8 @@ func (net *Network) Metrics() Metrics {
 // carried.
 func (net *Network) MessageSize(m Message) int { return net.messageSize(&m) }
 
-// messageSize is MessageSize through a pointer, so the passes size a staged
-// message in place.
+// messageSize is MessageSize through a pointer, so the passes size a message
+// in its arena slot.
 func (net *Network) messageSize(m *Message) int {
 	if m.Bits > 0 {
 		return m.Bits

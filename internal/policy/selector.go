@@ -60,8 +60,24 @@ type Selector struct {
 
 	state       *compiled
 	partitioned atomic.Bool
-	evaluations atomic.Int64
+	// evaluations counts SelectPeer calls, striped by initiator range: the
+	// initiators [k<<evalShift, (k+1)<<evalShift) count in stripe k. Engine
+	// shards own contiguous initiator ranges, so concurrent selections bump
+	// different cache lines instead of one shared counter.
+	evaluations [evalStripes]paddedCounter
+	evalShift   uint
 	violations  atomic.Int64
+}
+
+// evalStripes bounds how many initiator ranges the evaluation counter is
+// striped over, like rumorset's live counters: at least as many as an engine
+// has shards, few enough that Stats sums a handful of loads.
+const evalStripes = 16
+
+// paddedCounter is a counter alone on its cache line.
+type paddedCounter struct {
+	atomic.Int64
+	_ [56]byte
 }
 
 // NewSelector compiles a policy over a table. pol may be nil: the selector
@@ -77,7 +93,11 @@ func NewSelector(table *Table, pol *Policy, seed uint64) (*Selector, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Selector{table: table, n: table.Len(), seed: seed, state: c}, nil
+	s := &Selector{table: table, n: table.Len(), seed: seed, state: c}
+	for (s.n-1)>>s.evalShift >= evalStripes {
+		s.evalShift++
+	}
+	return s, nil
 }
 
 // compile builds the immutable selection tables for one (table, policy)
@@ -140,7 +160,7 @@ func compile(table *Table, pol *Policy) (*compiled, error) {
 // block is skipped by shifting). Exact weighted sampling — no rejection
 // loop, no floats.
 func (s *Selector) SelectPeer(round, initiator int) (int, bool) {
-	s.evaluations.Add(1)
+	s.evaluations[initiator>>s.evalShift].Add(1)
 	part := s.partitioned.Load()
 	c := s.state
 	if !c.hasPolicy && !part {
@@ -196,7 +216,10 @@ func (s *Selector) Zone(i int) int { return s.table.Zone(i) }
 // Stats returns the cumulative evaluation and violation counts (violations:
 // enforce-mode failed calls plus permissive-mode uniform fallbacks).
 func (s *Selector) Stats() (evaluations, violations int64) {
-	return s.evaluations.Load(), s.violations.Load()
+	for k := range s.evaluations {
+		evaluations += s.evaluations[k].Load()
+	}
+	return evaluations, s.violations.Load()
 }
 
 // Compile validates the (table, policy) pair for an n-node execution and

@@ -79,37 +79,49 @@ func (a Algorithm) Call(empty, complete bool) (it phonecall.Intent, withHoldings
 	}
 }
 
+// call is Call in the engine's call form (phonecall.Network.ExecCalls),
+// where an Exchange always carries its payload: a push-pull call without
+// holdings is a bare Pull. Every Push or Exchange it returns carries the
+// node's holdings.
+func (a Algorithm) call(empty, complete bool) phonecall.Call {
+	it, withHoldings := a.Call(empty, complete)
+	if it.Kind == phonecall.Exchange && !withHoldings {
+		it.Kind = phonecall.Pull
+	}
+	return phonecall.Call{Kind: it.Kind, Target: it.Target}
+}
+
 // Answers is the table's response column: whether a pulled node hands its
 // holdings to the round's pullers. Push never answers, and nobody answers
 // with nothing.
 func (a Algorithm) Answers(empty bool) bool { return a != AlgoPush && !empty }
 
-// Step is the table as the engine's per-node callback triple, for a caller
-// that keeps a single rumor in its own state: has reports whether node i
-// holds it, mark records that it now does. A holder is complete and a
-// non-holder empty. rumor rides wherever Call asks for holdings and Answers
-// says yes, and deliver marks a node on any message with Rumor set. Push
-// gets no responder at all: it never answers, and a nil responder leaves a
-// behavior nothing to rewrite into an answer.
+// Step is the table as the engine's per-node callbacks in the call form
+// (phonecall.Network.ExecCalls), for a caller that keeps a single rumor in
+// its own state: has reports whether node i holds it, mark records that it
+// now does. A holder is complete and a non-holder empty. rumor is the
+// payload of every Push or Exchange call — only a holder's call carries
+// one — and the answer wherever Answers says yes, and deliver marks a node
+// on any message with Rumor set. Push gets no responder at all: it never
+// answers, and a nil responder leaves a behavior nothing to rewrite into an
+// answer.
 //
-// With one rumor a node is in one of two cells, so both cells' intents are
+// With one rumor a node is in one of two cells, so both cells' calls are
 // read off the table here, once, and each node round costs one has call.
 func (a Algorithm) Step(has func(int) bool, mark func(int), rumor phonecall.Message) (
-	intent func(int) phonecall.Intent,
+	call func(int) phonecall.Call,
+	payload func(int) phonecall.Message,
 	respond func(int) (phonecall.Message, bool),
 	deliver func(int, []phonecall.Message),
 ) {
-	holder, withRumor := a.Call(false, true)
-	if withRumor {
-		holder.Payload = rumor
-	}
-	nonHolder, _ := a.Call(true, false) // an empty node has nothing to attach
-	intent = func(i int) phonecall.Intent {
+	holder, nonHolder := a.call(false, true), a.call(true, false)
+	call = func(i int) phonecall.Call {
 		if has(i) {
 			return holder
 		}
 		return nonHolder
 	}
+	payload = func(int) phonecall.Message { return rumor }
 	if a.Answers(false) {
 		respond = func(j int) (phonecall.Message, bool) {
 			if !has(j) { // nobody answers with nothing
@@ -126,7 +138,7 @@ func (a Algorithm) Step(has func(int) bool, mark func(int), rumor phonecall.Mess
 			}
 		}
 	}
-	return intent, respond, deliver
+	return call, payload, respond, deliver
 }
 
 // ledger is the seam between the scenario driver and a run's rumor holdings:
@@ -135,8 +147,9 @@ func (a Algorithm) Step(has func(int) bool, mark func(int), rumor phonecall.Mess
 // representations implement it — the 64-bit mask (protocol, below) and the
 // rumor-set window (wideProtocol, wide.go) — and Run picks one from the
 // timeline it is handed, never from an option. The per-node side stays off
-// the interface: Run takes intent, response and deliver from the concrete
-// type once, as method values, so the engine's callbacks pay no dispatch.
+// the interface: Run takes call, payload, response and deliver from the
+// concrete type once, as method values, so the engine's callbacks pay no
+// dispatch.
 //
 // Inject, Fail, Revive and LostInjects are phonecall.RumorTracker's, names
 // and contracts, so the mask ledger takes them from the tracker it embeds.
@@ -179,17 +192,17 @@ func (o onNet) SetLoss(rate float64, seed uint64)          { o.net.SetLoss(rate,
 func (o onNet) SetBehavior(node int, b phonecall.Behavior) { o.net.SetBehavior(node, b) }
 func (o onNet) PeerSelector() phonecall.PeerSelector       { return o.net.PeerSelector() }
 
-// intent implements the per-node initiation of the selected protocol. Reads
+// call implements the per-node initiation of the selected protocol. Reads
 // only node i's own holdings word plus the coordinator-written registered
 // mask, per the engine's callback contract.
-func (p *protocol) intent(i int) phonecall.Intent {
+func (p *protocol) call(i int) phonecall.Call {
 	v := p.View(i)
-	it, withHoldings := p.algo.Call(v.Empty(), v.Complete())
-	if withHoldings {
-		it.Payload = v.Message(p.net)
-	}
-	return it
+	return p.algo.call(v.Empty(), v.Complete())
 }
+
+// payload is the holdings a calling node pushes: the payload of every Push
+// or Exchange call.
+func (p *protocol) payload(i int) phonecall.Message { return p.View(i).Message(p.net) }
 
 // response answers pulls with the responder's holdings (address-oblivious:
 // one response per round, handed to every puller).

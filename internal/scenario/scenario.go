@@ -441,13 +441,14 @@ type fate struct {
 }
 
 // execRound runs one engine round inside the ledger's round bracket. The
-// bracket closes on the abort path too — a done ctx panics out of ExecRound —
+// bracket closes on the abort path too — a done ctx panics out of ExecCalls —
 // so a cancelled wide run does not leave its set's read view held.
-func execRound(net *phonecall.Network, l ledger, intent func(int) phonecall.Intent,
-	response func(int) (phonecall.Message, bool), deliver func(int, []phonecall.Message)) phonecall.RoundReport {
+func execRound(net *phonecall.Network, l ledger, call func(int) phonecall.Call,
+	payload func(int) phonecall.Message, response func(int) (phonecall.Message, bool),
+	deliver func(int, []phonecall.Message)) phonecall.RoundReport {
 	l.beginRound()
 	defer l.endRound()
-	return net.ExecRound(intent, response, deliver)
+	return net.ExecCalls(call, payload, response, deliver)
 }
 
 // Run executes the scenario with one of the steppable multi-rumor protocols
@@ -491,7 +492,8 @@ func Run(ctx context.Context, sc Scenario, cfg Config) (res Result, err error) {
 	// timeline shows, and its per-node callbacks are resolved.
 	var (
 		l        ledger
-		intent   func(int) phonecall.Intent
+		call     func(int) phonecall.Call
+		payload  func(int) phonecall.Message
 		response func(int) (phonecall.Message, bool)
 		deliver  func(int, []phonecall.Message)
 	)
@@ -505,10 +507,10 @@ func Run(ctx context.Context, sc Scenario, cfg Config) (res Result, err error) {
 			return Result{}, fmt.Errorf("scenario: %w", err)
 		}
 		p := newWideProtocol(algo, net, set)
-		l, intent, response, deliver = p, p.intent, p.response, p.deliver
+		l, call, payload, response, deliver = p, p.call, p.payload, p.response, p.deliver
 	} else {
 		p := newProtocol(algo, net, phonecall.NewRumorTracker(net))
-		l, intent, response, deliver = p, p.intent, p.response, p.deliver
+		l, call, payload, response, deliver = p, p.call, p.payload, p.response, p.deliver
 	}
 	if ctx != nil {
 		net.SetContext(ctx)
@@ -564,7 +566,7 @@ func Run(ctx context.Context, sc Scenario, cfg Config) (res Result, err error) {
 			next++
 		}
 
-		rep := execRound(net, l, intent, response, deliver)
+		rep := execRound(net, l, call, payload, response, deliver)
 		cur.Messages += rep.Messages
 		cur.Bits += rep.Bits
 		if rep.MaxComms > cur.MaxComms {

@@ -516,14 +516,25 @@ func TestProtocolsFollowTheDecisionTable(t *testing.T) {
 		wide := newWideProtocol(row.algo, net, set)
 		wide.active = set.Active()
 		wide.beginRound() // the set ledger's callbacks run under the round's view
+		// The call form: a push-pull call without holdings is a bare pull,
+		// and every call that carries a payload carries the holdings.
+		wantKind := row.kind
+		if wantKind == phonecall.Exchange && !row.withHoldings {
+			wantKind = phonecall.Pull
+		}
 		for name, p := range map[string]interface {
-			intent(int) phonecall.Intent
+			call(int) phonecall.Call
+			payload(int) phonecall.Message
 			response(int) (phonecall.Message, bool)
 		}{"protocol": newProtocol(row.algo, net, tr), "wideProtocol": wide} {
-			got := p.intent(1)
-			if got.Kind != row.kind || got.Payload.HasContent() != row.withHoldings {
-				t.Errorf("%s %s.intent(empty=%v, complete=%v) = %v with payload=%v; table says %v, %v",
-					name, row.algo, row.empty, row.complete, got.Kind, got.Payload.HasContent(), row.kind, row.withHoldings)
+			got := p.call(1)
+			if got.Kind != wantKind {
+				t.Errorf("%s %s.call(empty=%v, complete=%v) = %v; table says %v (withHoldings=%v)",
+					name, row.algo, row.empty, row.complete, got.Kind, row.kind, row.withHoldings)
+			}
+			if row.withHoldings && p.payload(1).Tag != phonecall.TagHoldings {
+				t.Errorf("%s %s.payload(empty=%v, complete=%v) = %+v, not the holdings",
+					name, row.algo, row.empty, row.complete, p.payload(1))
 			}
 			if _, ok := p.response(1); ok != row.algo.Answers(row.empty) {
 				t.Errorf("%s %s.response(empty=%v) answered=%v; table says %v",
@@ -537,7 +548,8 @@ func TestProtocolsFollowTheDecisionTable(t *testing.T) {
 // TestStepIsTheSingleRumorColumn pins Algorithm.Step, the table's
 // single-rumor column that the closed baselines and ClusterPUSH-PULL's pull
 // round run on: a holder is complete, a non-holder empty, the rumor rides
-// exactly where Call and Answers say, and deliver marks only on a message
+// exactly where Call and Answers say — in the call form, where a push-pull
+// non-holder's call is a bare pull — and deliver marks only on a message
 // with Rumor set.
 func TestStepIsTheSingleRumorColumn(t *testing.T) {
 	rows := []struct {
@@ -552,7 +564,7 @@ func TestStepIsTheSingleRumorColumn(t *testing.T) {
 		{AlgoPull, true, phonecall.None, false, true},
 		{AlgoPull, false, phonecall.Pull, false, false},
 		{AlgoPushPull, true, phonecall.Exchange, true, true},
-		{AlgoPushPull, false, phonecall.Exchange, false, false},
+		{AlgoPushPull, false, phonecall.Pull, false, false},
 	}
 	rumor := phonecall.Message{Tag: 7, Rumor: true}
 	isRumor := func(m phonecall.Message) bool { return m.Tag == rumor.Tag && m.Rumor }
@@ -560,19 +572,18 @@ func TestStepIsTheSingleRumorColumn(t *testing.T) {
 		hasCalls := 0
 		has := func(i int) bool { hasCalls++; return i == 1 && row.informed }
 		var marked []int
-		intent, respond, deliver := row.algo.Step(has, func(i int) { marked = append(marked, i) }, rumor)
+		call, payload, respond, deliver := row.algo.Step(has, func(i int) { marked = append(marked, i) }, rumor)
 
-		it := intent(1)
+		c := call(1)
 		if hasCalls != 1 {
-			t.Errorf("%s: intent evaluated has %d times, want once", row.algo, hasCalls)
+			t.Errorf("%s: call evaluated has %d times, want once", row.algo, hasCalls)
 		}
-		if it.Kind != row.kind || isRumor(it.Payload) != row.carries ||
-			(!row.carries && it.Payload.HasContent()) {
-			t.Errorf("%s informed=%v: intent %v with payload %+v; want %v, carries rumor %v",
-				row.algo, row.informed, it.Kind, it.Payload, row.kind, row.carries)
+		sends := c.Kind == phonecall.Push || c.Kind == phonecall.Exchange
+		if c.Kind != row.kind || sends != row.carries || (sends && !isRumor(payload(1))) {
+			t.Errorf("%s informed=%v: call %v; want %v, carries rumor %v", row.algo, row.informed, c.Kind, row.kind, row.carries)
 		}
-		if want, _ := row.algo.Call(!row.informed, row.informed); it.Kind != want.Kind {
-			t.Errorf("%s informed=%v: Step's kind %v is not Call's %v", row.algo, row.informed, it.Kind, want.Kind)
+		if want := row.algo.call(!row.informed, row.informed); c != want {
+			t.Errorf("%s informed=%v: Step's call %v is not the table's %v", row.algo, row.informed, c, want)
 		}
 		if (respond == nil) != (row.algo == AlgoPush) {
 			t.Errorf("%s: responder present = %v; only push has none", row.algo, respond != nil)

@@ -36,7 +36,7 @@ type wideProtocol struct {
 	round   int // rounds begun; stamps the digests built in the current one
 	digests []wideDigest
 	// snaps is the digests' arena, set.Words() words per node: node i's row
-	// snapshot is written by i's shard in the intent or the response pass and
+	// snapshot is written by i's shard in the call or the response pass and
 	// read by its callees' shards in the delivery pass.
 	snaps []uint64
 	// carries: the algorithm's calls carry holdings (the decision table's
@@ -55,11 +55,11 @@ type wideProtocol struct {
 // wideDigest is one node's holdings digest for one round: what its row
 // snapshot in the arena holds and the encoded size of the summary that would
 // say so. A node builds it at most once per round. The engine runs every
-// intent and every response of a round before the first delivery, and only
-// deliveries change holdings, so the digest a node's intent built is still
-// exact when the same node answers a pull later in the round, and a receiver
-// that finds the sender's stamp equal to the current round reads the row the
-// sender's message was charged for.
+// call, response and payload of a round before the first delivery, and only
+// deliveries change holdings, so the digest a node's call built is still
+// exact when the same node answers a pull or is asked for its payload later
+// in the round, and a receiver that finds the sender's stamp equal to the
+// current round reads the row the sender's message was charged for.
 type wideDigest struct {
 	held, summaryBytes int
 	round              int // the protocol round the digest was built in (0: never)
@@ -105,24 +105,22 @@ func (p *wideProtocol) digest(i int) phonecall.SetView {
 	return phonecall.SetView{Held: d.held, Active: p.active, SummaryBytes: d.summaryBytes}
 }
 
-// intent implements the per-node initiation from the shared decision table,
+// call implements the per-node initiation from the shared decision table,
 // with the bitmask protocol's predicates read off the ledger: empty is "holds
 // no in-flight rumor", complete is "holds every in-flight rumor". A protocol
-// that carries holdings takes the view from the digest it needs anyway; one
-// that never does (pull) only counts the row's bits.
-func (p *wideProtocol) intent(i int) phonecall.Intent {
+// that carries holdings takes the view from the digest its payload needs
+// anyway; one that never does (pull) only counts the row's bits.
+func (p *wideProtocol) call(i int) phonecall.Call {
 	if !p.carries {
 		v := phonecall.SetView{Held: p.view.HeldCount(i), Active: p.active}
-		it, _ := p.algo.Call(v.Empty(), v.Complete())
-		return it
+		return p.algo.call(v.Empty(), v.Complete())
 	}
 	v := p.digest(i)
-	it, withHoldings := p.algo.Call(v.Empty(), v.Complete())
-	if withHoldings {
-		it.Payload = v.Message(p.net)
-	}
-	return it
+	return p.algo.call(v.Empty(), v.Complete())
 }
+
+// payload is the holdings digest a calling node pushes, built by its call.
+func (p *wideProtocol) payload(i int) phonecall.Message { return p.digest(i).Message(p.net) }
 
 // response answers pulls with the responder's holdings digest.
 func (p *wideProtocol) response(j int) (phonecall.Message, bool) {

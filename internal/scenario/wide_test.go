@@ -467,7 +467,7 @@ func TestWideDeliverIgnoresUnreadableSenders(t *testing.T) {
 	if set.Has(1, 5) {
 		t.Fatal("a holdings message without a snapshot of this round marked a rumor")
 	}
-	if it := p.intent(0); !it.Payload.HasContent() {
+	if c := p.call(0); c.Kind != phonecall.Exchange || !p.payload(0).HasContent() {
 		t.Fatal("node 0 holds a rumor and called without it")
 	}
 	stranger := from(0)
@@ -530,11 +530,11 @@ func TestWideRoundDoesNotAllocate(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				intent, response, deliver := p.intent, p.response, p.deliver
+				call, payload, response, deliver := p.call, p.payload, p.response, p.deliver
 				var informed []trace.RumorCount
 				round := func() {
 					p.beginRound()
-					net.ExecRound(intent, response, deliver)
+					net.ExecCalls(call, payload, response, deliver)
 					p.endRound()
 					informed = p.informed(informed[:0])
 				}
@@ -607,7 +607,7 @@ func TestWideChargesTheSentForm(t *testing.T) {
 					bitmaps++
 				}
 			}
-			net.ExecRound(p.intent, p.response, p.deliver)
+			net.ExecCalls(p.call, p.payload, p.response, p.deliver)
 			p.endRound()
 		}
 		if dense != (bitmaps > 0) {
