@@ -3,6 +3,7 @@ package live
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/phonecall"
 	"repro/internal/rumorset"
@@ -83,6 +84,23 @@ func appendMessage(dst []byte, m *phonecall.Message) []byte {
 	}
 	return dst
 }
+
+// headerLen is the encoded length of a frame's type, flags, round and src.
+func headerLen(round, src int) int {
+	return 2 + uvarintLen(uint64(round)) + uvarintLen(uint64(src))
+}
+
+// messageLen is the encoded length of m's message block.
+func messageLen(m *phonecall.Message) int {
+	n := 8 + uvarintLen(zigzag(m.Bits)) + 1
+	if m.IDs == nil {
+		return n + 1
+	}
+	return n + uvarintLen(uint64(len(m.IDs))+1) + 8*len(m.IDs)
+}
+
+// uvarintLen is the length of v as binary.AppendUvarint writes it.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // appendCallFrame encodes a call from initiator src. The payload is included
 // iff hasPayload; wantsPull marks the call as (also) a pull request. The

@@ -717,15 +717,12 @@ func (fr *FreeRun) waitAlive(i int) bool {
 // nodeLoop is one node's free-running event loop.
 func (fr *FreeRun) nodeLoop(i int) {
 	defer fr.wg.Done()
-	nd := node{
-		i:     i,
-		algo:  fr.cfg.Algorithm,
-		net:   fr.net,
-		tr:    fr.tr,
-		h:     fr.holdingsOf(i),
-		behav: &fr.behav[i],
-		st:    &fr.stats[i],
-	}
+	// Field by field, not a composite literal: the literal built the node in
+	// a second stack temporary, and a node carries its spares inline, so that
+	// copy doubled nodeLoop's frame and pushed goroutine stacks up.
+	var nd node
+	nd.i, nd.algo, nd.net, nd.tr = i, fr.cfg.Algorithm, fr.net, fr.tr
+	nd.h, nd.behav, nd.st = fr.holdingsOf(i), &fr.behav[i], &fr.stats[i]
 	if fr.tel != nil {
 		nd.telMsgs, nd.telBits = fr.tel.msgs, fr.tel.bitsSent
 	}
@@ -733,16 +730,17 @@ func (fr *FreeRun) nodeLoop(i int) {
 	r := 1
 	for r <= fr.cfg.Rounds && !fr.stopped.Load() {
 		if !fr.liveFlag[i].Load() {
-			// A crashed process receives nothing: discard whatever is queued,
-			// park until revived, and discard again what accumulated while
-			// dead — otherwise a JoinAt-revived node would drain its dead-
-			// period backlog, re-learning rumors it rejoined without and
-			// charging the stale frames as communications.
-			drain = discard(fr.tr.Mailbox(i).TryDrain(drain[:0]))
+			// A crashed process receives nothing: discard whatever is queued
+			// (unread, the frames become spares), park until revived, and
+			// discard again what accumulated while dead — otherwise a
+			// JoinAt-revived node would drain its dead-period backlog,
+			// re-learning rumors it rejoined without and charging the stale
+			// frames as communications.
+			drain = nd.spare.give(fr.tr.Mailbox(i).TryDrain(drain[:0]))
 			if !fr.waitAlive(i) {
 				return
 			}
-			drain = discard(fr.tr.Mailbox(i).TryDrain(drain[:0]))
+			drain = nd.spare.give(fr.tr.Mailbox(i).TryDrain(drain[:0]))
 			if res := int(fr.resume[i].Load()); res+1 > r {
 				r = res + 1
 			}
@@ -756,6 +754,3 @@ func (fr *FreeRun) nodeLoop(i int) {
 		r++
 	}
 }
-
-// discard drops drained frames, keeping the reusable buffer.
-func discard(frames [][]byte) [][]byte { return frames[:0] }

@@ -10,6 +10,7 @@ package live
 //	go test ./internal/live -run=NONE -fuzz=FuzzGossipFrame -fuzztime=30s
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -21,7 +22,9 @@ import (
 // FuzzGossipFrame: parseFrame never panics, and whatever it accepts
 // re-encodes through the frame's own encoder to bytes that parse to the same
 // fields (the bytes themselves may differ: padded varints and meaningless
-// flag bits are not canonical).
+// flag bits are not canonical). Encoding into a dirty recycled buffer, of
+// any capacity, gives exactly the bytes encoding into nil does: nodes encode
+// their sends into frames they drained.
 func FuzzGossipFrame(f *testing.F) {
 	m := phonecall.Message{Value: 0b1011, Bits: 300, Tag: phonecall.TagHoldings, Rumor: true, IDs: []phonecall.NodeID{7, 1 << 40}}
 	f.Add(appendCallFrame(nil, 3, 5, true, true, &m))
@@ -37,21 +40,49 @@ func FuzzGossipFrame(f *testing.F) {
 		f.Add(appendSummaryRespFrame(nil, 9, 2, &sum))
 	}
 	f.Add(overflowFrame())
+	// Frames whose round, src, bits or ID count sits just past a varint byte
+	// boundary, where a miscounted frame length would first show.
+	f.Add(appendCallFrame(nil, 128, 127, true, false, &m))
+	f.Add(appendRespFrame(nil, 1<<14, 1<<7, &phonecall.Message{Bits: -65, IDs: make([]phonecall.NodeID, 127)}))
+	f.Add(appendCallFrame(nil, 1, 1<<21, false, false, nil))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		fr, err := parseFrame(raw)
 		if err != nil {
 			return
 		}
-		var again []byte
-		switch {
-		case fr.hasSummary && fr.typ == frameCall:
-			again = appendSummaryCallFrame(nil, fr.round, fr.src, fr.wantsPull, &fr.sum)
-		case fr.hasSummary:
-			again = appendSummaryRespFrame(nil, fr.round, fr.src, &fr.sum)
-		case fr.typ == frameCall:
-			again = appendCallFrame(nil, fr.round, fr.src, fr.hasPayload, fr.wantsPull, &fr.msg)
-		default:
-			again = appendRespFrame(nil, fr.round, fr.src, &fr.msg)
+		encode := func(dst []byte) []byte {
+			switch {
+			case fr.hasSummary && fr.typ == frameCall:
+				return appendSummaryCallFrame(dst, fr.round, fr.src, fr.wantsPull, &fr.sum)
+			case fr.hasSummary:
+				return appendSummaryRespFrame(dst, fr.round, fr.src, &fr.sum)
+			case fr.typ == frameCall:
+				return appendCallFrame(dst, fr.round, fr.src, fr.hasPayload, fr.wantsPull, &fr.msg)
+			default:
+				return appendRespFrame(dst, fr.round, fr.src, &fr.msg)
+			}
+		}
+		again := encode(nil)
+		if !fr.hasSummary {
+			// The length a node sizes its spare by is the length encoded.
+			size := headerLen(fr.round, fr.src)
+			if fr.hasPayload || fr.typ == frameResp {
+				size += messageLen(&fr.msg)
+			}
+			if size != len(again) {
+				t.Fatalf("frame sized %d bytes, encoded %d: %+v", size, len(again), fr)
+			}
+		}
+		// A recycled frame is dirty and of any size: encoding into it, with
+		// room or without, gives the bytes encoding afresh does.
+		for _, c := range []int{0, len(again) / 2, len(again) - 1, len(again), len(again) + 9, 2 * len(raw)} {
+			dirty := make([]byte, c)
+			for k := range dirty {
+				dirty[k] = raw[k%len(raw)]
+			}
+			if got := encode(dirty[:0]); !bytes.Equal(got, again) {
+				t.Fatalf("encoding into a dirty %d-byte buffer gave %x, afresh %x", c, got, again)
+			}
 		}
 		back, err := parseFrame(again)
 		if err != nil {

@@ -1,9 +1,10 @@
 package live
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/phonecall"
@@ -87,8 +88,9 @@ type lsNode struct {
 	idx      int
 	inbox    []lsEntry // this round's collected inbox, keyed by initiator index
 	pullers  []int     // initiators whose pulls reached this node
-	heldResp []frame   // response frames that arrived during the process phase
+	heldResp []frame   // the round's parsed response frames, from either phase
 	drain    [][]byte
+	spare    spares // drained frames, reused for this node's sends
 	delivery []phonecall.Message
 	stats    lsStats
 }
@@ -290,7 +292,7 @@ func (ls *LockStep) doCalls(nd *lsNode, round int) {
 		nd.stats.msgs++
 		nd.stats.bits += int64(net.MessageSize(m))
 		if send {
-			ls.tr.Send(i, j, appendCallFrame(nil, round, i, true, false, &m))
+			ls.tr.Send(i, j, nd.spare.callFrame(round, i, true, false, &m))
 		}
 	case phonecall.Pull, phonecall.Exchange:
 		if it.Kind == phonecall.Exchange && it.Payload.HasContent() {
@@ -299,13 +301,13 @@ func (ls *LockStep) doCalls(nd *lsNode, round int) {
 			nd.stats.msgs++
 			nd.stats.bits += int64(net.MessageSize(m))
 			if send {
-				ls.tr.Send(i, j, appendCallFrame(nil, round, i, true, true, &m))
+				ls.tr.Send(i, j, nd.spare.callFrame(round, i, true, true, &m))
 			}
 		} else {
 			nd.stats.control++
 			nd.stats.bits += int64(net.ControlBits())
 			if send {
-				ls.tr.Send(i, j, appendCallFrame(nil, round, i, false, true, nil))
+				ls.tr.Send(i, j, nd.spare.callFrame(round, i, false, true, nil))
 			}
 		}
 	default:
@@ -313,7 +315,7 @@ func (ls *LockStep) doCalls(nd *lsNode, round int) {
 		// round (the engine charges the live target one communication), so a
 		// bare contact frame crosses the wire.
 		if send {
-			ls.tr.Send(i, j, appendCallFrame(nil, round, i, false, false, nil))
+			ls.tr.Send(i, j, nd.spare.callFrame(round, i, false, false, nil))
 		}
 	}
 }
@@ -326,6 +328,7 @@ func (ls *LockStep) doProcess(nd *lsNode, round int) {
 	net := ls.net
 	nd.drain = ls.tr.Mailbox(i).TryDrain(nd.drain[:0])
 	if net.IsFailed(i) {
+		nd.drain = nd.spare.give(nd.drain)
 		return
 	}
 	for _, raw := range nd.drain {
@@ -351,6 +354,7 @@ func (ls *LockStep) doProcess(nd *lsNode, round int) {
 			nd.pullers = append(nd.pullers, fr.src)
 		}
 	}
+	nd.drain = nd.spare.give(nd.drain) // parsed: the responses reuse them
 	if len(nd.pullers) > 0 && ls.curResponse != nil {
 		m, ok := ls.curResponse(i)
 		if ok {
@@ -361,9 +365,10 @@ func (ls *LockStep) doProcess(nd *lsNode, round int) {
 			nd.stats.bits += size * k
 			// One address-oblivious response, one frame per puller. The
 			// encoded bytes are identical, but each Send hands ownership of
-			// its slice to the transport, so encode per puller.
+			// its slice to the transport (and its puller may reuse it), so
+			// encode per puller.
 			for _, p := range nd.pullers {
-				ls.tr.Send(i, p, appendRespFrame(nil, round, i, &m))
+				ls.tr.Send(i, p, nd.spare.respFrame(round, i, &m))
 			}
 		}
 	}
@@ -376,18 +381,19 @@ func (ls *LockStep) doDeliver(nd *lsNode) {
 	net := ls.net
 	nd.drain = ls.tr.Mailbox(i).TryDrain(nd.drain[:0])
 	if net.IsFailed(i) {
+		nd.drain = nd.spare.give(nd.drain)
 		return
 	}
-	resps := nd.heldResp
 	for _, raw := range nd.drain {
 		fr, err := parseFrame(raw)
 		if err != nil || fr.typ != frameResp {
 			ls.fail(fmt.Errorf("node %d: stray frame in deliver phase (err=%v type=%d)", i, err, fr.typ))
 			continue
 		}
-		resps = append(resps, fr)
+		nd.heldResp = append(nd.heldResp, fr)
 	}
-	for _, fr := range resps {
+	nd.drain = nd.spare.give(nd.drain)
+	for _, fr := range nd.heldResp {
 		m := fr.msg
 		m.From = net.ID(fr.src)
 		// The puller's own response sits at its own initiator position in
@@ -397,7 +403,7 @@ func (ls *LockStep) doDeliver(nd *lsNode) {
 	if len(nd.inbox) == 0 {
 		return
 	}
-	sort.Slice(nd.inbox, func(a, b int) bool { return nd.inbox[a].key < nd.inbox[b].key })
+	slices.SortFunc(nd.inbox, func(a, b lsEntry) int { return cmp.Compare(a.key, b.key) })
 	if ls.curDeliver == nil {
 		return
 	}

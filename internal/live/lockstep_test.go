@@ -1,6 +1,7 @@
 package live
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 	"time"
@@ -172,5 +173,68 @@ func TestNewLockStepRejects(t *testing.T) {
 	}
 	if _, err := NewLockStep(net, delayed); err == nil {
 		t.Error("asynchronous transport accepted for lock-step")
+	}
+}
+
+// TestLockStepRoundDoesNotAllocate pins the lock-step node's hot path: once
+// warm, a round's three phases allocate nothing — the call and the response
+// are encoded into frames the node drained, and the inbox sort does not box.
+// One node runs the phases over a scripted transport, answering one puller and
+// receiving its own pulled response, with freshly built inbound frames every
+// round (the node may write into the ones it drained). The messages carry no
+// IDs: parseFrame copies an ID block into a slice of its own, which allocates.
+func TestLockStepRoundDoesNotAllocate(t *testing.T) {
+	net, err := phonecall.New(phonecall.Config{N: rigN, Seed: rigSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := phonecall.Message{Value: 0b101, Bits: 300, Tag: phonecall.TagHoldings, Rumor: true}
+	tr := &scriptTransport{n: rigN, box: newMailbox(), sent: make([]sentFrame, 0, 4)}
+	delivered := 0
+	ls := &LockStep{
+		net: net,
+		tr:  tr,
+		n:   rigN,
+		curIntent: func(int) phonecall.Intent {
+			return phonecall.Intent{Kind: phonecall.Exchange, Target: phonecall.RandomTarget(), Payload: m}
+		},
+		curResponse: func(int) (phonecall.Message, bool) { return m, true },
+		curDeliver:  func(_ int, inbox []phonecall.Message) { delivered += len(inbox) },
+	}
+	const rounds = 60 // the warm-up, AllocsPerRun's own warm-up and its 50 runs, with room
+	inbound := make([][]byte, 0, 2*rounds)
+	for k := 0; k < rounds; k++ {
+		inbound = append(inbound, appendCallFrame(nil, rigRound, 3, true, true, &m), appendRespFrame(nil, rigRound, 4, &m))
+	}
+	nd := &lsNode{idx: rigSelf}
+	round := func() {
+		tr.sent = tr.sent[:0]
+		nd.reset()
+		ls.doCalls(nd, rigRound)
+		tr.box.Put(inbound[0])
+		ls.doProcess(nd, rigRound)
+		tr.box.Put(inbound[1])
+		ls.doDeliver(nd)
+		inbound = inbound[2:]
+	}
+	round() // warm the node's slices and its spares
+	if avg := testing.AllocsPerRun(50, round); avg != 0 {
+		t.Errorf("%.1f allocations per round, want 0 (the call and the response reuse drained frames)", avg)
+	}
+	if err := ls.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if delivered != 2*52 {
+		t.Errorf("delivered %d messages over 52 rounds, want 2 a round", delivered)
+	}
+	// The frames encoded into drained buffers are the frames encoded afresh.
+	want := [][]byte{appendCallFrame(nil, rigRound, rigSelf, true, true, &m), appendRespFrame(nil, rigRound, rigSelf, &m)}
+	if len(tr.sent) != 2 || tr.sent[1].to != 3 {
+		t.Fatalf("last round sent %+v, want a call and a response to node 3", tr.sent)
+	}
+	for k, f := range tr.sent {
+		if !bytes.Equal(f.raw, want[k]) {
+			t.Errorf("frame %d: %x, want %x", k, f.raw, want[k])
+		}
 	}
 }

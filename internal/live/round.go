@@ -1,7 +1,6 @@
 package live
 
 import (
-	"encoding/binary"
 	"sync/atomic"
 
 	"repro/internal/phonecall"
@@ -38,10 +37,12 @@ type holdings interface {
 	snapshot() (m phonecall.Message, empty, complete bool)
 	// callFrame and respFrame encode m — the latest snapshot's message,
 	// possibly rewritten by a behavior — as a call or a pull response from
-	// node src. The frame is a fresh slice, sized once, for the transport to
-	// take ownership of.
-	callFrame(round, src int, wantsPull bool, m phonecall.Message) []byte
-	respFrame(round, src int, m phonecall.Message) []byte
+	// node src, appended to dst: one of the node's spares with room for the
+	// frame, a header and bodyLen(m) bytes of payload. The transport takes
+	// ownership of the frame.
+	bodyLen(m phonecall.Message) int
+	callFrame(dst []byte, round, src int, wantsPull bool, m phonecall.Message) []byte
+	respFrame(dst []byte, round, src int, m phonecall.Message) []byte
 	// merge folds the holdings a parsed frame carries into the node's own.
 	// partial reports that the sender still lacks a rumor this node counts as
 	// registered.
@@ -77,17 +78,14 @@ func (h *maskHoldings) snapshot() (phonecall.Message, bool, bool) {
 	return v.Message(h.net), v.Empty(), v.Complete()
 }
 
-// maskFrameCap fits a holdings-mask frame (header, 8-byte mask, bits, tag,
-// no IDs) so encoding it allocates once; a behavior's longer message grows
-// the slice like any append.
-const maskFrameCap = 24
+func (h *maskHoldings) bodyLen(m phonecall.Message) int { return messageLen(&m) }
 
-func (h *maskHoldings) callFrame(round, src int, wantsPull bool, m phonecall.Message) []byte {
-	return appendCallFrame(make([]byte, 0, maskFrameCap), round, src, true, wantsPull, &m)
+func (h *maskHoldings) callFrame(dst []byte, round, src int, wantsPull bool, m phonecall.Message) []byte {
+	return appendCallFrame(dst, round, src, true, wantsPull, &m)
 }
 
-func (h *maskHoldings) respFrame(round, src int, m phonecall.Message) []byte {
-	return appendRespFrame(make([]byte, 0, maskFrameCap), round, src, &m)
+func (h *maskHoldings) respFrame(dst []byte, round, src int, m phonecall.Message) []byte {
+	return appendRespFrame(dst, round, src, &m)
 }
 
 func (h *maskHoldings) merge(f frame) bool {
@@ -141,18 +139,14 @@ func (h *setHoldings) snapshot() (phonecall.Message, bool, bool) {
 // The stream path has no Byzantine seam (ValidateEvents rejects CorruptAt on
 // wide runs), so the message is always the snapshot's own and the summary is
 // encoded straight from the digest.
-func (h *setHoldings) callFrame(round, src int, wantsPull bool, _ phonecall.Message) []byte {
-	return appendSummaryCallFrame(h.newFrame(), round, src, wantsPull, &h.own)
+func (h *setHoldings) bodyLen(phonecall.Message) int { return h.summaryBytes }
+
+func (h *setHoldings) callFrame(dst []byte, round, src int, wantsPull bool, _ phonecall.Message) []byte {
+	return appendSummaryCallFrame(dst, round, src, wantsPull, &h.own)
 }
 
-func (h *setHoldings) respFrame(round, src int, _ phonecall.Message) []byte {
-	return appendSummaryRespFrame(h.newFrame(), round, src, &h.own)
-}
-
-// newFrame sizes a summary frame once: type, flags and two varints of header,
-// then the summary block.
-func (h *setHoldings) newFrame() []byte {
-	return make([]byte, 0, 2+2*binary.MaxVarintLen32+h.summaryBytes)
+func (h *setHoldings) respFrame(dst []byte, round, src int, _ phonecall.Message) []byte {
+	return appendSummaryRespFrame(dst, round, src, &h.own)
 }
 
 // merge reports no linger evidence: a stream run ends at the monitor, never
@@ -185,7 +179,8 @@ type frStats struct {
 
 // node is one free-running gossip node: everything its round reads, resolved
 // once by the adapter that owns it (FreeRun's node goroutine, PeerNode). It
-// holds no per-round state besides the summary decode scratch.
+// holds no per-round state besides the summary decode scratch and the spare
+// frames its sends are encoded into.
 type node struct {
 	i    int
 	algo scenario.Algorithm
@@ -200,6 +195,7 @@ type node struct {
 	// registry): the send path pays a nil check and two sharded atomic adds.
 	telMsgs, telBits *telemetry.Counter
 	sum              rumorset.Summary
+	spare            spares
 }
 
 // frBehavior boxes a node's installed Byzantine behavior so the monitor can
@@ -228,7 +224,8 @@ func (nd *node) send(to int, frame []byte, size int64, control bool) {
 // step runs the node's local round r: initiate one call per the protocol
 // (filtered through the node's installed behavior, if any), drain whatever
 // arrived and merge it, then answer the round's pullers. drain is the
-// caller's reusable frame buffer, returned for the next round. needy is
+// caller's reusable frame list, returned empty for the next round: the
+// drained frames have gone to the node's spares. needy is
 // PeerNode's linger evidence: the drain showed a peer that still lacks rumors.
 func (nd *node) step(r int, drain [][]byte) (_ [][]byte, needy bool) {
 	i := nd.i
@@ -277,9 +274,10 @@ func (nd *node) step(r int, drain [][]byte) (_ [][]byte, needy bool) {
 	if it.Kind != phonecall.None {
 		if dst := resolve(it.Target); dst >= 0 {
 			if it.Kind == phonecall.Pull || (it.Kind == phonecall.Exchange && !it.Payload.HasContent()) {
-				nd.send(dst, appendCallFrame(nil, r, i, false, true, nil), int64(nd.net.ControlBits()), true)
+				nd.send(dst, nd.spare.callFrame(r, i, false, true, nil), int64(nd.net.ControlBits()), true)
 			} else {
-				frame := nd.h.callFrame(r, i, it.Kind == phonecall.Exchange, it.Payload)
+				buf := nd.spare.take(headerLen(r, i) + nd.h.bodyLen(it.Payload))
+				frame := nd.h.callFrame(buf, r, i, it.Kind == phonecall.Exchange, it.Payload)
 				nd.send(dst, frame, int64(nd.net.MessageSize(it.Payload)), false)
 			}
 			comms++
@@ -287,7 +285,10 @@ func (nd *node) step(r int, drain [][]byte) (_ [][]byte, needy bool) {
 	}
 
 	drain = nd.tr.Mailbox(i).TryDrain(drain[:0])
-	var few [4]int // a round rarely has more pullers; beyond that append spills to the heap
+	// A round rarely has more pullers; beyond that append spills to the heap.
+	// Four spilled in 7.5 % of live-stream-chan's node rounds: a node that
+	// lags the frontier drains several rounds' calls at once.
+	var few [8]int
 	pulls := few[:0]
 	for _, raw := range drain {
 		f, err := parseFrameBuf(raw, nd.sum)
@@ -311,6 +312,8 @@ func (nd *node) step(r int, drain [][]byte) (_ [][]byte, needy bool) {
 			}
 		}
 	}
+	// Parsed: the frames are spares now, the responses' first.
+	drain = nd.spare.give(drain)
 
 	// Answer after the merge, once: the model's pull response is
 	// address-oblivious — one message per round, handed to every puller — so
@@ -325,9 +328,9 @@ func (nd *node) step(r int, drain [][]byte) (_ [][]byte, needy bool) {
 			m, ok = b.RewriteResponse(r, i, m, ok)
 		}
 		if ok {
-			size := int64(nd.net.MessageSize(m))
+			size, frameLen := int64(nd.net.MessageSize(m)), headerLen(r, i)+nd.h.bodyLen(m)
 			for _, src := range pulls {
-				nd.send(src, nd.h.respFrame(r, i, m), size, false)
+				nd.send(src, nd.h.respFrame(nd.spare.take(frameLen), r, i, m), size, false)
 			}
 		}
 	}

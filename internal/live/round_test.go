@@ -396,28 +396,72 @@ func TestStepFollowsTheDecisionTable(t *testing.T) {
 	}
 }
 
-// TestStepDoesNotAllocatePerRound pins the hot-path shape: beyond the frames
-// it hands to the transport (one allocation each), a round allocates nothing
-// — no boxing through the seam, no closure on the heap.
+// TestStepDoesNotAllocatePerRound pins the hot-path shape: once warm, a round
+// allocates nothing — no boxing through the seam, no closure on the heap, and
+// no frame: the call and the response are encoded into frames the node
+// drained. Every round gets freshly built inbound frames, since the step may
+// write into the ones it drained.
 func TestStepDoesNotAllocatePerRound(t *testing.T) {
 	for _, wide := range []bool{false, true} {
 		rig := newStepRig(t, scenario.AlgoPushPull, wide, 0b11, 0b01)
-		inbound := [][]byte{rig.call(4, 3, true, 0b10), rig.resp(4, 4, 0b11)}
+		const rounds = 60 // the warm-up, AllocsPerRun's own warm-up and its 50 runs, with room
+		inbound := make([][]byte, 0, 2*rounds)
+		for k := 0; k < rounds; k++ {
+			inbound = append(inbound, rig.call(4, 3, true, 0b10), rig.resp(4, 4, 0b11))
+		}
 		rig.tr.sent = make([]sentFrame, 0, 4)
 		drain := make([][]byte, 0, 4)
 		round := func() {
 			rig.tr.sent = rig.tr.sent[:0]
-			for _, raw := range inbound {
-				rig.tr.box.Put(raw)
-			}
+			rig.tr.box.Put(inbound[0])
+			rig.tr.box.Put(inbound[1])
+			inbound = inbound[2:]
 			drain, _ = rig.nd.step(rigRound, drain)
 		}
-		round() // warm the scratch buffers
-		if avg := testing.AllocsPerRun(50, round); avg != 2 {
-			t.Errorf("wide=%v: %.1f allocations per round, want 2 (the call frame and the response frame)", wide, avg)
+		round() // warm the scratch buffers and the spares
+		if avg := testing.AllocsPerRun(50, round); avg != 0 {
+			t.Errorf("wide=%v: %.1f allocations per round, want 0 (the call and the response reuse drained frames)", wide, avg)
 		}
 		if rig.held() != 0b11 {
 			t.Errorf("wide=%v: holdings %b after the rounds", wide, rig.held())
+		}
+	}
+}
+
+// TestSpares pins the spare set's rules: a send takes the smallest spare with
+// room, a spare too small for a frame stays for a smaller one, and a full set
+// keeps at most spareSlots buffers, trading its smallest for a larger frame.
+func TestSpares(t *testing.T) {
+	var s spares
+	sized := func(caps ...int) [][]byte {
+		var frames [][]byte
+		for _, c := range caps {
+			frames = append(frames, make([]byte, c))
+		}
+		return frames
+	}
+	if rest := s.give(sized(8, 32, 16)); len(rest) != 0 {
+		t.Fatalf("give left %d frames in the drain list", len(rest))
+	}
+	if b := s.take(12); cap(b) != 16 || len(b) != 0 {
+		t.Fatalf("take(12) returned len %d cap %d, want the empty 16-byte spare", len(b), cap(b))
+	}
+	if b := s.take(40); cap(b) < 40 || s.n != 2 {
+		t.Fatalf("take(40) returned cap %d with %d spares left, want a fresh buffer and both spares kept", cap(b), s.n)
+	}
+	s.give(sized(24, 24, 24, 24, 24, 24, 24)) // 9 offered, 8 slots: the 8-byte spare goes
+	if s.n != spareSlots {
+		t.Fatalf("%d spares, want %d", s.n, spareSlots)
+	}
+	for k := 0; k < s.n; k++ {
+		if cap(s.bufs[k]) == 8 {
+			t.Fatal("a full set kept its smallest spare over a larger frame")
+		}
+	}
+	s.give(sized(4)) // smaller than every spare: dropped
+	for k := 0; k < s.n; k++ {
+		if cap(s.bufs[k]) == 4 {
+			t.Fatal("a full set took a frame smaller than its spares")
 		}
 	}
 }

@@ -1,6 +1,11 @@
 package live
 
-import "sync"
+import (
+	"slices"
+	"sync"
+
+	"repro/internal/phonecall"
+)
 
 // Transport moves encoded frames (codec.go) between the runtime's nodes.
 // Nodes are addressed by their dense index in [0, N). Send may be called
@@ -12,8 +17,11 @@ type Transport interface {
 	// N is the number of endpoints.
 	N() int
 	// Send enqueues frame for node to. The transport owns the slice after the
-	// call; the sender must not reuse it. Frames to out-of-range targets and
-	// frames sent after Close are dropped.
+	// call; the sender must not reuse it. Once the receiver drains the frame,
+	// the slice is the receiver's: it may encode a later send of its own into
+	// it. A transport therefore never delivers one slice twice, nor a slice
+	// that shares bytes with another frame past its capacity. Frames to
+	// out-of-range targets and frames sent after Close are dropped.
 	Send(from, to int, frame []byte)
 	// Mailbox returns node i's inbound queue.
 	Mailbox(i int) *Mailbox
@@ -63,7 +71,8 @@ func (mb *Mailbox) Put(frame []byte) {
 
 // TryDrain appends every queued frame to into and returns the result; it
 // never blocks. Passing a reused into[:0] keeps the receive path
-// allocation-light.
+// allocation-light. The drained frames belong to the caller, which may
+// overwrite them (the nodes recycle them into their own sends, see spares).
 func (mb *Mailbox) TryDrain(into [][]byte) [][]byte {
 	mb.mu.Lock()
 	into = append(into, mb.queue...)
@@ -86,3 +95,77 @@ func (mb *Mailbox) Len() int {
 // least once after any Put that found the queue being watched. Receivers must
 // re-check TryDrain after a wakeup.
 func (mb *Mailbox) Notify() <-chan struct{} { return mb.notify }
+
+// spareSlots bounds a node's spare frames. A node sends about as many frames
+// as it drains, so a few slots absorb the round-to-round imbalance; an
+// unbounded list would keep every burst's frames for the rest of the run.
+const spareSlots = 8
+
+// spares is one node's recycled send buffers: frames it drained and parsed
+// (parsing copies everything out), kept to encode its own later sends into.
+// It belongs to the node's goroutine and lives inline in the node, so a node
+// holds at most spareSlots buffers whatever the traffic, and nothing is
+// shared across nodes.
+type spares struct {
+	n    int
+	bufs [spareSlots][]byte
+}
+
+// take returns an empty buffer with room for size bytes: the smallest spare
+// that fits, or a fresh one when none does. A spare too small for this frame
+// stays for a smaller one.
+func (s *spares) take(size int) []byte {
+	best := -1
+	for k := 0; k < s.n; k++ {
+		if c := cap(s.bufs[k]); c >= size && (best < 0 || c < cap(s.bufs[best])) {
+			best = k
+		}
+	}
+	if best < 0 {
+		// Rounded up to the allocator's size class: the slack is free and
+		// lets the buffer carry a slightly longer frame next time.
+		return slices.Grow([]byte(nil), size)
+	}
+	b := s.bufs[best]
+	s.n--
+	s.bufs[best], s.bufs[s.n] = s.bufs[s.n], nil
+	return b[:0]
+}
+
+// give keeps drained frames as spares and returns frames emptied for the next
+// drain. A full set trades its smallest spare for a larger frame, so the
+// spares follow the sizes the node sends now rather than stay stuck at the
+// sizes of an earlier phase.
+func (s *spares) give(frames [][]byte) [][]byte {
+	for _, f := range frames {
+		if s.n < spareSlots {
+			s.bufs[s.n] = f
+			s.n++
+			continue
+		}
+		small := 0
+		for k := 1; k < spareSlots; k++ {
+			if cap(s.bufs[k]) < cap(s.bufs[small]) {
+				small = k
+			}
+		}
+		if cap(f) > cap(s.bufs[small]) {
+			s.bufs[small] = f
+		}
+	}
+	return frames[:0]
+}
+
+// callFrame encodes a call (appendCallFrame) into a spare.
+func (s *spares) callFrame(round, src int, hasPayload, wantsPull bool, m *phonecall.Message) []byte {
+	size := headerLen(round, src)
+	if hasPayload {
+		size += messageLen(m)
+	}
+	return appendCallFrame(s.take(size), round, src, hasPayload, wantsPull, m)
+}
+
+// respFrame encodes a pull response (appendRespFrame) into a spare.
+func (s *spares) respFrame(round, src int, m *phonecall.Message) []byte {
+	return appendRespFrame(s.take(headerLen(round, src)+messageLen(m)), round, src, m)
+}
