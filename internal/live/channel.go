@@ -36,7 +36,7 @@ type lossParams struct {
 type ChannelTransport struct {
 	n      int
 	cfg    ChannelConfig
-	boxes  []*Mailbox
+	boxes  []Mailbox
 	seq    []uint64 // per-sender frame counter; each slot owned by its sender goroutine
 	loss   atomic.Pointer[lossParams]
 	drops  atomic.Int64
@@ -51,11 +51,8 @@ func NewChannelTransport(n int, cfg ChannelConfig) (*ChannelTransport, error) {
 	tr := &ChannelTransport{
 		n:     n,
 		cfg:   cfg,
-		boxes: make([]*Mailbox, n),
+		boxes: newMailboxes(n),
 		seq:   make([]uint64, n),
-	}
-	for i := range tr.boxes {
-		tr.boxes[i] = newMailbox()
 	}
 	tr.loss.Store(&lossParams{rate: cfg.Drop, seed: cfg.DropSeed})
 	return tr, nil
@@ -65,7 +62,7 @@ func NewChannelTransport(n int, cfg ChannelConfig) (*ChannelTransport, error) {
 func (tr *ChannelTransport) N() int { return tr.n }
 
 // Mailbox implements Transport.
-func (tr *ChannelTransport) Mailbox(i int) *Mailbox { return tr.boxes[i] }
+func (tr *ChannelTransport) Mailbox(i int) *Mailbox { return &tr.boxes[i] }
 
 // Synchronous implements Transport: the mesh is synchronous exactly when no
 // artificial delay is configured.
@@ -112,7 +109,7 @@ func (tr *ChannelTransport) Send(from, to int, frame []byte) {
 		tr.boxes[to].Put(frame)
 		return
 	}
-	box := tr.boxes[to]
+	box := &tr.boxes[to]
 	time.AfterFunc(delay, func() {
 		if !tr.closed.Load() {
 			box.Put(frame)

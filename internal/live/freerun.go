@@ -158,6 +158,15 @@ type FreeRun struct {
 	stats []frStats
 	wg    sync.WaitGroup
 
+	// Run slabs the nodes carve their start-up state from, so a run allocates
+	// them once rather than once per node: each node's drain list
+	// (mailboxSlots entries) and its firstSpares first send buffers of
+	// spareLen bytes, the longest honest mask frame of the run (on a stream,
+	// room for bare pulls and short summaries).
+	drains      [][]byte
+	firstFrames []byte
+	spareLen    int
+
 	// tel holds the pre-resolved telemetry counters (nil without a registry):
 	// instrument lookup happens once in NewFreeRun, the node send paths only
 	// pay a nil check and two sharded atomic adds.
@@ -254,7 +263,11 @@ func NewFreeRun(cfg FreeRunConfig) (*FreeRun, error) {
 		resume:   make([]atomic.Int64, cfg.N),
 		behav:    make([]atomic.Pointer[frBehavior], cfg.N),
 		stats:    make([]frStats, cfg.N),
+		drains:   make([][]byte, cfg.N*mailboxSlots),
 	}
+	full := phonecall.MaskView{Held: ^uint64(0), Registered: ^uint64(0)}.Message(net)
+	fr.spareLen = headerLen(cfg.Rounds, cfg.N-1) + messageLen(&full)
+	fr.firstFrames = make([]byte, cfg.N*firstSpares*fr.spareLen)
 	if stream != nil {
 		if fr.set, err = rumorset.New(cfg.N, stream.MaxInFlight); err != nil {
 			return nil, fmt.Errorf("live: %w", err)
@@ -726,7 +739,9 @@ func (fr *FreeRun) nodeLoop(i int) {
 	if fr.tel != nil {
 		nd.telMsgs, nd.telBits = fr.tel.msgs, fr.tel.bitsSent
 	}
-	var drain [][]byte
+	drain := fr.drains[i*mailboxSlots : i*mailboxSlots : (i+1)*mailboxSlots]
+	per := firstSpares * fr.spareLen
+	nd.spare.seed(fr.firstFrames[i*per:(i+1)*per], fr.spareLen)
 	r := 1
 	for r <= fr.cfg.Rounds && !fr.stopped.Load() {
 		if !fr.liveFlag[i].Load() {

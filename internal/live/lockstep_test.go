@@ -189,7 +189,7 @@ func TestLockStepRoundDoesNotAllocate(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := phonecall.Message{Value: 0b101, Bits: 300, Tag: phonecall.TagHoldings, Rumor: true}
-	tr := &scriptTransport{n: rigN, box: newMailbox(), sent: make([]sentFrame, 0, 4)}
+	tr := &scriptTransport{n: rigN, box: &newMailboxes(1)[0], sent: make([]sentFrame, 0, 4)}
 	delivered := 0
 	ls := &LockStep{
 		net: net,

@@ -77,7 +77,7 @@ func NewPeerTransport(cfg PeerTransportConfig) (*PeerTransport, error) {
 		n:    cfg.N,
 		self: cfg.Self,
 		ids:  cfg.IDs,
-		box:  newMailbox(),
+		box:  &newMailboxes(1)[0],
 	}
 	mcfg := cfg.Membership
 	mcfg.Self = cfg.IDs[cfg.Self]

@@ -83,7 +83,7 @@ func newStepRig(t *testing.T, algo scenario.Algorithm, wide bool, registered, he
 	if err != nil {
 		t.Fatal(err)
 	}
-	rig := &stepRig{wide: wide, net: net, tr: &scriptTransport{n: rigN, box: newMailbox()}}
+	rig := &stepRig{wide: wide, net: net, tr: &scriptTransport{n: rigN, box: &newMailboxes(1)[0]}}
 	rig.nd = node{i: rigSelf, algo: algo, net: net, tr: rig.tr, st: &rig.st}
 	if wide {
 		if rig.set, err = rumorset.New(rigN, 8); err != nil {

@@ -42,36 +42,55 @@ type SendFailureCounter interface {
 	NodeSendFailures(i int) int64
 }
 
-// Mailbox is a node's inbound frame queue: an unbounded, mutex-guarded slice
-// with an edge-triggered notification channel. Receivers either poll with
-// TryDrain (lock-step phases, free-running round loops) or block on Notify
-// until something arrives.
+// mailboxSlots is the room a mailbox queue and a FreeRun node's drain list
+// start with, carved from one run-sized slab: a node drains about one call and
+// one response a round, so eight slots hold almost every round, and a burst
+// past them spills to the heap. Four slots cost more bytes, not fewer: the
+// queues that overflow them double to eight anyway (the sweep in DESIGN.md
+// §8).
+const mailboxSlots = 8
+
+// Mailbox is a node's inbound frame queue: a mutex-guarded slice that starts
+// as the node's mailboxSlots-long piece of its transport's queue slab and
+// spills to the heap past it, with an edge-triggered notification channel
+// made on first use. Receivers either poll with TryDrain (lock-step phases,
+// free-running round loops) or block on Notify until something arrives.
 type Mailbox struct {
-	mu    sync.Mutex
-	queue [][]byte
-
-	notify chan struct{}
+	mu     sync.Mutex
+	queue  [][]byte
+	notify chan struct{} // nil until the first Notify
 }
 
-// newMailbox returns an empty mailbox.
-func newMailbox() *Mailbox {
-	return &Mailbox{notify: make(chan struct{}, 1)}
+// newMailboxes returns n empty mailboxes whose queues are carved from one
+// slab, each piece capped at its own mailboxSlots so a growing queue never
+// appends into its neighbour's.
+func newMailboxes(n int) []Mailbox {
+	boxes := make([]Mailbox, n)
+	slab := make([][]byte, n*mailboxSlots)
+	for i := range boxes {
+		boxes[i].queue = slab[i*mailboxSlots : i*mailboxSlots : (i+1)*mailboxSlots]
+	}
+	return boxes
 }
 
-// Put appends a frame and signals the notification channel.
+// Put appends a frame and signals the notification channel, if one was made.
 func (mb *Mailbox) Put(frame []byte) {
 	mb.mu.Lock()
 	mb.queue = append(mb.queue, frame)
+	ch := mb.notify
 	mb.mu.Unlock()
-	select {
-	case mb.notify <- struct{}{}:
-	default:
+	if ch != nil {
+		select {
+		case ch <- struct{}{}:
+		default:
+		}
 	}
 }
 
 // TryDrain appends every queued frame to into and returns the result; it
-// never blocks. Passing a reused into[:0] keeps the receive path
-// allocation-light. The drained frames belong to the caller, which may
+// never blocks. Passing a reused into[:0] with room for a round's frames (a
+// FreeRun node's drain list is carved like the queues) keeps the receive path
+// allocation-free. The drained frames belong to the caller, which may
 // overwrite them (the nodes recycle them into their own sends, see spares).
 func (mb *Mailbox) TryDrain(into [][]byte) [][]byte {
 	mb.mu.Lock()
@@ -92,23 +111,51 @@ func (mb *Mailbox) Len() int {
 }
 
 // Notify returns the edge-triggered arrival channel: a receive succeeds at
-// least once after any Put that found the queue being watched. Receivers must
-// re-check TryDrain after a wakeup.
-func (mb *Mailbox) Notify() <-chan struct{} { return mb.notify }
+// least once after any Put that found the queue being watched. The channel is
+// made on the first call, already signalled when frames are queued, so frames
+// Put before anyone watched are not missed. Receivers must re-check TryDrain
+// after a wakeup.
+func (mb *Mailbox) Notify() <-chan struct{} {
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	if mb.notify == nil {
+		mb.notify = make(chan struct{}, 1)
+		if len(mb.queue) > 0 {
+			mb.notify <- struct{}{}
+		}
+	}
+	return mb.notify
+}
 
 // spareSlots bounds a node's spare frames. A node sends about as many frames
 // as it drains, so a few slots absorb the round-to-round imbalance; an
 // unbounded list would keep every burst's frames for the rest of the run.
 const spareSlots = 8
 
+// firstSpares is how many spares a FreeRun node starts a run with. Without
+// them every node's first sends allocate fresh frames, and the bare pulls of
+// the first rounds leave spares too small for a holdings frame.
+const firstSpares = 4
+
 // spares is one node's recycled send buffers: frames it drained and parsed
 // (parsing copies everything out), kept to encode its own later sends into.
-// It belongs to the node's goroutine and lives inline in the node, so a node
-// holds at most spareSlots buffers whatever the traffic, and nothing is
-// shared across nodes.
+// A FreeRun node starts with firstSpares of them carved from a run slab
+// (seed). It belongs to the node's goroutine and lives inline in the node,
+// so a node holds at most spareSlots buffers whatever the traffic, and
+// nothing is shared across nodes.
 type spares struct {
 	n    int
 	bufs [spareSlots][]byte
+}
+
+// seed fills an empty set with firstSpares buffers of size bytes carved from
+// slab, each capped at its own length so that recycling one never writes
+// into its neighbour.
+func (s *spares) seed(slab []byte, size int) {
+	for k := 0; k < firstSpares; k++ {
+		s.bufs[k] = slab[k*size : k*size : (k+1)*size]
+	}
+	s.n = firstSpares
 }
 
 // take returns an empty buffer with room for size bytes: the smallest spare

@@ -33,7 +33,7 @@ type UDPTransport struct {
 	n         int
 	conns     []*net.UDPConn
 	addrs     []*net.UDPAddr
-	boxes     []*Mailbox
+	boxes     []Mailbox
 	sendFails []atomic.Int64 // per-sender send failures
 	failTotal atomic.Int64
 	closed    atomic.Bool
@@ -54,7 +54,7 @@ func NewUDPTransport(n int) (*UDPTransport, error) {
 		n:         n,
 		conns:     make([]*net.UDPConn, n),
 		addrs:     make([]*net.UDPAddr, n),
-		boxes:     make([]*Mailbox, n),
+		boxes:     newMailboxes(n),
 		sendFails: make([]atomic.Int64, n),
 	}
 	for i := 0; i < n; i++ {
@@ -65,7 +65,6 @@ func NewUDPTransport(n int) (*UDPTransport, error) {
 		}
 		tr.conns[i] = conn
 		tr.addrs[i] = conn.LocalAddr().(*net.UDPAddr)
-		tr.boxes[i] = newMailbox()
 	}
 	for i := 0; i < n; i++ {
 		tr.wg.Add(1)
@@ -106,7 +105,7 @@ func (tr *UDPTransport) read(i int) {
 func (tr *UDPTransport) N() int { return tr.n }
 
 // Mailbox implements Transport.
-func (tr *UDPTransport) Mailbox(i int) *Mailbox { return tr.boxes[i] }
+func (tr *UDPTransport) Mailbox(i int) *Mailbox { return &tr.boxes[i] }
 
 // Synchronous implements Transport: datagrams are in flight after Send
 // returns, so UDP cannot back lock-step barriers.
