@@ -524,9 +524,8 @@ func (fr *FreeRun) converged(live, informed int) bool {
 // stream telemetry.
 func (fr *FreeRun) tickStream(frontier int64) {
 	// GC first: the AND-scan over live holdings rows is the race-free
-	// convergence authority here (the advisory per-slot live counters can be
-	// skewed by churn while nodes run). Retiring before injecting is what
-	// lets a full window drain within the same pass.
+	// convergence authority, here as in the scenario driver. Retiring before
+	// injecting is what lets a full window drain within the same pass.
 	scan := fr.set.ScanConverged(fr.scanBuf[:0], func(i int) bool { return fr.liveFlag[i].Load() })
 	fr.scanBuf = scan[:0]
 	if len(scan) > 0 {

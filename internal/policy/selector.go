@@ -70,8 +70,8 @@ type Selector struct {
 }
 
 // evalStripes bounds how many initiator ranges the evaluation counter is
-// striped over, like rumorset's live counters: at least as many as an engine
-// has shards, few enough that Stats sums a handful of loads.
+// striped over: at least as many as an engine has shards, few enough that
+// Stats sums a handful of loads.
 const evalStripes = 16
 
 // paddedCounter is a counter alone on its cache line.

@@ -1,6 +1,7 @@
 package rumorset
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -104,8 +105,19 @@ func checkIndex(t *testing.T, s *Set, m *ledgerModel, stale []ID) {
 	if len(ix.sorted) != len(m.held) || len(ix.slotAt) != len(ix.sorted) {
 		t.Fatalf("index holds %d ids / %d slots, model %d", len(ix.sorted), len(ix.slotAt), len(m.held))
 	}
-	if len(s.freeSl)+len(ix.sorted) != s.cap {
-		t.Fatalf("%d free + %d active slots != window %d", len(s.freeSl), len(ix.sorted), s.cap)
+	free := 0
+	for w, x := range s.free {
+		free += bits.OnesCount64(x)
+		for b := 0; b < 64; b++ {
+			if sl := w<<6 + b; sl >= s.cap && x&(1<<b) != 0 {
+				t.Fatalf("slot %d past the window %d is marked free", sl, s.cap)
+			} else if sl < s.cap && (x&(1<<b) != 0) != (ix.rankOf[sl] == noRank) {
+				t.Fatalf("slot %d: free bit %v, rank %d", sl, x&(1<<b) != 0, ix.rankOf[sl])
+			}
+		}
+	}
+	if free+len(ix.sorted) != s.cap {
+		t.Fatalf("%d free + %d active slots != window %d", free, len(ix.sorted), s.cap)
 	}
 	for r, id := range ix.sorted {
 		if r > 0 && ix.sorted[r-1] >= id {
@@ -122,18 +134,16 @@ func checkIndex(t *testing.T, s *Set, m *ledgerModel, stale []ID) {
 			t.Fatalf("table resolves id %d to (%d,%v), rank side says slot %d", id, got, ok, sl)
 		}
 	}
-	// The active-ID bitmap and offOf: kept exactly while the span fits.
+	// The active-ID bitmap and the runs: kept exactly while the span fits.
 	if a := &ix.active; len(a.Words) > 0 {
 		if got := a.appendBitmapIDs(nil); !slices.Equal(got, ix.sorted) {
 			t.Fatalf("active bitmap holds %d ids, the index %d", len(got), len(ix.sorted))
 		}
-		for r, id := range ix.sorted {
-			if off := ix.offOf[ix.slotAt[r]]; off != uint32(id-a.Base) {
-				t.Fatalf("offOf[slot of %d] = %d, want %d", id, off, id-a.Base)
-			}
-		}
+		checkRuns(t, ix)
 	} else if n := len(ix.sorted); n > 0 && uint64(ix.sorted[n-1]-ix.sorted[0])>>6 < uint64(ix.spanWords) {
 		t.Fatalf("no active bitmap though %d ids span %d words (max %d)", n, (ix.sorted[n-1]-ix.sorted[0])>>6+1, ix.spanWords)
+	} else if len(ix.runs) > 0 {
+		t.Fatalf("%d runs without an active bitmap", len(ix.runs))
 	}
 	ranked, entries := 0, 0
 	for _, r := range ix.rankOf {
@@ -195,6 +205,44 @@ func checkIndex(t *testing.T, s *Set, m *ledgerModel, stale []ID) {
 		if s.Has(0, id) || s.MarkIDs(0, []ID{id}) != 0 {
 			t.Fatalf("stale id %d still resolves", id)
 		}
+	}
+}
+
+// checkRuns asserts that the runs are ordered, disjoint and non-empty, and
+// cover every active slot exactly once with the shift that takes it to its
+// ID's offset in the active bitmap.
+func checkRuns(t *testing.T, ix *index) {
+	t.Helper()
+	for k, r := range ix.runs {
+		if r.lo >= r.hi || k > 0 && ix.runs[k-1].hi > r.lo {
+			t.Fatalf("run %d is [%d,%d) after %+v", k, r.lo, r.hi, ix.runs[max(k-1, 0)])
+		}
+	}
+	for r, id := range ix.sorted {
+		sl := ix.slotAt[r]
+		k, _ := slices.BinarySearchFunc(ix.runs, sl, func(r slotRun, sl int32) int { return cmp.Compare(r.lo, sl+1) })
+		if k == 0 || sl >= ix.runs[k-1].hi {
+			t.Fatalf("rumor %d: slot %d is in no run", id, sl)
+		}
+		if want := int32(id-ix.active.Base) - sl; ix.runs[k-1].shift != want {
+			t.Fatalf("rumor %d: slot %d is in a run of shift %d, its offset needs %d", id, sl, ix.runs[k-1].shift, want)
+		}
+	}
+}
+
+// homeFree reports whether id is not in flight and its home slot is free:
+// then registering it must put it there.
+func homeFree(s *Set, id ID) bool {
+	_, active := s.ix.lookup(id)
+	home := uint64(id) % uint64(s.cap)
+	return !active && s.free[home>>6]&(1<<(home&63)) != 0
+}
+
+// checkHome asserts that an ID registered into a free home slot got it.
+func checkHome(t *testing.T, s *Set, id ID, wasFree bool) {
+	t.Helper()
+	if sl, ok := s.ix.lookup(id); wasFree && (!ok || uint64(sl) != uint64(id)%uint64(s.cap)) {
+		t.Fatalf("id %d took slot %d (active %v), its free home slot is %d", id, sl, ok, uint64(id)%uint64(s.cap))
 	}
 }
 
@@ -264,14 +312,18 @@ func TestIndexDifferential(t *testing.T) {
 					switch k := rng.Intn(100); {
 					case k < 30:
 						id := pick()
+						wasFree := homeFree(s, id)
 						err := s.Inject(node, id)
+						checkHome(t, s, id, wasFree)
 						if ok := m.register(id); ok != (err == nil) || (err != nil && !errors.Is(err, ErrFull)) {
 							t.Fatalf("Inject(%d): %v, model admits: %v", id, err, ok)
 						}
 						m.mark(node, id)
 					case k < 38:
 						id := pick()
+						wasFree := homeFree(s, id)
 						err := s.Register(id)
+						checkHome(t, s, id, wasFree)
 						if ok := m.register(id); ok != (err == nil) {
 							t.Fatalf("Register(%d): %v, model admits: %v", id, err, ok)
 						}
@@ -330,6 +382,29 @@ func TestIndexDifferential(t *testing.T) {
 	}
 }
 
+// TestStreamKeepsFewRuns pins what the home slots are for: a stream whose
+// rumors retire in injection order keeps its slot map a rotation — at most
+// two runs, one on each side of the window's wrap — however long it runs, so
+// a digest moves a row in a few word shifts.
+func TestStreamKeepsFewRuns(t *testing.T) {
+	const window = 256
+	s := newSet(t, 4, window)
+	for id := ID(0); id < 16*window+window/3; id++ {
+		if s.Active() == window {
+			s.Retire(id - window)
+		}
+		wasFree := homeFree(s, id)
+		if err := s.Inject(int(id)%4, id); err != nil {
+			t.Fatal(err)
+		}
+		checkHome(t, s, id, wasFree)
+		if !wasFree || len(s.ix.runs) > 2 {
+			t.Fatalf("id %d: home slot free %v, %d runs", id, wasFree, len(s.ix.runs))
+		}
+	}
+	checkRuns(t, &s.ix)
+}
+
 // TestIndexMultiPassDigest pins the windows wider than the on-stack rank
 // bitmap: with more than rankSpan rumors in flight, registered in an order
 // unrelated to their IDs, a digest still comes out ascending and complete.
@@ -360,7 +435,7 @@ func TestDigestKernelsDoNotAllocate(t *testing.T) {
 		s := newSet(t, 4, window)
 		ids := make([]ID, window)
 		for i := range ids {
-			ids[i] = ID(i * 7919 % window) // slot order differs from ID order
+			ids[i] = ID(i*7919%window) * 3 // home slot 3x mod window: slot order differs from ID order
 			if err := s.Inject(0, ids[i]); err != nil {
 				t.Fatal(err)
 			}

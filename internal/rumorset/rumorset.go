@@ -5,8 +5,12 @@
 // Rumor IDs come from an unbounded uint32 space; at any moment at most
 // MaxInFlight of them are active. Each active rumor owns a slot in a flat
 // per-node bit arena, so mark/query stay O(1) and a node's holdings stay one
-// cache-friendly bit row. When a rumor converges (every live node holds it)
-// it is expired: its slot is reclaimed for the next injection. On the wire,
+// cache-friendly bit row. A rumor takes its home slot, ID mod MaxInFlight,
+// when that slot is free, so a stream's slot→ID map stays a rotation of a
+// few runs (index.go). When a rumor converges (every live node holds it)
+// it is expired: its slot is reclaimed for the next injection. The set keeps
+// no per-rumor counters: marks only set bits, and a live-informed count is a
+// column count over the rows of the live nodes (count.go). On the wire,
 // summaries carry rumor IDs — never slots — so a stale frame advertising an
 // expired rumor fails the ID→slot lookup and is ignored instead of
 // mis-marking whatever rumor reused the slot.
@@ -36,6 +40,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -51,17 +56,16 @@ type ID uint32
 var ErrFull = errors.New("rumorset: in-flight rumor window full")
 
 // Set is the scalable rumor ledger: registered in-flight rumors, per-node
-// holdings, per-rumor live-informed counts, and expiry/GC of converged
-// rumors.
+// holdings, and expiry/GC of converged rumors.
 type Set struct {
 	n     int // nodes
 	cap   int // max in-flight rumors (slots)
 	words int // ceil(cap/64): bit words per node row
 
 	mu     sync.RWMutex
-	ix     index  // the in-flight rumors: sorted IDs, slot↔rank, ID→slot
-	freeSl []int  // free slot stack
-	failed []bool // per node; written under mu, read by Mark under RLock
+	ix     index    // the in-flight rumors: sorted IDs, slot↔rank, ID→slot, slot runs
+	free   []uint64 // free slots as a row mask: bit s set while slot s is free
+	failed []bool   // per node; written under mu, read under RLock
 
 	// held is the flat holdings arena: node i's row is
 	// held[i*words : (i+1)*words], bit s of the row = slot s. Bits are set
@@ -69,24 +73,12 @@ type Set struct {
 	// Lock no other goroutine is inside the arena, so expiry and revive clear
 	// with plain loads and stores — which is why the words are not
 	// atomic.Uint64: its Store is a locked exchange, and the column clear
-	// touches every row.
+	// touches every row. A mark sets one bit and nothing else: there is no
+	// per-slot counter to bump, so the live-informed counts (AppendLive,
+	// LiveInformed) are counted from the rows when asked for, and the
+	// convergence authority of every engine is ScanConverged's AND of the
+	// live rows.
 	held []uint64
-
-	// live counts live-informed nodes per slot, striped by contiguous node
-	// range: the nodes [k<<stripeShift, (k+1)<<stripeShift) count in stripe k,
-	// whose counters are live[k*liveStride:][:cap], and a slot's count is the
-	// sum over the stripes (each stripe's term is the live holders among its
-	// own nodes: a mark, a Fail and a Revive of node i all land in i's stripe).
-	// Engine shards and node goroutines own contiguous node ranges too, so
-	// fresh marks from different shards land on different cache lines instead
-	// of bouncing one line per rumor. liveRow and liveSum are the only
-	// accessors; finishExpiry zeroes a freed slot's counters. The sum is the convergence authority for the
-	// coordinator-driven engines (sim, lock-step), where churn and expiry
-	// happen between rounds; the free-running monitor uses ScanConverged
-	// instead and treats these as advisory.
-	live        []atomic.Int64
-	stripeShift uint
-	liveStride  int // cap rounded up to a whole cache line of counters
 
 	acc      []uint64 // ScanConverged and Orphans scratch (monitor-only)
 	expiring []uint64 // slots queued by the running expiry call, as a row mask
@@ -116,27 +108,19 @@ func New(n, maxInFlight int) (*Set, error) {
 		return nil, fmt.Errorf("rumorset: need a positive in-flight window, got %d", maxInFlight)
 	}
 	words := (maxInFlight + 63) / 64
-	shift := uint(0)
-	for (n-1)>>shift >= liveStripes {
-		shift++
-	}
-	stride := (maxInFlight + 7) &^ 7
 	s := &Set{
-		n:           n,
-		cap:         maxInFlight,
-		words:       words,
-		ix:          newIndex(maxInFlight),
-		freeSl:      make([]int, 0, maxInFlight),
-		failed:      make([]bool, n),
-		held:        make([]uint64, n*words),
-		live:        make([]atomic.Int64, ((n-1)>>shift+1)*stride),
-		stripeShift: shift,
-		liveStride:  stride,
-		acc:         make([]uint64, words),
-		expiring:    make([]uint64, words),
+		n:        n,
+		cap:      maxInFlight,
+		words:    words,
+		ix:       newIndex(maxInFlight),
+		free:     make([]uint64, words),
+		failed:   make([]bool, n),
+		held:     make([]uint64, n*words),
+		acc:      make([]uint64, words),
+		expiring: make([]uint64, words),
 	}
-	for sl := maxInFlight - 1; sl >= 0; sl-- {
-		s.freeSl = append(s.freeSl, sl)
+	for sl := 0; sl < maxInFlight; sl++ {
+		s.free[sl>>6] |= 1 << (sl & 63)
 	}
 	return s, nil
 }
@@ -151,30 +135,9 @@ func (s *Set) Words() int { return s.words }
 // row returns node's holdings row.
 func (s *Set) row(node int) []uint64 { return s.held[node*s.words : (node+1)*s.words] }
 
-// liveStripes bounds how many node ranges the live counters are striped over:
-// at least as many as an engine has shards on any box this runs on, few enough
-// that summing a slot stays a handful of loads. The counters cost
-// stripes · ⌈window/8⌉·8 · 8 bytes.
-const liveStripes = 16
-
-// liveRow returns the per-slot live counters that node's marks count in: its
-// stripe's. Indexed by slot.
-func (s *Set) liveRow(node int) []atomic.Int64 {
-	return s.live[(node>>s.stripeShift)*s.liveStride:][:s.cap]
-}
-
-// liveSum returns the slot's live-informed count, summed over the stripes.
-func (s *Set) liveSum(sl int) int {
-	c := int64(0)
-	for ; sl < len(s.live); sl += s.liveStride {
-		c += s.live[sl].Load()
-	}
-	return int(c)
-}
-
 // Register makes the rumor active, assigning it a slot. Registering an
 // already-active ID is a no-op. A previously-expired ID may be re-registered:
-// it gets a fresh slot with fresh counts (re-injection of a converged rumor
+// it gets a slot with a clear column (re-injection of a converged rumor
 // is a new epoch of that rumor). Returns ErrFull when the window is
 // exhausted. Coordinator-only.
 func (s *Set) Register(id ID) error {
@@ -184,19 +147,35 @@ func (s *Set) Register(id ID) error {
 	return err
 }
 
-// register returns the rumor's slot, assigning one if the ID is not active.
+// register returns the rumor's slot, assigning one if the ID is not active:
+// its home slot, ID mod window, when that slot is free, else the next free
+// slot above it (cyclically).
 func (s *Set) register(id ID) (int, error) {
 	if sl, ok := s.ix.lookup(id); ok {
 		return sl, nil
 	}
-	if len(s.freeSl) == 0 {
+	if len(s.ix.sorted) == s.cap {
 		return 0, fmt.Errorf("%w (cap %d)", ErrFull, s.cap)
 	}
-	sl := s.freeSl[len(s.freeSl)-1]
-	s.freeSl = s.freeSl[:len(s.freeSl)-1]
-	s.ix.insert(id, sl) // a free slot's counters are zero: finishExpiry left them so
+	sl := s.freeSlot(int(uint64(id) % uint64(s.cap)))
+	s.free[sl>>6] &^= 1 << (sl & 63)
+	s.ix.insert(id, sl) // a free slot's column is clear: finishExpiry left it so
 	s.injected.Add(1)
 	return sl, nil
+}
+
+// freeSlot returns the first free slot at or above home, wrapping past the
+// window's end. The caller guarantees a slot is free.
+func (s *Set) freeSlot(home int) int {
+	if x := s.free[home>>6] >> (home & 63); x != 0 {
+		return home + bits.TrailingZeros64(x)
+	}
+	for k := 1; ; k++ {
+		w := (home>>6 + k) % len(s.free)
+		if x := s.free[w]; x != 0 {
+			return w<<6 + bits.TrailingZeros64(x)
+		}
+	}
 }
 
 // Inject registers the rumor and marks node as holding it. Injecting at a
@@ -219,22 +198,10 @@ func (s *Set) Inject(node int, id ID) error {
 	return nil
 }
 
-// markLocked sets the holdings bit for (node, slot) and bumps the live count
-// on a fresh mark of a live node. Caller holds mu (either mode).
+// markLocked sets the holdings bit for (node, slot). Caller holds mu (either
+// mode).
 func (s *Set) markLocked(node, sl int) {
-	word := &s.held[node*s.words+sl>>6]
-	mask := uint64(1) << (sl & 63)
-	// Load-then-Or instead of testing Or's return value: per the ownership
-	// contract, node i's row is written either by i's owner goroutine (under
-	// RLock) or under the exclusive write lock, so the check-then-set pair
-	// cannot interleave with another setter of the same row.
-	if atomic.LoadUint64(word)&mask != 0 {
-		return
-	}
-	atomic.OrUint64(word, mask)
-	if !s.failed[node] {
-		s.liveRow(node)[sl].Add(1)
-	}
+	atomic.OrUint64(&s.held[node*s.words+sl>>6], 1<<(sl&63))
 }
 
 // Mark records that node holds the rumor. Unknown (never-registered or
@@ -268,7 +235,7 @@ func (s *Set) Has(node int, id ID) bool {
 }
 
 // LiveInformed returns the number of live nodes holding the rumor, or 0 for
-// inactive IDs.
+// inactive IDs: the column count of its slot's pass.
 func (s *Set) LiveInformed(id ID) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -276,18 +243,30 @@ func (s *Set) LiveInformed(id ID) int {
 	if !ok {
 		return 0
 	}
-	return s.liveSum(sl)
+	var c columnCount
+	s.countColumns(&c, sl>>6&^(countWords-1))
+	return c.of[sl&(countWords*64-1)]
 }
 
 // AppendLive appends every in-flight rumor's ID to ids and its live-informed
-// count to live, ascending by ID, under one lock. Coordinator/monitor-only.
+// count to live, ascending by ID, under one lock: one column count over the
+// live nodes' rows. Safe for concurrent callers: its counters are its own.
 func (s *Set) AppendLive(ids []ID, live []int) ([]ID, []int) {
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	ids = append(ids, s.ix.sorted...)
-	for _, sl := range s.ix.slotAt {
-		live = append(live, s.liveSum(int(sl)))
+	at := len(live)
+	live = slices.Grow(live, len(s.ix.sorted))[:at+len(s.ix.sorted)] // every rank is written below
+	var c columnCount
+	for w0 := 0; w0 < s.words; w0 += countWords {
+		s.countColumns(&c, w0)
+		lo := w0 << 6
+		for sl := lo; sl < min(lo+countWords*64, s.cap); sl++ {
+			if r := s.ix.rankOf[sl]; r != noRank {
+				live[at+int(r)] = c.of[sl-lo]
+			}
+		}
 	}
-	s.mu.RUnlock()
 	return ids, live
 }
 
@@ -358,14 +337,13 @@ func (s *Set) expire(ids []ID, wasConverged bool) {
 func (s *Set) queueExpiry(sl int) {
 	s.ix.rankOf[sl] = noRank
 	s.expiring[sl>>6] |= 1 << (sl & 63)
-	s.freeSl = append(s.freeSl, sl)
+	s.free[sl>>6] |= 1 << (sl & 63)
 }
 
 // finishExpiry completes an expiry call that queued the given number of
 // rumors: one compaction of the index, one pass over the arena clearing every
-// queued column — not one pass per rumor — and one over each stripe of the
-// live counters zeroing the queued slots. The write lock excludes every
-// setter, so the arena pass uses plain loads and stores.
+// queued column — not one pass per rumor. The write lock excludes every
+// setter, so the pass uses plain loads and stores.
 func (s *Set) finishExpiry(queued int, wasConverged bool) {
 	if queued == 0 {
 		return
@@ -377,13 +355,6 @@ func (s *Set) finishExpiry(queued int, wasConverged bool) {
 			row[w] &^= mask
 		}
 	}
-	for base := 0; base < len(s.live); base += s.liveStride {
-		for w, mask := range s.expiring {
-			for ; mask != 0; mask &= mask - 1 {
-				s.live[base+w<<6+bits.TrailingZeros64(mask)].Store(0)
-			}
-		}
-	}
 	clear(s.expiring)
 	s.expired.Add(int64(queued))
 	if wasConverged {
@@ -392,17 +363,19 @@ func (s *Set) finishExpiry(queued int, wasConverged bool) {
 }
 
 // ScanConverged returns the IDs of in-flight rumors held by every node for
-// which isLive reports true. It is the race-free convergence authority for
-// the free-running engine: rather than trusting the advisory live counters
-// (which churn can skew while nodes run), it ANDs the holdings rows of the
-// live nodes word-wise. Rumors with zero live nodes are not reported. The
-// caller expires the returned IDs with Retire, which counts them as
-// converged. Monitor-only (the scratch accumulator is not reentrant).
+// which isLive reports true, in slot order. It is the convergence authority
+// of every engine — the scenario driver's round close and the free-running
+// monitor alike: it ANDs the holdings rows of the live nodes word-wise, so
+// its cost is the rows' words, however many bits they hold. Rumors with zero
+// live nodes are not reported. The caller expires the returned IDs with
+// Retire, which counts them as converged. Monitor-only (the scratch
+// accumulator is not reentrant).
 func (s *Set) ScanConverged(dst []ID, isLive func(node int) bool) []ID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	for w := range s.acc {
-		s.acc[w] = ^uint64(0)
+	acc := s.acc
+	for w := range acc {
+		acc[w] = ^uint64(0)
 	}
 	liveNodes := 0
 	for node := 0; node < s.n; node++ {
@@ -410,15 +383,15 @@ func (s *Set) ScanConverged(dst []ID, isLive func(node int) bool) []ID {
 			continue
 		}
 		liveNodes++
-		row := s.row(node)
+		row := s.held[node*s.words:][:len(acc)] // one bounds check a row, none a word
 		for w := range row {
-			s.acc[w] &= atomic.LoadUint64(&row[w])
+			acc[w] &= atomic.LoadUint64(&row[w])
 		}
 	}
 	if liveNodes == 0 {
 		return dst
 	}
-	for w, word := range s.acc {
+	for w, word := range acc {
 		for ; word != 0; word &= word - 1 {
 			// Only active slots have bits in any row, so both tests are
 			// guards: on the last word's bits beyond the window, and on a
@@ -439,14 +412,15 @@ func (s *Set) ScanConverged(dst []ID, isLive func(node int) bool) []ID {
 func (s *Set) Orphans(dst []ID) []ID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	clear(s.acc)
+	acc := s.acc
+	clear(acc)
 	for node := 0; node < s.n; node++ {
 		if s.failed[node] {
 			continue
 		}
-		row := s.row(node)
+		row := s.held[node*s.words:][:len(acc)]
 		for w := range row {
-			s.acc[w] |= atomic.LoadUint64(&row[w])
+			acc[w] |= atomic.LoadUint64(&row[w])
 		}
 	}
 	for r, sl := range s.ix.slotAt {
@@ -457,9 +431,10 @@ func (s *Set) Orphans(dst []ID) []ID {
 	return dst
 }
 
-// Fail marks nodes failed, decrementing the live counters for every rumor
-// they hold (mirroring phonecall.RumorTracker.Fail). Already-failed and
-// out-of-range indexes are ignored. Coordinator/monitor-only.
+// Fail marks nodes failed: their rows stop counting in AppendLive and
+// LiveInformed (mirroring phonecall.RumorTracker.Fail) but keep their bits
+// until Revive. Already-failed and out-of-range indexes are ignored.
+// Coordinator/monitor-only.
 func (s *Set) Fail(nodes ...int) {
 	s.mu.Lock()
 	for _, node := range nodes {
@@ -467,12 +442,6 @@ func (s *Set) Fail(nodes ...int) {
 			continue
 		}
 		s.failed[node] = true
-		live := s.liveRow(node)
-		for w, word := range s.row(node) {
-			for ; word != 0; word &= word - 1 {
-				live[w<<6+bits.TrailingZeros64(word)].Add(-1)
-			}
-		}
 	}
 	s.mu.Unlock()
 }

@@ -45,13 +45,13 @@ func (v View) MarkIDs(node int, ids []ID) int {
 // before sending it. Callable from node's owner only.
 func (v View) MergeSummary(node int, own, in *Summary) int {
 	s := v.s
-	row, live, failed := s.row(node), s.liveRow(node), s.failed[node]
+	row := s.row(node)
 	active := &s.ix.active
 	filter := len(active.Words) > 0
 	fresh := 0
 	if !in.Bitmap {
 		for _, id := range in.IDs {
-			if !own.has(id) && (!filter || active.has(id)) && s.markID(row, live, failed, id) {
+			if !own.has(id) && (!filter || active.has(id)) && s.markID(row, id) {
 				own.add(id)
 				fresh++
 			}
@@ -65,7 +65,7 @@ func (v View) MergeSummary(node int, own, in *Summary) int {
 			w &= active.bitsAt(at)
 		}
 		for ; w != 0; w &= w - 1 {
-			if id := ID(at + uint64(bits.TrailingZeros64(w))); s.markID(row, live, failed, id) {
+			if id := ID(at + uint64(bits.TrailingZeros64(w))); s.markID(row, id) {
 				own.add(id)
 				fresh++
 			}
@@ -74,23 +74,22 @@ func (v View) MergeSummary(node int, own, in *Summary) int {
 	return fresh
 }
 
-// markID is markLocked for an ID, with the row, its live counters and the
-// failed flag hoisted into the caller: it sets the rumor's bit unless the ID
-// is not active (the ABA guard for stale summaries) or the bit is already
-// set, and reports whether it set it.
-func (s *Set) markID(row []uint64, live []atomic.Int64, failed bool, id ID) bool {
+// markID is markLocked for an ID, with the row hoisted into the caller: it
+// sets the rumor's bit unless the ID is not active (the ABA guard for stale
+// summaries) or the bit is already set, and reports whether it set it.
+func (s *Set) markID(row []uint64, id ID) bool {
 	sl, ok := s.ix.lookup(id)
 	if !ok {
 		return false
 	}
+	// Load-then-Or instead of testing Or's return value: per the ownership
+	// contract, node i's row has one concurrent writer, so the check-then-set
+	// pair cannot interleave with another setter of the same row.
 	word, mask := &row[sl>>6], uint64(1)<<(sl&63)
 	if atomic.LoadUint64(word)&mask != 0 {
 		return false
 	}
 	atomic.OrUint64(word, mask)
-	if !failed {
-		live[sl].Add(1)
-	}
 	return true
 }
 
@@ -135,27 +134,20 @@ func (v View) Digest(d *Summary, node int) (held, summaryBytes int) {
 }
 
 // tallyRow tallies the summary of the rumors row holds while the index keeps
-// its active-ID bitmap: each held slot goes to its ID's bit (offOf) in bm,
-// and bm is tallied a word at a time — bits inside one word are under 64
-// apart, so after a word's first ID every delta−1 is one varint byte and only
-// the first needs sizing. A bm as long as the active-ID bitmap takes one pass
-// and is left holding node's ID-space bitmap, anchored where the active one
-// is; a shorter one takes one pass per len(bm) words of it.
+// its active-ID bitmap: the row's bits move to ID space a run at a time
+// (moveRuns) into bm, and bm is tallied a word at a time — bits inside one
+// word are under 64 apart, so after a word's first ID every delta−1 is one
+// varint byte and only the first needs sizing. A bm as long as the active-ID
+// bitmap takes one pass and is left holding node's ID-space bitmap, anchored
+// where the active one is; a shorter one takes one pass per len(bm) words of
+// it.
 func (s *Set) tallyRow(bm, row []uint64) (t tally) {
 	base, n := uint64(s.ix.active.Base), len(s.ix.active.Words)
 	prev := ^uint64(0) // so that the first ID's "delta−1" is the ID itself
 	for lo := 0; lo < n; lo += len(bm) {
 		span := bm[:min(len(bm), n-lo)]
 		clear(span)
-		for w := range row {
-			for word := atomic.LoadUint64(&row[w]); word != 0; word &= word - 1 {
-				// Below the pass the subtraction wraps, so one test bounds both ends.
-				off := s.ix.offOf[w<<6+bits.TrailingZeros64(word)] - uint32(lo)<<6
-				if int(off>>6) < len(span) {
-					span[off>>6] |= 1 << (off & 63)
-				}
-			}
-		}
+		s.ix.moveRuns(span, row, lo)
 		for k, w := range span {
 			if w == 0 {
 				continue
@@ -221,25 +213,16 @@ func (v View) SnapshotRow(dst []uint64, node int) (held, summaryBytes int) {
 }
 
 // MergeRow ORs a row snapshot taken under this view into node's holdings,
-// word by word, counting a live node's fresh bits into the live counters. It
-// leaves the set exactly as MarkIDs of the snapshot's IDs would and returns
-// the same number of fresh marks. Callable from node's owner only.
+// word by word. It leaves the set exactly as MarkIDs of the snapshot's IDs
+// would and returns the same number of fresh marks. Callable from node's
+// owner only.
 func (v View) MergeRow(node int, snap []uint64) int {
-	s := v.s
-	row, live, failed := s.row(node), s.liveRow(node), s.failed[node]
+	row := v.s.row(node)
 	fresh := 0
 	for w, have := range snap {
-		gain := have &^ atomic.LoadUint64(&row[w])
-		if gain == 0 {
-			continue
-		}
-		atomic.OrUint64(&row[w], gain)
-		fresh += bits.OnesCount64(gain)
-		if failed {
-			continue
-		}
-		for ; gain != 0; gain &= gain - 1 {
-			live[w<<6+bits.TrailingZeros64(gain)].Add(1)
+		if gain := have &^ atomic.LoadUint64(&row[w]); gain != 0 {
+			atomic.OrUint64(&row[w], gain)
+			fresh += bits.OnesCount64(gain)
 		}
 	}
 	return fresh

@@ -8,28 +8,41 @@ import (
 	"testing"
 )
 
-// liveCounts reads every raw live counter, stripe by stripe.
-func liveCounts(s *Set) []int64 {
-	out := make([]int64, len(s.live))
-	for k := range s.live {
-		out[k] = s.live[k].Load()
+// liveCounts is the naive live-informed count the column count is checked
+// against: for every in-flight rumor, by rank, a per-bit recount of the arena
+// over the rows of the non-failed nodes.
+func liveCounts(s *Set) []int {
+	out := make([]int, len(s.ix.slotAt))
+	for r, sl := range s.ix.slotAt {
+		for node := 0; node < s.n; node++ {
+			if !s.failed[node] && s.row(node)[sl>>6]&(1<<(sl&63)) != 0 {
+				out[r]++
+			}
+		}
 	}
 	return out
 }
 
-// recountLive checks the striped live counters against the arena: a slot's
-// sum must be the number of live nodes whose row has its bit.
+// recountLive checks AppendLive against the naive recount, and LiveInformed
+// on a spread of ranks that includes the first and the last (it counts the
+// same columns, one pass for each call).
 func recountLive(t *testing.T, s *Set) {
 	t.Helper()
-	for r, sl := range s.ix.slotAt {
-		want := 0
-		for node := 0; node < s.n; node++ {
-			if !s.failed[node] && s.row(node)[sl>>6]&(1<<(sl&63)) != 0 {
-				want++
-			}
+	want := liveCounts(s)
+	ids, live := s.AppendLive(nil, nil)
+	if !slices.Equal(ids, s.ix.sorted) {
+		t.Fatalf("AppendLive lists %d rumors, the index %d", len(ids), len(s.ix.sorted))
+	}
+	step := max(1, len(ids)/16)
+	for r, id := range ids {
+		if live[r] != want[r] {
+			t.Fatalf("rumor %d (slot %d): AppendLive counts %d live holders, the arena holds %d", id, s.ix.slotAt[r], live[r], want[r])
 		}
-		if got := s.liveSum(int(sl)); got != want {
-			t.Fatalf("rumor %d (slot %d): live counters sum to %d, the arena holds %d live holders", s.ix.sorted[r], sl, got, want)
+		if r%step != 0 && r != len(ids)-1 {
+			continue
+		}
+		if got := s.LiveInformed(id); got != want[r] {
+			t.Fatalf("rumor %d (slot %d): LiveInformed counts %d live holders, the arena holds %d", id, s.ix.slotAt[r], got, want[r])
 		}
 	}
 }
@@ -40,120 +53,148 @@ func recountLive(t *testing.T, s *Set) {
 // as the ID form, MarkIDs(i, AppendHeld(j)) sized by SetIDs; on one as the
 // row form, SnapshotRow(j) then MergeRow(i, ·) under one view; on one as the
 // wire form, Digest(j) encoded and decoded, then MergeSummary(i, Digest(i), ·)
-// under one view. The arenas, every raw live counter and every returned
-// number must agree. The windows cover one word, one pass of the rank walk,
-// and several passes; sparse IDs take Digest through the rank walk, a dense
-// pool through the index's ID-space bitmap.
+// under one view. The arenas and every returned number must agree, and after
+// every batch of table changes AppendLive and LiveInformed must equal a
+// per-bit recount. The windows cover one word, one pass of the rank walk,
+// and several passes; the node counts (1, 7, 9 and 40 up to one pass, 40
+// beyond) are no multiple of the count's row group. Sparse IDs take Digest through the rank walk; a dense pool, and a
+// pool spread over more than tallyPass words, through the index's ID-space
+// bitmap and its slot runs. Both pools are larger than the window, so IDs
+// collide on their home slots and the runs fragment.
 func TestMergeRowDifferential(t *testing.T) {
 	for _, tc := range []struct {
 		window int
-		dense  bool
-	}{{5, false}, {64, false}, {1024, false}, {2 * rankSpan, false}, {5, true}, {64, true}, {1024, true}} {
-		window := tc.window
-		name := fmt.Sprint("window=", window)
-		if tc.dense {
+		stride ID // pool spacing in ID space; 0: random 32-bit IDs
+	}{{5, 0}, {64, 0}, {1024, 0}, {2 * rankSpan, 0}, {5, 1}, {64, 1}, {1024, 1}, {1024, 7}} {
+		name := fmt.Sprint("window=", tc.window)
+		switch tc.stride {
+		case 1:
 			name = "dense-" + name
+		case 7:
+			name = "spread-" + name
+		}
+		nodeCounts := []int{1, 7, 9, 40}
+		if tc.window > rankSpan {
+			nodeCounts = []int{40} // the multi-pass rank walk's case: the count's remainders are covered above
 		}
 		t.Run(name, func(t *testing.T) {
-			const nodes = 40
-			rng := rand.New(rand.NewSource(int64(window)))
-			byID, byRow, bySum := newSet(t, nodes, window), newSet(t, nodes, window), newSet(t, nodes, window)
-			both := func(f func(s *Set)) { f(byID); f(byRow); f(bySum) }
-
-			pool := make([]ID, 2*window+8)
-			for k := range pool {
-				pool[k] = ID(rng.Uint32())
-				if tc.dense {
-					pool[k] = 1<<31 + ID(k)
-				}
-			}
-			snaps := make([]uint64, nodes*byRow.Words())
-			snap := func(j int) []uint64 { return snaps[j*byRow.Words() : (j+1)*byRow.Words()] }
-			digests := make([][]ID, nodes)
-			sums, wire := make([]Summary, nodes), make([]Summary, nodes)
-
-			rounds := 40
-			if window > 64 {
-				rounds = 12
-			}
-			for round := 0; round < rounds; round++ {
-				// Table changes, identical on both sets. Every third round most
-				// of the window retires and refills in a new order, so slot
-				// order and ID order part ways.
-				if round%3 == 2 {
-					ids, _ := byID.AppendLive(nil, nil)
-					rng.Shuffle(len(ids), func(a, b int) { ids[a], ids[b] = ids[b], ids[a] })
-					both(func(s *Set) { s.Retire(ids[:len(ids)*3/4]...) })
-				}
-				for k := 0; k < window; k++ {
-					node, id := rng.Intn(nodes), pool[rng.Intn(len(pool))]
-					both(func(s *Set) { _ = s.Inject(node, id) }) // ErrFull on both or on neither
-				}
-				for k := 0; k < 4; k++ {
-					node := rng.Intn(nodes)
-					if rng.Intn(2) == 0 {
-						both(func(s *Set) { s.Fail(node) })
-					} else {
-						both(func(s *Set) { s.Revive(node) })
-					}
-				}
-				if byRow.Active() <= rankSpan && window > rankSpan {
-					t.Fatalf("only %d rumors in flight: the multi-pass walk is not covered", byRow.Active())
-				}
-				if byID := len(bySum.ix.active.Words) > 0; byID != tc.dense {
-					t.Fatalf("round %d: Digest by ID-space bitmap %v on a dense=%v pool", round, byID, tc.dense)
-				}
-
-				// One gossip round: every digest is taken before the first merge.
-				v, vs := byRow.View(), bySum.View()
-				var ref Summary
-				for j := 0; j < nodes; j++ {
-					digests[j] = byID.AppendHeld(digests[j][:0], j)
-					want := ref.SetIDs(digests[j])
-					held, summaryBytes := v.SnapshotRow(snap(j), j)
-					if held != len(digests[j]) || summaryBytes != want {
-						t.Fatalf("round %d node %d: snapshot says %d rumors in %d bytes, the ID digest %d in %d",
-							round, j, held, summaryBytes, len(digests[j]), want)
-					}
-					if held, summaryBytes = vs.Digest(&sums[j], j); held != len(digests[j]) || summaryBytes != want {
-						t.Fatalf("round %d node %d: Digest says %d rumors in %d bytes, the ID digest %d in %d",
-							round, j, held, summaryBytes, len(digests[j]), want)
-					}
-					if err := wire[j].Decode(sums[j].Append(nil), sums[j].Bitmap); err != nil {
-						t.Fatal(err)
-					}
-				}
-				for k := 0; k < 6*nodes; k++ {
-					i, j := rng.Intn(nodes), rng.Intn(nodes)
-					want := byID.MarkIDs(i, digests[j])
-					if got := v.MergeRow(i, snap(j)); got != want {
-						t.Fatalf("round %d: merging node %d into %d (failed=%v): MergeRow %d fresh, MarkIDs %d",
-							round, j, i, byRow.failed[i], got, want)
-					}
-					// sums[i] is i's digest from before this round's merges: a
-					// subset of what it holds now, so still safe to skip.
-					if got := vs.MergeSummary(i, &sums[i], &wire[j]); got != want {
-						t.Fatalf("round %d: merging node %d into %d (failed=%v): MergeSummary %d fresh, MarkIDs %d",
-							round, j, i, bySum.failed[i], got, want)
-					}
-				}
-				v.Release()
-				vs.Release()
-
-				for _, s := range []*Set{byRow, bySum} {
-					if !slices.Equal(s.held, byID.held) {
-						t.Fatalf("round %d: the arenas differ", round)
-					}
-					if !slices.Equal(liveCounts(s), liveCounts(byID)) {
-						t.Fatalf("round %d: the live counters differ", round)
-					}
-					recountLive(t, s)
-				}
-			}
-			if st := byRow.Snapshot(); st != byID.Snapshot() || st.Expired == 0 {
-				t.Fatalf("counters: row form %+v, ID form %+v", st, byID.Snapshot())
+			for _, nodes := range nodeCounts {
+				t.Run(fmt.Sprint("nodes=", nodes), func(t *testing.T) {
+					testMergeRowDifferential(t, tc.window, nodes, tc.stride)
+				})
 			}
 		})
+	}
+}
+
+func testMergeRowDifferential(t *testing.T, window, nodes int, stride ID) {
+	rng := rand.New(rand.NewSource(int64(window*64 + nodes)))
+	byID, byRow, bySum := newSet(t, nodes, window), newSet(t, nodes, window), newSet(t, nodes, window)
+	both := func(f func(s *Set)) { f(byID); f(byRow); f(bySum) }
+	// The three sets share every table change and, after each round's
+	// check, their arenas: counting one of them covers all three.
+	recount := func() {
+		t.Helper()
+		recountLive(t, byRow)
+	}
+
+	pool := make([]ID, 2*window+8)
+	for k := range pool {
+		pool[k] = ID(rng.Uint32())
+		if stride > 0 {
+			pool[k] = 1<<31 + ID(k)*stride
+		}
+	}
+	snaps := make([]uint64, nodes*byRow.Words())
+	snap := func(j int) []uint64 { return snaps[j*byRow.Words() : (j+1)*byRow.Words()] }
+	digests := make([][]ID, nodes)
+	sums, wire := make([]Summary, nodes), make([]Summary, nodes)
+
+	rounds := 40
+	if window > 64 {
+		rounds = 12
+	}
+	spread := false
+	for round := 0; round < rounds; round++ {
+		// Table changes, identical on both sets. Every third round most
+		// of the window retires and refills in a new order, so slot
+		// order and ID order part ways.
+		if round%3 == 2 {
+			ids, _ := byID.AppendLive(nil, nil)
+			rng.Shuffle(len(ids), func(a, b int) { ids[a], ids[b] = ids[b], ids[a] })
+			both(func(s *Set) { s.Retire(ids[:len(ids)*3/4]...) })
+			recount()
+		}
+		for k := 0; k < window; k++ {
+			node, id := rng.Intn(nodes), pool[rng.Intn(len(pool))]
+			both(func(s *Set) { _ = s.Inject(node, id) }) // ErrFull on both or on neither
+		}
+		recount()
+		for k := 0; k < 4; k++ {
+			node := rng.Intn(nodes)
+			if rng.Intn(2) == 0 {
+				both(func(s *Set) { s.Fail(node) })
+			} else {
+				both(func(s *Set) { s.Revive(node) })
+			}
+			recount()
+		}
+		if byRow.Active() <= rankSpan && window > rankSpan {
+			t.Fatalf("only %d rumors in flight: the multi-pass walk is not covered", byRow.Active())
+		}
+		if byID := len(bySum.ix.active.Words) > 0; byID != (stride > 0) {
+			t.Fatalf("round %d: Digest by ID-space bitmap %v on a pool of stride %d", round, byID, stride)
+		}
+		spread = spread || len(bySum.ix.active.Words) > tallyPass
+
+		// One gossip round: every digest is taken before the first merge.
+		v, vs := byRow.View(), bySum.View()
+		var ref Summary
+		for j := 0; j < nodes; j++ {
+			digests[j] = byID.AppendHeld(digests[j][:0], j)
+			want := ref.SetIDs(digests[j])
+			held, summaryBytes := v.SnapshotRow(snap(j), j)
+			if held != len(digests[j]) || summaryBytes != want {
+				t.Fatalf("round %d node %d: snapshot says %d rumors in %d bytes, the ID digest %d in %d",
+					round, j, held, summaryBytes, len(digests[j]), want)
+			}
+			if held, summaryBytes = vs.Digest(&sums[j], j); held != len(digests[j]) || summaryBytes != want {
+				t.Fatalf("round %d node %d: Digest says %d rumors in %d bytes, the ID digest %d in %d",
+					round, j, held, summaryBytes, len(digests[j]), want)
+			}
+			if err := wire[j].Decode(sums[j].Append(nil), sums[j].Bitmap); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for k := 0; k < 6*nodes; k++ {
+			i, j := rng.Intn(nodes), rng.Intn(nodes)
+			want := byID.MarkIDs(i, digests[j])
+			if got := v.MergeRow(i, snap(j)); got != want {
+				t.Fatalf("round %d: merging node %d into %d (failed=%v): MergeRow %d fresh, MarkIDs %d",
+					round, j, i, byRow.failed[i], got, want)
+			}
+			// sums[i] is i's digest from before this round's merges: a
+			// subset of what it holds now, so still safe to skip.
+			if got := vs.MergeSummary(i, &sums[i], &wire[j]); got != want {
+				t.Fatalf("round %d: merging node %d into %d (failed=%v): MergeSummary %d fresh, MarkIDs %d",
+					round, j, i, bySum.failed[i], got, want)
+			}
+		}
+		v.Release()
+		vs.Release()
+
+		for _, s := range []*Set{byRow, bySum} {
+			if !slices.Equal(s.held, byID.held) {
+				t.Fatalf("round %d: the arenas differ", round)
+			}
+		}
+		recount()
+	}
+	if stride > 1 && !spread {
+		t.Fatalf("the active IDs never spanned more than %d words: SnapshotRow's multi-pass tally is not covered", tallyPass)
+	}
+	if st := byRow.Snapshot(); st != byID.Snapshot() || st.Expired == 0 {
+		t.Fatalf("counters: row form %+v, ID form %+v", st, byID.Snapshot())
 	}
 }
 
@@ -164,7 +205,7 @@ func TestSnapshotRowDetached(t *testing.T) {
 	for _, window := range []int{256, 1024} {
 		s := newSet(t, 4, window)
 		for k := 0; k < window; k++ {
-			if err := s.Inject(k&1, ID(k*7919%window)); err != nil { // slot order differs from ID order
+			if err := s.Inject(k&1, ID(k*7919%window)*3); err != nil { // home slot 3x mod window: slot order differs from ID order
 				t.Fatal(err)
 			}
 		}
@@ -204,7 +245,7 @@ func TestSnapshotRowDetached(t *testing.T) {
 // detector: one view taken by a coordinator, shards that each own a contiguous
 // node range snapshot their nodes, meet at a barrier, then merge snapshots
 // taken by any shard into their own nodes; between rounds the coordinator
-// changes the table. The striped counters must add up to the arena after
+// changes the table. The column count must match the arena after
 // every round, and the stream must drain.
 func TestMergeRowConcurrentShards(t *testing.T) {
 	const nodes, window, shards, stream = 96, 130, 4, 600

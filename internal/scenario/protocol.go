@@ -158,8 +158,14 @@ type ledger interface {
 	Target
 	LostInjects() int64
 	// informed appends the live-informed count of every in-flight rumor to
-	// dst, ordered by rumor ID.
+	// dst, ordered by rumor ID. The driver asks at phase closes and at the
+	// end of the run; observers through WorstSpread.
 	informed(dst []trace.RumorCount) []trace.RumorCount
+	// converged appends, in no particular order, every in-flight rumor that
+	// all live nodes hold after the round just run, with its live-informed
+	// count; live is the live count, at least 1. It is the driver's
+	// per-round completion test.
+	converged(dst []trace.RumorCount, live int) []trace.RumorCount
 	// beginRound and endRound bracket every engine round, on the coordinator:
 	// whatever the representation must hold still while the engine's shards
 	// run its callbacks is taken in one and given back in the other.
@@ -178,7 +184,8 @@ type ledger interface {
 type protocol struct {
 	*phonecall.RumorTracker
 	onNet
-	algo Algorithm
+	algo   Algorithm
+	spread []trace.RumorCount // WorstSpread's scratch
 }
 
 func newProtocol(algo Algorithm, net *phonecall.Network, tr *phonecall.RumorTracker) *protocol {
@@ -235,6 +242,16 @@ func (p *protocol) informed(dst []trace.RumorCount) []trace.RumorCount {
 	return dst
 }
 
+func (p *protocol) converged(dst []trace.RumorCount, live int) []trace.RumorCount {
+	for reg := p.Registered(); reg != 0; reg &= reg - 1 {
+		r := phonecall.RumorID(bits.TrailingZeros64(reg))
+		if c := p.LiveInformed(r); c >= live {
+			dst = append(dst, trace.RumorCount{Rumor: r, LiveInformed: c})
+		}
+	}
+	return dst
+}
+
 // The mask's words need no bracket: each is read and written by its node's
 // owner alone.
 func (p *protocol) beginRound() {}
@@ -244,7 +261,10 @@ func (p *protocol) endRound()   {}
 func (p *protocol) retire([]trace.RumorCount) bool { return false }
 
 // WorstSpread implements phonecall.Holdings.
-func (p *protocol) WorstSpread() int { return worstSpread(p.informed(nil), 0) }
+func (p *protocol) WorstSpread() int {
+	p.spread = p.informed(p.spread[:0])
+	return worstSpread(p.spread, 0)
+}
 
 // HoldsAll implements phonecall.Holdings.
 func (p *protocol) HoldsAll(node int) bool {

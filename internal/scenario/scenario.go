@@ -528,7 +528,7 @@ func Run(ctx context.Context, sc Scenario, cfg Config) (res Result, err error) {
 	events := sortEvents(sc.Events)
 
 	fates := map[phonecall.RumorID]*fate{}
-	var snap, done []trace.RumorCount // per-round scratch
+	var full, done []trace.RumorCount // per-round scratch
 	var phases []trace.PhaseReport
 	var expired int64
 
@@ -577,9 +577,9 @@ func Run(ctx context.Context, sc Scenario, cfg Config) (res Result, err error) {
 		// rumor. Later churn (a joiner arriving uninformed) does not clear
 		// an already-recorded completion.
 		if live := net.LiveCount(); live > 0 {
-			snap, done = l.informed(snap[:0]), done[:0]
-			for _, rc := range snap {
-				if f := fates[rc.Rumor]; f.CompletionRound == 0 && rc.LiveInformed >= live {
+			full, done = l.converged(full[:0], live), done[:0]
+			for _, rc := range full {
+				if f := fates[rc.Rumor]; f.CompletionRound == 0 {
 					f.CompletionRound = r
 					done = append(done, rc)
 				}

@@ -48,8 +48,10 @@ type wideProtocol struct {
 	active int
 	// opened: some rumor has been injected (the window may have drained since).
 	opened bool
-	scan   []rumorset.ID // the coordinator's scratch
-	counts []int         // the coordinator's scratch, parallel to scan
+	isLive func(node int) bool // the network's liveness, for the convergence scan
+	scan   []rumorset.ID       // the coordinator's scratch
+	counts []int               // the coordinator's scratch, parallel to scan
+	spread []trace.RumorCount  // WorstSpread's scratch
 }
 
 // wideDigest is one node's holdings digest for one round: what its row
@@ -74,6 +76,7 @@ func newWideProtocol(algo Algorithm, net *phonecall.Network, set *rumorset.Set) 
 		set:     set,
 		digests: make([]wideDigest, set.Nodes()),
 		snaps:   make([]uint64, set.Nodes()*set.Words()),
+		isLive:  func(i int) bool { return !net.IsFailed(i) },
 	}
 }
 
@@ -169,10 +172,27 @@ func (p *wideProtocol) Revive(nodes ...int) {
 
 func (p *wideProtocol) LostInjects() int64 { return p.set.Snapshot().Lost }
 
+// informed is the set's column count over the live rows.
 func (p *wideProtocol) informed(dst []trace.RumorCount) []trace.RumorCount {
 	p.scan, p.counts = p.set.AppendLive(p.scan[:0], p.counts[:0])
 	for k, id := range p.scan {
 		dst = append(dst, trace.RumorCount{Rumor: phonecall.RumorID(id), LiveInformed: p.counts[k]})
+	}
+	return dst
+}
+
+// converged is the set's AND scan over the live rows — the convergence
+// authority the free-running monitor uses too — so a round's completion test
+// costs the rows' words, not a count of every rumor. A rumor all live nodes
+// hold has exactly live live holders: the set fails and revives the nodes
+// the network does.
+func (p *wideProtocol) converged(dst []trace.RumorCount, live int) []trace.RumorCount {
+	if p.active == 0 {
+		return dst
+	}
+	p.scan = p.set.ScanConverged(p.scan[:0], p.isLive)
+	for _, id := range p.scan {
+		dst = append(dst, trace.RumorCount{Rumor: phonecall.RumorID(id), LiveInformed: live})
 	}
 	return dst
 }
@@ -195,7 +215,8 @@ func (p *wideProtocol) WorstSpread() int {
 	if !p.opened {
 		return 0
 	}
-	return worstSpread(p.informed(nil), p.net.LiveCount())
+	p.spread = p.informed(p.spread[:0])
+	return worstSpread(p.spread, p.net.LiveCount())
 }
 
 // HoldsAll implements phonecall.Holdings.

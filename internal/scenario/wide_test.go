@@ -505,9 +505,9 @@ func TestWideDeliverIgnoresUnreadableSenders(t *testing.T) {
 }
 
 // TestWideRoundDoesNotAllocate is the engine's TestZeroSteadyStateAllocs one
-// layer up: after warm-up a round of the set ledger — the bracket, every
-// snapshot and merge, the coordinator's informed scan — allocates nothing,
-// sequential or sharded.
+// layer up: after warm-up an observed round of the set ledger — the bracket,
+// every snapshot and merge, the coordinator's convergence scan and an
+// observer's WorstSpread — allocates nothing, sequential or sharded.
 func TestWideRoundDoesNotAllocate(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -531,21 +531,26 @@ func TestWideRoundDoesNotAllocate(t *testing.T) {
 					}
 				}
 				call, payload, response, deliver := p.call, p.payload, p.response, p.deliver
-				var informed []trace.RumorCount
+				var full []trace.RumorCount
+				worst := 0
 				round := func() {
 					p.beginRound()
 					net.ExecCalls(call, payload, response, deliver)
+					worst = p.WorstSpread() // what run's tap asks of an observed round
 					p.endRound()
-					informed = p.informed(informed[:0])
+					full = p.converged(full[:0], net.LiveCount())
 				}
 				// Warm up until every node holds (and so sends) everything: the
 				// engine's arena is then as large as it gets. Then half the
 				// nodes rejoin empty, so the measured rounds have rows to merge.
-				for i := 0; worstSpread(informed, 0) < tc.n; i++ {
+				for i := 0; worst < tc.n; i++ {
 					if i == 80 {
-						t.Fatalf("warm-up stuck: worst rumor at %d of %d nodes", worstSpread(informed, 0), tc.n)
+						t.Fatalf("warm-up stuck: worst rumor at %d of %d nodes", worst, tc.n)
 					}
 					round()
+				}
+				if len(full) != window {
+					t.Fatalf("the convergence scan found %d of the %d rumors every node holds", len(full), window)
 				}
 				var half []int
 				for i := 1; i < tc.n; i += 2 {
@@ -553,12 +558,12 @@ func TestWideRoundDoesNotAllocate(t *testing.T) {
 				}
 				p.Fail(half...)
 				p.Revive(half...)
-				before := worstSpread(p.informed(nil), 0)
+				before := p.WorstSpread()
 				if avg := testing.AllocsPerRun(5, round); avg != 0 {
-					t.Errorf("steady-state wide round allocates %.1f times, want 0", avg)
+					t.Errorf("steady-state observed wide round allocates %.1f times, want 0", avg)
 				}
-				if after := worstSpread(informed, 0); before >= tc.n || after <= before {
-					t.Fatalf("the measured rounds merged nothing: worst rumor at %d of %d nodes before, %d after", before, tc.n, after)
+				if before >= tc.n || worst <= before {
+					t.Fatalf("the measured rounds merged nothing: worst rumor at %d of %d nodes before, %d after", before, tc.n, worst)
 				}
 			})
 		}
