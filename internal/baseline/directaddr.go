@@ -61,15 +61,18 @@ func AddressBook(net *phonecall.Network, sources []int) (trace.Result, error) {
 
 	// Phase 1: harvest addresses.
 	for round := 0; round < k; round++ {
-		net.ExecRound(
-			func(i int) phonecall.Intent {
+		net.ExecCalls(
+			func(int) phonecall.Call {
+				return phonecall.Call{Kind: phonecall.Push, Target: phonecall.RandomTarget()}
+			},
+			func(i int) phonecall.Message {
 				ids := make([]phonecall.NodeID, 0, k)
 				ids = append(ids, net.ID(i))
 				rng := net.NodeRNG(i)
 				for len(ids) < k && len(book[i]) > 0 {
 					ids = append(ids, book[i][rng.Intn(len(book[i]))])
 				}
-				return phonecall.PushIntent(phonecall.RandomTarget(), phonecall.Message{Tag: tagHarvest, IDs: ids})
+				return phonecall.Message{Tag: tagHarvest, IDs: ids}
 			},
 			nil,
 			func(i int, inbox []phonecall.Message) {
@@ -97,13 +100,14 @@ func AddressBook(net *phonecall.Network, sources []int) (trace.Result, error) {
 		return phonecall.RandomTarget()
 	}
 	for round := 0; round < maxUniformRounds(n) && !st.allInformed(); round++ {
-		net.ExecRound(
-			func(i int) phonecall.Intent {
+		net.ExecCalls(
+			func(i int) phonecall.Call {
 				if st.has(i) {
-					return phonecall.PushIntent(nextTarget(i), phonecall.Message{Tag: tagRumor, Rumor: true})
+					return phonecall.Call{Kind: phonecall.Push, Target: nextTarget(i)}
 				}
-				return phonecall.PullIntent(nextTarget(i))
+				return phonecall.Call{Kind: phonecall.Pull, Target: nextTarget(i)}
 			},
+			func(int) phonecall.Message { return phonecall.Message{Tag: tagRumor, Rumor: true} },
 			func(j int) (phonecall.Message, bool) {
 				if !st.has(j) {
 					return phonecall.Message{}, false

@@ -64,17 +64,19 @@ func MedianCounter(net *phonecall.Network, sources []int) (trace.Result, error) 
 		// sizes used in the experiments, but guarantees termination).
 		reviveDone := !anyTransmitting()
 
-		net.ExecRound(
-			func(i int) phonecall.Intent {
+		net.ExecCalls(
+			func(i int) phonecall.Call {
 				switch {
 				case transmitting(i):
-					return phonecall.ExchangeIntent(phonecall.RandomTarget(),
-						phonecall.Message{Tag: tagRumor, Rumor: true, Value: uint64(counter[i])})
+					return phonecall.Call{Kind: phonecall.Exchange, Target: phonecall.RandomTarget()}
 				case state[i] == karpUninformed:
-					return phonecall.ExchangeIntent(phonecall.RandomTarget(), phonecall.Message{})
+					return phonecall.Call{Kind: phonecall.Pull, Target: phonecall.RandomTarget()}
 				default:
-					return phonecall.Silent()
+					return phonecall.Call{}
 				}
+			},
+			func(i int) phonecall.Message {
+				return phonecall.Message{Tag: tagRumor, Rumor: true, Value: uint64(counter[i])}
 			},
 			func(j int) (phonecall.Message, bool) {
 				if transmitting(j) || (reviveDone && state[j] == karpDone) {

@@ -62,14 +62,17 @@ func NameDropper(net *phonecall.Network, sources []int) (NameDropperResult, erro
 	rec := trace.NewRecorder(net)
 	maxRounds := int(2*math.Pow(math.Log2(float64(n)), 2)) + 20
 	for round := 0; round < maxRounds && !allKnow(); round++ {
-		net.ExecRound(
-			func(i int) phonecall.Intent {
+		net.ExecCalls(
+			func(i int) phonecall.Call {
 				if len(list[i]) == 0 {
-					return phonecall.Silent()
+					return phonecall.Call{}
 				}
 				target := list[i][net.NodeRNG(i).Intn(len(list[i]))]
+				return phonecall.Call{Kind: phonecall.Push, Target: phonecall.DirectTarget(target)}
+			},
+			func(i int) phonecall.Message {
 				ids := append([]phonecall.NodeID{net.ID(i)}, list[i]...)
-				return phonecall.PushIntent(phonecall.DirectTarget(target), phonecall.Message{Tag: tagKnowledge, IDs: ids})
+				return phonecall.Message{Tag: tagKnowledge, IDs: ids}
 			},
 			nil,
 			func(i int, inbox []phonecall.Message) {

@@ -14,12 +14,12 @@ import (
 // passing over a synchronous transport, through the Network's RoundExecutor
 // seam. Each round is three barrier-separated phases:
 //
-//	calls    every live node evaluates its intent on its own goroutine,
-//	         resolves its target (random contacts and loss drops through the
-//	         model's stateless hashes, phonecall.RandomPeer / CallLost; direct
-//	         addresses through the shared read-only ID directory) and sends
-//	         one call frame; it charges everything the engine charges on the
-//	         initiator side.
+//	calls    every live node evaluates its call on its own goroutine, asks
+//	         for the payload of a Push or Exchange, resolves its target
+//	         (Network.Contact: random contacts through the model's stateless
+//	         hash, direct addresses through the shared read-only ID
+//	         directory), draws its loss (CallLost) and sends one call frame;
+//	         it charges everything the engine charges on the initiator side.
 //	process  every node drains its mailbox: dead nodes discard (a crashed
 //	         process receives nothing — the live-participant rule falls out
 //	         of the runtime instead of being simulated), live nodes charge
@@ -30,7 +30,7 @@ import (
 //	         initiator index (its own pulled response at its own position —
 //	         the engine's documented order), and invokes deliver.
 //
-// The coordinator (the algorithm driver's goroutine, inside ExecRound) merges
+// The coordinator (the algorithm driver's goroutine, inside ExecCalls) merges
 // the per-node stats into a RoundDelta, so metrics, trace phases and round
 // reports are bit-identical to the sharded engine's. That equivalence is the
 // conformance gate: the lock-step runtime is diffed against the
@@ -41,7 +41,8 @@ type LockStep struct {
 	n   int
 	own bool // runtime owns (and closes) the transport
 
-	curIntent   func(i int) phonecall.Intent
+	curCall     func(i int) phonecall.Call
+	curPayload  func(i int) phonecall.Message
 	curResponse func(i int) (phonecall.Message, bool)
 	curDeliver  func(i int, inbox []phonecall.Message)
 
@@ -190,13 +191,15 @@ func (ls *LockStep) Close() error {
 func (ls *LockStep) ExecNetworkRound(
 	net *phonecall.Network,
 	round int,
-	intentOf func(i int) phonecall.Intent,
+	callOf func(i int) phonecall.Call,
+	payloadOf func(i int) phonecall.Message,
 	responseOf func(i int) (phonecall.Message, bool),
 	deliver func(i int, inbox []phonecall.Message),
 ) phonecall.RoundDelta {
 	// Published to the node goroutines through the cmd channels'
 	// happens-before edges, like the engine's pass channel.
-	ls.curIntent = intentOf
+	ls.curCall = callOf
+	ls.curPayload = payloadOf
 	ls.curResponse = responseOf
 	ls.curDeliver = deliver
 
@@ -249,66 +252,44 @@ func (nd *lsNode) reset() {
 	nd.stats = lsStats{}
 }
 
-// doCalls evaluates node i's intent, charges the initiator side and sends
-// the call frame. It mirrors the engine's passCalls exactly (including the
-// charges for unresolved, dead-target and lost calls, which the initiator
-// cannot distinguish).
+// doCalls evaluates node i's call, asks for its payload if it carries one,
+// charges the initiator side and sends the call frame. It mirrors the
+// engine's passCalls and passFill exactly (including the charges for
+// unresolved, dead-target and lost calls, which the initiator cannot
+// distinguish).
 func (ls *LockStep) doCalls(nd *lsNode, round int) {
 	i := nd.idx
 	net := ls.net
 	if net.IsFailed(i) {
 		return
 	}
-	it := ls.curIntent(i)
-	if it.Kind == phonecall.None {
+	c := ls.curCall(i)
+	if c.Kind == phonecall.None {
 		return
 	}
 	// Resolve the target. The initiator cannot know whether the target is
 	// alive — a call to a dead node is simply never received — but calls to
-	// itself, to the NoNode sentinel or to an ID outside the directory go
-	// nowhere by the model's rules.
-	j, resolved := -1, false
-	if it.Target.Random {
-		j, resolved = net.RandomContact(round, i)
-		if !resolved {
-			j = -1 // policy admits no peer: charged below, never sent
-		}
-	} else if it.Target.ID != phonecall.NoNode {
-		if jj, ok := net.IndexOf(it.Target.ID); ok && jj != i {
-			j, resolved = jj, true
-		}
-	}
+	// itself, to the NoNode sentinel, to an ID outside the directory or to
+	// the random peer a policy does not admit go nowhere by the model's
+	// rules; they are charged below and never sent.
+	j := net.Contact(round, i, c.Target)
 	nd.stats.comms++
-	lost := false
-	if rate := net.LossRate(); rate > 0 && phonecall.CallLost(rate, net.LossSeed(), round, i) {
-		lost = true
-	}
-	send := resolved && !lost
+	send := j >= 0 && !phonecall.CallLost(net.LossRate(), net.LossSeed(), round, i)
 
-	switch it.Kind {
-	case phonecall.Push:
-		m := it.Payload
+	switch c.Kind {
+	case phonecall.Push, phonecall.Exchange:
+		m := ls.curPayload(i)
 		m.From = net.ID(i)
 		nd.stats.msgs++
 		nd.stats.bits += int64(net.MessageSize(m))
 		if send {
-			ls.tr.Send(i, j, nd.spare.callFrame(round, i, true, false, &m))
+			ls.tr.Send(i, j, nd.spare.callFrame(round, i, true, c.Kind == phonecall.Exchange, &m))
 		}
-	case phonecall.Pull, phonecall.Exchange:
-		if it.Kind == phonecall.Exchange && it.Payload.HasContent() {
-			m := it.Payload
-			m.From = net.ID(i)
-			nd.stats.msgs++
-			nd.stats.bits += int64(net.MessageSize(m))
-			if send {
-				ls.tr.Send(i, j, nd.spare.callFrame(round, i, true, true, &m))
-			}
-		} else {
-			nd.stats.control++
-			nd.stats.bits += int64(net.ControlBits())
-			if send {
-				ls.tr.Send(i, j, nd.spare.callFrame(round, i, false, true, nil))
-			}
+	case phonecall.Pull:
+		nd.stats.control++
+		nd.stats.bits += int64(net.ControlBits())
+		if send {
+			ls.tr.Send(i, j, nd.spare.callFrame(round, i, false, true, nil))
 		}
 	default:
 		// Out-of-model kinds transmit nothing but still occupy the target's

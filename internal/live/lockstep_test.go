@@ -86,9 +86,10 @@ func TestLockStepMatchesEngine(t *testing.T) {
 }
 
 // TestLockStepMatchesOracle conformance-gates the live runtime through the
-// PR 3 differential harness: scripted randomized workloads — every intent
-// kind and target shape, contentless exchanges, out-of-model kinds, scripted
-// churn and per-call loss — must be bit-identical between the lock-step
+// differential harness: scripted randomized workloads — every call kind and
+// target shape, exchanges without content (as pulls, and kept as exchanges
+// that carry an empty payload), out-of-model kinds, scripted churn and
+// per-call loss — must be bit-identical between the lock-step
 // runtime and the naive reference oracle on every observable (round reports,
 // response evaluations, per-node delivery traces, final metrics). Inbox
 // poisoning stays on, so the runtime's copy-out contract is proved in the
@@ -99,6 +100,7 @@ func TestLockStepMatchesOracle(t *testing.T) {
 		{N: 300, Rounds: 8, NetSeed: 3, ProtoSeed: 4, LossRate: 0.3, LossSeed: 9},
 		{N: 640, Rounds: 6, NetSeed: 5, ProtoSeed: 6, Churn: true, ChurnSeed: 11},
 		{N: 97, Rounds: 12, NetSeed: 7, ProtoSeed: 8, LossRate: 0.9, LossSeed: 13, Churn: true, ChurnSeed: 17},
+		{N: 200, Rounds: 8, NetSeed: 9, ProtoSeed: 10, Churn: true, ChurnSeed: 19, EmptyExchanges: true},
 	}
 	for _, sc := range scripts {
 		liveNet, err := phonecall.New(phonecall.Config{N: sc.N, Seed: sc.NetSeed, PoisonInbox: true})
@@ -134,17 +136,18 @@ func TestLockStepCloseRestoresEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	push := func(i int) phonecall.Intent {
-		return phonecall.PushIntent(phonecall.RandomTarget(), phonecall.Message{Tag: 1})
+	push := func(int) phonecall.Call {
+		return phonecall.Call{Kind: phonecall.Push, Target: phonecall.RandomTarget()}
 	}
-	liveRep := net.ExecRound(push, nil, nil)
+	payload := func(int) phonecall.Message { return phonecall.Message{Tag: 1} }
+	liveRep := net.ExecCalls(push, payload, nil, nil)
 	if err := ls.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if net.Executor() != nil {
 		t.Fatal("executor still installed after Close")
 	}
-	engineRep := net.ExecRound(push, nil, nil)
+	engineRep := net.ExecCalls(push, payload, nil, nil)
 	if engineRep.Messages != liveRep.Messages {
 		t.Fatalf("engine round after Close sent %d messages, live round sent %d",
 			engineRep.Messages, liveRep.Messages)
@@ -195,9 +198,10 @@ func TestLockStepRoundDoesNotAllocate(t *testing.T) {
 		net: net,
 		tr:  tr,
 		n:   rigN,
-		curIntent: func(int) phonecall.Intent {
-			return phonecall.Intent{Kind: phonecall.Exchange, Target: phonecall.RandomTarget(), Payload: m}
+		curCall: func(int) phonecall.Call {
+			return phonecall.Call{Kind: phonecall.Exchange, Target: phonecall.RandomTarget()}
 		},
+		curPayload:  func(int) phonecall.Message { return m },
 		curResponse: func(int) (phonecall.Message, bool) { return m, true },
 		curDeliver:  func(_ int, inbox []phonecall.Message) { delivered += len(inbox) },
 	}

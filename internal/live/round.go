@@ -240,45 +240,33 @@ func (nd *node) step(r int, drain [][]byte) (_ [][]byte, needy bool) {
 	nd.h.beginRound()
 	defer nd.h.endRound()
 
-	// Build the round's intent from the decision table the steppable
-	// protocols use, then let the behavior rewrite it — the same seam the
-	// barriered engines apply, so a timeline's adversaries act identically
-	// here.
+	// Read the round's call off the decision table the steppable protocols
+	// use, then let the behavior rewrite it with its payload — the same seam
+	// the barriered engines apply, so a timeline's adversaries act
+	// identically here.
 	m, empty, complete := nd.h.snapshot()
-	it, withHoldings := nd.algo.Call(empty, complete)
-	if withHoldings {
-		it.Payload = m
-	}
-	j, jok := nd.net.RandomContact(r, i)
-	resolve := func(t phonecall.Target) int {
-		if t.Random {
-			if !jok {
-				// Policy admits no peer: the node sits this round out silently
-				// (the free-running engine charges only calls it actually sends).
-				return -1
-			}
-			return j
-		}
-		if idx, ok := nd.net.IndexOf(t.ID); ok && idx != i {
-			return idx
-		}
-		return -1
+	c, withHoldings := nd.algo.Call(empty, complete)
+	if !withHoldings {
+		m = phonecall.Message{}
 	}
 	if b != nil {
 		target := -1
-		if it.Kind != phonecall.None {
-			target = resolve(it.Target)
+		if c.Kind != phonecall.None {
+			target = nd.net.Contact(r, i, c.Target)
 		}
-		it = b.RewriteIntent(r, i, target, it)
+		c, m = b.RewriteCall(r, i, target, c, m)
 	}
-	if it.Kind != phonecall.None {
-		if dst := resolve(it.Target); dst >= 0 {
-			if it.Kind == phonecall.Pull || (it.Kind == phonecall.Exchange && !it.Payload.HasContent()) {
+	// A call that resolves to nothing (a random peer the policy does not
+	// admit) is not sent: the free-running engine charges only calls it
+	// actually sends.
+	if c.Kind != phonecall.None {
+		if dst := nd.net.Contact(r, i, c.Target); dst >= 0 {
+			if c.Kind == phonecall.Pull {
 				nd.send(dst, nd.spare.callFrame(r, i, false, true, nil), int64(nd.net.ControlBits()), true)
 			} else {
-				buf := nd.spare.take(headerLen(r, i) + nd.h.bodyLen(it.Payload))
-				frame := nd.h.callFrame(buf, r, i, it.Kind == phonecall.Exchange, it.Payload)
-				nd.send(dst, frame, int64(nd.net.MessageSize(it.Payload)), false)
+				buf := nd.spare.take(headerLen(r, i) + nd.h.bodyLen(m))
+				frame := nd.h.callFrame(buf, r, i, c.Kind == phonecall.Exchange, m)
+				nd.send(dst, frame, int64(nd.net.MessageSize(m)), false)
 			}
 			comms++
 		}

@@ -300,14 +300,14 @@ func TestStepAnswersAfterMerge(t *testing.T) {
 
 // countingBehavior records how often each rewrite ran and forges the response.
 type countingBehavior struct {
-	intents, responses int
-	target             int
+	calls, responses int
+	target           int
 }
 
-func (b *countingBehavior) RewriteIntent(_, _, target int, it phonecall.Intent) phonecall.Intent {
-	b.intents++
+func (b *countingBehavior) RewriteCall(_, _, target int, c phonecall.Call, m phonecall.Message) (phonecall.Call, phonecall.Message) {
+	b.calls++
 	b.target = target
-	return it
+	return c, m
 }
 
 func (b *countingBehavior) RewriteResponse(_, _ int, m phonecall.Message, ok bool) (phonecall.Message, bool) {
@@ -317,7 +317,7 @@ func (b *countingBehavior) RewriteResponse(_, _ int, m phonecall.Message, ok boo
 	return m, ok
 }
 
-// TestStepBehaviorSeam drives a behavior through the mask path: the intent is
+// TestStepBehaviorSeam drives a behavior through the mask path: the call is
 // rewritten with the resolved contact, and the response is rewritten once per
 // round however many pullers it serves.
 func TestStepBehaviorSeam(t *testing.T) {
@@ -331,9 +331,9 @@ func TestStepBehaviorSeam(t *testing.T) {
 	_, needy := rig.nd.step(rigRound, nil)
 
 	contact, _ := rig.net.RandomContact(rigRound, rigSelf)
-	if b.intents != 1 || b.responses != 1 || b.target != contact {
-		t.Fatalf("behavior ran intent×%d (target %d, want %d), response×%d; want once each",
-			b.intents, b.target, contact, b.responses)
+	if b.calls != 1 || b.responses != 1 || b.target != contact {
+		t.Fatalf("behavior ran call×%d (target %d, want %d), response×%d; want once each",
+			b.calls, b.target, contact, b.responses)
 	}
 	forged := phonecall.Message{Tag: phonecall.TagHoldings, Value: 0b01, Rumor: true}
 	forgedBits := int64(rig.net.MessageSize(forged))
@@ -382,12 +382,8 @@ func TestStepFollowsTheDecisionTable(t *testing.T) {
 						got = phonecall.Pull
 					}
 				}
-				it, withHoldings := algo.Call(c.held == 0, c.held == c.registered)
-				want := it.Kind
-				if want == phonecall.Exchange && !withHoldings {
-					want = phonecall.Pull // an exchange with nothing to offer is a bare pull on the wire
-				}
-				if got != want {
+				call, _ := algo.Call(c.held == 0, c.held == c.registered)
+				if want := call.Kind; got != want {
 					t.Errorf("%s wide=%v registered=%b held=%b: step called %v, table says %v",
 						algo, wide, c.registered, c.held, got, want)
 				}

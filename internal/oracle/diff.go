@@ -26,35 +26,23 @@ type Engine interface {
 	Fail(indexes ...int)
 	Revive(indexes ...int)
 	SetLoss(rate float64, seed uint64)
-	ExecRound(
-		intentOf func(i int) phonecall.Intent,
-		responseOf func(i int) (phonecall.Message, bool),
-		deliver func(i int, inbox []phonecall.Message),
-	) phonecall.RoundReport
-	Metrics() phonecall.Metrics
-}
-
-// CallEngine is an Engine that also executes the payload-free call form
-// (phonecall.Network.ExecCalls). Scripts with Calls set drive both engines
-// through it.
-type CallEngine interface {
-	Engine
 	ExecCalls(
 		callOf func(i int) phonecall.Call,
 		payloadOf func(i int) phonecall.Message,
 		responseOf func(i int) (phonecall.Message, bool),
 		deliver func(i int, inbox []phonecall.Message),
 	) phonecall.RoundReport
+	Metrics() phonecall.Metrics
 }
 
 var (
-	_ CallEngine = (*phonecall.Network)(nil)
-	_ CallEngine = (*Oracle)(nil)
+	_ Engine = (*phonecall.Network)(nil)
+	_ Engine = (*Oracle)(nil)
 )
 
 // Script describes one differential workload: a network, a round budget and
-// the seeds that deterministically derive every intent, response, churn
-// event and loss decision.
+// the seeds that deterministically derive every call, payload, response,
+// churn event and loss decision.
 type Script struct {
 	// N is the network size; Rounds the number of rounds driven.
 	N      int
@@ -63,7 +51,7 @@ type Script struct {
 	// oracle ignores it).
 	NetSeed uint64
 	Workers int
-	// ProtoSeed derives the scripted intents and responses.
+	// ProtoSeed derives the scripted calls, payloads and responses.
 	ProtoSeed uint64
 	// LossRate, when positive, switches on per-call loss from round 1.
 	LossRate float64
@@ -73,11 +61,10 @@ type Script struct {
 	// rounds.
 	Churn     bool
 	ChurnSeed uint64
-	// Calls drives both engines through ExecCalls, splitting each scripted
-	// intent into its call and its payload. A contentless exchange then
-	// stays an exchange: the call form transmits and charges its empty
-	// payload.
-	Calls bool
+	// EmptyExchanges keeps the script's exchanges without content: they
+	// transmit and charge their empty payload. Otherwise such a node calls
+	// Pull, as a caller with nothing to push does.
+	EmptyExchanges bool
 	// Dense makes every live node call a random node, pulling or
 	// exchanging (a third of the exchanges without content), so most nodes
 	// are pulled in every round.
@@ -134,22 +121,22 @@ type roundTrace struct {
 
 // scriptTags separate the independent derivation streams of one ProtoSeed.
 const (
-	tagIntent = 0xd1f1
-	tagResp   = 0xe5b0
-	tagChurn  = 0xc4c4
+	tagCall  = 0xd1f1
+	tagResp  = 0xe5b0
+	tagChurn = 0xc4c4
 )
 
-// intentFor derives node i's intent for round r: a mix of pushes, pulls and
-// exchanges over random and direct targets, including the edge cases the
-// model must handle — self-addressed calls, the NoNode sentinel, unknown
-// IDs, contentless exchanges and out-of-model kinds; or, for a Dense script,
-// a random pull or exchange.
-func intentFor(e Engine, sc Script, r, i int) phonecall.Intent {
-	h := rng.Mix(sc.ProtoSeed, tagIntent, uint64(r), uint64(i))
+// callFor derives node i's call and payload for round r: a mix of pushes,
+// pulls and exchanges over random and direct targets, including the edge
+// cases the model must handle — self-addressed calls, the NoNode sentinel,
+// unknown IDs, exchanges without content and out-of-model kinds; or, for a
+// Dense script, a random pull or exchange.
+func callFor(e Engine, sc Script, r, i int) (phonecall.Call, phonecall.Message) {
+	h := rng.Mix(sc.ProtoSeed, tagCall, uint64(r), uint64(i))
 	payload := func() phonecall.Message {
 		m := phonecall.Message{Value: h >> 16, Tag: uint8(h >> 8), Rumor: h&1 == 0}
 		if h%16 == 5 {
-			m = phonecall.Message{} // contentless: exchange degrades to a pull
+			m = phonecall.Message{} // contentless
 		}
 		if h%32 == 7 {
 			m.Bits = int(h%509) + 1 // explicit bit-size override
@@ -172,37 +159,45 @@ func intentFor(e Engine, sc Script, r, i int) phonecall.Intent {
 			return phonecall.DirectTarget(phonecall.NodeID(1<<62 + h>>32))
 		}
 	}
+	call := func(k phonecall.Kind, t phonecall.Target) phonecall.Call { return phonecall.Call{Kind: k, Target: t} }
+	exchange := func(t phonecall.Target, m phonecall.Message) (phonecall.Call, phonecall.Message) {
+		if !m.HasContent() && !sc.EmptyExchanges {
+			return call(phonecall.Pull, t), phonecall.Message{}
+		}
+		return call(phonecall.Exchange, t), m
+	}
+	random := phonecall.RandomTarget()
 	if sc.Dense {
 		switch h % 3 {
 		case 0:
-			return phonecall.PullIntent(phonecall.RandomTarget())
+			return call(phonecall.Pull, random), phonecall.Message{}
 		case 1:
-			return phonecall.ExchangeIntent(phonecall.RandomTarget(), payload())
+			return exchange(random, payload())
 		default:
-			return phonecall.ExchangeIntent(phonecall.RandomTarget(), phonecall.Message{})
+			return exchange(random, phonecall.Message{})
 		}
 	}
 	switch h % 9 {
 	case 0:
-		return phonecall.Silent()
+		return phonecall.Call{}, phonecall.Message{}
 	case 1:
-		return phonecall.PushIntent(phonecall.RandomTarget(), payload())
+		return call(phonecall.Push, random), payload()
 	case 2:
-		return phonecall.PushIntent(direct(), payload())
+		return call(phonecall.Push, direct()), payload()
 	case 3:
-		return phonecall.PullIntent(phonecall.RandomTarget())
+		return call(phonecall.Pull, random), phonecall.Message{}
 	case 4:
-		return phonecall.PullIntent(direct())
+		return call(phonecall.Pull, direct()), phonecall.Message{}
 	case 5:
-		return phonecall.ExchangeIntent(phonecall.RandomTarget(), payload())
+		return exchange(random, payload())
 	case 6:
-		return phonecall.ExchangeIntent(direct(), payload())
+		return exchange(direct(), payload())
 	case 7:
 		// Out of model: charged as an attempted communication, transmits
 		// nothing.
-		return phonecall.Intent{Kind: phonecall.Kind(200), Target: phonecall.RandomTarget()}
+		return call(phonecall.Kind(200), random), phonecall.Message{}
 	default:
-		return phonecall.ExchangeIntent(phonecall.RandomTarget(), phonecall.Message{})
+		return exchange(random, phonecall.Message{})
 	}
 }
 
@@ -252,7 +247,6 @@ func runScripted(e Engine, sc Script, r int) *roundTrace {
 		respMsg:   make([]phonecall.Message, n),
 		respOK:    make([]bool, n),
 	}
-	intentOf := func(i int) phonecall.Intent { return intentFor(e, sc, r, i) }
 	responseOf := func(j int) (phonecall.Message, bool) {
 		m, ok := responseFor(sc, r, j)
 		if atomic.AddInt32(&tr.respSeen[j], 1) == 1 {
@@ -270,18 +264,17 @@ func runScripted(e Engine, sc Script, r int) *roundTrace {
 			tr.inboxes[i] = cp
 		}
 	}
-	if ce, ok := e.(CallEngine); ok && sc.Calls {
-		tr.report = ce.ExecCalls(
-			func(i int) phonecall.Call {
-				it := intentOf(i)
-				return phonecall.Call{Kind: it.Kind, Target: it.Target}
-			},
-			func(i int) phonecall.Message { return intentOf(i).Payload },
-			responseOf, deliver,
-		)
-		return tr
-	}
-	tr.report = e.ExecRound(intentOf, responseOf, deliver)
+	tr.report = e.ExecCalls(
+		func(i int) phonecall.Call {
+			c, _ := callFor(e, sc, r, i)
+			return c
+		},
+		func(i int) phonecall.Message {
+			_, m := callFor(e, sc, r, i)
+			return m
+		},
+		responseOf, deliver,
+	)
 	return tr
 }
 

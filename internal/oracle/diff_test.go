@@ -8,28 +8,19 @@ import (
 	"repro/internal/scenario"
 )
 
-// runDiffScript builds the pair for a script (poison on) and requires a clean
-// differential run — the same composition the fuzz target drives. An
-// Intent-form script also attaches the Checker and requires a clean invariant
-// log; a call-form script runs without it, because an observer sends
-// ExecCalls through its Intent-form fallback and the engine's own call path
-// would go undiffed.
+// runDiffScript builds the pair for a script (poison on), attaches the
+// Checker to the engine and requires a clean differential run and a clean
+// invariant log — the same composition the fuzz target drives.
 func runDiffScript(t *testing.T, sc Script) {
 	t.Helper()
 	net, orc, err := NewPair(sc, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var checker *Checker
-	if !sc.Calls {
-		checker = NewChecker(net)
-		net.Observe(checker)
-	}
+	checker := NewChecker(net)
+	net.Observe(checker)
 	if err := Compare(net, orc, sc); err != nil {
 		t.Fatal(err)
-	}
-	if checker == nil {
-		return
 	}
 	if err := checker.Err(); err != nil {
 		t.Fatalf("invariant violation: %v", err)
@@ -39,7 +30,8 @@ func runDiffScript(t *testing.T, sc Script) {
 // TestEngineMatchesOracle runs the differential harness over deterministic
 // scripts covering the static regime, loss, churn and the sharded engine
 // (n above the 4096-node sharding threshold with several workers), each
-// through both of the engine's round forms.
+// with the script's exchanges without content as pulls and kept as
+// exchanges.
 func TestEngineMatchesOracle(t *testing.T) {
 	scripts := map[string]Script{
 		"small-static": {N: 40, Rounds: 10, NetSeed: 1, ProtoSeed: 2, Workers: 1},
@@ -55,17 +47,19 @@ func TestEngineMatchesOracle(t *testing.T) {
 	}
 	for name, sc := range scripts {
 		t.Run(name, func(t *testing.T) {
-			for _, calls := range []bool{false, true} {
-				sc.Calls = calls
-				t.Run(formName(calls), func(t *testing.T) { runDiffScript(t, sc) })
+			for _, empty := range []bool{false, true} {
+				sc.EmptyExchanges = empty
+				t.Run(formName(empty), func(t *testing.T) { runDiffScript(t, sc) })
 			}
 		})
 	}
 }
 
-// formName names the round form a script drives the engine through.
-func formName(calls bool) string {
-	if calls {
+// formName names how a script's node with nothing to push calls: "calls"
+// keeps its exchange, which carries an empty payload, and "intents" makes
+// it a pull, as the Intent form's rule for a contentless exchange does.
+func formName(emptyExchanges bool) string {
+	if emptyExchanges {
 		return "calls"
 	}
 	return "intents"
@@ -79,14 +73,6 @@ func formName(calls bool) string {
 type brokenEngine struct {
 	*phonecall.Network
 	mode string
-}
-
-func (b *brokenEngine) ExecRound(
-	intentOf func(i int) phonecall.Intent,
-	responseOf func(i int) (phonecall.Message, bool),
-	deliver func(i int, inbox []phonecall.Message),
-) phonecall.RoundReport {
-	return b.report(b.Network.ExecRound(intentOf, responseOf, b.deliver(deliver)))
 }
 
 func (b *brokenEngine) ExecCalls(
@@ -131,13 +117,14 @@ func (b *brokenEngine) report(rep phonecall.RoundReport) phonecall.RoundReport {
 // TestDiffCatchesSeededBugs proves the oracle is genuinely independent: an
 // engine with a deliberately seeded bug — inbox off-by-one, wrong Δ, wrong
 // delivery order — must diverge from the oracle under the same script that
-// runs clean on the real engine, through either round form.
+// runs clean on the real engine, with exchanges without content as pulls or
+// kept.
 func TestDiffCatchesSeededBugs(t *testing.T) {
 	for _, mode := range []string{"truncate", "delta", "order"} {
 		t.Run(mode, func(t *testing.T) {
-			for _, calls := range []bool{false, true} {
-				sc := Script{N: 120, Rounds: 6, NetSeed: 21, ProtoSeed: 22, Calls: calls}
-				t.Run(formName(calls), func(t *testing.T) {
+			for _, empty := range []bool{false, true} {
+				sc := Script{N: 120, Rounds: 6, NetSeed: 21, ProtoSeed: 22, EmptyExchanges: empty}
+				t.Run(formName(empty), func(t *testing.T) {
 					net, orc, err := NewPair(sc, false)
 					if err != nil {
 						t.Fatal(err)

@@ -18,11 +18,11 @@ import (
 )
 
 // FuzzEngineVsOracle fuzzes network size, seeds, round budget, worker count,
-// loss rate, the churn script, the engine's round form (ExecRound or
-// ExecCalls) and the dense call mix through Compare, with the engine running
-// under inbox poisoning and, in the Intent form, the invariant Checker. Any
-// divergence between the sharded engine and the naive reference — one
-// message, one bit, one Δ — fails the target.
+// loss rate, the churn script, whether the script's exchanges without
+// content stay exchanges (calls) or become pulls, and the dense call mix
+// through Compare, with the engine running under inbox poisoning and the
+// invariant Checker. Any divergence between the sharded engine and the naive
+// reference — one message, one bit, one Δ — fails the target.
 func FuzzEngineVsOracle(f *testing.F) {
 	f.Add(uint16(40), uint64(1), uint64(2), uint64(3), uint8(8), uint8(1), uint8(0), false, false)
 	f.Add(uint16(300), uint64(4), uint64(5), uint64(6), uint8(10), uint8(3), uint8(30), false, false)
@@ -40,8 +40,10 @@ func FuzzEngineVsOracle(f *testing.F) {
 			LossSeed:  netSeed ^ 0x10c0,
 			Churn:     true,
 			ChurnSeed: churnSeed,
-			Calls:     calls,
 			Dense:     dense,
+			// The corpus keeps the bit's old name: a "calls" input kept its
+			// exchanges without content.
+			EmptyExchanges: calls,
 		}
 		runDiffScript(t, sc)
 	})

@@ -13,13 +13,14 @@ import (
 
 // Checker is the invariant-checking engine wrapper: registered on a live
 // Network through the RoundObserver seam (net.Observe(checker)), it watches
-// every intent, response and delivery the engine evaluates and validates the
-// per-round model contracts of DESIGN.md §2 under ANY protocol — the
-// paper's closed clustering algorithms as much as the steppable scenario
-// protocols:
+// every call, payload, response and delivery the engine evaluates and
+// validates the per-round model contracts of DESIGN.md §2 under ANY
+// protocol — the paper's closed clustering algorithms as much as the
+// steppable scenario protocols:
 //
-//   - each live node's intent is evaluated exactly once per round; dead
-//     nodes never act (no intent, no response, no delivery);
+//   - each live node's call is evaluated exactly once per round, and the
+//     payload of each Push or Exchange call exactly once, after it; dead
+//     nodes never act (no call, no payload, no response, no delivery);
 //   - responses are evaluated at most once per node, and only for nodes a
 //     live pull actually reached;
 //   - the communication, message, bit and pull charges match the
@@ -29,9 +30,9 @@ import (
 //     index, a puller's own response at its initiator position), and the
 //     delivered spans of the arena are pairwise disjoint.
 //
-// Expected charges and inboxes are recomputed from the observed intents with
-// the same spec evaluator the reference Oracle runs on — the model
-// definition, not the engine's code.
+// Expected charges and inboxes are recomputed from the observed calls and
+// payloads with the same spec evaluator the reference Oracle runs on — the
+// model definition, not the engine's code.
 //
 // The checks split into two classes with different scopes:
 //
@@ -63,8 +64,10 @@ type Checker struct {
 	round       int
 	prevMetrics phonecall.Metrics
 
-	intentSeen  []atomic.Int32
-	intents     []phonecall.Intent
+	callSeen    []atomic.Int32
+	calls       []phonecall.Call
+	paySeen     []atomic.Int32
+	payloads    []phonecall.Message
 	respSeen    []atomic.Int32
 	resps       []phonecall.Message
 	respOK      []bool
@@ -102,8 +105,10 @@ func (c *Checker) BindNetwork(net *phonecall.Network) {
 	}
 	n := net.N()
 	c.net = net
-	c.intentSeen = make([]atomic.Int32, n)
-	c.intents = make([]phonecall.Intent, n)
+	c.callSeen = make([]atomic.Int32, n)
+	c.calls = make([]phonecall.Call, n)
+	c.paySeen = make([]atomic.Int32, n)
+	c.payloads = make([]phonecall.Message, n)
 	c.respSeen = make([]atomic.Int32, n)
 	c.resps = make([]phonecall.Message, n)
 	c.respOK = make([]bool, n)
@@ -157,8 +162,9 @@ func (c *Checker) BeginRound(round int, info phonecall.RoundInfo) {
 	c.round = round
 	c.info = info
 	c.prevMetrics = c.net.Metrics()
-	for i := range c.intents {
-		c.intentSeen[i].Store(0)
+	for i := range c.calls {
+		c.callSeen[i].Store(0)
+		c.paySeen[i].Store(0)
 		c.respSeen[i].Store(0)
 		c.deliverSeen[i].Store(0)
 		c.inboxes[i] = nil
@@ -166,20 +172,31 @@ func (c *Checker) BeginRound(round int, info phonecall.RoundInfo) {
 	c.spans = c.spans[:0]
 }
 
-// ObserveIntent implements phonecall.RoundObserver. Shard goroutine; writes
+// ObserveCall implements phonecall.RoundObserver. Shard goroutine; writes
 // are index-owned, counters atomic.
-func (c *Checker) ObserveIntent(i int, it phonecall.Intent) {
-	if c.intentSeen[i].Add(1) == 1 {
-		c.intents[i] = it
+func (c *Checker) ObserveCall(i int, call phonecall.Call) {
+	if c.callSeen[i].Add(1) == 1 {
+		c.calls[i] = call
 	} else {
-		c.violate("node %d: intent evaluated more than once", i)
+		c.violate("node %d: call evaluated more than once", i)
 	}
 	if c.net.IsFailed(i) {
 		c.violate("node %d: dead node initiated a call", i)
 	}
-	if it.Kind == phonecall.Push || it.Kind == phonecall.Exchange {
-		c.checkHonest(i, it.Payload, "payload")
+}
+
+// ObservePayload implements phonecall.RoundObserver. Shard goroutine, after
+// the node's own ObserveCall.
+func (c *Checker) ObservePayload(i int, m phonecall.Message) {
+	if c.paySeen[i].Add(1) == 1 {
+		c.payloads[i] = m
+	} else {
+		c.violate("node %d: payload asked for more than once", i)
 	}
+	if k := c.calls[i].Kind; c.callSeen[i].Load() == 0 || (k != phonecall.Push && k != phonecall.Exchange) {
+		c.violate("node %d: payload asked for without a Push or Exchange call", i)
+	}
+	c.checkHonest(i, m, "payload")
 }
 
 // checkHonest asserts the honest-node contract on one outgoing holdings
@@ -187,7 +204,7 @@ func (c *Checker) ObserveIntent(i int, it phonecall.Intent) {
 // only rumors that exist. Skipped exactly for corrupted nodes, and entirely
 // when no mask holdings are bound (holdings unknowable). Safe from shard
 // goroutines: holdings only change in the deliver pass, which runs after
-// every intent and response evaluation of the round.
+// every call, payload and response evaluation of the round.
 func (c *Checker) checkHonest(i int, m phonecall.Message, what string) {
 	if c.masks == nil || m.Tag != phonecall.TagHoldings || c.net.Corrupted(i) {
 		return
@@ -241,18 +258,19 @@ func (c *Checker) ObserveDeliver(i int, inbox []phonecall.Message) {
 	}
 }
 
-// EndRound implements phonecall.RoundObserver: replays the observed intents
-// through the model spec and validates every charge and every inbox.
+// EndRound implements phonecall.RoundObserver: replays the observed calls
+// and payloads through the model spec and validates every charge and every
+// inbox.
 // Coordinator goroutine, after all passes.
 func (c *Checker) EndRound(rep phonecall.RoundReport) {
 	if rep.Round != c.round {
 		c.violate("report carries round %d", rep.Round)
 	}
 	n := c.net.N()
-	if !c.info.HasIntent {
+	if !c.info.HasCall {
 		// Empty round: nothing may have been evaluated or delivered.
 		for i := 0; i < n; i++ {
-			if c.intentSeen[i].Load() != 0 || c.respSeen[i].Load() != 0 || c.deliverSeen[i].Load() != 0 {
+			if c.callSeen[i].Load() != 0 || c.paySeen[i].Load() != 0 || c.respSeen[i].Load() != 0 || c.deliverSeen[i].Load() != 0 {
 				c.violate("node %d: activity in an empty round", i)
 			}
 		}
@@ -262,21 +280,26 @@ func (c *Checker) EndRound(rep phonecall.RoundReport) {
 		return
 	}
 
-	// Exactly-once intent evaluation for the live population.
+	// Exactly-once call evaluation for the live population, and a payload
+	// for every call that carries one.
 	for i := 0; i < n; i++ {
-		seen := c.intentSeen[i].Load()
+		seen := c.callSeen[i].Load()
 		if c.net.IsFailed(i) {
 			continue // dead-node activity was flagged at observation time
 		}
 		if seen != 1 {
-			c.violate("node %d: live node's intent evaluated %d times", i, seen)
+			c.violate("node %d: live node's call evaluated %d times", i, seen)
+		}
+		if k := c.calls[i].Kind; seen > 0 && (k == phonecall.Push || k == phonecall.Exchange) && c.paySeen[i].Load() == 0 {
+			c.violate("node %d: %v call's payload never asked for", i, k)
 		}
 	}
 
-	// Replay the observed intents through the model definition. An installed
-	// peer selector is part of the network's contract, so the replay resolves
-	// random targets through it too (the selector is a pure function of
-	// (round, initiator) during the round — re-asking it is safe).
+	// Replay the observed calls and payloads through the model definition.
+	// An installed peer selector is part of the network's contract, so the
+	// replay resolves random targets through it too (the selector is a pure
+	// function of (round, initiator) during the round — re-asking it is
+	// safe).
 	env := roundEnv{
 		N:           n,
 		Round:       c.round,
@@ -294,8 +317,8 @@ func (c *Checker) EndRound(rep phonecall.RoundReport) {
 	}
 	s := newSpecRound(env)
 	for i := 0; i < n; i++ {
-		if !c.net.IsFailed(i) && c.intentSeen[i].Load() > 0 {
-			s.addIntent(i, c.intents[i])
+		if !c.net.IsFailed(i) && c.callSeen[i].Load() > 0 && s.addCall(i, c.calls[i]) {
+			s.addPayload(i, c.payloads[i])
 		}
 	}
 	pulledSet := make(map[int]bool)
@@ -316,7 +339,7 @@ func (c *Checker) EndRound(rep phonecall.RoundReport) {
 	}
 
 	// Charges: the round report and the cumulative metrics must match the
-	// live-participant rule applied to the observed intents.
+	// live-participant rule applied to the observed calls.
 	want := s.report()
 	if rep != want {
 		c.violate("report %+v does not match the model's %+v", rep, want)

@@ -58,7 +58,7 @@ func TestCheckerCleanOnClosedAlgorithms(t *testing.T) {
 }
 
 // TestCheckerCleanUnderScenarioTimeline layers a churn/loss timeline under
-// a closed protocol with the checker attached: events fire inside ExecRound
+// a closed protocol with the checker attached: events fire inside ExecCalls
 // via OnRoundStart, so the checker must see the post-event membership.
 func TestCheckerCleanUnderScenarioTimeline(t *testing.T) {
 	const n = 600
@@ -96,15 +96,56 @@ func TestCheckerCatchesViolations(t *testing.T) {
 		}
 		return net, oracle.NewChecker(net)
 	}
-	info := phonecall.RoundInfo{HasIntent: true, HasDeliver: true}
+	info := phonecall.RoundInfo{HasCall: true, HasDeliver: true}
+	silent := phonecall.Call{}
+	push := phonecall.Call{Kind: phonecall.Push, Target: phonecall.RandomTarget()}
 
 	t.Run("double-intent", func(t *testing.T) {
 		_, c := newNetAndChecker(t)
 		c.BeginRound(1, info)
-		c.ObserveIntent(3, phonecall.Silent())
-		c.ObserveIntent(3, phonecall.Silent())
+		c.ObserveCall(3, silent)
+		c.ObserveCall(3, silent)
 		if err := c.Err(); err == nil || !strings.Contains(err.Error(), "more than once") {
 			t.Fatalf("err = %v", err)
+		}
+	})
+
+	t.Run("double-payload", func(t *testing.T) {
+		_, c := newNetAndChecker(t)
+		c.BeginRound(1, info)
+		c.ObserveCall(3, push)
+		c.ObservePayload(3, phonecall.Message{Tag: 1})
+		c.ObservePayload(3, phonecall.Message{Tag: 1})
+		if err := c.Err(); err == nil || !strings.Contains(err.Error(), "more than once") {
+			t.Fatalf("err = %v", err)
+		}
+	})
+
+	t.Run("stray-payload", func(t *testing.T) {
+		_, c := newNetAndChecker(t)
+		c.BeginRound(1, info)
+		c.ObserveCall(3, phonecall.Call{Kind: phonecall.Pull, Target: phonecall.RandomTarget()})
+		c.ObservePayload(3, phonecall.Message{Tag: 1})
+		if err := c.Err(); err == nil || !strings.Contains(err.Error(), "without a Push or Exchange call") {
+			t.Fatalf("err = %v", err)
+		}
+	})
+
+	t.Run("missing-payload", func(t *testing.T) {
+		_, c := newNetAndChecker(t)
+		c.BeginRound(1, info)
+		for i := 0; i < n; i++ {
+			c.ObserveCall(i, push)
+		}
+		c.EndRound(phonecall.RoundReport{Round: 1})
+		found := false
+		for _, v := range c.Violations() {
+			if strings.Contains(v.Error(), "payload never asked for") {
+				found = true
+			}
+		}
+		if !found {
+			t.Fatalf("missing payloads not flagged; violations: %v", c.Violations())
 		}
 	})
 
@@ -112,7 +153,7 @@ func TestCheckerCatchesViolations(t *testing.T) {
 		net, c := newNetAndChecker(t)
 		net.Fail(2)
 		c.BeginRound(1, info)
-		c.ObserveIntent(2, phonecall.Silent())
+		c.ObserveCall(2, silent)
 		if err := c.Err(); err == nil || !strings.Contains(err.Error(), "dead node") {
 			t.Fatalf("err = %v", err)
 		}
@@ -123,7 +164,8 @@ func TestCheckerCatchesViolations(t *testing.T) {
 		c.BeginRound(1, info)
 		for i := 0; i < n; i++ {
 			// A round of pushes the engine supposedly charged nothing for.
-			c.ObserveIntent(i, phonecall.PushIntent(phonecall.DirectTarget(net.ID((i+1)%n)), phonecall.Message{Tag: 1}))
+			c.ObserveCall(i, phonecall.Call{Kind: phonecall.Push, Target: phonecall.DirectTarget(net.ID((i + 1) % n))})
+			c.ObservePayload(i, phonecall.Message{Tag: 1})
 		}
 		c.EndRound(phonecall.RoundReport{Round: 1})
 		if err := c.Err(); err == nil || !strings.Contains(err.Error(), "does not match the model") {
@@ -133,9 +175,9 @@ func TestCheckerCatchesViolations(t *testing.T) {
 
 	t.Run("phantom-response", func(t *testing.T) {
 		net, c := newNetAndChecker(t)
-		c.BeginRound(1, phonecall.RoundInfo{HasIntent: true, HasResponse: true})
+		c.BeginRound(1, phonecall.RoundInfo{HasCall: true, HasResponse: true})
 		for i := 0; i < net.N(); i++ {
-			c.ObserveIntent(i, phonecall.Silent())
+			c.ObserveCall(i, silent)
 		}
 		c.ObserveResponse(4, phonecall.Message{Tag: 2}, true)
 		c.EndRound(phonecall.RoundReport{Round: 1})
@@ -161,10 +203,11 @@ func TestCheckerCatchesEngineTampering(t *testing.T) {
 	}
 	checker := oracle.NewChecker(net)
 	net.Observe(checker)
-	rep := net.ExecRound(
-		func(i int) phonecall.Intent {
-			return phonecall.PushIntent(phonecall.RandomTarget(), phonecall.Message{Tag: 1, Rumor: true})
+	rep := net.ExecCalls(
+		func(int) phonecall.Call {
+			return phonecall.Call{Kind: phonecall.Push, Target: phonecall.RandomTarget()}
 		},
+		func(int) phonecall.Message { return phonecall.Message{Tag: 1, Rumor: true} },
 		nil, func(i int, inbox []phonecall.Message) {},
 	)
 	if err := checker.Err(); err != nil {
@@ -172,7 +215,7 @@ func TestCheckerCatchesEngineTampering(t *testing.T) {
 	}
 	// Now replay the same observations but close the round with a Δ the
 	// engine never produced.
-	checker.BeginRound(net.Round()+1, phonecall.RoundInfo{HasIntent: true})
+	checker.BeginRound(net.Round()+1, phonecall.RoundInfo{HasCall: true})
 	checker.EndRound(phonecall.RoundReport{Round: net.Round() + 1, Messages: rep.Messages})
 	if err := checker.Err(); err == nil {
 		t.Fatal("tampered report not flagged")

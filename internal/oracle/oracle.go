@@ -7,8 +7,8 @@
 //   - Oracle is a deliberately naive, single-threaded reference engine
 //     written straight from the model definition in DESIGN.md §2 — plain
 //     maps and slices, one pass in node order, no arenas, no shards. It
-//     reproduces ExecRound, ExecCalls, Fail/Revive, and oblivious per-call
-//     loss bit-for-bit, so any divergence between it and the real engine is
+//     reproduces ExecCalls, Fail/Revive, and oblivious per-call loss
+//     bit-for-bit, so any divergence between it and the real engine is
 //     a bug in one of them.
 //   - The differential harness (diff.go, scenariodiff.go) runs randomized
 //     protocols, churn scripts and scenario timelines through both engines
@@ -32,8 +32,8 @@ import (
 )
 
 // Oracle is the naive reference engine. It accepts the same Config and
-// exposes the same execution surface as phonecall.Network (ExecRound,
-// ExecCalls, Fail, Revive, SetLoss, OnRoundStart, Metrics), and is
+// exposes the same execution surface as phonecall.Network (ExecCalls,
+// Fail, Revive, SetLoss, OnRoundStart, Metrics), and is
 // documented to produce bit-identical results; Workers and PoisonInbox are
 // ignored — the oracle is always single-threaded and callers always receive
 // freshly built inboxes.
@@ -157,7 +157,7 @@ func (o *Oracle) SetLoss(rate float64, seed uint64) {
 }
 
 // OnRoundStart registers a hook invoked after the round counter advances and
-// before any intent is evaluated. A nil hook unregisters.
+// before any call is evaluated. A nil hook unregisters.
 func (o *Oracle) OnRoundStart(hook func(round int)) { o.hook = hook }
 
 // SetSelectPeer installs a policy-driven random-contact resolver, the
@@ -213,50 +213,14 @@ func (o *Oracle) env() roundEnv {
 	}
 }
 
-// ExecRound executes one synchronous round under the same callback contract
-// as the engine: intentOf once per live node, responseOf at most once per
-// pulled node, deliver once per node that received messages, inboxes ordered
-// by initiator index. A nil intentOf is an empty round.
-func (o *Oracle) ExecRound(
-	intentOf func(i int) phonecall.Intent,
-	responseOf func(i int) (phonecall.Message, bool),
-	deliver func(i int, inbox []phonecall.Message),
-) phonecall.RoundReport {
-	if intentOf == nil {
-		return o.exec(nil, nil, responseOf, deliver)
-	}
-	return o.exec(func(s *specRound, i int) bool {
-		s.addIntent(i, intentOf(i))
-		return false
-	}, nil, responseOf, deliver)
-}
-
-// ExecCalls executes one round in the call form under the engine's rule for
-// it: callOf once per live node, then responseOf, then payloadOf once per
-// Push or Exchange call — an Exchange always carries its payload, content or
-// not. A nil payloadOf sends empty messages; a nil callOf is an empty round.
+// ExecCalls executes one synchronous round under the engine's callback
+// contract: callOf once per live node, then responseOf at most once per
+// pulled node, then payloadOf once per Push or Exchange call — an Exchange
+// always carries its payload, content or not — then deliver once per node
+// that received messages, inboxes ordered by initiator index. A nil
+// payloadOf sends empty messages; a nil callOf is an empty round.
 func (o *Oracle) ExecCalls(
 	callOf func(i int) phonecall.Call,
-	payloadOf func(i int) phonecall.Message,
-	responseOf func(i int) (phonecall.Message, bool),
-	deliver func(i int, inbox []phonecall.Message),
-) phonecall.RoundReport {
-	if callOf == nil {
-		return o.exec(nil, nil, responseOf, deliver)
-	}
-	if payloadOf == nil {
-		payloadOf = func(int) phonecall.Message { return phonecall.Message{} }
-	}
-	return o.exec(func(s *specRound, i int) bool {
-		c := callOf(i)
-		return s.addCall(i, c, c.Kind == phonecall.Push || c.Kind == phonecall.Exchange)
-	}, payloadOf, responseOf, deliver)
-}
-
-// exec runs one round: add evaluates node i's initiation and reports whether
-// it owes a payload, which payloadOf supplies after the responses.
-func (o *Oracle) exec(
-	add func(s *specRound, i int) bool,
 	payloadOf func(i int) phonecall.Message,
 	responseOf func(i int) (phonecall.Message, bool),
 	deliver func(i int, inbox []phonecall.Message),
@@ -265,7 +229,7 @@ func (o *Oracle) exec(
 	if o.hook != nil {
 		o.hook(o.round)
 	}
-	if add == nil {
+	if callOf == nil {
 		return phonecall.RoundReport{Round: o.round}
 	}
 
@@ -275,7 +239,7 @@ func (o *Oracle) exec(
 		if o.failed[i] {
 			continue
 		}
-		if add(s, i) {
+		if s.addCall(i, callOf(i)) {
 			owes = append(owes, i)
 		}
 	}
@@ -286,7 +250,11 @@ func (o *Oracle) exec(
 		}
 	}
 	for _, i := range owes {
-		s.addPayload(i, payloadOf(i))
+		var m phonecall.Message
+		if payloadOf != nil {
+			m = payloadOf(i)
+		}
+		s.addPayload(i, m)
 	}
 	if deliver != nil {
 		for d, inbox := range s.inboxes() {

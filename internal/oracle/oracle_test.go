@@ -41,13 +41,14 @@ func TestOracleAccountingByHand(t *testing.T) {
 		t.Fatal(err)
 	}
 	var inbox []phonecall.Message
-	rep := orc.ExecRound(
-		func(i int) phonecall.Intent {
+	rep := orc.ExecCalls(
+		func(i int) phonecall.Call {
 			if i == 0 {
-				return phonecall.Silent()
+				return phonecall.Call{}
 			}
-			return phonecall.PushIntent(phonecall.DirectTarget(orc.ID(0)), phonecall.Message{Tag: 9, Value: uint64(i)})
+			return phonecall.Call{Kind: phonecall.Push, Target: phonecall.DirectTarget(orc.ID(0))}
 		},
+		func(i int) phonecall.Message { return phonecall.Message{Tag: 9, Value: uint64(i)} },
 		nil,
 		func(i int, in []phonecall.Message) {
 			if i != 0 {
@@ -91,13 +92,14 @@ func TestOraclePullFanOut(t *testing.T) {
 	}
 	responses := 0
 	got := make(map[int][]phonecall.Message)
-	rep := orc.ExecRound(
-		func(i int) phonecall.Intent {
+	rep := orc.ExecCalls(
+		func(i int) phonecall.Call {
 			if i == 0 {
-				return phonecall.Silent()
+				return phonecall.Call{}
 			}
-			return phonecall.PullIntent(phonecall.DirectTarget(orc.ID(0)))
+			return phonecall.Call{Kind: phonecall.Pull, Target: phonecall.DirectTarget(orc.ID(0))}
 		},
+		nil,
 		func(j int) (phonecall.Message, bool) {
 			responses++
 			if j != 0 {
@@ -141,20 +143,21 @@ func TestOracleFailureAndLossRules(t *testing.T) {
 	if orc.LiveCount() != n-1 {
 		t.Fatalf("live count %d", orc.LiveCount())
 	}
-	intents := 0
-	rep := orc.ExecRound(
-		func(i int) phonecall.Intent {
-			intents++
+	calls := 0
+	rep := orc.ExecCalls(
+		func(i int) phonecall.Call {
+			calls++
 			if i == 1 {
-				t.Error("dead node's intent evaluated")
+				t.Error("dead node's call evaluated")
 			}
-			return phonecall.PushIntent(phonecall.DirectTarget(orc.ID(1)), phonecall.Message{Tag: 1})
+			return phonecall.Call{Kind: phonecall.Push, Target: phonecall.DirectTarget(orc.ID(1))}
 		},
+		func(int) phonecall.Message { return phonecall.Message{Tag: 1} },
 		nil,
 		func(i int, in []phonecall.Message) { t.Errorf("delivery to %d despite dead target", i) },
 	)
-	if intents != n-1 {
-		t.Errorf("intents evaluated %d times", intents)
+	if calls != n-1 {
+		t.Errorf("calls evaluated %d times", calls)
 	}
 	// Initiators are charged their attempt; the dead target participates in
 	// nothing.
@@ -164,10 +167,11 @@ func TestOracleFailureAndLossRules(t *testing.T) {
 
 	orc.Revive(1)
 	orc.SetLoss(1, 99) // every call lost in transit
-	rep = orc.ExecRound(
-		func(i int) phonecall.Intent {
-			return phonecall.PushIntent(phonecall.RandomTarget(), phonecall.Message{Tag: 2})
+	rep = orc.ExecCalls(
+		func(int) phonecall.Call {
+			return phonecall.Call{Kind: phonecall.Push, Target: phonecall.RandomTarget()}
 		},
+		func(int) phonecall.Message { return phonecall.Message{Tag: 2} },
 		nil,
 		func(i int, in []phonecall.Message) { t.Errorf("delivery to %d despite total loss", i) },
 	)

@@ -145,26 +145,30 @@ func (p *refProtocol) message(held uint64) phonecall.Message {
 	}
 }
 
-func (p *refProtocol) intent(i int) phonecall.Intent {
+func (p *refProtocol) call(i int) phonecall.Call {
 	held := p.t.held[i]
+	random := phonecall.RandomTarget()
 	switch p.algo {
 	case scenario.AlgoPush:
 		if held == 0 {
-			return phonecall.Silent()
+			return phonecall.Call{}
 		}
-		return phonecall.PushIntent(phonecall.RandomTarget(), p.message(held))
+		return phonecall.Call{Kind: phonecall.Push, Target: random}
 	case scenario.AlgoPull:
 		if held == p.t.used {
-			return phonecall.Silent()
+			return phonecall.Call{}
 		}
-		return phonecall.PullIntent(phonecall.RandomTarget())
+		return phonecall.Call{Kind: phonecall.Pull, Target: random}
 	default: // push-pull
 		if held == 0 {
-			return phonecall.ExchangeIntent(phonecall.RandomTarget(), phonecall.Message{})
+			return phonecall.Call{Kind: phonecall.Pull, Target: random}
 		}
-		return phonecall.ExchangeIntent(phonecall.RandomTarget(), p.message(held))
+		return phonecall.Call{Kind: phonecall.Exchange, Target: random}
 	}
 }
+
+// payload is a calling node's holdings, the payload of its Push or Exchange.
+func (p *refProtocol) payload(i int) phonecall.Message { return p.message(p.t.held[i]) }
 
 func (p *refProtocol) response(j int) (phonecall.Message, bool) {
 	if p.algo == scenario.AlgoPush {
@@ -177,31 +181,47 @@ func (p *refProtocol) response(j int) (phonecall.Message, bool) {
 	return p.message(held), true
 }
 
-// wrapIntent applies the installed behaviors around the reference protocol's
-// intents for one round, mirroring the engine's behavior wrap: the target is
-// pre-resolved through the model's documented contracts (RandomPeer for
-// random targets, the ID directory for direct ones) before the behavior sees
-// the intent.
-func (t *refTracker) wrapIntent(round int, intent func(int) phonecall.Intent) func(int) phonecall.Intent {
-	return func(i int) phonecall.Intent {
-		it := intent(i)
+// wrapCalls applies the installed behaviors around the reference protocol's
+// calls and payloads for one round, mirroring the engine's behavior wrap:
+// the target is pre-resolved through the model's documented contracts
+// (RandomPeer for random targets, the ID directory for direct ones) before
+// the behavior sees the call, and a corrupted node's rewritten payload is
+// kept until the round asks for it.
+func (t *refTracker) wrapCalls(round int, call func(int) phonecall.Call, payload func(int) phonecall.Message) (
+	func(int) phonecall.Call, func(int) phonecall.Message,
+) {
+	rewritten := make(map[int]phonecall.Message)
+	wrappedCall := func(i int) phonecall.Call {
+		c := call(i)
 		b := t.behav[i]
 		if b == nil {
-			return it
+			return c
+		}
+		var m phonecall.Message
+		if c.Kind == phonecall.Push || c.Kind == phonecall.Exchange {
+			m = payload(i)
 		}
 		target := -1
-		if it.Kind != phonecall.None {
-			if it.Target.Random {
+		if c.Kind != phonecall.None {
+			if c.Target.Random {
 				target = phonecall.RandomPeer(t.o.N(), t.o.Seed(), round, i)
-			} else if j, ok := t.o.IndexOf(it.Target.ID); ok && j != i {
+			} else if j, ok := t.o.IndexOf(c.Target.ID); ok && j != i {
 				target = j
 			}
 		}
-		return b.RewriteIntent(round, i, target, it)
+		c, rewritten[i] = b.RewriteCall(round, i, target, c, m)
+		return c
 	}
+	wrappedPayload := func(i int) phonecall.Message {
+		if t.behav[i] != nil {
+			return rewritten[i]
+		}
+		return payload(i)
+	}
+	return wrappedCall, wrappedPayload
 }
 
-// wrapResponse is wrapIntent's response-side twin.
+// wrapResponse is wrapCalls's response-side twin.
 func (t *refTracker) wrapResponse(round int, response func(int) (phonecall.Message, bool)) func(int) (phonecall.Message, bool) {
 	return func(j int) (phonecall.Message, bool) {
 		m, ok := response(j)
@@ -275,7 +295,8 @@ func referenceScenarioRun(sc scenario.Scenario, cfg scenario.Config) (trace.Resu
 			next++
 		}
 
-		rep := o.ExecRound(tr.wrapIntent(r, proto.intent), tr.wrapResponse(r, proto.response), proto.deliver)
+		call, payload := tr.wrapCalls(r, proto.call, proto.payload)
+		rep := o.ExecCalls(call, payload, tr.wrapResponse(r, proto.response), proto.deliver)
 		cur.Messages += rep.Messages
 		cur.Bits += rep.Bits
 		if rep.MaxComms > cur.MaxComms {

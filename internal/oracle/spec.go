@@ -13,9 +13,9 @@ import (
 // index order, plain slices and appends, no arenas, no shards.
 //
 // Two consumers build on it: the Oracle (a complete reference engine) and
-// the invariant Checker (which replays the intents it observed the real
-// engine evaluate and demands the same charges and inboxes). Keeping the
-// model in one place means the two verifiers cannot drift apart.
+// the invariant Checker (which replays the calls and payloads it observed
+// the real engine evaluate and demands the same charges and inboxes).
+// Keeping the model in one place means the two verifiers cannot drift apart.
 //
 // The spec's randomness contracts (documented with the engine and locked in
 // by the differential tests):
@@ -60,16 +60,16 @@ type specCall struct {
 	// nowhere (silent node, unresolved or dead target, lost in transit).
 	target int
 	// payload is the pushed message with From stamped; hasPayload marks that
-	// one is transmitted (Push always; Exchange only with content in the
-	// Intent form, always in the call form).
+	// one is transmitted (every Push and Exchange).
 	payload    phonecall.Message
 	hasPayload bool
 }
 
 // specRound accumulates the model's view of one round. Feed every live
-// node's intent with addIntent (ascending node order is not required — the
-// model is order-free — but inbox assembly is by initiator index), then
-// answer pulled() with addResponse, then read the outcome.
+// node's call with addCall (ascending node order is not required — the
+// model is order-free — but inbox assembly is by initiator index), answer
+// pulled() with addResponse, hand every Push or Exchange call's payload to
+// addPayload, then read the outcome.
 type specRound struct {
 	env   roundEnv
 	calls []specCall
@@ -132,22 +132,13 @@ func (s *specRound) dropped(i int) bool {
 	return float64(h>>11)/float64(1<<53) < s.env.LossRate
 }
 
-// addIntent evaluates node i's intent in the Intent form, where an Exchange
-// transmits its payload only if the payload has content.
-func (s *specRound) addIntent(i int, it phonecall.Intent) {
-	sends := it.Kind == phonecall.Push || (it.Kind == phonecall.Exchange && it.Payload.HasContent())
-	if s.addCall(i, phonecall.Call{Kind: it.Kind, Target: it.Target}, sends) {
-		s.addPayload(i, it.Payload)
-	}
-}
-
 // addCall evaluates node i's call: target resolution, the live-participant
-// communication charges, the pull request's charge when the call sends no
-// payload, and the pull bookkeeping. Kinds outside the model still count as
-// an attempted communication for both live participants but transmit
-// nothing. It reports whether the call owes a payload (sends), which the
-// caller then hands to addPayload.
-func (s *specRound) addCall(i int, it phonecall.Call, sends bool) bool {
+// communication charges, the pull request's charge, and the pull
+// bookkeeping. Kinds outside the model still count as an attempted
+// communication for both live participants but transmit nothing. It reports
+// whether the call owes a payload (Push and Exchange), which the caller then
+// hands to addPayload.
+func (s *specRound) addCall(i int, it phonecall.Call) bool {
 	if it.Kind == phonecall.None {
 		return false
 	}
@@ -171,14 +162,14 @@ func (s *specRound) addCall(i int, it phonecall.Call, sends bool) bool {
 	case phonecall.Push:
 		return true
 	case phonecall.Pull, phonecall.Exchange:
-		if !sends {
+		if it.Kind == phonecall.Pull {
 			s.control++
 			s.bits += int64(s.env.ControlBits)
 		}
 		if live {
 			s.pulls[j]++
 		}
-		return sends
+		return it.Kind == phonecall.Exchange
 	}
 	return false
 }

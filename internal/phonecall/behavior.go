@@ -7,16 +7,16 @@ import (
 )
 
 // Per-node behaviors: the Byzantine seam. A Behavior intercepts a node's
-// outgoing traffic — the intent it initiates and the response it would give
-// to pullers — and may rewrite either. Honest is the zero value: nodes
-// without a behavior run the protocol's callbacks untouched, and a run with
-// no behaviors installed takes the exact same code path as before the seam
-// existed (bit-identical, allocation-free).
+// outgoing traffic — the call it initiates with its payload, and the
+// response it would give to pullers — and may rewrite either. Honest is the
+// zero value: nodes without a behavior run the protocol's callbacks
+// untouched, and a run with no behaviors installed takes the exact same code
+// path as before the seam existed (bit-identical, allocation-free).
 //
 // Behaviors rewrite only what a real faulty process could control: its own
 // outgoing calls and answers. Delivery stays honest — a corrupted node still
 // receives and merges its inbox — and the engine's bookkeeping (charges,
-// inbox order, Δ, exactly-once intents) applies to the rewritten traffic,
+// inbox order, Δ, exactly-once calls) applies to the rewritten traffic,
 // so the model invariants of internal/oracle hold under every behavior.
 // What breaks is only the honest-node contract (truthful holdings, no
 // forged bits), which the oracle asserts exclusively for uncorrupted nodes.
@@ -45,12 +45,12 @@ const (
 // goroutines, and cross-engine conformance relies on the same inputs
 // producing the same rewrites.
 type Behavior interface {
-	// RewriteIntent may replace the intent node i initiates in round r.
-	// target is the index the intent's target resolves to (the engine's
-	// random-peer contract for random targets, the ID directory for direct
-	// ones), or -1 if it resolves to nothing; it lets behaviors act on the
-	// destination without re-deriving it.
-	RewriteIntent(round, node, target int, it Intent) Intent
+	// RewriteCall may replace, jointly, the call node i initiates in round
+	// r and its payload — m for a Push or Exchange, empty for any other call
+	// — so a behavior may decide the call from what the payload says. target
+	// is the index the call's target resolves to (Network.Contact), or -1;
+	// it lets behaviors act on the destination without re-deriving it.
+	RewriteCall(round, node, target int, c Call, m Message) (Call, Message)
 	// RewriteResponse may replace the address-oblivious response node i
 	// hands to this round's pullers. ok=false suppresses the response.
 	RewriteResponse(round, node int, m Message, ok bool) (Message, bool)
@@ -68,6 +68,7 @@ func (net *Network) SetBehavior(i int, b Behavior) {
 			return
 		}
 		net.behaviors = make([]Behavior, net.n)
+		net.rewrites = make([]Message, net.n)
 	}
 	if (net.behaviors[i] == nil) != (b == nil) {
 		if b == nil {
@@ -91,35 +92,43 @@ func (net *Network) CorruptedCount() int { return net.corrupted }
 // behaviors. Applied before the observer wrap, so verifiers see the
 // post-rewrite traffic (the traffic that is actually charged and delivered),
 // and before executor delegation, so the live lock-step runtime inherits
-// behaviors without knowing they exist. responseOf may be nil; behaviors
-// cannot invent a response stream the protocol does not have.
+// behaviors without knowing they exist. The rewrite is joint, so a
+// corrupted node's payload is asked for with its call and parked in rewrites
+// until the round asks for it; honest payloads keep their place after the
+// responses. responseOf may be nil; behaviors cannot invent a response
+// stream the protocol does not have.
 func (net *Network) behaviorCallbacks(
-	intentOf func(i int) Intent,
+	callOf func(i int) Call,
+	payloadOf func(i int) Message,
 	responseOf func(i int) (Message, bool),
-) (func(i int) Intent, func(i int) (Message, bool)) {
-	behaviors := net.behaviors
+) (func(i int) Call, func(i int) Message, func(i int) (Message, bool)) {
+	behaviors, rewrites := net.behaviors, net.rewrites
 	round := net.round
-	index := net.index
-	wrappedIntent := func(i int) Intent {
-		it := intentOf(i)
+	wrappedCall := func(i int) Call {
+		c := callOf(i)
 		b := behaviors[i]
 		if b == nil {
-			return it
+			return c
+		}
+		var m Message
+		if c.Kind == Push || c.Kind == Exchange {
+			m = payloadOf(i)
 		}
 		target := -1
-		if it.Kind != None {
-			if it.Target.Random {
-				if j, ok := net.RandomContact(round, i); ok {
-					target = j
-				}
-			} else if j, ok := index.get(it.Target.ID); ok && j != i {
-				target = j
-			}
+		if c.Kind != None {
+			target = net.Contact(round, i, c.Target)
 		}
-		return b.RewriteIntent(round, i, target, it)
+		c, rewrites[i] = b.RewriteCall(round, i, target, c, m)
+		return c
+	}
+	wrappedPayload := func(i int) Message {
+		if behaviors[i] != nil {
+			return rewrites[i]
+		}
+		return payloadOf(i)
 	}
 	if responseOf == nil {
-		return wrappedIntent, nil
+		return wrappedCall, wrappedPayload, nil
 	}
 	wrappedResponse := func(i int) (Message, bool) {
 		m, ok := responseOf(i)
@@ -129,7 +138,7 @@ func (net *Network) behaviorCallbacks(
 		}
 		return b.RewriteResponse(round, i, m, ok)
 	}
-	return wrappedIntent, wrappedResponse
+	return wrappedCall, wrappedPayload, wrappedResponse
 }
 
 // behaviorHash is the behaviors' stateless coin: a pure function of the
@@ -167,10 +176,9 @@ func (l Liar) rewrite(round, node int, m Message) Message {
 	return m
 }
 
-// RewriteIntent implements Behavior.
-func (l Liar) RewriteIntent(round, node, target int, it Intent) Intent {
-	it.Payload = l.rewrite(round, node, it.Payload)
-	return it
+// RewriteCall implements Behavior.
+func (l Liar) RewriteCall(round, node, target int, c Call, m Message) (Call, Message) {
+	return c, l.rewrite(round, node, m)
 }
 
 // RewriteResponse implements Behavior.
@@ -219,12 +227,12 @@ func (s Spammer) junk(round, node int) Message {
 	}
 }
 
-// RewriteIntent implements Behavior.
-func (s Spammer) RewriteIntent(round, node, target int, it Intent) Intent {
+// RewriteCall implements Behavior.
+func (s Spammer) RewriteCall(round, node, target int, c Call, m Message) (Call, Message) {
 	if !s.spamming(round, node) {
-		return it
+		return c, m
 	}
-	return PushIntent(RandomTarget(), s.junk(round, node))
+	return Call{Kind: Push, Target: RandomTarget()}, s.junk(round, node)
 }
 
 // RewriteResponse implements Behavior.
@@ -263,12 +271,12 @@ func (e Eclipse) Victims() []int {
 	return out
 }
 
-// RewriteIntent implements Behavior.
-func (e Eclipse) RewriteIntent(round, node, target int, it Intent) Intent {
+// RewriteCall implements Behavior.
+func (e Eclipse) RewriteCall(round, node, target int, c Call, m Message) (Call, Message) {
 	if target >= 0 && e.victims[target] {
-		return Silent()
+		return Call{}, Message{}
 	}
-	return it
+	return c, m
 }
 
 // RewriteResponse implements Behavior.
@@ -278,32 +286,31 @@ func (e Eclipse) RewriteResponse(round, node int, m Message, ok bool) (Message, 
 
 // Stale answers with outdated state: every outgoing holdings message is
 // replaced by the mask frozen at corruption time. A Stale with Frozen == 0
-// is mute — it stops pushing holdings and stops answering pulls. Either way
-// the node keeps receiving (its tracker keeps advancing); it just never
-// tells anyone.
+// is mute — it stops pushing holdings (an exchange becomes a bare pull) and
+// stops answering pulls. Either way the node keeps receiving (its tracker
+// keeps advancing); it just never tells anyone.
 type Stale struct {
 	// Frozen is the holdings mask advertised forever after.
 	Frozen uint64
 }
 
-// RewriteIntent implements Behavior.
-func (st Stale) RewriteIntent(round, node, target int, it Intent) Intent {
-	if it.Payload.Tag != TagHoldings {
-		return it
+// RewriteCall implements Behavior.
+func (st Stale) RewriteCall(round, node, target int, c Call, m Message) (Call, Message) {
+	if m.Tag != TagHoldings {
+		return c, m
 	}
 	if st.Frozen == 0 {
-		switch it.Kind {
+		switch c.Kind {
 		case Push:
-			return Silent()
+			return Call{}, Message{}
 		case Exchange:
 			// Keep the pull half: the node still wants to learn.
-			it.Payload = Message{}
-			return it
+			return Call{Kind: Pull, Target: c.Target}, Message{}
 		}
-		return it
+		return c, m
 	}
-	it.Payload.Value = st.Frozen
-	return it
+	m.Value = st.Frozen
+	return c, m
 }
 
 // RewriteResponse implements Behavior.

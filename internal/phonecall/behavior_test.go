@@ -55,8 +55,11 @@ func TestLiarRewrite(t *testing.T) {
 	l := Liar{Seed: 42, Registered: func() uint64 { return registered }}
 
 	truth := Message{Tag: TagHoldings, Value: 0b1010, Rumor: true}
-	it := l.RewriteIntent(3, 1, 2, PushIntent(RandomTarget(), truth))
-	got := it.Payload
+	push := Call{Kind: Push, Target: RandomTarget()}
+	c, got := l.RewriteCall(3, 1, 2, push, truth)
+	if c != push {
+		t.Fatalf("liar changed the call: %+v", c)
+	}
 	if got.Tag != TagHoldings {
 		t.Fatalf("liar changed the tag: %d", got.Tag)
 	}
@@ -67,15 +70,14 @@ func TestLiarRewrite(t *testing.T) {
 		t.Fatal("liar with registered space left forged nothing outside it")
 	}
 	// The same (round, node) always lies the same way: pure function.
-	again := l.RewriteIntent(3, 1, 2, PushIntent(RandomTarget(), truth))
-	if !reflect.DeepEqual(again.Payload, got) {
+	if _, again := l.RewriteCall(3, 1, 2, push, truth); !reflect.DeepEqual(again, got) {
 		t.Fatal("liar rewrite is not deterministic")
 	}
 
 	// Non-holdings traffic passes through untouched.
 	ctrl := Message{Tag: 7, Value: 123}
-	if out := l.RewriteIntent(3, 1, 2, PushIntent(RandomTarget(), ctrl)); !reflect.DeepEqual(out.Payload, ctrl) {
-		t.Fatalf("liar rewrote non-holdings traffic: %+v", out.Payload)
+	if _, out := l.RewriteCall(3, 1, 2, push, ctrl); !reflect.DeepEqual(out, ctrl) {
+		t.Fatalf("liar rewrote non-holdings traffic: %+v", out)
 	}
 	// A nil Registered hook means withhold-only: no bits appear from nowhere.
 	withholder := Liar{Seed: 42}
@@ -91,13 +93,13 @@ func TestLiarRewrite(t *testing.T) {
 func TestSpammerRewrite(t *testing.T) {
 	// The zero-value spammer floods every round.
 	s := Spammer{Seed: 5}
-	honest := ExchangeIntent(RandomTarget(), Message{Tag: TagHoldings, Value: 1, Rumor: true})
-	it := s.RewriteIntent(2, 4, 0, honest)
-	if it.Kind != Push || !it.Target.Random {
-		t.Fatalf("spammer intent is not a random push: %+v", it)
+	honest, truth := Call{Kind: Exchange, Target: RandomTarget()}, Message{Tag: TagHoldings, Value: 1, Rumor: true}
+	c, m := s.RewriteCall(2, 4, 0, honest, truth)
+	if c.Kind != Push || !c.Target.Random {
+		t.Fatalf("spammer call is not a random push: %+v", c)
 	}
-	if it.Payload.Tag != TagSpam || !it.Payload.Rumor || it.Payload.Value == 0 {
-		t.Fatalf("spam payload malformed: %+v", it.Payload)
+	if m.Tag != TagSpam || !m.Rumor || m.Value == 0 {
+		t.Fatalf("spam payload malformed: %+v", m)
 	}
 	// Pull answers are junk too, even when the node had nothing to say.
 	if m, ok := s.RewriteResponse(2, 4, Message{}, false); !ok || m.Tag != TagSpam {
@@ -109,16 +111,16 @@ func TestSpammerRewrite(t *testing.T) {
 	part := Spammer{Rate: 0.5, Seed: 5}
 	spammed, honestRounds := 0, 0
 	for r := 1; r <= 64; r++ {
-		it := part.RewriteIntent(r, 4, 0, honest)
-		if it.Payload.Tag == TagSpam {
+		c, m := part.RewriteCall(r, 4, 0, honest, truth)
+		if m.Tag == TagSpam {
 			spammed++
 		} else {
-			if !reflect.DeepEqual(it, honest) {
-				t.Fatalf("non-spamming round rewrote the intent: %+v", it)
+			if c != honest || !reflect.DeepEqual(m, truth) {
+				t.Fatalf("non-spamming round rewrote the call: %+v %+v", c, m)
 			}
 			honestRounds++
 		}
-		if again := part.RewriteIntent(r, 4, 0, honest); !reflect.DeepEqual(again, it) {
+		if againC, againM := part.RewriteCall(r, 4, 0, honest, truth); againC != c || !reflect.DeepEqual(againM, m) {
 			t.Fatalf("spam coin not deterministic at round %d", r)
 		}
 	}
@@ -132,17 +134,17 @@ func TestEclipseRewrite(t *testing.T) {
 	if got := e.Victims(); len(got) != 2 {
 		t.Fatalf("Victims() = %v", got)
 	}
-	pull := PullIntent(RandomTarget())
-	// An intent resolving to a victim becomes silence; anything else passes.
-	if it := e.RewriteIntent(1, 0, 2, pull); it.Kind != None {
-		t.Fatalf("call to victim not dropped: %+v", it)
+	pull := Call{Kind: Pull, Target: RandomTarget()}
+	// A call resolving to a victim becomes silence; anything else passes.
+	if c, _ := e.RewriteCall(1, 0, 2, pull, Message{}); c.Kind != None {
+		t.Fatalf("call to victim not dropped: %+v", c)
 	}
-	if it := e.RewriteIntent(1, 0, 3, pull); !reflect.DeepEqual(it, pull) {
-		t.Fatalf("call to non-victim rewritten: %+v", it)
+	if c, _ := e.RewriteCall(1, 0, 3, pull, Message{}); c != pull {
+		t.Fatalf("call to non-victim rewritten: %+v", c)
 	}
 	// Unresolved targets (-1) are not victims.
-	if it := e.RewriteIntent(1, 0, -1, pull); !reflect.DeepEqual(it, pull) {
-		t.Fatalf("unresolved call dropped: %+v", it)
+	if c, _ := e.RewriteCall(1, 0, -1, pull, Message{}); c != pull {
+		t.Fatalf("unresolved call dropped: %+v", c)
 	}
 	// The response stream is suppressed wholesale: answers are address-
 	// oblivious, so answering anyone could leak state to a pulling victim.
@@ -154,37 +156,38 @@ func TestEclipseRewrite(t *testing.T) {
 func TestStaleRewrite(t *testing.T) {
 	frozen := Stale{Frozen: 0b11}
 	truth := Message{Tag: TagHoldings, Value: 0b1111, Rumor: true}
-	if it := frozen.RewriteIntent(1, 0, 1, PushIntent(RandomTarget(), truth)); it.Payload.Value != 0b11 {
-		t.Fatalf("stale push not frozen: %b", it.Payload.Value)
+	push := Call{Kind: Push, Target: RandomTarget()}
+	if _, m := frozen.RewriteCall(1, 0, 1, push, truth); m.Value != 0b11 {
+		t.Fatalf("stale push not frozen: %b", m.Value)
 	}
 	if m, ok := frozen.RewriteResponse(1, 0, truth, true); !ok || m.Value != 0b11 {
 		t.Fatalf("stale response not frozen: %b ok=%v", m.Value, ok)
 	}
 	// Non-holdings traffic passes through.
 	ctrl := Message{Tag: 9, Value: 7}
-	if it := frozen.RewriteIntent(1, 0, 1, PushIntent(RandomTarget(), ctrl)); !reflect.DeepEqual(it.Payload, ctrl) {
-		t.Fatalf("stale rewrote control traffic: %+v", it.Payload)
+	if _, m := frozen.RewriteCall(1, 0, 1, push, ctrl); !reflect.DeepEqual(m, ctrl) {
+		t.Fatalf("stale rewrote control traffic: %+v", m)
 	}
 
-	// Frozen == 0 is mute: pushes vanish, exchanges keep only the pull half,
-	// pure pulls survive (the node still wants to learn), answers stop.
+	// Frozen == 0 is mute: pushes vanish, exchanges become bare pulls, pure
+	// pulls survive (the node still wants to learn), answers stop.
 	mute := Stale{}
-	if it := mute.RewriteIntent(1, 0, 1, PushIntent(RandomTarget(), truth)); it.Kind != None {
-		t.Fatalf("mute push not silenced: %+v", it)
+	if c, _ := mute.RewriteCall(1, 0, 1, push, truth); c.Kind != None {
+		t.Fatalf("mute push not silenced: %+v", c)
 	}
-	ex := mute.RewriteIntent(1, 0, 1, ExchangeIntent(RandomTarget(), truth))
-	if ex.Kind != Exchange || ex.Payload.HasContent() {
-		t.Fatalf("mute exchange kept its payload: %+v", ex)
+	exchange := Call{Kind: Exchange, Target: RandomTarget()}
+	if c, m := mute.RewriteCall(1, 0, 1, exchange, truth); c.Kind != Pull || c.Target != exchange.Target || m.HasContent() {
+		t.Fatalf("mute exchange is not a bare pull: %+v %+v", c, m)
 	}
-	if it := mute.RewriteIntent(1, 0, 1, PullIntent(RandomTarget())); it.Kind != Pull {
-		t.Fatalf("mute dropped its pull: %+v", it)
+	if c, _ := mute.RewriteCall(1, 0, 1, Call{Kind: Pull, Target: RandomTarget()}, Message{}); c.Kind != Pull {
+		t.Fatalf("mute dropped its pull: %+v", c)
 	}
 	if _, ok := mute.RewriteResponse(1, 0, truth, true); ok {
 		t.Fatal("mute node answered a pull")
 	}
 }
 
-// TestBehaviorsThroughEngine drives ExecRound with a spammer installed and
+// TestBehaviorsThroughEngine drives ExecCalls with a spammer installed and
 // checks the rewrite lands in delivered traffic — the engine-side wiring, not
 // just the behavior's own methods.
 func TestBehaviorsThroughEngine(t *testing.T) {
@@ -195,10 +198,9 @@ func TestBehaviorsThroughEngine(t *testing.T) {
 	net.SetBehavior(0, Spammer{Seed: 11})
 	spamSeen := false
 	for r := 0; r < 8 && !spamSeen; r++ {
-		net.ExecRound(
-			func(i int) Intent {
-				return PushIntent(RandomTarget(), Message{Tag: TagHoldings, Value: uint64(i) + 1, Rumor: true})
-			},
+		net.ExecCalls(
+			func(int) Call { return Call{Kind: Push, Target: RandomTarget()} },
+			func(i int) Message { return Message{Tag: TagHoldings, Value: uint64(i) + 1, Rumor: true} },
 			nil,
 			func(i int, inbox []Message) {
 				for _, m := range inbox {
@@ -237,13 +239,14 @@ func TestZeroBehaviorIdentity(t *testing.T) {
 		}
 		var reports []RoundReport
 		for r := 0; r < 10; r++ {
-			rep := net.ExecRound(
-				func(i int) Intent {
-					if h := tr.Held(i); h != 0 {
-						return PushIntent(RandomTarget(), Message{Tag: TagHoldings, Value: h, Rumor: true})
+			rep := net.ExecCalls(
+				func(i int) Call {
+					if tr.Held(i) != 0 {
+						return Call{Kind: Push, Target: RandomTarget()}
 					}
-					return Silent()
+					return Call{}
 				},
+				func(i int) Message { return Message{Tag: TagHoldings, Value: tr.Held(i), Rumor: true} },
 				nil,
 				func(i int, inbox []Message) {
 					for _, m := range inbox {

@@ -3,10 +3,10 @@ package phonecall
 import "context"
 
 // Cancellation seam: the protocols in this repository drive the engine
-// through plain round loops (`for { net.ExecRound(...) }`) that predate any
+// through plain round loops (`for { net.ExecCalls(...) }`) that predate any
 // notion of a caller deadline, and rewriting every algorithm to check an
 // error per round would change the callback contract everywhere. Instead the
-// Network itself carries the caller's context: ExecRound checks it before
+// Network itself carries the caller's context: every round checks it before
 // any work of the round and, when the context is done, unwinds the whole
 // round loop with a typed panic that the run drivers (internal/run,
 // internal/scenario via RecoverAbort) convert back into the context's error.
@@ -17,9 +17,9 @@ import "context"
 // context was cancelled or timed out.
 type execAbort struct{ err error }
 
-// SetContext binds ctx to the network. From the next ExecRound on, a done
+// SetContext binds ctx to the network. From the next round on, a done
 // context aborts the execution before the round does any work: the round
-// counter does not advance, no intent is evaluated, and the abort unwinds to
+// counter does not advance, no call is evaluated, and the abort unwinds to
 // the nearest RecoverAbort. A nil ctx unbinds. Must only be called between
 // rounds, like Fail and SetLoss.
 func (net *Network) SetContext(ctx context.Context) { net.ctx = ctx }

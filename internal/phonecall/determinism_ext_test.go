@@ -11,22 +11,23 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/live"
 	"repro/internal/phonecall"
 	"repro/internal/trace"
 )
 
 // algoRun executes one algorithm on a fresh network with the given worker
 // count and returns the full result and the network's metrics. A non-nil
-// observer is installed before the first round.
-func algoRun(t *testing.T, algo string, n, workers int, fail []int, obs phonecall.RoundObserver) (trace.Result, phonecall.Metrics) {
+// install puts a seam in place before the first round.
+func algoRun(t *testing.T, algo string, n, workers int, fail []int, install func(*testing.T, *phonecall.Network) func()) (trace.Result, phonecall.Metrics) {
 	t.Helper()
 	net, err := phonecall.New(phonecall.Config{N: n, Seed: 42, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
 	net.Fail(fail...)
-	if obs != nil {
-		net.Observe(obs)
+	if install != nil {
+		defer install(t, net)()
 	}
 	var res trace.Result
 	switch algo {
@@ -86,55 +87,124 @@ func TestAlgorithmsDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// nopObserver observes nothing. Installing it sends every ExecCalls round
-// through the Intent-form seam fallback.
+// nopObserver observes nothing: installed, it wraps every callback of the
+// round in an observer tap.
 type nopObserver struct{}
 
 func (nopObserver) BeginRound(int, phonecall.RoundInfo)          {}
-func (nopObserver) ObserveIntent(int, phonecall.Intent)          {}
+func (nopObserver) ObserveCall(int, phonecall.Call)              {}
+func (nopObserver) ObservePayload(int, phonecall.Message)        {}
 func (nopObserver) ObserveResponse(int, phonecall.Message, bool) {}
 func (nopObserver) ObserveDeliver(int, []phonecall.Message)      {}
 func (nopObserver) EndRound(phonecall.RoundReport)               {}
 
-// TestCallFormMatchesIntentFallback runs the cluster algorithms, whose
-// primitives use the call form, once on the engine's own call path and once
-// with a no-op observer installed, which converts every call into an Intent
-// and back. Results and metrics must be identical. Three single rounds then
-// pin the edges of the call form's contract against the fallback and the
-// Intent form (see formRounds).
-func TestCallFormMatchesIntentFallback(t *testing.T) {
-	const n, workers = 6000, 2
-	fail := []int{3, 1000, n - 1}
+// identity is a behavior that rewrites nothing: installed on a node, it
+// routes the node's call, payload and response through the Byzantine seam.
+type identity struct{}
+
+func (identity) RewriteCall(_, _, _ int, c phonecall.Call, m phonecall.Message) (phonecall.Call, phonecall.Message) {
+	return c, m
+}
+func (identity) RewriteResponse(_, _ int, m phonecall.Message, ok bool) (phonecall.Message, bool) {
+	return m, ok
+}
+
+// seam installs one of the engine's seams on a fresh network of n nodes
+// before its first round and returns what to release after the run.
+type seam struct {
+	name    string
+	n       int
+	install func(t *testing.T, net *phonecall.Network) func()
+}
+
+// seams are the three ways a round leaves the engine's bare path: a no-op
+// observer, an identity behavior on every node, and the lock-step live
+// runtime as the round executor. The first two run on a sharded engine. The
+// lock-step runtime runs a goroutine per node, which the race detector
+// charges ≈ 300 KB each, so it gets the network TestLockStepMatchesEngine
+// uses.
+var seams = []seam{
+	{"observer", 6000, func(t *testing.T, net *phonecall.Network) func() {
+		net.Observe(nopObserver{})
+		return func() {}
+	}},
+	{"behavior", 6000, func(t *testing.T, net *phonecall.Network) func() {
+		for i := 0; i < net.N(); i++ {
+			net.SetBehavior(i, identity{})
+		}
+		return func() {}
+	}},
+	{"lockstep", 1000, func(t *testing.T, net *phonecall.Network) func() {
+		ls, err := live.NewLockStep(net, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return func() {
+			if err := ls.Err(); err != nil {
+				t.Errorf("lock-step runtime: %v", err)
+			}
+			ls.Close()
+		}
+	}},
+}
+
+// TestSeamsMatchPlainRound runs the cluster algorithms and three single
+// rounds at the edges of the call form's contract (see formRounds) once on
+// the engine's bare path and once through each seam, at the seam's network
+// size on 2 workers. A seam wraps the round's callbacks in the same call
+// form, so results, metrics and inboxes must be identical. The one round
+// with an Intent form also runs through ExecRound, whose contentless
+// exchanges are the call form's pulls.
+func TestSeamsMatchPlainRound(t *testing.T) {
+	const workers = 2
 	for _, algo := range []string{"cluster1", "cluster2", "cluster3", "clusterpushpull"} {
 		t.Run(algo, func(t *testing.T) {
-			res, metrics := algoRun(t, algo, n, workers, fail, nil)
-			obsRes, obsMetrics := algoRun(t, algo, n, workers, fail, nopObserver{})
-			if !reflect.DeepEqual(res, obsRes) {
-				t.Errorf("results differ:\n  calls:    %+v\n  observed: %+v", res, obsRes)
-			}
-			if !reflect.DeepEqual(metrics, obsMetrics) {
-				t.Errorf("metrics differ:\n  calls:    %+v\n  observed: %+v", metrics, obsMetrics)
+			for _, sm := range seams {
+				t.Run(sm.name, func(t *testing.T) {
+					fail := []int{3, sm.n / 6, sm.n - 1}
+					res, metrics := algoRun(t, algo, sm.n, workers, fail, nil)
+					seamRes, seamMetrics := algoRun(t, algo, sm.n, workers, fail, sm.install)
+					if !reflect.DeepEqual(res, seamRes) {
+						t.Errorf("results differ:\n  bare: %+v\n  %s: %+v", res, sm.name, seamRes)
+					}
+					if !reflect.DeepEqual(metrics, seamMetrics) {
+						t.Errorf("metrics differ:\n  bare: %+v\n  %s: %+v", metrics, sm.name, seamMetrics)
+					}
+				})
 			}
 		})
 	}
-	for _, fc := range formRounds(n) {
+	for k, fc := range formRounds(seams[0].n) {
 		t.Run(fc.name, func(t *testing.T) {
-			calls := fc.run(t, n, workers, "calls")
-			if fc.check != nil {
-				fc.check(t, calls)
+			for _, sm := range seams {
+				t.Run(sm.name, func(t *testing.T) {
+					fc := formRounds(sm.n)[k]
+					bare := fc.run(t, sm.n, workers, nil)
+					if fc.check != nil {
+						fc.check(t, bare)
+					}
+					if got := fc.run(t, sm.n, workers, sm.install); !reflect.DeepEqual(bare, got) {
+						t.Errorf("%s differs from the bare round:\n  bare: %+v %+v\n  %s: %+v %+v",
+							sm.name, bare.report, bare.metrics, sm.name, got.report, got.metrics)
+					}
+				})
 			}
-			for _, form := range []string{"observed", "intents"} {
-				if got := fc.run(t, n, workers, form); !reflect.DeepEqual(calls, got) {
-					t.Errorf("%s differs from the call form:\n  calls: %+v %+v\n  %s: %+v %+v",
-						form, calls.report, calls.metrics, form, got.report, got.metrics)
-				}
+			if fc.intent != nil {
+				t.Run("intents", func(t *testing.T) {
+					n := seams[0].n
+					bare, got := fc.run(t, n, workers, nil), fc.runIntents(t, n, workers)
+					if !reflect.DeepEqual(bare, got) {
+						t.Errorf("ExecRound differs from the call form:\n  calls: %+v %+v\n  intents: %+v %+v",
+							bare.report, bare.metrics, got.report, got.metrics)
+					}
+				})
 			}
 		})
 	}
 }
 
-// formCase is one round written in both forms: call and payload for
-// ExecCalls, intent for ExecRound.
+// formCase is one round in the call form, for ExecCalls, and optionally in
+// the Intent form, for ExecRound.
 type formCase struct {
 	name    string
 	poison  bool
@@ -154,10 +224,30 @@ type formRun struct {
 	responses int64 // responseOf evaluations
 }
 
-// run executes the case's round on a fresh network in one form: "calls"
-// (the engine's own call path), "observed" (the call form through a no-op
-// observer's Intent fallback) or "intents" (ExecRound).
-func (fc formCase) run(t *testing.T, n, workers int, form string) formRun {
+// run executes the case's call-form round on a fresh network, through the
+// seam that install puts in place (the bare path when install is nil).
+func (fc formCase) run(t *testing.T, n, workers int, install func(*testing.T, *phonecall.Network) func()) formRun {
+	t.Helper()
+	return fc.exec(t, n, workers, func(net *phonecall.Network, respond func(int) (phonecall.Message, bool), deliver func(int, []phonecall.Message)) phonecall.RoundReport {
+		if install != nil {
+			defer install(t, net)()
+		}
+		return net.ExecCalls(fc.call, fc.payload, respond, deliver)
+	})
+}
+
+// runIntents executes the case's Intent-form round through ExecRound.
+func (fc formCase) runIntents(t *testing.T, n, workers int) formRun {
+	t.Helper()
+	return fc.exec(t, n, workers, func(net *phonecall.Network, respond func(int) (phonecall.Message, bool), deliver func(int, []phonecall.Message)) phonecall.RoundReport {
+		return net.ExecRound(fc.intent, respond, deliver)
+	})
+}
+
+// exec builds the case's network and records what round exposed.
+func (fc formCase) exec(t *testing.T, n, workers int,
+	round func(*phonecall.Network, func(int) (phonecall.Message, bool), func(int, []phonecall.Message)) phonecall.RoundReport,
+) formRun {
 	t.Helper()
 	net, err := phonecall.New(phonecall.Config{N: n, Seed: 42, Workers: workers, PoisonInbox: fc.poison})
 	if err != nil {
@@ -178,24 +268,16 @@ func (fc formCase) run(t *testing.T, n, workers int, form string) formRun {
 	deliver := func(i int, inbox []phonecall.Message) {
 		r.inboxes[i] = append([]phonecall.Message(nil), inbox...) // copy out: poisoned on return
 	}
-	switch form {
-	case "intents":
-		r.report = net.ExecRound(fc.intent, respond, deliver)
-	case "observed":
-		net.Observe(nopObserver{})
-		fallthrough
-	default:
-		r.report = net.ExecCalls(fc.call, fc.payload, respond, deliver)
-	}
+	r.report = round(net, respond, deliver)
 	r.metrics, r.responses = net.Metrics(), responses.Load()
 	return r
 }
 
 // formRounds are the three edges of the call form: a poisoned round in
 // which most nodes are pulled, so the response list outgrows half the
-// network; Intent-form exchanges without content, which are pulls — the
-// call form's caller returns Pull for them; and pushes to failed and lost
-// targets, whose payloads are asked for and charged all the same.
+// network; exchanges without content, which the Intent form makes pulls —
+// the call form's caller returns Pull for them; and pushes to failed and
+// lost targets, whose payloads are asked for and charged all the same.
 func formRounds(n int) []formCase {
 	random := phonecall.RandomTarget()
 	content := func(i int) phonecall.Message {
@@ -226,12 +308,6 @@ func formRounds(n int) []formCase {
 			call:    func(i int) phonecall.Call { return phonecall.Call{Kind: mostlyPull(i), Target: random} },
 			payload: content,
 			respond: answer,
-			intent: func(i int) phonecall.Intent {
-				if mostlyPull(i) == phonecall.Exchange {
-					return phonecall.ExchangeIntent(random, content(i))
-				}
-				return phonecall.PullIntent(random)
-			},
 			check: func(t *testing.T, r formRun) {
 				if r.responses <= int64(n/2) {
 					t.Errorf("%d nodes pulled, want more than n/2 = %d", r.responses, n/2)
@@ -271,12 +347,6 @@ func formRounds(n int) []formCase {
 				return phonecall.Call{Kind: phonecall.Exchange, Target: random}
 			},
 			payload: content,
-			intent: func(i int) phonecall.Intent {
-				if i%2 == 0 {
-					return phonecall.PushIntent(phonecall.DirectTarget(ids[(i+1)%n]), content(i))
-				}
-				return phonecall.ExchangeIntent(random, content(i))
-			},
 			check: func(t *testing.T, r formRun) {
 				// No responder: the bits are the initiators' payloads alone,
 				// every live node's, whether or not it arrived.

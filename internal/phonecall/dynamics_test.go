@@ -23,7 +23,7 @@ func TestMidRunFailDropsInFlightIntents(t *testing.T) {
 	delivered := 0
 	intent := func(i int) Intent {
 		if i != sender {
-			return Silent()
+			return Intent{}
 		}
 		return PushIntent(DirectTarget(net.ID(victim)), Message{Tag: 1, Rumor: true})
 	}
@@ -103,7 +103,7 @@ func TestReviveRestoresLiveCount(t *testing.T) {
 			if i == 0 {
 				return PushIntent(DirectTarget(net.ID(2)), Message{Tag: 1})
 			}
-			return Silent()
+			return Intent{}
 		},
 		nil,
 		func(i int, inbox []Message) {
@@ -130,7 +130,7 @@ func TestLossDropsAndCharges(t *testing.T) {
 			if i%2 == 0 {
 				return PushIntent(RandomTarget(), Message{Tag: 1, Rumor: true})
 			}
-			return PullIntent(RandomTarget())
+			return Intent{Kind: Pull, Target: RandomTarget()}
 		},
 		func(j int) (Message, bool) {
 			responded++
@@ -230,7 +230,7 @@ func (wl *dynamicWorkload) run(rounds int, onRound func(r int)) {
 				if tr.Held(i) != 0 {
 					return PushIntent(RandomTarget(), Message{Tag: 1, Value: tr.Held(i), Rumor: true})
 				}
-				return PullIntent(RandomTarget())
+				return Intent{Kind: Pull, Target: RandomTarget()}
 			},
 			func(j int) (Message, bool) {
 				if held := tr.Held(j); held != 0 {
@@ -320,7 +320,7 @@ func TestOnRoundStartHook(t *testing.T) {
 		if i == 1 {
 			evaluated++
 		}
-		return Silent()
+		return Intent{}
 	}
 	net.ExecRound(intent, nil, nil)
 	net.ExecRound(intent, nil, nil)

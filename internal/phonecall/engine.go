@@ -7,7 +7,7 @@ import (
 )
 
 // This file implements the sharded, allocation-free round engine behind
-// Network.ExecCalls and Network.ExecRound. See DESIGN.md ("Round engine") for
+// Network.ExecCalls. See DESIGN.md ("Round engine") for
 // the full architecture; in short, one synchronous round is executed as a
 // fixed pipeline of passes over flat arrays, each pass sharded across a
 // persistent worker pool:
@@ -146,9 +146,8 @@ func (pl *pool) close() {
 	}
 }
 
-// initEngine sizes the engine state for n nodes and workers shards, builds
-// the two call-form adapters and, for multi-shard engines, starts the worker
-// pool.
+// initEngine sizes the engine state for n nodes and workers shards and, for
+// multi-shard engines, starts the worker pool.
 func (net *Network) initEngine(workers int) {
 	n := net.n
 	if workers < 1 {
@@ -192,31 +191,6 @@ func (net *Network) initEngine(workers int) {
 	net.inCount = make([]int32, n)
 	net.inOff = make([]int32, n)
 
-	net.intentCall = func(i int) Call {
-		it := net.curIntent(i)
-		switch it.Kind {
-		case Exchange:
-			if !it.Payload.HasContent() {
-				// The Intent form's rule: an exchange without content is
-				// only its pull half.
-				return Call{Kind: Pull, Target: it.Target}
-			}
-			fallthrough
-		case Push:
-			net.staged[i] = it.Payload
-		}
-		return Call{Kind: it.Kind, Target: it.Target}
-	}
-	net.stagedPayload = func(i int) Message { return net.staged[i] }
-	net.callIntent = func(i int) Intent {
-		c := net.fwdCall(i)
-		it := Intent{Kind: c.Kind, Target: c.Target}
-		if c.Kind == Push || c.Kind == Exchange {
-			it.Payload = net.fwdPayload(i)
-		}
-		return it
-	}
-
 	if workers > 1 {
 		net.pool = newPool(workers)
 		runtime.AddCleanup(net, func(pl *pool) { pl.close() }, net.pool)
@@ -254,66 +228,34 @@ func (net *Network) runPass(p passID, w int) {
 	}
 }
 
-// ExecRound executes one synchronous round.
+// ExecCalls executes one synchronous round.
 //
-// intentOf is invoked once per live node and returns that node's initiated
-// communication. responseOf is invoked at most once per live node that is
-// pulled from and returns the node's address-oblivious response (ok=false
-// means the node does not respond this round). deliver is invoked once per
-// live node that received at least one message, with the node's inbox; inbox
-// slices alias the engine's reusable message arena and are only valid during
-// the callback — callbacks that retain messages must copy them out.
+// callOf is invoked once per live node and returns the node's call.
+// responseOf is invoked at most once per live node that is pulled from and
+// returns the node's address-oblivious response (ok=false means the node
+// does not respond this round). payloadOf is invoked exactly once per Push
+// or Exchange call, whether or not the call reaches its target, after every
+// responseOf of the round and before any deliver; it returns the call's
+// payload (a nil payloadOf sends empty messages), which is charged when it
+// is asked for. An Exchange always carries its payload — it is transmitted
+// and charged even when empty — so a caller with nothing to push returns
+// Pull. deliver is invoked once per live node that received at least one
+// message, with the node's inbox; inbox slices alias the engine's reusable
+// message arena and are only valid during the callback — callbacks that
+// retain messages must copy them out.
 //
-// Any of the callbacks may be nil. The callbacks of a node may only touch
-// that node's own state: the engine invokes them from concurrent shards when
-// the network is configured with more than one worker.
-func (net *Network) ExecRound(
-	intentOf func(i int) Intent,
-	responseOf func(i int) (Message, bool),
-	deliver func(i int, inbox []Message),
-) RoundReport {
-	if intentOf == nil {
-		return net.exec(nil, nil, responseOf, deliver)
-	}
-	net.curIntent = intentOf
-	return net.exec(net.intentCall, nil, responseOf, deliver)
-}
-
-// ExecCalls executes one synchronous round from the payload-free call form:
-// it is ExecRound with each intent split in two. callOf is invoked once per
-// live node and returns the node's call. payloadOf is invoked exactly once
-// per Push or Exchange call, whether or not the call reaches its target,
-// after every responseOf of the round and before any deliver; it returns the
-// call's payload (a nil payloadOf sends empty messages), which is charged
-// when it is asked for. responseOf and deliver are those of ExecRound, under
-// the same contract.
+// Any of the callbacks may be nil; a nil callOf is an empty round. The
+// callbacks of a node may only touch that node's own state: the engine
+// invokes them from concurrent shards when the network is configured with
+// more than one worker.
 //
-// In the call form an Exchange always carries its payload: it is
-// transmitted and charged even when the payload is empty, so a caller with
-// nothing to push returns Pull. ExecRound's Intent form keeps the older rule
-// (an Exchange intent without content is only a pull), and so does a round
-// that runs through a seam — a behavior, an observer or an external
-// executor — which joins each call and its payload into an Intent when
-// callOf runs. For callers that follow the call-form rule the round's
-// traffic, metrics and inboxes are exactly those of ExecRound with the
-// joined intents.
+// A round with a seam installed — a behavior (SetBehavior), an observer
+// (Observe) or an external executor (SetExecutor) — wraps the callbacks in
+// the same form, so its traffic, metrics and inboxes are those of the bare
+// round with the seam's own effect added. Only the payload's moment may
+// differ: a behavior asks for a corrupted node's with its call, which the
+// rewrite needs, and so does the lock-step executor for every node.
 func (net *Network) ExecCalls(
-	callOf func(i int) Call,
-	payloadOf func(i int) Message,
-	responseOf func(i int) (Message, bool),
-	deliver func(i int, inbox []Message),
-) RoundReport {
-	if payloadOf == nil {
-		payloadOf = emptyPayload
-	}
-	return net.exec(callOf, payloadOf, responseOf, deliver)
-}
-
-func emptyPayload(int) Message { return Message{} }
-
-// exec runs one round. A nil payloadOf means callOf is intentCall, reading
-// the Intent-form net.curIntent and staging its payloads.
-func (net *Network) exec(
 	callOf func(i int) Call,
 	payloadOf func(i int) Message,
 	responseOf func(i int) (Message, bool),
@@ -330,7 +272,7 @@ func (net *Network) exec(
 	obs := net.observer
 	if obs != nil {
 		obs.BeginRound(net.round, RoundInfo{
-			HasIntent:   callOf != nil,
+			HasCall:     callOf != nil,
 			HasResponse: responseOf != nil,
 			HasDeliver:  deliver != nil,
 		})
@@ -344,44 +286,27 @@ func (net *Network) exec(
 		}
 		return rep
 	}
-	if net.corrupted > 0 || obs != nil || net.executor != nil {
-		// The seams speak the Intent form: a call-form round runs through
-		// callIntent, and the passes read the wrapped intents back through
-		// intentCall.
-		intentOf := net.curIntent
-		if payloadOf != nil {
-			net.fwdCall, net.fwdPayload = callOf, payloadOf
-			intentOf = net.callIntent
-		}
-		if net.corrupted > 0 {
-			// Byzantine seam: behaviors rewrite outgoing traffic before the
-			// observer taps it (verifiers check what is actually sent) and
-			// before any executor delegation (the live lock-step runtime
-			// inherits behaviors through the wrapped callbacks).
-			intentOf, responseOf = net.behaviorCallbacks(intentOf, responseOf)
-		}
-		if obs != nil {
-			intentOf, responseOf, deliver = net.observedCallbacks(obs, intentOf, responseOf, deliver)
-		}
-		if net.executor != nil {
-			// An external executor (internal/live) runs the round; the
-			// Network merges its delta exactly like the engine's own worker
-			// shards.
-			rep := net.runExternal(intentOf, responseOf, deliver)
-			net.curIntent, net.fwdCall, net.fwdPayload = nil, nil, nil
-			if obs != nil {
-				obs.EndRound(rep)
-			}
-			return rep
-		}
-		net.curIntent = intentOf
-		callOf, payloadOf = net.intentCall, nil
-	}
 	if payloadOf == nil {
-		if net.staged == nil {
-			net.staged = make([]Message, net.n)
+		payloadOf = emptyPayload
+	}
+	if net.corrupted > 0 {
+		// Byzantine seam: behaviors rewrite outgoing traffic before the
+		// observer taps it (verifiers check what is actually sent) and
+		// before any executor delegation (the live lock-step runtime
+		// inherits behaviors through the wrapped callbacks).
+		callOf, payloadOf, responseOf = net.behaviorCallbacks(callOf, payloadOf, responseOf)
+	}
+	if obs != nil {
+		callOf, payloadOf, responseOf, deliver = net.observedCallbacks(obs, callOf, payloadOf, responseOf, deliver)
+	}
+	if net.executor != nil {
+		// An external executor (internal/live) runs the round; the Network
+		// merges its delta exactly like the engine's own worker shards.
+		rep := net.runExternal(callOf, payloadOf, responseOf, deliver)
+		if obs != nil {
+			obs.EndRound(rep)
 		}
-		payloadOf = net.stagedPayload
+		return rep
 	}
 
 	net.curCall = callOf
@@ -459,7 +384,6 @@ func (net *Network) exec(
 	}
 
 	net.curCall, net.curPayload, net.curResponse, net.curDeliver = nil, nil, nil, nil
-	net.curIntent, net.fwdCall, net.fwdPayload = nil, nil, nil
 
 	rep := RoundReport{
 		Round:    net.round,
@@ -472,6 +396,8 @@ func (net *Network) exec(
 	}
 	return rep
 }
+
+func emptyPayload(int) Message { return Message{} }
 
 // blockSpan returns the 64-node blocks [kLo, kHi) of the shard span [lo, hi).
 // A non-empty span starts on a block boundary; an empty one (lo = hi = n)
@@ -543,7 +469,8 @@ func (net *Network) passCalls(w, lo, hi int) {
 				j, ok = net.resolveRandom(i), true
 			}
 		} else {
-			j, ok = net.resolveTarget(i, c.Target)
+			j = net.Contact(round, i, c.Target)
+			ok = j >= 0
 		}
 		cells[i].comms++
 		touch(touched, i)

@@ -39,14 +39,14 @@ func (wl *mixedWorkload) run(rounds int) {
 				case 0:
 					return PushIntent(RandomTarget(), Message{Tag: 1, Rumor: wl.informed[i]})
 				case 1:
-					return PullIntent(RandomTarget())
+					return Intent{Kind: Pull, Target: RandomTarget()}
 				case 2:
 					// Direct target, sometimes dead or unknown.
 					return PushIntent(DirectTarget(net.ID((i+r)%net.N())), Message{Tag: 2, Value: uint64(i)})
 				case 3:
 					return ExchangeIntent(RandomTarget(), Message{Tag: 3, Rumor: wl.informed[i]})
 				default:
-					return Silent()
+					return Intent{}
 				}
 			},
 			func(j int) (Message, bool) {
@@ -119,7 +119,7 @@ func TestZeroSteadyStateAllocs(t *testing.T) {
 	msg := Message{Tag: 1, Rumor: true}
 	intent := func(i int) Intent {
 		if i%3 == 1 {
-			return PullIntent(RandomTarget())
+			return Intent{Kind: Pull, Target: RandomTarget()}
 		}
 		return PushIntent(RandomTarget(), msg)
 	}
@@ -267,7 +267,7 @@ func TestFailedTargetsNotChargedComms(t *testing.T) {
 	net2.ExecRound(
 		func(i int) Intent {
 			if i == 4 {
-				return Silent()
+				return Intent{}
 			}
 			return PushIntent(DirectTarget(alive), Message{Tag: 1})
 		},
@@ -291,9 +291,9 @@ func TestInboxOrderMatchesInitiatorOrder(t *testing.T) {
 			case 0, 1, 6, 7:
 				return PushIntent(DirectTarget(dst), Message{Tag: 1, Value: uint64(i)})
 			case 3:
-				return PullIntent(DirectTarget(net.ID(5)))
+				return Intent{Kind: Pull, Target: DirectTarget(net.ID(5))}
 			default:
-				return Silent()
+				return Intent{}
 			}
 		},
 		func(j int) (Message, bool) { return Message{Tag: 2, Value: 100 + uint64(j)}, true },

@@ -4,7 +4,7 @@ import "repro/internal/rng"
 
 // Execution seam: a Network normally runs its rounds on the built-in sharded
 // engine (engine.go), but the round execution strategy is pluggable. An
-// external RoundExecutor receives the exact per-node callback triple every
+// external RoundExecutor receives the exact per-node callbacks every
 // protocol in this repository is written against and executes the round by
 // whatever means it likes — internal/live implements one that runs every node
 // as its own goroutine exchanging real messages over a transport. Everything
@@ -35,21 +35,24 @@ type RoundDelta struct {
 
 // RoundExecutor executes one synchronous round on behalf of a Network.
 //
-// ExecNetworkRound is invoked by Network.ExecRound (and by ExecCalls, with
-// each call and its payload joined into an Intent) after the round counter
-// has advanced, the OnRoundStart hook has run and the observer wrappers have
-// been applied; intentOf is never nil (an all-nil round is handled before
-// delegation). The executor must uphold the engine's callback contract: the
-// callbacks of node i may only be invoked with node i's own state in scope,
-// intentOf exactly once per live node, responseOf at most once per live node
-// that a live pull reached, deliver once per live node that received at least
-// one message with the inbox ordered by initiator index (a puller's own
-// response at its initiator position).
+// ExecNetworkRound is invoked by Network.ExecCalls after the round counter
+// has advanced, the OnRoundStart hook has run and the behavior and observer
+// wrappers have been applied; callOf and payloadOf are never nil (an empty
+// round is handled before delegation). The executor must uphold the
+// engine's callback contract: the callbacks of node i may only be invoked
+// with node i's own state in scope, callOf exactly once per live node,
+// payloadOf exactly once per Push or Exchange call — reached target or not,
+// at any point after the node's callOf and before any deliver — responseOf
+// at most once per live node that a live pull reached, deliver once per live
+// node that received at least one message with the inbox ordered by
+// initiator index (a puller's own response at its initiator position). An
+// Exchange always carries its payload, content or not.
 type RoundExecutor interface {
 	ExecNetworkRound(
 		net *Network,
 		round int,
-		intentOf func(i int) Intent,
+		callOf func(i int) Call,
+		payloadOf func(i int) Message,
 		responseOf func(i int) (Message, bool),
 		deliver func(i int, inbox []Message),
 	) RoundDelta
@@ -72,11 +75,12 @@ func (net *Network) PoisonInbox() bool { return net.cfg.PoisonInbox }
 // runExternal delegates the round to the installed executor and merges its
 // delta into the Network's metrics.
 func (net *Network) runExternal(
-	intentOf func(i int) Intent,
+	callOf func(i int) Call,
+	payloadOf func(i int) Message,
 	responseOf func(i int) (Message, bool),
 	deliver func(i int, inbox []Message),
 ) RoundReport {
-	d := net.executor.ExecNetworkRound(net, net.round, intentOf, responseOf, deliver)
+	d := net.executor.ExecNetworkRound(net, net.round, callOf, payloadOf, responseOf, deliver)
 	net.metrics.Messages += d.Messages
 	net.metrics.ControlMessages += d.Control
 	net.metrics.Bits += d.Bits

@@ -57,7 +57,7 @@ func TestExternalExecutorMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	net.SetExecutor(fakeExecutor{})
-	rep := net.ExecRound(func(int) Intent { return Silent() }, nil, nil)
+	rep := net.ExecCalls(func(int) Call { return Call{} }, nil, nil, nil)
 	if rep.Round != 1 || rep.Messages != 7 || rep.Bits != 99 || rep.MaxComms != 3 {
 		t.Fatalf("report not built from the delta: %+v", rep)
 	}
@@ -66,7 +66,7 @@ func TestExternalExecutorMerge(t *testing.T) {
 		t.Fatalf("metrics not merged: %+v", m)
 	}
 	// An all-nil round never reaches the executor.
-	rep = net.ExecRound(nil, nil, nil)
+	rep = net.ExecCalls(nil, nil, nil, nil)
 	if rep.Messages != 0 {
 		t.Fatalf("empty round delegated: %+v", rep)
 	}
@@ -80,7 +80,8 @@ type fakeExecutor struct{}
 
 func (fakeExecutor) ExecNetworkRound(
 	net *Network, round int,
-	intentOf func(i int) Intent,
+	callOf func(i int) Call,
+	payloadOf func(i int) Message,
 	responseOf func(i int) (Message, bool),
 	deliver func(i int, inbox []Message),
 ) RoundDelta {

@@ -1,7 +1,7 @@
 package phonecall
 
 // Verification seam: a RoundObserver intercepts everything that flows through
-// the engine's callback contract — each evaluated intent, each response, each
+// the engine's callback contract — each evaluated call, payload, response and
 // delivered inbox — without changing what the protocol sees. The invariant
 // checker (internal/oracle) uses it to validate the per-round model contracts
 // of DESIGN.md §2 under any protocol, closed or steppable, while the engine
@@ -16,18 +16,21 @@ package phonecall
 // round, so absent observations ("no responses seen") can be told apart from
 // suppressed ones ("responseOf was nil").
 type RoundInfo struct {
-	HasIntent   bool
+	HasCall     bool
 	HasResponse bool
 	HasDeliver  bool
 }
 
 // RoundObserver receives the engine's callback traffic for one round.
 type RoundObserver interface {
-	// BeginRound opens the round before any intent is evaluated (after the
+	// BeginRound opens the round before any call is evaluated (after the
 	// OnRoundStart hook, so churn injected by a timeline is already visible).
 	BeginRound(round int, info RoundInfo)
-	// ObserveIntent sees node i's evaluated intent. Shard goroutine.
-	ObserveIntent(i int, it Intent)
+	// ObserveCall sees node i's evaluated call. Shard goroutine.
+	ObserveCall(i int, c Call)
+	// ObservePayload sees the payload of node i's Push or Exchange call,
+	// when the engine asks for it. Shard goroutine.
+	ObservePayload(i int, m Message)
 	// ObserveResponse sees node i's response evaluation. Shard goroutine.
 	ObserveResponse(i int, m Message, ok bool)
 	// ObserveDeliver sees node i's inbox exactly as the protocol does: the
@@ -73,11 +76,13 @@ type HoldingsBinder interface {
 }
 
 // Observe registers an observer on the network (nil unregisters). While an
-// observer is registered every round pays three wrapper closures and — so the
-// observer can see inboxes even under protocols that pass a nil deliver — the
-// delivery pass always runs; ExecCalls rounds take the Intent-form path so
-// the observer sees whole intents. Results and metrics are unchanged. This is
-// a debugging/verification mode, not a production path.
+// observer is registered every round wraps its four callbacks, so each call,
+// payload, response and inbox costs one observer method call, and — so the
+// observer can see inboxes even under protocols that pass a nil deliver —
+// the delivery pass always runs. The round keeps its form and its order:
+// results and metrics are unchanged, and nothing n-sized is added. Observing
+// is a production path: the run drivers (internal/run) install an observer
+// on every run with telemetry, a trace or a streaming callback.
 func (net *Network) Observe(obs RoundObserver) { net.observer = obs }
 
 // LossSeed returns the seed driving the oblivious per-call loss process (set
@@ -89,19 +94,25 @@ func (net *Network) LossSeed() uint64 { return net.lossSeed }
 // exposed for external verifiers.
 func (net *Network) ControlBits() int { return net.controlSize() }
 
-// observedCallbacks wraps the round's callbacks with observer taps. intentOf
-// must be non-nil (a nil intentOf means an empty round and is handled before
-// wrapping). deliver may be nil: the wrapper still taps the inboxes.
+// observedCallbacks wraps the round's callbacks with observer taps. callOf
+// and payloadOf are non-nil (an empty round is handled before wrapping).
+// deliver may be nil: the wrapper still taps the inboxes.
 func (net *Network) observedCallbacks(
 	obs RoundObserver,
-	intentOf func(i int) Intent,
+	callOf func(i int) Call,
+	payloadOf func(i int) Message,
 	responseOf func(i int) (Message, bool),
 	deliver func(i int, inbox []Message),
-) (func(i int) Intent, func(i int) (Message, bool), func(i int, inbox []Message)) {
-	wrappedIntent := func(i int) Intent {
-		it := intentOf(i)
-		obs.ObserveIntent(i, it)
-		return it
+) (func(i int) Call, func(i int) Message, func(i int) (Message, bool), func(i int, inbox []Message)) {
+	wrappedCall := func(i int) Call {
+		c := callOf(i)
+		obs.ObserveCall(i, c)
+		return c
+	}
+	wrappedPayload := func(i int) Message {
+		m := payloadOf(i)
+		obs.ObservePayload(i, m)
+		return m
 	}
 	wrappedResponse := responseOf
 	if responseOf != nil {
@@ -117,5 +128,5 @@ func (net *Network) observedCallbacks(
 			deliver(i, inbox)
 		}
 	}
-	return wrappedIntent, wrappedResponse, wrappedDeliver
+	return wrappedCall, wrappedPayload, wrappedResponse, wrappedDeliver
 }

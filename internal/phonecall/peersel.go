@@ -43,3 +43,21 @@ func (net *Network) RandomContact(round, initiator int) (int, bool) {
 	}
 	return RandomPeer(net.n, net.cfg.Seed, round, initiator), true
 }
+
+// Contact resolves the target of initiator's call in round to a node index,
+// or -1 when it resolves to nothing: a random target through RandomContact,
+// a direct one through the ID directory, where NoNode, an unknown ID and the
+// initiator's own resolve to nothing. Pure and goroutine-safe like
+// RandomContact, for the engine, its seams and external executors.
+func (net *Network) Contact(round, initiator int, t Target) int {
+	j, ok := net.index.get(t.ID)
+	if t.Random {
+		j, ok = net.RandomContact(round, initiator)
+	} else if j == initiator {
+		ok = false
+	}
+	if !ok {
+		return -1
+	}
+	return j
+}

@@ -97,34 +97,15 @@ type Message struct {
 	Rumor bool
 }
 
-// Intent is a node's initiated communication for one round.
-type Intent struct {
-	Kind    Kind
-	Target  Target
-	Payload Message // used for Push
-}
-
-// Call is a node's initiated communication for one round without its
-// payload: the form Network.ExecCalls evaluates for every live node, so a
-// silent node costs a 24-byte return value instead of a whole Intent. The
-// payload of a Push or Exchange call is asked for separately.
+// Call is a node's initiated communication for one round: what it does and
+// to whom. It is the form Network.ExecCalls evaluates for every live node,
+// so a silent node costs a 24-byte return value. The payload of a Push or
+// Exchange call is asked for separately, and an Exchange always carries it:
+// a node with nothing to push calls Pull.
 type Call struct {
 	Kind   Kind
 	Target Target
 }
-
-// Silent is the do-nothing intent.
-func Silent() Intent { return Intent{Kind: None} }
-
-// PushIntent builds a push intent.
-func PushIntent(t Target, m Message) Intent { return Intent{Kind: Push, Target: t, Payload: m} }
-
-// PullIntent builds a pull intent.
-func PullIntent(t Target) Intent { return Intent{Kind: Pull, Target: t} }
-
-// ExchangeIntent builds an exchange (simultaneous push and pull) intent. If
-// the payload has no content only the pull half takes place.
-func ExchangeIntent(t Target, m Message) Intent { return Intent{Kind: Exchange, Target: t, Payload: m} }
 
 // HasContent reports whether the message carries any information (and hence
 // is transmitted and charged at all).
@@ -232,7 +213,7 @@ type Network struct {
 	blockBase []int32
 
 	// roundMix caches the hash prefix (seed, tag, round) of the stateless
-	// random-target hash; refreshed by ExecRound at the start of each round.
+	// random-target hash; refreshed at the start of each round.
 	roundMix      rng.MixState
 	roundMixRound int
 
@@ -243,12 +224,12 @@ type Network struct {
 	lossMix      rng.MixState
 	lossMixRound int
 
-	// roundHook, when set, runs at the start of every ExecRound before any
-	// intent is evaluated (OnRoundStart).
+	// roundHook, when set, runs at the start of every round before any call
+	// is evaluated (OnRoundStart).
 	roundHook func(round int)
 
-	// ctx, when set, aborts ExecRound once done (SetContext / RecoverAbort,
-	// see context.go).
+	// ctx, when set, aborts the next round once done (SetContext /
+	// RecoverAbort, see context.go).
 	ctx context.Context
 
 	// observer, when set, taps the round's callback traffic (Observe).
@@ -269,26 +250,20 @@ type Network struct {
 	behaviors []Behavior
 	corrupted int
 
+	// rewrites holds, per corrupted node, the payload its behavior rewrote
+	// when the node's call was evaluated; made with behaviors.
+	rewrites []Message
+
 	// Per-round callbacks, published to the pool workers through the pass
-	// channel's happens-before edge. The passes read the call form.
+	// channel's happens-before edge.
 	curCall     func(i int) Call
 	curPayload  func(i int) Message
 	curResponse func(i int) (Message, bool)
 	curDeliver  func(i int, inbox []Message)
 
-	// The adapters between the round's forms, built once in New.
-	// intentCall runs the Intent-form curIntent as a call and stages its
-	// payload in staged, which stagedPayload reads back; staged is made on
-	// the first Intent-form round the engine itself runs. callIntent runs
-	// the call-form fwdCall/fwdPayload as an Intent for the seams that speak
-	// that form (behaviors, observer, executor).
-	curIntent     func(i int) Intent
-	fwdCall       func(i int) Call
-	fwdPayload    func(i int) Message
-	intentCall    func(i int) Call
-	stagedPayload func(i int) Message
-	callIntent    func(i int) Intent
-	staged        []Message
+	// intents is ExecRound's adapter state (intent.go), made on its first
+	// round.
+	intents *intentRound
 }
 
 // Validation errors returned by New.
@@ -380,7 +355,7 @@ func (net *Network) NodeRNG(i int) *rng.Source { return &net.nodeRNG[i] }
 // never respond, and drop messages addressed to them. The paper's oblivious
 // adversary (Section 8) fails nodes before the protocol starts; dynamic
 // scenarios (internal/scenario) may also call Fail between rounds — a node
-// failed after round r is dead from round r+1 on: its next-round intent is
+// failed after round r is dead from round r+1 on: its next-round call is
 // never evaluated and calls addressed to it are dropped without charging it.
 // Out-of-range and already-failed indexes are ignored, so duplicate indexes
 // decrement the live count only once. Must not be called while a round is
@@ -437,8 +412,8 @@ func (net *Network) SetLoss(rate float64, seed uint64) {
 // LossRate returns the per-call drop probability currently in effect.
 func (net *Network) LossRate() float64 { return net.lossRate }
 
-// OnRoundStart registers a hook invoked by ExecRound after the round counter
-// advances and before any intent is evaluated. The hook runs on the
+// OnRoundStart registers a hook invoked at the start of every round, after
+// the round counter advances and before any call is evaluated. The hook runs on the
 // coordinator goroutine, so it may safely mutate network state that is
 // read-only during passes: Fail, Revive and SetLoss. This is the seam the
 // scenario subsystem uses to drive timed churn and loss under any protocol
@@ -516,23 +491,4 @@ func (net *Network) refreshLossMix() {
 func (net *Network) dropCall(initiator int) bool {
 	h := net.lossMix.Absorb(uint64(initiator)).Finalize(4)
 	return rng.Unit(h) < net.lossRate
-}
-
-// resolveTarget maps a target to a node index.
-func (net *Network) resolveTarget(initiator int, t Target) (int, bool) {
-	if t.Random {
-		if net.selector != nil {
-			return net.selector.SelectPeer(net.round, initiator)
-		}
-		net.refreshRoundMix()
-		return net.resolveRandom(initiator), true
-	}
-	if t.ID == NoNode {
-		return 0, false
-	}
-	j, ok := net.index.get(t.ID)
-	if !ok || j == initiator {
-		return j, ok && j != initiator
-	}
-	return j, true
 }

@@ -50,7 +50,7 @@ func TestPushDeliveryAndAccounting(t *testing.T) {
 			if i == 0 {
 				return PushIntent(DirectTarget(dst), Message{Tag: 7, Value: 42})
 			}
-			return Silent()
+			return Intent{}
 		},
 		nil,
 		func(i int, inbox []Message) {
@@ -86,9 +86,9 @@ func TestPullResponseAndAddressObliviousness(t *testing.T) {
 	net.ExecRound(
 		func(i int) Intent {
 			if i < 4 {
-				return PullIntent(DirectTarget(target))
+				return Intent{Kind: Pull, Target: DirectTarget(target)}
 			}
-			return Silent()
+			return Intent{}
 		},
 		func(i int) (Message, bool) {
 			if i != 5 {
@@ -130,9 +130,9 @@ func TestPullNoResponse(t *testing.T) {
 	net.ExecRound(
 		func(i int) Intent {
 			if i == 0 {
-				return PullIntent(DirectTarget(net.ID(1)))
+				return Intent{Kind: Pull, Target: DirectTarget(net.ID(1))}
 			}
-			return Silent()
+			return Intent{}
 		},
 		func(i int) (Message, bool) { return Message{}, false },
 		func(i int, inbox []Message) { delivered = true },
@@ -195,11 +195,10 @@ func TestRandomTargetNeverSelf(t *testing.T) {
 			nil,
 		)
 	}
-	// Self-delivery cannot be observed directly; instead verify resolveTarget.
+	// Self-delivery cannot be observed directly; instead verify Contact.
 	for i := 0; i < net.N(); i++ {
-		j, ok := net.resolveTarget(i, RandomTarget())
-		if !ok || j == i {
-			t.Fatalf("resolveTarget(%d, random) = %d, %v", i, j, ok)
+		if j := net.Contact(net.Round(), i, RandomTarget()); j < 0 || j == i {
+			t.Fatalf("Contact(%d, random) = %d", i, j)
 		}
 	}
 }
@@ -213,7 +212,7 @@ func TestRandomTargetsCoverNetwork(t *testing.T) {
 				if i == 0 {
 					return PushIntent(RandomTarget(), Message{Tag: 1})
 				}
-				return Silent()
+				return Intent{}
 			},
 			nil,
 			func(i int, inbox []Message) { hit[i] = true },
@@ -238,7 +237,7 @@ func TestDirectTargetUnknownIDIsLost(t *testing.T) {
 			if i == 0 {
 				return PushIntent(DirectTarget(NodeID(0xdeadbeef)), Message{Tag: 1})
 			}
-			return Silent()
+			return Intent{}
 		},
 		nil,
 		func(i int, inbox []Message) { delivered = true },
@@ -256,7 +255,7 @@ func TestSelfTargetIsDropped(t *testing.T) {
 			if i == 0 {
 				return PushIntent(DirectTarget(net.ID(0)), Message{Tag: 1})
 			}
-			return Silent()
+			return Intent{}
 		},
 		nil,
 		func(i int, inbox []Message) { delivered = true },
@@ -296,7 +295,7 @@ func TestDeterministicReplay(t *testing.T) {
 					if informed[i] {
 						return PushIntent(RandomTarget(), Message{Tag: 1, Rumor: true})
 					}
-					return PullIntent(RandomTarget())
+					return Intent{Kind: Pull, Target: RandomTarget()}
 				},
 				func(i int) (Message, bool) {
 					if informed[i] {
@@ -343,11 +342,11 @@ func TestResolveTargetPropertyInRange(t *testing.T) {
 		} else {
 			tgt = DirectTarget(net.ID(int(which) % net.N()))
 		}
-		j, ok := net.resolveTarget(i, tgt)
-		if !ok {
+		j := net.Contact(net.Round(), i, tgt)
+		if j < 0 {
 			return !useRandom // direct self-targets may be rejected
 		}
-		return j >= 0 && j < net.N() && j != i
+		return j < net.N() && j != i
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

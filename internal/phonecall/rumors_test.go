@@ -113,8 +113,8 @@ func TestRumorForgedBits(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := Liar{Seed: 77, Registered: tr.Registered}
-	lie := l.RewriteIntent(4, 0, 1, PushIntent(RandomTarget(),
-		Message{Tag: TagHoldings, Value: tr.Held(0), Rumor: true})).Payload
+	_, lie := l.RewriteCall(4, 0, 1, Call{Kind: Push, Target: RandomTarget()},
+		Message{Tag: TagHoldings, Value: tr.Held(0), Rumor: true})
 	if lie.Value&^tr.Registered() == 0 {
 		t.Fatal("liar forged nothing — the test would be vacuous")
 	}

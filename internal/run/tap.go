@@ -84,7 +84,8 @@ func (t *tap) BeginRound(round int, info phonecall.RoundInfo) { t.begin = time.N
 
 // The per-node observer methods run on shard goroutines; the tap reads
 // nothing per node.
-func (t *tap) ObserveIntent(i int, it phonecall.Intent)            {}
+func (t *tap) ObserveCall(i int, c phonecall.Call)                 {}
+func (t *tap) ObservePayload(i int, m phonecall.Message)           {}
 func (t *tap) ObserveResponse(i int, m phonecall.Message, ok bool) {}
 func (t *tap) ObserveDeliver(i int, inbox []phonecall.Message)     {}
 

@@ -59,36 +59,30 @@ func (a Algorithm) OrDefault() (Algorithm, error) {
 // single-rumor drivers alike. empty: the node holds no rumor; complete: it
 // holds every rumor registered so far (both are true before the first
 // injection). Push is silent when empty, pull is silent when complete,
-// push-pull always calls. The intent comes without a payload; withHoldings
-// tells the caller to attach its holdings (a push-pull call without them is a
-// bare pull).
-func (a Algorithm) Call(empty, complete bool) (it phonecall.Intent, withHoldings bool) {
+// push-pull always calls. The call is in the engine's call form
+// (phonecall.Network.ExecCalls), where an Exchange always carries its
+// payload, so a push-pull call without holdings is a bare Pull;
+// withHoldings tells the caller that the call carries the node's holdings,
+// which it does exactly when it is a Push or an Exchange.
+func (a Algorithm) Call(empty, complete bool) (c phonecall.Call, withHoldings bool) {
+	random := phonecall.RandomTarget()
 	switch a {
 	case AlgoPush:
 		if empty {
-			return phonecall.Silent(), false
+			return phonecall.Call{}, false
 		}
-		return phonecall.PushIntent(phonecall.RandomTarget(), phonecall.Message{}), true
+		return phonecall.Call{Kind: phonecall.Push, Target: random}, true
 	case AlgoPull:
 		if complete {
-			return phonecall.Silent(), false
+			return phonecall.Call{}, false
 		}
-		return phonecall.PullIntent(phonecall.RandomTarget()), false
+		return phonecall.Call{Kind: phonecall.Pull, Target: random}, false
 	default: // AlgoPushPull
-		return phonecall.ExchangeIntent(phonecall.RandomTarget(), phonecall.Message{}), !empty
+		if empty {
+			return phonecall.Call{Kind: phonecall.Pull, Target: random}, false
+		}
+		return phonecall.Call{Kind: phonecall.Exchange, Target: random}, true
 	}
-}
-
-// call is Call in the engine's call form (phonecall.Network.ExecCalls),
-// where an Exchange always carries its payload: a push-pull call without
-// holdings is a bare Pull. Every Push or Exchange it returns carries the
-// node's holdings.
-func (a Algorithm) call(empty, complete bool) phonecall.Call {
-	it, withHoldings := a.Call(empty, complete)
-	if it.Kind == phonecall.Exchange && !withHoldings {
-		it.Kind = phonecall.Pull
-	}
-	return phonecall.Call{Kind: it.Kind, Target: it.Target}
 }
 
 // Answers is the table's response column: whether a pulled node hands its
@@ -114,7 +108,8 @@ func (a Algorithm) Step(has func(int) bool, mark func(int), rumor phonecall.Mess
 	respond func(int) (phonecall.Message, bool),
 	deliver func(int, []phonecall.Message),
 ) {
-	holder, nonHolder := a.call(false, true), a.call(true, false)
+	holder, _ := a.Call(false, true)
+	nonHolder, _ := a.Call(true, false)
 	call = func(i int) phonecall.Call {
 		if has(i) {
 			return holder
@@ -204,7 +199,8 @@ func (o onNet) PeerSelector() phonecall.PeerSelector       { return o.net.PeerSe
 // mask, per the engine's callback contract.
 func (p *protocol) call(i int) phonecall.Call {
 	v := p.View(i)
-	return p.algo.call(v.Empty(), v.Complete())
+	c, _ := p.algo.Call(v.Empty(), v.Complete())
+	return c
 }
 
 // payload is the holdings a calling node pushes: the payload of every Push

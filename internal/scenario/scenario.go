@@ -189,8 +189,8 @@ func NewTimeline(events ...Event) *Timeline {
 	return &Timeline{events: sortEvents(events)}
 }
 
-// Attach registers the timeline on the network. Subsequent ExecRound calls
-// fire due events before evaluating intents. Check Err after the run: event
+// Attach registers the timeline on the network. Subsequent ExecCalls rounds
+// fire due events before evaluating calls. Check Err after the run: event
 // application errors (for example InjectRumor, which needs a ledger) stop the
 // timeline but, running inside the engine, cannot abort the protocol.
 func (tl *Timeline) Attach(net *phonecall.Network) {

@@ -209,9 +209,9 @@ func TestTimelineUnderClosedProtocol(t *testing.T) {
 	tl.Attach(net)
 	liveAt := map[int]int{}
 	for r := 1; r <= 6; r++ {
-		net.ExecRound(func(i int) phonecall.Intent {
-			return phonecall.PushIntent(phonecall.RandomTarget(), phonecall.Message{Tag: 1})
-		}, nil, nil)
+		net.ExecCalls(func(int) phonecall.Call {
+			return phonecall.Call{Kind: phonecall.Push, Target: phonecall.RandomTarget()}
+		}, nil, nil, nil)
 		liveAt[r] = net.LiveCount()
 	}
 	if tl.Err() != nil {
@@ -238,7 +238,7 @@ func TestTimelineInjectWithoutTrackerErrs(t *testing.T) {
 	}
 	tl := NewTimeline(InjectRumor{At: 1, Node: 0, Rumor: 0})
 	tl.Attach(net)
-	net.ExecRound(func(i int) phonecall.Intent { return phonecall.Silent() }, nil, nil)
+	net.ExecCalls(func(int) phonecall.Call { return phonecall.Call{} }, nil, nil, nil)
 	if tl.Err() == nil {
 		t.Fatal("InjectRumor without tracker should error")
 	}
@@ -475,16 +475,20 @@ func TestProtocolsFollowTheDecisionTable(t *testing.T) {
 		{AlgoPull, true, false, phonecall.Pull, false},
 		{AlgoPull, false, false, phonecall.Pull, false},
 		{AlgoPull, false, true, phonecall.None, false},
-		{AlgoPushPull, true, true, phonecall.Exchange, false},
-		{AlgoPushPull, true, false, phonecall.Exchange, false},
+		{AlgoPushPull, true, true, phonecall.Pull, false},
+		{AlgoPushPull, true, false, phonecall.Pull, false},
 		{AlgoPushPull, false, false, phonecall.Exchange, true},
 		{AlgoPushPull, false, true, phonecall.Exchange, true},
 	}
 	for _, row := range rows {
-		it, withHoldings := row.algo.Call(row.empty, row.complete)
-		if it.Kind != row.kind || withHoldings != row.withHoldings {
+		c, withHoldings := row.algo.Call(row.empty, row.complete)
+		if c.Kind != row.kind || withHoldings != row.withHoldings {
 			t.Errorf("%s.Call(empty=%v, complete=%v) = %v, %v; want %v, %v",
-				row.algo, row.empty, row.complete, it.Kind, withHoldings, row.kind, row.withHoldings)
+				row.algo, row.empty, row.complete, c.Kind, withHoldings, row.kind, row.withHoldings)
+		}
+		if sends := c.Kind == phonecall.Push || c.Kind == phonecall.Exchange; sends != withHoldings {
+			t.Errorf("%s.Call(empty=%v, complete=%v): a %v call with withHoldings=%v",
+				row.algo, row.empty, row.complete, c.Kind, withHoldings)
 		}
 		if got, want := row.algo.Answers(row.empty), row.algo != AlgoPush && !row.empty; got != want {
 			t.Errorf("%s.Answers(empty=%v) = %v, want %v", row.algo, row.empty, got, want)
@@ -516,19 +520,14 @@ func TestProtocolsFollowTheDecisionTable(t *testing.T) {
 		wide := newWideProtocol(row.algo, net, set)
 		wide.active = set.Active()
 		wide.beginRound() // the set ledger's callbacks run under the round's view
-		// The call form: a push-pull call without holdings is a bare pull,
-		// and every call that carries a payload carries the holdings.
-		wantKind := row.kind
-		if wantKind == phonecall.Exchange && !row.withHoldings {
-			wantKind = phonecall.Pull
-		}
+		// Every call that carries a payload carries the holdings.
 		for name, p := range map[string]interface {
 			call(int) phonecall.Call
 			payload(int) phonecall.Message
 			response(int) (phonecall.Message, bool)
 		}{"protocol": newProtocol(row.algo, net, tr), "wideProtocol": wide} {
 			got := p.call(1)
-			if got.Kind != wantKind {
+			if got.Kind != row.kind {
 				t.Errorf("%s %s.call(empty=%v, complete=%v) = %v; table says %v (withHoldings=%v)",
 					name, row.algo, row.empty, row.complete, got.Kind, row.kind, row.withHoldings)
 			}
@@ -582,7 +581,7 @@ func TestStepIsTheSingleRumorColumn(t *testing.T) {
 		if c.Kind != row.kind || sends != row.carries || (sends && !isRumor(payload(1))) {
 			t.Errorf("%s informed=%v: call %v; want %v, carries rumor %v", row.algo, row.informed, c.Kind, row.kind, row.carries)
 		}
-		if want := row.algo.call(!row.informed, row.informed); c != want {
+		if want, _ := row.algo.Call(!row.informed, row.informed); c != want {
 			t.Errorf("%s informed=%v: Step's call %v is not the table's %v", row.algo, row.informed, c, want)
 		}
 		if (respond == nil) != (row.algo == AlgoPush) {

@@ -116,10 +116,12 @@ func (p *wideProtocol) digest(i int) phonecall.SetView {
 func (p *wideProtocol) call(i int) phonecall.Call {
 	if !p.carries {
 		v := phonecall.SetView{Held: p.view.HeldCount(i), Active: p.active}
-		return p.algo.call(v.Empty(), v.Complete())
+		c, _ := p.algo.Call(v.Empty(), v.Complete())
+		return c
 	}
 	v := p.digest(i)
-	return p.algo.call(v.Empty(), v.Complete())
+	c, _ := p.algo.Call(v.Empty(), v.Complete())
+	return c
 }
 
 // payload is the holdings digest a calling node pushes, built by its call.

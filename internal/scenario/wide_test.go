@@ -355,7 +355,8 @@ type wideProbe struct {
 func (o *wideProbe) BindNetwork(net *phonecall.Network)           { o.net = net }
 func (o *wideProbe) BindHoldings(h phonecall.Holdings)            { o.holdings = h }
 func (o *wideProbe) BeginRound(int, phonecall.RoundInfo)          {}
-func (o *wideProbe) ObserveIntent(int, phonecall.Intent)          {}
+func (o *wideProbe) ObserveCall(int, phonecall.Call)              {}
+func (o *wideProbe) ObservePayload(int, phonecall.Message)        {}
 func (o *wideProbe) ObserveResponse(int, phonecall.Message, bool) {}
 func (o *wideProbe) ObserveDeliver(int, []phonecall.Message)      {}
 func (o *wideProbe) EndRound(phonecall.RoundReport) {
@@ -631,7 +632,8 @@ type cancelAfter struct {
 
 func (c *cancelAfter) BindHoldings(h phonecall.Holdings)            { c.wide, _ = h.(*wideProtocol) }
 func (c *cancelAfter) BeginRound(int, phonecall.RoundInfo)          {}
-func (c *cancelAfter) ObserveIntent(int, phonecall.Intent)          {}
+func (c *cancelAfter) ObserveCall(int, phonecall.Call)              {}
+func (c *cancelAfter) ObservePayload(int, phonecall.Message)        {}
 func (c *cancelAfter) ObserveResponse(int, phonecall.Message, bool) {}
 func (c *cancelAfter) ObserveDeliver(int, []phonecall.Message)      {}
 func (c *cancelAfter) EndRound(rep phonecall.RoundReport) {
@@ -640,7 +642,7 @@ func (c *cancelAfter) EndRound(rep phonecall.RoundReport) {
 	}
 }
 
-// TestWideAbortReleasesView: a cancelled wide run aborts out of ExecRound
+// TestWideAbortReleasesView: a cancelled wide run aborts out of ExecCalls
 // with the round's read view taken, and must still give it back — the set
 // stays writable, so a Register returns instead of waiting on the view
 // forever.
