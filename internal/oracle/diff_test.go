@@ -17,7 +17,7 @@ func runDiffScript(t *testing.T, sc Script) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checker := NewChecker(net)
+	checker := NewChecker()
 	net.Observe(checker)
 	if err := Compare(net, orc, sc); err != nil {
 		t.Fatal(err)

@@ -159,7 +159,7 @@ func FuzzAdversaryVsOracle(f *testing.F) {
 		if err := sc.Validate(); err != nil {
 			t.Skip(err)
 		}
-		checker := NewDeferredChecker()
+		checker := NewChecker()
 		cfg := scenario.Config{Seed: seed, Workers: 1 + int(workers)%8, Observer: checker}
 		if err := ScenarioDiff(sc, cfg); err != nil {
 			t.Fatal(err)

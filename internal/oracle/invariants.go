@@ -12,7 +12,7 @@ import (
 )
 
 // Checker is the invariant-checking engine wrapper: registered on a live
-// Network through the RoundObserver seam (net.Observe(checker)), it watches
+// Network as a phonecall.CallObserver (net.Observe(checker)), it watches
 // every call, payload, response and delivery the engine evaluates and
 // validates the per-round model contracts of DESIGN.md §2 under ANY
 // protocol — the paper's closed clustering algorithms as much as the
@@ -83,22 +83,15 @@ type Checker struct {
 // the cap is dropped (the first violation is what matters).
 const maxViolations = 16
 
-// NewChecker builds a Checker for the network. Register it with
-// net.Observe(c); it validates every subsequent round until unregistered.
-func NewChecker(net *phonecall.Network) *Checker {
-	c := &Checker{}
-	c.BindNetwork(net)
-	return c
-}
+// NewChecker builds an unbound Checker. Register it with net.Observe(c),
+// which binds it to the network (also inside a driver that builds its network
+// itself, such as scenario.Run with the Checker as its Observer); it
+// validates every subsequent round until unregistered.
+func NewChecker() *Checker { return &Checker{} }
 
-// NewDeferredChecker builds a Checker with no network yet, for drivers that
-// construct their network internally and bind observers through the
-// phonecall.NetworkBinder seam (the scenario driver). The Checker sizes its
-// state at BindNetwork time.
-func NewDeferredChecker() *Checker { return &Checker{} }
-
-// BindNetwork implements phonecall.NetworkBinder. The first bound network
-// wins; rebinding is ignored.
+// BindNetwork implements phonecall.NetworkBinder: Observe calls it and the
+// Checker sizes its state here. The first bound network wins; rebinding is
+// ignored.
 func (c *Checker) BindNetwork(net *phonecall.Network) {
 	if c.net != nil {
 		return
@@ -172,7 +165,7 @@ func (c *Checker) BeginRound(round int, info phonecall.RoundInfo) {
 	c.spans = c.spans[:0]
 }
 
-// ObserveCall implements phonecall.RoundObserver. Shard goroutine; writes
+// ObserveCall implements phonecall.CallObserver. Shard goroutine; writes
 // are index-owned, counters atomic.
 func (c *Checker) ObserveCall(i int, call phonecall.Call) {
 	if c.callSeen[i].Add(1) == 1 {
@@ -185,7 +178,7 @@ func (c *Checker) ObserveCall(i int, call phonecall.Call) {
 	}
 }
 
-// ObservePayload implements phonecall.RoundObserver. Shard goroutine, after
+// ObservePayload implements phonecall.CallObserver. Shard goroutine, after
 // the node's own ObserveCall.
 func (c *Checker) ObservePayload(i int, m phonecall.Message) {
 	if c.paySeen[i].Add(1) == 1 {
@@ -217,7 +210,7 @@ func (c *Checker) checkHonest(i int, m phonecall.Message, what string) {
 	}
 }
 
-// ObserveResponse implements phonecall.RoundObserver.
+// ObserveResponse implements phonecall.CallObserver.
 func (c *Checker) ObserveResponse(i int, m phonecall.Message, ok bool) {
 	if c.respSeen[i].Add(1) == 1 {
 		c.resps[i] = m
@@ -233,7 +226,7 @@ func (c *Checker) ObserveResponse(i int, m phonecall.Message, ok bool) {
 	}
 }
 
-// ObserveDeliver implements phonecall.RoundObserver. Copies the inbox (the
+// ObserveDeliver implements phonecall.CallObserver. Copies the inbox (the
 // slice aliases the arena) and records its physical span for the
 // disjointness check.
 func (c *Checker) ObserveDeliver(i int, inbox []phonecall.Message) {

@@ -26,7 +26,7 @@ func TestCheckerCleanOnClosedAlgorithms(t *testing.T) {
 			t.Fatal(err)
 		}
 		net.Fail(fail...)
-		checker := oracle.NewChecker(net)
+		checker := oracle.NewChecker()
 		net.Observe(checker)
 		var informed int
 		switch name {
@@ -66,7 +66,7 @@ func TestCheckerCleanUnderScenarioTimeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checker := oracle.NewChecker(net)
+	checker := oracle.NewChecker()
 	net.Observe(checker)
 	tl := scenario.NewTimeline(
 		scenario.CrashAt{At: 3, Nodes: []int{0, 1, 2, 50}},
@@ -94,9 +94,11 @@ func TestCheckerCatchesViolations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return net, oracle.NewChecker(net)
+		c := oracle.NewChecker()
+		net.Observe(c)
+		return net, c
 	}
-	info := phonecall.RoundInfo{HasCall: true, HasDeliver: true}
+	info := phonecall.RoundInfo{HasCall: true}
 	silent := phonecall.Call{}
 	push := phonecall.Call{Kind: phonecall.Push, Target: phonecall.RandomTarget()}
 
@@ -201,7 +203,7 @@ func TestCheckerCatchesEngineTampering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checker := oracle.NewChecker(net)
+	checker := oracle.NewChecker()
 	net.Observe(checker)
 	rep := net.ExecCalls(
 		func(int) phonecall.Call {

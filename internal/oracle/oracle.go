@@ -15,7 +15,7 @@
 //     and asserts bit-identical traces, metrics and Δ accounting. It backs
 //     the native fuzz targets FuzzEngineVsOracle and FuzzScenarioVsOracle.
 //   - Checker (invariants.go) wraps a live Network through the engine's
-//     RoundObserver seam and validates the per-round model contracts under
+//     CallObserver seam and validates the per-round model contracts under
 //     any protocol, closed or steppable.
 //
 // The package is the standing conformance gate for engine changes: perf work

@@ -102,7 +102,7 @@ func FuzzPolicyVsOracle(f *testing.F) {
 		orc.SetSelectPeer(func(round, i int) (int, bool) {
 			return policy.ReferenceSelect(table, pol, part, sc.NetSeed, round, i)
 		})
-		checker := NewChecker(net)
+		checker := NewChecker()
 		net.Observe(checker)
 		if err := Compare(net, orc, sc); err != nil {
 			t.Fatal(err)

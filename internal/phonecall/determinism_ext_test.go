@@ -91,6 +91,13 @@ func TestAlgorithmsDeterministicAcrossWorkers(t *testing.T) {
 // round in an observer tap.
 type nopObserver struct{}
 
+// roundObserver sees rounds only: installed, it leaves the round's callbacks
+// as they are.
+type roundObserver struct{}
+
+func (roundObserver) BeginRound(int, phonecall.RoundInfo) {}
+func (roundObserver) EndRound(phonecall.RoundReport)      {}
+
 func (nopObserver) BeginRound(int, phonecall.RoundInfo)          {}
 func (nopObserver) ObserveCall(int, phonecall.Call)              {}
 func (nopObserver) ObservePayload(int, phonecall.Message)        {}
@@ -117,15 +124,20 @@ type seam struct {
 	install func(t *testing.T, net *phonecall.Network) func()
 }
 
-// seams are the three ways a round leaves the engine's bare path: a no-op
-// observer, an identity behavior on every node, and the lock-step live
-// runtime as the round executor. The first two run on a sharded engine. The
-// lock-step runtime runs a goroutine per node, which the race detector
+// seams are the three ways a round leaves the engine's bare path — a no-op
+// call observer, an identity behavior on every node, and the lock-step live
+// runtime as the round executor — and a round-only observer, which must keep
+// the round on it. All but the lock-step runtime run on a sharded engine.
+// The lock-step runtime runs a goroutine per node, which the race detector
 // charges ≈ 300 KB each, so it gets the network TestLockStepMatchesEngine
 // uses.
 var seams = []seam{
 	{"observer", 6000, func(t *testing.T, net *phonecall.Network) func() {
 		net.Observe(nopObserver{})
+		return func() {}
+	}},
+	{"round-observer", 6000, func(t *testing.T, net *phonecall.Network) func() {
+		net.Observe(roundObserver{})
 		return func() {}
 	}},
 	{"behavior", 6000, func(t *testing.T, net *phonecall.Network) func() {

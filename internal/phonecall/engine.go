@@ -249,12 +249,13 @@ func (net *Network) runPass(p passID, w int) {
 // invokes them from concurrent shards when the network is configured with
 // more than one worker.
 //
-// A round with a seam installed — a behavior (SetBehavior), an observer
+// A round with a seam installed — a behavior (SetBehavior), a CallObserver
 // (Observe) or an external executor (SetExecutor) — wraps the callbacks in
 // the same form, so its traffic, metrics and inboxes are those of the bare
-// round with the seam's own effect added. Only the payload's moment may
-// differ: a behavior asks for a corrupted node's with its call, which the
-// rewrite needs, and so does the lock-step executor for every node.
+// round with the seam's own effect added; a round-only observer wraps
+// nothing. Only the payload's moment may differ: a behavior asks for a
+// corrupted node's with its call, which the rewrite needs, and so does the
+// lock-step executor for every node.
 func (net *Network) ExecCalls(
 	callOf func(i int) Call,
 	payloadOf func(i int) Message,
@@ -271,11 +272,7 @@ func (net *Network) ExecCalls(
 	}
 	obs := net.observer
 	if obs != nil {
-		obs.BeginRound(net.round, RoundInfo{
-			HasCall:     callOf != nil,
-			HasResponse: responseOf != nil,
-			HasDeliver:  deliver != nil,
-		})
+		obs.BeginRound(net.round, RoundInfo{HasCall: callOf != nil, HasResponse: responseOf != nil})
 	}
 	if callOf == nil {
 		// No initiator means an empty round: nothing is sent, charged or
@@ -296,8 +293,8 @@ func (net *Network) ExecCalls(
 		// inherits behaviors through the wrapped callbacks).
 		callOf, payloadOf, responseOf = net.behaviorCallbacks(callOf, payloadOf, responseOf)
 	}
-	if obs != nil {
-		callOf, payloadOf, responseOf, deliver = net.observedCallbacks(obs, callOf, payloadOf, responseOf, deliver)
+	if co := net.callObserver; co != nil {
+		callOf, payloadOf, responseOf, deliver = net.observedCallbacks(co, callOf, payloadOf, responseOf, deliver)
 	}
 	if net.executor != nil {
 		// An external executor (internal/live) runs the round; the Network

@@ -112,9 +112,16 @@ func TestSmallNetworksRunSingleShard(t *testing.T) {
 	}
 }
 
+// roundCounter is a round-only observer: it counts the rounds it saw end.
+type roundCounter struct{ ended int }
+
+func (o *roundCounter) BeginRound(int, RoundInfo) {}
+func (o *roundCounter) EndRound(RoundReport)      { o.ended++ }
+
 // TestZeroSteadyStateAllocs locks in the allocation-free round engine: after
 // warm-up, executing a round allocates nothing, sequential or sharded, in the
-// Intent form and in the call form for each kind of call.
+// Intent form, in the call form for each kind of call, and with a round-only
+// observer installed (the run layer's tap is one).
 func TestZeroSteadyStateAllocs(t *testing.T) {
 	msg := Message{Tag: 1, Rumor: true}
 	intent := func(i int) Intent {
@@ -142,13 +149,19 @@ func TestZeroSteadyStateAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			obs := &roundCounter{}
 			rounds := map[string]func(){
 				"intents":  func() { net.ExecRound(intent, respond, deliver) },
 				"push":     func() { net.ExecCalls(push, payload, nil, deliver) },
 				"pull":     func() { net.ExecCalls(pull, nil, respond, deliver) },
 				"exchange": func() { net.ExecCalls(exchange, payload, respond, deliver) },
+				"observed": func() {
+					net.Observe(obs)
+					net.ExecCalls(exchange, payload, respond, deliver)
+					net.Observe(nil)
+				},
 			}
-			for _, form := range []string{"intents", "push", "pull", "exchange"} {
+			for _, form := range []string{"intents", "push", "pull", "exchange", "observed"} {
 				round := rounds[form]
 				for i := 0; i < 5; i++ {
 					round() // warm up: arena growth and pool start-up
@@ -156,6 +169,9 @@ func TestZeroSteadyStateAllocs(t *testing.T) {
 				if avg := testing.AllocsPerRun(20, round); avg != 0 {
 					t.Errorf("%s: steady-state round allocates %.1f times, want 0", form, avg)
 				}
+			}
+			if obs.ended == 0 {
+				t.Error("observed: the observer saw no round end")
 			}
 		})
 	}

@@ -1,16 +1,13 @@
 package phonecall
 
-// Verification seam: a RoundObserver intercepts everything that flows through
-// the engine's callback contract — each evaluated call, payload, response and
-// delivered inbox — without changing what the protocol sees. The invariant
-// checker (internal/oracle) uses it to validate the per-round model contracts
-// of DESIGN.md §2 under any protocol, closed or steppable, while the engine
-// runs at full (sharded) speed.
-//
-// Observer methods for a node are invoked from whichever shard owns that node,
-// concurrently with other shards — an observer must be safe for per-node
-// concurrent use, exactly like protocol callbacks. BeginRound and EndRound run
-// on the coordinator goroutine.
+// Observation seam. A RoundObserver sees each round open and close with the
+// engine's report (the run layer's tap). A CallObserver also sees each
+// evaluated call, payload, response and delivered inbox, without changing
+// what the protocol sees: the invariant checker (internal/oracle) validates
+// the per-round model contracts of DESIGN.md §2 through it, under any
+// protocol, while the engine runs sharded. BeginRound and EndRound run on the
+// coordinator goroutine; the per-node methods run on the shard that owns the
+// node and must be safe for per-node concurrent use, like protocol callbacks.
 
 // RoundInfo tells the observer which callbacks the protocol supplied for the
 // round, so absent observations ("no responses seen") can be told apart from
@@ -18,14 +15,21 @@ package phonecall
 type RoundInfo struct {
 	HasCall     bool
 	HasResponse bool
-	HasDeliver  bool
 }
 
-// RoundObserver receives the engine's callback traffic for one round.
+// RoundObserver sees the rounds of a network.
 type RoundObserver interface {
 	// BeginRound opens the round before any call is evaluated (after the
 	// OnRoundStart hook, so churn injected by a timeline is already visible).
 	BeginRound(round int, info RoundInfo)
+	// EndRound closes the round with the engine's own report.
+	EndRound(rep RoundReport)
+}
+
+// CallObserver is an optional interface for RoundObservers that watch the
+// round's callback traffic node by node.
+type CallObserver interface {
+	RoundObserver
 	// ObserveCall sees node i's evaluated call. Shard goroutine.
 	ObserveCall(i int, c Call)
 	// ObservePayload sees the payload of node i's Push or Exchange call,
@@ -36,15 +40,12 @@ type RoundObserver interface {
 	// ObserveDeliver sees node i's inbox exactly as the protocol does: the
 	// slice aliases the engine arena and is only valid during the call.
 	ObserveDeliver(i int, inbox []Message)
-	// EndRound closes the round with the engine's own report.
-	EndRound(rep RoundReport)
 }
 
 // NetworkBinder is an optional interface for RoundObservers that want a
 // reference to the network they are observing (for example to read the live
-// count when a round ends). Drivers that register observers on networks they
-// construct internally (internal/run, internal/scenario) call
-// BindNetwork before the first round.
+// count when a round ends). Observe calls BindNetwork when it registers the
+// observer.
 type NetworkBinder interface {
 	BindNetwork(net *Network)
 }
@@ -75,15 +76,20 @@ type HoldingsBinder interface {
 	BindHoldings(h Holdings)
 }
 
-// Observe registers an observer on the network (nil unregisters). While an
-// observer is registered every round wraps its four callbacks, so each call,
-// payload, response and inbox costs one observer method call, and — so the
-// observer can see inboxes even under protocols that pass a nil deliver —
-// the delivery pass always runs. The round keeps its form and its order:
-// results and metrics are unchanged, and nothing n-sized is added. Observing
-// is a production path: the run drivers (internal/run) install an observer
-// on every run with telemetry, a trace or a streaming callback.
-func (net *Network) Observe(obs RoundObserver) { net.observer = obs }
+// Observe registers an observer on the network (nil unregisters) and binds
+// it when it is a NetworkBinder, so call it after the peer selector is
+// installed: a binder may read it. A round-only observer leaves the round on
+// its bare path. A CallObserver makes every round wrap its four callbacks
+// (one method call per call, payload, response and inbox) and always run the
+// delivery pass, so it sees inboxes even when the protocol passes no deliver.
+// Either way results and metrics are unchanged, and nothing n-sized is added.
+func (net *Network) Observe(obs RoundObserver) {
+	net.observer = obs
+	net.callObserver, _ = obs.(CallObserver)
+	if b, ok := obs.(NetworkBinder); ok {
+		b.BindNetwork(net)
+	}
+}
 
 // LossSeed returns the seed driving the oblivious per-call loss process (set
 // by SetLoss; meaningful only while LossRate() > 0). Exposed so external
@@ -98,7 +104,7 @@ func (net *Network) ControlBits() int { return net.controlSize() }
 // and payloadOf are non-nil (an empty round is handled before wrapping).
 // deliver may be nil: the wrapper still taps the inboxes.
 func (net *Network) observedCallbacks(
-	obs RoundObserver,
+	obs CallObserver,
 	callOf func(i int) Call,
 	payloadOf func(i int) Message,
 	responseOf func(i int) (Message, bool),

@@ -232,8 +232,11 @@ type Network struct {
 	// RecoverAbort, see context.go).
 	ctx context.Context
 
-	// observer, when set, taps the round's callback traffic (Observe).
-	observer RoundObserver
+	// observer, when set, sees every round open and close (Observe);
+	// callObserver is the same observer when it also taps the round's
+	// callback traffic.
+	observer     RoundObserver
+	callObserver CallObserver
 
 	// executor, when set, runs rounds instead of the built-in engine
 	// (SetExecutor; see executor.go).

@@ -183,7 +183,6 @@ func runOnNetwork(ctx context.Context, net *phonecall.Network, s Spec) (res trac
 		return trace.Result{}, fmt.Errorf("run: %w", err)
 	}
 	if s.tap != nil {
-		s.tap.BindNetwork(net)
 		net.Observe(s.tap)
 	}
 	start, events := s.failureEvents()

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/failure"
+	"repro/internal/phonecall"
 	"repro/internal/policy"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
@@ -581,7 +582,9 @@ func TestScenarioObservabilityOnBothLedgers(t *testing.T) {
 // TestNoTapWithoutConsumers locks the telemetry-off path: a spec that opts
 // into no observability builds no tap and installs no engine observer, so
 // un-instrumented runs stay on the engines' zero-allocation round loop
-// (phonecall's TestZeroSteadyStateAllocs covers the loop itself).
+// (phonecall's TestZeroSteadyStateAllocs covers the loop itself). The tap a
+// spec with a consumer composes is round-only, not a phonecall.CallObserver,
+// so instrumented rounds stay on that loop too.
 func TestNoTapWithoutConsumers(t *testing.T) {
 	s := Spec{N: 100}
 	if tp := newTap(s); tp != nil {
@@ -592,7 +595,11 @@ func TestNoTapWithoutConsumers(t *testing.T) {
 	}
 	s.Observer = func(RoundStats) {}
 	s.tap = newTap(s)
-	if s.tap == nil || s.tap.engineObserver() == nil {
+	obs := s.tap.engineObserver()
+	if s.tap == nil || obs == nil {
 		t.Fatal("observer spec did not compose a tap")
+	}
+	if _, ok := obs.(phonecall.CallObserver); ok {
+		t.Fatal("the tap is a CallObserver: every observed round would leave the engine's bare path")
 	}
 }

@@ -19,10 +19,11 @@ import (
 // none of the three builds no tap at all, so the telemetry-off path installs
 // no observer and stays on the engines' zero-allocation round loop.
 
-// tap is the observer of one execution. On the barriered engines it is the
-// phonecall.RoundObserver: it binds the network (and, on rumor-tracking runs,
-// the holdings) once, times the round once, and builds one round record per
-// EndRound that every consumer reads.
+// tap is the observer of one execution. On the barriered engines it is a
+// round-only phonecall.RoundObserver, so an observed round stays on the
+// engine's bare path: Observe binds it to the network (and rumor-tracking
+// drivers to the holdings) once, it times the round once, and builds one
+// round record per EndRound that every consumer reads.
 type tap struct {
 	algo string
 
@@ -61,7 +62,7 @@ func (t *tap) engineObserver() phonecall.RoundObserver {
 	return t
 }
 
-// BindNetwork implements phonecall.NetworkBinder.
+// BindNetwork implements phonecall.NetworkBinder; Observe calls it.
 func (t *tap) BindNetwork(net *phonecall.Network) {
 	t.net = net
 	if t.ins != nil {
@@ -81,13 +82,6 @@ func (t *tap) BindHoldings(h phonecall.Holdings) {
 
 // BeginRound implements phonecall.RoundObserver (coordinator goroutine).
 func (t *tap) BeginRound(round int, info phonecall.RoundInfo) { t.begin = time.Now() }
-
-// The per-node observer methods run on shard goroutines; the tap reads
-// nothing per node.
-func (t *tap) ObserveCall(i int, c phonecall.Call)                 {}
-func (t *tap) ObservePayload(i int, m phonecall.Message)           {}
-func (t *tap) ObserveResponse(i int, m phonecall.Message, ok bool) {}
-func (t *tap) ObserveDeliver(i int, inbox []phonecall.Message)     {}
 
 // EndRound implements phonecall.RoundObserver: build the round's record and
 // hand it to every consumer. Coordinator goroutine.

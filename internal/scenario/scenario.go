@@ -414,9 +414,10 @@ type Config struct {
 	// Workers is the engine shard count; <= 0 defaults to GOMAXPROCS.
 	// Results are bit-identical for any value.
 	Workers int
-	// Observer, when non-nil, taps every executed round through the engine's
-	// observer seam (phonecall.Observe) — per-round streaming stats without
-	// changing results.
+	// Observer, when non-nil, sees every executed round through the engine's
+	// observer seam (phonecall.Observe, which binds a NetworkBinder to the
+	// run's network; a HoldingsBinder is bound to its ledger) — per-round
+	// streaming stats without changing results.
 	Observer phonecall.RoundObserver
 	// Topology, when non-nil, attributes the nodes (zones, latency classes,
 	// capacity, reputation) and enables zone/partition events. Its length
@@ -517,9 +518,6 @@ func Run(ctx context.Context, sc Scenario, cfg Config) (res Result, err error) {
 		defer phonecall.RecoverAbort(&err)
 	}
 	if cfg.Observer != nil {
-		if b, ok := cfg.Observer.(phonecall.NetworkBinder); ok {
-			b.BindNetwork(net)
-		}
 		if b, ok := cfg.Observer.(phonecall.HoldingsBinder); ok {
 			b.BindHoldings(l)
 		}

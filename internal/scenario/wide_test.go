@@ -352,13 +352,9 @@ type wideProbe struct {
 	rounds   [][2]int
 }
 
-func (o *wideProbe) BindNetwork(net *phonecall.Network)           { o.net = net }
-func (o *wideProbe) BindHoldings(h phonecall.Holdings)            { o.holdings = h }
-func (o *wideProbe) BeginRound(int, phonecall.RoundInfo)          {}
-func (o *wideProbe) ObserveCall(int, phonecall.Call)              {}
-func (o *wideProbe) ObservePayload(int, phonecall.Message)        {}
-func (o *wideProbe) ObserveResponse(int, phonecall.Message, bool) {}
-func (o *wideProbe) ObserveDeliver(int, []phonecall.Message)      {}
+func (o *wideProbe) BindNetwork(net *phonecall.Network)  { o.net = net }
+func (o *wideProbe) BindHoldings(h phonecall.Holdings)   { o.holdings = h }
+func (o *wideProbe) BeginRound(int, phonecall.RoundInfo) {}
 func (o *wideProbe) EndRound(phonecall.RoundReport) {
 	complete := 0
 	for i := 0; i < o.net.N(); i++ {
@@ -630,12 +626,8 @@ type cancelAfter struct {
 	wide   *wideProtocol
 }
 
-func (c *cancelAfter) BindHoldings(h phonecall.Holdings)            { c.wide, _ = h.(*wideProtocol) }
-func (c *cancelAfter) BeginRound(int, phonecall.RoundInfo)          {}
-func (c *cancelAfter) ObserveCall(int, phonecall.Call)              {}
-func (c *cancelAfter) ObservePayload(int, phonecall.Message)        {}
-func (c *cancelAfter) ObserveResponse(int, phonecall.Message, bool) {}
-func (c *cancelAfter) ObserveDeliver(int, []phonecall.Message)      {}
+func (c *cancelAfter) BindHoldings(h phonecall.Holdings)   { c.wide, _ = h.(*wideProtocol) }
+func (c *cancelAfter) BeginRound(int, phonecall.RoundInfo) {}
 func (c *cancelAfter) EndRound(rep phonecall.RoundReport) {
 	if rep.Round == c.at {
 		c.cancel()
