@@ -302,8 +302,9 @@ type RoundInfo struct {
 }
 
 // Observer receives per-round statistics while a run executes. It is
-// invoked from the engine's coordinator goroutine (or the free-running
-// monitor) — it must be fast and must not call back into the run.
+// invoked on the goroutine that called Run, on every engine (the free-running
+// engine's frontier monitor runs there too) — it must be fast and must not
+// call back into the run.
 type Observer func(RoundInfo)
 
 // WithObserver streams per-round statistics to obs while the run executes.

@@ -476,8 +476,8 @@ func TestClusterFaultToleranceUninformedOverF(t *testing.T) {
 // free-running push-pull trials at n = 1000, at each of its frame-loss
 // rates, inform every live node, and each seed's completion frontier lands
 // within the round budget of the simulator's push-pull run on the same seed.
-// Observed over 20 runs: frontier 9–15 (9–18 under -race) against 25
-// simulator rounds; the simulator itself completes in 9–10.
+// Observed over 20 runs: frontier 7–15 (9–15 under -race, 10 runs) against
+// 25 simulator rounds; the simulator itself completes in 9–10.
 func TestFreeRunningFrontierWithinSyncRounds(t *testing.T) {
 	const n = 1000
 	cfg := seeds(replications)

@@ -90,6 +90,13 @@ func headerLen(round, src int) int {
 	return 2 + uvarintLen(uint64(round)) + uvarintLen(uint64(src))
 }
 
+// appendHeader encodes a frame's type, flags, round and src.
+func appendHeader(dst []byte, typ, flags byte, round, src int) []byte {
+	dst = append(dst, typ, flags)
+	dst = binary.AppendUvarint(dst, uint64(round))
+	return binary.AppendUvarint(dst, uint64(src))
+}
+
 // messageLen is the encoded length of m's message block.
 func messageLen(m *phonecall.Message) int {
 	n := 8 + uvarintLen(zigzag(m.Bits)) + 1
@@ -116,9 +123,7 @@ func appendCallFrame(dst []byte, round, src int, hasPayload, wantsPull bool, m *
 	if wantsPull {
 		flags |= flagPull
 	}
-	dst = append(dst, frameCall, flags)
-	dst = binary.AppendUvarint(dst, uint64(round))
-	dst = binary.AppendUvarint(dst, uint64(src))
+	dst = appendHeader(dst, frameCall, flags, round, src)
 	if hasPayload {
 		dst = appendMessage(dst, m)
 	}
@@ -131,10 +136,7 @@ func appendRespFrame(dst []byte, round, src int, m *phonecall.Message) []byte {
 	if m.Rumor {
 		flags |= flagRumor
 	}
-	dst = append(dst, frameResp, flags)
-	dst = binary.AppendUvarint(dst, uint64(round))
-	dst = binary.AppendUvarint(dst, uint64(src))
-	return appendMessage(dst, m)
+	return appendMessage(appendHeader(dst, frameResp, flags, round, src), m)
 }
 
 // appendSummaryCallFrame encodes a call from initiator src whose payload is a
@@ -144,19 +146,13 @@ func appendSummaryCallFrame(dst []byte, round, src int, wantsPull bool, sum *rum
 	if wantsPull {
 		flags |= flagPull
 	}
-	dst = append(dst, frameCall, flags)
-	dst = binary.AppendUvarint(dst, uint64(round))
-	dst = binary.AppendUvarint(dst, uint64(src))
-	return sum.Append(dst)
+	return sum.Append(appendHeader(dst, frameCall, flags, round, src))
 }
 
 // appendSummaryRespFrame encodes responder src's pull response carrying a
 // rumor summary, in the summary's form.
 func appendSummaryRespFrame(dst []byte, round, src int, sum *rumorset.Summary) []byte {
-	dst = append(dst, frameResp, summaryFlags(sum))
-	dst = binary.AppendUvarint(dst, uint64(round))
-	dst = binary.AppendUvarint(dst, uint64(src))
-	return sum.Append(dst)
+	return sum.Append(appendHeader(dst, frameResp, summaryFlags(sum), round, src))
 }
 
 func summaryFlags(sum *rumorset.Summary) byte {

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/phonecall"
 	"repro/internal/policy"
+	"repro/internal/rng"
 	"repro/internal/rumorset"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
@@ -54,10 +55,10 @@ type FreeRunConfig struct {
 	// calls it actually sends. Zone and partition timeline events require a
 	// selector that carries a topology.
 	PeerSelector phonecall.PeerSelector
-	// OnFrontier, when non-nil, is invoked from the monitor goroutine every
-	// time the round frontier advances, with the monitor's population view —
-	// the free-running analogue of a per-round observer. There is no global
-	// round, so no per-round traffic figures accompany it.
+	// OnFrontier, when non-nil, is invoked on Run's goroutine (the monitor's)
+	// every time the round frontier advances, with the monitor's population
+	// view — the free-running analogue of a per-round observer. There is no
+	// global round, so no per-round traffic figures accompany it.
 	OnFrontier func(FrontierInfo)
 	// Telemetry, when non-nil, receives live traffic counters from the node
 	// send paths (repro_messages_total, repro_bits_total labeled
@@ -110,9 +111,10 @@ type FrontierInfo struct {
 }
 
 // FreeRun executes gossip without a global barrier: every node advances its
-// own round clock, sending and draining frames as it goes, while a monitor
-// goroutine maintains the round frontier, enforces the skew bound, fires
-// timeline events and detects convergence.
+// own round clock on a goroutine of its own, sending and draining frames as it
+// goes, while Run's goroutine makes the monitor passes that maintain the round
+// frontier, enforce the skew bound, fire timeline events and detect
+// convergence. The first pass runs before any node steps.
 type FreeRun struct {
 	cfg FreeRunConfig
 	net *phonecall.Network // ID directory and message sizing only; its engine never runs
@@ -131,7 +133,7 @@ type FreeRun struct {
 
 	minRound     atomic.Int64
 	stopped      atomic.Bool
-	completionAt atomic.Int64
+	completionAt int64
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -144,8 +146,7 @@ type FreeRun struct {
 	// Rumor-stream state (nil/zero in legacy bitmask mode). set is the shared
 	// ground truth: nodes mark their own rows from their goroutines, the
 	// monitor owns injection, GC and the convergence scan. injectNext,
-	// stalls, reseeded and telLast are monitor-only; Run reads them after the
-	// monitor joins.
+	// stalls, reseeded and telLast are monitor-only, like completionAt.
 	stream     *StreamConfig
 	set        *rumorset.Set
 	scanBuf    []rumorset.ID
@@ -156,7 +157,10 @@ type FreeRun struct {
 	telLast    rumorset.Stats
 
 	stats []frStats
-	wg    sync.WaitGroup
+	// running counts the node goroutines still in their loop; the last one
+	// out closes exited.
+	running atomic.Int64
+	exited  chan struct{}
 
 	// Run slabs the nodes carve their start-up state from, so a run allocates
 	// them once rather than once per node: each node's drain list
@@ -215,12 +219,16 @@ func NewFreeRun(cfg FreeRunConfig) (*FreeRun, error) {
 	if err := scenario.ValidateZones(zones, cfg.Events); err != nil {
 		return nil, fmt.Errorf("live: %w", err)
 	}
+	hasInject := false
+	for _, ev := range cfg.Events {
+		if _, ok := ev.(scenario.InjectRumor); ok {
+			hasInject = true
+		}
+	}
 	stream := cfg.Stream
 	if stream != nil {
-		for _, ev := range cfg.Events {
-			if _, ok := ev.(scenario.InjectRumor); ok {
-				return nil, fmt.Errorf("live: %w: a rumor stream is the sole injector; drop the InjectRumor events", scenario.ErrSpec)
-			}
+		if hasInject {
+			return nil, fmt.Errorf("live: %w: a rumor stream is the sole injector; drop the InjectRumor events", scenario.ErrSpec)
 		}
 		s := *stream // defaulting must not mutate the caller's struct
 		if s.Total < 1 {
@@ -263,6 +271,7 @@ func NewFreeRun(cfg FreeRunConfig) (*FreeRun, error) {
 		resume:   make([]atomic.Int64, cfg.N),
 		behav:    make([]atomic.Pointer[frBehavior], cfg.N),
 		stats:    make([]frStats, cfg.N),
+		exited:   make(chan struct{}),
 		drains:   make([][]byte, cfg.N*mailboxSlots),
 	}
 	full := phonecall.MaskView{Held: ^uint64(0), Registered: ^uint64(0)}.Message(net)
@@ -307,13 +316,7 @@ func NewFreeRun(cfg FreeRunConfig) (*FreeRun, error) {
 	sort.SliceStable(fr.events, func(a, b int) bool {
 		return fr.events[a].EventRound() < fr.events[b].EventRound()
 	})
-	hasInject := false
-	for _, ev := range fr.events {
-		if _, ok := ev.(scenario.InjectRumor); ok {
-			hasInject = true
-		}
-	}
-	if !hasInject && fr.stream == nil {
+	if !hasInject && stream == nil {
 		fr.events = append([]scenario.Event{scenario.InjectRumor{At: 1, Node: 0, Rumor: 0}}, fr.events...)
 	}
 	return fr, nil
@@ -321,26 +324,42 @@ func NewFreeRun(cfg FreeRunConfig) (*FreeRun, error) {
 
 // Run executes the workload to convergence, budget exhaustion or timeline
 // end, and fills in the result: Rounds is the furthest local clock,
-// CompletionRound the frontier at which the monitor first saw convergence,
-// Informed the live nodes holding every injected rumor. A done ctx stops every
-// node and the monitor promptly; the partial result is returned together with
-// the context's error. Run may be called once.
+// CompletionRound the frontier at which a monitor pass first saw convergence,
+// Informed the live nodes holding every injected rumor. The monitor runs on
+// the caller's goroutine, one pass before any node steps and then one per
+// tick, so OnFrontier is invoked there too. A done ctx stops every node and
+// the monitor promptly; the partial result is returned together with the
+// context's error. Run may be called once.
 func (fr *FreeRun) Run(ctx context.Context) (trace.Result, error) {
 	start := time.Now()
 	if ctx != nil {
 		stopWatch := context.AfterFunc(ctx, fr.stop)
 		defer stopWatch()
 	}
-	for i := 0; i < fr.cfg.N; i++ {
-		fr.wg.Add(1)
-		go fr.nodeLoop(i)
+	// Events at round 1 and the stream's first injections apply before any
+	// communication at all.
+	fr.tick()
+	// Goroutines first run in the order they are started, and the first ones
+	// get up to MaxSkew rounds ahead of the last; starting from a seeded node
+	// keeps where a rumor was injected from deciding how fast it spreads.
+	fr.running.Store(int64(fr.cfg.N))
+	first := int(rng.Mix(fr.cfg.Seed, 0x57a27) % uint64(fr.cfg.N))
+	for k := 0; k < fr.cfg.N; k++ {
+		go fr.nodeLoop((first + k) % fr.cfg.N)
 	}
-	monitorDone := make(chan struct{})
-	go fr.monitor(monitorDone)
-	fr.wg.Wait()
-	// All nodes exited; make sure the monitor observes the stop.
-	fr.stop()
-	<-monitorDone
+	ticker := time.NewTicker(500 * time.Microsecond)
+	for !fr.stopped.Load() {
+		select {
+		case <-ticker.C:
+			fr.tick()
+		case <-fr.exited:
+			// Every node left its loop, yet the frontier did not reach the
+			// budget: a node revived after it spent its budget holds it back.
+			fr.stop()
+		}
+	}
+	ticker.Stop()
+	<-fr.exited
 	if fr.own {
 		fr.tr.Close()
 	}
@@ -349,7 +368,7 @@ func (fr *FreeRun) Run(ctx context.Context) (trace.Result, error) {
 		Algorithm:       string(fr.cfg.Algorithm),
 		N:               fr.cfg.N,
 		Seed:            fr.cfg.Seed,
-		CompletionRound: int(fr.completionAt.Load()),
+		CompletionRound: int(fr.completionAt),
 		UnfiredEvents:   len(fr.events) - fr.nextEv,
 		IgnoredEvents:   fr.ignored,
 		LostInjects:     fr.lost,
@@ -368,8 +387,9 @@ func (fr *FreeRun) Run(ctx context.Context) (trace.Result, error) {
 	// With a stream, informed means "holds every still-active rumor": with the
 	// whole stream injected and GC'd, every live node is trivially informed
 	// and the stream converged.
-	res.Live, res.Informed, _ = fr.census()
-	res.AllInformed = fr.converged(res.Live, res.Informed)
+	c := fr.census()
+	res.Live, res.Informed = c.Live, c.Informed
+	res.AllInformed = fr.converged(c)
 	if fr.set != nil {
 		snap := fr.set.Snapshot()
 		res.RumorsInjected = snap.Injected
@@ -408,33 +428,23 @@ func (fr *FreeRun) stop() {
 	fr.mu.Unlock()
 }
 
-// monitor maintains the frontier, fires timeline events, and detects
-// convergence and natural termination. It is the only writer of minRound,
-// membership and registration.
-func (fr *FreeRun) monitor(done chan struct{}) {
-	defer close(done)
-	ticker := time.NewTicker(500 * time.Microsecond)
-	defer ticker.Stop()
-	for !fr.stopped.Load() {
-		<-ticker.C
-		fr.tick()
-	}
-}
-
-// tick runs one monitor pass.
+// tick runs one monitor pass: it maintains the frontier, fires timeline
+// events, and detects convergence and natural termination. The monitor is the
+// only writer of minRound, membership and registration.
 func (fr *FreeRun) tick() {
-	frontier := fr.frontier()
+	c := fr.census()
 
 	// Fire every event the frontier has reached: an event at round r fires
 	// once no live node is still below round r-1 — the closest free-running
 	// analogue of "at the start of round r".
-	for fr.nextEv < len(fr.events) && int64(fr.events[fr.nextEv].EventRound()) <= frontier+1 {
-		if err := fr.events[fr.nextEv].Apply(frTarget{fr, frontier}); err != nil {
+	for fr.nextEv < len(fr.events) && fr.events[fr.nextEv].EventRound() <= c.Frontier+1 {
+		if err := fr.events[fr.nextEv].Apply(frTarget{fr, int64(c.Frontier)}); err != nil {
 			fr.ignored++
 		}
 		fr.nextEv++
-		frontier = fr.frontier()
+		c = fr.census()
 	}
+	frontier := int64(c.Frontier)
 
 	// Publish the frontier and wake skew waiters.
 	advanced := frontier != fr.minRound.Load()
@@ -449,17 +459,13 @@ func (fr *FreeRun) tick() {
 		fr.tickStream(frontier)
 	}
 
-	live, informed, maxRound := fr.census()
 	if advanced && fr.cfg.OnFrontier != nil {
-		fr.cfg.OnFrontier(FrontierInfo{
-			Frontier: int(frontier),
-			MaxRound: int(maxRound),
-			Live:     live,
-			Informed: informed,
-		})
+		fr.cfg.OnFrontier(c)
 	}
-	if fr.converged(live, informed) {
-		fr.completionAt.CompareAndSwap(0, max(frontier, 1))
+	if fr.converged(c) {
+		if fr.completionAt == 0 {
+			fr.completionAt = max(frontier, 1)
+		}
 		if fr.nextEv >= len(fr.events) {
 			fr.stop()
 			return
@@ -472,28 +478,31 @@ func (fr *FreeRun) tick() {
 	// a timeline scheduled past the budget from hanging the run; the
 	// leftovers are reported as UnfiredEvents, the free-running analogue of
 	// the sim harness's "event(s) never fired" error.
-	if frontier >= int64(fr.cfg.Rounds) &&
-		(fr.nextEv >= len(fr.events) || int64(fr.events[fr.nextEv].EventRound()) > frontier+1) {
+	if c.Frontier >= fr.cfg.Rounds &&
+		(fr.nextEv >= len(fr.events) || fr.events[fr.nextEv].EventRound() > c.Frontier+1) {
 		fr.stop()
 	}
 }
 
-// census is one scan of the population — the view the frontier callback,
-// convergence detection and the final report all read: how many nodes are
-// live, how many of those are informed, and the furthest local clock among
-// them.
-func (fr *FreeRun) census() (live, informed int, maxRound int64) {
+// census is a monitor pass's one scan of the population — the view the
+// frontier callback, convergence detection and the final report all read: how
+// many nodes are live, how many of those are informed, the frontier (the
+// minimum local round among them; with nobody alive it parks at the budget so
+// remaining events still fire) and the furthest local clock among them.
+func (fr *FreeRun) census() FrontierInfo {
+	c := FrontierInfo{Frontier: fr.cfg.Rounds}
 	for i := 0; i < fr.cfg.N; i++ {
 		if !fr.liveFlag[i].Load() {
 			continue
 		}
-		maxRound = max(maxRound, fr.roundOf[i].Load())
-		live++
+		r := int(fr.roundOf[i].Load())
+		c.Frontier, c.MaxRound = min(c.Frontier, r), max(c.MaxRound, r)
+		c.Live++
 		if fr.holdingsOf(i).informed() {
-			informed++
+			c.Informed++
 		}
 	}
-	return live, informed, maxRound
+	return c
 }
 
 // holdingsOf returns node i's side of the holdings seam.
@@ -508,14 +517,11 @@ func (fr *FreeRun) holdingsOf(i int) holdings {
 // coming, so the population has converged for good: some rumor was injected
 // (bitmask mode), or the whole stream was injected and reclaimed (stream mode
 // — with nothing active every live node is trivially informed).
-func (fr *FreeRun) converged(live, informed int) bool {
-	if !trace.Converged(live, informed) {
-		return false
-	}
+func (fr *FreeRun) converged(c FrontierInfo) bool {
 	if fr.set != nil {
-		return fr.injectNext == fr.stream.Total && fr.set.Active() == 0
+		return c.Live > 0 && fr.injectNext == fr.stream.Total && fr.set.Active() == 0
 	}
-	return fr.registered.Load() != 0
+	return trace.Converged(c.Live, c.Informed) && fr.registered.Load() != 0
 }
 
 // tickStream is the rumor-stream part of a monitor pass: garbage-collect
@@ -597,21 +603,6 @@ func (fr *FreeRun) pickInjectNode(k int) int {
 		}
 	}
 	return -1
-}
-
-// frontier computes the minimum local round among live nodes; with nobody
-// alive it parks at the budget so remaining events still fire.
-func (fr *FreeRun) frontier() int64 {
-	min := int64(fr.cfg.Rounds)
-	for i := 0; i < fr.cfg.N; i++ {
-		if !fr.liveFlag[i].Load() {
-			continue
-		}
-		if r := fr.roundOf[i].Load(); r < min {
-			min = r
-		}
-	}
-	return min
 }
 
 // frTarget is the scenario.Target the monitor applies each event to, at the
@@ -728,7 +719,11 @@ func (fr *FreeRun) waitAlive(i int) bool {
 
 // nodeLoop is one node's free-running event loop.
 func (fr *FreeRun) nodeLoop(i int) {
-	defer fr.wg.Done()
+	defer func() {
+		if fr.running.Add(-1) == 0 {
+			close(fr.exited)
+		}
+	}()
 	// Field by field, not a composite literal: the literal built the node in
 	// a second stack temporary, and a node carries its spares inline, so that
 	// copy doubled nodeLoop's frame and pushed goroutine stacks up.

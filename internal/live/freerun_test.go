@@ -215,6 +215,90 @@ func TestFreeRunLateEventsDoNotHang(t *testing.T) {
 	}
 }
 
+// TestFreeRunRoundOneEventsPrecedeCommunication pins the timeline contract
+// that events at round 1 apply before any communication at all: a node
+// crashed at round 1 never sends a frame, and the source of a round-1 rumor
+// holds it from its first round on, so push-pull never has it send a bare
+// pull.
+func TestFreeRunRoundOneEventsPrecedeCommunication(t *testing.T) {
+	for seed := uint64(1); seed <= 5; seed++ {
+		fr, err := NewFreeRun(FreeRunConfig{
+			N:         256,
+			Seed:      seed,
+			Rounds:    60,
+			Algorithm: scenario.AlgoPushPull,
+			Events: []scenario.Event{
+				scenario.CrashAt{At: 1, Nodes: []int{1, 2, 3}},
+				scenario.InjectRumor{At: 1, Node: 0},
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fr.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range []int{1, 2, 3} {
+			if st := fr.stats[i]; st.msgs+st.control != 0 {
+				t.Errorf("seed %d: node %d crashed at round 1 sent %d frames", seed, i, st.msgs+st.control)
+			}
+		}
+		if c := fr.stats[0].control; c != 0 {
+			t.Errorf("seed %d: the round-1 source sent %d bare pulls", seed, c)
+		}
+	}
+}
+
+// slowSender delays every frame node 0 sends, so the others run far ahead of
+// the frontier it holds back.
+type slowSender struct{ *ChannelTransport }
+
+func (s slowSender) Send(from, to int, frame []byte) {
+	if from == 0 {
+		time.Sleep(5 * time.Millisecond)
+	}
+	s.ChannelTransport.Send(from, to, frame)
+}
+
+// TestFreeRunReviveAfterBudgetEnds revives a node whose goroutine already
+// spent its budget: it restarts at a frontier below the budget that nobody
+// will advance, so the run must end once every node has left its loop rather
+// than wait for the frontier.
+func TestFreeRunReviveAfterBudgetEnds(t *testing.T) {
+	ct, err := NewChannelTransport(3, ChannelConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ct.Close()
+	fr, err := NewFreeRun(FreeRunConfig{
+		N:         3,
+		Seed:      1,
+		Rounds:    6,
+		MaxSkew:   6,
+		Transport: slowSender{ct},
+		Events: []scenario.Event{
+			scenario.CrashAt{At: 4, Nodes: []int{1}},
+			scenario.JoinAt{At: 4, Nodes: []int{1}},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := fr.Run(context.Background())
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("a node revived after its budget hung the run")
+	}
+}
+
 // TestFreeRunTelemetryMatchesReport pins the send-path instrumentation: the
 // live traffic counters a registry collects during a free-running run must
 // agree exactly with the report's own accounting (every send site increments

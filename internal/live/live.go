@@ -18,9 +18,10 @@
 //
 //   - FreeRun drops the global barrier: each node advances its own round
 //     clock, bounded-skew flow control keeps clocks within MaxSkew rounds of
-//     the slowest live node, and a completion monitor detects convergence
-//     (every live node holding every injected rumor) while scenario events
-//     (churn, loss, rumor injection) fire as the round frontier passes them.
+//     the slowest live node, and a completion monitor on Run's own goroutine
+//     detects convergence (every live node holding every injected rumor)
+//     while scenario events (churn, loss, rumor injection) fire as the round
+//     frontier passes them.
 //
 // Transports: NewChannelTransport builds an in-process mailbox mesh with
 // deterministic, seeded per-link latency, jitter and drop injection;

@@ -88,8 +88,9 @@ type RoundStats struct {
 }
 
 // Observer streams per-round statistics while an execution runs. It is
-// invoked from the engine's coordinator goroutine (or the free-running
-// monitor); it must not call back into the execution.
+// invoked on the goroutine that called Execute, on every engine (the
+// coordinator's round loop, or the free-running monitor loop that FreeRun.Run
+// itself runs); it must not call back into the execution.
 type Observer func(RoundStats)
 
 // Spec describes one gossip execution, independent of the engine that will

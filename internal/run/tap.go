@@ -161,10 +161,11 @@ func recordSendFailures(reg *telemetry.Registry, nodeFails map[int]int64) {
 	}
 }
 
-// traceWriter serializes JSONL records onto the spec's TraceWriter. The
-// mutex covers the free-running engine, where the monitor goroutine streams
-// frontier records while Execute's goroutine owns the header and footer. The
-// first write error sticks; Execute surfaces it after the run.
+// traceWriter serializes JSONL records onto the spec's TraceWriter. Every
+// record is written on the goroutine that called Execute, on all three
+// engines, so the mutex is uncontended; it keeps a record whole should an
+// engine ever stream from a goroutine of its own. The first write error
+// sticks; Execute surfaces it after the run.
 type traceWriter struct {
 	mu  sync.Mutex
 	enc *json.Encoder
