@@ -352,7 +352,7 @@ func render(w io.Writer, rep repro.Report, inv invocation) {
 	if rep.RumorsInjected > 0 {
 		fmt.Fprintf(w, "rumor stream       %d injected, %d converged, %d expired by GC, %d still active\n",
 			rep.RumorsInjected, rep.RumorsConverged, rep.RumorsExpired, rep.RumorsActive)
-		fmt.Fprintf(w, "backpressure       injection stalled on a full window for %d monitor tick(s)\n", rep.InjectionStalls)
+		fmt.Fprintf(w, "backpressure       injection stalled on a full window for %d monitor pass(es)\n", rep.InjectionStalls)
 		if rep.RumorsReseeded > 0 {
 			fmt.Fprintf(w, "reseeded           %d rumor(s) whose every holder crashed\n", rep.RumorsReseeded)
 		}

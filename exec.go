@@ -468,7 +468,7 @@ type Report struct {
 	// recycle window slots. The remaining fields are stream-only
 	// (WithRumorStream): lifetime injection/convergence totals, the rumors
 	// still active when the run stopped (0 when the stream drained), how
-	// many monitor ticks injection spent stalled on a full window — the
+	// many monitor passes injection spent stalled on a full window — the
 	// backpressure signal — and how many times the stream seeded an
 	// in-flight rumor again because every node holding it had crashed.
 	LostInjects     int64

@@ -114,7 +114,7 @@ type FrontierInfo struct {
 // own round clock on a goroutine of its own, sending and draining frames as it
 // goes, while Run's goroutine makes the monitor passes that maintain the round
 // frontier, enforce the skew bound, fire timeline events and detect
-// convergence. The first pass runs before any node steps.
+// convergence: one before any node steps, then one per wake from a node.
 type FreeRun struct {
 	cfg FreeRunConfig
 	net *phonecall.Network // ID directory and message sizing only; its engine never runs
@@ -127,9 +127,10 @@ type FreeRun struct {
 	mask       []maskHoldings
 	wide       []setHoldings
 	registered atomic.Uint64
-	roundOf    []atomic.Int64 // last completed local round
-	resume     []atomic.Int64 // frontier to rejoin at after a revive
-	behav      []atomic.Pointer[frBehavior]
+	// roundOf is each node's last completed local round: only the node's
+	// CompareAndSwap(r-1, r) and a revive move it.
+	roundOf []atomic.Int64
+	behav   []atomic.Pointer[frBehavior]
 
 	minRound     atomic.Int64
 	stopped      atomic.Bool
@@ -137,6 +138,17 @@ type FreeRun struct {
 
 	mu   sync.Mutex
 	cond *sync.Cond
+	wg   sync.WaitGroup
+
+	// Wake hints (finished): ended[r % len] counts the nodes that finished
+	// round r and is zeroed as the frontier passes r; nLive counts live nodes
+	// and nInformed, on the mask path, nodes that finished a round informed of
+	// the registered set. None ever counts low, so a hint wakes the monitor
+	// early or on time, and the pass's census decides.
+	wake      chan struct{}
+	ended     []atomic.Int64
+	nLive     atomic.Int64
+	nInformed atomic.Int64
 
 	events  []scenario.Event
 	nextEv  int
@@ -157,10 +169,6 @@ type FreeRun struct {
 	telLast    rumorset.Stats
 
 	stats []frStats
-	// running counts the node goroutines still in their loop; the last one
-	// out closes exited.
-	running atomic.Int64
-	exited  chan struct{}
 
 	// Run slabs the nodes carve their start-up state from, so a run allocates
 	// them once rather than once per node: each node's drain list
@@ -268,12 +276,13 @@ func NewFreeRun(cfg FreeRunConfig) (*FreeRun, error) {
 		stream:   stream,
 		liveFlag: make([]atomic.Bool, cfg.N),
 		roundOf:  make([]atomic.Int64, cfg.N),
-		resume:   make([]atomic.Int64, cfg.N),
 		behav:    make([]atomic.Pointer[frBehavior], cfg.N),
 		stats:    make([]frStats, cfg.N),
-		exited:   make(chan struct{}),
+		wake:     make(chan struct{}, 1),
+		ended:    make([]atomic.Int64, min(cfg.MaxSkew, cfg.Rounds)+2),
 		drains:   make([][]byte, cfg.N*mailboxSlots),
 	}
+	fr.nLive.Store(int64(cfg.N))
 	full := phonecall.MaskView{Held: ^uint64(0), Registered: ^uint64(0)}.Message(net)
 	fr.spareLen = headerLen(cfg.Rounds, cfg.N-1) + messageLen(&full)
 	fr.firstFrames = make([]byte, cfg.N*firstSpares*fr.spareLen)
@@ -326,10 +335,10 @@ func NewFreeRun(cfg FreeRunConfig) (*FreeRun, error) {
 // end, and fills in the result: Rounds is the furthest local clock,
 // CompletionRound the frontier at which a monitor pass first saw convergence,
 // Informed the live nodes holding every injected rumor. The monitor runs on
-// the caller's goroutine, one pass before any node steps and then one per
-// tick, so OnFrontier is invoked there too. A done ctx stops every node and
-// the monitor promptly; the partial result is returned together with the
-// context's error. Run may be called once.
+// the caller's goroutine, one pass before any node steps and then one each
+// time a node's finished round wakes it, so OnFrontier is invoked there too.
+// A done ctx stops every node and the monitor promptly; the partial result is
+// returned together with the context's error. Run may be called once.
 func (fr *FreeRun) Run(ctx context.Context) (trace.Result, error) {
 	start := time.Now()
 	if ctx != nil {
@@ -338,28 +347,20 @@ func (fr *FreeRun) Run(ctx context.Context) (trace.Result, error) {
 	}
 	// Events at round 1 and the stream's first injections apply before any
 	// communication at all.
-	fr.tick()
+	fr.pass()
 	// Goroutines first run in the order they are started, and the first ones
 	// get up to MaxSkew rounds ahead of the last; starting from a seeded node
 	// keeps where a rumor was injected from deciding how fast it spreads.
-	fr.running.Store(int64(fr.cfg.N))
+	fr.wg.Add(fr.cfg.N)
 	first := int(rng.Mix(fr.cfg.Seed, 0x57a27) % uint64(fr.cfg.N))
 	for k := 0; k < fr.cfg.N; k++ {
 		go fr.nodeLoop((first + k) % fr.cfg.N)
 	}
-	ticker := time.NewTicker(500 * time.Microsecond)
 	for !fr.stopped.Load() {
-		select {
-		case <-ticker.C:
-			fr.tick()
-		case <-fr.exited:
-			// Every node left its loop, yet the frontier did not reach the
-			// budget: a node revived after it spent its budget holds it back.
-			fr.stop()
-		}
+		<-fr.wake
+		fr.pass()
 	}
-	ticker.Stop()
-	<-fr.exited
+	fr.wg.Wait()
 	if fr.own {
 		fr.tr.Close()
 	}
@@ -420,18 +421,28 @@ func (fr *FreeRun) Run(ctx context.Context) (trace.Result, error) {
 	return res, nil
 }
 
-// stop halts every node and wakes all waiters.
+// stop halts every node and wakes all waiters, the monitor included.
 func (fr *FreeRun) stop() {
 	fr.mu.Lock()
 	fr.stopped.Store(true)
 	fr.cond.Broadcast()
 	fr.mu.Unlock()
+	fr.signal()
 }
 
-// tick runs one monitor pass: it maintains the frontier, fires timeline
+// signal wakes the monitor for one more pass; wakes that arrive while one is
+// pending merge into it.
+func (fr *FreeRun) signal() {
+	select {
+	case fr.wake <- struct{}{}:
+	default:
+	}
+}
+
+// pass runs one monitor pass: it maintains the frontier, fires timeline
 // events, and detects convergence and natural termination. The monitor is the
 // only writer of minRound, membership and registration.
-func (fr *FreeRun) tick() {
+func (fr *FreeRun) pass() {
 	c := fr.census()
 
 	// Fire every event the frontier has reached: an event at round r fires
@@ -446,9 +457,16 @@ func (fr *FreeRun) tick() {
 	}
 	frontier := int64(c.Frontier)
 
-	// Publish the frontier and wake skew waiters.
-	advanced := frontier != fr.minRound.Load()
+	// Publish the frontier and wake skew waiters. The ring slots of the rounds
+	// it passed count rounds len(ended) later from here on: no node can be
+	// finishing those yet, as nodes stay within MaxSkew of it.
+	old := fr.minRound.Load()
+	advanced := frontier != old
 	if advanced {
+		k := int64(len(fr.ended))
+		for r := max(old+1, frontier-k+1); r <= frontier; r++ {
+			fr.ended[r%k].Store(0)
+		}
 		fr.mu.Lock()
 		fr.minRound.Store(frontier)
 		fr.cond.Broadcast()
@@ -456,30 +474,23 @@ func (fr *FreeRun) tick() {
 	}
 
 	if fr.set != nil {
-		fr.tickStream(frontier)
+		fr.passStream(frontier)
 	}
 
 	if advanced && fr.cfg.OnFrontier != nil {
 		fr.cfg.OnFrontier(c)
 	}
-	if fr.converged(c) {
-		if fr.completionAt == 0 {
-			fr.completionAt = max(frontier, 1)
-		}
-		if fr.nextEv >= len(fr.events) {
-			fr.stop()
-			return
-		}
+	converged := fr.converged(c)
+	if converged && fr.completionAt == 0 {
+		fr.completionAt = max(frontier, 1)
 	}
-	// Natural end: every live node exhausted its budget (or nobody is left) —
-	// either way the frontier sits at the budget and can no longer advance, so
-	// any event still pending is beyond frontier+1 and can never fire.
-	// Stopping here (instead of waiting for the full timeline) is what keeps
-	// a timeline scheduled past the budget from hanging the run; the
-	// leftovers are reported as UnfiredEvents, the free-running analogue of
-	// the sim harness's "event(s) never fired" error.
-	if c.Frontier >= fr.cfg.Rounds &&
-		(fr.nextEv >= len(fr.events) || fr.events[fr.nextEv].EventRound() > c.Frontier+1) {
+	// The run ends once it converged with the whole timeline fired, or at the
+	// budget: every live node spent it (or nobody is left), so the frontier
+	// cannot advance and an event still pending, beyond frontier+1, can never
+	// fire. Stopping there keeps a timeline scheduled past the budget from
+	// hanging the run; the leftovers are reported as UnfiredEvents, the
+	// free-running analogue of the sim harness's "event(s) never fired" error.
+	if converged && fr.nextEv == len(fr.events) || c.Frontier >= fr.cfg.Rounds {
 		fr.stop()
 	}
 }
@@ -524,11 +535,11 @@ func (fr *FreeRun) converged(c FrontierInfo) bool {
 	return trace.Converged(c.Live, c.Informed) && fr.registered.Load() != 0
 }
 
-// tickStream is the rumor-stream part of a monitor pass: garbage-collect
+// passStream is the rumor-stream part of a monitor pass: garbage-collect
 // converged rumors, seed again the ones every holder of which crashed,
 // advance the injection schedule under window backpressure, and publish the
 // stream telemetry.
-func (fr *FreeRun) tickStream(frontier int64) {
+func (fr *FreeRun) passStream(frontier int64) {
 	// GC first: the AND-scan over live holdings rows is the race-free
 	// convergence authority, here as in the scenario driver. Retiring before
 	// injecting is what lets a full window drain within the same pass.
@@ -556,21 +567,15 @@ func (fr *FreeRun) tickStream(frontier int64) {
 	// Inject up to the frontier-proportional target. A full window stalls the
 	// schedule — bounded memory beats punctual injection — and the stall is
 	// observable (report counter + telemetry gauge).
-	target := int(fr.stream.Rate * float64(frontier+1))
-	if target < 1 {
-		target = 1
-	}
-	if target > fr.stream.Total {
-		target = fr.stream.Total
-	}
-	stalled := false
+	target := min(max(int(fr.stream.Rate*float64(frontier+1)), 1), fr.stream.Total)
+	stalled := int64(0)
 	for fr.injectNext < target {
 		node := fr.pickInjectNode(fr.injectNext)
 		if node < 0 {
 			break // nobody alive to seed; retry next pass
 		}
 		if err := fr.set.Inject(node, rumorset.ID(fr.injectNext)); err != nil {
-			stalled = true
+			stalled = 1
 			fr.stalls++
 			break
 		}
@@ -582,11 +587,7 @@ func (fr *FreeRun) tickStream(frontier int64) {
 		fr.tel.injectedTotal.Add(snap.Injected - fr.telLast.Injected)
 		fr.tel.convergedTotal.Add(snap.Converged - fr.telLast.Converged)
 		fr.tel.expiredTotal.Add(snap.Expired - fr.telLast.Expired)
-		if stalled {
-			fr.tel.stalled.Set(1)
-		} else {
-			fr.tel.stalled.Set(0)
-		}
+		fr.tel.stalled.Set(stalled)
 		fr.telLast = snap
 	}
 }
@@ -613,35 +614,32 @@ type frTarget struct {
 	frontier int64
 }
 
-// Fail and Revive ignore out-of-range indexes; a revived node restarts
-// uninformed at the frontier.
+// Fail and Revive ignore out-of-range indexes. A revived node rejoins
+// uninformed right after the frontier, with nothing queued: what arrived
+// while it was dead never reached it.
 func (t frTarget) Fail(nodes ...int) {
-	t.mu.Lock()
 	for _, i := range nodes {
-		if i >= 0 && i < t.cfg.N {
-			t.liveFlag[i].Store(false)
+		if i >= 0 && i < t.cfg.N && t.liveFlag[i].Swap(false) {
+			t.nLive.Add(-1)
 			if t.set != nil {
 				t.set.Fail(i)
 			}
 		}
 	}
-	t.cond.Broadcast() // membership changed; skew waiters re-evaluate
-	t.mu.Unlock()
 }
 
 func (t frTarget) Revive(nodes ...int) {
 	t.mu.Lock()
 	for _, i := range nodes {
 		if i >= 0 && i < t.cfg.N && !t.liveFlag[i].Load() {
-			// Rejoin uninformed, then go live: the holdings are cleared
-			// before the node wakes.
 			if t.set != nil {
 				t.set.Revive(i)
 			} else {
 				t.mask[i].held.Store(0)
 			}
-			t.resume[i].Store(t.frontier)
+			t.tr.Mailbox(i).TryDrain(nil)
 			t.roundOf[i].Store(t.frontier)
+			t.nLive.Add(1)
 			t.liveFlag[i].Store(true)
 		}
 	}
@@ -654,6 +652,9 @@ func (t frTarget) Revive(nodes ...int) {
 func (t frTarget) Inject(node int, r phonecall.RumorID) error {
 	if t.set != nil || node < 0 || node >= t.cfg.N || r >= phonecall.MaxRumors {
 		return fmt.Errorf("live: cannot inject rumor %d at node %d", r, node)
+	}
+	if t.registered.Load()&(1<<r) == 0 {
+		t.nInformed.Store(0) // before the set grows: no node counts low
 	}
 	t.registered.Or(1 << r)
 	if !t.liveFlag[node].Load() {
@@ -687,79 +688,72 @@ func (t frTarget) PeerSelector() phonecall.PeerSelector { return t.net.PeerSelec
 func (t frTarget) Held(node int) uint64 { return t.mask[node].held.Load() }
 func (t frTarget) Registered() uint64   { return t.registered.Load() }
 
-// waitSkew blocks while node i's local round r is more than MaxSkew ahead of
-// the frontier. It returns false when the node must not step: the run
-// stopped, or the node was crashed while it was parked here — dead nodes never
-// act, and the loop head sorts out which of the two it was.
-func (fr *FreeRun) waitSkew(i, r int) bool {
-	if fr.stopped.Load() {
-		return false
+// wait parks node i before its round r while the node is dead, past its
+// budget or more than MaxSkew rounds ahead of the frontier. It returns true
+// when the round may run, and false on stop or when a revive moved roundOf
+// off r-1: the node then rejoins where the revive put it.
+func (fr *FreeRun) wait(i, r int) bool {
+	parked := func() bool {
+		return !fr.liveFlag[i].Load() || r > fr.cfg.Rounds || int64(r)-fr.minRound.Load() > int64(fr.cfg.MaxSkew)
 	}
-	if int64(r)-fr.minRound.Load() <= int64(fr.cfg.MaxSkew) {
-		return true
+	if parked() {
+		fr.mu.Lock()
+		for parked() && !fr.stopped.Load() && fr.roundOf[i].Load() == int64(r-1) {
+			fr.cond.Wait()
+		}
+		fr.mu.Unlock()
 	}
-	fr.mu.Lock()
-	for !fr.stopped.Load() && int64(r)-fr.minRound.Load() > int64(fr.cfg.MaxSkew) && fr.liveFlag[i].Load() {
-		fr.cond.Wait()
-	}
-	fr.mu.Unlock()
-	return !fr.stopped.Load() && fr.liveFlag[i].Load()
+	return !fr.stopped.Load() && fr.roundOf[i].Load() == int64(r-1)
 }
 
-// waitAlive parks a crashed node until it is revived; returns false when the
-// run stopped first.
-func (fr *FreeRun) waitAlive(i int) bool {
-	fr.mu.Lock()
-	for !fr.stopped.Load() && !fr.liveFlag[i].Load() {
-		fr.cond.Wait()
+// finished follows node i's recorded round r and wakes the monitor when a
+// pass may read something new: (a) the node is the last live one to finish r;
+// (b) on the mask path, it is the last live one to become informed of the
+// registered set, seen being the set it last counted itself informed of; (c)
+// on a stream, r's finishers crossed a quarter of the live nodes, so the GC
+// runs four times a round.
+func (fr *FreeRun) finished(i, r int, seen *uint64) {
+	c := fr.ended[r%len(fr.ended)].Add(1)
+	live := fr.nLive.Load()
+	if c >= live || fr.set != nil && 4*c/live != 4*(c-1)/live {
+		fr.signal()
 	}
-	fr.mu.Unlock()
-	return !fr.stopped.Load()
+	if reg := fr.registered.Load(); fr.set == nil && reg != *seen && fr.mask[i].held.Load()&reg == reg {
+		*seen = reg
+		if fr.nInformed.Add(1) >= live {
+			fr.signal()
+		}
+	}
 }
 
 // nodeLoop is one node's free-running event loop.
 func (fr *FreeRun) nodeLoop(i int) {
-	defer func() {
-		if fr.running.Add(-1) == 0 {
-			close(fr.exited)
-		}
-	}()
+	defer fr.wg.Done()
 	// Field by field, not a composite literal: the literal built the node in
 	// a second stack temporary, and a node carries its spares inline, so that
 	// copy doubled nodeLoop's frame and pushed goroutine stacks up.
 	var nd node
 	nd.i, nd.algo, nd.net, nd.tr = i, fr.cfg.Algorithm, fr.net, fr.tr
-	nd.h, nd.behav, nd.st = fr.holdingsOf(i), &fr.behav[i], &fr.stats[i]
+	nd.h, nd.behav, nd.st, nd.alive = fr.holdingsOf(i), &fr.behav[i], &fr.stats[i], &fr.liveFlag[i]
 	if fr.tel != nil {
 		nd.telMsgs, nd.telBits = fr.tel.msgs, fr.tel.bitsSent
 	}
 	drain := fr.drains[i*mailboxSlots : i*mailboxSlots : (i+1)*mailboxSlots]
 	per := firstSpares * fr.spareLen
 	nd.spare.seed(fr.firstFrames[i*per:(i+1)*per], fr.spareLen)
-	r := 1
-	for r <= fr.cfg.Rounds && !fr.stopped.Load() {
-		if !fr.liveFlag[i].Load() {
-			// A crashed process receives nothing: discard whatever is queued
-			// (unread, the frames become spares), park until revived, and
-			// discard again what accumulated while dead — otherwise a
-			// JoinAt-revived node would drain its dead-period backlog,
-			// re-learning rumors it rejoined without and charging the stale
-			// frames as communications.
-			drain = nd.spare.give(fr.tr.Mailbox(i).TryDrain(drain[:0]))
-			if !fr.waitAlive(i) {
+	var seen uint64
+	for r := 1; ; r++ {
+		for !fr.wait(i, r) {
+			if fr.stopped.Load() {
 				return
 			}
-			drain = nd.spare.give(fr.tr.Mailbox(i).TryDrain(drain[:0]))
-			if res := int(fr.resume[i].Load()); res+1 > r {
-				r = res + 1
-			}
-			continue
-		}
-		if !fr.waitSkew(i, r) {
-			continue
+			seen, r = 0, int(fr.roundOf[i].Load())+1
 		}
 		drain, _ = nd.step(r, drain)
-		fr.roundOf[i].Store(int64(r))
-		r++
+		// A revive during the step (the goroutine slept through its own crash)
+		// moved roundOf: the round is not recorded, and the next wait rejoins.
+		if fr.roundOf[i].CompareAndSwap(int64(r-1), int64(r)) {
+			fr.finished(i, r, &seen)
+		}
 	}
 }

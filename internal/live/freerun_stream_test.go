@@ -162,7 +162,7 @@ func TestStreamSoak(t *testing.T) {
 // TestStreamChurn drives crashes and uninformed rejoins through a stream:
 // the revived nodes must re-learn the active window and the stream must still
 // drain completely, every rumor converged. Stream rumor k is seeded at the
-// first live node from k mod N, so a late monitor tick can seed rumors 1–3 at
+// first live node from k mod N, so a late monitor pass can seed rumors 1–3 at
 // the victims right before they crash; the monitor must then seed them again
 // at a live node, or their slots wedge the window and the stream never
 // drains. A failure names the assertion and writes the run's trace — one JSON

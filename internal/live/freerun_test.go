@@ -115,6 +115,86 @@ func TestFreeRunReviveDiscardsDeadBacklog(t *testing.T) {
 	}
 }
 
+// holdSends keeps node 1 inside a send of its round 4 or later until release
+// is closed, and node 0 at its first send of round 3 or later until node 1 is
+// held there, so node 1 is inside a round when CrashAt{At: 4} fires.
+type holdSends struct {
+	*ChannelTransport
+	once    sync.Once
+	holding chan struct{} // closed once node 1 is held
+	release chan struct{}
+}
+
+func (h *holdSends) Send(from, to int, frame []byte) {
+	if f, err := parseFrame(frame); err == nil && from == 0 && f.round >= 3 {
+		<-h.holding
+	} else if err == nil && from == 1 && f.round >= 4 {
+		h.once.Do(func() {
+			close(h.holding)
+			<-h.release
+		})
+	}
+	h.ChannelTransport.Send(from, to, frame)
+}
+
+// TestFreeRunReviveSleptThrough crashes node 1 while its goroutine is held in
+// a send, and lets the send return while the node is dead, or only in the
+// pass that fired its revive. The rest of that round must drain nothing the
+// dead node was sent, and a revived node must not record the round: otherwise
+// it drains node 0's pushes of the dead period as one round's calls, or
+// records its old round after the revive put it at the frontier, pulling the
+// frontier back. With two nodes a round drains the other's calls of at most
+// 2·MaxSkew rounds, so Δ stays at most 2·MaxSkew+1.
+func TestFreeRunReviveSleptThrough(t *testing.T) {
+	// The first release lands while node 1 is dead: the frontier moves at
+	// most MaxSkew a pass, so some pass reports a frontier in [14, join-2].
+	const maxSkew, join = 3, 20
+	for _, release := range []int{14, join - 1} {
+		ct, err := NewChannelTransport(2, ChannelConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ct.Close()
+		tr := &holdSends{ChannelTransport: ct, holding: make(chan struct{}), release: make(chan struct{})}
+		var frontiers []int
+		fr, err := NewFreeRun(FreeRunConfig{
+			N:         2,
+			Seed:      1,
+			Rounds:    40,
+			MaxSkew:   maxSkew,
+			Algorithm: scenario.AlgoPush,
+			Transport: tr,
+			Events: []scenario.Event{
+				scenario.InjectRumor{At: 1, Node: 0, Rumor: 0},
+				scenario.CrashAt{At: 4, Nodes: []int{1}},
+				scenario.JoinAt{At: join, Nodes: []int{1}},
+			},
+			OnFrontier: func(fi FrontierInfo) {
+				if fi.Frontier >= release && (len(frontiers) == 0 || frontiers[len(frontiers)-1] < release) {
+					close(tr.release)
+				}
+				frontiers = append(frontiers, fi.Frontier)
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := fr.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 1; k < len(frontiers); k++ {
+			if frontiers[k] <= frontiers[k-1] {
+				t.Errorf("released at %d: frontier moved back: %v", release, frontiers)
+				break
+			}
+		}
+		if rep.MaxCommsPerRound > 2*maxSkew+1 {
+			t.Errorf("released at %d: a round took the dead period's frames: Δ=%d (%+v)", release, rep.MaxCommsPerRound, rep)
+		}
+	}
+}
+
 // TestFreeRunLossEvent checks that a Loss event retunes the channel mesh
 // mid-run: its Apply reaches ChannelTransport.SetLoss through the
 // free-running target.
@@ -261,15 +341,17 @@ func (s slowSender) Send(from, to int, frame []byte) {
 }
 
 // TestFreeRunReviveAfterBudgetEnds revives a node whose goroutine already
-// spent its budget: it restarts at a frontier below the budget that nobody
-// will advance, so the run must end once every node has left its loop rather
-// than wait for the frontier.
+// spent its budget: it rejoins at a frontier below the budget, so its parked
+// goroutine must step again and carry the frontier to the budget, where the
+// run ends. The JoinAt at round 7 revives nobody (node 1 is live by then) and
+// fires only at the budget, so convergence cannot end the run sooner.
 func TestFreeRunReviveAfterBudgetEnds(t *testing.T) {
 	ct, err := NewChannelTransport(3, ChannelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ct.Close()
+	last := 0
 	fr, err := NewFreeRun(FreeRunConfig{
 		N:         3,
 		Seed:      1,
@@ -279,7 +361,9 @@ func TestFreeRunReviveAfterBudgetEnds(t *testing.T) {
 		Events: []scenario.Event{
 			scenario.CrashAt{At: 4, Nodes: []int{1}},
 			scenario.JoinAt{At: 4, Nodes: []int{1}},
+			scenario.JoinAt{At: 7, Nodes: []int{1}},
 		},
+		OnFrontier: func(fi FrontierInfo) { last = fi.Frontier },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -293,6 +377,9 @@ func TestFreeRunReviveAfterBudgetEnds(t *testing.T) {
 	case err := <-done:
 		if err != nil {
 			t.Fatal(err)
+		}
+		if last != 6 {
+			t.Fatalf("the last frontier was %d, want the budget 6", last)
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("a node revived after its budget hung the run")

@@ -27,7 +27,7 @@ import (
 type holdings interface {
 	// beginRound and endRound bracket one node round: every other method but
 	// informed is called between them, on the node's own goroutine. The
-	// bracket never spans a wait (waitSkew, waitAlive): only the round itself.
+	// bracket never spans a wait (FreeRun.wait): only the round itself.
 	beginRound()
 	endRound()
 	// snapshot reads the node's current holdings: the decision table's two
@@ -188,8 +188,10 @@ type node struct {
 	tr   Transport
 	h    holdings
 	// behav, when non-nil, is where the monitor publishes the node's Byzantine
-	// behavior; the step picks it up at its next round.
+	// behavior; the step picks it up at its next round. alive, when non-nil, is
+	// its live flag: a round in flight when the node crashes drains nothing.
 	behav *atomic.Pointer[frBehavior]
+	alive *atomic.Bool
 	st    *frStats
 	// telMsgs/telBits are the pre-resolved telemetry counters (nil without a
 	// registry): the send path pays a nil check and two sharded atomic adds.
@@ -272,7 +274,9 @@ func (nd *node) step(r int, drain [][]byte) (_ [][]byte, needy bool) {
 		}
 	}
 
-	drain = nd.tr.Mailbox(i).TryDrain(drain[:0])
+	if nd.alive == nil || nd.alive.Load() {
+		drain = nd.tr.Mailbox(i).TryDrain(drain[:0])
+	}
 	// A round rarely has more pullers; beyond that append spills to the heap.
 	// Four spilled in 7.5 % of live-stream-chan's node rounds: a node that
 	// lags the frontier drains several rounds' calls at once.

@@ -92,10 +92,10 @@ type Result struct {
 	// that (faithfully to their model) keep running for their full fixed round
 	// budget report the earlier completion time here. A multi-rumor scenario
 	// reports the last rumor's completion (0 unless every rumor completed),
-	// the free-running engine the round frontier at which its monitor first
-	// detected convergence (0 = never); on both, the first completion is what
-	// is recorded — later churn (a joiner arriving uninformed) does not clear
-	// it.
+	// the free-running engine the frontier at the first monitor pass to see
+	// convergence, which the informing round woke (0 = never); on both, the
+	// first completion is recorded — later churn (a joiner arriving
+	// uninformed) does not clear it.
 	CompletionRound int
 
 	// Live is the final live population. Informed counts the live nodes that
