@@ -62,6 +62,7 @@ func AddressBook(net *phonecall.Network, sources []int) (trace.Result, error) {
 	// Phase 1: harvest addresses.
 	for round := 0; round < k; round++ {
 		net.ExecCalls(
+			nil,
 			func(int) phonecall.Call {
 				return phonecall.Call{Kind: phonecall.Push, Target: phonecall.RandomTarget()}
 			},
@@ -101,6 +102,7 @@ func AddressBook(net *phonecall.Network, sources []int) (trace.Result, error) {
 	}
 	for round := 0; round < maxUniformRounds(n) && !st.allInformed(); round++ {
 		net.ExecCalls(
+			nil,
 			func(i int) phonecall.Call {
 				if st.has(i) {
 					return phonecall.Call{Kind: phonecall.Push, Target: nextTarget(i)}

@@ -65,6 +65,7 @@ func MedianCounter(net *phonecall.Network, sources []int) (trace.Result, error) 
 		reviveDone := !anyTransmitting()
 
 		net.ExecCalls(
+			nil,
 			func(i int) phonecall.Call {
 				switch {
 				case transmitting(i):

@@ -63,6 +63,7 @@ func NameDropper(net *phonecall.Network, sources []int) (NameDropperResult, erro
 	maxRounds := int(2*math.Pow(math.Log2(float64(n)), 2)) + 20
 	for round := 0; round < maxRounds && !allKnow(); round++ {
 		net.ExecCalls(
+			nil,
 			func(i int) phonecall.Call {
 				if len(list[i]) == 0 {
 					return phonecall.Call{}

@@ -55,7 +55,7 @@ func Uniform(net *phonecall.Network, sources []int, algo scenario.Algorithm) (tr
 		if idleWhenDone && st.allInformed() {
 			break
 		}
-		net.ExecCalls(call, payload, respond, deliver)
+		net.ExecCalls(nil, call, payload, respond, deliver)
 		if completion == 0 && st.allInformed() {
 			completion = net.Metrics().Rounds
 		}

@@ -11,6 +11,7 @@
 package cluster
 
 import (
+	"math/bits"
 	"slices"
 
 	"repro/internal/phonecall"
@@ -39,14 +40,9 @@ type Clustering struct {
 	net *phonecall.Network
 
 	follow   []phonecall.NodeID
-	active   []bool
 	size     []int
 	prevSize []int
-	rumor    []bool
 
-	// joined marks the members that joined their cluster since they last
-	// reported to its leader (Join, ReportJoins).
-	joined []bool
 	// missed counts each member's consecutive unanswered pulls to its leader
 	// (leaderPull).
 	missed []uint8
@@ -54,12 +50,12 @@ type Clustering struct {
 	// recruit state: candidate cluster IDs received via random pushes,
 	// relayed to leaders for merge decisions. Leader j's candidates are
 	// cands[candOff[j] : candOff[j]+candLen[j]]: one flat arena, a span per
-	// leader laid out by RelayCandidates from a count pass, the way Resize
-	// lays out its member lists. The index arrays are made on the first
-	// relay.
+	// leader with room for counts[j] laid out by RelayCandidates from a count
+	// pass, the way Resize lays out its member lists. The index arrays are
+	// made on the first relay.
 	pending []phonecall.NodeID
 	cands   []phonecall.NodeID
-	candOff []int32 // n+1 entries
+	candOff []int32
 	candLen []int32
 
 	// Scratch reused by every primitive, so that a primitive allocates
@@ -67,28 +63,48 @@ type Clustering struct {
 	// own slot, and a message aliasing it is read only within its round.
 	idSlot  []phonecall.NodeID
 	counts  []int32            // per-leader report counts; Resize: cluster size (-1 dissolves)
-	lens    []int32            // Resize: per-leader length of the new-leaders list
-	spans   []int32            // Resize: leader j's span of members is [spans[j], spans[j+1])
+	lens    []int32            // Resize: per-leader room for reports, then length of the new-leaders list
+	spans   []int32            // Resize: where leader j's span of members starts
 	members []phonecall.NodeID // Resize: every leader's member IDs, one span per leader
+	laidOut phonecall.NodeSet  // Resize: the leaders given a span before the reports
 	target  []phonecall.NodeID // Merge: per-leader merge target
+
+	// sets holds the per-node flags as bitmaps, so that a primitive's
+	// initiator set and its per-leader loops cost words, not nodes. Each
+	// bitmap is written only by its helper (SetFollow, SetActive,
+	// setJoined, SetPending, SetRumor). active, joined and rumor are the
+	// flags themselves; clustered, leader and pending are derived from
+	// follow and pending, which their helpers write along with them.
+	sets struct {
+		clustered phonecall.NodeSet // follow ≠ NoNode
+		leader    phonecall.NodeSet // follow = own ID
+		active    phonecall.NodeSet // the node's cached activation bit
+		joined    phonecall.NodeSet // joined since it last reported to its leader (Join, ReportJoins)
+		pending   phonecall.NodeSet // pending ≠ NoNode
+		rumor     phonecall.NodeSet // the node holds the rumor
+	}
+	// callers is the scratch initiator set of a primitive's round.
+	callers phonecall.NodeSet
 }
 
 // New returns an empty clustering (every node unclustered) over net.
 func New(net *phonecall.Network) *Clustering {
 	n := net.N()
-	return &Clustering{
+	c := &Clustering{
 		net:      net,
 		follow:   make([]phonecall.NodeID, n),
-		active:   make([]bool, n),
 		size:     make([]int, n),
 		prevSize: make([]int, n),
-		rumor:    make([]bool, n),
-		joined:   make([]bool, n),
 		missed:   make([]uint8, n),
 		pending:  make([]phonecall.NodeID, n),
 		idSlot:   make([]phonecall.NodeID, n),
 		counts:   make([]int32, n),
+		callers:  phonecall.NewNodeSet(n),
 	}
+	for _, s := range []*phonecall.NodeSet{&c.sets.clustered, &c.sets.leader, &c.sets.active, &c.sets.joined, &c.sets.pending, &c.sets.rumor} {
+		*s = phonecall.NewNodeSet(n)
+	}
+	return c
 }
 
 // Network returns the underlying phone call network.
@@ -97,16 +113,37 @@ func (c *Clustering) Network() *phonecall.Network { return c.net }
 // Follow returns node i's follow variable (local).
 func (c *Clustering) Follow(i int) phonecall.NodeID { return c.follow[i] }
 
-// SetFollow sets node i's follow variable (local; used by drivers to seed the
-// source node's own cluster in degenerate cases and by tests).
-func (c *Clustering) SetFollow(i int, id phonecall.NodeID) { c.follow[i] = id }
+// SetFollow sets node i's follow variable (local). It is the one writer of
+// follow and of the clustered and leader sets, so the primitives, the
+// drivers' recruits and the tests all go through it; like every setter
+// here, it may run in node i's own callbacks.
+func (c *Clustering) SetFollow(i int, id phonecall.NodeID) {
+	old := c.follow[i]
+	if old == id {
+		return
+	}
+	c.follow[i] = id
+	if (old == phonecall.NoNode) != (id == phonecall.NoNode) {
+		c.sets.clustered.Put(i, id != phonecall.NoNode)
+	}
+	if own := c.net.ID(i); (old == own) != (id == own) {
+		c.sets.leader.Put(i, id == own)
+	}
+}
 
 // Join makes node i a member of the cluster with ID id and marks it for the
 // next ReportJoins (local; called by the node itself on receiving the
 // recruiting message).
 func (c *Clustering) Join(i int, id phonecall.NodeID) {
-	c.follow[i] = id
-	c.joined[i] = true
+	c.SetFollow(i, id)
+	c.setJoined(i, true)
+}
+
+// setJoined sets node i's join mark (local).
+func (c *Clustering) setJoined(i int, v bool) {
+	if c.sets.joined.Has(i) != v {
+		c.sets.joined.Put(i, v)
+	}
 }
 
 // IsClustered reports whether node i belongs to a cluster (local).
@@ -116,12 +153,21 @@ func (c *Clustering) IsClustered(i int) bool { return c.follow[i] != phonecall.N
 func (c *Clustering) IsLeader(i int) bool { return c.follow[i] == c.net.ID(i) }
 
 // IsActive reports whether node i believes its cluster is activated (local).
-func (c *Clustering) IsActive(i int) bool { return c.active[i] }
+func (c *Clustering) IsActive(i int) bool { return c.sets.active.Has(i) }
 
 // SetActive sets node i's cached activation bit (local; used when a node
 // joins a cluster it knows to be active, e.g. because that cluster just
 // pushed to it).
-func (c *Clustering) SetActive(i int, v bool) { c.active[i] = v }
+func (c *Clustering) SetActive(i int, v bool) {
+	if c.sets.active.Has(i) != v {
+		c.sets.active.Put(i, v)
+	}
+}
+
+// ActiveSet returns the nodes whose activation bit is set, as the
+// participants of a RandomPush (local). The set is the clustering's own and
+// changes with it.
+func (c *Clustering) ActiveSet() phonecall.NodeSet { return c.sets.active }
 
 // Size returns node i's last learned cluster size (local).
 func (c *Clustering) Size(i int) int { return c.size[i] }
@@ -130,11 +176,19 @@ func (c *Clustering) Size(i int) int { return c.size[i] }
 func (c *Clustering) PrevSize(i int) int { return c.prevSize[i] }
 
 // HasRumor reports whether node i holds the rumor (local).
-func (c *Clustering) HasRumor(i int) bool { return c.rumor[i] }
+func (c *Clustering) HasRumor(i int) bool { return c.sets.rumor.Has(i) }
 
 // SetRumor marks node i as holding the rumor (local; used to place the
 // initial rumor at the source).
-func (c *Clustering) SetRumor(i int) { c.rumor[i] = true }
+func (c *Clustering) SetRumor(i int) {
+	if !c.sets.rumor.Has(i) {
+		c.sets.rumor.Put(i, true)
+	}
+}
+
+// RumorSet returns the nodes holding the rumor (local). The set is the
+// clustering's own and changes with it.
+func (c *Clustering) RumorSet() phonecall.NodeSet { return c.sets.rumor }
 
 // Recruit returns node i's recruiting message: its cluster ID under
 // TagRecruit. The ID travels in node i's scratch slot, so building the
@@ -150,48 +204,71 @@ func (c *Clustering) oneID(i int, id phonecall.NodeID) []phonecall.NodeID {
 }
 
 // InformedCount returns the number of live nodes holding the rumor (local).
-func (c *Clustering) InformedCount() int {
-	count := 0
-	for i, r := range c.rumor {
-		if r && !c.net.IsFailed(i) {
-			count++
-		}
-	}
-	return count
-}
+func (c *Clustering) InformedCount() int { return c.liveCount(c.sets.rumor, nil) }
 
 // ClusteredCount returns the number of live clustered nodes (local).
-func (c *Clustering) ClusteredCount() int {
+func (c *Clustering) ClusteredCount() int { return c.liveCount(c.sets.clustered, nil) }
+
+// LeaderCount returns the number of live cluster leaders (local).
+func (c *Clustering) LeaderCount() int { return c.liveCount(c.sets.leader, nil) }
+
+// ActiveLeaderCount returns the number of live leaders of activated
+// clusters (local).
+func (c *Clustering) ActiveLeaderCount() int { return c.liveCount(c.sets.leader, c.sets.active) }
+
+// liveCount counts the live nodes of a ∩ b (b nil: of a): a popcount while
+// every node is live, a walk over the set bits otherwise.
+func (c *Clustering) liveCount(a, b phonecall.NodeSet) int {
+	all := c.net.LiveCount() == c.net.N()
 	count := 0
-	for i := range c.follow {
-		if c.follow[i] != phonecall.NoNode && !c.net.IsFailed(i) {
-			count++
+	for k, w := range a {
+		if b != nil {
+			w &= b[k]
+		}
+		if all {
+			count += bits.OnesCount64(w)
+			continue
+		}
+		for ; w != 0; w &= w - 1 {
+			if !c.net.IsFailed(k<<6 + bits.TrailingZeros64(w)) {
+				count++
+			}
 		}
 	}
 	return count
 }
 
-// LeaderCount returns the number of live cluster leaders (local).
-func (c *Clustering) LeaderCount() int {
-	count := 0
-	for i := range c.follow {
-		if c.IsLeader(i) && !c.net.IsFailed(i) {
-			count++
+// eachLive calls f for every live node of s, in ascending order; f may
+// change node i's state, s included.
+func (c *Clustering) eachLive(s phonecall.NodeSet, f func(i int)) {
+	for k, w := range s {
+		for ; w != 0; w &= w - 1 {
+			if i := k<<6 + bits.TrailingZeros64(w); !c.net.IsFailed(i) {
+				f(i)
+			}
 		}
 	}
-	return count
+}
+
+// followers returns, in the callers scratch, the clustered non-leaders,
+// intersected with and unless it is nil: the initiators of a round in which
+// members call their leader.
+func (c *Clustering) followers(and phonecall.NodeSet) phonecall.NodeSet {
+	for k := range c.callers {
+		w := c.sets.clustered[k] &^ c.sets.leader[k]
+		if and != nil {
+			w &= and[k]
+		}
+		c.callers[k] = w
+	}
+	return c.callers
 }
 
 // ClusterSizes returns the size of every cluster keyed by leader ID, counting
 // only live nodes and following each node's direct follow pointer (local).
 func (c *Clustering) ClusterSizes() map[phonecall.NodeID]int {
 	sizes := make(map[phonecall.NodeID]int)
-	for i := range c.follow {
-		if c.net.IsFailed(i) || c.follow[i] == phonecall.NoNode {
-			continue
-		}
-		sizes[c.follow[i]]++
-	}
+	c.eachLive(c.sets.clustered, func(i int) { sizes[c.follow[i]]++ })
 	return sizes
 }
 
@@ -221,14 +298,14 @@ func (c *Clustering) SeedSingletons(p float64) int {
 			continue
 		}
 		if c.net.NodeRNG(i).Bernoulli(p) {
-			c.follow[i] = c.net.ID(i)
-			c.active[i] = true
+			c.SetFollow(i, c.net.ID(i))
+			c.SetActive(i, true)
 			c.size[i] = 1
 			c.prevSize[i] = 1
 			leaders++
 		} else {
-			c.follow[i] = phonecall.NoNode
-			c.active[i] = false
+			c.SetFollow(i, phonecall.NoNode)
+			c.SetActive(i, false)
 		}
 	}
 	return leaders
@@ -255,16 +332,17 @@ const leaveAfterMisses = 2
 // A member whose pulls went unanswered leaveAfterMisses times in a row has
 // lost its leader — a crashed node never answers — and becomes unclustered,
 // so that a later recruit or PullJoin places it in a live cluster. Without
-// failures or loss every pull is answered and this rule never fires.
+// failures or loss every pull is answered and this rule never fires. Only a
+// puller of this round can reach the limit, so the sweep walks the round's
+// initiator set.
 func (c *Clustering) leaderPull(
 	respond func(leader int) phonecall.Message,
 	apply func(i int, m phonecall.Message),
 ) {
+	pullers := c.followers(nil)
 	c.net.ExecCalls(
+		pullers,
 		func(i int) phonecall.Call {
-			if !c.IsClustered(i) || c.IsLeader(i) {
-				return phonecall.Call{}
-			}
 			c.missed[i]++ // until the answer arrives
 			return phonecall.Call{Kind: phonecall.Pull, Target: phonecall.DirectTarget(c.follow[i])}
 		},
@@ -280,7 +358,7 @@ func (c *Clustering) leaderPull(
 			for _, m := range inbox {
 				if m.Tag == TagRedirect {
 					if len(m.IDs) == 1 && m.IDs[0] != phonecall.NoNode {
-						c.follow[i] = m.IDs[0]
+						c.SetFollow(i, m.IDs[0])
 					}
 					continue
 				}
@@ -290,35 +368,27 @@ func (c *Clustering) leaderPull(
 			}
 		},
 	)
-	for i, missed := range c.missed {
-		if missed >= leaveAfterMisses {
+	c.eachLive(pullers, func(i int) {
+		if c.missed[i] >= leaveAfterMisses {
 			c.missed[i] = 0
-			c.follow[i] = phonecall.NoNode
-			c.active[i] = false
+			c.SetFollow(i, phonecall.NoNode)
+			c.SetActive(i, false)
 		}
-	}
+	})
 }
 
 // Activate implements ClusterActivate(p): every cluster is independently
 // activated with probability p; followers learn the outcome by pulling a
 // coin from their leader. Costs one round.
 func (c *Clustering) Activate(p float64) {
-	for i := 0; i < c.net.N(); i++ {
-		if c.IsLeader(i) && !c.net.IsFailed(i) {
-			c.active[i] = c.net.NodeRNG(i).Bernoulli(p)
-		}
-	}
+	c.eachLive(c.sets.leader, func(i int) { c.SetActive(i, c.net.NodeRNG(i).Bernoulli(p)) })
 	c.broadcastActivation()
 }
 
 // SetActivation lets every leader decide its cluster's activation and
 // broadcasts the decision to the followers. Costs one round.
 func (c *Clustering) SetActivation(decide func(leader int) bool) {
-	for i := 0; i < c.net.N(); i++ {
-		if c.IsLeader(i) && !c.net.IsFailed(i) {
-			c.active[i] = decide(i)
-		}
-	}
+	c.eachLive(c.sets.leader, func(i int) { c.SetActive(i, decide(i)) })
 	c.broadcastActivation()
 }
 
@@ -326,13 +396,13 @@ func (c *Clustering) broadcastActivation() {
 	c.leaderPull(
 		func(leader int) phonecall.Message {
 			v := uint64(0)
-			if c.active[leader] {
+			if c.IsActive(leader) {
 				v = 1
 			}
 			return phonecall.Message{Tag: TagActivate, Value: v}
 		},
 		func(i int, m phonecall.Message) {
-			c.active[i] = m.Value == 1
+			c.SetActive(i, m.Value == 1)
 		},
 	)
 }
@@ -342,13 +412,11 @@ func (c *Clustering) broadcastActivation() {
 // learned size is available via Size; the previously learned size moves to
 // PrevSize.
 func (c *Clustering) MeasureSizes() {
-	c.countReports(nil)
-	for i := 0; i < c.net.N(); i++ {
-		if c.IsLeader(i) && !c.net.IsFailed(i) {
-			c.prevSize[i] = c.size[i]
-			c.size[i] = int(c.counts[i]) + 1 // the leader itself
-		}
-	}
+	c.countReports(false)
+	c.eachLive(c.sets.leader, func(i int) {
+		c.prevSize[i] = c.size[i]
+		c.size[i] = int(c.counts[i]) + 1 // the leader itself
+	})
 	c.leaderPull(
 		func(leader int) phonecall.Message {
 			return phonecall.Message{Tag: TagSizeValue, Value: uint64(c.size[leader])}
@@ -367,27 +435,27 @@ func (c *Clustering) MeasureSizes() {
 // known before the joins, in one round and with one message per new member.
 // Costs one round.
 func (c *Clustering) ReportJoins() {
-	c.countReports(func(i int) bool { return c.joined[i] })
-	for i := 0; i < c.net.N(); i++ {
-		if c.IsLeader(i) && !c.net.IsFailed(i) {
-			c.prevSize[i] = c.size[i]
-			c.size[i] += int(c.counts[i])
-		}
-	}
+	c.countReports(true)
+	c.eachLive(c.sets.leader, func(i int) {
+		c.prevSize[i] = c.size[i]
+		c.size[i] += int(c.counts[i])
+	})
 }
 
-// countReports runs one round in which every clustered non-leader for which
-// only returns true (every one if only is nil) pushes a report to its leader,
-// and leaves the reports each leader received in c.counts. A member that
-// reports has told its leader about itself, so its join mark clears.
-func (c *Clustering) countReports(only func(i int) bool) {
+// countReports runs one round in which every clustered non-leader (every
+// joined one, with onlyJoined) pushes a report to its leader, and leaves the
+// reports each leader received in c.counts. A member that reports has told
+// its leader about itself, so its join mark clears.
+func (c *Clustering) countReports(onlyJoined bool) {
+	var and phonecall.NodeSet
+	if onlyJoined {
+		and = c.sets.joined
+	}
 	clear(c.counts)
 	c.net.ExecCalls(
+		c.followers(and),
 		func(i int) phonecall.Call {
-			if !c.IsClustered(i) || c.IsLeader(i) || (only != nil && !only(i)) {
-				return phonecall.Call{}
-			}
-			c.joined[i] = false
+			c.setJoined(i, false)
 			return phonecall.Call{Kind: phonecall.Push, Target: phonecall.DirectTarget(c.follow[i])}
 		},
 		sizeReport,
@@ -440,50 +508,47 @@ func (c *Clustering) regroup(minSize, target int, p float64) {
 	coins := p >= 0
 
 	// Lay out one span of c.members per leader: its own ID, one slot per
-	// member that can report to it, and one spare slot, which is room for the
-	// group list plus the activated list when target ≥ 2 (or no coins).
+	// member that can report to it (lens), and one spare slot, which is room
+	// for the group list plus the activated list when target ≥ 2 (or no
+	// coins).
 	clear(c.counts)
-	for i := 0; i < n; i++ {
-		if net.IsFailed(i) || !c.IsClustered(i) || c.IsLeader(i) {
-			continue
-		}
+	reporters := c.followers(nil)
+	c.eachLive(reporters, func(i int) {
 		if j, ok := net.IndexOf(c.follow[i]); ok && !net.IsFailed(j) && c.IsLeader(j) {
 			c.counts[j]++
 		}
-	}
+	})
 	if c.spans == nil {
-		c.spans = make([]int32, n+1)
+		c.spans = make([]int32, n)
 		c.lens = make([]int32, n)
+		c.laidOut = phonecall.NewNodeSet(n)
 	}
+	clear(c.laidOut)
 	total := int32(0)
-	for j := 0; j < n; j++ {
-		c.spans[j] = total
-		if c.IsLeader(j) && !net.IsFailed(j) {
-			total += c.counts[j] + 2
-		}
+	c.eachLive(c.sets.leader, func(j int) {
+		c.laidOut.Put(j, true)
+		c.spans[j], c.lens[j] = total, c.counts[j]
+		total += c.counts[j] + 2
 		c.counts[j] = 0
-	}
-	c.spans[n] = total
+	})
 	if int(total) > cap(c.members) {
 		c.members = make([]phonecall.NodeID, total+total/4)
 	}
 	members := c.members[:total]
 
 	net.ExecCalls(
+		reporters,
 		func(i int) phonecall.Call {
-			if !c.IsClustered(i) || c.IsLeader(i) {
-				return phonecall.Call{}
-			}
-			c.joined[i] = false
+			c.setJoined(i, false)
 			return phonecall.Call{Kind: phonecall.Push, Target: phonecall.DirectTarget(c.follow[i])}
 		},
 		sizeReport,
 		nil,
 		func(j int, inbox []phonecall.Message) {
-			if !c.IsLeader(j) {
-				return
+			if !c.laidOut.Has(j) {
+				return // not a leader, or one that has no span yet
 			}
-			lo, room := c.spans[j]+1, c.spans[j+1]-c.spans[j]-2
+			lo, room := c.spans[j]+1, c.lens[j]
 			for _, m := range inbox {
 				if m.Tag == TagSizeReport && c.counts[j] < room {
 					members[lo+c.counts[j]] = m.From
@@ -493,12 +558,30 @@ func (c *Clustering) regroup(minSize, target int, p float64) {
 		},
 	)
 
+	// A leader that a scenario revived at the start of the report round was
+	// not laid out and took no reports: it gets a span of its own past the
+	// others, room for itself and its coin, and splits alone.
+	tail := total
+	for k, w := range c.sets.leader {
+		for w &^= c.laidOut[k]; w != 0; w &= w - 1 {
+			if j := k<<6 + bits.TrailingZeros64(w); !net.IsFailed(j) {
+				c.spans[j] = tail
+				tail += 2
+			}
+		}
+	}
+	if tail > total {
+		if int(tail) > cap(c.members) {
+			grown := make([]phonecall.NodeID, tail+tail/4)
+			copy(grown, members)
+			c.members = grown
+		}
+		members = c.members[:tail]
+	}
+
 	// Every leader splits its sorted member list in place: group g's leader
 	// moves to position g, the activated leaders follow the groups.
-	for j := 0; j < n; j++ {
-		if !c.IsLeader(j) || net.IsFailed(j) {
-			continue
-		}
+	c.eachLive(c.sets.leader, func(j int) {
 		lo := c.spans[j]
 		ids := members[lo : lo+1+c.counts[j]]
 		ids[0] = net.ID(j)
@@ -506,7 +589,7 @@ func (c *Clustering) regroup(minSize, target int, p float64) {
 		size := len(ids)
 		if size < minSize {
 			c.counts[j], c.lens[j] = -1, 0
-			continue
+			return
 		}
 		groups := max(1, size/target)
 		per, extra := size/groups, size%groups
@@ -532,7 +615,7 @@ func (c *Clustering) regroup(minSize, target int, p float64) {
 			}
 		}
 		c.counts[j], c.lens[j] = int32(size), list
-	}
+	})
 
 	c.leaderPull(
 		func(leader int) phonecall.Message {
@@ -551,18 +634,17 @@ func (c *Clustering) regroup(minSize, target int, p float64) {
 		},
 	)
 	// The old leaders apply their own outcome; they are the leaders whose
-	// lists were computed above and who did not pull.
-	for j := 0; j < n; j++ {
-		if net.IsFailed(j) || c.counts[j] == 0 || !c.IsLeader(j) {
-			continue
-		}
-		if c.counts[j] < 0 {
+	// lists were computed above and who did not pull (a member the pull made
+	// a group leader has no count).
+	c.eachLive(c.sets.leader, func(j int) {
+		switch {
+		case c.counts[j] < 0:
 			c.applyGroup(j, 0, target, nil, coins)
-			continue
+		case c.counts[j] > 0:
+			lo := c.spans[j]
+			c.applyGroup(j, int(c.counts[j]), target, members[lo:lo+c.lens[j]], coins)
 		}
-		lo := c.spans[j]
-		c.applyGroup(j, int(c.counts[j]), target, members[lo:lo+c.lens[j]], coins)
-	}
+	})
 }
 
 // applyGroup applies a TagNewLeaders outcome at node i: size 0 dissolves the
@@ -571,8 +653,8 @@ func (c *Clustering) regroup(minSize, target int, p float64) {
 // activated (its leader appears after the group list).
 func (c *Clustering) applyGroup(i, size, target int, ids []phonecall.NodeID, coins bool) {
 	if size == 0 {
-		c.follow[i] = phonecall.NoNode
-		c.active[i] = false
+		c.SetFollow(i, phonecall.NoNode)
+		c.SetActive(i, false)
 		return
 	}
 	groups := min(max(1, size/target), len(ids))
@@ -583,31 +665,36 @@ func (c *Clustering) applyGroup(i, size, target int, ids []phonecall.NodeID, coi
 	g, _ := slices.BinarySearch(ids[:groups], own)
 	g = min(g, groups-1)
 	leader := ids[g]
-	c.follow[i] = leader
+	c.SetFollow(i, leader)
 	per, extra := size/groups, size%groups
 	if g < extra {
 		per++
 	}
 	c.size[i], c.prevSize[i] = per, per
 	if coins {
-		c.active[i] = slices.Contains(ids[groups:], leader)
+		c.SetActive(i, slices.Contains(ids[groups:], leader))
 	}
 }
 
-// RandomPush implements ClusterPUSH: every clustered node for which
-// participate returns true pushes payload(i) to a uniformly random node;
-// receive is invoked at every live node that received at least one push.
-// Costs one round.
+// RandomPush implements ClusterPUSH: every clustered node among the
+// participants (every clustered node if participants is nil) pushes
+// payload(i) to a uniformly random node; receive is invoked at every live
+// node that received at least one push. The participants are read before
+// the round, so receive may change them. Costs one round.
 func (c *Clustering) RandomPush(
-	participate func(i int) bool,
+	participants phonecall.NodeSet,
 	payload func(i int) phonecall.Message,
 	receive func(i int, m phonecall.Message),
 ) {
+	for k, w := range c.sets.clustered {
+		if participants != nil {
+			w &= participants[k]
+		}
+		c.callers[k] = w
+	}
 	c.net.ExecCalls(
-		func(i int) phonecall.Call {
-			if !c.IsClustered(i) || (participate != nil && !participate(i)) {
-				return phonecall.Call{}
-			}
+		c.callers,
+		func(int) phonecall.Call {
 			return phonecall.Call{Kind: phonecall.Push, Target: phonecall.RandomTarget()}
 		},
 		payload,
@@ -627,7 +714,14 @@ func (c *Clustering) RandomPush(
 // node's leader by RelayCandidates (local). Callers decide the tie-breaking
 // policy (for example "smallest received" for Cluster1 or "first received"
 // for Cluster2) before calling SetPending.
-func (c *Clustering) SetPending(i int, id phonecall.NodeID) { c.pending[i] = id }
+func (c *Clustering) SetPending(i int, id phonecall.NodeID) {
+	if old := c.pending[i]; old != id {
+		c.pending[i] = id
+		if (old == phonecall.NoNode) != (id == phonecall.NoNode) {
+			c.sets.pending.Put(i, id != phonecall.NoNode)
+		}
+	}
+}
 
 // Pending returns node i's currently pending candidate cluster ID (local).
 func (c *Clustering) Pending(i int) phonecall.NodeID { return c.pending[i] }
@@ -638,14 +732,10 @@ func (c *Clustering) Pending(i int) phonecall.NodeID { return c.pending[i] }
 // earlier relay left. Costs one round.
 func (c *Clustering) RelayCandidates() {
 	c.layOutCandidates()
+	// A leader keeps its own candidate locally.
 	c.net.ExecCalls(
+		c.followers(c.sets.pending),
 		func(i int) phonecall.Call {
-			if c.pending[i] == phonecall.NoNode || !c.IsClustered(i) {
-				return phonecall.Call{}
-			}
-			if c.IsLeader(i) {
-				return phonecall.Call{} // the leader keeps its own candidate locally
-			}
 			return phonecall.Call{Kind: phonecall.Push, Target: phonecall.DirectTarget(c.follow[i])}
 		},
 		func(i int) phonecall.Message {
@@ -663,47 +753,41 @@ func (c *Clustering) RelayCandidates() {
 			}
 		},
 	)
-	for i := 0; i < c.net.N(); i++ {
-		if c.net.IsFailed(i) {
-			continue
-		}
-		if c.IsLeader(i) && c.pending[i] != phonecall.NoNode {
+	c.eachLive(c.sets.pending, func(i int) {
+		if c.IsLeader(i) {
 			c.addCandidate(i, c.pending[i])
 		}
-		c.pending[i] = phonecall.NoNode
-	}
+		c.SetPending(i, phonecall.NoNode)
+	})
 }
 
 // layOutCandidates empties the candidate arena and gives every leader room
-// for every candidate this relay can bring it: one per live member with a
-// pending candidate whose push resolves to it, and its own.
+// (counts) for every candidate this relay can bring it: one per live member
+// with a pending candidate whose push resolves to it, and its own.
 func (c *Clustering) layOutCandidates() {
 	net := c.net
 	n := net.N()
 	if c.candOff == nil {
-		c.candOff = make([]int32, n+1)
+		c.candOff = make([]int32, n)
 		c.candLen = make([]int32, n)
 	}
 	clear(c.candLen)
 	clear(c.counts)
-	for i := 0; i < n; i++ {
-		if net.IsFailed(i) || c.pending[i] == phonecall.NoNode || !c.IsClustered(i) {
-			continue
+	c.eachLive(c.sets.pending, func(i int) {
+		if !c.IsClustered(i) {
+			return
 		}
 		if c.IsLeader(i) {
 			c.counts[i]++
 		} else if j, ok := net.IndexOf(c.follow[i]); ok && !net.IsFailed(j) && c.IsLeader(j) {
 			c.counts[j]++
 		}
-	}
+	})
 	total := int32(0)
-	for j := 0; j < n; j++ {
+	c.eachLive(c.sets.leader, func(j int) {
 		c.candOff[j] = total
-		if c.IsLeader(j) && !net.IsFailed(j) {
-			total += c.counts[j]
-		}
-	}
-	c.candOff[n] = total
+		total += c.counts[j]
+	})
 	if int(total) > len(c.cands) {
 		c.cands = make([]phonecall.NodeID, total+total/4)
 	}
@@ -713,9 +797,8 @@ func (c *Clustering) layOutCandidates() {
 // span was laid out with: only a relay a behavior redirected to another
 // leader can find none, and it is dropped.
 func (c *Clustering) addCandidate(j int, id phonecall.NodeID) {
-	at := c.candOff[j] + c.candLen[j]
-	if at < c.candOff[j+1] {
-		c.cands[at] = id
+	if c.candLen[j] < c.counts[j] {
+		c.cands[c.candOff[j]+c.candLen[j]] = id
 		c.candLen[j]++
 	}
 }
@@ -743,16 +826,13 @@ func (c *Clustering) Merge(decide func(leader int) (phonecall.NodeID, bool)) {
 	}
 	target := c.target
 	clear(target)
-	for i := 0; i < c.net.N(); i++ {
-		if !c.IsLeader(i) || c.net.IsFailed(i) {
-			continue
-		}
+	c.eachLive(c.sets.leader, func(i int) {
 		if id, ok := decide(i); ok && id != phonecall.NoNode && id != c.net.ID(i) {
 			target[i] = id
 		} else {
 			target[i] = c.net.ID(i)
 		}
-	}
+	})
 	c.leaderPull(
 		func(leader int) phonecall.Message {
 			return phonecall.Message{Tag: TagNewFollow, Value: 1, IDs: target[leader : leader+1 : leader+1]}
@@ -760,21 +840,19 @@ func (c *Clustering) Merge(decide func(leader int) (phonecall.NodeID, bool)) {
 		func(i int, m phonecall.Message) {
 			if m.Value == 1 && len(m.IDs) == 1 {
 				if m.IDs[0] != c.follow[i] {
-					c.active[i] = false
+					c.SetActive(i, false)
 				}
-				c.follow[i] = m.IDs[0]
+				c.SetFollow(i, m.IDs[0])
 			}
 		},
 	)
-	for i := 0; i < c.net.N(); i++ {
-		if c.net.IsFailed(i) || target[i] == phonecall.NoNode {
-			continue
+	// The leaders that merge away are still leaders: they did not pull.
+	c.eachLive(c.sets.leader, func(i int) {
+		if t := target[i]; t != phonecall.NoNode && t != c.net.ID(i) {
+			c.SetFollow(i, t)
+			c.SetActive(i, false)
 		}
-		if target[i] != c.net.ID(i) && c.follow[i] == c.net.ID(i) {
-			c.follow[i] = target[i]
-			c.active[i] = false
-		}
-	}
+	})
 }
 
 // Compress runs the given number of pointer-jumping rounds: every clustered
@@ -789,7 +867,7 @@ func (c *Clustering) Compress(rounds int) {
 			},
 			func(i int, m phonecall.Message) {
 				if len(m.IDs) == 1 && m.IDs[0] != phonecall.NoNode {
-					c.follow[i] = m.IDs[0]
+					c.SetFollow(i, m.IDs[0])
 				}
 			},
 		)
@@ -806,11 +884,12 @@ func (c *Clustering) PullJoin(maxRounds int) int {
 		if c.ClusteredCount() == c.net.LiveCount() {
 			break
 		}
+		for k, w := range c.sets.clustered {
+			c.callers[k] = ^w
+		}
 		c.net.ExecCalls(
-			func(i int) phonecall.Call {
-				if c.IsClustered(i) {
-					return phonecall.Call{}
-				}
+			c.callers,
+			func(int) phonecall.Call {
 				return phonecall.Call{Kind: phonecall.Pull, Target: phonecall.RandomTarget()}
 			},
 			nil,
@@ -826,8 +905,8 @@ func (c *Clustering) PullJoin(maxRounds int) int {
 				}
 				for _, m := range inbox {
 					if m.Tag == TagFollowIs && len(m.IDs) == 1 && m.IDs[0] != phonecall.NoNode {
-						c.follow[i] = m.IDs[0]
-						c.active[i] = false
+						c.SetFollow(i, m.IDs[0])
+						c.SetActive(i, false)
 						return
 					}
 				}
@@ -842,10 +921,8 @@ func (c *Clustering) PullJoin(maxRounds int) int {
 // it from the leader. Costs two rounds.
 func (c *Clustering) ShareRumor() {
 	c.net.ExecCalls(
+		c.followers(c.sets.rumor),
 		func(i int) phonecall.Call {
-			if !c.rumor[i] || !c.IsClustered(i) || c.IsLeader(i) {
-				return phonecall.Call{}
-			}
 			return phonecall.Call{Kind: phonecall.Push, Target: phonecall.DirectTarget(c.follow[i])}
 		},
 		rumorPayload,
@@ -853,21 +930,21 @@ func (c *Clustering) ShareRumor() {
 		func(j int, inbox []phonecall.Message) {
 			for _, m := range inbox {
 				if m.Tag == TagRumor && m.Rumor {
-					c.rumor[j] = true
+					c.SetRumor(j)
 				}
 			}
 		},
 	)
 	c.leaderPull(
 		func(leader int) phonecall.Message {
-			if c.rumor[leader] {
+			if c.HasRumor(leader) {
 				return phonecall.Message{Tag: TagRumor, Rumor: true}
 			}
 			return phonecall.Message{Tag: TagRumor}
 		},
 		func(i int, m phonecall.Message) {
 			if m.Rumor {
-				c.rumor[i] = true
+				c.SetRumor(i)
 			}
 		},
 	)

@@ -22,11 +22,54 @@ func newNet(t testing.TB, n int, seed uint64) *phonecall.Network {
 	return net
 }
 
+// newClustering is New for a test: when the test ends, its clustering's
+// derived bitmaps must still equal the state they are derived from.
+func newClustering(t *testing.T, net *phonecall.Network) *Clustering {
+	c := New(net)
+	t.Cleanup(func() { checkSets(t, c) })
+	return c
+}
+
+// checkSets asserts that every bitmap derived from follow and pending
+// equals it, node by node, and that no bitmap has a bit past the last node.
+func checkSets(t *testing.T, c *Clustering) {
+	t.Helper()
+	net := c.Network()
+	n := net.N()
+	derived := []struct {
+		name string
+		set  phonecall.NodeSet
+		has  func(i int) bool
+	}{
+		{"clustered", c.sets.clustered, func(i int) bool { return c.follow[i] != phonecall.NoNode }},
+		{"leader", c.sets.leader, func(i int) bool { return c.follow[i] == net.ID(i) }},
+		{"pending", c.sets.pending, func(i int) bool { return c.pending[i] != phonecall.NoNode }},
+	}
+	for _, s := range derived {
+		for i := 0; i < n; i++ {
+			if s.set.Has(i) != s.has(i) {
+				t.Fatalf("node %d: %s bit %v, its state says %v", i, s.name, s.set.Has(i), s.has(i))
+			}
+		}
+	}
+	all := map[string]phonecall.NodeSet{
+		"clustered": c.sets.clustered, "leader": c.sets.leader, "active": c.sets.active,
+		"joined": c.sets.joined, "pending": c.sets.pending, "rumor": c.sets.rumor,
+	}
+	for name, set := range all {
+		if rest := n & 63; rest != 0 && set[len(set)-1]>>rest != 0 {
+			t.Fatalf("%s set has bits past node %d", name, n-1)
+		}
+	}
+}
+
 // checkInvariant verifies the clustering invariant: every clustered node
 // either is a leader or follows a node that is a leader (depth-one follow
-// graph), and every node's size bookkeeping is non-negative.
+// graph), and every node's size bookkeeping is non-negative; and every
+// derived bitmap equals the state it is derived from (checkSets).
 func checkInvariant(t *testing.T, c *Clustering, allowStale bool) {
 	t.Helper()
+	checkSets(t, c)
 	net := c.Network()
 	for i := 0; i < net.N(); i++ {
 		if net.IsFailed(i) || !c.IsClustered(i) {
@@ -44,7 +87,7 @@ func checkInvariant(t *testing.T, c *Clustering, allowStale bool) {
 
 func seedEvenClusters(t *testing.T, net *phonecall.Network, clusterSize int) *Clustering {
 	t.Helper()
-	c := New(net)
+	c := newClustering(t, net)
 	// Deterministically partition nodes into consecutive groups; the largest
 	// ID in each group is the leader (mirrors what Resize produces).
 	n := net.N()
@@ -92,7 +135,7 @@ func TestClusteringBytesPerNode(t *testing.T) {
 
 func TestSeedSingletons(t *testing.T) {
 	net := newNet(t, 10000, 1)
-	c := New(net)
+	c := newClustering(t, net)
 	leaders := c.SeedSingletons(0.1)
 	if leaders < 800 || leaders > 1200 {
 		t.Fatalf("seeded %d leaders, want about 1000", leaders)
@@ -196,7 +239,7 @@ func TestActivateFraction(t *testing.T) {
 
 func TestDissolve(t *testing.T) {
 	net := newNet(t, 1000, 5)
-	c := New(net)
+	c := newClustering(t, net)
 	// Clusters of size 5 (indexes 0..499) and size 25 (indexes 500..999).
 	for start := 0; start < 500; start += 5 {
 		leader := net.ID(start)
@@ -271,7 +314,7 @@ func TestResizeProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		c := New(net)
+		c := newClustering(t, net)
 		for start := 0; start < n; start += clusterSize {
 			end := start + clusterSize
 			if end > n {
@@ -346,7 +389,7 @@ func leaderIDs(c *Clustering) []phonecall.NodeID {
 // group's exact size.
 func TestResizeActivate(t *testing.T) {
 	net := newNet(t, 20000, 14)
-	c := New(net)
+	c := newClustering(t, net)
 	// Clusters of size 4 (indexes 0..3999) and size 200 (the rest).
 	for start := 0; start < net.N(); {
 		size := 200
@@ -422,6 +465,77 @@ func TestMembersOfCrashedLeaderLeave(t *testing.T) {
 	checkInvariant(t, c, false)
 }
 
+// TestLeaderRevivedAtReportRound: a leader that was down when Resize laid
+// out its spans, and that a round hook (a scenario's JoinAt) revives at the
+// start of the report round, takes no reports and splits alone, as a cluster
+// of one. Every other node ends exactly as on a network where that leader
+// stays down: the late leader writes into no other leader's group list.
+// The first Resize keeps every leader and leaves its span behind, so a late
+// leader that used its old span would land in another leader's.
+func TestLeaderRevivedAtReportRound(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		minSize  int
+		activate bool
+	}{
+		{"keep", 0, false},
+		{"dissolve", 2, false},
+		{"activate", 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var late int
+			run := func(revive bool) *Clustering {
+				net := newNet(t, 1000, 16)
+				c := seedEvenClusters(t, net, 100)
+				c.Resize(0, 200)
+				late = -1
+				for i, leaders := 0, 0; late < 0; i++ {
+					if c.IsLeader(i) {
+						if leaders++; leaders == 5 {
+							late = i // a middle leader: its old span is another's now
+						}
+					}
+				}
+				net.Fail(late)
+				if revive {
+					report := net.Round() + 1
+					net.OnRoundStart(func(round int) {
+						if round == report {
+							net.Revive(late)
+						}
+					})
+				}
+				if tc.activate {
+					c.ResizeActivate(tc.minSize, 25, 0.5)
+				} else {
+					c.Resize(tc.minSize, 25)
+				}
+				return c
+			}
+			ref, c := run(false), run(true)
+			checkInvariant(t, c, false)
+			for i := 0; i < c.Network().N(); i++ {
+				if i == late || ref.Follow(i) == ref.Network().ID(late) {
+					continue
+				}
+				if c.Follow(i) != ref.Follow(i) || c.Size(i) != ref.Size(i) || c.IsActive(i) != ref.IsActive(i) {
+					t.Fatalf("node %d: follow %d size %d active %v, want %d %d %v as with the leader down",
+						i, c.Follow(i), c.Size(i), c.IsActive(i), ref.Follow(i), ref.Size(i), ref.IsActive(i))
+				}
+			}
+			if tc.minSize > 1 {
+				if c.IsClustered(late) {
+					t.Fatalf("late leader kept a cluster of one below minSize %d", tc.minSize)
+				}
+				return
+			}
+			if !c.IsLeader(late) || c.Size(late) != 1 {
+				t.Fatalf("late leader: leader %v size %d, want a cluster of one", c.IsLeader(late), c.Size(late))
+			}
+		})
+	}
+}
+
 func TestRandomPushAndRelay(t *testing.T) {
 	net := newNet(t, 2000, 8)
 	c := seedEvenClusters(t, net, 20)
@@ -462,7 +576,7 @@ func TestRandomPushAndRelay(t *testing.T) {
 
 func TestPullJoinClustersEveryone(t *testing.T) {
 	net := newNet(t, 5000, 9)
-	c := New(net)
+	c := newClustering(t, net)
 	// Cluster 60% of the nodes, leave the rest unclustered.
 	for start := 0; start < 3000; start += 30 {
 		leader := start

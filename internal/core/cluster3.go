@@ -64,7 +64,7 @@ func Cluster3(net *phonecall.Network, delta int) (*cluster.Clustering, trace.Res
 		prob = 1
 	}
 	activateClusters(cl, prob)
-	recruitAndMerge(cl, pickFirst, func(i int) bool { return cl.IsActive(i) }, mergeInactiveOnly)
+	recruitAndMerge(cl, pickFirst, cl.ActiveSet(), mergeInactiveOnly)
 	cl.Compress(1)
 	rec.Mark("MergeClusters")
 
@@ -104,7 +104,7 @@ func boundedClusterPushResized(cl *cluster.Clustering, resizeTarget int) {
 	// Leaders learn their current size once at the start of the phase.
 	cl.MeasureSizes()
 	for range phaseCap(n) {
-		if countActiveLeaders(cl) == 0 {
+		if cl.ActiveLeaderCount() == 0 {
 			break
 		}
 		if cl.ClusteredCount() >= net.LiveCount() {
@@ -118,7 +118,7 @@ func boundedClusterPushResized(cl *cluster.Clustering, resizeTarget int) {
 		}
 		// ClusterPUSH(follow): unclustered receivers join the pushing cluster.
 		cl.RandomPush(
-			func(i int) bool { return cl.IsActive(i) },
+			cl.ActiveSet(),
 			cl.Recruit,
 			func(j int, m phonecall.Message) {
 				if m.Tag != cluster.TagRecruit || len(m.IDs) != 1 || cl.IsClustered(j) {

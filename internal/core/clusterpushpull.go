@@ -46,17 +46,21 @@ func broadcastOnClustering(cl *cluster.Clustering, delta int) {
 	// Each node pushes the rumor at most once, right after its cluster became
 	// informed ("newly informed clusters: ClusterPUSH"), which keeps the total
 	// number of messages linear in n.
-	pushed := make([]bool, n)
+	pushed := phonecall.NewNodeSet(n)
+	fresh := phonecall.NewNodeSet(n) // holders that have not pushed yet
 	maxIters := pushPullIterations(n, delta)
 	for iter := 0; iter < maxIters; iter++ {
 		if cl.InformedCount() >= net.LiveCount() {
 			break
 		}
+		for k, w := range cl.RumorSet() {
+			fresh[k] = w &^ pushed[k]
+		}
 		// Newly informed clusters PUSH the rumor to random nodes.
 		cl.RandomPush(
-			func(i int) bool { return cl.HasRumor(i) && !pushed[i] },
+			fresh,
 			func(i int) phonecall.Message {
-				pushed[i] = true
+				pushed.Put(i, true)
 				return phonecall.Message{Tag: cluster.TagRumor, Rumor: true}
 			},
 			func(j int, m phonecall.Message) {
@@ -78,8 +82,9 @@ func broadcastOnClustering(cl *cluster.Clustering, delta int) {
 // uniformly random node and learns the rumor if the responder has it: the
 // decision table's PULL step.
 func uninformedPull(cl *cluster.Clustering) {
-	cl.Network().ExecCalls(scenario.AlgoPull.Step(cl.HasRumor, cl.SetRumor,
-		phonecall.Message{Tag: cluster.TagRumor, Rumor: true}))
+	call, payload, respond, deliver := scenario.AlgoPull.Step(cl.HasRumor, cl.SetRumor,
+		phonecall.Message{Tag: cluster.TagRumor, Rumor: true})
+	cl.Network().ExecCalls(nil, call, payload, respond, deliver)
 }
 
 // pushPullIterations returns the iteration cap Θ(log n / log Δ) for the main

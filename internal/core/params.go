@@ -124,19 +124,6 @@ func checkSources(net *phonecall.Network, sources []int) error {
 	return nil
 }
 
-// countActiveLeaders returns the number of live leaders whose cluster is
-// activated (local; drivers use it for the activation safeguard).
-func countActiveLeaders(cl *cluster.Clustering) int {
-	count := 0
-	net := cl.Network()
-	for i := 0; i < net.N(); i++ {
-		if !net.IsFailed(i) && cl.IsLeader(i) && cl.IsActive(i) {
-			count++
-		}
-	}
-	return count
-}
-
 // largestClusterSize returns the size of the largest cluster (local).
 func largestClusterSize(cl *cluster.Clustering) int {
 	largest := 0

@@ -110,14 +110,14 @@ func growInitialClustersSparse(cl *cluster.Clustering, targetSize int) {
 		sizeControlFrom = 0
 	}
 	for iter := range phaseCap(n) {
-		if countActiveLeaders(cl) == 0 {
+		if cl.ActiveLeaderCount() == 0 {
 			break
 		}
 		if float64(cl.ClusteredCount()) >= clusteredTarget {
 			break
 		}
 		cl.RandomPush(
-			func(i int) bool { return cl.IsActive(i) },
+			cl.ActiveSet(),
 			cl.Recruit,
 			func(j int, m phonecall.Message) {
 				if m.Tag != cluster.TagRecruit || len(m.IDs) != 1 {
@@ -179,11 +179,11 @@ func squareClusters(cl *cluster.Clustering, startSize, stopSize int, policy cand
 		}
 		cl.ResizeActivate(dissolveBelow, s, 1/float64(s))
 		dissolveBelow = 0
-		if countActiveLeaders(cl) == 0 {
+		if cl.ActiveLeaderCount() == 0 {
 			activateClusters(cl, 1/float64(s))
 		}
 		for rep := 0; rep < 2; rep++ {
-			recruitAndMerge(cl, policy, func(i int) bool { return cl.IsActive(i) }, mergeInactiveOnly)
+			recruitAndMerge(cl, policy, cl.ActiveSet(), mergeInactiveOnly)
 		}
 		cl.Compress(1)
 		// The paper sets s ← Θ(s²); measure the realized sizes so the next
@@ -213,13 +213,13 @@ const (
 )
 
 // recruitAndMerge runs one ClusterPUSH / relay / ClusterMerge iteration:
-// participating cluster members push their cluster ID to random nodes,
-// receivers relay one candidate to their leader, and leaders of eligible
-// clusters merge into a candidate.
-func recruitAndMerge(cl *cluster.Clustering, policy candidatePolicy, participate func(i int) bool, scope mergeScope) {
+// the participating cluster members (every one if participants is nil) push
+// their cluster ID to random nodes, receivers relay one candidate to their
+// leader, and leaders of eligible clusters merge into a candidate.
+func recruitAndMerge(cl *cluster.Clustering, policy candidatePolicy, participants phonecall.NodeSet, scope mergeScope) {
 	net := cl.Network()
 	cl.RandomPush(
-		participate,
+		participants,
 		cl.Recruit,
 		func(j int, m phonecall.Message) {
 			if m.Tag != cluster.TagRecruit || len(m.IDs) != 1 {
@@ -274,7 +274,7 @@ func recruitAndMerge(cl *cluster.Clustering, policy candidatePolicy, participate
 func activateClusters(cl *cluster.Clustering, prob float64) {
 	for attempt := 0; attempt < 5; attempt++ {
 		cl.Activate(prob)
-		if countActiveLeaders(cl) > 0 {
+		if cl.ActiveLeaderCount() > 0 {
 			return
 		}
 	}
@@ -334,14 +334,22 @@ func boundedClusterPush(cl *cluster.Clustering) {
 	n := net.N()
 	cl.MeasureSizes()
 	limit := phaseCap(n)
+	// left is each node's pushes to go, and pushing the nodes with some.
 	left := make([]int32, n)
+	pushing := phonecall.NewNodeSet(n)
+	setLeft := func(i int, k int32) {
+		if (left[i] > 0) != (k > 0) {
+			pushing.Put(i, k > 0)
+		}
+		left[i] = k
+	}
 	// The phase lasts as long as the longest leader's schedule: a member that
 	// got a redirect instead of the size holds a stale one and cannot
 	// stretch it.
 	pushes := 0
 	for i := 0; i < n; i++ {
 		if cl.IsClustered(i) && !net.IsFailed(i) {
-			left[i] = int32(plannedPushes(cl.Size(i), n, limit))
+			setLeft(i, int32(plannedPushes(cl.Size(i), n, limit)))
 			if cl.IsLeader(i) {
 				pushes = max(pushes, int(left[i]))
 			}
@@ -352,9 +360,9 @@ func boundedClusterPush(cl *cluster.Clustering) {
 			break
 		}
 		cl.RandomPush(
-			func(i int) bool { return left[i] > 0 },
+			pushing,
 			func(i int) phonecall.Message {
-				left[i]--
+				setLeft(i, left[i]-1)
 				m := cl.Recruit(i)
 				m.Value = uint64(left[i])
 				return m
@@ -364,7 +372,7 @@ func boundedClusterPush(cl *cluster.Clustering) {
 					return
 				}
 				cl.SetFollow(j, m.IDs[0])
-				left[j] = int32(min(m.Value, uint64(limit)))
+				setLeft(j, int32(min(m.Value, uint64(limit))))
 			},
 		)
 	}

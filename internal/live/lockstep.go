@@ -14,11 +14,12 @@ import (
 // passing over a synchronous transport, through the Network's RoundExecutor
 // seam. Each round is three barrier-separated phases:
 //
-//	calls    every live node evaluates its call on its own goroutine, asks
-//	         for the payload of a Push or Exchange, resolves its target
-//	         (Network.Contact: random contacts through the model's stateless
-//	         hash, direct addresses through the shared read-only ID
-//	         directory), draws its loss (CallLost) and sends one call frame;
+//	calls    every live node in the round's initiator set evaluates its
+//	         call on its own goroutine, asks for the payload of a Push or
+//	         Exchange, resolves its target (Network.Contact: random contacts
+//	         through the model's stateless hash, direct addresses through
+//	         the shared read-only ID directory), draws its loss (CallLost)
+//	         and sends one call frame;
 //	         it charges everything the engine charges on the initiator side.
 //	process  every node drains its mailbox: dead nodes discard (a crashed
 //	         process receives nothing — the live-participant rule falls out
@@ -41,6 +42,7 @@ type LockStep struct {
 	n   int
 	own bool // runtime owns (and closes) the transport
 
+	curSet      phonecall.NodeSet
 	curCall     func(i int) phonecall.Call
 	curPayload  func(i int) phonecall.Message
 	curResponse func(i int) (phonecall.Message, bool)
@@ -191,6 +193,7 @@ func (ls *LockStep) Close() error {
 func (ls *LockStep) ExecNetworkRound(
 	net *phonecall.Network,
 	round int,
+	callers phonecall.NodeSet,
 	callOf func(i int) phonecall.Call,
 	payloadOf func(i int) phonecall.Message,
 	responseOf func(i int) (phonecall.Message, bool),
@@ -198,6 +201,7 @@ func (ls *LockStep) ExecNetworkRound(
 ) phonecall.RoundDelta {
 	// Published to the node goroutines through the cmd channels'
 	// happens-before edges, like the engine's pass channel.
+	ls.curSet = callers
 	ls.curCall = callOf
 	ls.curPayload = payloadOf
 	ls.curResponse = responseOf
@@ -252,7 +256,8 @@ func (nd *lsNode) reset() {
 	nd.stats = lsStats{}
 }
 
-// doCalls evaluates node i's call, asks for its payload if it carries one,
+// doCalls evaluates node i's call when the node is in the round's initiator
+// set, asks for its payload if it carries one,
 // charges the initiator side and sends the call frame. It mirrors the
 // engine's passCalls and passFill exactly (including the charges for
 // unresolved, dead-target and lost calls, which the initiator cannot
@@ -260,7 +265,7 @@ func (nd *lsNode) reset() {
 func (ls *LockStep) doCalls(nd *lsNode, round int) {
 	i := nd.idx
 	net := ls.net
-	if net.IsFailed(i) {
+	if net.IsFailed(i) || (ls.curSet != nil && !ls.curSet.Has(i)) {
 		return
 	}
 	c := ls.curCall(i)

@@ -140,14 +140,14 @@ func TestLockStepCloseRestoresEngine(t *testing.T) {
 		return phonecall.Call{Kind: phonecall.Push, Target: phonecall.RandomTarget()}
 	}
 	payload := func(int) phonecall.Message { return phonecall.Message{Tag: 1} }
-	liveRep := net.ExecCalls(push, payload, nil, nil)
+	liveRep := net.ExecCalls(nil, push, payload, nil, nil)
 	if err := ls.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if net.Executor() != nil {
 		t.Fatal("executor still installed after Close")
 	}
-	engineRep := net.ExecCalls(push, payload, nil, nil)
+	engineRep := net.ExecCalls(nil, push, payload, nil, nil)
 	if engineRep.Messages != liveRep.Messages {
 		t.Fatalf("engine round after Close sent %d messages, live round sent %d",
 			engineRep.Messages, liveRep.Messages)

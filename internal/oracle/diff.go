@@ -27,6 +27,7 @@ type Engine interface {
 	Revive(indexes ...int)
 	SetLoss(rate float64, seed uint64)
 	ExecCalls(
+		callers phonecall.NodeSet,
 		callOf func(i int) phonecall.Call,
 		payloadOf func(i int) phonecall.Message,
 		responseOf func(i int) (phonecall.Message, bool),
@@ -69,6 +70,9 @@ type Script struct {
 	// exchanging (a third of the exchanges without content), so most nodes
 	// are pulled in every round.
 	Dense bool
+	// Sparse passes every round an initiator set drawn from ProtoSeed
+	// (callersFor); otherwise every round's set is nil.
+	Sparse bool
 }
 
 // normalized clamps the script to the ranges both engines accept.
@@ -124,7 +128,27 @@ const (
 	tagCall  = 0xd1f1
 	tagResp  = 0xe5b0
 	tagChurn = 0xc4c4
+	tagSet   = 0x5e75
 )
+
+// callersFor derives round r's initiator set: nil unless the script is
+// Sparse, else each node with probability 2⁻ᵏ, k drawn per round from 0…6,
+// with every third 64-node block left out, so a round's words range from
+// full to empty.
+func callersFor(n int, sc Script, r int) phonecall.NodeSet {
+	if !sc.Sparse {
+		return nil
+	}
+	h := rng.Mix(sc.ProtoSeed, tagSet, uint64(r))
+	k, skip := h%7, int(h>>8)%3
+	set := phonecall.NewNodeSet(n)
+	for i := 0; i < n; i++ {
+		if (i>>6)%3 != skip && rng.Mix(sc.ProtoSeed, tagSet, uint64(r), uint64(i))%(1<<k) == 0 {
+			set.Put(i, true)
+		}
+	}
+	return set
+}
 
 // callFor derives node i's call and payload for round r: a mix of pushes,
 // pulls and exchanges over random and direct targets, including the edge
@@ -265,6 +289,7 @@ func runScripted(e Engine, sc Script, r int) *roundTrace {
 		}
 	}
 	tr.report = e.ExecCalls(
+		callersFor(n, sc, r),
 		func(i int) phonecall.Call {
 			c, _ := callFor(e, sc, r, i)
 			return c

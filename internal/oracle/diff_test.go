@@ -44,6 +44,9 @@ func TestEngineMatchesOracle(t *testing.T) {
 		// Over half the nodes are pulled in every round (churn seed 45 fails
 		// few enough of them).
 		"dense": {N: 3000, Rounds: 6, NetSeed: 41, ProtoSeed: 42, Workers: 4, Churn: true, ChurnSeed: 45, Dense: true},
+		// Every round passes an initiator set of 1 to 1/64 of the nodes.
+		"sparse":         {N: 300, Rounds: 14, NetSeed: 46, ProtoSeed: 47, Churn: true, ChurnSeed: 48, Sparse: true},
+		"sparse-sharded": {N: 5000, Rounds: 10, NetSeed: 49, ProtoSeed: 50, Workers: 4, Churn: true, ChurnSeed: 51, LossRate: 0.1, LossSeed: 52, Sparse: true},
 	}
 	for name, sc := range scripts {
 		t.Run(name, func(t *testing.T) {
@@ -76,12 +79,13 @@ type brokenEngine struct {
 }
 
 func (b *brokenEngine) ExecCalls(
+	callers phonecall.NodeSet,
 	callOf func(i int) phonecall.Call,
 	payloadOf func(i int) phonecall.Message,
 	responseOf func(i int) (phonecall.Message, bool),
 	deliver func(i int, inbox []phonecall.Message),
 ) phonecall.RoundReport {
-	return b.report(b.Network.ExecCalls(callOf, payloadOf, responseOf, b.deliver(deliver)))
+	return b.report(b.Network.ExecCalls(callers, callOf, payloadOf, responseOf, b.deliver(deliver)))
 }
 
 // deliver seeds the inbox bugs into a delivery callback.

@@ -19,16 +19,19 @@ import (
 
 // FuzzEngineVsOracle fuzzes network size, seeds, round budget, worker count,
 // loss rate, the churn script, whether the script's exchanges without
-// content stay exchanges (calls) or become pulls, and the dense call mix
-// through Compare, with the engine running under inbox poisoning and the
-// invariant Checker. Any divergence between the sharded engine and the naive
-// reference — one message, one bit, one Δ — fails the target.
+// content stay exchanges (calls) or become pulls, the dense call mix and
+// sparse initiator sets through Compare, with the engine running under inbox
+// poisoning and the invariant Checker. Any divergence between the sharded
+// engine and the naive reference — one message, one bit, one Δ — fails the
+// target.
 func FuzzEngineVsOracle(f *testing.F) {
 	f.Add(uint16(40), uint64(1), uint64(2), uint64(3), uint8(8), uint8(1), uint8(0), false, false)
 	f.Add(uint16(300), uint64(4), uint64(5), uint64(6), uint8(10), uint8(3), uint8(30), false, false)
 	f.Add(uint16(4500), uint64(7), uint64(8), uint64(9), uint8(4), uint8(8), uint8(5), false, false)
 	f.Add(uint16(2), uint64(10), uint64(11), uint64(12), uint8(6), uint8(2), uint8(95), false, false)
 	f.Add(uint16(1000), uint64(13), uint64(14), uint64(15), uint8(12), uint8(4), uint8(50), false, false)
+	f.Add(uint16(5999+300), uint64(16), uint64(17), uint64(18), uint8(10), uint8(3), uint8(20), false, false)
+	f.Add(uint16(5999+4500), uint64(19), uint64(20), uint64(21), uint8(6), uint8(8), uint8(5), true, true)
 	f.Fuzz(func(t *testing.T, n uint16, netSeed, protoSeed, churnSeed uint64, rounds, workers, lossPct uint8, calls, dense bool) {
 		sc := Script{
 			N:         2 + int(n)%5999,
@@ -41,6 +44,10 @@ func FuzzEngineVsOracle(f *testing.F) {
 			Churn:     true,
 			ChurnSeed: churnSeed,
 			Dense:     dense,
+			// The size's quotient is unused by N: an odd one draws a sparse
+			// initiator set every round, and every size below 5999 — the
+			// whole corpus before sets existed — keeps the nil set.
+			Sparse: int(n)/5999%2 == 1,
 			// The corpus keeps the bit's old name: a "calls" input kept its
 			// exchanges without content.
 			EmptyExchanges: calls,

@@ -18,9 +18,10 @@ import (
 // protocol — the paper's closed clustering algorithms as much as the
 // steppable scenario protocols:
 //
-//   - each live node's call is evaluated exactly once per round, and the
-//     payload of each Push or Exchange call exactly once, after it; dead
-//     nodes never act (no call, no payload, no response, no delivery);
+//   - each live node in the round's initiator set has its call evaluated
+//     exactly once, a node outside it never, and the payload of each Push or
+//     Exchange call is asked for exactly once, after it; dead nodes never
+//     act (no call, no payload, no response, no delivery);
 //   - responses are evaluated at most once per node, and only for nodes a
 //     live pull actually reached;
 //   - the communication, message, bit and pull charges match the
@@ -273,12 +274,19 @@ func (c *Checker) EndRound(rep phonecall.RoundReport) {
 		return
 	}
 
-	// Exactly-once call evaluation for the live population, and a payload
-	// for every call that carries one.
+	// Exactly-once call evaluation for the live nodes of the initiator set,
+	// none outside it, and a payload for every call that carries one.
+	callers := c.info.Callers
 	for i := 0; i < n; i++ {
 		seen := c.callSeen[i].Load()
 		if c.net.IsFailed(i) {
 			continue // dead-node activity was flagged at observation time
+		}
+		if callers != nil && !callers.Has(i) {
+			if seen != 0 {
+				c.violate("node %d: call evaluated outside the initiator set", i)
+			}
+			continue
 		}
 		if seen != 1 {
 			c.violate("node %d: live node's call evaluated %d times", i, seen)

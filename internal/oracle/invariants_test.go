@@ -151,6 +151,19 @@ func TestCheckerCatchesViolations(t *testing.T) {
 		}
 	})
 
+	t.Run("call-outside-set", func(t *testing.T) {
+		_, c := newNetAndChecker(t)
+		callers := phonecall.NewNodeSet(n)
+		callers.Put(1, true)
+		c.BeginRound(1, phonecall.RoundInfo{HasCall: true, Callers: callers})
+		c.ObserveCall(1, silent)
+		c.ObserveCall(6, silent)
+		c.EndRound(phonecall.RoundReport{Round: 1})
+		if err := c.Err(); err == nil || !strings.Contains(err.Error(), "node 6: call evaluated outside the initiator set") {
+			t.Fatalf("err = %v", err)
+		}
+	})
+
 	t.Run("dead-node-acts", func(t *testing.T) {
 		net, c := newNetAndChecker(t)
 		net.Fail(2)
@@ -206,6 +219,7 @@ func TestCheckerCatchesEngineTampering(t *testing.T) {
 	checker := oracle.NewChecker()
 	net.Observe(checker)
 	rep := net.ExecCalls(
+		nil,
 		func(int) phonecall.Call {
 			return phonecall.Call{Kind: phonecall.Push, Target: phonecall.RandomTarget()}
 		},

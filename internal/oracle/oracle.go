@@ -214,12 +214,14 @@ func (o *Oracle) env() roundEnv {
 }
 
 // ExecCalls executes one synchronous round under the engine's callback
-// contract: callOf once per live node, then responseOf at most once per
+// contract: callOf once per live node in callers (every live node when
+// callers is nil), then responseOf at most once per
 // pulled node, then payloadOf once per Push or Exchange call — an Exchange
 // always carries its payload, content or not — then deliver once per node
 // that received messages, inboxes ordered by initiator index. A nil
 // payloadOf sends empty messages; a nil callOf is an empty round.
 func (o *Oracle) ExecCalls(
+	callers phonecall.NodeSet,
 	callOf func(i int) phonecall.Call,
 	payloadOf func(i int) phonecall.Message,
 	responseOf func(i int) (phonecall.Message, bool),
@@ -236,7 +238,7 @@ func (o *Oracle) ExecCalls(
 	s := newSpecRound(o.env())
 	var owes []int
 	for i := 0; i < o.n; i++ {
-		if o.failed[i] {
+		if o.failed[i] || (callers != nil && !callers.Has(i)) {
 			continue
 		}
 		if s.addCall(i, callOf(i)) {

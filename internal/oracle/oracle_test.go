@@ -42,6 +42,7 @@ func TestOracleAccountingByHand(t *testing.T) {
 	}
 	var inbox []phonecall.Message
 	rep := orc.ExecCalls(
+		nil,
 		func(i int) phonecall.Call {
 			if i == 0 {
 				return phonecall.Call{}
@@ -93,6 +94,7 @@ func TestOraclePullFanOut(t *testing.T) {
 	responses := 0
 	got := make(map[int][]phonecall.Message)
 	rep := orc.ExecCalls(
+		nil,
 		func(i int) phonecall.Call {
 			if i == 0 {
 				return phonecall.Call{}
@@ -145,6 +147,7 @@ func TestOracleFailureAndLossRules(t *testing.T) {
 	}
 	calls := 0
 	rep := orc.ExecCalls(
+		nil,
 		func(i int) phonecall.Call {
 			calls++
 			if i == 1 {
@@ -168,6 +171,7 @@ func TestOracleFailureAndLossRules(t *testing.T) {
 	orc.Revive(1)
 	orc.SetLoss(1, 99) // every call lost in transit
 	rep = orc.ExecCalls(
+		nil,
 		func(int) phonecall.Call {
 			return phonecall.Call{Kind: phonecall.Push, Target: phonecall.RandomTarget()}
 		},

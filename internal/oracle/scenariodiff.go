@@ -296,7 +296,7 @@ func referenceScenarioRun(sc scenario.Scenario, cfg scenario.Config) (trace.Resu
 		}
 
 		call, payload := tr.wrapCalls(r, proto.call, proto.payload)
-		rep := o.ExecCalls(call, payload, tr.wrapResponse(r, proto.response), proto.deliver)
+		rep := o.ExecCalls(nil, call, payload, tr.wrapResponse(r, proto.response), proto.deliver)
 		cur.Messages += rep.Messages
 		cur.Bits += rep.Bits
 		if rep.MaxComms > cur.MaxComms {

@@ -69,6 +69,8 @@ func (net *Network) SetBehavior(i int, b Behavior) {
 		}
 		net.behaviors = make([]Behavior, net.n)
 		net.rewrites = make([]Message, net.n)
+		net.corruptSet = NewNodeSet(net.n)
+		net.evalSet = NewNodeSet(net.n)
 	}
 	if (net.behaviors[i] == nil) != (b == nil) {
 		if b == nil {
@@ -76,6 +78,7 @@ func (net *Network) SetBehavior(i int, b Behavior) {
 		} else {
 			net.corrupted++
 		}
+		net.corruptSet.Put(i, b != nil)
 	}
 	net.behaviors[i] = b
 }
@@ -95,9 +98,12 @@ func (net *Network) CorruptedCount() int { return net.corrupted }
 // behaviors without knowing they exist. The rewrite is joint, so a
 // corrupted node's payload is asked for with its call and parked in rewrites
 // until the round asks for it; honest payloads keep their place after the
-// responses. responseOf may be nil; behaviors cannot invent a response
-// stream the protocol does not have.
+// responses. A corrupted node outside the round's initiator set is
+// evaluated all the same, and its behavior rewrites the silent call the
+// protocol's callOf was not asked for. responseOf may be nil; behaviors
+// cannot invent a response stream the protocol does not have.
 func (net *Network) behaviorCallbacks(
+	callers NodeSet,
 	callOf func(i int) Call,
 	payloadOf func(i int) Message,
 	responseOf func(i int) (Message, bool),
@@ -105,7 +111,10 @@ func (net *Network) behaviorCallbacks(
 	behaviors, rewrites := net.behaviors, net.rewrites
 	round := net.round
 	wrappedCall := func(i int) Call {
-		c := callOf(i)
+		var c Call
+		if callers == nil || callers.Has(i) {
+			c = callOf(i)
+		}
 		b := behaviors[i]
 		if b == nil {
 			return c

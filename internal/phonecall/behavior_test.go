@@ -199,6 +199,7 @@ func TestBehaviorsThroughEngine(t *testing.T) {
 	spamSeen := false
 	for r := 0; r < 8 && !spamSeen; r++ {
 		net.ExecCalls(
+			nil,
 			func(int) Call { return Call{Kind: Push, Target: RandomTarget()} },
 			func(i int) Message { return Message{Tag: TagHoldings, Value: uint64(i) + 1, Rumor: true} },
 			nil,
@@ -216,6 +217,44 @@ func TestBehaviorsThroughEngine(t *testing.T) {
 	}
 	if !spamSeen {
 		t.Fatal("full-rate spammer's junk never delivered")
+	}
+}
+
+// TestBehaviorOutsideCallerSet: a corrupted node outside a round's
+// initiator set is evaluated all the same — its behavior turns the silent
+// call it was not asked for into a spam push — while the protocol's callOf
+// sees only the set.
+func TestBehaviorOutsideCallerSet(t *testing.T) {
+	net, err := New(Config{N: 16, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.SetBehavior(5, Spammer{Seed: 11})
+	callers := NewNodeSet(16)
+	callers.Put(2, true)
+	var asked []int
+	spam := 0
+	rep := net.ExecCalls(
+		callers,
+		func(i int) Call {
+			asked = append(asked, i)
+			return Call{Kind: Push, Target: RandomTarget()}
+		},
+		func(i int) Message { return Message{Tag: 1} },
+		nil,
+		func(i int, inbox []Message) {
+			for _, m := range inbox {
+				if m.Tag == TagSpam && m.From == net.ID(5) {
+					spam++
+				}
+			}
+		},
+	)
+	if len(asked) != 1 || asked[0] != 2 {
+		t.Errorf("callOf asked for %v, want only the set's node 2", asked)
+	}
+	if spam != 1 || rep.Messages != 2 {
+		t.Errorf("%d spam messages delivered and %d sent, want 1 and 2 (node 2's push and node 5's spam)", spam, rep.Messages)
 	}
 }
 
@@ -240,6 +279,7 @@ func TestZeroBehaviorIdentity(t *testing.T) {
 		var reports []RoundReport
 		for r := 0; r < 10; r++ {
 			rep := net.ExecCalls(
+				nil,
 				func(i int) Call {
 					if tr.Held(i) != 0 {
 						return Call{Kind: Push, Target: RandomTarget()}

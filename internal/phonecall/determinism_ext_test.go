@@ -166,7 +166,9 @@ var seams = []seam{
 // size on 2 workers. A seam wraps the round's callbacks in the same call
 // form, so results, metrics and inboxes must be identical. The one round
 // with an Intent form also runs through ExecRound, whose contentless
-// exchanges are the call form's pulls.
+// exchanges are the call form's pulls. Each single round also runs with a
+// sparse initiator set, on the bare path and through every seam: it must
+// equal the nil-set round whose callOf returns None outside the set.
 func TestSeamsMatchPlainRound(t *testing.T) {
 	const workers = 2
 	for _, algo := range []string{"cluster1", "cluster2", "cluster3", "clusterpushpull"} {
@@ -201,6 +203,27 @@ func TestSeamsMatchPlainRound(t *testing.T) {
 					}
 				})
 			}
+			t.Run("sparse-set", func(t *testing.T) {
+				for _, sm := range append([]seam{{"bare", seams[0].n, nil}}, seams...) {
+					t.Run(sm.name, func(t *testing.T) {
+						fc := formRounds(sm.n)[k]
+						callers := sparseCallers(sm.n)
+						masked := fc
+						masked.call = func(i int) phonecall.Call {
+							if !callers.Has(i) {
+								return phonecall.Call{}
+							}
+							return fc.call(i)
+						}
+						fc.callers = callers
+						want, got := masked.run(t, sm.n, workers, sm.install), fc.run(t, sm.n, workers, sm.install)
+						if !reflect.DeepEqual(want, got) {
+							t.Errorf("the set round differs from the masked nil-set round:\n  nil set: %+v %+v\n  set: %+v %+v",
+								want.report, want.metrics, got.report, got.metrics)
+						}
+					})
+				}
+			})
 			if fc.intent != nil {
 				t.Run("intents", func(t *testing.T) {
 					n := seams[0].n
@@ -220,6 +243,7 @@ func TestSeamsMatchPlainRound(t *testing.T) {
 type formCase struct {
 	name    string
 	poison  bool
+	callers phonecall.NodeSet // the round's initiator set (nil: every node)
 	setup   func(net *phonecall.Network)
 	call    func(i int) phonecall.Call
 	payload func(i int) phonecall.Message
@@ -244,7 +268,7 @@ func (fc formCase) run(t *testing.T, n, workers int, install func(*testing.T, *p
 		if install != nil {
 			defer install(t, net)()
 		}
-		return net.ExecCalls(fc.call, fc.payload, respond, deliver)
+		return net.ExecCalls(fc.callers, fc.call, fc.payload, respond, deliver)
 	})
 }
 
@@ -283,6 +307,18 @@ func (fc formCase) exec(t *testing.T, n, workers int,
 	r.report = round(net, respond, deliver)
 	r.metrics, r.responses = net.Metrics(), responses.Load()
 	return r
+}
+
+// sparseCallers is an initiator set of about one node in nine, with every
+// third 64-node block empty.
+func sparseCallers(n int) phonecall.NodeSet {
+	set := phonecall.NewNodeSet(n)
+	for i := 0; i < n; i++ {
+		if (i>>6)%3 != 1 && i%9 == 4 {
+			set.Put(i, true)
+		}
+	}
+	return set
 }
 
 // formRounds are the three edges of the call form: a poisoned round in

@@ -24,7 +24,8 @@ import (
 //	                            (touched initiators only)
 //	passDeliver  (by target)    invoke the delivery callbacks
 //
-// A round pays per node only for what the node sends: the passes read the
+// A round pays per node only for what the node sends, and only the nodes in
+// the round's initiator set are evaluated at all: the passes read the
 // 24-byte Call, and the payload goes from its callback to its arena slot
 // through a 64-message per-worker scratch, never a per-node staging array.
 // Destinations cost only where something landed: every shard marks the
@@ -230,7 +231,14 @@ func (net *Network) runPass(p passID, w int) {
 
 // ExecCalls executes one synchronous round.
 //
-// callOf is invoked once per live node and returns the node's call.
+// callers is the round's initiator set over the network's N nodes, owned by
+// the caller and read during the round, so no callback may change it; nil
+// means every live node. callOf
+// is invoked exactly once per live node in the set and returns the node's
+// call: a node outside the set makes no call and is not evaluated, so the
+// round costs its callers, not n. While behaviors are installed, corrupted
+// nodes are evaluated whatever the set says, because a behavior can turn a
+// silent node's call into one; the protocol's callOf still sees only the set.
 // responseOf is invoked at most once per live node that is pulled from and
 // returns the node's address-oblivious response (ok=false means the node
 // does not respond this round). payloadOf is invoked exactly once per Push
@@ -257,6 +265,7 @@ func (net *Network) runPass(p passID, w int) {
 // corrupted node's with its call, which the rewrite needs, and so does the
 // lock-step executor for every node.
 func (net *Network) ExecCalls(
+	callers NodeSet,
 	callOf func(i int) Call,
 	payloadOf func(i int) Message,
 	responseOf func(i int) (Message, bool),
@@ -270,9 +279,18 @@ func (net *Network) ExecCalls(
 		// mutations happen-before every pass).
 		net.roundHook(net.round)
 	}
+	evalSet := callers
+	if callers != nil && net.corrupted > 0 {
+		// Corrupted nodes are evaluated whatever the set says; the behavior
+		// wrap keeps the protocol's callOf to the set itself.
+		evalSet = net.evalSet
+		for k, w := range callers {
+			evalSet[k] = w | net.corruptSet[k]
+		}
+	}
 	obs := net.observer
 	if obs != nil {
-		obs.BeginRound(net.round, RoundInfo{HasCall: callOf != nil, HasResponse: responseOf != nil})
+		obs.BeginRound(net.round, RoundInfo{HasCall: callOf != nil, HasResponse: responseOf != nil, Callers: evalSet})
 	}
 	if callOf == nil {
 		// No initiator means an empty round: nothing is sent, charged or
@@ -291,7 +309,7 @@ func (net *Network) ExecCalls(
 		// observer taps it (verifiers check what is actually sent) and
 		// before any executor delegation (the live lock-step runtime
 		// inherits behaviors through the wrapped callbacks).
-		callOf, payloadOf, responseOf = net.behaviorCallbacks(callOf, payloadOf, responseOf)
+		callOf, payloadOf, responseOf = net.behaviorCallbacks(callers, callOf, payloadOf, responseOf)
 	}
 	if co := net.callObserver; co != nil {
 		callOf, payloadOf, responseOf, deliver = net.observedCallbacks(co, callOf, payloadOf, responseOf, deliver)
@@ -299,13 +317,14 @@ func (net *Network) ExecCalls(
 	if net.executor != nil {
 		// An external executor (internal/live) runs the round; the Network
 		// merges its delta exactly like the engine's own worker shards.
-		rep := net.runExternal(callOf, payloadOf, responseOf, deliver)
+		rep := net.runExternal(evalSet, callOf, payloadOf, responseOf, deliver)
 		if obs != nil {
 			obs.EndRound(rep)
 		}
 		return rep
 	}
 
+	net.curSet = evalSet
 	net.curCall = callOf
 	net.curPayload = payloadOf
 	net.curResponse = responseOf
@@ -380,7 +399,7 @@ func (net *Network) ExecCalls(
 		net.metrics.MaxCommsPerRound = maxComms
 	}
 
-	net.curCall, net.curPayload, net.curResponse, net.curDeliver = nil, nil, nil, nil
+	net.curSet, net.curCall, net.curPayload, net.curResponse, net.curDeliver = nil, nil, nil, nil, nil
 
 	rep := RoundReport{
 		Round:    net.round,
@@ -415,7 +434,8 @@ func (net *Network) touchedUnion(k int) uint64 {
 }
 
 // passCalls resets the cells the shard touched last round, evaluates the
-// calls of the shard's initiators, resolves their targets and accounts
+// calls of the shard's initiators — the nodes of its blocks in the round's
+// set, or all of them under a nil set — resolves their targets and accounts
 // everything the call alone determines: payload and control messages, the
 // control bits and the per-destination message/pull/communication counts
 // used by the later passes. A payload's bits are charged by passFill, which
@@ -447,73 +467,85 @@ func (net *Network) passCalls(w, lo, hi int) {
 	sel := net.selector
 	round := net.round
 
-	for i := lo; i < hi; i++ {
-		if net.failed[i] {
-			net.ops[i] = opNone
-			continue
+	set := net.curSet
+	for k, kHi := blockSpan(lo, hi); k < kHi; k++ {
+		// A nil set walks every node of the block; a set walks its bits.
+		u := ^uint64(0)
+		if set != nil {
+			u = set[k]
 		}
-		c := callOf(i)
-		if c.Kind == None {
-			net.ops[i] = opNone
-			continue
+		if rest := hi - k<<6; rest < 64 {
+			u &= 1<<rest - 1
 		}
-		var j int
-		var ok bool
-		if c.Target.Random {
-			if sel != nil {
-				j, ok = sel.SelectPeer(round, i)
+		for ; u != 0; u &= u - 1 {
+			i := k<<6 + bits.TrailingZeros64(u)
+			if net.failed[i] {
+				net.ops[i] = opNone
+				continue
+			}
+			c := callOf(i)
+			if c.Kind == None {
+				net.ops[i] = opNone
+				continue
+			}
+			var j int
+			var ok bool
+			if c.Target.Random {
+				if sel != nil {
+					j, ok = sel.SelectPeer(round, i)
+				} else {
+					j, ok = net.resolveRandom(i), true
+				}
 			} else {
-				j, ok = net.resolveRandom(i), true
+				j = net.Contact(round, i, c.Target)
+				ok = j >= 0
 			}
-		} else {
-			j = net.Contact(round, i, c.Target)
-			ok = j >= 0
-		}
-		cells[i].comms++
-		touch(touched, i)
-		// Δ accounting (the paper's MaxCommsPerRound): only live nodes
-		// participate in a communication — a failed target drops the call, so
-		// it is not charged (Section 8 failure model). A call lost in transit
-		// (SetLoss) follows the same rule: the initiator attempted, the
-		// target never participated.
-		live := ok && !net.failed[j]
-		if live && net.lossRate > 0 && net.dropCall(i) {
-			live = false
-		}
-		if live {
-			cells[j].comms++
-			touch(touched, j)
-			net.tgt[i] = int32(j)
-		} else {
-			net.tgt[i] = noTarget
-		}
-		var o op
-		switch c.Kind {
-		case Push:
-			o = opPush
-		case Pull:
-			o = opPull
-		case Exchange:
-			o = opExchange
-		default:
-			// Out of the model: an attempted communication that transmits
-			// nothing.
-			net.ops[i] = opNone
-			continue
-		}
-		net.ops[i] = o
-		if o == opPull {
-			st.control++
-			st.bits += int64(net.controlSize())
-		} else {
-			st.messages++
+			cells[i].comms++
+			touch(touched, i)
+			// Δ accounting (the paper's MaxCommsPerRound): only live nodes
+			// participate in a communication — a failed target drops the
+			// call, so it is not charged (Section 8 failure model). A call
+			// lost in transit (SetLoss) follows the same rule: the initiator
+			// attempted, the target never participated.
+			live := ok && !net.failed[j]
+			if live && net.lossRate > 0 && net.dropCall(i) {
+				live = false
+			}
 			if live {
-				cells[j].msgs++
+				cells[j].comms++
+				touch(touched, j)
+				net.tgt[i] = int32(j)
+			} else {
+				net.tgt[i] = noTarget
 			}
-		}
-		if o != opPush && live {
-			cells[j].pulls++
-			st.pullEvents++
+			var o op
+			switch c.Kind {
+			case Push:
+				o = opPush
+			case Pull:
+				o = opPull
+			case Exchange:
+				o = opExchange
+			default:
+				// Out of the model: an attempted communication that
+				// transmits nothing.
+				net.ops[i] = opNone
+				continue
+			}
+			net.ops[i] = o
+			if o == opPull {
+				st.control++
+				st.bits += int64(net.controlSize())
+			} else {
+				st.messages++
+				if live {
+					cells[j].msgs++
+				}
+			}
+			if o != opPush && live {
+				cells[j].pulls++
+				st.pullEvents++
+			}
 		}
 	}
 }
@@ -608,14 +640,20 @@ func (net *Network) passMerge(w, lo, hi int) {
 // lays out the shard's inboxes. It runs after the merge barrier because a
 // puller's target — and hence the response index it depends on — can live
 // in any shard. Every live initiator touched its own cell, so the walk over
-// touched nodes meets every puller.
+// touched nodes meets every puller; a touched node outside the round's set
+// was only a target, and its ops entry is a past round's.
 func (net *Network) passSelf(w, lo, hi int) {
 	cells := net.cells[w]
+	set := net.curSet
 	run := int32(0)
 	for k, kHi := blockSpan(lo, hi); k < kHi; k++ {
+		callers := ^uint64(0)
+		if set != nil {
+			callers = set[k]
+		}
 		for u := net.touchedUnion(k); u != 0; u &= u - 1 {
 			i := k<<6 + bits.TrailingZeros64(u)
-			if o := net.ops[i]; o == opPull || o == opExchange {
+			if o := net.ops[i]; callers&(1<<(i&63)) != 0 && (o == opPull || o == opExchange) {
 				if t := net.tgt[i]; t != noTarget && net.respIdx[t] != noResponse {
 					cells[i].msgs++
 					net.inCount[i]++
@@ -633,8 +671,9 @@ func (net *Network) passSelf(w, lo, hi int) {
 // destination's shard, whose base blockBase holds per 64-node block. Running
 // after the merge barrier puts every payloadOf after every responseOf. Every
 // live initiator marked its own cell in the shard's touched map, so the walk
-// over the map's bits in the shard's range meets them all, in ascending
-// order, and skips the silent stretches of a sparse round. A block's
+// over the map's bits in the shard's range, masked with the round's set,
+// meets them all, in ascending order, and skips the silent stretches of a
+// sparse round. A block's
 // payloads are asked for first, into the worker's 64-message scratch, and
 // placed after: the callbacks then read their nodes' state back to back
 // instead of between the arena's random writes.
@@ -645,8 +684,12 @@ func (net *Network) passFill(w, lo, hi int) {
 	st := &net.wstats[w]
 	payloadOf := net.curPayload
 	buf := &net.fillBuf[w]
+	set := net.curSet
 	for k, kHi := blockSpan(lo, hi); k < kHi; k++ {
 		u := touched[k]
+		if set != nil {
+			u &= set[k]
+		}
 		sent := 0
 		for v := u; v != 0; v &= v - 1 {
 			i := k<<6 + bits.TrailingZeros64(v)

@@ -120,8 +120,9 @@ func (o *roundCounter) EndRound(RoundReport)      { o.ended++ }
 
 // TestZeroSteadyStateAllocs locks in the allocation-free round engine: after
 // warm-up, executing a round allocates nothing, sequential or sharded, in the
-// Intent form, in the call form for each kind of call, and with a round-only
-// observer installed (the run layer's tap is one).
+// Intent form, in the call form for each kind of call, with a sparse
+// initiator set, and with a round-only observer installed (the run layer's
+// tap is one).
 func TestZeroSteadyStateAllocs(t *testing.T) {
 	msg := Message{Tag: 1, Rumor: true}
 	intent := func(i int) Intent {
@@ -150,18 +151,23 @@ func TestZeroSteadyStateAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			obs := &roundCounter{}
+			callers := NewNodeSet(tc.n)
+			for i := 0; i < tc.n; i += 37 {
+				callers.Put(i, true)
+			}
 			rounds := map[string]func(){
 				"intents":  func() { net.ExecRound(intent, respond, deliver) },
-				"push":     func() { net.ExecCalls(push, payload, nil, deliver) },
-				"pull":     func() { net.ExecCalls(pull, nil, respond, deliver) },
-				"exchange": func() { net.ExecCalls(exchange, payload, respond, deliver) },
+				"push":     func() { net.ExecCalls(nil, push, payload, nil, deliver) },
+				"pull":     func() { net.ExecCalls(nil, pull, nil, respond, deliver) },
+				"exchange": func() { net.ExecCalls(nil, exchange, payload, respond, deliver) },
+				"sparse":   func() { net.ExecCalls(callers, exchange, payload, respond, deliver) },
 				"observed": func() {
 					net.Observe(obs)
-					net.ExecCalls(exchange, payload, respond, deliver)
+					net.ExecCalls(nil, exchange, payload, respond, deliver)
 					net.Observe(nil)
 				},
 			}
-			for _, form := range []string{"intents", "push", "pull", "exchange", "observed"} {
+			for _, form := range []string{"intents", "push", "pull", "exchange", "sparse", "observed"} {
 				round := rounds[form]
 				for i := 0; i < 5; i++ {
 					round() // warm up: arena growth and pool start-up
@@ -213,9 +219,9 @@ func TestNetworkBytesPerNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := 0; r < 3; r++ {
-		net.ExecCalls(push, payload, nil, deliver)
-		net.ExecCalls(pull, nil, respond, deliver)
-		net.ExecCalls(exchange, payload, respond, deliver)
+		net.ExecCalls(nil, push, payload, nil, deliver)
+		net.ExecCalls(nil, pull, nil, respond, deliver)
+		net.ExecCalls(nil, exchange, payload, respond, deliver)
 	}
 	runtime.ReadMemStats(&after)
 	perNode := float64(after.TotalAlloc-before.TotalAlloc) / n
@@ -361,7 +367,12 @@ func TestResolveRandomMatchesStatelessHash(t *testing.T) {
 func TestIDTable(t *testing.T) {
 	tab := newIDTable(1000)
 	for i := 1; i <= 1000; i++ {
-		tab.put(NodeID(i*7), i)
+		if !tab.put(NodeID(i*7), i) {
+			t.Fatalf("put(%d) reported a present key", i*7)
+		}
+	}
+	if tab.put(NodeID(7), 5) {
+		t.Fatal("put of a present key reported success")
 	}
 	for i := 1; i <= 1000; i++ {
 		got, ok := tab.get(NodeID(i * 7))
@@ -374,5 +385,109 @@ func TestIDTable(t *testing.T) {
 	}
 	if _, ok := tab.get(NoNode); ok {
 		t.Fatal("NoNode must never be present")
+	}
+}
+
+// TestIDsFollowTheSequentialDraw locks the slot-order ID index to the ID
+// assignment's definition: node i's ID is the i-th draw of the seed's ID
+// stream, a draw equal to an earlier ID retried, and IndexOf inverts ID.
+func TestIDsFollowTheSequentialDraw(t *testing.T) {
+	for _, n := range []int{2, 63, 4096, 100000} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			net, err := New(Config{N: n, Seed: seed, Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := rng.New(rng.Mix(seed, 0x1d5))
+			seen := make(map[NodeID]bool, n)
+			for i := 0; i < n; i++ {
+				id := NodeID(src.Uint64()>>1) + 1
+				for seen[id] {
+					id = NodeID(src.Uint64()>>1) + 1
+				}
+				seen[id] = true
+				if net.ID(i) != id {
+					t.Fatalf("n=%d seed=%d: ID(%d) = %d, the sequential draw gives %d", n, seed, i, net.ID(i), id)
+				}
+				if back, ok := net.IndexOf(id); !ok || back != i {
+					t.Fatalf("n=%d seed=%d: IndexOf(ID(%d)) = %d, %v", n, seed, i, back, ok)
+				}
+			}
+		}
+	}
+}
+
+// TestDuplicateIDTakesTheSequentialDraw feeds the bulk index two equal IDs:
+// it reports them, and the network falls back to the draw-and-retry
+// assignment, which yields the same directory as a network built without
+// a collision.
+func TestDuplicateIDTakesTheSequentialDraw(t *testing.T) {
+	if newIDTable(3).putAll([]NodeID{5, 9, 5}, make([]int32, 3)) {
+		t.Fatal("putAll accepted a duplicate ID")
+	}
+	const n = 1000
+	want, err := New(Config{N: n, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := New(Config{N: n, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.ids[700] = net.ids[300]
+	clear(net.index.keys)
+	net.indexIDs()
+	for i := 0; i < n; i++ {
+		if net.ID(i) != want.ID(i) {
+			t.Fatalf("ID(%d) = %d after the fallback, want %d", i, net.ID(i), want.ID(i))
+		}
+		if back, ok := net.IndexOf(net.ID(i)); !ok || back != i {
+			t.Fatalf("IndexOf(ID(%d)) = %d, %v after the fallback", i, back, ok)
+		}
+	}
+}
+
+// BenchmarkExecCallsSparse is a round at n = 10⁶ on 2 workers in which 1 %
+// of the nodes push to a random node: "set" passes them as the initiator
+// set, "nil-set" evaluates every node and the others return None. "dense"
+// is the round in which every node pushes, for scale.
+func BenchmarkExecCallsSparse(b *testing.B) {
+	const n = 1_000_000
+	net, err := New(Config{N: n, Seed: 1, Workers: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	callers := NewNodeSet(n)
+	for i := 0; i < n; i++ {
+		if rng.Mix(7, uint64(i))%100 == 0 {
+			callers.Put(i, true)
+		}
+	}
+	push := func(int) Call { return Call{Kind: Push, Target: RandomTarget()} }
+	sparse := func(i int) Call {
+		if !callers.Has(i) {
+			return Call{}
+		}
+		return push(i)
+	}
+	msg := Message{Tag: 1, Rumor: true}
+	payload := func(int) Message { return msg }
+	deliver := func(int, []Message) {}
+	for _, bc := range []struct {
+		name    string
+		callers NodeSet
+		call    func(int) Call
+	}{
+		{"set", callers, push},
+		{"nil-set", nil, sparse},
+		{"dense", nil, push},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			net.ExecCalls(bc.callers, bc.call, payload, nil, deliver)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				net.ExecCalls(bc.callers, bc.call, payload, nil, deliver)
+			}
+		})
 	}
 }

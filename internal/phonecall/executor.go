@@ -38,10 +38,13 @@ type RoundDelta struct {
 // ExecNetworkRound is invoked by Network.ExecCalls after the round counter
 // has advanced, the OnRoundStart hook has run and the behavior and observer
 // wrappers have been applied; callOf and payloadOf are never nil (an empty
-// round is handled before delegation). The executor must uphold the
-// engine's callback contract: the callbacks of node i may only be invoked
-// with node i's own state in scope, callOf exactly once per live node,
-// payloadOf exactly once per Push or Exchange call — reached target or not,
+// round is handled before delegation). callers is the round's initiator set
+// (nil: every live node), the corrupted nodes included, and no callback
+// changes it during the round. The executor must uphold the engine's
+// callback contract: the callbacks of node i may only be invoked with node
+// i's own state in scope, callOf exactly once per live node in the set and
+// never for a node outside it, payloadOf exactly once per Push or Exchange
+// call — reached target or not,
 // at any point after the node's callOf and before any deliver — responseOf
 // at most once per live node that a live pull reached, deliver once per live
 // node that received at least one message with the inbox ordered by
@@ -51,6 +54,7 @@ type RoundExecutor interface {
 	ExecNetworkRound(
 		net *Network,
 		round int,
+		callers NodeSet,
 		callOf func(i int) Call,
 		payloadOf func(i int) Message,
 		responseOf func(i int) (Message, bool),
@@ -75,12 +79,13 @@ func (net *Network) PoisonInbox() bool { return net.cfg.PoisonInbox }
 // runExternal delegates the round to the installed executor and merges its
 // delta into the Network's metrics.
 func (net *Network) runExternal(
+	callers NodeSet,
 	callOf func(i int) Call,
 	payloadOf func(i int) Message,
 	responseOf func(i int) (Message, bool),
 	deliver func(i int, inbox []Message),
 ) RoundReport {
-	d := net.executor.ExecNetworkRound(net, net.round, callOf, payloadOf, responseOf, deliver)
+	d := net.executor.ExecNetworkRound(net, net.round, callers, callOf, payloadOf, responseOf, deliver)
 	net.metrics.Messages += d.Messages
 	net.metrics.ControlMessages += d.Control
 	net.metrics.Bits += d.Bits

@@ -44,7 +44,7 @@ func (net *Network) ExecRound(
 	deliver func(i int, inbox []Message),
 ) RoundReport {
 	if intentOf == nil {
-		return net.ExecCalls(nil, nil, responseOf, deliver)
+		return net.ExecCalls(nil, nil, nil, responseOf, deliver)
 	}
 	a := net.intents
 	if a == nil {
@@ -66,7 +66,7 @@ func (net *Network) ExecRound(
 		net.intents = a
 	}
 	a.intentOf = intentOf
-	rep := net.ExecCalls(a.call, a.payload, responseOf, deliver)
+	rep := net.ExecCalls(nil, a.call, a.payload, responseOf, deliver)
 	a.intentOf = nil
 	return rep
 }

@@ -15,6 +15,10 @@ package phonecall
 type RoundInfo struct {
 	HasCall     bool
 	HasResponse bool
+	// Callers is the set of nodes whose call the round evaluates (nil: every
+	// live node). It is the protocol's initiator set with the corrupted
+	// nodes added, and is valid until EndRound returns.
+	Callers NodeSet
 }
 
 // RoundObserver sees the rounds of a network.

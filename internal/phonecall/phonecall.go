@@ -257,8 +257,15 @@ type Network struct {
 	// when the node's call was evaluated; made with behaviors.
 	rewrites []Message
 
-	// Per-round callbacks, published to the pool workers through the pass
-	// channel's happens-before edge.
+	// corruptSet holds the nodes with a behavior installed, and evalSet is
+	// a round's initiator set with them added; both are made with
+	// behaviors.
+	corruptSet NodeSet
+	evalSet    NodeSet
+
+	// Per-round initiator set and callbacks, published to the pool workers
+	// through the pass channel's happens-before edge.
+	curSet      NodeSet
 	curCall     func(i int) Call
 	curPayload  func(i int) Message
 	curResponse func(i int) (Message, bool)
@@ -307,20 +314,53 @@ func New(cfg Config) (*Network, error) {
 		tagBits:     8,
 	}
 
-	idSource := rng.New(rng.Mix(cfg.Seed, 0x1d5))
-	for i := 0; i < cfg.N; i++ {
-		for {
-			id := NodeID(idSource.Uint64()>>1) + 1 // non-zero, 63-bit space
-			if _, taken := net.index.get(id); !taken {
-				net.ids[i] = id
-				net.index.put(id, i)
-				break
-			}
-		}
+	net.initEngine(cfg.Workers)
+	net.assignIDs()
+	for i := range net.nodeRNG {
 		net.nodeRNG[i].Reseed(rng.Mix(cfg.Seed, 0xa11ce, uint64(i)))
 	}
-	net.initEngine(cfg.Workers)
 	return net, nil
+}
+
+// idSource is the stream node IDs are drawn from, in node order.
+func idSource(seed uint64) *rng.Source { return rng.New(rng.Mix(seed, 0x1d5)) }
+
+// drawID maps one draw of the ID stream into the non-zero 63-bit space.
+func drawID(src *rng.Source) NodeID { return NodeID(src.Uint64()>>1) + 1 }
+
+// assignIDs gives node i the i-th draw of the ID stream and indexes the
+// draws (indexIDs).
+func (net *Network) assignIDs() {
+	src := idSource(net.cfg.Seed)
+	for i := range net.ids {
+		net.ids[i] = drawID(src)
+	}
+	net.indexIDs()
+}
+
+// indexIDs builds the ID index in one sweep, with the engine's n-sized
+// target array as the sort's scratch (every round rewrites it). Two equal
+// draws among n (probability ≈ n²/2⁶⁴) make it start over with
+// assignIDsInOrder, so the directory is the same for every seed either way.
+func (net *Network) indexIDs() {
+	if !net.index.putAll(net.ids, net.tgt) {
+		net.assignIDsInOrder()
+	}
+}
+
+// assignIDsInOrder is the ID assignment by its definition (DESIGN.md §7):
+// node by node, a draw equal to an earlier node's ID is discarded and the
+// next one tried.
+func (net *Network) assignIDsInOrder() {
+	clear(net.index.keys)
+	src := idSource(net.cfg.Seed)
+	for i := range net.ids {
+		id := drawID(src)
+		for !net.index.put(id, i) {
+			id = drawID(src)
+		}
+		net.ids[i] = id
+	}
 }
 
 // N returns the number of nodes (including failed ones).

@@ -449,7 +449,7 @@ func execRound(net *phonecall.Network, l ledger, call func(int) phonecall.Call,
 	deliver func(int, []phonecall.Message)) phonecall.RoundReport {
 	l.beginRound()
 	defer l.endRound()
-	return net.ExecCalls(call, payload, response, deliver)
+	return net.ExecCalls(nil, call, payload, response, deliver)
 }
 
 // Run executes the scenario with one of the steppable multi-rumor protocols

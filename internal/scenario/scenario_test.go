@@ -209,7 +209,7 @@ func TestTimelineUnderClosedProtocol(t *testing.T) {
 	tl.Attach(net)
 	liveAt := map[int]int{}
 	for r := 1; r <= 6; r++ {
-		net.ExecCalls(func(int) phonecall.Call {
+		net.ExecCalls(nil, func(int) phonecall.Call {
 			return phonecall.Call{Kind: phonecall.Push, Target: phonecall.RandomTarget()}
 		}, nil, nil, nil)
 		liveAt[r] = net.LiveCount()
@@ -238,7 +238,7 @@ func TestTimelineInjectWithoutTrackerErrs(t *testing.T) {
 	}
 	tl := NewTimeline(InjectRumor{At: 1, Node: 0, Rumor: 0})
 	tl.Attach(net)
-	net.ExecCalls(func(int) phonecall.Call { return phonecall.Call{} }, nil, nil, nil)
+	net.ExecCalls(nil, func(int) phonecall.Call { return phonecall.Call{} }, nil, nil, nil)
 	if tl.Err() == nil {
 		t.Fatal("InjectRumor without tracker should error")
 	}

@@ -532,7 +532,7 @@ func TestWideRoundDoesNotAllocate(t *testing.T) {
 				worst := 0
 				round := func() {
 					p.beginRound()
-					net.ExecCalls(call, payload, response, deliver)
+					net.ExecCalls(nil, call, payload, response, deliver)
 					worst = p.WorstSpread() // what run's tap asks of an observed round
 					p.endRound()
 					full = p.converged(full[:0], net.LiveCount())
@@ -609,7 +609,7 @@ func TestWideChargesTheSentForm(t *testing.T) {
 					bitmaps++
 				}
 			}
-			net.ExecCalls(p.call, p.payload, p.response, p.deliver)
+			net.ExecCalls(nil, p.call, p.payload, p.response, p.deliver)
 			p.endRound()
 		}
 		if dense != (bitmaps > 0) {

@@ -78,8 +78,11 @@ type Result struct {
 
 	// Complexity measures (the quantities of Theorems 1, 2, 9, 18). On the
 	// free-running engine Rounds is the furthest local clock and
-	// MaxCommsPerRound the most communications of any node in one of its
-	// local rounds.
+	// MaxCommsPerRound the most call frames any node's drain returned in one
+	// of its local rounds: a node behind a faster sender counts the sender's
+	// calls of up to 2·MaxSkew rounds as one round's, so it reads up to
+	// 2·MaxSkew+1 where the synchronous engines' Δ reads 2, and the two are
+	// not comparable (DESIGN.md §8).
 	Rounds           int
 	Messages         int64
 	ControlMessages  int64

@@ -111,7 +111,11 @@ type Result struct {
 	// Messages counts rumor/payload messages, ControlMessages counts empty
 	// requests; MessagesPerNode averages both over the nodes. Bits is the
 	// total bit complexity. MaxCommsPerRound is the paper's Δ: the largest
-	// number of communications any node took part in during one round.
+	// number of communications any node took part in during one round. On
+	// the free-running engine a round has no common boundary: a node's round
+	// counts every call frame its drain returned, a faster sender's calls of
+	// up to 2·MaxSkew rounds included, so there it reads up to 2·MaxSkew+1
+	// and is not comparable with the synchronous engines' Δ.
 	Messages         int64
 	ControlMessages  int64
 	Bits             int64
