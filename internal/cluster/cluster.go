@@ -8,11 +8,25 @@
 // unclustered). All coordination happens through the cluster primitives of
 // Section 3.2, each of which costs a constant number of synchronous rounds in
 // the random phone call model and is address-oblivious.
+//
+// The primitives are rounds of two helpers: leaderPull (members pull from
+// their leader) and leaderPush (members push to it), save ClusterShare's
+// relay, which informs any node it reaches and so is a plain round. A leader
+// learns its members only from the pushes that reach it, which leaderPush
+// lists in a span of one shared arena. A leader alive during a round acts as a leader
+// in it, even one a scenario revived at that round; a leader that took no
+// part in a decision made before its members pull it keeps its cluster.
+//
+// A node's callbacks touch only its own state, as the engine's concurrent
+// shards require, save one write: a leader takes its span by advancing the
+// arena's atomic cursor. Spans are disjoint and filled in inbox order, so a
+// list's contents do not depend on the worker count; only its place does.
 package cluster
 
 import (
 	"math/bits"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/phonecall"
 )
@@ -47,27 +61,26 @@ type Clustering struct {
 	// (leaderPull).
 	missed []uint8
 
-	// recruit state: candidate cluster IDs received via random pushes,
-	// relayed to leaders for merge decisions. Leader j's candidates are
-	// cands[candOff[j] : candOff[j]+candLen[j]]: one flat arena, a span per
-	// leader with room for counts[j] laid out by RelayCandidates from a count
-	// pass, the way Resize lays out its member lists. The index arrays are
-	// made on the first relay.
+	// pending is each node's candidate cluster ID, relayed to its leader by
+	// RelayCandidates. idSlot backs one-ID payloads, so that a primitive
+	// allocates nothing per node: a node writes only its own slot, and a
+	// message aliasing it is read only within its round.
 	pending []phonecall.NodeID
-	cands   []phonecall.NodeID
-	candOff []int32
-	candLen []int32
-
-	// Scratch reused by every primitive, so that a primitive allocates
-	// nothing per node. idSlot backs one-ID payloads: a node writes only its
-	// own slot, and a message aliasing it is read only within its round.
 	idSlot  []phonecall.NodeID
-	counts  []int32            // per-leader report counts; Resize: cluster size (-1 dissolves)
-	lens    []int32            // Resize: per-leader room for reports, then length of the new-leaders list
-	spans   []int32            // Resize: where leader j's span of members starts
-	members []phonecall.NodeID // Resize: every leader's member IDs, one span per leader
-	laidOut phonecall.NodeSet  // Resize: the leaders given a span before the reports
-	target  []phonecall.NodeID // Merge: per-leader merge target
+
+	// lists holds what each leader learned from its members' pushes: leader
+	// j's list is ids[off[j] : off[j]+len[j]], with room for room more IDs
+	// (off[j] = -1: no span yet). Size reports keep only lengths, so off and
+	// ids are made by the first primitive that lists IDs. A layout resets
+	// every leader's entries and a new leader starts without a list
+	// (SetFollow), so a leader reads only its own list of this primitive.
+	lists struct {
+		off, len []int32
+		ids      []phonecall.NodeID
+		end      atomic.Int32 // the arena's cursor
+		room     int32
+		relayed  bool // the lists are RelayCandidates' candidates
+	}
 
 	// sets holds the per-node flags as bitmaps, so that a primitive's
 	// initiator set and its per-leader loops cost words, not nodes. Each
@@ -98,9 +111,9 @@ func New(net *phonecall.Network) *Clustering {
 		missed:   make([]uint8, n),
 		pending:  make([]phonecall.NodeID, n),
 		idSlot:   make([]phonecall.NodeID, n),
-		counts:   make([]int32, n),
 		callers:  phonecall.NewNodeSet(n),
 	}
+	c.lists.len = make([]int32, n)
 	for _, s := range []*phonecall.NodeSet{&c.sets.clustered, &c.sets.leader, &c.sets.active, &c.sets.joined, &c.sets.pending, &c.sets.rumor} {
 		*s = phonecall.NewNodeSet(n)
 	}
@@ -128,6 +141,10 @@ func (c *Clustering) SetFollow(i int, id phonecall.NodeID) {
 	}
 	if own := c.net.ID(i); (old == own) != (id == own) {
 		c.sets.leader.Put(i, id == own)
+		c.lists.len[i] = 0 // no list of its own yet
+		if c.lists.off != nil {
+			c.lists.off[i] = -1
+		}
 	}
 }
 
@@ -311,10 +328,17 @@ func (c *Clustering) SeedSingletons(p float64) int {
 	return leaders
 }
 
-// sizeReport and rumorPayload are the fixed payloads of the join reports and
-// of ClusterShare's relay to the leader.
-func sizeReport(int) phonecall.Message   { return phonecall.Message{Tag: TagSizeReport} }
-func rumorPayload(int) phonecall.Message { return phonecall.Message{Tag: TagRumor, Rumor: true} }
+// report is a member's push to its leader in the size reports: a member
+// that reports has told its leader about itself, so its join mark clears.
+func (c *Clustering) report(i int) phonecall.Message {
+	c.setJoined(i, false)
+	return phonecall.Message{Tag: TagSizeReport}
+}
+
+// reportFrom lists a report's sender.
+func reportFrom(m phonecall.Message) (phonecall.NodeID, bool) {
+	return m.From, m.Tag == TagSizeReport
+}
 
 // leaveAfterMisses is how many consecutive unanswered pulls make a member
 // give its leader up as crashed. A crashed leader never answers again, while
@@ -351,7 +375,7 @@ func (c *Clustering) leaderPull(
 			if c.IsLeader(j) {
 				return respond(j), true
 			}
-			return phonecall.Message{Tag: TagRedirect, IDs: c.oneID(j, c.follow[j])}, true
+			return c.redirect(j), true
 		},
 		func(i int, inbox []phonecall.Message) {
 			c.missed[i] = 0
@@ -375,6 +399,112 @@ func (c *Clustering) leaderPull(
 			c.SetActive(i, false)
 		}
 	})
+}
+
+// leaderPush lays the lists out and runs one round in which every node of
+// senders pushes payload(i) to its leader. A live leader keeps the count of
+// its deliveries that entry accepts; with room > 0 it also lists their IDs,
+// in inbox order, in a span of len(inbox)+room arena slots taken from the
+// cursor. A leader that got nothing takes room slots at its first push.
+func (c *Clustering) leaderPush(
+	senders phonecall.NodeSet,
+	payload func(i int) phonecall.Message,
+	room int32,
+	entry func(m phonecall.Message) (phonecall.NodeID, bool),
+) {
+	c.layOut(room)
+	l := &c.lists
+	c.net.ExecCalls(
+		senders,
+		func(i int) phonecall.Call {
+			return phonecall.Call{Kind: phonecall.Push, Target: phonecall.DirectTarget(c.follow[i])}
+		},
+		payload,
+		nil,
+		func(j int, inbox []phonecall.Message) {
+			if !c.IsLeader(j) {
+				return
+			}
+			lo, n := int32(0), int32(0)
+			if room > 0 {
+				span := int32(len(inbox)) + room
+				lo = l.end.Add(span) - span
+				l.off[j] = lo
+			}
+			for _, m := range inbox {
+				if id, ok := entry(m); ok {
+					if room > 0 {
+						l.ids[lo+n] = id
+					}
+					n++
+				}
+			}
+			l.len[j] = n
+		},
+	)
+}
+
+// layOut empties every leader's list. With room > 0 the arena holds a slot
+// per message that can arrive — at most one per node, whatever a scenario's
+// behaviors make of the calls — plus room per leader, failed ones included
+// (one may be revived at the round). The arena is kept: a layout that needs
+// more makes a larger one.
+func (c *Clustering) layOut(room int32) {
+	l := &c.lists
+	if room > 0 && l.off == nil {
+		l.off = make([]int32, c.net.N())
+	}
+	need := c.net.N()
+	for k, w := range c.sets.leader {
+		need += bits.OnesCount64(w) * int(room)
+		for ; w != 0; w &= w - 1 {
+			j := k<<6 + bits.TrailingZeros64(w)
+			l.len[j] = 0
+			if room > 0 {
+				l.off[j] = -1
+			}
+		}
+	}
+	if room > 0 && need > len(l.ids) {
+		l.ids = make([]phonecall.NodeID, need)
+	}
+	l.end.Store(0)
+	l.room, l.relayed = room, false
+}
+
+// list returns leader j's list (local; nil while it has no span).
+func (c *Clustering) list(j int) []phonecall.NodeID {
+	lo := c.lists.off[j]
+	if lo < 0 {
+		return nil
+	}
+	hi := lo + c.lists.len[j]
+	return c.lists.ids[lo:hi:hi]
+}
+
+// push appends id to leader j's list (coordinator only: a leader without a
+// span takes one here, and the arena grows for a leader made since the
+// layout, which has no room laid out).
+func (c *Clustering) push(j int, id phonecall.NodeID) {
+	l := &c.lists
+	if l.off[j] < 0 {
+		end := l.end.Add(l.room)
+		if int(end) > len(l.ids) {
+			l.ids = slices.Grow(l.ids, int(end)-len(l.ids))[:end]
+		}
+		l.off[j] = end - l.room
+	}
+	l.ids[l.off[j]+l.len[j]] = id
+	l.len[j]++
+}
+
+// redirect is node j's answer to a pull that it does not answer as the
+// puller's leader: its own follow value. A node that is no longer a leader
+// sends it, and so does a leader that took no part in the decision its
+// members pull, because a scenario revived it after that decision was made:
+// it keeps its cluster.
+func (c *Clustering) redirect(j int) phonecall.Message {
+	return phonecall.Message{Tag: TagRedirect, IDs: c.oneID(j, c.follow[j])}
 }
 
 // Activate implements ClusterActivate(p): every cluster is independently
@@ -412,10 +542,10 @@ func (c *Clustering) broadcastActivation() {
 // learned size is available via Size; the previously learned size moves to
 // PrevSize.
 func (c *Clustering) MeasureSizes() {
-	c.countReports(false)
+	c.leaderPush(c.followers(nil), c.report, 0, reportFrom) // a count per leader
 	c.eachLive(c.sets.leader, func(i int) {
 		c.prevSize[i] = c.size[i]
-		c.size[i] = int(c.counts[i]) + 1 // the leader itself
+		c.size[i] = int(c.lists.len[i]) + 1 // the leader itself
 	})
 	c.leaderPull(
 		func(leader int) phonecall.Message {
@@ -435,42 +565,11 @@ func (c *Clustering) MeasureSizes() {
 // known before the joins, in one round and with one message per new member.
 // Costs one round.
 func (c *Clustering) ReportJoins() {
-	c.countReports(true)
+	c.leaderPush(c.followers(c.sets.joined), c.report, 0, reportFrom)
 	c.eachLive(c.sets.leader, func(i int) {
 		c.prevSize[i] = c.size[i]
-		c.size[i] += int(c.counts[i])
+		c.size[i] += int(c.lists.len[i])
 	})
-}
-
-// countReports runs one round in which every clustered non-leader (every
-// joined one, with onlyJoined) pushes a report to its leader, and leaves the
-// reports each leader received in c.counts. A member that reports has told
-// its leader about itself, so its join mark clears.
-func (c *Clustering) countReports(onlyJoined bool) {
-	var and phonecall.NodeSet
-	if onlyJoined {
-		and = c.sets.joined
-	}
-	clear(c.counts)
-	c.net.ExecCalls(
-		c.followers(and),
-		func(i int) phonecall.Call {
-			c.setJoined(i, false)
-			return phonecall.Call{Kind: phonecall.Push, Target: phonecall.DirectTarget(c.follow[i])}
-		},
-		sizeReport,
-		nil,
-		func(j int, inbox []phonecall.Message) {
-			if !c.IsLeader(j) {
-				return
-			}
-			for _, m := range inbox {
-				if m.Tag == TagSizeReport {
-					c.counts[j]++
-				}
-			}
-		},
-	)
 }
 
 // Resize implements ClusterDissolve(minSize) followed by ClusterResize(target)
@@ -504,91 +603,24 @@ func (c *Clustering) ResizeActivate(minSize, target int, p float64) {
 // alone.
 func (c *Clustering) regroup(minSize, target int, p float64) {
 	net := c.net
-	n := net.N()
 	coins := p >= 0
 
-	// Lay out one span of c.members per leader: its own ID, one slot per
-	// member that can report to it (lens), and one spare slot, which is room
-	// for the group list plus the activated list when target ≥ 2 (or no
-	// coins).
-	clear(c.counts)
-	reporters := c.followers(nil)
-	c.eachLive(reporters, func(i int) {
-		if j, ok := net.IndexOf(c.follow[i]); ok && !net.IsFailed(j) && c.IsLeader(j) {
-			c.counts[j]++
-		}
-	})
-	if c.spans == nil {
-		c.spans = make([]int32, n)
-		c.lens = make([]int32, n)
-		c.laidOut = phonecall.NewNodeSet(n)
-	}
-	clear(c.laidOut)
-	total := int32(0)
-	c.eachLive(c.sets.leader, func(j int) {
-		c.laidOut.Put(j, true)
-		c.spans[j], c.lens[j] = total, c.counts[j]
-		total += c.counts[j] + 2
-		c.counts[j] = 0
-	})
-	if int(total) > cap(c.members) {
-		c.members = make([]phonecall.NodeID, total+total/4)
-	}
-	members := c.members[:total]
-
-	net.ExecCalls(
-		reporters,
-		func(i int) phonecall.Call {
-			c.setJoined(i, false)
-			return phonecall.Call{Kind: phonecall.Push, Target: phonecall.DirectTarget(c.follow[i])}
-		},
-		sizeReport,
-		nil,
-		func(j int, inbox []phonecall.Message) {
-			if !c.laidOut.Has(j) {
-				return // not a leader, or one that has no span yet
-			}
-			lo, room := c.spans[j]+1, c.lens[j]
-			for _, m := range inbox {
-				if m.Tag == TagSizeReport && c.counts[j] < room {
-					members[lo+c.counts[j]] = m.From
-					c.counts[j]++
-				}
-			}
-		},
-	)
-
-	// A leader that a scenario revived at the start of the report round was
-	// not laid out and took no reports: it gets a span of its own past the
-	// others, room for itself and its coin, and splits alone.
-	tail := total
-	for k, w := range c.sets.leader {
-		for w &^= c.laidOut[k]; w != 0; w &= w - 1 {
-			if j := k<<6 + bits.TrailingZeros64(w); !net.IsFailed(j) {
-				c.spans[j] = tail
-				tail += 2
-			}
-		}
-	}
-	if tail > total {
-		if int(tail) > cap(c.members) {
-			grown := make([]phonecall.NodeID, tail+tail/4)
-			copy(grown, members)
-			c.members = grown
-		}
-		members = c.members[:tail]
-	}
+	// A leader's list of reporters keeps room for its own ID and one spare
+	// slot, which is room for the group list plus the activated list when
+	// target ≥ 2 (or no coins).
+	c.leaderPush(c.followers(nil), c.report, 2, reportFrom)
 
 	// Every leader splits its sorted member list in place: group g's leader
-	// moves to position g, the activated leaders follow the groups.
+	// moves to position g, the activated leaders follow the groups. The list
+	// becomes the response (empty: dissolved) and the leader learns its
+	// cluster's size.
 	c.eachLive(c.sets.leader, func(j int) {
-		lo := c.spans[j]
-		ids := members[lo : lo+1+c.counts[j]]
-		ids[0] = net.ID(j)
+		c.push(j, net.ID(j))
+		ids := c.list(j)
 		slices.Sort(ids)
 		size := len(ids)
 		if size < minSize {
-			c.counts[j], c.lens[j] = -1, 0
+			c.lists.len[j] = 0
 			return
 		}
 		groups := max(1, size/target)
@@ -606,43 +638,41 @@ func (c *Clustering) regroup(minSize, target int, p float64) {
 		}
 		list := int32(groups)
 		if coins {
-			rng := net.NodeRNG(j)
+			lo, rng := c.lists.off[j], net.NodeRNG(j)
 			for g := 0; g < groups; g++ {
 				if rng.Bernoulli(p) {
-					members[lo+list] = ids[g]
+					c.lists.ids[lo+list] = ids[g]
 					list++
 				}
 			}
 		}
-		c.counts[j], c.lens[j] = int32(size), list
+		c.size[j], c.lists.len[j] = size, list
 	})
 
+	outcome := func(j int) (int, []phonecall.NodeID) {
+		if ids := c.list(j); len(ids) > 0 {
+			return c.size[j], ids
+		}
+		return 0, nil
+	}
 	c.leaderPull(
 		func(leader int) phonecall.Message {
-			if c.counts[leader] < 0 {
-				return phonecall.Message{Tag: TagNewLeaders}
+			if c.lists.off[leader] < 0 {
+				return c.redirect(leader)
 			}
-			lo := c.spans[leader]
-			return phonecall.Message{
-				Tag:   TagNewLeaders,
-				Value: uint64(c.counts[leader]),
-				IDs:   members[lo : lo+c.lens[leader] : lo+c.lens[leader]],
-			}
+			size, ids := outcome(leader)
+			return phonecall.Message{Tag: TagNewLeaders, Value: uint64(size), IDs: ids}
 		},
 		func(i int, m phonecall.Message) {
 			c.applyGroup(i, int(m.Value), target, m.IDs, coins)
 		},
 	)
-	// The old leaders apply their own outcome; they are the leaders whose
-	// lists were computed above and who did not pull (a member the pull made
-	// a group leader has no count).
+	// The old leaders apply their own outcome: they are the leaders that
+	// split a list above (a member the pull made a group leader has none).
 	c.eachLive(c.sets.leader, func(j int) {
-		switch {
-		case c.counts[j] < 0:
-			c.applyGroup(j, 0, target, nil, coins)
-		case c.counts[j] > 0:
-			lo := c.spans[j]
-			c.applyGroup(j, int(c.counts[j]), target, members[lo:lo+c.lens[j]], coins)
+		if c.lists.off[j] >= 0 {
+			size, ids := outcome(j)
+			c.applyGroup(j, size, target, ids, coins)
 		}
 	})
 }
@@ -728,114 +758,75 @@ func (c *Clustering) Pending(i int) phonecall.NodeID { return c.pending[i] }
 
 // RelayCandidates implements the "relay received messages to the cluster
 // leader" step of ClusterPUSH: every node holding a pending candidate pushes
-// it to its leader; leaders collect the candidates, in place of any an
-// earlier relay left. Costs one round.
+// it to its leader; leaders collect the candidates, and a leader keeps its
+// own. Costs one round.
 func (c *Clustering) RelayCandidates() {
-	c.layOutCandidates()
-	// A leader keeps its own candidate locally.
-	c.net.ExecCalls(
+	c.leaderPush(
 		c.followers(c.sets.pending),
-		func(i int) phonecall.Call {
-			return phonecall.Call{Kind: phonecall.Push, Target: phonecall.DirectTarget(c.follow[i])}
-		},
 		func(i int) phonecall.Message {
 			return phonecall.Message{Tag: TagRelay, IDs: c.oneID(i, c.pending[i])}
 		},
-		nil,
-		func(j int, inbox []phonecall.Message) {
-			if !c.IsLeader(j) {
-				return
+		1,
+		func(m phonecall.Message) (phonecall.NodeID, bool) {
+			if m.Tag == TagRelay && len(m.IDs) == 1 {
+				return m.IDs[0], true
 			}
-			for _, m := range inbox {
-				if m.Tag == TagRelay && len(m.IDs) == 1 {
-					c.addCandidate(j, m.IDs[0])
-				}
-			}
+			return phonecall.NoNode, false
 		},
 	)
 	c.eachLive(c.sets.pending, func(i int) {
 		if c.IsLeader(i) {
-			c.addCandidate(i, c.pending[i])
+			c.push(i, c.pending[i])
 		}
 		c.SetPending(i, phonecall.NoNode)
 	})
+	c.lists.relayed = true
 }
 
-// layOutCandidates empties the candidate arena and gives every leader room
-// (counts) for every candidate this relay can bring it: one per live member
-// with a pending candidate whose push resolves to it, and its own.
-func (c *Clustering) layOutCandidates() {
-	net := c.net
-	n := net.N()
-	if c.candOff == nil {
-		c.candOff = make([]int32, n)
-		c.candLen = make([]int32, n)
-	}
-	clear(c.candLen)
-	clear(c.counts)
-	c.eachLive(c.sets.pending, func(i int) {
-		if !c.IsClustered(i) {
-			return
-		}
-		if c.IsLeader(i) {
-			c.counts[i]++
-		} else if j, ok := net.IndexOf(c.follow[i]); ok && !net.IsFailed(j) && c.IsLeader(j) {
-			c.counts[j]++
-		}
-	})
-	total := int32(0)
-	c.eachLive(c.sets.leader, func(j int) {
-		c.candOff[j] = total
-		total += c.counts[j]
-	})
-	if int(total) > len(c.cands) {
-		c.cands = make([]phonecall.NodeID, total+total/4)
-	}
-}
-
-// addCandidate appends id to leader j's candidates, within the room its
-// span was laid out with: only a relay a behavior redirected to another
-// leader can find none, and it is dropped.
-func (c *Clustering) addCandidate(j int, id phonecall.NodeID) {
-	if c.candLen[j] < c.counts[j] {
-		c.cands[c.candOff[j]+c.candLen[j]] = id
-		c.candLen[j]++
-	}
-}
-
-// Candidates returns the candidate cluster IDs relayed to leader i (local).
+// Candidates returns the candidate cluster IDs that the last RelayCandidates
+// relayed to leader i, until Merge or the next round in which members push to
+// their leaders (local).
 func (c *Clustering) Candidates(i int) []phonecall.NodeID {
-	if c.candLen == nil {
+	if !c.lists.relayed || !c.IsLeader(i) {
 		return nil
 	}
-	lo := c.candOff[i]
-	return c.cands[lo : lo+c.candLen[i] : lo+c.candLen[i]]
+	return c.list(i)
 }
-
-// ClearCandidates drops all relayed candidates (local).
-func (c *Clustering) ClearCandidates() { clear(c.candLen) }
 
 // Merge implements ClusterMerge: every leader for which decide returns a new
 // leader ID merges its cluster into that cluster; followers learn the new
 // leader by pulling from their current leader. Costs one round. Members of a
 // merged cluster are deactivated; activation is re-established by the next
-// Activate or SetActivation call.
+// Activate or SetActivation call. decide may read the leader's Candidates.
 func (c *Clustering) Merge(decide func(leader int) (phonecall.NodeID, bool)) {
-	if c.target == nil {
-		c.target = make([]phonecall.NodeID, c.net.N())
+	if !c.lists.relayed {
+		c.layOut(1) // no candidates: room for each leader's target
 	}
-	target := c.target
-	clear(target)
-	c.eachLive(c.sets.leader, func(i int) {
-		if id, ok := decide(i); ok && id != phonecall.NoNode && id != c.net.ID(i) {
-			target[i] = id
-		} else {
-			target[i] = c.net.ID(i)
+	// Each live leader's target replaces its candidates, which decide has
+	// read, as a one-slot list. A leader that is down decides nothing and
+	// keeps no list, so if it is revived for the pull round it redirects.
+	for k, w := range c.sets.leader {
+		for ; w != 0; w &= w - 1 {
+			i := k<<6 + bits.TrailingZeros64(w)
+			if c.net.IsFailed(i) {
+				c.lists.off[i], c.lists.len[i] = -1, 0
+				continue
+			}
+			target := c.net.ID(i)
+			if id, ok := decide(i); ok && id != phonecall.NoNode {
+				target = id
+			}
+			c.lists.len[i] = 0
+			c.push(i, target)
 		}
-	})
+	}
+	c.lists.relayed = false
 	c.leaderPull(
 		func(leader int) phonecall.Message {
-			return phonecall.Message{Tag: TagNewFollow, Value: 1, IDs: target[leader : leader+1 : leader+1]}
+			if c.lists.off[leader] < 0 {
+				return c.redirect(leader)
+			}
+			return phonecall.Message{Tag: TagNewFollow, Value: 1, IDs: c.list(leader)}
 		},
 		func(i int, m phonecall.Message) {
 			if m.Value == 1 && len(m.IDs) == 1 {
@@ -848,8 +839,8 @@ func (c *Clustering) Merge(decide func(leader int) (phonecall.NodeID, bool)) {
 	)
 	// The leaders that merge away are still leaders: they did not pull.
 	c.eachLive(c.sets.leader, func(i int) {
-		if t := target[i]; t != phonecall.NoNode && t != c.net.ID(i) {
-			c.SetFollow(i, t)
+		if t := c.list(i); len(t) == 1 && t[0] != c.net.ID(i) {
+			c.SetFollow(i, t[0])
 			c.SetActive(i, false)
 		}
 	})
@@ -916,10 +907,15 @@ func (c *Clustering) PullJoin(maxRounds int) int {
 	return rounds
 }
 
+// rumorPayload is ClusterShare's relay to the leader.
+func rumorPayload(int) phonecall.Message { return phonecall.Message{Tag: TagRumor, Rumor: true} }
+
 // ShareRumor implements ClusterShare(message) for the broadcast task: nodes
 // holding the rumor relay it to their leader, then every cluster member pulls
 // it from the leader. Costs two rounds.
 func (c *Clustering) ShareRumor() {
+	// Any node the relay reaches learns the rumor, leader or not, so the
+	// relay is a plain round rather than a leaderPush.
 	c.net.ExecCalls(
 		c.followers(c.sets.rumor),
 		func(i int) phonecall.Call {

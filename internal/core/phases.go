@@ -264,7 +264,6 @@ func recruitAndMerge(cl *cluster.Clustering, policy candidatePolicy, participant
 			return pick, true
 		}
 	})
-	cl.ClearCandidates()
 }
 
 // activateClusters runs ClusterActivate(prob) with a driver-side safeguard:
