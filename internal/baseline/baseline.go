@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/phonecall"
 )
@@ -23,19 +24,19 @@ var ErrNoSource = errors.New("baseline: broadcast needs at least one live source
 
 // rumorState tracks which nodes hold the rumor. mark is invoked from the
 // engine's delivery callbacks, which run on concurrent shards when the
-// network uses multiple workers; informed[i] is only ever written by node i's
-// own callback, so the state is race-free without shared counters. The live
-// counts are computed by scanning between rounds (coordinator side), which
-// keeps them correct when a scenario timeline crashes or revives nodes
-// mid-execution — an incrementally maintained count would go stale the
-// moment an informed node dies.
+// network uses multiple workers; node i's bit is only ever written by node
+// i's own callback, atomically, so the state is race-free without shared
+// counters. The live counts are computed by scanning between rounds
+// (coordinator side), which keeps them correct when a scenario timeline
+// crashes or revives nodes mid-execution — an incrementally maintained count
+// would go stale the moment an informed node dies.
 type rumorState struct {
 	net      *phonecall.Network
-	informed []bool
+	informed phonecall.NodeSet
 }
 
 func newRumorState(net *phonecall.Network, sources []int) (*rumorState, error) {
-	st := &rumorState{net: net, informed: make([]bool, net.N())}
+	st := &rumorState{net: net, informed: phonecall.NewNodeSet(net.N())}
 	live := 0
 	for _, s := range sources {
 		if s < 0 || s >= net.N() {
@@ -52,18 +53,20 @@ func newRumorState(net *phonecall.Network, sources []int) (*rumorState, error) {
 	return st, nil
 }
 
-func (s *rumorState) mark(i int) { s.informed[i] = true }
+func (s *rumorState) mark(i int) {
+	if !s.informed.Has(i) {
+		s.informed.Put(i, true)
+	}
+}
 
-func (s *rumorState) has(i int) bool { return s.informed[i] }
+func (s *rumorState) has(i int) bool { return s.informed.Has(i) }
 
 // liveInformed returns the number of live informed nodes. Coordinator-only:
-// it scans the informed set and must not race with delivery callbacks.
+// it reads the informed set and must not race with delivery callbacks.
 func (s *rumorState) liveInformed() int {
 	count := 0
-	for i, informed := range s.informed {
-		if informed && !s.net.IsFailed(i) {
-			count++
-		}
+	for k, w := range s.net.Live() {
+		count += bits.OnesCount64(w & s.informed[k])
 	}
 	return count
 }

@@ -233,24 +233,16 @@ func (c *Clustering) LeaderCount() int { return c.liveCount(c.sets.leader, nil) 
 // clusters (local).
 func (c *Clustering) ActiveLeaderCount() int { return c.liveCount(c.sets.leader, c.sets.active) }
 
-// liveCount counts the live nodes of a ∩ b (b nil: of a): a popcount while
-// every node is live, a walk over the set bits otherwise.
+// liveCount counts the live nodes of a ∩ b (b nil: of a).
 func (c *Clustering) liveCount(a, b phonecall.NodeSet) int {
-	all := c.net.LiveCount() == c.net.N()
+	live := c.net.Live()
 	count := 0
 	for k, w := range a {
+		w &= live[k]
 		if b != nil {
 			w &= b[k]
 		}
-		if all {
-			count += bits.OnesCount64(w)
-			continue
-		}
-		for ; w != 0; w &= w - 1 {
-			if !c.net.IsFailed(k<<6 + bits.TrailingZeros64(w)) {
-				count++
-			}
-		}
+		count += bits.OnesCount64(w)
 	}
 	return count
 }
@@ -258,11 +250,10 @@ func (c *Clustering) liveCount(a, b phonecall.NodeSet) int {
 // eachLive calls f for every live node of s, in ascending order; f may
 // change node i's state, s included.
 func (c *Clustering) eachLive(s phonecall.NodeSet, f func(i int)) {
+	live := c.net.Live()
 	for k, w := range s {
-		for ; w != 0; w &= w - 1 {
-			if i := k<<6 + bits.TrailingZeros64(w); !c.net.IsFailed(i) {
-				f(i)
-			}
+		for w &= live[k]; w != 0; w &= w - 1 {
+			f(k<<6 + bits.TrailingZeros64(w))
 		}
 	}
 }
@@ -289,31 +280,12 @@ func (c *Clustering) ClusterSizes() map[phonecall.NodeID]int {
 	return sizes
 }
 
-// LargestClusterFraction returns the fraction of live nodes contained in the
-// largest cluster (local).
-func (c *Clustering) LargestClusterFraction() float64 {
-	live := c.net.LiveCount()
-	if live == 0 {
-		return 0
-	}
-	largest := 0
-	for _, s := range c.ClusterSizes() {
-		if s > largest {
-			largest = s
-		}
-	}
-	return float64(largest) / float64(live)
-}
-
 // SeedSingletons makes every live node a singleton cluster leader
 // independently with probability p (line 7 of Algorithm 1, line 8 of
 // Algorithm 2). This is a purely local coin flip and costs no rounds.
 func (c *Clustering) SeedSingletons(p float64) int {
 	leaders := 0
-	for i := 0; i < c.net.N(); i++ {
-		if c.net.IsFailed(i) {
-			continue
-		}
+	c.eachLive(c.net.Live(), func(i int) {
 		if c.net.NodeRNG(i).Bernoulli(p) {
 			c.SetFollow(i, c.net.ID(i))
 			c.SetActive(i, true)
@@ -324,7 +296,7 @@ func (c *Clustering) SeedSingletons(p float64) int {
 			c.SetFollow(i, phonecall.NoNode)
 			c.SetActive(i, false)
 		}
-	}
+	})
 	return leaders
 }
 
@@ -448,7 +420,8 @@ func (c *Clustering) leaderPush(
 // per message that can arrive — at most one per node, whatever a scenario's
 // behaviors make of the calls — plus room per leader, failed ones included
 // (one may be revived at the round). The arena is kept: a layout that needs
-// more makes a larger one.
+// more makes a larger one, with 1/64 to spare, as the next layout of a
+// growing clustering usually needs a few slots more.
 func (c *Clustering) layOut(room int32) {
 	l := &c.lists
 	if room > 0 && l.off == nil {
@@ -466,7 +439,7 @@ func (c *Clustering) layOut(room int32) {
 		}
 	}
 	if room > 0 && need > len(l.ids) {
-		l.ids = make([]phonecall.NodeID, need)
+		l.ids = make([]phonecall.NodeID, need+need/64)
 	}
 	l.end.Store(0)
 	l.room, l.relayed = room, false

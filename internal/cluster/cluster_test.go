@@ -158,6 +158,35 @@ func TestClusteringBytesPerNode(t *testing.T) {
 	runtime.KeepAlive(c)
 }
 
+// TestListArenaKeptForSlightlyLargerLayout: a layout that needs a few more
+// slots than the last one reuses its arena, as Cluster2's do at n = 10⁶; a
+// new arena of exactly the slots needed was made again for the next one,
+// 2 % larger.
+func TestListArenaKeptForSlightlyLargerLayout(t *testing.T) {
+	const n = 4096
+	net := newNet(t, n, 5)
+	c := newClustering(t, net)
+	for i := 0; i < n; i++ {
+		c.SetFollow(i, net.ID(i|63)) // 64 clusters of 64
+	}
+	c.Resize(0, n) // no cluster splits
+	arena := c.lists.ids
+	// Split 16 clusters in two: 16 more leaders, each with room for 2 IDs.
+	for i := 0; i < 16*64; i++ {
+		if i&63 < 32 {
+			c.SetFollow(i, net.ID(i|31))
+		}
+	}
+	c.Resize(0, n)
+	if got := c.LeaderCount(); got != 80 {
+		t.Fatalf("%d leaders after the split, want 80", got)
+	}
+	if len(c.lists.ids) != len(arena) || &c.lists.ids[0] != &arena[0] {
+		t.Fatalf("a layout 32 slots larger made a new arena of %d slots (was %d)", len(c.lists.ids), len(arena))
+	}
+	checkInvariant(t, c, false)
+}
+
 func TestSeedSingletons(t *testing.T) {
 	net := newNet(t, 10000, 1)
 	c := newClustering(t, net)
@@ -392,8 +421,8 @@ func TestMergeAndCompress(t *testing.T) {
 	if got := c.LeaderCount(); got != 1 {
 		t.Fatalf("after merging all into one, leader count = %d", got)
 	}
-	if frac := c.LargestClusterFraction(); frac != 1 {
-		t.Fatalf("largest cluster fraction = %v, want 1", frac)
+	if sizes := c.ClusterSizes(); len(sizes) != 1 || sizes[smallest] != net.LiveCount() {
+		t.Fatalf("cluster sizes %v, want one cluster of all %d live nodes", sizes, net.LiveCount())
 	}
 }
 

@@ -150,12 +150,9 @@ type DeltaClusteringStats struct {
 // ClusteringStats computes DeltaClusteringStats for a clustering (local).
 func ClusteringStats(cl *cluster.Clustering) DeltaClusteringStats {
 	sizes := cl.ClusterSizes()
-	stats := DeltaClusteringStats{Clusters: len(sizes)}
-	net := cl.Network()
-	for i := 0; i < net.N(); i++ {
-		if !net.IsFailed(i) && !cl.IsClustered(i) {
-			stats.Unclustered++
-		}
+	stats := DeltaClusteringStats{
+		Clusters:    len(sizes),
+		Unclustered: cl.Network().LiveCount() - cl.ClusteredCount(),
 	}
 	if len(sizes) == 0 {
 		return stats

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/phonecall"
 	"repro/internal/trace"
 )
@@ -131,6 +134,39 @@ func TestCluster3ProducesDeltaClustering(t *testing.T) {
 	}
 	if res.MaxCommsPerRound > 4*delta {
 		t.Fatalf("observed per-round communications %d exceed 4Δ = %d", res.MaxCommsPerRound, 4*delta)
+	}
+}
+
+// TestActivateClustersForcesSmallestLeader: when no cluster activates,
+// activateClusters activates exactly the live leader with the smallest ID,
+// and that cluster's members learn it; a failed smallest leader is passed
+// over for the next one.
+func TestActivateClustersForcesSmallestLeader(t *testing.T) {
+	const n, size = 2000, 100
+	for _, failSmallest := range []bool{false, true} {
+		net := newNet(t, n, 4)
+		cl := cluster.New(net)
+		var leaders []int
+		for start := 0; start < n; start += size {
+			leaders = append(leaders, start)
+			for i := start; i < start+size; i++ {
+				cl.SetFollow(i, net.ID(start))
+			}
+		}
+		slices.SortFunc(leaders, func(a, b int) int { return cmp.Compare(net.ID(a), net.ID(b)) })
+		if failSmallest {
+			net.Fail(leaders[0])
+			leaders = leaders[1:]
+		}
+		activateClusters(cl, 0)
+		if got := cl.ActiveLeaderCount(); got != 1 {
+			t.Fatalf("failSmallest=%v: %d active leaders, want 1", failSmallest, got)
+		}
+		for i := leaders[0]; i < leaders[0]+size; i++ {
+			if !cl.IsActive(i) {
+				t.Fatalf("failSmallest=%v: node %d of the smallest live leader's cluster is not active", failSmallest, i)
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/cluster"
 	"repro/internal/phonecall"
@@ -38,6 +39,24 @@ func recordCandidate(cl *cluster.Clustering, policy candidatePolicy, i int, id p
 	}
 }
 
+// seedSingletons seeds singleton clusters with probability p; when no node
+// is seeded, which happens only at tiny n, it promotes the first live node so
+// that the protocol can proceed.
+func seedSingletons(cl *cluster.Clustering, p float64) {
+	if cl.SeedSingletons(p) > 0 {
+		return
+	}
+	net := cl.Network()
+	for k, w := range net.Live() {
+		if w != 0 {
+			i := k<<6 + bits.TrailingZeros64(w)
+			cl.SetFollow(i, net.ID(i))
+			cl.SetActive(i, true)
+			return
+		}
+	}
+}
+
 // growInitialClustersDense implements Procedure GrowInitialClusters of
 // Algorithm 1: singleton seed clusters recruit unclustered nodes by random
 // PUSH gossip until a growTargetFraction of the nodes is clustered (a
@@ -46,17 +65,7 @@ func growInitialClustersDense(cl *cluster.Clustering) {
 	net := cl.Network()
 	n := net.N()
 	seedProb := 1 / (seedC * lnN(n))
-	if cl.SeedSingletons(seedProb) == 0 {
-		// Degenerate only for tiny n: deterministically promote the first live
-		// node so that the protocol can proceed.
-		for i := 0; i < n; i++ {
-			if !net.IsFailed(i) {
-				cl.SetFollow(i, net.ID(i))
-				cl.SetActive(i, true)
-				break
-			}
-		}
-	}
+	seedSingletons(cl, seedProb)
 	for range phaseCap(n) {
 		if float64(cl.ClusteredCount()) >= growTargetFraction*float64(net.LiveCount()) {
 			break
@@ -91,15 +100,7 @@ func growInitialClustersSparse(cl *cluster.Clustering, targetSize int) {
 	n := net.N()
 	// Seed so that (#seeds)·targetSize ≈ n/(sparseFractionC·ln n).
 	seedProb := 1 / (sparseFractionC * lnN(n) * float64(targetSize))
-	if cl.SeedSingletons(seedProb) == 0 {
-		for i := 0; i < n; i++ {
-			if !net.IsFailed(i) {
-				cl.SetFollow(i, net.ID(i))
-				cl.SetActive(i, true)
-				break
-			}
-		}
-	}
+	seedSingletons(cl, seedProb)
 	growthFactor := 2 - 1/lnN(n)
 	clusteredTarget := float64(net.LiveCount()) / lnN(n) * 2
 	// A cluster can at most double per push round, so no cluster can reach
@@ -277,8 +278,9 @@ func activateClusters(cl *cluster.Clustering, prob float64) {
 			return
 		}
 	}
+	smallest := smallestLeaderID(cl)
 	cl.SetActivation(func(leader int) bool {
-		return cl.Network().ID(leader) == smallestLeaderID(cl)
+		return cl.Network().ID(leader) == smallest
 	})
 }
 
@@ -286,12 +288,12 @@ func activateClusters(cl *cluster.Clustering, prob float64) {
 func smallestLeaderID(cl *cluster.Clustering) phonecall.NodeID {
 	net := cl.Network()
 	best := phonecall.NoNode
-	for i := 0; i < net.N(); i++ {
-		if net.IsFailed(i) || !cl.IsLeader(i) {
-			continue
-		}
-		if best == phonecall.NoNode || net.ID(i) < best {
-			best = net.ID(i)
+	for k, w := range net.Live() {
+		for ; w != 0; w &= w - 1 {
+			i := k<<6 + bits.TrailingZeros64(w)
+			if id := net.ID(i); cl.IsLeader(i) && (best == phonecall.NoNode || id < best) {
+				best = id
+			}
 		}
 	}
 	return best
@@ -346,11 +348,13 @@ func boundedClusterPush(cl *cluster.Clustering) {
 	// got a redirect instead of the size holds a stale one and cannot
 	// stretch it.
 	pushes := 0
-	for i := 0; i < n; i++ {
-		if cl.IsClustered(i) && !net.IsFailed(i) {
-			setLeft(i, int32(plannedPushes(cl.Size(i), n, limit)))
-			if cl.IsLeader(i) {
-				pushes = max(pushes, int(left[i]))
+	for k, w := range net.Live() {
+		for ; w != 0; w &= w - 1 {
+			if i := k<<6 + bits.TrailingZeros64(w); cl.IsClustered(i) {
+				setLeft(i, int32(plannedPushes(cl.Size(i), n, limit)))
+				if cl.IsLeader(i) {
+					pushes = max(pushes, int(left[i]))
+				}
 			}
 		}
 	}

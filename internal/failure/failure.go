@@ -5,6 +5,8 @@
 package failure
 
 import (
+	"math/bits"
+
 	"repro/internal/phonecall"
 	"repro/internal/rng"
 )
@@ -37,9 +39,9 @@ func SurvivingSource(net *phonecall.Network, preferred int) (int, bool) {
 	if preferred >= 0 && preferred < net.N() && !net.IsFailed(preferred) {
 		return preferred, true
 	}
-	for i := 0; i < net.N(); i++ {
-		if !net.IsFailed(i) {
-			return i, true
+	for k, w := range net.Live() {
+		if w != 0 {
+			return k<<6 + bits.TrailingZeros64(w), true
 		}
 	}
 	return 0, false

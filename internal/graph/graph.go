@@ -32,34 +32,6 @@ func (g *Graph) AddEdge(u, v int) {
 	g.adj[v] = append(g.adj[v], int32(u))
 }
 
-// Degree returns the degree of vertex u (counting parallel edges).
-func (g *Graph) Degree(u int) int {
-	if u < 0 || u >= g.n {
-		return 0
-	}
-	return len(g.adj[u])
-}
-
-// MaxDegree returns the largest degree in the graph.
-func (g *Graph) MaxDegree() int {
-	maxDeg := 0
-	for u := 0; u < g.n; u++ {
-		if d := len(g.adj[u]); d > maxDeg {
-			maxDeg = d
-		}
-	}
-	return maxDeg
-}
-
-// Edges returns the number of undirected edges (parallel edges counted).
-func (g *Graph) Edges() int {
-	total := 0
-	for u := 0; u < g.n; u++ {
-		total += len(g.adj[u])
-	}
-	return total / 2
-}
-
 // Unreachable is the distance reported for vertices not reachable from the
 // BFS source.
 const Unreachable = int32(-1)
@@ -104,36 +76,4 @@ func (g *Graph) Eccentricity(src int) (ecc int, allReachable bool) {
 		}
 	}
 	return ecc, allReachable
-}
-
-// Connected reports whether the graph is connected (true for the empty and
-// single-vertex graph).
-func (g *Graph) Connected() bool {
-	if g.n <= 1 {
-		return true
-	}
-	_, all := g.Eccentricity(0)
-	return all
-}
-
-// DiameterLowerBound returns a lower bound on the diameter obtained by a
-// double BFS sweep (exact on trees, a good heuristic in general). The second
-// return value is false when the graph is disconnected, in which case the
-// diameter is infinite.
-func (g *Graph) DiameterLowerBound() (int, bool) {
-	if g.n == 0 {
-		return 0, true
-	}
-	dist := g.BFS(0)
-	far := 0
-	for v, d := range dist {
-		if d == Unreachable {
-			return 0, false
-		}
-		if d > dist[far] {
-			far = v
-		}
-	}
-	ecc, all := g.Eccentricity(far)
-	return ecc, all
 }

@@ -3,6 +3,7 @@ package live
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -117,11 +118,10 @@ type FrontierInfo struct {
 // convergence: one before any node steps, then one per wake from a node.
 type FreeRun struct {
 	cfg FreeRunConfig
-	net *phonecall.Network // ID directory and message sizing only; its engine never runs
+	net *phonecall.Network // ID directory, message sizing and live set; its engine never runs
 	tr  Transport
 	own bool
 
-	liveFlag []atomic.Bool
 	// Per-node holdings, one slab per mode (the other is nil): masks over the
 	// registered set, or rows of the shared rumor set.
 	mask       []maskHoldings
@@ -141,13 +141,13 @@ type FreeRun struct {
 	wg   sync.WaitGroup
 
 	// Wake hints (finished): ended[r % len] counts the nodes that finished
-	// round r and is zeroed as the frontier passes r; nLive counts live nodes
-	// and nInformed, on the mask path, nodes that finished a round informed of
-	// the registered set. None ever counts low, so a hint wakes the monitor
-	// early or on time, and the pass's census decides.
+	// round r and is zeroed as the frontier passes r, and nInformed, on the
+	// mask path, counts nodes that finished a round informed of the
+	// registered set. Neither counts low, nor does the network's live count,
+	// so a hint wakes the monitor early or on time, and the pass's census
+	// decides.
 	wake      chan struct{}
 	ended     []atomic.Int64
-	nLive     atomic.Int64
 	nInformed atomic.Int64
 
 	events  []scenario.Event
@@ -269,20 +269,18 @@ func NewFreeRun(cfg FreeRunConfig) (*FreeRun, error) {
 		return nil, fmt.Errorf("live: transport has %d endpoints for %d nodes", tr.N(), cfg.N)
 	}
 	fr := &FreeRun{
-		cfg:      cfg,
-		net:      net,
-		tr:       tr,
-		own:      own,
-		stream:   stream,
-		liveFlag: make([]atomic.Bool, cfg.N),
-		roundOf:  make([]atomic.Int64, cfg.N),
-		behav:    make([]atomic.Pointer[frBehavior], cfg.N),
-		stats:    make([]frStats, cfg.N),
-		wake:     make(chan struct{}, 1),
-		ended:    make([]atomic.Int64, min(cfg.MaxSkew, cfg.Rounds)+2),
-		drains:   make([][]byte, cfg.N*mailboxSlots),
+		cfg:     cfg,
+		net:     net,
+		tr:      tr,
+		own:     own,
+		stream:  stream,
+		roundOf: make([]atomic.Int64, cfg.N),
+		behav:   make([]atomic.Pointer[frBehavior], cfg.N),
+		stats:   make([]frStats, cfg.N),
+		wake:    make(chan struct{}, 1),
+		ended:   make([]atomic.Int64, min(cfg.MaxSkew, cfg.Rounds)+2),
+		drains:  make([][]byte, cfg.N*mailboxSlots),
 	}
-	fr.nLive.Store(int64(cfg.N))
 	full := phonecall.MaskView{Held: ^uint64(0), Registered: ^uint64(0)}.Message(net)
 	fr.spareLen = headerLen(cfg.Rounds, cfg.N-1) + messageLen(&full)
 	fr.firstFrames = make([]byte, cfg.N*firstSpares*fr.spareLen)
@@ -318,9 +316,6 @@ func NewFreeRun(cfg FreeRunConfig) (*FreeRun, error) {
 		}
 	}
 	fr.cond = sync.NewCond(&fr.mu)
-	for i := range fr.liveFlag {
-		fr.liveFlag[i].Store(true)
-	}
 	fr.events = append(fr.events, cfg.Events...)
 	sort.SliceStable(fr.events, func(a, b int) bool {
 		return fr.events[a].EventRound() < fr.events[b].EventRound()
@@ -502,15 +497,15 @@ func (fr *FreeRun) pass() {
 // remaining events still fire) and the furthest local clock among them.
 func (fr *FreeRun) census() FrontierInfo {
 	c := FrontierInfo{Frontier: fr.cfg.Rounds}
-	for i := 0; i < fr.cfg.N; i++ {
-		if !fr.liveFlag[i].Load() {
-			continue
-		}
-		r := int(fr.roundOf[i].Load())
-		c.Frontier, c.MaxRound = min(c.Frontier, r), max(c.MaxRound, r)
-		c.Live++
-		if fr.holdingsOf(i).informed() {
-			c.Informed++
+	for k, w := range fr.net.Live() {
+		for ; w != 0; w &= w - 1 {
+			i := k<<6 + bits.TrailingZeros64(w)
+			r := int(fr.roundOf[i].Load())
+			c.Frontier, c.MaxRound = min(c.Frontier, r), max(c.MaxRound, r)
+			c.Live++
+			if fr.holdingsOf(i).informed() {
+				c.Informed++
+			}
 		}
 	}
 	return c
@@ -543,7 +538,7 @@ func (fr *FreeRun) passStream(frontier int64) {
 	// GC first: the AND-scan over live holdings rows is the race-free
 	// convergence authority, here as in the scenario driver. Retiring before
 	// injecting is what lets a full window drain within the same pass.
-	scan := fr.set.ScanConverged(fr.scanBuf[:0], func(i int) bool { return fr.liveFlag[i].Load() })
+	scan := fr.set.ScanConverged(fr.scanBuf[:0], func(i int) bool { return !fr.net.IsFailed(i) })
 	fr.scanBuf = scan[:0]
 	if len(scan) > 0 {
 		fr.set.Retire(scan...)
@@ -599,7 +594,7 @@ func (fr *FreeRun) passStream(frontier int64) {
 func (fr *FreeRun) pickInjectNode(k int) int {
 	start := k % fr.cfg.N
 	for off := 0; off < fr.cfg.N; off++ {
-		if i := (start + off) % fr.cfg.N; fr.liveFlag[i].Load() {
+		if i := (start + off) % fr.cfg.N; !fr.net.IsFailed(i) {
 			return i
 		}
 	}
@@ -619,8 +614,8 @@ type frTarget struct {
 // while it was dead never reached it.
 func (t frTarget) Fail(nodes ...int) {
 	for _, i := range nodes {
-		if i >= 0 && i < t.cfg.N && t.liveFlag[i].Swap(false) {
-			t.nLive.Add(-1)
+		if i >= 0 && i < t.cfg.N && !t.net.IsFailed(i) {
+			t.net.Fail(i)
 			if t.set != nil {
 				t.set.Fail(i)
 			}
@@ -631,7 +626,7 @@ func (t frTarget) Fail(nodes ...int) {
 func (t frTarget) Revive(nodes ...int) {
 	t.mu.Lock()
 	for _, i := range nodes {
-		if i >= 0 && i < t.cfg.N && !t.liveFlag[i].Load() {
+		if i >= 0 && i < t.cfg.N && t.net.IsFailed(i) {
 			if t.set != nil {
 				t.set.Revive(i)
 			} else {
@@ -639,8 +634,7 @@ func (t frTarget) Revive(nodes ...int) {
 			}
 			t.tr.Mailbox(i).TryDrain(nil)
 			t.roundOf[i].Store(t.frontier)
-			t.nLive.Add(1)
-			t.liveFlag[i].Store(true)
+			t.net.Revive(i)
 		}
 	}
 	t.cond.Broadcast()
@@ -657,7 +651,7 @@ func (t frTarget) Inject(node int, r phonecall.RumorID) error {
 		t.nInformed.Store(0) // before the set grows: no node counts low
 	}
 	t.registered.Or(1 << r)
-	if !t.liveFlag[node].Load() {
+	if t.net.IsFailed(node) {
 		// Held until JoinAt restarts the node uninformed: the tracker's
 		// lost-inject rule.
 		t.lost++
@@ -694,7 +688,7 @@ func (t frTarget) Registered() uint64   { return t.registered.Load() }
 // off r-1: the node then rejoins where the revive put it.
 func (fr *FreeRun) wait(i, r int) bool {
 	parked := func() bool {
-		return !fr.liveFlag[i].Load() || r > fr.cfg.Rounds || int64(r)-fr.minRound.Load() > int64(fr.cfg.MaxSkew)
+		return fr.net.IsFailed(i) || r > fr.cfg.Rounds || int64(r)-fr.minRound.Load() > int64(fr.cfg.MaxSkew)
 	}
 	if parked() {
 		fr.mu.Lock()
@@ -714,7 +708,7 @@ func (fr *FreeRun) wait(i, r int) bool {
 // runs four times a round.
 func (fr *FreeRun) finished(i, r int, seen *uint64) {
 	c := fr.ended[r%len(fr.ended)].Add(1)
-	live := fr.nLive.Load()
+	live := int64(fr.net.LiveCount())
 	if c >= live || fr.set != nil && 4*c/live != 4*(c-1)/live {
 		fr.signal()
 	}
@@ -734,7 +728,7 @@ func (fr *FreeRun) nodeLoop(i int) {
 	// copy doubled nodeLoop's frame and pushed goroutine stacks up.
 	var nd node
 	nd.i, nd.algo, nd.net, nd.tr = i, fr.cfg.Algorithm, fr.net, fr.tr
-	nd.h, nd.behav, nd.st, nd.alive = fr.holdingsOf(i), &fr.behav[i], &fr.stats[i], &fr.liveFlag[i]
+	nd.h, nd.behav, nd.st = fr.holdingsOf(i), &fr.behav[i], &fr.stats[i]
 	if fr.tel != nil {
 		nd.telMsgs, nd.telBits = fr.tel.msgs, fr.tel.bitsSent
 	}

@@ -184,14 +184,15 @@ type frStats struct {
 type node struct {
 	i    int
 	algo scenario.Algorithm
-	net  *phonecall.Network // ID directory, contact hash and message sizing; its engine never runs
-	tr   Transport
-	h    holdings
+	// net is the ID directory, contact hash, message sizing and live set;
+	// its engine never runs. A round in flight when the node crashes drains
+	// nothing.
+	net *phonecall.Network
+	tr  Transport
+	h   holdings
 	// behav, when non-nil, is where the monitor publishes the node's Byzantine
-	// behavior; the step picks it up at its next round. alive, when non-nil, is
-	// its live flag: a round in flight when the node crashes drains nothing.
+	// behavior; the step picks it up at its next round.
 	behav *atomic.Pointer[frBehavior]
-	alive *atomic.Bool
 	st    *frStats
 	// telMsgs/telBits are the pre-resolved telemetry counters (nil without a
 	// registry): the send path pays a nil check and two sharded atomic adds.
@@ -274,7 +275,7 @@ func (nd *node) step(r int, drain [][]byte) (_ [][]byte, needy bool) {
 		}
 	}
 
-	if nd.alive == nil || nd.alive.Load() {
+	if !nd.net.IsFailed(i) {
 		drain = nd.tr.Mailbox(i).TryDrain(drain[:0])
 	}
 	// A round rarely has more pullers; beyond that append spills to the heap.

@@ -85,19 +85,3 @@ func MinRounds(n int, seed uint64) (int, []Feasibility) {
 	}
 	return maxT, trace
 }
-
-// DeltaSimulation computes, for a fan-in/fan-out bound delta, the minimum
-// number of rounds needed to inform n nodes when the informed set can grow by
-// at most a factor delta per round (the counting argument behind Lemma 16).
-func DeltaSimulation(n, delta int) int {
-	if n <= 1 || delta < 2 {
-		return 0
-	}
-	informed := 1
-	rounds := 0
-	for informed < n {
-		informed *= delta
-		rounds++
-	}
-	return rounds
-}

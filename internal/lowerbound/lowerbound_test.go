@@ -30,27 +30,6 @@ func TestDeltaBound(t *testing.T) {
 	}
 }
 
-func TestDeltaSimulationMatchesBound(t *testing.T) {
-	for _, tc := range []struct{ n, delta, want int }{
-		{1024, 2, 10},
-		{1000, 10, 3},
-		{1, 5, 0},
-		{100, 1, 0},
-	} {
-		if got := DeltaSimulation(tc.n, tc.delta); got != tc.want {
-			t.Fatalf("DeltaSimulation(%d,%d) = %d, want %d", tc.n, tc.delta, got, tc.want)
-		}
-	}
-	// The simulation can never beat the analytic bound.
-	for _, n := range []int{100, 10000, 1000000} {
-		for _, d := range []int{2, 16, 256} {
-			if float64(DeltaSimulation(n, d)) < DeltaBound(n, d)-1e-9 {
-				t.Fatalf("simulation beats Lemma 16 for n=%d delta=%d", n, d)
-			}
-		}
-	}
-}
-
 func TestMinRoundsIsAtLeastTheoreticalBound(t *testing.T) {
 	for _, n := range []int{1000, 10000, 100000} {
 		for seed := uint64(1); seed <= 3; seed++ {

@@ -1,8 +1,11 @@
 package phonecall
 
 import (
+	"math/bits"
 	"reflect"
 	"testing"
+
+	"repro/internal/rng"
 )
 
 // Tests for the engine's dynamic-network semantics: Fail/Revive between
@@ -78,6 +81,50 @@ func TestMidRunFailSilencesInitiator(t *testing.T) {
 	}
 	if evaluated[0] != 3 {
 		t.Fatalf("live node's intent evaluated %d times, want 3", evaluated[0])
+	}
+}
+
+// TestLiveSetTracksFailRevive runs random Fail and Revive batches, with
+// duplicate and out-of-range indexes, against a []bool model: after every
+// batch IsFailed matches the model, LiveCount is the popcount of Live, and
+// Live has no bit at or past n.
+func TestLiveSetTracksFailRevive(t *testing.T) {
+	for _, n := range []int{2, 64, 200} {
+		net := newTestNet(t, n, 3)
+		failed := make([]bool, n)
+		src := rng.New(uint64(n))
+		for batch := 0; batch < 300; batch++ {
+			idx := make([]int, src.Intn(12))
+			for k := range idx {
+				idx[k] = src.Intn(n+6) - 3
+			}
+			fail := src.Bernoulli(0.5)
+			if fail {
+				net.Fail(idx...)
+			} else {
+				net.Revive(idx...)
+			}
+			for _, i := range idx {
+				if i >= 0 && i < n {
+					failed[i] = fail
+				}
+			}
+			for i, f := range failed {
+				if net.IsFailed(i) != f {
+					t.Fatalf("n=%d batch %d: IsFailed(%d) = %v, model says %v", n, batch, i, net.IsFailed(i), f)
+				}
+			}
+			pop := 0
+			for _, w := range net.Live() {
+				pop += bits.OnesCount64(w)
+			}
+			if net.LiveCount() != pop {
+				t.Fatalf("n=%d batch %d: LiveCount %d, Live holds %d", n, batch, net.LiveCount(), pop)
+			}
+			if rest := n & 63; rest != 0 && net.Live()[len(net.Live())-1]>>rest != 0 {
+				t.Fatalf("n=%d batch %d: Live has a bit past node %d", n, batch, n-1)
+			}
+		}
 	}
 }
 

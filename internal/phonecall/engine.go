@@ -434,8 +434,8 @@ func (net *Network) touchedUnion(k int) uint64 {
 }
 
 // passCalls resets the cells the shard touched last round, evaluates the
-// calls of the shard's initiators — the nodes of its blocks in the round's
-// set, or all of them under a nil set — resolves their targets and accounts
+// calls of the shard's initiators — the live nodes of its blocks in the
+// round's set, or all of them under a nil set — resolves their targets and accounts
 // everything the call alone determines: payload and control messages, the
 // control bits and the per-destination message/pull/communication counts
 // used by the later passes. A payload's bits are charged by passFill, which
@@ -467,22 +467,16 @@ func (net *Network) passCalls(w, lo, hi int) {
 	sel := net.selector
 	round := net.round
 
-	set := net.curSet
+	set, live := net.curSet, net.live
 	for k, kHi := blockSpan(lo, hi); k < kHi; k++ {
-		// A nil set walks every node of the block; a set walks its bits.
-		u := ^uint64(0)
+		// The initiators are the set's live nodes, or every live node under
+		// a nil set; live has no bit past n.
+		u := live[k]
 		if set != nil {
-			u = set[k]
-		}
-		if rest := hi - k<<6; rest < 64 {
-			u &= 1<<rest - 1
+			u &= set[k]
 		}
 		for ; u != 0; u &= u - 1 {
 			i := k<<6 + bits.TrailingZeros64(u)
-			if net.failed[i] {
-				net.ops[i] = opNone
-				continue
-			}
 			c := callOf(i)
 			if c.Kind == None {
 				net.ops[i] = opNone
@@ -507,11 +501,11 @@ func (net *Network) passCalls(w, lo, hi int) {
 			// call, so it is not charged (Section 8 failure model). A call
 			// lost in transit (SetLoss) follows the same rule: the initiator
 			// attempted, the target never participated.
-			live := ok && !net.failed[j]
-			if live && net.lossRate > 0 && net.dropCall(i) {
-				live = false
+			reached := ok && live.Has(j)
+			if reached && net.lossRate > 0 && net.dropCall(i) {
+				reached = false
 			}
-			if live {
+			if reached {
 				cells[j].comms++
 				touch(touched, j)
 				net.tgt[i] = int32(j)
@@ -538,11 +532,11 @@ func (net *Network) passCalls(w, lo, hi int) {
 				st.bits += int64(net.controlSize())
 			} else {
 				st.messages++
-				if live {
+				if reached {
 					cells[j].msgs++
 				}
 			}
-			if o != opPush && live {
+			if o != opPush && reached {
 				cells[j].pulls++
 				st.pullEvents++
 			}
@@ -641,7 +635,8 @@ func (net *Network) passMerge(w, lo, hi int) {
 // puller's target — and hence the response index it depends on — can live
 // in any shard. Every live initiator touched its own cell, so the walk over
 // touched nodes meets every puller; a touched node outside the round's set
-// was only a target, and its ops entry is a past round's.
+// was only a target, and its ops entry is a past round's. A dead node is
+// never touched.
 func (net *Network) passSelf(w, lo, hi int) {
 	cells := net.cells[w]
 	set := net.curSet

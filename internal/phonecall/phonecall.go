@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sync/atomic"
 
 	"repro/internal/rng"
 )
@@ -170,12 +171,18 @@ type RoundReport struct {
 
 // Network is the synchronous random phone call simulator.
 type Network struct {
-	cfg         Config
-	n           int
-	ids         []NodeID
-	index       *idTable
-	failed      []bool
-	liveCount   int
+	cfg   Config
+	n     int
+	ids   []NodeID
+	index *idTable
+	// live holds the nodes that have not failed, and liveCount its size.
+	// Fail and Revive are their only writers, with atomic operations, so
+	// the free-running runtime's monitor may flip bits while its node
+	// goroutines read them; the count moves after a fail clears its bit and
+	// before a revive sets one, so it never reads below the set's size. The
+	// engine's passes read live's words between those writes.
+	live        NodeSet
+	liveCount   atomic.Int64
 	nodeRNG     []rng.Source
 	idBits      int
 	counterBits int
@@ -306,14 +313,20 @@ func New(cfg Config) (*Network, error) {
 		n:           cfg.N,
 		ids:         make([]NodeID, cfg.N),
 		index:       newIDTable(cfg.N),
-		failed:      make([]bool, cfg.N),
-		liveCount:   cfg.N,
+		live:        NewNodeSet(cfg.N),
 		nodeRNG:     make([]rng.Source, cfg.N),
 		idBits:      max(16, 2*logN),
 		counterBits: logN + 1,
 		tagBits:     8,
 	}
 
+	for k := range net.live {
+		net.live[k] = ^uint64(0)
+	}
+	if r := cfg.N & 63; r != 0 {
+		net.live[len(net.live)-1] = 1<<r - 1
+	}
+	net.liveCount.Store(int64(cfg.N))
 	net.initEngine(cfg.Workers)
 	net.assignIDs()
 	for i := range net.nodeRNG {
@@ -367,7 +380,12 @@ func (net *Network) assignIDsInOrder() {
 func (net *Network) N() int { return net.n }
 
 // LiveCount returns the number of non-failed nodes.
-func (net *Network) LiveCount() int { return net.liveCount }
+func (net *Network) LiveCount() int { return int(net.liveCount.Load()) }
+
+// Live returns the set of non-failed nodes (local). It is the network's own
+// set, which Fail and Revive change; no bit at or past N is ever set, so a
+// word operation with it also clips a set to the network.
+func (net *Network) Live() NodeSet { return net.live }
 
 // Seed returns the execution seed.
 func (net *Network) Seed() uint64 { return net.cfg.Seed }
@@ -405,9 +423,9 @@ func (net *Network) NodeRNG(i int) *rng.Source { return &net.nodeRNG[i] }
 // executing (use an OnRoundStart hook to inject failures between rounds).
 func (net *Network) Fail(indexes ...int) {
 	for _, i := range indexes {
-		if i >= 0 && i < net.n && !net.failed[i] {
-			net.failed[i] = true
-			net.liveCount--
+		if i >= 0 && i < net.n && net.live.Has(i) {
+			net.live.Put(i, false)
+			net.liveCount.Add(-1)
 		}
 	}
 }
@@ -419,15 +437,15 @@ func (net *Network) Fail(indexes ...int) {
 // Revive must only be called between rounds.
 func (net *Network) Revive(indexes ...int) {
 	for _, i := range indexes {
-		if i >= 0 && i < net.n && net.failed[i] {
-			net.failed[i] = false
-			net.liveCount++
+		if i >= 0 && i < net.n && !net.live.Has(i) {
+			net.liveCount.Add(1)
+			net.live.Put(i, true)
 		}
 	}
 }
 
 // IsFailed reports whether node i is failed.
-func (net *Network) IsFailed(i int) bool { return net.failed[i] }
+func (net *Network) IsFailed(i int) bool { return !net.live.Has(i) }
 
 // SetLoss configures oblivious per-call message loss: from the next round on,
 // every initiated call is independently dropped with probability rate. A

@@ -79,7 +79,7 @@ func (t *RumorTracker) Inject(node int, r RumorID) error {
 	if err := t.Register(r); err != nil {
 		return err
 	}
-	if t.net.failed[node] {
+	if t.net.IsFailed(node) {
 		t.lost++
 	}
 	t.Mark(node, r)
@@ -107,7 +107,7 @@ func (t *RumorTracker) MarkSet(node int, set uint64) {
 		return
 	}
 	t.held[node] |= fresh
-	if t.net.failed[node] {
+	if t.net.IsFailed(node) {
 		return
 	}
 	for fresh != 0 {
@@ -136,7 +136,7 @@ func (t *RumorTracker) LiveInformed(r RumorID) int {
 // Already-failed and out-of-range indexes are ignored. Coordinator-only.
 func (t *RumorTracker) Fail(nodes ...int) {
 	for _, i := range nodes {
-		if i < 0 || i >= t.net.n || t.net.failed[i] {
+		if i < 0 || i >= t.net.n || t.net.IsFailed(i) {
 			continue
 		}
 		t.net.Fail(i)
@@ -150,7 +150,7 @@ func (t *RumorTracker) Fail(nodes ...int) {
 // out-of-range indexes are ignored. Coordinator-only.
 func (t *RumorTracker) Revive(nodes ...int) {
 	for _, i := range nodes {
-		if i < 0 || i >= t.net.n || !t.net.failed[i] {
+		if i < 0 || i >= t.net.n || !t.net.IsFailed(i) {
 			continue
 		}
 		t.net.Revive(i)

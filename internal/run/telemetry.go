@@ -1,6 +1,7 @@
 package run
 
 import (
+	"math/bits"
 	"strconv"
 	"time"
 
@@ -134,9 +135,11 @@ func (e *instruments) record(rec traceRoundRecord, net *phonecall.Network, holdi
 	}
 	if e.zoneInformed != nil {
 		clear(e.zoneCounts)
-		for i, n := 0, net.N(); i < n; i++ {
-			if !net.IsFailed(i) && holdings.HoldsAll(i) {
-				e.zoneCounts[e.policySel.Zone(i)]++
+		for k, w := range net.Live() {
+			for ; w != 0; w &= w - 1 {
+				if i := k<<6 + bits.TrailingZeros64(w); holdings.HoldsAll(i) {
+					e.zoneCounts[e.policySel.Zone(i)]++
+				}
 			}
 		}
 		for z, g := range e.zoneInformed {
